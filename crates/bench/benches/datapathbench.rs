@@ -1,8 +1,7 @@
 //! Datapath kernel micro-benchmarks: the scalar per-comparison
-//! `filter()`/`force()` walk vs the SoA batch kernels
-//! (`ForceDatapath::filter_scan_into` + `force_batch`) and the fused
-//! filter→force kernel (`ForceDatapath::fused_scan_into`) that the
-//! timed model's stations dispatch through by default.
+//! `filter()`/`force()` walk vs the fused filter→force kernel
+//! (`ForceDatapath::fused_scan_into`) that the timed model's stations
+//! dispatch through by default.
 //!
 //! Same hand-rolled harness as `microbench` (no external bench
 //! framework). Run with `cargo bench --bench datapathbench`.
@@ -22,7 +21,7 @@
 
 use fasda_bench::kernels::{measure_kernels, reference_home, reference_neighbour, KernelThroughput};
 use fasda_bench::Args;
-use fasda_core::datapath::{FilteredPair, ForceDatapath, HomeSoa, ScanHit};
+use fasda_core::datapath::{ForceDatapath, HomeSoa, ScanHit};
 use fasda_arith::interp::TableConfig;
 use fasda_md::element::{Element, PairTable};
 use fasda_md::units::UnitSystem;
@@ -155,24 +154,6 @@ fn main() {
         acc
     });
 
-    // Two-pass SoA batch kernels: filter_scan_into + force_batch (the
-    // previous batch-path generation, kept as a comparison point).
-    let mut hits: Vec<(u16, FilteredPair)> = Vec::with_capacity(64);
-    let mut forces: Vec<[f32; 3]> = Vec::with_capacity(64);
-    bench("datapath", "scan64_soa_batch", MIN, || {
-        hits.clear();
-        forces.clear();
-        dp.filter_scan_into(&soa, nbr, 0, &mut hits);
-        dp.force_batch(&soa.elem, nbr_elem, &hits, &mut forces);
-        let mut acc = [0.0f32; 3];
-        for f in &forces {
-            for k in 0..3 {
-                acc[k] += f[k];
-            }
-        }
-        acc
-    });
-
     // Fused filter→force kernel: what Pe::dispatch_planned runs at
     // dispatch time by default — survivors go straight from the pass
     // mask into interpolation, no FilteredPair vector in between.
@@ -189,18 +170,13 @@ fn main() {
         acc
     });
 
-    // Filter-only variants isolate the scan loop from the force table.
+    // Filter only: the scalar scan loop without the force table.
     bench("datapath", "filter64_scalar", MIN, || {
         let mut n = 0u32;
         for &c in &concat {
             n += u32::from(dp.filter(c, nbr).is_some());
         }
         n
-    });
-    bench("datapath", "filter64_soa", MIN, || {
-        hits.clear();
-        dp.filter_scan_into(&soa, nbr, 0, &mut hits);
-        hits.len()
     });
 
     // Phase-start transposition cost (amortized over the whole phase).

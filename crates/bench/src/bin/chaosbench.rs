@@ -140,7 +140,7 @@ fn main() {
 
     let sys = workload(per_cell);
     let cfg = ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3));
-    let engine = EngineConfig::parallel();
+    let engine = EngineConfig::auto();
 
     rule("fault-free baseline (reliability off)");
     let base = run(&sys, cfg.clone(), steps, &engine);
@@ -325,7 +325,7 @@ fn recovery(args: &Args) {
 
     let sys = workload(per_cell);
     let base = ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3));
-    let engine = EngineConfig::parallel();
+    let engine = EngineConfig::auto();
     let budget = 2_000_000_000u64;
     let scratch = std::env::temp_dir().join(format!("fasda-recovery-{}", std::process::id()));
 

@@ -1,28 +1,20 @@
 //! Engine benchmark — cost of simulating fig16-style 8-FPGA workloads
-//! under the cycle engines:
+//! under the two cycle engines:
 //!
-//! * `serial` — the reference loop, every optimization off (the oracle).
-//! * `engine` — the parallel + idle fast-forward + gated fast-path
-//!   engine, burst stepping and SoA kernels **off** (the previous
-//!   engine generation's feature set).
-//! * `engine+burst` — burst stepping on, the fused SoA scan forced
-//!   **off** (`with_soa(false)`): the default engine's scalar fallback,
-//!   kept measured so `soa_vs_default` stays an apples-to-apples ratio.
-//! * `engine+burst+soa` — the default `EngineConfig::parallel()`:
-//!   burst stepping plus the fused SoA filter→force scan, both on by
-//!   default.
+//! * `serial` — `EngineConfig::serial()`, the plain per-cycle oracle.
+//! * `fast` — `EngineConfig::auto()`: idle fast-forward, quiescence
+//!   cache, chip fast path, fused SoA filter→force scan.
 //!
 //! Two scenarios, both on the fig16 particle workload (6x6x6 cells,
 //! 64 Na/cell, 8 nodes of 3x3x3 cells):
 //!
 //! * `dense` — every node computes flat out. Almost no cycle is globally
-//!   quiescent, so neither fast-forward nor burst windows fire; this
-//!   scenario measures the raw per-cycle datapath cost.
+//!   quiescent, so fast-forward has nothing to skip; this scenario
+//!   measures the raw per-cycle datapath cost.
 //! * `straggler` — node 0 stalls for `--stall` cycles at the start of
 //!   each force phase (OS jitter / checkpoint pause on one host). Once
 //!   the other seven nodes drain, the whole cluster is quiescent and the
-//!   engine fast-forwards straight to the stall expiry. This scenario
-//!   exercises the idle-dominated path where burst windows can open.
+//!   fast engine jumps straight to the stall expiry.
 //!
 //! Every run is asserted bit-identical to the serial oracle
 //! (`ClusterRunReport ==`); the engines only change how fast host
@@ -31,13 +23,11 @@
 //! steal, so CPU seconds are the stabler basis for ratios. Results are
 //! written to `BENCH_engine.json` in the current directory.
 //!
-//! Usage: `enginebench [--steps N] [--reps N] [--threads N] [--stall N]
-//!                     [--shards N] [--out FILE] [--smoke]`
+//! Usage: `enginebench [--steps N] [--reps N] [--stall N] [--shards N]
+//!                     [--out FILE] [--smoke]`
 //!
 //! `--smoke` runs a single rep of one step on a tiny workload — a CI
-//! gate for the bit-identity asserts, not a measurement. Full runs also
-//! sweep `--threads` over {1, 2, 4, 8} on the dense scenario and record
-//! the per-kernel datapath throughput (`datapath_kernels`).
+//! gate for the bit-identity asserts, not a measurement.
 //!
 //! Every run also sweeps the sharded engine over {1, 2, 4} worker
 //! shards (or just `--shards N` when given) on the dense scenario:
@@ -45,9 +35,10 @@
 //! bit-identical to the serial oracle. Wall clock is the speedup signal
 //! on multi-core hosts; CPU seconds are recorded alongside so a 1-core
 //! host can still gate on identity and protocol overhead (sharding
-//! cannot beat one process on one core). A final `auto_engine` section
-//! documents the CLI's `EngineConfig::auto` default against the old
-//! unconditional `parallel()` it replaced.
+//! cannot beat one process on one core). Then: the live-telemetry
+//! overhead gate (`obs_overhead`), the §5 analytic-model gate
+//! (`modelcheck`) and the per-kernel datapath throughput
+//! (`datapath_kernels`).
 
 use fasda_bench::{rule, Args};
 use fasda_cluster::{
@@ -115,73 +106,25 @@ impl Timing {
 struct Outcome {
     name: &'static str,
     serial: Timing,
-    engine: Timing,
-    nosoa: Timing,
-    full: Timing,
+    fast: Timing,
     cycles: u64,
     skipped: u64,
-    burst_cycles: u64,
-    burst_count: u64,
-    burst_refused: u64,
-    burst_refused_interface: u64,
-    burst_refused_idle: u64,
-    burst_refused_small: u64,
 }
 
 impl Outcome {
-    /// Default engine (burst + fused SoA scan) vs serial oracle.
+    /// Fast engine vs serial oracle.
     fn speedup(&self) -> f64 {
-        self.full.ratio_over(self.serial)
-    }
-
-    /// Previous-generation engine mode (no burst, no SoA) vs serial.
-    fn speedup_engine(&self) -> f64 {
-        self.engine.ratio_over(self.serial)
-    }
-
-    /// What burst stepping adds on top of the previous engine mode
-    /// (SoA off on both sides).
-    fn burst_gain(&self) -> f64 {
-        self.nosoa.ratio_over(self.engine)
-    }
-
-    /// The default fused SoA hot path relative to its scalar fallback
-    /// (< 1 would mean dispatch-time planning costs more than it saves
-    /// on this host).
-    fn soa_gain(&self) -> f64 {
-        self.full.ratio_over(self.nosoa)
+        self.fast.ratio_over(self.serial)
     }
 }
 
-/// The three optimized engine configurations a scenario is measured
-/// under (the serial oracle is implicit).
-struct Engines {
-    /// Previous generation's feature set: no burst, no SoA.
-    engine: EngineConfig,
-    /// Burst on, fused SoA scan forced off — the default's scalar
-    /// fallback.
-    nosoa: EngineConfig,
-    /// The `EngineConfig::parallel()` default: burst + fused SoA scan.
-    full: EngineConfig,
-}
-
-struct RunStats {
-    skipped: u64,
-    burst_cycles: u64,
-    burst_count: u64,
-    burst_refused: u64,
-    burst_refused_interface: u64,
-    burst_refused_idle: u64,
-    burst_refused_small: u64,
-}
-
-/// One fresh run under `engine`: timing, engine statistics, report.
+/// One fresh run under `engine`: timing, fast-forwarded cycles, report.
 fn run_once(
     sys: &ParticleSystem,
     cfg: ClusterConfig,
     steps: u64,
     engine: &EngineConfig,
-) -> (Timing, RunStats, ClusterRunReport) {
+) -> (Timing, u64, ClusterRunReport) {
     let mut cluster = Cluster::new(cfg, sys);
     let t0 = Instant::now();
     let c0 = cpu_seconds();
@@ -190,67 +133,36 @@ fn run_once(
         wall: t0.elapsed().as_secs_f64(),
         cpu: cpu_seconds() - c0,
     };
-    let stats = RunStats {
-        skipped: cluster.skipped_cycles,
-        burst_cycles: cluster.burst_cycles,
-        burst_count: cluster.burst_count,
-        burst_refused: cluster.burst_refused,
-        burst_refused_interface: cluster.burst_refused_interface,
-        burst_refused_idle: cluster.burst_refused_idle,
-        burst_refused_small: cluster.burst_refused_small,
-    };
-    (timing, stats, r)
+    (timing, cluster.skipped_cycles, r)
 }
 
-/// Best-of-`reps` for all four engines, reps interleaved (serial,
-/// engine, nosoa, full, serial, ...) so slow host-load windows hit
-/// every side alike. Asserts each optimized report equal to the serial
-/// oracle's, and returns that oracle report so the threads sweep can
-/// reuse it.
+/// Best-of-`reps` for both engines, reps interleaved (serial, fast,
+/// serial, ...) so slow host-load windows hit both sides alike. Asserts
+/// the fast engine's report equal to the serial oracle's, and returns
+/// that oracle report so the later sections can reuse it.
 fn measure(
     sys: &ParticleSystem,
     cfg: ClusterConfig,
     steps: u64,
     reps: u32,
     name: &'static str,
-    engines: &Engines,
 ) -> (Outcome, ClusterRunReport) {
     let mut o = Outcome {
         name,
         serial: Timing::WORST,
-        engine: Timing::WORST,
-        nosoa: Timing::WORST,
-        full: Timing::WORST,
+        fast: Timing::WORST,
         cycles: 0,
         skipped: 0,
-        burst_cycles: 0,
-        burst_count: 0,
-        burst_refused: 0,
-        burst_refused_interface: 0,
-        burst_refused_idle: 0,
-        burst_refused_small: 0,
     };
     let mut oracle = None;
     for _ in 0..reps {
         let (ts, _, rs) = run_once(sys, cfg.clone(), steps, &EngineConfig::serial());
-        let (te, _, re) = run_once(sys, cfg.clone(), steps, &engines.engine);
-        let (tn, _, rn) = run_once(sys, cfg.clone(), steps, &engines.nosoa);
-        let (tf, sf, rf) = run_once(sys, cfg.clone(), steps, &engines.full);
-        assert_eq!(re, rs, "{name}: engine must stay bit-identical");
-        assert_eq!(rn, rs, "{name}: burst engine must stay bit-identical");
-        assert_eq!(rf, rs, "{name}: default engine must stay bit-identical");
+        let (tf, skipped, rf) = run_once(sys, cfg.clone(), steps, &EngineConfig::auto());
+        assert_eq!(rf, rs, "{name}: fast engine must stay bit-identical");
         o.serial.fold_best(ts);
-        o.engine.fold_best(te);
-        o.nosoa.fold_best(tn);
-        o.full.fold_best(tf);
+        o.fast.fold_best(tf);
         o.cycles = rs.total_cycles;
-        o.skipped = sf.skipped;
-        o.burst_cycles = sf.burst_cycles;
-        o.burst_count = sf.burst_count;
-        o.burst_refused = sf.burst_refused;
-        o.burst_refused_interface = sf.burst_refused_interface;
-        o.burst_refused_idle = sf.burst_refused_idle;
-        o.burst_refused_small = sf.burst_refused_small;
+        o.skipped = skipped;
         oracle = Some(rs);
     }
     (o, oracle.expect("reps >= 1"))
@@ -263,7 +175,6 @@ fn main() {
     let reps: u32 = args.get("reps", if smoke { 1 } else { 2 });
     let stall: u64 = args.get("stall", if smoke { 5_000 } else { 200_000 });
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads: usize = args.get("threads", host_cores);
     let out: String = args.get("out", "BENCH_engine.json".to_string());
 
     println!("FASDA — cycle-engine benchmark (fig16 8-FPGA workload)");
@@ -295,103 +206,41 @@ fn main() {
         Scenario { name: "straggler", cfg: straggler },
     ];
 
-    // Previous engine generation's feature set: threads + fast-forward +
-    // fast path, burst stepping and SoA scan kernels disabled; the
-    // default minus the fused SoA scan (its scalar fallback); and the
-    // default engine itself (burst + fused SoA scan on).
-    let full = EngineConfig::parallel().with_threads(threads);
-    let engines = Engines {
-        engine: full.with_soa(false).with_burst(false),
-        nosoa: full.with_soa(false),
-        full,
-    };
-
     let mut outcomes = Vec::new();
     let mut dense_oracle = None;
     for sc in &scenarios {
         rule(sc.name);
-        let (o, oracle) = measure(&sys, sc.cfg.clone(), steps, reps, sc.name, &engines);
+        let (o, oracle) = measure(&sys, sc.cfg.clone(), steps, reps, sc.name);
         if sc.name == "dense" {
             dense_oracle = Some(oracle);
         }
         println!(
             "{:<22}{:>10.3} s wall {:>8.2} s cpu",
-            "serial reference", o.serial.wall, o.serial.cpu
+            "serial oracle", o.serial.wall, o.serial.cpu
         );
         println!(
-            "{:<22}{:>10.3} s wall {:>8.2} s cpu   ({} threads, fast path + fast-forward)",
-            "engine", o.engine.wall, o.engine.cpu, engines.engine.threads
+            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (fast-forward + fast path + fused SoA scan)",
+            "fast engine", o.fast.wall, o.fast.cpu
         );
         println!(
-            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (+ burst stepping: {} bursts / {} cycles, \
-             {} refused: {} interface / {} idle / {} small)",
-            "engine+burst",
-            o.nosoa.wall,
-            o.nosoa.cpu,
-            o.burst_count,
-            o.burst_cycles,
-            o.burst_refused,
-            o.burst_refused_interface,
-            o.burst_refused_idle,
-            o.burst_refused_small
-        );
-        println!(
-            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (+ fused SoA scan — the default engine)",
-            "engine+burst+soa", o.full.wall, o.full.cpu
-        );
-        println!(
-            "{:<22}{:>9.2}x   vs serial ({:.2}x vs engine; {} cycles, {} fast-forwarded)",
+            "{:<22}{:>9.2}x   vs serial ({} cycles, {} fast-forwarded)",
             "speedup",
             o.speedup(),
-            o.burst_gain(),
             o.cycles,
             o.skipped
         );
         outcomes.push(o);
     }
 
-    // Headline: the default engine vs the serial oracle on the dense run
+    // Headline: the fast engine vs the serial oracle on the dense run
     // (no idle cycles to fast-forward — the per-cycle datapath cost
-    // itself). The straggler run documents the fast-forward/burst lever.
-    let dense_o = &outcomes[0];
-    let headline = dense_o.speedup();
-    println!("\nheadline: dense default-engine speedup vs serial: {headline:.2}x");
+    // itself). The straggler run documents the fast-forward lever.
+    let headline = outcomes[0].speedup();
+    println!("\nheadline: dense fast-engine speedup vs serial: {headline:.2}x");
     println!(
-        "          dense burst gain over previous engine mode: {:.2}x, fused soa vs scalar fallback: {:.2}x",
-        dense_o.burst_gain(),
-        dense_o.soa_gain()
-    );
-    println!(
-        "          straggler default-engine speedup vs serial: {:.2}x",
+        "          straggler fast-engine speedup vs serial: {:.2}x",
         outcomes[1].speedup()
     );
-
-    // Threads sweep over the dense scenario: the default engine at 1,
-    // 2, 4 and 8 rayon threads, each asserted bit-identical to the
-    // serial oracle. One rep per point — the curve's shape (does the
-    // compute phase scale past the host's cores?) is the signal, not
-    // the absolute numbers.
-    let mut sweep = Vec::new();
-    if !smoke {
-        rule("threads sweep (dense)");
-        let oracle = dense_oracle.as_ref().expect("dense scenario measured");
-        let dense_serial = outcomes[0].serial;
-        for t in [1usize, 2, 4, 8] {
-            let engine = EngineConfig::parallel().with_threads(t);
-            let (timing, _, report) =
-                run_once(&sys, scenarios[0].cfg.clone(), steps, &engine);
-            assert_eq!(
-                &report, oracle,
-                "threads={t}: default engine must stay bit-identical"
-            );
-            let speedup = timing.ratio_over(dense_serial);
-            println!(
-                "threads={t:<3}{:>10.3} s wall {:>8.2} s cpu {:>8.2}x vs serial",
-                timing.wall, timing.cpu, speedup
-            );
-            sweep.push((t, timing, speedup));
-        }
-    }
 
     // Shards sweep over the dense scenario: the full sharded protocol —
     // per-shard local engines plus CRC-framed socket exchange every
@@ -404,8 +253,8 @@ fn main() {
         let only: usize = args.get("shards", 0);
         let shard_counts: Vec<usize> = if only == 0 { vec![1, 2, 4] } else { vec![only] };
         let oracle = dense_oracle.as_ref().expect("dense scenario measured");
-        let one_process = outcomes[0].full;
-        let engine = EngineConfig::parallel().with_threads(threads);
+        let one_process = outcomes[0].fast;
+        let engine = EngineConfig::auto();
         for s in shard_counts {
             let t0 = Instant::now();
             let c0 = cpu_seconds();
@@ -430,34 +279,7 @@ fn main() {
         }
     }
 
-    // EngineConfig::auto — the CLI's new default engine choice. Before:
-    // the old unconditional `parallel()` default, whose rayon pool costs
-    // coordination on a single-core host. After: `auto()`, which probes
-    // the host and keeps single-core machines on the serial loop with
-    // idle fast-forward.
-    rule("auto engine (dense)");
-    let auto_gain;
-    let (auto_before, auto_after) = {
-        let oracle = dense_oracle.as_ref().expect("dense scenario measured");
-        let (tb, _, rb) = run_once(&sys, scenarios[0].cfg.clone(), steps, &EngineConfig::parallel());
-        let (ta, _, ra) = run_once(&sys, scenarios[0].cfg.clone(), steps, &EngineConfig::auto());
-        assert_eq!(&rb, oracle, "parallel default must stay bit-identical");
-        assert_eq!(&ra, oracle, "auto engine must stay bit-identical");
-        auto_gain = ta.ratio_over(tb);
-        println!(
-            "before (parallel)  {:>10.3} s wall {:>8.2} s cpu\n\
-             after  (auto)      {:>10.3} s wall {:>8.2} s cpu   ({:.2}x, chose {})",
-            tb.wall,
-            tb.cpu,
-            ta.wall,
-            ta.cpu,
-            auto_gain,
-            if host_cores > 1 { "parallel" } else { "serial+fast-forward" }
-        );
-        (tb, ta)
-    };
-
-    // Live-telemetry overhead (fasda-obs): the default engine with an
+    // Live-telemetry overhead (fasda-obs): the fast engine with an
     // armed in-run sampler but no sinks — the per-cycle cost is one
     // inlined `Option<Box<ObsLive>>` check plus a per-beat registry
     // refresh, and the report must stay bit-identical. Full runs gate
@@ -473,25 +295,25 @@ fn main() {
             cluster.attach_obs(Box::new(live));
             let t0 = Instant::now();
             let c0 = cpu_seconds();
-            let r = cluster.run_with(steps, &engines.full);
+            let r = cluster.run_with(steps, &EngineConfig::auto());
             with_obs.fold_best(Timing {
                 wall: t0.elapsed().as_secs_f64(),
                 cpu: cpu_seconds() - c0,
             });
             assert_eq!(&r, oracle, "obs sampler must not perturb the run");
         }
-        let ratio = outcomes[0].full.ratio_over(with_obs);
+        let ratio = outcomes[0].fast.ratio_over(with_obs);
         // Smoke runs finish inside one 10 ms CPU tick; fall back to wall.
         let overhead = if ratio.is_finite() {
             ratio - 1.0
         } else {
-            with_obs.wall / outcomes[0].full.wall - 1.0
+            with_obs.wall / outcomes[0].fast.wall - 1.0
         };
         println!(
-            "default engine       {:>10.3} s wall {:>8.2} s cpu\n\
+            "fast engine          {:>10.3} s wall {:>8.2} s cpu\n\
              + armed obs, no sink {:>10.3} s wall {:>8.2} s cpu   ({:+.2}% overhead)",
-            outcomes[0].full.wall,
-            outcomes[0].full.cpu,
+            outcomes[0].fast.wall,
+            outcomes[0].fast.cpu,
             with_obs.wall,
             with_obs.cpu,
             overhead * 100.0
@@ -568,7 +390,7 @@ fn main() {
 
     // Per-kernel datapath throughput (shared with datapathbench): the
     // raw cost of the scalar walk vs the fused filter→force kernel the
-    // default engine dispatches through.
+    // fast engine dispatches through.
     let kmin = std::time::Duration::from_millis(if smoke { 60 } else { 300 });
     let kernels = fasda_bench::kernels::measure_kernels(kmin);
     rule("datapath kernels");
@@ -595,32 +417,10 @@ fn main() {
             o.name,
             Json::obj()
                 .field("serial_seconds", Json::fixed(o.serial.wall, 6))
-                .field("engine_seconds", Json::fixed(o.full.wall, 6))
+                .field("engine_seconds", Json::fixed(o.fast.wall, 6))
                 .field("speedup", Json::fixed(o.speedup(), 3))
                 .field("simulated_cycles", Json::uint(o.cycles))
                 .field("skipped_cycles", Json::uint(o.skipped))
-                .build(),
-        );
-    }
-    let mut datapath = Json::obj();
-    for o in &outcomes {
-        datapath = datapath.field(
-            o.name,
-            Json::obj()
-                .field("serial_cpu_seconds", Json::fixed(o.serial.cpu, 6))
-                .field("engine_cpu_seconds", Json::fixed(o.engine.cpu, 6))
-                .field("engine_burst_cpu_seconds", Json::fixed(o.nosoa.cpu, 6))
-                .field("engine_burst_soa_cpu_seconds", Json::fixed(o.full.cpu, 6))
-                .field("speedup_engine", Json::fixed(o.speedup_engine(), 3))
-                .field("speedup_burst", Json::fixed(o.speedup(), 3))
-                .field("burst_vs_engine", Json::fixed(o.burst_gain(), 3))
-                .field("soa_vs_default", Json::fixed(o.soa_gain(), 3))
-                .field("burst_cycles", Json::uint(o.burst_cycles))
-                .field("burst_count", Json::uint(o.burst_count))
-                .field("burst_refused", Json::uint(o.burst_refused))
-                .field("burst_refused_interface", Json::uint(o.burst_refused_interface))
-                .field("burst_refused_idle", Json::uint(o.burst_refused_idle))
-                .field("burst_refused_small", Json::uint(o.burst_refused_small))
                 .build(),
         );
     }
@@ -629,7 +429,6 @@ fn main() {
         .field("steps", Json::uint(steps))
         .field("reps", reps as i64)
         .field("host_cores", host_cores)
-        .field("threads", engines.engine.threads)
         .field("straggler_stall", Json::uint(stall))
         .field("speedup", Json::fixed(headline, 3))
         .field(
@@ -637,23 +436,8 @@ fn main() {
             "user-cpu seconds (wall clock absorbs hypervisor steal on the 1-core reference host)",
         )
         .field("bit_identical", true)
-        .field("scenarios", scenarios.build())
-        .field("datapath", datapath.build());
+        .field("scenarios", scenarios.build());
     let mut doc = doc;
-    if !sweep.is_empty() {
-        let mut sw = Json::obj();
-        for (t, timing, speedup) in &sweep {
-            sw = sw.field(
-                &t.to_string(),
-                Json::obj()
-                    .field("wall_seconds", Json::fixed(timing.wall, 6))
-                    .field("cpu_seconds", Json::fixed(timing.cpu, 6))
-                    .field("speedup", Json::fixed(*speedup, 3))
-                    .build(),
-            );
-        }
-        doc = doc.field("threads_sweep", sw.build());
-    }
     if !shards_sweep.is_empty() {
         let mut sw = Json::obj();
         for (s, timing, wall_speedup, cpu_overhead) in &shards_sweep {
@@ -669,20 +453,6 @@ fn main() {
         }
         doc = doc.field("shards_sweep", sw.build());
     }
-    doc = doc.field(
-        "auto_engine",
-        Json::obj()
-            .field("before_wall_seconds", Json::fixed(auto_before.wall, 6))
-            .field("before_cpu_seconds", Json::fixed(auto_before.cpu, 6))
-            .field("after_wall_seconds", Json::fixed(auto_after.wall, 6))
-            .field("after_cpu_seconds", Json::fixed(auto_after.cpu, 6))
-            .field("auto_vs_parallel", Json::fixed(auto_gain, 3))
-            .field(
-                "chose",
-                if host_cores > 1 { "parallel" } else { "serial+fast-forward" },
-            )
-            .build(),
-    );
     doc = doc.field(
         "obs_overhead",
         Json::obj()

@@ -7,7 +7,7 @@
 //! (125 FPGAs) with GPU model curves.
 //!
 //! Usage: `fig16 [--steps N] [--cpu-steps N] [--skip-cpu] [--skip-large]
-//!               [--threads N] [--serial]`
+//!               [--serial]`
 
 use fasda_bench::{engine_from_args, rule, Args};
 use fasda_baseline::{GpuKind, GpuModel, ThreadedCpuEngine};

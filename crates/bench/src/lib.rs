@@ -65,19 +65,15 @@ impl Args {
     }
 }
 
-/// `--serial` / `--threads N` → cycle-engine configuration shared by the
-/// cluster-driving harnesses. Every choice produces bit-identical
-/// reports; only wall-clock time differs.
+/// `--serial` → the oracle engine; otherwise the fast engine. Shared by
+/// the cluster-driving harnesses; both produce bit-identical reports,
+/// only wall-clock time differs.
 pub fn engine_from_args(args: &Args) -> EngineConfig {
     if args.flag("serial") {
-        return EngineConfig::serial();
+        EngineConfig::serial()
+    } else {
+        EngineConfig::auto()
     }
-    let mut e = EngineConfig::parallel();
-    let threads = args.get("threads", 0usize);
-    if threads > 0 {
-        e = e.with_threads(threads);
-    }
-    e
 }
 
 /// Print a separator line for harness output.

@@ -30,8 +30,10 @@ use std::path::{Path, PathBuf};
 /// Container magic: "FCKP".
 pub const MAGIC: [u8; 4] = *b"FCKP";
 
-/// Current container format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current container format version. There is no read path for older
+/// versions: [`Container::parse`] answers them with
+/// [`CkptError::BadVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File extension used for checkpoint files.
 pub const EXTENSION: &str = "fckp";
@@ -132,9 +134,9 @@ impl From<std::io::Error> for CkptError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected 0xEDB88320) — same polynomial discipline as the
-// wire-format checksum in fasda-net::packet, duplicated here so this crate
-// stays at the bottom of the dependency graph.
+// CRC-32 (IEEE, reflected 0xEDB88320) — the workspace's one
+// implementation: checkpoint sections, shard/control frames and the
+// fasda-net wire format all checksum through it.
 // ---------------------------------------------------------------------------
 
 const CRC_TABLE: [u32; 256] = {
@@ -157,13 +159,19 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// Incremental CRC-32 update over a chain of slices: `state` starts at
+/// `0xFFFF_FFFF` and the finished checksum is the complement of the
+/// last returned state.
+pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state
+}
+
 /// CRC-32 over `bytes` (IEEE polynomial, reflected).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -1494,6 +1502,9 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The incremental form over a split buffer lands on the same word.
+        let state = crc32_update(crc32_update(0xFFFF_FFFF, b"1234"), b"56789");
+        assert_eq!(!state, 0xCBF4_3926);
     }
 
     #[test]

@@ -80,25 +80,18 @@ impl Opts {
     }
 }
 
-/// `--serial` / `--threads N` → engine configuration. The default is
-/// [`EngineConfig::auto`], which probes the host: multi-core machines
-/// get the full parallel engine, single-core ones skip the thread pool
-/// (whose coordination overhead costs more than it buys there) but keep
-/// idle fast-forward. Every choice yields a bit-identical run, only
+/// `--serial` → the oracle engine; the default is the fast engine
+/// ([`EngineConfig::auto`]). Both yield a bit-identical run, only
 /// wall-clock time differs.
 fn engine(opts: &Opts) -> Result<EngineConfig, String> {
-    let mut e = if opts.has("--serial") {
+    let e = if opts.has("--serial") {
         EngineConfig::serial()
     } else {
-        let mut e = EngineConfig::auto();
-        if let Some(t) = opts.get("--threads") {
-            e = e.with_threads(t.parse().map_err(|_| "bad --threads")?);
-        }
-        e
+        EngineConfig::auto()
     };
-    e = e.with_trace(trace_config(opts)?);
-    e = e.with_heartbeat_every(obs_opts(opts)?.every);
-    Ok(e)
+    Ok(e
+        .with_trace(trace_config(opts)?)
+        .with_heartbeat_every(obs_opts(opts)?.every))
 }
 
 /// Live-telemetry options (see DESIGN.md §12). `--heartbeat-out` /
@@ -209,7 +202,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  fasda run --per-fpga 222 --total 444 [--steps N] [--variant A|B|C]\n\
          \x20           [--sync chained|bulk] [--dump-group N] [--per-cell 64] [--seed S]\n\
-         \x20           [--threads N] [--serial] [--shards S] [--shard-dir DIR]\n\
+         \x20           [--serial] [--shards S] [--shard-dir DIR]\n\
          \x20           [--fault-plan SPEC] [--drop-rate P] [--fault-seed S] [--unreliable]\n\
          \x20           [--checkpoint-every N --checkpoint-dir DIR] [--checkpoint-keep K]\n\
          \x20           [--resume FILE|latest] [--recover N] [--dump-state FILE]\n\

@@ -21,87 +21,38 @@ use fasda_trace::{
     ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, Trace, TraceConfig,
     TraceLevel,
 };
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::BTreeMap;
 
 /// Safety cap on the global cycle loop.
 pub(crate) const MAX_RUN_CYCLES: u64 = 2_000_000_000;
 
-/// Smallest force-phase burst worth taking: below this the burst's
-/// eligibility scan costs more than the per-cycle loop it skips.
-const MIN_BURST: u64 = 4;
-
-/// Cycles to wait before re-attempting a burst after the first refused
-/// window. Doubles on every consecutive refusal (up to
-/// [`BURST_RETRY_COOLDOWN_MAX`]) and resets on a successful burst: in
-/// dense phases some station is always within a few cycles of ejecting,
-/// so windows essentially never open and the eligibility scan would
-/// otherwise burn a few percent of the run re-proving that every few
-/// cycles.
-const BURST_RETRY_COOLDOWN: u64 = 8;
-
-/// Upper bound for the exponential refusal backoff.
-const BURST_RETRY_COOLDOWN_MAX: u64 = 1024;
-
-/// Why a burst window failed to open (feeds the named refusal
-/// counters on [`Cluster`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BurstBlock {
-    /// A window opened; it may still be refused as too small.
-    Open,
-    /// Some node's external interface could fire within the window.
-    Interface,
-    /// No force-phase chip was computing at all.
-    Idle,
-}
-
-/// Idle-streak length between deadlock scans on engines without
-/// fast-forward (which detect deadlock through their own event scan).
+/// Idle-streak length between deadlock scans under the oracle (the fast
+/// engine detects deadlock through its fast-forward event scan).
 /// The scan is O(nodes · peers); every 256 idle cycles it is noise.
 pub(crate) const DEADLOCK_SCAN_INTERVAL: u64 = 256;
 
-/// How the cluster's cycle loop is executed. The serial reference path
-/// ([`Cluster::try_run`]) and every engine configuration produce
-/// bit-identical [`ClusterRunReport`]s; the engine only changes how fast
-/// wall-clock time passes (see `DESIGN.md`, "Parallel deterministic cycle
-/// engine").
+/// How the cluster's cycle loop is executed. There are exactly two
+/// engines — the serial oracle ([`EngineConfig::serial`]) and the fast
+/// engine ([`EngineConfig::auto`]) — and they produce bit-identical
+/// [`ClusterRunReport`]s, per-node traces, stall ledgers and checkpoint
+/// bytes; the engine only changes how fast wall-clock time passes (see
+/// `DESIGN.md` §5). Both run on the caller's thread: the simulator's one
+/// parallelism mechanism is the sharded engine (`shard` module), whose
+/// grain — a node range behind a wire — matches the decoupled FPGAs the
+/// model describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the compute phase. `1` keeps the compute phase
-    /// on the caller's thread (no pool is built).
-    pub threads: usize,
-    /// Skip cycles in which provably nothing can happen (all nodes
-    /// quiescent, only in-flight packets / timers remain) by jumping the
-    /// global clock to the next scheduled event.
-    pub fast_forward: bool,
-    /// Enable the chips' fast-path execution: provably bit-identical
-    /// shortcuts inside the cycle model (idle-SPE skipping, precomputed
-    /// filter-station scans). The serial reference keeps this off so it
-    /// stays the plain per-cycle interpretation the optimized engine is
-    /// validated against.
-    pub fast_path: bool,
-    /// Evaluate filter-station scans through the chips' fused SoA kernel
-    /// (`HomeSoa` banks + `ForceDatapath::fused_scan_into`) instead of
-    /// one virtual comparison per cycle. Bit-identical: the per-cycle
-    /// `Pe` state machine still consumes one comparison per architectural
-    /// cycle. **On by default** in the optimized engine since the fused
-    /// filter→force kernel eliminated the hit-materialization overhead
-    /// that used to make the batch path lose on dense workloads (see
-    /// `DESIGN.md` §10); the scalar per-comparison walk stays the serial
-    /// oracle it is validated against.
-    pub soa: bool,
-    /// Burst-step the force phase: when every node's external interfaces
-    /// are provably quiet for the next W cycles (no deliveries, packet
-    /// departures, barrier releases, marker flushes or phase transitions
-    /// possible), advance each busy chip W force cycles in one inner loop
-    /// without returning to the cluster tick layer — the busy-path
-    /// analogue of idle fast-forward. Bit-identical by the window proof
-    /// (see `DESIGN.md`).
-    pub burst: bool,
+    /// `false`: the oracle — every cycle simulated, plain per-cycle
+    /// interpretation. `true`: the fast engine — idle fast-forward (jump
+    /// the global clock over spans in which provably nothing can happen),
+    /// the per-node quiescence cache, the chips' fast-path execution
+    /// (idle-SPE skipping, precomputed station scans) and the fused SoA
+    /// scan kernel, all proven bit-identical to the oracle.
+    pub(crate) fast: bool,
     /// Flight-recorder configuration (see `fasda-trace`). Off by
-    /// default; with tracing on, every engine configuration emits
-    /// byte-identical per-node event streams and stall ledgers, retrieved
-    /// with [`Cluster::take_trace`] after the run.
+    /// default; with tracing on, both engines emit byte-identical
+    /// per-node event streams and stall ledgers, retrieved with
+    /// [`Cluster::take_trace`] after the run.
     pub trace: TraceConfig,
     /// Emit a live telemetry heartbeat every N completed steps (0 =
     /// off). The sinks (JSONL stream, Prometheus scrape file) are
@@ -114,78 +65,22 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The serial reference engine: one thread, every cycle simulated,
-    /// plain per-cycle interpretation.
+    /// The serial reference engine every test compares against: every
+    /// cycle simulated, plain per-cycle interpretation.
     pub const fn serial() -> Self {
-        EngineConfig {
-            threads: 1,
-            fast_forward: false,
-            fast_path: false,
-            soa: false,
-            burst: false,
-            trace: TraceConfig::OFF,
-            heartbeat_every: 0,
-        }
+        EngineConfig { fast: false, trace: TraceConfig::OFF, heartbeat_every: 0 }
     }
 
-    /// The optimized engine: parallel compute phase over all available
-    /// cores, idle fast-forward, the chips' fast-path execution,
-    /// force-phase burst stepping, and the fused SoA scan kernels
-    /// (default-on since the fused filter→force kernel wins on dense
-    /// workloads; opt out with [`EngineConfig::with_soa`]).
-    pub fn parallel() -> Self {
-        EngineConfig {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            fast_forward: true,
-            fast_path: true,
-            soa: true,
-            burst: true,
-            trace: TraceConfig::OFF,
-            heartbeat_every: 0,
-        }
+    /// The fast engine, the same on every host: idle fast-forward, the
+    /// quiescence cache, the chips' fast path and the fused SoA scan.
+    /// Used by the CLI unless `--serial` is given.
+    pub const fn auto() -> Self {
+        EngineConfig { fast: true, trace: TraceConfig::OFF, heartbeat_every: 0 }
     }
 
-    /// Pick an engine for the host automatically: the full optimized
-    /// engine on multi-core machines, and on a single hardware thread the
-    /// serial oracle compute path with idle fast-forward kept on (a rayon
-    /// pool on one core only adds dispatch overhead, while fast-forward
-    /// still wins big on straggler-style idle phases and costs nothing on
-    /// dense ones). Used by the CLI when no engine is requested
-    /// explicitly.
-    pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Self::parallel(),
-            _ => Self::serial().with_fast_forward(true),
-        }
-    }
-
-    /// Enable or disable the chips' fast-path execution.
-    pub fn with_fast_path(mut self, on: bool) -> Self {
-        self.fast_path = on;
-        self
-    }
-
-    /// Enable or disable the SoA batch-kernel scan path.
-    pub fn with_soa(mut self, on: bool) -> Self {
-        self.soa = on;
-        self
-    }
-
-    /// Enable or disable force-phase burst stepping.
-    pub fn with_burst(mut self, on: bool) -> Self {
-        self.burst = on;
-        self
-    }
-
-    /// Override the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable idle fast-forward.
-    pub fn with_fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
+    // Identity, kept for the frozen benchmark's callers: benchmark/src/workloads/run.rs:95, :249, probes.rs:435.
+    #[doc(hidden)]
+    pub fn with_threads(self, _: usize) -> Self {
         self
     }
 
@@ -616,51 +511,10 @@ pub struct Cluster {
     pub(crate) barrier_force: BulkBarrier,
     /// Global wall-clock cycle.
     pub cycle: u64,
-    /// Cycles the fast-forward engine jumped over instead of simulating
-    /// (always 0 for `fast_forward: false`; cycle counts are unaffected).
+    /// Cycles the fast engine jumped over instead of simulating (always
+    /// 0 under the oracle; cycle counts are unaffected).
     pub skipped_cycles: u64,
-    /// Cycles simulated inside force-phase bursts (a subset of the total
-    /// — burst cycles are real simulated cycles, just run without the
-    /// per-cycle exchange/network walk).
-    pub burst_cycles: u64,
-    /// Number of bursts that ran.
-    pub burst_count: u64,
-    /// Burst attempts refused (window below [`MIN_BURST`]); always the
-    /// sum of the three named reason counters below.
-    ///
-    /// On the reference workloads every refusal is `interface` or
-    /// `idle` — measured by sampling the window on *every* engine
-    /// cycle: each time a chip's rings and SPE queues were observed
-    /// fully drained, its stations had already finished too
-    /// (completion bound 0). Every ring-kind scan ends with a
-    /// chip-boundary event (a force flit or a remote-completion
-    /// record), and staggered stations space those events closer than
-    /// [`MIN_BURST`], so a quiet-but-busy span never materializes: the
-    /// chip boundary stays occupied for exactly as long as the chip
-    /// computes. Burst therefore cannot engage on dense (or sparse)
-    /// force phases of this model; these counters exist so benchmark
-    /// reports say *why* rather than silently printing zeros.
-    pub burst_refused: u64,
-    /// Refusals because some node's external interface (a delivery,
-    /// departure, barrier release, marker flush, ring traffic, or an
-    /// imminent boundary ejection) could fire within [`MIN_BURST`].
-    pub burst_refused_interface: u64,
-    /// Refusals because no force-phase chip was computing at all — the
-    /// span is idle and belongs to fast-forward, not burst.
-    pub burst_refused_idle: u64,
-    /// Refusals because a window opened but was shorter than
-    /// [`MIN_BURST`] (the eligibility scan would cost more than the
-    /// per-cycle loop it skips).
-    pub burst_refused_small: u64,
-    /// Monotonic count of node phase transitions. The burst retry
-    /// throttle resets its exponential backoff whenever this changes:
-    /// a transition (e.g. a node entering its force phase) creates a
-    /// fresh burst opportunity that the backoff from the *previous*
-    /// phase's refusals must not starve. Not checkpointed — it is a
-    /// throttle heuristic, and burst throttling never affects the
-    /// simulated state (only which wall-clock path computes it).
-    phase_epoch: u64,
-    /// Per-node quiescence cache (optimized engines only): `quiet[n]`
+    /// Per-node quiescence cache (fast engine only): `quiet[n]`
     /// means node `n`'s chip was observed locally idle and nothing has
     /// been injected into it since, so its O(CBBs) idle predicates need
     /// not be re-evaluated every cycle. Invalidated on every phase
@@ -673,9 +527,9 @@ pub struct Cluster {
     pub(crate) trace_cfg: TraceConfig,
     /// Hot-path gate: `trace_cfg.level != Off` for the current run.
     pub(crate) tracing: bool,
-    /// Engine-level event stream (burst windows, fast-forward jumps) —
-    /// deliberately separate from the per-node streams, which stay
-    /// byte-identical across engines.
+    /// Engine-level event stream (fast-forward jumps) — deliberately
+    /// separate from the per-node streams, which stay byte-identical
+    /// across engines.
     pub(crate) tr_engine: NodeRecorder,
     /// Per-(node, step) force-phase stall attribution.
     pub(crate) tr_stalls: StallLedger,
@@ -846,13 +700,6 @@ impl Cluster {
             barrier_force: BulkBarrier::new(n, bulk_latency),
             cycle: 0,
             skipped_cycles: 0,
-            burst_cycles: 0,
-            burst_count: 0,
-            burst_refused: 0,
-            burst_refused_interface: 0,
-            burst_refused_idle: 0,
-            burst_refused_small: 0,
-            phase_epoch: 0,
             quiet: vec![false; n],
             use_quiet: false,
             records: Vec::new(),
@@ -975,19 +822,18 @@ impl Cluster {
 
     /// [`Cluster::try_run`] under an explicit engine configuration.
     ///
-    /// Every global cycle is split into a *compute phase* — each
-    /// non-stalled node's chip ticks one cycle against state frozen at the
-    /// cycle start, touching only that chip, so the chips may tick on a
-    /// rayon pool in any order — and a serial *exchange phase* that runs
-    /// in node order: egress drains, packetizer offers and marker flushes,
-    /// sync bookkeeping, barrier arrivals and phase transitions, then the
-    /// fabric and delivery sweeps. Because no compute-phase tick observes
-    /// another node's same-cycle exchange, the interleaving is equivalent
-    /// to the serial reference and results are bit-identical for any
-    /// thread count. With `fast_forward`, cycles in which every node is
-    /// quiescent are skipped by jumping the clock to the next scheduled
-    /// event (delivery, packet departure, barrier release or stall
-    /// expiry); cycle counts still include the skipped span.
+    /// Every global cycle is a *compute phase* — each non-stalled node's
+    /// chip ticks one cycle against state frozen at the cycle start,
+    /// touching only that chip — followed by an *exchange phase* in node
+    /// order: egress drains, packetizer offers and marker flushes, sync
+    /// bookkeeping, barrier arrivals and phase transitions, then the
+    /// fabric and delivery sweeps. No compute-phase tick observes another
+    /// node's same-cycle exchange, which is what lets a shard worker run
+    /// the same phases on its node range alone. Under the fast engine,
+    /// cycles in which every node is quiescent are skipped by jumping the
+    /// clock to the next scheduled event (delivery, packet departure,
+    /// barrier release or stall expiry); cycle counts still include the
+    /// skipped span.
     pub fn try_run_with(
         &mut self,
         steps: u64,
@@ -996,25 +842,7 @@ impl Cluster {
     ) -> Result<ClusterRunReport, ClusterError> {
         assert!(steps > 0);
         let run_start = self.cycle;
-        let pool = if engine.threads > 1 {
-            ThreadPoolBuilder::new().num_threads(engine.threads).build().ok()
-        } else {
-            None
-        };
         self.arm_run(engine);
-
-        // Retry throttle for burst attempts: after a failed window scan
-        // (W below the worthwhile threshold) the blocking condition — a
-        // filling FIFO, a packet in flight, an imminent barrier — rarely
-        // clears within a cycle or two, so don't pay the O(nodes · PEs)
-        // scan again immediately. The backoff resets whenever any node
-        // transitions phase (`phase_epoch`): windows cluster in the
-        // force-phase tail, and a backoff inflated to hundreds of cycles
-        // by mid-phase refusals would sleep straight through the next
-        // phase's tail.
-        let mut burst_cooldown = 0u64;
-        let mut burst_backoff = BURST_RETRY_COOLDOWN;
-        let mut burst_epoch = self.phase_epoch;
         let mut idle_streak = 0u64;
         // `crash=NODE@STEP` directives: a node "dies" once its force
         // phase for that step is underway. Checked at the cycle-loop top
@@ -1052,7 +880,7 @@ impl Cluster {
                 }
                 .into());
             }
-            let stepped = self.compute_phase(pool.as_ref());
+            let stepped = self.compute_phase();
             if self.tracing {
                 self.attribute_cycle();
             }
@@ -1066,12 +894,12 @@ impl Cluster {
             if self.cycle - run_start >= cycle_budget {
                 return Err(self.stalled().into());
             }
-            // Deadlock detection for engines without fast-forward (the
+            // Deadlock detection for the oracle (the fast engine's
             // fast-forward scan below proves deadlock itself): on a long
             // idle streak — no chip ticked, nothing delivered — scan the
             // event horizon; when nothing is scheduled anywhere, the
             // cluster can provably never progress again.
-            if !engine.fast_forward {
+            if !engine.fast {
                 if stepped || delivered {
                     idle_streak = 0;
                 } else {
@@ -1083,40 +911,13 @@ impl Cluster {
                     }
                 }
             }
-            // Burst stepping: when every node's external interfaces are
-            // provably quiet for the next W cycles, advance all busy
-            // force-phase chips W cycles in one inner loop. Skipped on
-            // delivery cycles (a delivery can enable an exchange action
-            // the following cycle) — the same rule the fast-forward scan
-            // uses below.
-            if engine.burst && !delivered && stepped {
-                if self.phase_epoch != burst_epoch {
-                    burst_epoch = self.phase_epoch;
-                    burst_cooldown = 0;
-                    burst_backoff = BURST_RETRY_COOLDOWN;
-                }
-                if burst_cooldown > 0 {
-                    burst_cooldown -= 1;
-                } else {
-                    let cap = run_start + cycle_budget;
-                    if self.try_burst(pool.as_ref(), cap) {
-                        burst_backoff = BURST_RETRY_COOLDOWN;
-                    } else {
-                        burst_cooldown = burst_backoff;
-                        burst_backoff = (burst_backoff * 2).min(BURST_RETRY_COOLDOWN_MAX);
-                    }
-                    if self.cycle >= cap {
-                        return Err(self.stalled().into());
-                    }
-                }
-            }
             // Scan for a jump only on cycles that ticked no chip and
             // delivered nothing: a ticked chip is almost certainly still
             // busy next cycle, and a delivery can enable an exchange
             // action one cycle later. Skipping the scan is always safe —
             // it just declines a jump over cycles that would have been
             // no-ops.
-            if engine.fast_forward && !stepped && !delivered && !self.all_done(steps) {
+            if engine.fast && !stepped && !delivered && !self.all_done(steps) {
                 let cap = run_start + cycle_budget;
                 match self.next_event_cycle() {
                     NextEvent::Busy => {}
@@ -1157,22 +958,21 @@ impl Cluster {
         for node in owned.clone() {
             let chip = &mut self.chips[node];
             chip.reset_stats();
-            chip.set_fast_path(engine.fast_path);
-            chip.set_soa_scan(engine.soa);
+            chip.set_fast_path(engine.fast);
+            chip.set_soa_scan(engine.fast);
             chip.set_trace(engine.trace);
         }
         self.trace_cfg = engine.trace;
         self.tracing = engine.trace.level != TraceLevel::Off;
         self.tr_engine = NodeRecorder::new(engine.trace);
         self.tr_stalls = StallLedger::new(self.num_nodes());
-        self.use_quiet = engine.fast_forward || engine.fast_path || engine.burst;
+        self.use_quiet = engine.fast;
         self.quiet.iter_mut().for_each(|q| *q = false);
         self.records.clear();
         // arm step 0
         for node in owned {
             self.sync[node].begin_step(self.state[node].step);
             self.chips[node].begin_force_phase();
-            self.phase_epoch += 1;
             self.state[node].phase = NodePhase::Force;
             self.state[node].phase_start = self.cycle;
             self.state[node].last_pos_flushed = false;
@@ -1260,107 +1060,49 @@ impl Cluster {
 
     // ------------------------------------------------------------------
 
-    /// Compute phase: tick every chip that has local work, each against
-    /// its own state only. Fans out over the pool when one is configured;
-    /// chip independence makes the result order-invariant. Returns whether
-    /// any chip ticked this cycle.
-    pub(crate) fn compute_phase(&mut self, pool: Option<&ThreadPool>) -> bool {
+    /// Compute phase: tick every owned chip that has local work, each
+    /// against its own state only. Returns whether any chip ticked this
+    /// cycle.
+    pub(crate) fn compute_phase(&mut self) -> bool {
         let tracing = self.tracing;
         let now = self.cycle;
         if tracing {
             self.ticked.iter_mut().for_each(|t| *t = false);
         }
-        match pool {
-            None => {
-                let mut stepped = false;
-                for node in self.owned_range() {
-                    if self.stalls[node] > 0 || (self.use_quiet && self.quiet[node]) {
-                        continue;
-                    }
-                    match self.state[node].phase {
-                        NodePhase::Force => {
-                            if !self.chips[node].force_phase_local_idle() {
-                                if tracing {
-                                    self.chips[node].set_trace_now(now);
-                                    self.ticked[node] = true;
-                                }
-                                self.chips[node].step_force_cycle();
-                                stepped = true;
-                            } else if self.use_quiet {
-                                self.quiet[node] = true;
-                            }
-                        }
-                        NodePhase::Mu => {
-                            if !self.chips[node].mu_phase_local_idle()
-                                || !self.state[node].mig_flushed
-                            {
-                                if tracing {
-                                    self.chips[node].set_trace_now(now);
-                                    self.ticked[node] = true;
-                                }
-                                self.chips[node].step_mu_cycle();
-                                stepped = true;
-                            } else if self.use_quiet {
-                                self.quiet[node] = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                stepped
+        let mut stepped = false;
+        for node in self.owned_range() {
+            if self.stalls[node] > 0 || (self.use_quiet && self.quiet[node]) {
+                continue;
             }
-            Some(pool) => {
-                use rayon::prelude::*;
-                let owned = self.owned_range();
-                let Cluster { chips, state, stalls, quiet, use_quiet, ticked, .. } = self;
-                let mut jobs: Vec<(&mut TimedChip, bool)> = Vec::with_capacity(chips.len());
-                for (node, chip) in chips.iter_mut().enumerate() {
-                    if !owned.contains(&node) {
-                        continue;
-                    }
-                    if stalls[node] > 0 || (*use_quiet && quiet[node]) {
-                        continue;
-                    }
-                    match state[node].phase {
-                        NodePhase::Force => {
-                            if !chip.force_phase_local_idle() {
-                                if tracing {
-                                    chip.set_trace_now(now);
-                                    ticked[node] = true;
-                                }
-                                jobs.push((chip, true));
-                            } else if *use_quiet {
-                                quiet[node] = true;
-                            }
+            match self.state[node].phase {
+                NodePhase::Force => {
+                    if !self.chips[node].force_phase_local_idle() {
+                        if tracing {
+                            self.chips[node].set_trace_now(now);
+                            self.ticked[node] = true;
                         }
-                        NodePhase::Mu => {
-                            if !chip.mu_phase_local_idle() || !state[node].mig_flushed {
-                                if tracing {
-                                    chip.set_trace_now(now);
-                                    ticked[node] = true;
-                                }
-                                jobs.push((chip, false));
-                            } else if *use_quiet {
-                                quiet[node] = true;
-                            }
-                        }
-                        _ => {}
+                        self.chips[node].step_force_cycle();
+                        stepped = true;
+                    } else if self.use_quiet {
+                        self.quiet[node] = true;
                     }
                 }
-                if !jobs.is_empty() {
-                    pool.install(|| {
-                        jobs.par_iter_mut().for_each(|(chip, force)| {
-                            if *force {
-                                chip.step_force_cycle();
-                            } else {
-                                chip.step_mu_cycle();
-                            }
-                        });
-                    });
+                NodePhase::Mu => {
+                    if !self.chips[node].mu_phase_local_idle() || !self.state[node].mig_flushed {
+                        if tracing {
+                            self.chips[node].set_trace_now(now);
+                            self.ticked[node] = true;
+                        }
+                        self.chips[node].step_mu_cycle();
+                        stepped = true;
+                    } else if self.use_quiet {
+                        self.quiet[node] = true;
+                    }
                 }
-                !jobs.is_empty()
+                _ => {}
             }
         }
+        stepped
     }
 
     // ------------------------------------------------------------------
@@ -1425,29 +1167,6 @@ impl Cluster {
             }
         }
         StallCause::WaitNeighborSync
-    }
-
-    /// Burst-window attribution: each bursting chip computes with at
-    /// least one busy PE on every window cycle (the window proof
-    /// guarantees no station ejection, so an occupied station — created
-    /// at the latest by the first cycle's dispatch — persists), and every
-    /// other force-phase node's classification inputs are frozen for the
-    /// whole window, so its single-cycle cause holds `w` times. `busy` is
-    /// ascending (node-order scan).
-    fn attribute_burst(&mut self, busy: &[usize], w: u64) {
-        for node in self.owned_range() {
-            let st = &self.state[node];
-            if st.phase != NodePhase::Force {
-                continue;
-            }
-            let step = st.step;
-            if busy.binary_search(&node).is_ok() {
-                self.tr_stalls.productive(node, step, w);
-            } else {
-                let cause = self.classify_idle(node);
-                self.tr_stalls.stall(node, step, cause, w);
-            }
-        }
     }
 
     /// Fast-forward attribution: every node is quiescent across the
@@ -1555,7 +1274,6 @@ impl Cluster {
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_mu(node),
                 SyncMode::Bulk { .. } => {
-                    self.phase_epoch += 1;
                     self.state[node].phase = NodePhase::BarrierBeforeMu;
                     // Re-base `phase_start` at barrier entry so the wait
                     // duration is reportable (engine-invariant; nothing
@@ -1600,7 +1318,6 @@ impl Cluster {
             tr.push(cycle, EventKind::PhaseBegin { phase: PhaseId::MotionUpdate, step });
         }
         self.chips[node].begin_mu_phase();
-        self.phase_epoch += 1;
         self.state[node].phase = NodePhase::Mu;
         self.state[node].phase_start = self.cycle;
         self.state[node].mig_flushed = false;
@@ -1661,14 +1378,12 @@ impl Cluster {
             }
             self.state[node].step += 1;
             if self.state[node].step >= steps {
-                self.phase_epoch += 1;
                 self.state[node].phase = NodePhase::Done;
                 return;
             }
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_next_force(node),
                 SyncMode::Bulk { .. } => {
-                    self.phase_epoch += 1;
                     self.state[node].phase = NodePhase::BarrierBeforeForce;
                     self.state[node].phase_start = self.cycle;
                     if self.tracing {
@@ -1709,7 +1424,6 @@ impl Cluster {
         }
         self.sync[node].begin_step(step);
         self.chips[node].begin_force_phase();
-        self.phase_epoch += 1;
         self.state[node].phase = NodePhase::Force;
         self.state[node].phase_start = self.cycle;
         self.state[node].last_pos_flushed = false;
@@ -1821,195 +1535,6 @@ impl Cluster {
         }
         self.skipped_cycles += delta;
         self.cycle = target;
-    }
-
-    // ------------------------------------------------------------------
-    // Force-phase burst stepping.
-
-    /// Conservative window W such that the next W global cycles consist
-    /// exclusively of busy force-phase chips ticking their CBB internals:
-    /// no inbox delivery, packetizer departure, barrier release, stall
-    /// expiry, marker flush, or phase transition can fire before cycle
-    /// `self.cycle + W`. `busy` collects the nodes whose chips actually
-    /// tick during the window. Returns `(0, Interface)` whenever any
-    /// node's upcoming exchange cannot be proven frozen, and
-    /// `(0, Idle)` when no force-phase chip is computing at all (the
-    /// span is idle and belongs to fast-forward); the reason feeds the
-    /// named refusal counters.
-    fn burst_window(&self, busy: &mut Vec<usize>) -> (u64, BurstBlock) {
-        let mut w = u64::MAX;
-        let bound = |w: &mut u64, c: u64| *w = (*w).min(c);
-        for node in 0..self.num_nodes() {
-            // Scheduled network events bound every node alike.
-            if let Some(d) = self.inbox[node].next_due() {
-                if d <= self.cycle {
-                    return (0, BurstBlock::Interface);
-                }
-                bound(&mut w, d - self.cycle);
-            }
-            // Retransmission deadlines fire in the (skipped) network
-            // phase, so the window must close before the earliest one.
-            if let Some(rel) = &self.rel {
-                if let Some(d) = rel.next_retx_due(node) {
-                    if d <= self.cycle {
-                        return (0, BurstBlock::Interface);
-                    }
-                    bound(&mut w, d - self.cycle);
-                }
-            }
-            for d in [
-                self.pos_pz[node].next_departure(self.cycle),
-                self.frc_pz[node].next_departure(self.cycle),
-                self.mig_pz[node].next_departure(self.cycle),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                if d <= self.cycle {
-                    return (0, BurstBlock::Interface);
-                }
-                bound(&mut w, d - self.cycle);
-            }
-            // A stalled node skips both compute and exchange until its
-            // stall expires; `stalls -= W` afterwards reproduces the
-            // reference decrement-per-cycle exactly.
-            if self.stalls[node] > 0 {
-                bound(&mut w, self.stalls[node]);
-                continue;
-            }
-            match self.state[node].phase {
-                NodePhase::Done => {}
-                NodePhase::BarrierBeforeMu | NodePhase::BarrierBeforeForce => {
-                    // An unreleased barrier only changes through another
-                    // node's transition (none during the window); a
-                    // released one fires at its release cycle.
-                    if let Some(r) = self.state[node].barrier_release {
-                        if r <= self.cycle {
-                            return (0, BurstBlock::Interface);
-                        }
-                        bound(&mut w, r - self.cycle);
-                    }
-                }
-                NodePhase::Mu => {
-                    // Bursting never advances MU work, so an active MU
-                    // chip would fall behind: require the node quiescent
-                    // and its phase completion still blocked on a marker.
-                    if !self.quiet[node] || self.sync[node].mu_phase_complete() {
-                        return (0, BurstBlock::Interface);
-                    }
-                }
-                NodePhase::Force => {
-                    if self.use_quiet && self.quiet[node] {
-                        // Idle chip: no tick; its exchange is frozen
-                        // unless the sync already completed (transition
-                        // pending next cycle).
-                        if self.sync[node].force_phase_complete() {
-                            return (0, BurstBlock::Interface);
-                        }
-                        continue;
-                    }
-                    let cw = self.chips[node].force_burst_window();
-                    if cw == 0 {
-                        return (0, BurstBlock::Interface);
-                    }
-                    // Marker flushes that could fire on an upcoming
-                    // exchange (reachable when this node's stall expired
-                    // this very cycle, before its exchange ran).
-                    if !self.state[node].last_pos_flushed
-                        && self.chips[node].all_positions_departed()
-                    {
-                        return (0, BurstBlock::Interface);
-                    }
-                    for i in 0..self.sync[node].recv_peers.len() {
-                        let p = self.sync[node].recv_peers[i];
-                        if self.sync[node].owes_last_frc(&p) {
-                            let pc = self.node_coord[p];
-                            if self.chips[node].outstanding_from(pc) == 0
-                                && self.chips[node].frc_drained_to(pc)
-                                && self.chips[node].frc_egress_empty()
-                            {
-                                return (0, BurstBlock::Interface);
-                            }
-                        }
-                    }
-                    if self.sync[node].force_phase_complete()
-                        && self.chips[node].force_phase_local_idle()
-                    {
-                        return (0, BurstBlock::Interface);
-                    }
-                    bound(&mut w, cw);
-                    busy.push(node);
-                }
-            }
-        }
-        if busy.is_empty() || w == u64::MAX {
-            // Nothing computing: idle spans belong to fast-forward.
-            return (0, BurstBlock::Idle);
-        }
-        (w, BurstBlock::Open)
-    }
-
-    /// Attempt one burst. Returns whether a burst (of at least
-    /// [`MIN_BURST`] cycles) ran; the caller throttles re-attempts after
-    /// a refusal.
-    fn try_burst(&mut self, pool: Option<&ThreadPool>, cap: u64) -> bool {
-        let mut busy = Vec::new();
-        let (scanned, block) = self.burst_window(&mut busy);
-        let w = scanned.min(cap - self.cycle);
-        if w < MIN_BURST {
-            self.burst_refused += 1;
-            match block {
-                BurstBlock::Interface => self.burst_refused_interface += 1,
-                BurstBlock::Idle => self.burst_refused_idle += 1,
-                BurstBlock::Open => self.burst_refused_small += 1,
-            }
-            if self.tracing {
-                self.tr_engine
-                    .push(self.cycle, EventKind::BurstRefused { window: w });
-            }
-            return false;
-        }
-        self.burst_cycles += w;
-        self.burst_count += 1;
-        if self.tracing {
-            self.tr_engine.push(
-                self.cycle,
-                EventKind::BurstOpen { window: w, busy: busy.len() as u32 },
-            );
-            self.attribute_burst(&busy, w);
-            // Chip-emitted events inside the burst (Full-level PE
-            // activity) stamp from the window's first global cycle.
-            let now = self.cycle;
-            for &node in &busy {
-                self.chips[node].set_trace_now(now);
-            }
-        }
-        match pool {
-            Some(pool) if busy.len() > 1 => {
-                use rayon::prelude::*;
-                let mut jobs: Vec<&mut TimedChip> = Vec::with_capacity(busy.len());
-                let mut it = self.chips.iter_mut();
-                let mut prev = 0;
-                for &node in &busy {
-                    let chip = it.nth(node - prev).expect("busy node index");
-                    prev = node + 1;
-                    jobs.push(chip);
-                }
-                pool.install(|| {
-                    jobs.par_iter_mut().for_each(|chip| chip.run_force_burst(w));
-                });
-            }
-            _ => {
-                for &node in &busy {
-                    self.chips[node].run_force_burst(w);
-                }
-            }
-        }
-        for s in &mut self.stalls {
-            *s = s.saturating_sub(w);
-        }
-        self.cycle += w;
-        true
     }
 
     // ------------------------------------------------------------------
@@ -2778,12 +2303,6 @@ impl Cluster {
         let mut w = fasda_ckpt::Writer::new();
         w.put_u64(self.cycle);
         w.put_u64(self.skipped_cycles);
-        w.put_u64(self.burst_cycles);
-        w.put_u64(self.burst_count);
-        w.put_u64(self.burst_refused);
-        w.put_u64(self.burst_refused_interface);
-        w.put_u64(self.burst_refused_idle);
-        w.put_u64(self.burst_refused_small);
         self.state.save(&mut w);
         self.stalls.save(&mut w);
         fasda_ckpt::snapshot_slice(&self.sync, &mut w);
@@ -2830,12 +2349,6 @@ impl Cluster {
         let r = &mut c.reader(sections::DRIVER)?;
         self.cycle = r.get_u64()?;
         self.skipped_cycles = r.get_u64()?;
-        self.burst_cycles = r.get_u64()?;
-        self.burst_count = r.get_u64()?;
-        self.burst_refused = r.get_u64()?;
-        self.burst_refused_interface = r.get_u64()?;
-        self.burst_refused_idle = r.get_u64()?;
-        self.burst_refused_small = r.get_u64()?;
         let state: Vec<NodeState> = Persist::load(r)?;
         if state.len() != self.state.len() {
             return Err(r.malformed(format!(

@@ -32,7 +32,7 @@ pub use driver::{
     DeadlockDetected, EngineConfig,
 };
 pub use fasda_net::fault::CrashPoint;
-pub use fasda_net::fault::{BurstModel, FaultChannel, FaultPlan, LinkFaults, LinkFlap, MarkerKill, Partition};
+pub use fasda_net::fault::{FaultChannel, FaultPlan, LinkFaults, LinkFlap, MarkerKill, Partition};
 pub use fasda_net::reliable::RelConfig;
 pub use report::RelSummary;
 pub use host::{HostController, HostRun};

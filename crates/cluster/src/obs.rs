@@ -434,8 +434,6 @@ fn fill_live(
     reg.counter_set("steps_done", step);
     reg.counter_set("cycles", cl.cycle);
     reg.counter_set("engine_skipped_cycles", cl.skipped_cycles);
-    reg.counter_set("engine_burst_cycles", cl.burst_cycles);
-    reg.counter_set("engine_burst_count", cl.burst_count);
     reg.counter_set("pos_packets", cl.pos_fabric.packets);
     reg.counter_set("frc_packets", cl.frc_fabric.packets);
     reg.counter_set(
@@ -467,9 +465,9 @@ fn set_stalls(reg: &mut Registry, stalls: &[u64; STALL_CLASSES], productive: u64
 
 /// Final totals as a registry — a pure function of the run report and
 /// (optionally) the folded stall ledger. Both inputs are bit-identical
-/// across {serial, rayon, sharded} runs, so these totals are the
+/// across {serial, fast, sharded} runs, so these totals are the
 /// identity artifact the CI gates byte-diff. Engine-private counters
-/// (burst/fast-forward) are deliberately excluded.
+/// (fast-forward jumps) are deliberately excluded.
 pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Registry {
     let mut reg = Registry::new(true);
     reg.counter_set("nodes", report.nodes as u64);
@@ -699,7 +697,7 @@ mod tests {
         let hist = a.get("hists").unwrap().get("step_force_cycles").unwrap();
         assert_eq!(hist.get("count").unwrap().as_i64(), Some(4));
         // No engine-private counters in the identity artifact.
-        assert!(counters.get("engine_burst_cycles").is_none());
+        assert!(counters.get("engine_skipped_cycles").is_none());
     }
 
     #[test]

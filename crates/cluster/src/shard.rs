@@ -76,7 +76,6 @@ use fasda_net::sync::SyncMode;
 use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
 use fasda_sim::StatSet;
 use fasda_trace::{NodeStream, StallLedger, Trace, TraceLevel};
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -859,7 +858,6 @@ impl ObsShard {
 fn run_segment(
     cl: &mut Cluster,
     engine: &EngineConfig,
-    pool: Option<&ThreadPool>,
     mesh: &mut [Box<dyn FrameLink>],
     ctl: &mut dyn FrameLink,
     obs: &mut ObsShard,
@@ -920,7 +918,7 @@ fn run_segment(
         }
 
         // Local cycle: compute → exchange → network, all on owned nodes.
-        let stepped_local = cl.compute_phase(pool);
+        let stepped_local = cl.compute_phase();
         if cl.tracing {
             cl.attribute_cycle();
         }
@@ -1021,7 +1019,7 @@ fn run_segment(
         // The deadlock / fast-forward scans fire on globally-agreed
         // conditions, so every worker reaches frame C together.
         let mut dl_scan = false;
-        if !engine.fast_forward {
+        if !engine.fast {
             if stepped || delivered {
                 idle_streak = 0;
             } else {
@@ -1031,7 +1029,7 @@ fn run_segment(
                 }
             }
         }
-        let ff_scan = engine.fast_forward && !stepped && !delivered && !done_global;
+        let ff_scan = engine.fast && !stepped && !delivered && !done_global;
         if dl_scan || ff_scan {
             let mine = cl.next_event_cycle();
             broadcast(mesh, &MeshFrame::Horizon(mine)).map_err(link_err)?;
@@ -1138,16 +1136,6 @@ fn worker_loop(
     index: usize,
     shards: usize,
 ) -> Result<(), ShardError> {
-    // Burst stepping inspects non-owned interface state and is refused
-    // in workers; node streams, stall ledgers and state stay identical
-    // (burst only changes the engine stream's own event log).
-    let mut engine = *engine;
-    engine.burst = false;
-    let pool = if engine.threads > 1 {
-        ThreadPoolBuilder::new().num_threads(engine.threads).build().ok()
-    } else {
-        None
-    };
     let base = ScalarBase::of(&cl);
     let base_lost = base.pos_lost + base.frc_lost;
     let mut lost_total = base_lost;
@@ -1157,8 +1145,7 @@ fn worker_loop(
             CtlFrame::Run { target, budget } => {
                 let frame = match run_segment(
                     &mut cl,
-                    &engine,
-                    pool.as_ref(),
+                    engine,
                     mesh,
                     ctl,
                     &mut obs,

@@ -7,7 +7,7 @@
 //! 2. produce final positions, velocities, and per-particle force
 //!    accumulators **bit-identical** to the fault-free run, and
 //! 3. emit **byte-identical** per-node traces and stall ledgers on the
-//!    serial oracle and the full optimized engine, with the stall
+//!    serial oracle and the fast engine, with the stall
 //!    ledger still accounting every force cycle exactly.
 //!
 //! Without the reliability layer, a killed `last` marker must be
@@ -119,10 +119,9 @@ fn chaos_runs_bit_identical_to_fault_free() {
 
 #[test]
 fn chaos_traces_engine_invariant() {
-    // Same plan, serial oracle vs the full optimized engine (threads +
-    // fast-forward + fast path + burst): reports equal, event streams
-    // and stall ledgers byte-identical. Faults are decided in the serial
-    // network phase, so the schedule itself is engine-invariant.
+    // Same plan, serial oracle vs the fast engine: reports equal, event
+    // streams and stall ledgers byte-identical. Faults are decided in
+    // the network phase, so the schedule itself is engine-invariant.
     let full = TraceConfig::full();
     for (name, plan) in plans() {
         let serial = run(
@@ -133,7 +132,7 @@ fn chaos_traces_engine_invariant() {
         let opt = run(
             Some(plan),
             true,
-            &EngineConfig::parallel().with_threads(4).with_trace(full),
+            &EngineConfig::auto().with_trace(full),
         );
         assert_eq!(opt.report, serial.report, "{name}: report drifted");
         let (want, got) = (
@@ -164,9 +163,7 @@ fn chaos_ledger_accounts_every_force_cycle() {
     let out = run(
         Some(plan),
         true,
-        &EngineConfig::parallel()
-            .with_threads(4)
-            .with_trace(TraceConfig::full()),
+        &EngineConfig::auto().with_trace(TraceConfig::full()),
     );
     let trace = out.trace.expect("tracing on");
     assert!(!out.report.records.is_empty());
@@ -202,8 +199,8 @@ fn lost_marker_without_reliability_deadlocks() {
     // Satellite: with the reliability layer *off*, one killed last-force
     // marker starves chained sync forever. The driver must detect the
     // quiescent no-progress state and return a deadlock error naming the
-    // starving nodes — on the serial scan path and the fast-forward
-    // prover alike.
+    // starving nodes — on the oracle's idle-streak scan and the fast
+    // engine's fast-forward prover alike.
     let plan = FaultPlan::none().with_seed(5).with_kill(MarkerKill {
         channel: FaultChannel::Frc,
         src: 0,
@@ -212,7 +209,7 @@ fn lost_marker_without_reliability_deadlocks() {
     });
     for engine in [
         EngineConfig::serial(),
-        EngineConfig::serial().with_fast_forward(true),
+        EngineConfig::auto(),
     ] {
         let sys = workload();
         let mut cluster = Cluster::new(config(Some(plan.clone()), false), &sys);

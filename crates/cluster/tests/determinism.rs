@@ -1,8 +1,9 @@
-//! Engine determinism regression: every engine configuration — idle
-//! fast-forward, rayon compute phase, SoA batch kernels, force-phase
-//! burst stepping, and their combination — must produce reports and
-//! particle state bit-identical to the serial reference loop, for both
-//! synchronization modes.
+//! Engine determinism regression: the fast engine (`auto()` — idle
+//! fast-forward, quiescence cache, chip fast path, fused SoA scan) must
+//! produce reports and particle state bit-identical to the serial oracle
+//! under both synchronization modes, plain, with a straggler, and into a
+//! lossy deadlock. (The chip-level switches are isolated one by one in
+//! `fasda-core`'s `timed_vs_functional` suite.)
 
 use fasda_cluster::{Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig};
 use fasda_core::config::ChipConfig;
@@ -45,104 +46,60 @@ fn run(sync: SyncMode, engine: &EngineConfig) -> (ClusterRunReport, ParticleSyst
     (report, out)
 }
 
-fn assert_identical(sync: SyncMode) {
-    let (want_report, want_sys) = run(sync, &EngineConfig::serial());
+const SYNCS: [SyncMode; 2] = [SyncMode::Chained, SyncMode::Bulk { latency: 2_000 }];
 
-    let engines = [
-        ("fast-forward", EngineConfig::serial().with_fast_forward(true)),
-        ("parallel", EngineConfig::serial().with_threads(4)),
-        ("soa", EngineConfig::serial().with_soa(true)),
-        (
-            "soa+burst",
-            EngineConfig::serial()
-                .with_soa(true)
-                .with_burst(true)
-                .with_fast_path(true),
-        ),
-        ("burst-only", EngineConfig::serial().with_burst(true)),
-        // The full optimized engine: threads + fast-forward + fast path +
-        // SoA kernels + burst stepping, all on by default.
-        ("parallel+ff", EngineConfig::parallel().with_threads(4)),
-    ];
-    for (name, engine) in engines {
-        let (report, sys) = run(sync, &engine);
-        assert_eq!(report, want_report, "{name} engine report drifted ({sync:?})");
-        assert_eq!(sys.pos, want_sys.pos, "{name} engine positions drifted ({sync:?})");
-        assert_eq!(sys.vel, want_sys.vel, "{name} engine velocities drifted ({sync:?})");
+#[test]
+fn auto_bit_identical_to_serial() {
+    for sync in SYNCS {
+        let (want_report, want_sys) = run(sync, &EngineConfig::serial());
+        let (report, sys) = run(sync, &EngineConfig::auto());
+        assert_eq!(report, want_report, "auto engine report drifted ({sync:?})");
+        assert_eq!(sys.pos, want_sys.pos, "auto engine positions drifted ({sync:?})");
+        assert_eq!(sys.vel, want_sys.vel, "auto engine velocities drifted ({sync:?})");
     }
-}
-
-#[test]
-fn engines_bit_identical_chained_sync() {
-    assert_identical(SyncMode::Chained);
-}
-
-#[test]
-fn engines_bit_identical_bulk_sync() {
-    assert_identical(SyncMode::Bulk { latency: 2_000 });
-}
-
-#[test]
-fn burst_refusals_carry_a_named_reason() {
-    // Burst windows cannot open on these workloads (every ring-kind
-    // scan ends in a chip-boundary event, so quiet chips are finished
-    // chips); what the engine owes instead is an accounting of *why*.
-    // Every refusal must land in exactly one named reason bucket.
-    let sys = workload(31);
-    let mut cluster = Cluster::new(cfg(SyncMode::Chained), &sys);
-    cluster
-        .try_run_with(3, 2_000_000_000, &EngineConfig::parallel())
-        .expect("run converges");
-    assert!(cluster.burst_refused > 0, "burst was never even attempted");
-    assert_eq!(
-        cluster.burst_refused,
-        cluster.burst_refused_interface + cluster.burst_refused_idle + cluster.burst_refused_small,
-        "refusal reasons must partition the refusal count"
-    );
 }
 
 #[test]
 fn fast_forward_preserves_straggler_stalls() {
     // Stall injection exercises the stall-expiry event path.
-    let sys = workload(33);
-    let mut c = cfg(SyncMode::Chained);
-    c.straggler = Some((3, 400));
+    for sync in SYNCS {
+        let sys = workload(33);
+        let mut c = cfg(sync);
+        c.straggler = Some((3, 400));
 
-    let mut reference = Cluster::new(c.clone(), &sys);
-    let want = reference.try_run(2, 2_000_000_000).expect("reference");
+        let mut reference = Cluster::new(c.clone(), &sys);
+        let want = reference.try_run(2, 2_000_000_000).expect("reference");
 
-    let mut ff = Cluster::new(c.clone(), &sys);
-    let engine = EngineConfig::serial().with_fast_forward(true);
-    let got = ff.try_run_with(2, 2_000_000_000, &engine).expect("ff run");
-
-    assert_eq!(got, want, "fast-forward drifted under a straggler");
-
-    // Burst stepping interacts with stall expiry (`stalls -= W`): the
-    // full optimized engine must agree too.
-    let mut full = Cluster::new(c, &sys);
-    let got = full
-        .try_run_with(2, 2_000_000_000, &EngineConfig::parallel())
-        .expect("optimized run");
-    assert_eq!(got, want, "optimized engine drifted under a straggler");
+        let mut fast = Cluster::new(c, &sys);
+        let got = fast
+            .try_run_with(2, 2_000_000_000, &EngineConfig::auto())
+            .expect("auto run");
+        assert_eq!(got, want, "auto engine drifted under a straggler ({sync:?})");
+        assert!(fast.skipped_cycles > 0, "straggler span was never fast-forwarded ({sync:?})");
+    }
 }
 
 #[test]
-fn fast_forward_reports_packet_loss_deadlock() {
-    // A lossy fabric deadlocks chained sync; fast-forward proves no
-    // event can ever arrive and reports the deadlock immediately instead
-    // of spinning to the cycle budget.
-    let sys = workload(34);
-    let mut c = cfg(SyncMode::Chained);
-    c.loss = Some((0.2, 7));
-    let mut cluster = Cluster::new(c, &sys);
-    let engine = EngineConfig::serial().with_fast_forward(true);
-    let err = cluster
-        .try_run_with(3, 300_000, &engine)
-        .expect_err("loss must stall the cluster");
-    assert!(err.packets_lost() > 0, "stall without loss?");
-    assert!(
-        matches!(err, ClusterError::Deadlock(_)),
-        "fast-forward should prove the deadlock: {err}"
-    );
-    assert!(err.at_cycle() <= 300_000, "detected within the budget");
+fn both_engines_report_packet_loss_deadlock() {
+    // A lossy fabric starves synchronization forever. The fast engine's
+    // fast-forward scan proves no event can ever arrive; the oracle gets
+    // there through its idle-streak scan. Either way the run reports the
+    // deadlock instead of spinning to the cycle budget.
+    for sync in SYNCS {
+        for (name, engine) in [("serial", EngineConfig::serial()), ("auto", EngineConfig::auto())] {
+            let sys = workload(34);
+            let mut c = cfg(sync);
+            c.loss = Some((0.2, 7));
+            let mut cluster = Cluster::new(c, &sys);
+            let err = cluster
+                .try_run_with(3, 300_000, &engine)
+                .expect_err("loss must stall the cluster");
+            assert!(err.packets_lost() > 0, "{name}: stall without loss? ({sync:?})");
+            assert!(
+                matches!(err, ClusterError::Deadlock(_)),
+                "{name} should prove the deadlock ({sync:?}): {err}"
+            );
+            assert!(err.at_cycle() <= 300_000, "{name}: detected within the budget ({sync:?})");
+        }
+    }
 }

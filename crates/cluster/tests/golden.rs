@@ -92,8 +92,8 @@ fn golden_checkpoints_parse_resume_and_stay_byte_stable() {
             .unwrap_or_else(|e| panic!("committed fixture step {step} no longer parses: {e}"));
         assert!(container.section_names().count() > 0, "fixture has no sections");
         assert_eq!(
-            FORMAT_VERSION, 1,
-            "FORMAT_VERSION bumped: regenerate the fixtures and keep a read path for version 1"
+            FORMAT_VERSION, 2,
+            "FORMAT_VERSION bumped: regenerate the fixtures (older versions fail with BadVersion)"
         );
 
         // (b) A fresh cluster restores from the committed bytes and
@@ -122,7 +122,7 @@ fn golden_checkpoints_parse_resume_and_stay_byte_stable() {
         // must keep producing exactly the committed bytes.
         assert_eq!(
             bytes_now, &golden,
-            "writer output for step {step} drifted from the committed version-1 fixture; \
+            "writer output for step {step} drifted from the committed fixture; \
              either restore compatibility or bump FORMAT_VERSION and regenerate"
         );
     }

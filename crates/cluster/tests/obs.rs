@@ -1,6 +1,6 @@
 //! Live-telemetry acceptance (DESIGN.md §12): the final metrics totals
 //! are an *identity artifact* — a pure function of the engine- and
-//! shard-invariant run report and stall ledger, so serial, rayon, and
+//! shard-invariant run report and stall ledger, so serial, fast, and
 //! sharded runs must produce byte-identical totals documents, clean or
 //! under a 5% drop schedule. Heartbeat streams are a progress view:
 //! well-formed JSONL with monotonic steps and non-decreasing counters,
@@ -46,22 +46,18 @@ fn final_totals_identical_across_engines_and_shards() {
         let trace = oracle.take_trace().expect("tracing was on");
         let want = final_totals_json(&report, Some(&trace.stalls)).pretty();
 
-        // Rayon engine (burst on — totals must still match: the report
-        // and the ledger are engine-invariant even when the engine
-        // trace stream is not).
-        let mut par = Cluster::new(cfg.clone(), &sys);
-        let r = par
-            .try_run_with(
-                STEPS,
-                BUDGET,
-                &EngineConfig::parallel().with_threads(2).with_trace(full),
-            )
-            .expect("parallel run completes");
-        let t = par.take_trace().expect("tracing was on");
+        // Fast engine: totals must still match — the report and the
+        // ledger are engine-invariant even though the engine trace
+        // stream is not.
+        let mut fast = Cluster::new(cfg.clone(), &sys);
+        let r = fast
+            .try_run_with(STEPS, BUDGET, &EngineConfig::auto().with_trace(full))
+            .expect("fast run completes");
+        let t = fast.take_trace().expect("tracing was on");
         assert_eq!(
             final_totals_json(&r, Some(&t.stalls)).pretty(),
             want,
-            "{name}: rayon totals drifted from serial oracle"
+            "{name}: fast-engine totals drifted from serial oracle"
         );
 
         // Two socket-connected shard workers.

@@ -1,5 +1,5 @@
 //! The unified recovery matrix (the tentpole acceptance gate): across
-//! {serial, rayon, 2-shard} × {Gilbert–Elliott burst loss, link flap,
+//! {serial, auto, 2-shard} × {Gilbert–Elliott burst loss, link flap,
 //! partition-with-heal, two staggered crashes with rolling resume},
 //! the final positions, velocities, and raw force-accumulator bank
 //! bits must be **bit-identical** to the fault-free reference run.
@@ -92,11 +92,10 @@ fn correlated_windows_heal_bit_identical_across_engines_and_shards() {
         );
         assert_state_eq(&final_state(&serial, &sys), &want, &format!("{name} serial"));
 
-        let mut rayon = Cluster::new(cfg.clone(), &sys);
-        rayon
-            .try_run_with(STEPS, BUDGET, &EngineConfig::parallel().with_threads(2))
-            .unwrap_or_else(|e| panic!("{name} rayon: healing run failed: {e}"));
-        assert_state_eq(&final_state(&rayon, &sys), &want, &format!("{name} rayon"));
+        let mut fast = Cluster::new(cfg.clone(), &sys);
+        fast.try_run_with(STEPS, BUDGET, &EngineConfig::auto())
+            .unwrap_or_else(|e| panic!("{name} auto: healing run failed: {e}"));
+        assert_state_eq(&final_state(&fast, &sys), &want, &format!("{name} auto"));
 
         let run = run_sharded(
             &cfg,
@@ -112,7 +111,7 @@ fn correlated_windows_heal_bit_identical_across_engines_and_shards() {
 }
 
 // -------------------------------------------------------------------------
-// Rolling resume: two staggered crashes, serial and rayon
+// Rolling resume: two staggered crashes, serial and auto
 // -------------------------------------------------------------------------
 
 #[test]
@@ -122,7 +121,7 @@ fn staggered_crashes_roll_forward_bit_identical() {
     let plan = FaultPlan::none().with_crash(2, 3).with_crash(5, 5);
     for (ename, engine) in [
         ("serial", EngineConfig::serial()),
-        ("rayon", EngineConfig::parallel().with_threads(2)),
+        ("auto", EngineConfig::auto()),
     ] {
         let dir = tmpdir(&format!("stagger-{ename}"));
         let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);

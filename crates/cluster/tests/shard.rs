@@ -33,8 +33,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// `Trace` doesn't derive `PartialEq` (the engine stream is normally
-/// engine-specific), but in a sharded run the workers pin `burst=false`
-/// and the references below do the same — so every field must match.
+/// engine-specific), but each sharded run here is compared to an
+/// in-process reference under the same engine — so every field,
+/// fast-forward jumps included, must match.
 fn assert_traces_equal(got: &[Trace], want: &[Trace], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: segment count");
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -102,9 +103,8 @@ struct Scenario {
     engine: EngineConfig,
 }
 
-/// Local engines run with `burst=false` (the sharded workers force it
-/// off; the references here match so even the engine trace stream is
-/// comparable). Everything else — threads, SoA, fast-forward — varies.
+/// Both engines, clean and lossy; reference and sharded run share the
+/// engine, so even the engine trace stream is comparable.
 fn scenarios() -> Vec<Scenario> {
     let full = TraceConfig::full();
     vec![
@@ -116,11 +116,11 @@ fn scenarios() -> Vec<Scenario> {
             engine: EngineConfig::serial().with_trace(full),
         },
         Scenario {
-            name: "clean-parallel",
+            name: "clean-auto",
             faults: None,
             reliable: false,
             straggler: None,
-            engine: EngineConfig::parallel().with_threads(2).with_burst(false).with_trace(full),
+            engine: EngineConfig::auto().with_trace(full),
         },
         Scenario {
             name: "lossy-serial",
@@ -130,21 +130,21 @@ fn scenarios() -> Vec<Scenario> {
             engine: EngineConfig::serial().with_trace(full),
         },
         Scenario {
-            name: "lossy-parallel",
+            name: "lossy-auto",
             faults: Some(FaultPlan::drop_only(0.05, 0xC0FFEE)),
             reliable: true,
             straggler: None,
-            engine: EngineConfig::parallel().with_threads(2).with_burst(false).with_trace(full),
+            engine: EngineConfig::auto().with_trace(full),
         },
         // Fig. 16 straggler ablation: node 3 stalls 400 cycles per force
         // phase, the others fast-forward — the horizon-agreement frames
         // must land every worker on the same jump target every time.
         Scenario {
-            name: "straggler-ff",
+            name: "straggler-auto",
             faults: None,
             reliable: false,
             straggler: Some((3, 400)),
-            engine: EngineConfig::serial().with_fast_forward(true).with_trace(full),
+            engine: EngineConfig::auto().with_trace(full),
         },
     ]
 }
@@ -261,35 +261,6 @@ fn sharded_over_loopback_tcp_matches_oracle_bit_for_bit() {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir_oracle);
     }
-}
-
-/// A burst-enabled single-process run legitimately produces a different
-/// *engine* trace stream, but the report and physics are
-/// engine-invariant — the sharded run must still match them.
-#[test]
-fn sharded_matches_burst_oracle_report_and_state() {
-    let sys = workload();
-    let cfg = config(None, false);
-    let mut oracle = Cluster::new(cfg.clone(), &sys);
-    let want = oracle
-        .try_run_with(STEPS, BUDGET, &EngineConfig::parallel().with_threads(2))
-        .expect("burst oracle completes");
-    let want_state = final_state(&oracle, &sys);
-
-    let run = run_sharded(
-        &cfg,
-        &sys,
-        STEPS,
-        &EngineConfig::parallel().with_threads(2),
-        2,
-        ShardOpts::default(),
-    )
-    .expect("sharded run completes");
-    assert_eq!(run.report, want, "report drifted vs burst oracle");
-    let state = final_state(&run.replica, &sys);
-    assert_eq!(state.0.pos, want_state.0.pos);
-    assert_eq!(state.0.vel, want_state.0.vel);
-    assert_eq!(state.1, want_state.1);
 }
 
 // -------------------------------------------------------------------------

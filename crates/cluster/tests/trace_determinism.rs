@@ -1,8 +1,8 @@
-//! Flight-recorder determinism: every engine configuration must emit
+//! Flight-recorder determinism: both engines must emit
 //! **byte-identical per-node event streams and stall ledgers**, because
 //! events are stamped in global cluster cycles and attribution reads
-//! only engine-invariant state. Engine-level events (burst windows,
-//! fast-forward jumps) live in a separate stream and are deliberately
+//! only engine-invariant state. Engine-level events (fast-forward
+//! jumps) live in a separate stream and are deliberately
 //! excluded from the comparison — they describe how the simulator ran,
 //! not what the simulated machine did.
 
@@ -60,44 +60,18 @@ fn assert_streams_identical(sync: SyncMode) {
     let oracle = oracle.expect("tracing enabled");
     assert_eq!(report, want_report, "tracing perturbed the serial run");
 
-    let engines = [
-        (
-            "parallel",
-            EngineConfig::serial().with_threads(4).with_trace(full),
-        ),
-        (
-            "parallel+ff",
-            EngineConfig::serial()
-                .with_threads(4)
-                .with_fast_forward(true)
-                .with_trace(full),
-        ),
-        (
-            "optimized(burst)",
-            EngineConfig::parallel().with_threads(4).with_trace(full),
-        ),
-    ];
-    for (name, engine) in engines {
-        let (report, trace) = run(sync, &engine);
-        let trace = trace.expect("tracing enabled");
-        assert_eq!(report, want_report, "{name} report drifted ({sync:?})");
+    let (report, trace) = run(sync, &EngineConfig::auto().with_trace(full));
+    let trace = trace.expect("tracing enabled");
+    assert_eq!(report, want_report, "auto report drifted ({sync:?})");
+    assert_eq!(trace.nodes.len(), oracle.nodes.len(), "auto node count ({sync:?})");
+    for (node, (got, want)) in trace.nodes.iter().zip(oracle.nodes.iter()).enumerate() {
+        assert_eq!(got.dropped, 0, "auto node {node} dropped events");
         assert_eq!(
-            trace.nodes.len(),
-            oracle.nodes.len(),
-            "{name} node count ({sync:?})"
-        );
-        for (node, (got, want)) in trace.nodes.iter().zip(oracle.nodes.iter()).enumerate() {
-            assert_eq!(got.dropped, 0, "{name} node {node} dropped events");
-            assert_eq!(
-                got.events, want.events,
-                "{name} node {node} event stream drifted ({sync:?})"
-            );
-        }
-        assert_eq!(
-            trace.stalls, oracle.stalls,
-            "{name} stall ledger drifted ({sync:?})"
+            got.events, want.events,
+            "auto node {node} event stream drifted ({sync:?})"
         );
     }
+    assert_eq!(trace.stalls, oracle.stalls, "auto stall ledger drifted ({sync:?})");
 }
 
 #[test]
@@ -236,9 +210,7 @@ fn stall_ledger_accounts_every_force_cycle() {
     let mut c = cfg(SyncMode::Chained);
     c.straggler = Some((3, 400));
     let mut cluster = Cluster::new(c, &sys);
-    let engine = EngineConfig::parallel()
-        .with_threads(4)
-        .with_trace(TraceConfig::full());
+    let engine = EngineConfig::auto().with_trace(TraceConfig::full());
     let report = cluster
         .try_run_with(STEPS, 2_000_000_000, &engine)
         .expect("run converges");
@@ -270,7 +242,7 @@ fn stall_ledger_accounts_every_force_cycle() {
 fn chrome_export_round_trips() {
     let (_, trace) = run(
         SyncMode::Chained,
-        &EngineConfig::parallel().with_threads(4).with_trace(TraceConfig::full()),
+        &EngineConfig::auto().with_trace(TraceConfig::full()),
     );
     let trace = trace.unwrap();
     let rendered = chrome_trace(&trace);

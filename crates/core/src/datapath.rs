@@ -48,8 +48,8 @@ pub struct ScanHit {
 
 /// Structure-of-arrays snapshot of one cell's home particles: the
 /// RCID-concatenated coordinates split into per-axis `Q5.26` bit banks
-/// plus a dense element array. This is the memory layout the batch filter
-/// kernel ([`ForceDatapath::filter_scan_into`]) streams through — three
+/// plus a dense element array. This is the memory layout the fused scan
+/// kernel ([`ForceDatapath::fused_scan_into`]) streams through — three
 /// contiguous `i32` lanes instead of an array of `FixVec3` structs — so
 /// one station's whole scan runs as a tight, auto-vectorizable loop.
 #[derive(Clone, Debug, Default)]
@@ -225,86 +225,6 @@ impl ForceDatapath {
             Some(FilteredPair { delta, r2 })
         } else {
             None
-        }
-    }
-
-    /// Batch form of [`ForceDatapath::filter`]: scan home slots
-    /// `scan_from..` of the SoA banks against one neighbour position and
-    /// append every passing `(slot, pair)` to `hits`. Returns the number
-    /// of comparisons performed (`len − scan_from`).
-    ///
-    /// Bit-identical to calling `filter` per slot: the kernel performs the
-    /// same `Q5.26` wrapping subtract, DSP-truncating square (`(a·a) >>
-    /// FRAC_BITS`) and wrapping sum on the raw bits, and the same
-    /// inclusive/exclusive threshold compares — just on contiguous `i32`
-    /// lanes with the per-call dispatch hoisted out of the loop.
-    pub fn filter_scan_into(
-        &self,
-        home: &HomeSoa,
-        nbr: FixVec3,
-        scan_from: u16,
-        hits: &mut Vec<(u16, FilteredPair)>,
-    ) -> u64 {
-        // Two passes per chunk: the r² reduction runs branchless over a
-        // stack buffer (no data-dependent push in the loop, so it unrolls
-        // and vectorizes), then a sparse predicate scan re-derives the
-        // deltas for the few slots that pass. Same subtractions, same
-        // wrapping squares — bit-identical hits in the same order.
-        const CHUNK: usize = 64;
-        let n = home.len();
-        let from = (scan_from as usize).min(n);
-        let (nx, ny, nz) = (nbr.x.to_bits(), nbr.y.to_bits(), nbr.z.to_bits());
-        let lo = self.min_r2.to_bits();
-        let hi = self.cutoff_r2.to_bits();
-        let sq = |d: i32| (((d as i64) * (d as i64)) >> FRAC_BITS) as i32;
-        let mut r2s = [0i32; CHUNK];
-        let mut base = from;
-        while base < n {
-            let len = (n - base).min(CHUNK);
-            let xs = &home.x[base..base + len];
-            let ys = &home.y[base..base + len];
-            let zs = &home.z[base..base + len];
-            for i in 0..len {
-                r2s[i] = sq(xs[i].wrapping_sub(nx))
-                    .wrapping_add(sq(ys[i].wrapping_sub(ny)))
-                    .wrapping_add(sq(zs[i].wrapping_sub(nz)));
-            }
-            for i in 0..len {
-                let r2 = r2s[i];
-                if r2 >= lo && r2 < hi {
-                    hits.push((
-                        (base + i) as u16,
-                        FilteredPair {
-                            delta: FixVec3::new(
-                                Fix::from_bits(xs[i].wrapping_sub(nx)),
-                                Fix::from_bits(ys[i].wrapping_sub(ny)),
-                                Fix::from_bits(zs[i].wrapping_sub(nz)),
-                            ),
-                            r2: Fix::from_bits(r2),
-                        },
-                    ));
-                }
-            }
-            base += len;
-        }
-        (n - from) as u64
-    }
-
-    /// Batch form of [`ForceDatapath::force`]: evaluate the force on the
-    /// home particle for every filtered hit of one station's scan (the
-    /// neighbour element is fixed for the whole batch) and append the
-    /// results to `out` in hit order. Each entry is bit-identical to the
-    /// scalar `force` call for the same pair.
-    pub fn force_batch(
-        &self,
-        home_elem: &[Element],
-        nbr_elem: Element,
-        hits: &[(u16, FilteredPair)],
-        out: &mut Vec<[f32; 3]>,
-    ) {
-        out.reserve(hits.len());
-        for &(slot, pair) in hits {
-            out.push(self.force(home_elem[slot as usize], nbr_elem, pair));
         }
     }
 

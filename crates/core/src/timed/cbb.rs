@@ -166,7 +166,7 @@ impl TimedCbb {
     }
 
     /// Enable/disable fast-path execution: provably bit-identical
-    /// shortcuts (idle-SPE cycle skipping) that the optimized cluster
+    /// shortcuts (idle-SPE cycle skipping) that the fast cluster
     /// engine turns on. Off by default so the plain per-cycle
     /// interpretation stays the reference the fast path is validated
     /// against.
@@ -357,49 +357,6 @@ impl TimedCbb {
             }
             self.ejected += self.scratch_ej.len() as u64;
         }
-    }
-
-    /// Conservative burst bounds for this CBB, split by event kind (see
-    /// [`Pe::burst_bound`]). Valid only while the CBB's external
-    /// interfaces are quiet (`bcast`/`frc_out` empty, no ring deliveries
-    /// pending) so no new work can arrive besides what the bounds already
-    /// account for. Returns `(boundary, completion)`:
-    ///
-    /// * `boundary` — min cycles before any chip-boundary event (an
-    ///   `frc_out` push or a remote completion record). Only
-    ///   [`NbrKind::Ring`]-kind work counts: occupied Ring stations via
-    ///   [`Pe::burst_bound`], and a pending `pos_in` entry (always
-    ///   Ring-kind) that may dispatch next cycle and scan from 0, so it
-    ///   can eject no sooner than `home_len − 1` cycles out. Home-internal
-    ///   ejections (a local FC accumulation or a recordless discard) are
-    ///   chip-internal — [`TimedCbb::step_force_collect`] handles them
-    ///   identically inside a burst, so they do *not* close the window.
-    /// * `completion` — max cycles before this CBB could possibly go
-    ///   force-idle: every occupied station's drain bound, a pending
-    ///   `pos_in` entry (`home_len − 1`), and the front home-internal
-    ///   entry (slot `s` scans `s+1..home_len`, so `home_len − s − 2`;
-    ///   later queue entries dispatch at least one cycle later each and
-    ///   never finish sooner). `0` when the CBB holds no work — it is
-    ///   already idle.
-    pub fn force_burst_bound(&self) -> (u64, u64) {
-        let hl = self.home_concat.len() as u64;
-        let mut boundary = u64::MAX;
-        let mut completion = 0u64;
-        for spe in &self.spes {
-            for pe in &spe.pes {
-                let (b, c) = pe.burst_bound(hl as u16);
-                boundary = boundary.min(b);
-                completion = completion.max(c);
-            }
-            if !spe.pos_in.is_empty() {
-                boundary = boundary.min(hl.saturating_sub(1));
-                completion = completion.max(hl.saturating_sub(1));
-            }
-            if let Some(&s) = spe.home_src.front() {
-                completion = completion.max(hl.saturating_sub(s as u64 + 2));
-            }
-        }
-        (boundary, completion)
     }
 
     /// Accumulate an arriving neighbour force from the force ring into

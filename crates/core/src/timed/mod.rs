@@ -189,14 +189,6 @@ pub struct TimedChip {
     /// Traffic counters since the last stats reset.
     pub traffic: TrafficCounters,
     completed_buf: Vec<(ChipCoord, u32, u32)>,
-    /// Fan CBB force cycles out over the installed rayon pool. CBBs only
-    /// touch their own state during [`TimedCbb::step_force_collect`];
-    /// per-CBB completion records are merged in CBB index order, so the
-    /// result is bit-identical to the serial walk.
-    par_cbbs: bool,
-    /// Per-CBB completion scratch for the parallel walk (reused across
-    /// cycles — no steady-state allocation).
-    cbb_scratch: Vec<Vec<(ChipCoord, u32, u32)>>,
     /// Flight recorder for this node's event stream (off by default).
     trace: NodeRecorder,
     /// Global cluster cycle to stamp chip-emitted events with. The chip's
@@ -305,8 +297,6 @@ impl TimedChip {
             bcast_cooldown: 0,
             traffic: TrafficCounters::default(),
             completed_buf: Vec::new(),
-            par_cbbs: false,
-            cbb_scratch: vec![Vec::new(); n],
             trace: NodeRecorder::off(),
             trace_now: 0,
             pe_prev: (0, 0),
@@ -430,13 +420,6 @@ impl TimedChip {
         }
     }
 
-    /// Fan CBB force cycles out over the installed rayon pool (call from
-    /// inside `ThreadPool::install` to engage). Results are bit-identical
-    /// to the serial walk for any thread count.
-    pub fn set_parallel_cbbs(&mut self, on: bool) {
-        self.par_cbbs = on;
-    }
-
     /// Enable/disable the CBBs' fast-path execution (idle-SPE skipping,
     /// precomputed station scans). Bit-identical to the reference
     /// per-cycle walk; off by default so the plain interpretation stays
@@ -453,102 +436,6 @@ impl TimedChip {
         for cbb in &mut self.cbbs {
             cbb.set_soa_scan(on);
         }
-    }
-
-    /// Burst window W for the force phase: the number of upcoming cycles
-    /// provably free of chip-boundary events, during which
-    /// [`TimedChip::step_force_cycle`] reduces to the CBB-internal walk
-    /// alone. Returns 0 unless the chip's external interfaces are quiet
-    /// (precondition *P*): every position/force ring empty, EX
-    /// ingress/egress queues empty, and every SPE's `bcast`/`frc_out`
-    /// queue empty. Under *P*, ring rotation records zero occupancy
-    /// (`Activity::record(0, false)` is a no-op), no deliveries or
-    /// captures can trigger, and the injection stage has nothing to
-    /// inject — so the only live work is [`TimedCbb::step_force_collect`].
-    ///
-    /// W combines the CBBs' per-kind bounds
-    /// ([`TimedCbb::force_burst_bound`]):
-    ///
-    /// * min over CBBs of the *boundary* bound — no `frc_out` push or
-    ///   remote completion record for W cycles, keeping *P* invariant
-    ///   across the whole window. Home-internal ejections (local FC
-    ///   accumulations, recordless discards) are chip-internal and are
-    ///   free to happen inside the window — the per-cycle walk the burst
-    ///   replaces handles them in exactly the same place.
-    /// * max over CBBs of the *completion* bound — while any CBB provably
-    ///   still holds work, the chip cannot be `force_phase_local_idle`,
-    ///   so the reference walk would have stepped it on every one of
-    ///   these W cycles. This keeps the burst from running idle cycles
-    ///   the per-cycle engines never execute (which would skew chip-local
-    ///   cycle counts and stall ledgers). In the force-phase tail —
-    ///   ring traffic drained, only home-internal `i < j` scans left —
-    ///   this is the bound that actually opens wide windows.
-    pub fn force_burst_window(&self) -> u64 {
-        let quiet = self.pos_rings.iter().all(Ring::is_empty)
-            && self.frc_rings.iter().all(Ring::is_empty)
-            && self.pos_ingress.is_empty()
-            && self.frc_ingress.is_empty()
-            && self.pos_egress.is_empty()
-            && self.frc_egress.is_empty()
-            && self
-                .cbbs
-                .iter()
-                .flat_map(|c| c.spes.iter())
-                .all(|s| s.bcast.is_empty() && s.frc_out.is_empty());
-        if !quiet {
-            return 0;
-        }
-        let mut boundary = u64::MAX;
-        let mut completion = 0u64;
-        for cbb in &self.cbbs {
-            let (b, c) = cbb.force_burst_bound();
-            boundary = boundary.min(b);
-            completion = completion.max(c);
-        }
-        boundary.min(completion)
-    }
-
-    /// Advance the force phase `w` cycles in one burst, `w ≤`
-    /// [`TimedChip::force_burst_window`]. Equivalent to `w` calls of
-    /// [`TimedChip::step_force_cycle`] by the window proof; the walk runs
-    /// CBB-major (each CBB's `w` cycles in one tight inner loop) because
-    /// CBBs don't interact below the (quiet) ring layer, which is the
-    /// cache-friendly order the per-cycle interpreter can't use.
-    pub fn run_force_burst(&mut self, w: u64) {
-        debug_assert_eq!(self.phase, Phase::Force);
-        debug_assert!(w <= self.force_burst_window());
-        if self.trace.wants(TraceLevel::Full) {
-            // Full-level tracing records per-cycle PE activity, so take
-            // the reference per-cycle walk, advancing the global-cycle
-            // stamp through the window.
-            let base = self.trace_now;
-            for i in 0..w {
-                self.trace_now = base + i;
-                self.step_force_cycle();
-            }
-            return;
-        }
-        let start = self.cycle;
-        let dp = &self.dp;
-        let run = |cbb: &mut TimedCbb, out: &mut Vec<(ChipCoord, u32, u32)>| {
-            out.clear();
-            for c in 0..w {
-                cbb.step_force_collect(start + c, dp, out);
-            }
-            debug_assert!(out.is_empty(), "burst window must be event-free");
-        };
-        if self.par_cbbs {
-            use rayon::prelude::*;
-            type CbbJob<'a> = (&'a mut TimedCbb, &'a mut Vec<(ChipCoord, u32, u32)>);
-            let mut jobs: Vec<CbbJob<'_>> =
-                self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()).collect();
-            jobs.par_iter_mut().for_each(|(cbb, out)| run(cbb, out));
-        } else {
-            for (cbb, out) in self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()) {
-                run(cbb, out);
-            }
-        }
-        self.cycle += w;
     }
 
     /// Total particles on this chip.
@@ -726,29 +613,12 @@ impl TimedChip {
             }
         }
 
-        // 3. CBB internals. Each CBB tick only touches its own state, so
-        // the walk may fan out over a rayon pool; completion records are
-        // merged in CBB index order either way.
+        // 3. CBB internals; completion records are merged in CBB index
+        // order.
         self.completed_buf.clear();
         let mut buf = std::mem::take(&mut self.completed_buf);
-        if self.par_cbbs {
-            use rayon::prelude::*;
-            let cycle = self.cycle;
-            let dp = &self.dp;
-            type CbbJob<'a> = (&'a mut TimedCbb, &'a mut Vec<(ChipCoord, u32, u32)>);
-            let mut jobs: Vec<CbbJob<'_>> =
-                self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()).collect();
-            jobs.par_iter_mut().for_each(|(cbb, out)| {
-                out.clear();
-                cbb.step_force_collect(cycle, dp, out);
-            });
-            for out in &mut self.cbb_scratch {
-                buf.append(out);
-            }
-        } else {
-            for cbb in &mut self.cbbs {
-                cbb.step_force_collect(self.cycle, &self.dp, &mut buf);
-            }
+        for cbb in &mut self.cbbs {
+            cbb.step_force_collect(self.cycle, &self.dp, &mut buf);
         }
         for &(origin, completed, issued) in &buf {
             *self.remote_pos_outstanding.entry(origin).or_default() -= completed as i64;

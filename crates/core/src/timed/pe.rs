@@ -235,55 +235,6 @@ impl Pe {
         self.planned |= 1u32 << si;
     }
 
-    /// Conservative per-station drain bound for the burst window
-    /// computation: a station whose scan is unfinished needs at least
-    /// `home_len − cursor` more comparison cycles before it can drain
-    /// (the ejection can land on the final comparison's cycle, hence
-    /// `− 1`); a finished station still needs its `in_flight` pairs to
-    /// retire at one per cycle.
-    fn station_bound(&self, si: usize, hl: u64) -> u64 {
-        let c = self.cursors[si] as u64;
-        if c < hl {
-            hl - c - 1
-        } else {
-            (self.stations[si].in_flight as u64).saturating_sub(1)
-        }
-    }
-
-    /// Burst bounds of this PE, split by what the eventual ejection does
-    /// to the chip's external interfaces:
-    ///
-    /// * `boundary` — min drain bound over stations whose ejection is a
-    ///   chip-boundary event: [`NbrKind::Ring`] entries push a force flit
-    ///   into `frc_out` (or emit a completion record when the origin is
-    ///   remote), so the window must close strictly before the earliest
-    ///   one. `u64::MAX` when no such station is occupied.
-    /// * `completion` — max drain bound over *all* occupied stations: a
-    ///   lower bound on when this PE (and therefore its chip) can next go
-    ///   force-idle. [`NbrKind::Internal`] ejections (a local FC
-    ///   accumulation, or a discard with no sync record) are chip-internal
-    ///   and may happen *inside* a burst — they only matter through this
-    ///   completion bound, which keeps the window from running past the
-    ///   cycle where the reference walk would have stopped stepping an
-    ///   idle chip. `0` when no station is occupied.
-    pub fn burst_bound(&self, home_len: u16) -> (u64, u64) {
-        let hl = home_len as u64;
-        let mut boundary = u64::MAX;
-        let mut completion = 0u64;
-        let mut m = self.occupied;
-        while m != 0 {
-            let si = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let b = self.station_bound(si, hl);
-            let entry = self.stations[si].entry.expect("occupied bit tracks entries");
-            if matches!(entry.kind, NbrKind::Ring { .. }) {
-                boundary = boundary.min(b);
-            }
-            completion = completion.max(b);
-        }
-        (boundary, completion)
-    }
-
     /// True when the PE holds no work at all.
     pub fn is_idle(&self) -> bool {
         self.pipe.is_empty() && self.occupied == 0

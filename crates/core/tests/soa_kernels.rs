@@ -1,10 +1,9 @@
-//! SoA batch kernels vs the scalar reference datapath.
+//! The fused SoA scan kernel vs the scalar reference datapath.
 //!
-//! The batch entry points (`ForceDatapath::filter_scan_into`,
-//! `ForceDatapath::force_batch`) must reproduce the scalar
+//! `ForceDatapath::fused_scan_into` must reproduce the scalar
 //! `filter()`/`force()` walk **exactly** — same hit slots, bit-equal
-//! fixed-point pair words, bit-equal `f32` force words — over randomized
-//! RCID-concatenated positions and element pairs. Tolerance comparisons
+//! `f32` force words — over randomized RCID-concatenated positions and
+//! element pairs. Tolerance comparisons
 //! would hide exactly the class of bug (a reordered fixed-point
 //! truncation, an f32 contraction) that breaks the engine's
 //! bit-identity guarantee.
@@ -24,9 +23,8 @@ fn elem(i: u8) -> Element {
     Element::ALL[i as usize % Element::ALL.len()]
 }
 
-/// Scalar filter()+force() walk over `home`, the oracle for both batch
-/// kernels: the (slot, force) pairs the fused kernel must reproduce
-/// bit-for-bit.
+/// Scalar filter()+force() walk over `home`: the (slot, force) pairs
+/// the fused kernel must reproduce bit-for-bit.
 fn scalar_walk(
     dp: &ForceDatapath,
     elems: &[Element],
@@ -81,68 +79,6 @@ fn assert_fused_matches(
 }
 
 proptest! {
-    /// The batch scan finds exactly the scalar filter's hits, with
-    /// bit-equal pair words, and reports the scalar comparison count.
-    #[test]
-    fn filter_scan_matches_scalar(
-        home in proptest::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0u8..8), 0..40),
-        nbr in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
-        rcid in (1u8..4, 1u8..4, 1u8..4),
-        nbr_elem_idx in 0u8..8,
-        scan_seed in 0usize..64,
-    ) {
-        let dp = dp();
-        let elems: Vec<Element> = home.iter().map(|&(_, _, _, e)| elem(e)).collect();
-        let concat: Vec<FixVec3> = home
-            .iter()
-            .map(|&(x, y, z, _)| {
-                ForceDatapath::concat((2, 2, 2), FixVec3::from_f64(x, y, z))
-            })
-            .collect();
-        let nbr_concat =
-            ForceDatapath::concat(rcid, FixVec3::from_f64(nbr.0, nbr.1, nbr.2));
-        let nbr_elem = elem(nbr_elem_idx);
-        let scan_from = (scan_seed % (home.len() + 1)) as u16;
-
-        // Scalar reference: one filter() + force() per home slot.
-        let mut want_hits = Vec::new();
-        let mut want_forces = Vec::new();
-        for i in scan_from as usize..home.len() {
-            if let Some(pair) = dp.filter(concat[i], nbr_concat) {
-                want_forces.push(dp.force(elems[i], nbr_elem, pair));
-                want_hits.push((i as u16, pair));
-            }
-        }
-
-        // Batch kernels over the SoA banks.
-        let mut soa = HomeSoa::new();
-        soa.rebuild(&elems, &concat);
-        let mut hits = Vec::new();
-        let compared = dp.filter_scan_into(&soa, nbr_concat, scan_from, &mut hits);
-        let mut forces = Vec::new();
-        dp.force_batch(&soa.elem, nbr_elem, &hits, &mut forces);
-
-        prop_assert_eq!(compared, (home.len() - scan_from as usize) as u64);
-        prop_assert_eq!(hits.len(), want_hits.len());
-        for (&(slot, pair), &(want_slot, want_pair)) in hits.iter().zip(&want_hits) {
-            prop_assert_eq!(slot, want_slot);
-            prop_assert_eq!(pair.r2.to_bits(), want_pair.r2.to_bits());
-            prop_assert_eq!(pair.delta.x.to_bits(), want_pair.delta.x.to_bits());
-            prop_assert_eq!(pair.delta.y.to_bits(), want_pair.delta.y.to_bits());
-            prop_assert_eq!(pair.delta.z.to_bits(), want_pair.delta.z.to_bits());
-        }
-        prop_assert_eq!(forces.len(), want_forces.len());
-        for (f, want) in forces.iter().zip(&want_forces) {
-            for k in 0..3 {
-                prop_assert_eq!(
-                    f[k].to_bits(), want[k].to_bits(),
-                    "force component {} differs: {} vs {}", k, f[k], want[k]
-                );
-            }
-        }
-    }
-
     /// The fused filter→force kernel reproduces the scalar
     /// filter()+force() walk bit-for-bit: same hit slots, bit-equal
     /// force words, scalar comparison count.

@@ -142,43 +142,42 @@ fn particle_count_and_momentum_conserved_over_steps() {
 }
 
 #[test]
-fn parallel_cbbs_bit_identical_to_serial() {
-    // CBB fan-out must not change a single bit: same positions,
-    // velocities, and cycle counts for any thread count.
-    let sys = workload(8, 17);
-    let geo = ChipGeometry::single_chip(sys.space);
-
-    let run = |threads: usize| {
-        let mut chip = TimedChip::new(ChipConfig::baseline(), geo, UnitSystem::PAPER, 2.0);
-        chip.load(&sys);
-        chip.set_parallel_cbbs(threads > 1);
-        let mut cycles = Vec::new();
-        let mut step = || {
-            for _ in 0..3 {
-                cycles.push(chip.run_timestep().total_cycles());
-            }
+fn fast_path_and_soa_scan_bit_identical_to_plain_walk() {
+    // The chip's two execution shortcuts are each, and together,
+    // invisible in the result: same cycle counts, utilization stats,
+    // positions, velocities and force-accumulator bits as the plain
+    // per-cycle walk, on a sparse and a dense cell population.
+    for per_cell in [4, 64] {
+        let sys = workload(per_cell, 17);
+        let geo = ChipGeometry::single_chip(sys.space);
+        let run = |fast_path: bool, soa: bool| {
+            let mut chip = TimedChip::new(ChipConfig::baseline(), geo, UnitSystem::PAPER, 2.0);
+            chip.load(&sys);
+            chip.set_fast_path(fast_path);
+            chip.set_soa_scan(soa);
+            let reports: Vec<_> = (0..2)
+                .map(|_| {
+                    let r = chip.run_timestep();
+                    (r.total_cycles(), r.stats)
+                })
+                .collect();
+            let mut out = sys.clone();
+            chip.store_into(&mut out);
+            let fc_bits: Vec<_> = chip
+                .cbbs
+                .iter()
+                .flat_map(|cbb| cbb.force.iter().map(|f| f.map(|a| a.0)))
+                .collect();
+            (reports, out.pos, out.vel, fc_bits)
         };
-        if threads > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(step);
-        } else {
-            step();
-        }
-        let mut out = sys.clone();
-        chip.store_into(&mut out);
-        (out, cycles)
-    };
-
-    let (serial, serial_cycles) = run(1);
-    for threads in [2, 4] {
-        let (par, par_cycles) = run(threads);
-        assert_eq!(serial_cycles, par_cycles, "{threads} threads: cycle drift");
-        for i in 0..serial.len() {
-            assert_eq!(serial.pos[i], par.pos[i], "{threads} threads: pos[{i}]");
-            assert_eq!(serial.vel[i], par.vel[i], "{threads} threads: vel[{i}]");
+        let plain = run(false, false);
+        for (fast_path, soa) in [(true, false), (false, true), (true, true)] {
+            let got = run(fast_path, soa);
+            let tag = format!("per_cell {per_cell}, fast_path {fast_path}, soa {soa}");
+            assert_eq!(plain.0, got.0, "{tag}: cycles or stats drifted");
+            assert_eq!(plain.1, got.1, "{tag}: positions drifted");
+            assert_eq!(plain.2, got.2, "{tag}: velocities drifted");
+            assert_eq!(plain.3, got.3, "{tag}: FC-bank bits drifted");
         }
     }
 }

@@ -31,8 +31,8 @@
 //! latches per link at the first transmission at-or-after its trigger
 //! step and stays down for a fixed number of *cycles*, so the same plan
 //! produces the same fault sequence on every engine (serial oracle,
-//! parallel tick, burst stepping, sharded workers) and across any
-//! checkpoint/resume split point.
+//! fast engine, sharded workers) and across any checkpoint/resume
+//! split point.
 
 use fasda_sim::rng;
 use std::collections::{BTreeSet, HashMap};

@@ -17,7 +17,10 @@
 //! retransmission).
 
 use bytes::{Buf, BufMut, BytesMut};
+use fasda_ckpt::crc32_update;
 use serde::{Deserialize, Serialize};
+
+pub use fasda_ckpt::crc32;
 
 /// Wire size of one packet in bits (two 256-bit beats of a 512-bit
 /// AXI-Stream word in the artifact's counters; we count 512 per packet
@@ -33,37 +36,6 @@ pub const HEADER_BYTES: usize = 16;
 
 /// Byte offset of the CRC32 field inside the header.
 const CRC_OFFSET: usize = 12;
-
-/// CRC32 (IEEE 802.3 polynomial, reflected) over a byte slice chain.
-/// Dependency-free: the 256-entry table is built in a `const` context.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Incremental CRC32 update (`state` starts at `0xFFFF_FFFF`).
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state
-}
-
-/// CRC32 of a full buffer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, bytes)
-}
 
 /// What a packet carries — mirrors the separate position/force QSFP
 /// ports of the testbed (§5.4) plus migration traffic.
@@ -380,11 +352,5 @@ mod tests {
                 "truncated frame of {len} bytes parsed"
             );
         }
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // IEEE CRC32 of "123456789" is 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

@@ -4,7 +4,7 @@
 //! threads — `phase` (tid 0, `B`/`E` spans), `sync` (tid 1, instants
 //! for markers/barriers/stalls), `net` (tid 2, packet instants) — plus
 //! counter tracks for PE activity (`Full` level) and per-step stall
-//! attribution. Engine-level events (burst windows, fast-forward) get
+//! attribution. Engine-level events (fast-forward jumps) get
 //! their own process after the last node. Timestamps are global cycles
 //! reported in the format's microsecond field, so 1 µs on screen is
 //! 1 simulated cycle.
@@ -35,28 +35,13 @@ pub fn chrome_trace(trace: &Trace) -> String {
         events.push(process_name(engine_pid, "engine"));
         events.push(thread_name(engine_pid, TID_PHASE, "scheduler"));
         for ev in &trace.engine.events {
-            let (name, args) = match ev.kind {
-                EventKind::BurstOpen { window, busy } => (
-                    "burst-open",
-                    Json::obj()
-                        .field("window", Json::uint(window))
-                        .field("busy", busy)
-                        .build(),
-                ),
-                EventKind::BurstRefused { window } => (
-                    "burst-refused",
-                    Json::obj().field("window", Json::uint(window)).build(),
-                ),
-                EventKind::FastForward { to_cycle, skipped } => (
-                    "fast-forward",
-                    Json::obj()
-                        .field("to_cycle", Json::uint(to_cycle))
-                        .field("skipped", Json::uint(skipped))
-                        .build(),
-                ),
-                _ => continue,
-            };
-            events.push(instant(engine_pid, TID_PHASE, ev.cycle, name, args));
+            if let EventKind::FastForward { to_cycle, skipped } = ev.kind {
+                let args = Json::obj()
+                    .field("to_cycle", Json::uint(to_cycle))
+                    .field("skipped", Json::uint(skipped))
+                    .build();
+                events.push(instant(engine_pid, TID_PHASE, ev.cycle, "fast-forward", args));
+            }
         }
     }
 
@@ -251,9 +236,7 @@ fn node_events(node: usize, stream: &NodeStream, trace: &Trace, out: &mut Vec<Js
                 Json::obj().field("to", to).field("seq", seq).build(),
             )),
             // engine-stream kinds never appear in node streams
-            EventKind::BurstOpen { .. }
-            | EventKind::BurstRefused { .. }
-            | EventKind::FastForward { .. } => {}
+            EventKind::FastForward { .. } => {}
         }
     }
 }
@@ -361,7 +344,7 @@ mod tests {
             engine: NodeStream {
                 events: vec![TraceEvent {
                     cycle: 4,
-                    kind: EventKind::BurstOpen { window: 8, busy: 1 },
+                    kind: EventKind::FastForward { to_cycle: 12, skipped: 8 },
                 }],
                 dropped: 0,
             },
@@ -400,7 +383,7 @@ mod tests {
         // engine process present
         let engine = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("burst-open"))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("fast-forward"))
             .unwrap();
         assert_eq!(engine.get("pid").unwrap().as_i64(), Some(1));
     }

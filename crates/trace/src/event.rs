@@ -212,18 +212,6 @@ pub enum EventKind {
         /// Highest in-order sequence received on the link.
         seq: u32,
     },
-    /// Engine stream: a force-phase burst window opened.
-    BurstOpen {
-        /// Window width in cycles.
-        window: u64,
-        /// Chips that computed through the window.
-        busy: u32,
-    },
-    /// Engine stream: a burst attempt was refused (window too small).
-    BurstRefused {
-        /// The window the scan proved (below the worthwhile minimum).
-        window: u64,
-    },
     /// Engine stream: the idle fast-forward jumped the global clock.
     FastForward {
         /// Jump target cycle.

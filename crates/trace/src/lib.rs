@@ -8,10 +8,9 @@
 //! * **Events** ([`TraceEvent`]/[`EventKind`]): structured per-node
 //!   records — phase begin/end, chained-sync marker handshakes, packet
 //!   send/deliver, PE dispatch/eject activity, injected straggler stalls
-//!   — stamped in **global cluster cycles**, so every engine
-//!   configuration (serial oracle, rayon two-phase tick, burst stepping)
-//!   emits byte-identical per-node streams. Engine-level events
-//!   (burst windows opened/refused, fast-forward jumps) live in a
+//!   — stamped in **global cluster cycles**, so both engines (serial
+//!   oracle, fast) and every shard count emit byte-identical per-node
+//!   streams. Engine-level events (fast-forward jumps) live in a
 //!   separate stream because they describe how the *simulator* ran, not
 //!   what the *simulated machine* did.
 //! * **Stall attribution** ([`StallLedger`]/[`StallCause`]): every idle
@@ -228,16 +227,16 @@ impl Default for NodeRecorder {
 /// the stall ledger.
 ///
 /// Per-node streams and the ledger are engine-invariant (byte-identical
-/// across the serial oracle and every optimized engine); the `engine`
-/// stream records how the simulator itself executed (burst windows,
-/// fast-forward jumps) and legitimately differs between engines.
+/// across the serial oracle and the fast engine); the `engine` stream
+/// records how the simulator itself executed (fast-forward jumps) and
+/// legitimately differs between engines.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Capture level the run used.
     pub level: Option<TraceLevel>,
     /// One stream per node, in node order.
     pub nodes: Vec<NodeStream>,
-    /// Simulator-level events (burst/fast-forward), not part of the
+    /// Simulator-level events (fast-forward jumps), not part of the
     /// deterministic per-node record.
     pub engine: NodeStream,
     /// Per-(node, step) stall attribution.

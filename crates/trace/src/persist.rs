@@ -209,15 +209,6 @@ impl Persist for EventKind {
                 w.put_u32(to);
                 w.put_u32(seq);
             }
-            EventKind::BurstOpen { window, busy } => {
-                w.put_u8(18);
-                w.put_u64(window);
-                w.put_u32(busy);
-            }
-            EventKind::BurstRefused { window } => {
-                w.put_u8(19);
-                w.put_u64(window);
-            }
             EventKind::FastForward { to_cycle, skipped } => {
                 w.put_u8(20);
                 w.put_u64(to_cycle);
@@ -299,13 +290,8 @@ impl Persist for EventKind {
                 to: r.get_u32()?,
                 seq: r.get_u32()?,
             },
-            18 => EventKind::BurstOpen {
-                window: r.get_u64()?,
-                busy: r.get_u32()?,
-            },
-            19 => EventKind::BurstRefused {
-                window: r.get_u64()?,
-            },
+            // Tags 18 and 19 are retired (never reassigned): a record
+            // carrying one fails typed below like any unknown tag.
             20 => EventKind::FastForward {
                 to_cycle: r.get_u64()?,
                 skipped: r.get_u64()?,
@@ -456,11 +442,6 @@ mod tests {
                 to: 5,
                 seq: 30,
             },
-            BurstOpen {
-                window: 128,
-                busy: 4,
-            },
-            BurstRefused { window: 3 },
             FastForward {
                 to_cycle: 5000,
                 skipped: 4000,
@@ -497,10 +478,19 @@ mod tests {
 
     #[test]
     fn bad_tags_are_rejected() {
-        let mut w = Writer::new();
-        w.put_u8(21);
-        let bytes = w.into_bytes();
-        assert!(EventKind::load(&mut Reader::new(&bytes, "test")).is_err());
+        // 18/19 are retired tags with payload-shaped bytes behind them;
+        // 21 was never assigned. All fail typed, none is skipped.
+        for tag in [18u8, 19, 21] {
+            let mut w = Writer::new();
+            w.put_u8(tag);
+            w.put_u64(8);
+            w.put_u32(1);
+            let bytes = w.into_bytes();
+            assert!(matches!(
+                EventKind::load(&mut Reader::new(&bytes, "test")),
+                Err(CkptError::Malformed { .. })
+            ));
+        }
         assert!(PhaseId::load(&mut Reader::new(&[9], "test")).is_err());
         assert!(ChannelId::load(&mut Reader::new(&[9], "test")).is_err());
         assert!(TraceLevel::load(&mut Reader::new(&[9], "test")).is_err());
