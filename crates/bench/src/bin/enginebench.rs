@@ -75,6 +75,20 @@ fn cpu_seconds() -> f64 {
         .map_or(f64::NAN, |ticks| ticks / 100.0)
 }
 
+/// One shard count of the shards sweep.
+struct ShardPoint {
+    shards: usize,
+    timing: Timing,
+    wall_speedup: f64,
+    cpu_overhead: f64,
+    /// Exchange window in simulated cycles (a function of the config).
+    lookahead: u64,
+    /// Exchange rounds of the busiest worker.
+    windows: u64,
+    /// Largest share of compute + wait time a worker spent blocked.
+    wait_share: f64,
+}
+
 /// Wall + CPU seconds of one engine's best rep.
 #[derive(Clone, Copy)]
 struct Timing {
@@ -243,10 +257,13 @@ fn main() {
     );
 
     // Shards sweep over the dense scenario: the full sharded protocol —
-    // per-shard local engines plus CRC-framed socket exchange every
-    // global cycle — at 1, 2 and 4 worker shards, each folded run
-    // asserted bit-identical to the serial oracle. The 1-shard point
-    // isolates pure protocol overhead (one worker, no mesh peers).
+    // per-shard local engines plus one CRC-framed window frame per peer
+    // every lookahead window — at 1, 2 and 4 worker shards, each folded
+    // run asserted bit-identical to the serial oracle and held to the
+    // window budget: a worker meets its peers at most ⌈cycles/L⌉ +
+    // 4·steps times (a count, so the gate cannot flake on a busy host).
+    // The 1-shard point isolates pure protocol overhead (one worker, no
+    // mesh peers).
     let mut shards_sweep = Vec::new();
     {
         rule("shards sweep (dense)");
@@ -268,14 +285,33 @@ fn main() {
                 &run.report, oracle,
                 "shards={s}: sharded run must stay bit-identical"
             );
+            let fabrics = (&run.replica.pos_fabric, &run.replica.frc_fabric);
+            let lookahead = fabrics.0.lookahead().min(fabrics.1.lookahead());
+            let windows = run.gauges.iter().map(|g| g.windows).max().unwrap_or(0);
+            let window_budget = oracle.total_cycles.div_ceil(lookahead) + 4 * steps;
+            assert!(
+                windows <= window_budget,
+                "shards={s}: {windows} exchange windows over {} cycles at lookahead \
+                 {lookahead} (budget {window_budget})",
+                oracle.total_cycles
+            );
+            let wait_share = run.gauges.iter().map(|g| g.wait_share()).fold(0.0, f64::max);
             let wall_speedup = one_process.wall / timing.wall;
             let cpu_overhead = timing.cpu / one_process.cpu;
             println!(
                 "shards={s:<3}{:>10.3} s wall {:>8.2} s cpu {:>8.2}x wall vs 1-process \
-                 (cpu overhead {:.2}x)",
-                timing.wall, timing.cpu, wall_speedup, cpu_overhead
+                 (cpu overhead {:.2}x) {windows:>5} windows of {lookahead}, wait share {:.2}",
+                timing.wall, timing.cpu, wall_speedup, cpu_overhead, wait_share
             );
-            shards_sweep.push((s, timing, wall_speedup, cpu_overhead));
+            shards_sweep.push(ShardPoint {
+                shards: s,
+                timing,
+                wall_speedup,
+                cpu_overhead,
+                lookahead,
+                windows,
+                wait_share,
+            });
         }
     }
 
@@ -439,15 +475,20 @@ fn main() {
         .field("scenarios", scenarios.build());
     let mut doc = doc;
     if !shards_sweep.is_empty() {
-        let mut sw = Json::obj();
-        for (s, timing, wall_speedup, cpu_overhead) in &shards_sweep {
+        // The sweep's wall-clock columns mean nothing without the core
+        // count they were taken on.
+        let mut sw = Json::obj().field("host_cores", host_cores);
+        for p in &shards_sweep {
             sw = sw.field(
-                &s.to_string(),
+                &p.shards.to_string(),
                 Json::obj()
-                    .field("wall_seconds", Json::fixed(timing.wall, 6))
-                    .field("cpu_seconds", Json::fixed(timing.cpu, 6))
-                    .field("wall_speedup_vs_one_process", Json::fixed(*wall_speedup, 3))
-                    .field("cpu_overhead_vs_one_process", Json::fixed(*cpu_overhead, 3))
+                    .field("wall_seconds", Json::fixed(p.timing.wall, 6))
+                    .field("cpu_seconds", Json::fixed(p.timing.cpu, 6))
+                    .field("wall_speedup_vs_one_process", Json::fixed(p.wall_speedup, 3))
+                    .field("cpu_overhead_vs_one_process", Json::fixed(p.cpu_overhead, 3))
+                    .field("lookahead_cycles", Json::uint(p.lookahead))
+                    .field("windows", Json::uint(p.windows))
+                    .field("wait_share", Json::fixed(p.wait_share, 3))
                     .build(),
             );
         }

@@ -167,6 +167,45 @@ fn check_metrics(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Cumulative per-shard exchange gauges every `fleet` row carries.
+const SHARD_GAUGES: [&str; 5] = ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns"];
+
+/// One `fleet` record's shard rows: every exchange gauge present,
+/// non-negative and never running backwards, and `wait_share` the
+/// blocked share of compute + wait time.
+fn check_fleet_gauges(
+    rec: &Json,
+    last: &mut Vec<[i64; SHARD_GAUGES.len()]>,
+) -> Result<(), String> {
+    let shards = rec.get("shards").map(Json::items).ok_or("fleet record has no shards")?;
+    last.resize(shards.len().max(last.len()), [0; SHARD_GAUGES.len()]);
+    for (s, row) in shards.iter().enumerate() {
+        let mut now = [0i64; SHARD_GAUGES.len()];
+        for (slot, name) in now.iter_mut().zip(SHARD_GAUGES) {
+            *slot = row
+                .get(name)
+                .and_then(Json::as_i64)
+                .ok_or_else(|| format!("shard {s} has no {name} gauge"))?;
+        }
+        if now.iter().zip(&last[s]).any(|(n, l)| n < l) {
+            return Err(format!("shard {s}: exchange gauges ran backwards: {now:?} after {:?}", last[s]));
+        }
+        if now[0] < 1 {
+            return Err(format!("shard {s}: a beat without a single exchange window"));
+        }
+        let share = row
+            .get("wait_share")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("shard {s} has no wait_share"))?;
+        let busy = (now[3] + now[4]).max(1) as f64;
+        if !(0.0..=1.0).contains(&share) || (share - now[4] as f64 / busy).abs() > 1e-6 {
+            return Err(format!("shard {s}: wait_share {share} disagrees with its gauges {now:?}"));
+        }
+        last[s] = now;
+    }
+    Ok(())
+}
+
 /// Validate a heartbeat JSONL stream (and, when the metrics document
 /// carries an `obs` section, the live-vs-post-hoc totals identity).
 fn check_beats(path: &str, metrics: &Json) -> Result<(), String> {
@@ -179,6 +218,8 @@ fn check_beats(path: &str, metrics: &Json) -> Result<(), String> {
     let mut last_step = -1i64;
     let mut last_cycles = -1i64;
     let mut finals = 0usize;
+    // Per shard: the cumulative exchange gauges of its last fleet row.
+    let mut last_gauges: Vec<[i64; SHARD_GAUGES.len()]> = Vec::new();
     for (i, rec) in records.iter().enumerate() {
         let kind = rec
             .get("type")
@@ -216,6 +257,10 @@ fn check_beats(path: &str, metrics: &Json) -> Result<(), String> {
                         return Err(format!("{path}: record {i}: cycle counter decreased"));
                     }
                     last_cycles = cycles;
+                }
+                if kind == "fleet" {
+                    check_fleet_gauges(rec, &mut last_gauges)
+                        .map_err(|e| format!("{path}: record {i}: {e}"))?;
                 }
             }
             "final" => {

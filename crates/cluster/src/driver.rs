@@ -540,7 +540,7 @@ pub struct Cluster {
     /// Sharded-engine capture hook. `None` (the default) keeps the
     /// in-process oracle path: sends go straight onto the fabrics and
     /// into destination inboxes. `Some` diverts every wire crossing into
-    /// a per-cycle event buffer for the cross-shard merge — see the
+    /// an event buffer for the cross-shard merge — see the
     /// `shard` module and `DESIGN.md` §11.
     pub(crate) exchange: Option<ExchangeBuf>,
     /// Live telemetry sampler (see the `obs` module). `None` (the
@@ -551,14 +551,15 @@ pub struct Cluster {
 }
 
 /// One captured wire crossing: a data frame or ack that left an owned
-/// node's port this cycle. `arrive` is the post-serialization arrival
-/// cycle at the destination port (source-side state already advanced);
-/// the destination shard completes the send with
-/// [`SwitchFabric::rx_admit`] during the merge. `extra` carries a fault
-/// layer delay applied *after* port admission, exactly as the oracle
-/// adds it after `SwitchFabric::send`.
+/// node's port at global cycle `cycle`. `arrive` is the
+/// post-serialization arrival cycle at the destination port (source-side
+/// state already advanced); the destination shard completes the send
+/// with [`SwitchFabric::rx_admit`] during the merge. `extra` carries a
+/// fault layer delay applied *after* port admission, exactly as the
+/// oracle adds it after `SwitchFabric::send`.
 #[derive(Clone, Debug)]
 pub(crate) struct WireEvent {
+    pub(crate) cycle: u64,
     pub(crate) stage: u8,
     pub(crate) src: u32,
     pub(crate) dst: u32,
@@ -567,12 +568,13 @@ pub(crate) struct WireEvent {
     pub(crate) msg: NetMsg,
 }
 
-/// Per-cycle wire-event capture state for one shard worker.
+/// Wire-event capture state for one shard worker.
 ///
-/// `stage` stamps each event with its generation phase — 0 for fresh
-/// sends in [`Cluster::network_cycle`], 1 for retransmissions, 2 for
-/// acks emitted inside [`Cluster::deliver_due`]. The oracle generates
-/// events in (stage, src) order (each phase walks nodes in ascending
+/// Each event is stamped with the cycle it was generated in and its
+/// generation phase `stage` — 0 for fresh sends in
+/// [`Cluster::network_cycle`], 1 for retransmissions, 2 for acks emitted
+/// inside [`Cluster::deliver_due`]. The oracle generates events in
+/// (cycle, stage, src) order (each phase walks nodes in ascending
 /// order), so a stable sort by that key over the concatenated per-shard
 /// buffers reproduces the oracle's exact per-inbox admission order —
 /// including the destination-port contention trajectory and the inbox
@@ -585,6 +587,36 @@ pub(crate) struct ExchangeBuf {
     pub(crate) stage: u8,
     /// Events captured since the last [`Cluster::take_wire_events`].
     pub(crate) events: Vec<WireEvent>,
+}
+
+/// A wire event reached its destination shard already overdue: the
+/// lookahead window the shards synchronise on was longer than the
+/// fabric's real minimum delivery latency. Admitting it anyway would
+/// silently reorder deliveries, so the merge refuses
+/// ([`crate::ShardError::Lookahead`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LookaheadViolation {
+    /// Sending node.
+    pub src: u32,
+    /// Receiving node.
+    pub dst: u32,
+    /// Cycle the event was put on the wire.
+    pub sent: u64,
+    /// Cycle its delivery sweep should have popped it.
+    pub due: u64,
+    /// The receiving shard's clock at the merge (the first cycle it had
+    /// not run yet).
+    pub clock: u64,
+}
+
+impl std::fmt::Display for LookaheadViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "event {}->{} sent at cycle {} was due at {}, but its shard had already run to {}",
+            self.src, self.dst, self.sent, self.due, self.clock
+        )
+    }
 }
 
 impl Cluster {
@@ -751,20 +783,29 @@ impl Cluster {
             .map_or_else(Vec::new, |ex| std::mem::take(&mut ex.events))
     }
 
-    /// Merge-admit one cycle's wire events (own + every peer shard's):
-    /// stable-sort by (stage, src) to reconstruct the oracle's global
-    /// generation order, then complete destination-port admission and
-    /// inbox insertion for the events whose destination this worker
-    /// owns. Events for other shards' nodes are skipped — their owners
-    /// admit them from their own copy of the same merged list.
-    pub(crate) fn admit_wire_events(&mut self, mut events: Vec<WireEvent>) {
-        events.sort_by_key(|e| (e.stage, e.src));
-        let owned = self.owned_range();
-        for e in events {
+    /// Merge-admit the wire events generated before cycle `before`:
+    /// stable-sort `pending` (own captures plus every peer shard's, in
+    /// any concatenation order) by (cycle, stage, src) to reconstruct
+    /// the oracle's global generation order, then complete
+    /// destination-port admission and inbox insertion for the prefix
+    /// whose generation cycle every shard has already reported through.
+    /// Later events stay in `pending` for the next merge. The caller
+    /// routes events by destination owner, so `pending` holds only
+    /// events addressed to this shard's nodes.
+    ///
+    /// Every admitted event must still be deliverable, i.e. due at or
+    /// after this shard's clock; one that is not means the shards ran
+    /// further ahead of each other than the fabric's minimum latency
+    /// allows, and is reported instead of being delivered late.
+    pub(crate) fn admit_wire_events(
+        &mut self,
+        pending: &mut Vec<WireEvent>,
+        before: u64,
+    ) -> Result<(), LookaheadViolation> {
+        pending.sort_by_key(|e| (e.cycle, e.stage, e.src));
+        let ready = pending.partition_point(|e| e.cycle < before);
+        for e in pending.drain(..ready) {
             let dst = e.dst as usize;
-            if !owned.contains(&dst) {
-                continue;
-            }
             let kind = match &e.msg {
                 NetMsg::Data(d) => d.cargo.kind(),
                 NetMsg::Ack { channel, .. } => *channel,
@@ -773,8 +814,19 @@ impl Cluster {
                 PacketKind::Force => self.frc_fabric.rx_admit(e.arrive, dst),
                 _ => self.pos_fabric.rx_admit(e.arrive, dst),
             };
-            self.inbox[dst].send(at + e.extra, e.msg);
+            let due = at + e.extra;
+            if due < self.cycle {
+                return Err(LookaheadViolation {
+                    src: e.src,
+                    dst: e.dst,
+                    sent: e.cycle,
+                    due,
+                    clock: self.cycle,
+                });
+            }
+            self.inbox[dst].send(due, e.msg);
         }
+        Ok(())
     }
 
     /// Number of nodes.
@@ -861,17 +913,7 @@ impl Cluster {
             .unwrap_or_default();
 
         while !self.all_done(steps) {
-            let fired = crashes
-                .iter()
-                .filter(|cp| {
-                    let node = cp.node as usize;
-                    node < self.num_nodes()
-                        && self.state[node].phase == NodePhase::Force
-                        && self.state[node].step == cp.step
-                        && self.cycle > self.state[node].phase_start
-                })
-                .min_by_key(|cp| cp.node);
-            if let Some(cp) = fired {
+            if let Some(cp) = self.crash_due(&crashes) {
                 return Err(CrashInjected {
                     at_cycle: self.cycle,
                     node: cp.node as usize,
@@ -880,14 +922,7 @@ impl Cluster {
                 }
                 .into());
             }
-            let stepped = self.compute_phase();
-            if self.tracing {
-                self.attribute_cycle();
-            }
-            self.exchange_actions(steps);
-            self.network_cycle();
-            let delivered = self.deliver_due();
-            self.cycle += 1;
+            let active = self.step_cycle(steps);
             if self.obs.is_some() {
                 self.obs_beat(steps);
             }
@@ -900,7 +935,7 @@ impl Cluster {
             // event horizon; when nothing is scheduled anywhere, the
             // cluster can provably never progress again.
             if !engine.fast {
-                if stepped || delivered {
+                if active {
                     idle_streak = 0;
                 } else {
                     idle_streak += 1;
@@ -917,7 +952,7 @@ impl Cluster {
             // action one cycle later. Skipping the scan is always safe —
             // it just declines a jump over cycles that would have been
             // no-ops.
-            if engine.fast && !stepped && !delivered && !self.all_done(steps) {
+            if engine.fast && !active && !self.all_done(steps) {
                 let cap = run_start + cycle_budget;
                 match self.next_event_cycle() {
                     NextEvent::Busy => {}
@@ -946,6 +981,43 @@ impl Cluster {
         };
         obs.maybe_beat(self, steps);
         self.obs = Some(obs);
+    }
+
+    /// The armed `crash=NODE@STEP` directive that fires at the top of
+    /// this cycle, if any: its (owned) node is past the first cycle of
+    /// that step's force phase. Among concurrently-due directives the
+    /// lowest node fires.
+    pub(crate) fn crash_due(&self, crashes: &[CrashPoint]) -> Option<CrashPoint> {
+        let owned = self.owned_range();
+        crashes
+            .iter()
+            .filter(|cp| {
+                let node = cp.node as usize;
+                owned.contains(&node)
+                    && self.state[node].phase == NodePhase::Force
+                    && self.state[node].step == cp.step
+                    && self.cycle > self.state[node].phase_start
+            })
+            .min_by_key(|cp| cp.node)
+            .copied()
+    }
+
+    /// One global cycle over the owned nodes — compute, stall
+    /// attribution, exchange, network and delivery sweeps — then advance
+    /// the clock. Returns whether the cycle was *active*: some chip
+    /// ticked or something was delivered. Shared verbatim by the
+    /// in-process loop and the shard workers.
+    #[inline]
+    pub(crate) fn step_cycle(&mut self, steps: u64) -> bool {
+        let stepped = self.compute_phase();
+        if self.tracing {
+            self.attribute_cycle();
+        }
+        self.exchange_actions(steps);
+        self.network_cycle();
+        let delivered = self.deliver_due();
+        self.cycle += 1;
+        stepped || delivered
     }
 
     /// Run prologue: reset per-run chip statistics and execution flags,
@@ -1516,24 +1588,44 @@ impl Cluster {
         }
     }
 
-    /// Jump the global clock to `target`, emulating the only side effect
-    /// the skipped cycles would have had: one stall decrement per cycle.
+    /// Jump the global clock to `target`: record the jump on the engine
+    /// stream, then skip the span.
     pub(crate) fn jump_to(&mut self, target: u64) {
+        if target <= self.cycle {
+            return;
+        }
+        self.record_jump(self.cycle, target);
+        self.skip_to(target);
+    }
+
+    /// Book one global fast-forward `[from, to)`: the engine-stream event
+    /// and the skipped-cycle tally. Split from [`Cluster::skip_to`]
+    /// because a shard worker skips its own quiescent spans but books
+    /// only the spans *every* shard skipped — the jumps the in-process
+    /// engine would have made.
+    pub(crate) fn record_jump(&mut self, from: u64, to: u64) {
+        let delta = to - from;
+        if self.tracing {
+            self.tr_engine
+                .push(from, EventKind::FastForward { to_cycle: to, skipped: delta });
+        }
+        self.skipped_cycles += delta;
+    }
+
+    /// Move the clock to `target` over a span in which no owned node
+    /// can change state, emulating the only side effect the skipped
+    /// cycles would have had: one stall decrement per cycle.
+    pub(crate) fn skip_to(&mut self, target: u64) {
         if target <= self.cycle {
             return;
         }
         let delta = target - self.cycle;
         if self.tracing {
-            self.tr_engine.push(
-                self.cycle,
-                EventKind::FastForward { to_cycle: target, skipped: delta },
-            );
             self.attribute_jump(delta);
         }
         for s in &mut self.stalls {
             *s = s.saturating_sub(delta);
         }
-        self.skipped_cycles += delta;
         self.cycle = target;
     }
 
@@ -1883,6 +1975,7 @@ impl Cluster {
     fn push_wire(&mut self, src: usize, dst: usize, arrive: u64, extra: u64, msg: NetMsg) {
         let ex = self.exchange.as_mut().expect("wire capture requires sharded mode");
         ex.events.push(WireEvent {
+            cycle: self.cycle,
             stage: ex.stage,
             src: src as u32,
             dst: dst as u32,

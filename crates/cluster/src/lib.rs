@@ -29,7 +29,7 @@ pub use ckpt::{
 };
 pub use driver::{
     state_dump, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
-    DeadlockDetected, EngineConfig,
+    DeadlockDetected, EngineConfig, LookaheadViolation,
 };
 pub use fasda_net::fault::CrashPoint;
 pub use fasda_net::fault::{FaultChannel, FaultPlan, LinkFaults, LinkFlap, MarkerKill, Partition};
@@ -38,7 +38,7 @@ pub use report::RelSummary;
 pub use host::{HostController, HostRun};
 pub use obs::{
     emit_final, final_registry, final_totals_json, measured_from, model_input, FleetBeat,
-    FleetObs, ObsDelta, ObsLive, ObsSinkConfig,
+    FleetObs, ObsDelta, ObsLive, ObsSinkConfig, ShardGauges,
 };
 pub use report::{ClusterRunReport, NodeStepReport};
 pub use shard::{

@@ -205,8 +205,78 @@ impl ObsLive {
 // Fleet telemetry (sharded runs)
 // ---------------------------------------------------------------------------
 
-/// One shard's compact telemetry sample, piggybacked on a per-cycle
-/// Tally mesh frame when the shard's slowest owned node crosses a
+/// Where one shard worker's wall time goes: how often it met its peers
+/// and how long it computed versus sat blocked waiting for their
+/// frames. Host-side progress gauges — they ride heartbeats and
+/// [`crate::shard::ShardedRun::gauges`] only, never the simulated state,
+/// the final metrics or anything byte-compared across engines.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardGauges {
+    /// Exchange rounds (one window frame to and from every peer each).
+    pub windows: u64,
+    /// Wire events shipped to peers.
+    pub events_sent: u64,
+    /// Payload bytes of the window frames sent.
+    pub frame_bytes: u64,
+    /// Nanoseconds spent running cycles between exchanges.
+    pub compute_ns: u64,
+    /// Nanoseconds spent blocked in mesh receives.
+    pub wait_ns: u64,
+}
+
+impl ShardGauges {
+    /// Share of the compute + wait time spent blocked on peers.
+    pub fn wait_share(&self) -> f64 {
+        let total = self.compute_ns + self.wait_ns;
+        if total == 0 {
+            0.0
+        } else {
+            self.wait_ns as f64 / total as f64
+        }
+    }
+
+    /// Field-wise sum.
+    pub fn add(&mut self, other: &ShardGauges) {
+        self.windows += other.windows;
+        self.events_sent += other.events_sent;
+        self.frame_bytes += other.frame_bytes;
+        self.compute_ns += other.compute_ns;
+        self.wait_ns += other.wait_ns;
+    }
+
+    /// Field-wise difference from an earlier reading of the same gauges.
+    pub fn since(&self, earlier: &ShardGauges) -> ShardGauges {
+        ShardGauges {
+            windows: self.windows - earlier.windows,
+            events_sent: self.events_sent - earlier.events_sent,
+            frame_bytes: self.frame_bytes - earlier.frame_bytes,
+            compute_ns: self.compute_ns - earlier.compute_ns,
+            wait_ns: self.wait_ns - earlier.wait_ns,
+        }
+    }
+}
+
+impl Persist for ShardGauges {
+    fn save(&self, w: &mut Writer) {
+        w.put_u64(self.windows);
+        w.put_u64(self.events_sent);
+        w.put_u64(self.frame_bytes);
+        w.put_u64(self.compute_ns);
+        w.put_u64(self.wait_ns);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
+        Ok(ShardGauges {
+            windows: r.get_u64()?,
+            events_sent: r.get_u64()?,
+            frame_bytes: r.get_u64()?,
+            compute_ns: r.get_u64()?,
+            wait_ns: r.get_u64()?,
+        })
+    }
+}
+
+/// One shard's compact telemetry sample, piggybacked on the window
+/// frame of the round in which the shard's slowest owned node crossed a
 /// heartbeat boundary. Totals are cumulative since worker start (owned
 /// nodes only), so per-worker samples sum to the fleet view and stay
 /// monotonic across checkpoint segments.
@@ -225,6 +295,8 @@ pub struct ObsDelta {
     pub stalls: [u64; STALL_CLASSES],
     /// Retransmissions originated by owned nodes (0 without `--rel`).
     pub retransmits: u64,
+    /// The worker's exchange gauges, cumulative since worker start.
+    pub gauges: ShardGauges,
 }
 
 impl Persist for ObsDelta {
@@ -237,6 +309,7 @@ impl Persist for ObsDelta {
             w.put_u64(s);
         }
         w.put_u64(self.retransmits);
+        self.gauges.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         Ok(ObsDelta {
@@ -252,12 +325,13 @@ impl Persist for ObsDelta {
                 s
             },
             retransmits: r.get_u64()?,
+            gauges: Persist::load(r)?,
         })
     }
 }
 
 /// A complete fleet heartbeat: every shard's sample for one boundary.
-/// Assembled by worker 0 (which sees all Tally frames) and shipped to
+/// Assembled by worker 0 (which sees every window frame) and shipped to
 /// the coordinator on the control link as a `Beat` frame.
 #[derive(Clone, Debug)]
 pub struct FleetBeat {
@@ -359,6 +433,12 @@ impl FleetObs {
                     .field("productive_cycles", Json::uint(d.productive))
                     .field("stall_cycles", Json::uint(d.stalls.iter().sum::<u64>()))
                     .field("retransmits", Json::uint(d.retransmits))
+                    .field("windows", Json::uint(d.gauges.windows))
+                    .field("events_sent", Json::uint(d.gauges.events_sent))
+                    .field("frame_bytes", Json::uint(d.gauges.frame_bytes))
+                    .field("compute_ns", Json::uint(d.gauges.compute_ns))
+                    .field("wait_ns", Json::uint(d.gauges.wait_ns))
+                    .field("wait_share", Json::Num(d.gauges.wait_share()))
                     .build(),
             );
             reg.counter_set_labeled(

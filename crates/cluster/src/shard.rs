@@ -11,42 +11,60 @@
 //! The oracle's cycle loop is already two-phase: a compute phase in
 //! which every chip ticks against frozen state, then serial exchange /
 //! network / delivery sweeps. Cross-node influence flows **only**
-//! through the switch fabrics and inboxes, and every message generated
-//! at cycle `T` is due no earlier than `T + 2` (≥1 cycle of port
-//! serialization plus the store-and-forward hop, observed next
-//! delivery sweep). A worker can therefore run the whole cycle `T`
-//! locally and admit *remote* traffic after the fact, as long as
-//! admission replays the oracle's global order. That order is
-//! `(stage, src)` — stage 0 for fresh sends, 1 for retransmissions, 2
-//! for acks, each phase walking nodes in ascending order — which is
-//! exactly how [`Cluster::admit_wire_events`] sorts the concatenated
-//! per-shard buffers. Destination-port contention clocks and inbox
-//! sequence numbers come out identical, so everything downstream does
-//! too.
+//! through the switch fabrics and inboxes, and a message put on the wire
+//! at cycle `T` pays port serialization at both ends plus the path, so
+//! no delivery sweep can observe it before `T + L`, where the
+//! *lookahead* `L = min over node pairs of 2·ser + path_latency`
+//! ([`SwitchFabric::lookahead`]; 204 cycles on the paper's switch). A
+//! worker can therefore run `L` cycles on its own nodes without hearing
+//! from anyone and admit the traffic of the whole window after the
+//! fact, as long as admission replays the oracle's global order. That
+//! order is `(cycle, stage, src)` — stage 0 for fresh sends, 1 for
+//! retransmissions, 2 for acks, each phase walking nodes in ascending
+//! order — which is exactly how [`Cluster::admit_wire_events`] sorts the
+//! concatenated per-shard buffers. Destination-port contention clocks
+//! and inbox sequence numbers come out identical, so everything
+//! downstream does too. `L` is a function of the configuration alone;
+//! a wrong one cannot reorder silently, because admission refuses an
+//! event that is already overdue ([`ShardError::Lookahead`]).
 //!
-//! ## Per-cycle frame protocol
+//! ## Window protocol
 //!
 //! Workers are fully connected (one [`FrameLink`] per unordered pair;
 //! Unix-domain sockets between processes, socketpairs between harness
-//! threads). Every global cycle each worker:
+//! threads). Each worker keeps every worker's *clock* — the first cycle
+//! it has not run yet — and repeats one round:
 //!
-//! 1. checks the crash directive (owner only) and, if it fires,
-//!    broadcasts a *crash* frame A so every worker fails identically;
-//! 2. runs compute → exchange → network locally, then broadcasts frame
-//!    **A**: the stage-0/1 wire events its nodes put on the fabric;
-//! 3. merges all frames A and admits them, runs the delivery sweep,
-//!    then broadcasts frame **B**: stage-2 acks plus the `stepped` /
-//!    `delivered` / `done` flags and its packets-lost delta;
-//! 4. merges all frames B, admits the acks, combines the flags
-//!    (OR / OR / AND) and reconciles the global lost tally;
-//! 5. when (and only when) the globally-agreed deadlock or
-//!    fast-forward scan fires, broadcasts frame **C**: its local event
-//!    horizon; the combined horizon drives an identical jump — or
-//!    proves a global deadlock — on every worker.
+//! 1. **Run** to `min(clocks) + L` with no socket I/O: crash check,
+//!    compute → attribute → exchange → network → deliver, capturing
+//!    every wire crossing. The fast engine skips its *own* quiescent
+//!    spans (to its own event horizon, never past the round's limit)
+//!    and notes them. The round ends early when the last owned node
+//!    goes `Done` or a crash directive fires.
+//! 2. **Exchange** one `Window` frame with every peer, pairwise in
+//!    index order (the lower index sends first), so a frame larger than
+//!    a socket buffer cannot deadlock the mesh. The frame carries the
+//!    sender's clock, the wire events addressed to the receiver's
+//!    nodes, and the round's progress notes: done / crash
+//!    announcements, skipped spans, idle marks, the sparse
+//!    packets-lost log and telemetry samples.
+//! 3. **Admit** every event generated before `min(clocks)` and fold the
+//!    notes; every branch taken from here on is a function of the
+//!    frames alone, so all workers reach the same verdict in the same
+//!    round without a sequencer.
 //!
-//! Every branch above is a function of globally-agreed values, so the
-//! workers stay in lockstep without a central sequencer; the barrier is
-//! the frame exchange itself.
+//! Termination is exact: a worker whose nodes are all `Done` stops
+//! ticking and *follows* — it advances only as far as the peers that
+//! are still running have reported, so it never consumes an ack or a
+//! retransmit timer the oracle leaves in flight — and the segment ends
+//! when every clock stands at `E = max` over workers of the cycle their
+//! last node finished, after a final round has flushed the events
+//! generated up to `E` into their inboxes. The engine-stream
+//! `FastForward` records and the skipped-cycle tally are rebuilt from
+//! the notes (the oracle skipped exactly the cycles *every* worker
+//! skipped), as are the deadlock verdict (every worker idle with
+//! nothing scheduled and nothing on the wire) and the payloads of
+//! `Crashed` / `Stalled` / `Deadlock`.
 //!
 //! ## Coordinator
 //!
@@ -64,13 +82,14 @@
 use crate::ckpt::{save_checkpoint, CheckpointConfig, RunAccumulator};
 use crate::driver::{
     sections, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
-    DeadlockDetected, EngineConfig, ExchangeBuf, NextEvent, NodePhase, WireEvent,
-    DEADLOCK_SCAN_INTERVAL, MAX_RUN_CYCLES,
+    DeadlockDetected, EngineConfig, ExchangeBuf, LookaheadViolation, NextEvent, NodePhase,
+    WireEvent, DEADLOCK_SCAN_INTERVAL, MAX_RUN_CYCLES,
 };
-use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig};
+use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, ShardGauges};
 use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
 use fasda_obs::model::STALL_CLASSES;
 use std::collections::BTreeMap;
+use std::time::Instant;
 use fasda_ckpt::{crc32, CkptError, Container, ContainerWriter, Persist, Reader, Writer};
 use fasda_net::sync::SyncMode;
 use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
@@ -106,8 +125,13 @@ pub enum ShardError {
     Protocol(String),
     /// The configuration cannot be sharded (see [`validate_sharding`]).
     Unsupported(String),
-    /// A worker reported a transport-level failure.
+    /// A worker died or lost a link; the message names it.
     Worker(String),
+    /// A wire event was already overdue when its shard merged it: the
+    /// lookahead window derived from the configuration overstates the
+    /// fabric's minimum delivery latency. Delivering the event late
+    /// would silently reorder the run.
+    Lookahead(LookaheadViolation),
 }
 
 impl std::fmt::Display for ShardError {
@@ -120,6 +144,7 @@ impl std::fmt::Display for ShardError {
             ShardError::Protocol(m) => write!(f, "shard protocol error: {m}"),
             ShardError::Unsupported(m) => write!(f, "sharding unsupported: {m}"),
             ShardError::Worker(m) => write!(f, "shard worker failed: {m}"),
+            ShardError::Lookahead(v) => write!(f, "shard lookahead violated: {v}"),
         }
     }
 }
@@ -206,8 +231,13 @@ pub fn validate_sharding(
 // Wire codecs
 // ---------------------------------------------------------------------------
 
+/// Smallest possible encoding of a [`WireEvent`]: the fixed header
+/// plus the message tag. Bounds the event count a frame can claim.
+const MIN_EVENT_BYTES: usize = 8 + 1 + 4 + 4 + 8 + 8 + 1;
+
 impl Persist for WireEvent {
     fn save(&self, w: &mut Writer) {
+        w.put_u64(self.cycle);
         w.put_u8(self.stage);
         w.put_u32(self.src);
         w.put_u32(self.dst);
@@ -217,6 +247,7 @@ impl Persist for WireEvent {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         Ok(WireEvent {
+            cycle: r.get_u64()?,
             stage: r.get_u8()?,
             src: r.get_u32()?,
             dst: r.get_u32()?,
@@ -227,37 +258,13 @@ impl Persist for WireEvent {
     }
 }
 
-impl Persist for NextEvent {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            NextEvent::Busy => w.put_u8(0),
-            NextEvent::At(t) => {
-                w.put_u8(1);
-                w.put_u64(*t);
-            }
-            NextEvent::Never => w.put_u8(2),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        match r.get_u8()? {
-            0 => Ok(NextEvent::Busy),
-            1 => Ok(NextEvent::At(r.get_u64()?)),
-            2 => Ok(NextEvent::Never),
-            t => Err(r.malformed(format!("invalid horizon tag {t}"))),
-        }
-    }
-}
-
-/// Injected-crash announcement carried in a frame A: every worker
+/// Injected-crash announcement carried in a window frame: every worker
 /// returns the identical [`CrashInjected`] the oracle would have.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CrashInfo {
     at_cycle: u64,
     node: u32,
     step: u64,
-    /// Global packets-lost tally as of the previous cycle's
-    /// reconciliation — the oracle's loop-top value.
-    lost: u64,
 }
 
 impl Persist for CrashInfo {
@@ -265,89 +272,134 @@ impl Persist for CrashInfo {
         w.put_u64(self.at_cycle);
         w.put_u32(self.node);
         w.put_u64(self.step);
-        w.put_u64(self.lost);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(CrashInfo {
-            at_cycle: r.get_u64()?,
-            node: r.get_u32()?,
-            step: r.get_u64()?,
-            lost: r.get_u64()?,
+        Ok(CrashInfo { at_cycle: r.get_u64()?, node: r.get_u32()?, step: r.get_u64()? })
+    }
+}
+
+/// One worker's progress notes for one round — everything in a window
+/// frame except the wire events. Each worker applies its own notes and
+/// every peer's through the same fold, which is what keeps the verdicts
+/// identical everywhere.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct WindowNotes {
+    /// First cycle the sender has not run yet.
+    clock: u64,
+    /// Cycle at which the sender's last owned node went `Done` (its
+    /// clock at that moment); `None` while any is still running.
+    done_at: Option<u64>,
+    /// A crash directive fired on an owned node at the sender's clock.
+    crash: Option<CrashInfo>,
+    /// Cycle after the sender's last *active* cycle (chip tick or
+    /// delivery) of the segment; the segment start before any.
+    idle_from: u64,
+    /// Start of the sender's current idle stretch with nothing
+    /// scheduled on its nodes and nothing waiting to be admitted to
+    /// them; `None` otherwise.
+    never_from: Option<u64>,
+    /// Wire events the sender captured this round, all destinations.
+    generated: u64,
+    /// Spans `[from, to)` the sender skipped this round (fast engine).
+    skipped: Vec<(u64, u64)>,
+    /// Sparse packets-lost log: `(cycle, packets lost in that cycle)`.
+    lost: Vec<(u64, u64)>,
+    /// Telemetry samples taken this round.
+    obs: Vec<ObsDelta>,
+}
+
+impl Persist for WindowNotes {
+    fn save(&self, w: &mut Writer) {
+        w.put_u64(self.clock);
+        self.done_at.save(w);
+        self.crash.save(w);
+        w.put_u64(self.idle_from);
+        self.never_from.save(w);
+        w.put_u64(self.generated);
+        self.skipped.save(w);
+        self.lost.save(w);
+        self.obs.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
+        Ok(WindowNotes {
+            clock: r.get_u64()?,
+            done_at: Persist::load(r)?,
+            crash: Persist::load(r)?,
+            idle_from: r.get_u64()?,
+            never_from: Persist::load(r)?,
+            generated: r.get_u64()?,
+            skipped: Persist::load(r)?,
+            lost: Persist::load(r)?,
+            obs: Persist::load(r)?,
         })
     }
 }
 
-/// Worker↔worker per-cycle frames.
+/// Worker↔worker frames.
+#[derive(Debug)]
 enum MeshFrame {
-    /// Frame A: stage-0/1 wire events, or a crash announcement.
-    Events {
-        crash: Option<CrashInfo>,
-        events: Vec<WireEvent>,
-    },
-    /// Frame B: stage-2 acks plus the cycle's global-progress votes.
-    /// `obs` piggybacks the sender's telemetry sample on the cycles
-    /// where its shard crosses a heartbeat boundary (None otherwise —
-    /// the common case, one byte on the wire).
-    Tally {
-        events: Vec<WireEvent>,
-        stepped: bool,
-        delivered: bool,
-        done: bool,
-        lost_delta: u64,
-        obs: Option<ObsDelta>,
-    },
-    /// Frame C: local event horizon for a deadlock / fast-forward scan.
-    Horizon(NextEvent),
+    /// One round's exchange: the sender's notes plus the wire events it
+    /// captured for the receiver's nodes, in generation order.
+    Window { notes: WindowNotes, events: Vec<WireEvent> },
     /// Mesh handshake: the connecting worker announces its shard index.
     Id(u32),
 }
 
 impl MeshFrame {
-    fn encode(&self) -> Vec<u8> {
+    /// Encode a window frame without cloning the events it selects.
+    fn encode_window<'a>(
+        notes: &WindowNotes,
+        events: impl ExactSizeIterator<Item = &'a WireEvent>,
+    ) -> Vec<u8> {
         let mut w = Writer::new();
-        match self {
-            MeshFrame::Events { crash, events } => {
-                w.put_u8(0);
-                crash.save(&mut w);
-                events.save(&mut w);
-            }
-            MeshFrame::Tally { events, stepped, delivered, done, lost_delta, obs } => {
-                w.put_u8(1);
-                events.save(&mut w);
-                w.put_bool(*stepped);
-                w.put_bool(*delivered);
-                w.put_bool(*done);
-                w.put_u64(*lost_delta);
-                obs.save(&mut w);
-            }
-            MeshFrame::Horizon(h) => {
-                w.put_u8(2);
-                h.save(&mut w);
-            }
-            MeshFrame::Id(i) => {
-                w.put_u8(3);
-                w.put_u32(*i);
-            }
+        w.put_u8(0);
+        notes.save(&mut w);
+        w.put_usize(events.len());
+        for e in events {
+            e.save(&mut w);
         }
         w.into_bytes()
     }
 
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            MeshFrame::Window { notes, events } => Self::encode_window(notes, events.iter()),
+            MeshFrame::Id(i) => {
+                let mut w = Writer::new();
+                w.put_u8(1);
+                w.put_u32(*i);
+                w.into_bytes()
+            }
+        }
+    }
+
     fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut r = Reader::new(bytes, FRAME);
-        match r.get_u8()? {
-            0 => Ok(MeshFrame::Events { crash: Persist::load(&mut r)?, events: Persist::load(&mut r)? }),
-            1 => Ok(MeshFrame::Tally {
-                events: Persist::load(&mut r)?,
-                stepped: r.get_bool()?,
-                delivered: r.get_bool()?,
-                done: r.get_bool()?,
-                lost_delta: r.get_u64()?,
-                obs: Persist::load(&mut r)?,
-            }),
-            2 => Ok(MeshFrame::Horizon(Persist::load(&mut r)?)),
-            3 => Ok(MeshFrame::Id(r.get_u32()?)),
-            t => Err(r.malformed(format!("invalid mesh frame tag {t}"))),
+        let frame = match r.get_u8()? {
+            0 => {
+                let notes = Persist::load(&mut r)?;
+                // A count the payload cannot hold is refused before
+                // anything is reserved for it.
+                let n = r.get_len()?;
+                if n > r.remaining() / MIN_EVENT_BYTES {
+                    return Err(r.malformed(format!(
+                        "window frame claims {n} events in {} bytes",
+                        r.remaining()
+                    )));
+                }
+                let mut events = Vec::with_capacity(n);
+                for _ in 0..n {
+                    events.push(WireEvent::load(&mut r)?);
+                }
+                MeshFrame::Window { notes, events }
+            }
+            1 => MeshFrame::Id(r.get_u32()?),
+            t => return Err(r.malformed(format!("invalid mesh frame tag {t}"))),
+        };
+        if r.remaining() != 0 {
+            return Err(r.malformed(format!("{} trailing bytes in mesh frame", r.remaining())));
         }
+        Ok(frame)
     }
 }
 
@@ -401,6 +453,8 @@ struct SegmentOk {
     d_acks: u64,
     d_corrupt: u64,
     trace: Option<TraceShard>,
+    /// This segment's exchange gauges (host-side, never simulated state).
+    gauges: ShardGauges,
     /// Full state container (`snapshot_into` bytes); the coordinator
     /// splices the owned slices out of it.
     container: Vec<u8>,
@@ -425,6 +479,7 @@ impl Persist for SegmentOk {
         w.put_u64(self.d_acks);
         w.put_u64(self.d_corrupt);
         self.trace.save(w);
+        self.gauges.save(w);
         self.container.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
@@ -450,6 +505,7 @@ impl Persist for SegmentOk {
             d_acks: r.get_u64()?,
             d_corrupt: r.get_u64()?,
             trace: Persist::load(r)?,
+            gauges: Persist::load(r)?,
             container: Persist::load(r)?,
         })
     }
@@ -458,6 +514,7 @@ impl Persist for SegmentOk {
 /// A worker's failed segment: the owned share of the oracle's error.
 /// The coordinator concatenates shares in shard order — which is node
 /// order — to rebuild the exact in-process [`ClusterError`].
+#[derive(Debug)]
 enum SegmentFail {
     Stalled {
         at_cycle: u64,
@@ -480,8 +537,12 @@ enum SegmentFail {
         step: u64,
         lost: u64,
     },
-    /// The worker's mesh links failed (a peer died mid-exchange).
+    /// The worker's mesh links failed (a peer died mid-exchange); the
+    /// message names the peer.
     Link(String),
+    /// An event reached this worker already overdue — see
+    /// [`ShardError::Lookahead`].
+    Lookahead(LookaheadViolation),
 }
 
 impl Persist for SegmentFail {
@@ -520,6 +581,14 @@ impl Persist for SegmentFail {
                 w.put_u8(3);
                 w.put_str(msg);
             }
+            SegmentFail::Lookahead(v) => {
+                w.put_u8(4);
+                w.put_u32(v.src);
+                w.put_u32(v.dst);
+                w.put_u64(v.sent);
+                w.put_u64(v.due);
+                w.put_u64(v.clock);
+            }
         }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
@@ -550,6 +619,13 @@ impl Persist for SegmentFail {
                 lost: r.get_u64()?,
             }),
             3 => Ok(SegmentFail::Link(r.get_str()?)),
+            4 => Ok(SegmentFail::Lookahead(LookaheadViolation {
+                src: r.get_u32()?,
+                dst: r.get_u32()?,
+                sent: r.get_u64()?,
+                due: r.get_u64()?,
+                clock: r.get_u64()?,
+            })),
             t => Err(r.malformed(format!("invalid segment-fail tag {t}"))),
         }
     }
@@ -675,12 +751,38 @@ impl ScalarBase {
 // Worker
 // ---------------------------------------------------------------------------
 
-fn broadcast(mesh: &mut [Box<dyn FrameLink>], frame: &MeshFrame) -> Result<(), LinkError> {
-    let payload = frame.encode();
-    for link in mesh.iter_mut() {
-        link.send_frame(&payload)?;
+/// Exchange one frame with every peer, pairwise in index order: for
+/// each pair the lower index sends first while the higher one is
+/// already receiving, so no frame — however far beyond a socket buffer
+/// it grows — can leave two workers blocked in `send` on each other.
+/// `mesh[k]` is the link to the `k`-th peer in index order (self
+/// excluded); `frames[k]` goes to it and the reply comes back in slot
+/// `k`. Time blocked in receives is charged to `gauges.wait_ns`.
+fn exchange(
+    mesh: &mut [Box<dyn FrameLink>],
+    index: usize,
+    frames: &[Vec<u8>],
+    gauges: &mut ShardGauges,
+) -> Result<Vec<Vec<u8>>, SegmentFail> {
+    let mut recv = |link: &mut Box<dyn FrameLink>| {
+        let t = Instant::now();
+        let frame = link.recv_frame();
+        gauges.wait_ns += t.elapsed().as_nanos() as u64;
+        frame
+    };
+    let mut replies = Vec::with_capacity(mesh.len());
+    for (k, link) in mesh.iter_mut().enumerate() {
+        let peer = k + usize::from(k >= index);
+        let fail = |e: LinkError| SegmentFail::Link(format!("mesh link to worker {peer}: {e}"));
+        if index < peer {
+            link.send_frame(&frames[k]).map_err(fail)?;
+            replies.push(recv(link).map_err(fail)?);
+        } else {
+            replies.push(recv(link).map_err(fail)?);
+            link.send_frame(&frames[k]).map_err(fail)?;
+        }
     }
-    Ok(())
+    Ok(replies)
 }
 
 fn owned_states(cl: &Cluster) -> Vec<(u64, String)> {
@@ -702,27 +804,44 @@ fn owned_outages(cl: &Cluster) -> Vec<String> {
     cl.faults.as_ref().map(|f| f.fired_outages()).unwrap_or_default()
 }
 
-/// Combine per-worker event horizons exactly as the oracle's single
-/// full-cluster scan would: any busy chip wins, otherwise the earliest
-/// scheduled event, otherwise a proven global deadlock.
-fn combine_horizons(horizons: &[NextEvent]) -> NextEvent {
-    let mut best: Option<u64> = None;
-    for h in horizons {
-        match h {
-            NextEvent::Busy => return NextEvent::Busy,
-            NextEvent::At(t) => best = Some(best.map_or(*t, |b| b.min(*t))),
-            NextEvent::Never => {}
+/// Append `[from, to)` to a sorted span list, merging with the last
+/// span when they touch (a skip resumed after an exchange is one span).
+fn push_span(spans: &mut Vec<(u64, u64)>, from: u64, to: u64) {
+    if to <= from {
+        return;
+    }
+    match spans.last_mut() {
+        Some(last) if last.1 == from => last.1 = to,
+        _ => spans.push((from, to)),
+    }
+}
+
+/// Intersection of sorted, disjoint span lists, clipped to `[lo, hi)`.
+fn intersect_spans(lists: &[Vec<(u64, u64)>], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    let mut acc = vec![(lo, hi)];
+    for list in lists {
+        let mut next = Vec::new();
+        let mut spans = list.iter().peekable();
+        for &(a, b) in &acc {
+            while let Some(&&(from, to)) = spans.peek() {
+                if from >= b {
+                    break;
+                }
+                push_span(&mut next, from.max(a), to.min(b));
+                if to > b {
+                    break;
+                }
+                spans.next();
+            }
         }
+        acc = next;
     }
-    match best {
-        Some(t) => NextEvent::At(t),
-        None => NextEvent::Never,
-    }
+    acc
 }
 
 /// Worker-side heartbeat state. Every worker samples its own shard
 /// when its slowest owned node crosses a heartbeat boundary and ships
-/// the sample on that cycle's Tally frame; worker 0 additionally folds
+/// the sample on that round's window frame; worker 0 additionally folds
 /// everyone's samples into [`FleetBeat`]s for the coordinator. All
 /// state here is wall-clock-side — the simulated run is untouched, so
 /// sharded runs stay bit-identical with heartbeats on or off.
@@ -739,6 +858,8 @@ struct ObsShard {
     /// segment, so cumulative totals are `banked + live`.
     prod_acc: u64,
     stall_acc: [u64; STALL_CLASSES],
+    /// Exchange gauges, cumulative since worker start.
+    gauges: ShardGauges,
     /// Worker 0 only: boundary → per-shard samples collected so far.
     pending: BTreeMap<u64, Vec<Option<ObsDelta>>>,
     beats: u64,
@@ -753,6 +874,7 @@ impl ObsShard {
             next_due: every.max(1),
             prod_acc: 0,
             stall_acc: [0; STALL_CLASSES],
+            gauges: ShardGauges::default(),
             pending: BTreeMap::new(),
             beats: 0,
         }
@@ -793,13 +915,7 @@ impl ObsShard {
         if self.every == 0 {
             return;
         }
-        for node in cl.owned_range() {
-            let t = cl.tr_stalls.node_total(node);
-            self.prod_acc += t.productive;
-            for (acc, v) in self.stall_acc.iter_mut().zip(t.stalled.iter()) {
-                *acc += v;
-            }
-        }
+        (self.prod_acc, self.stall_acc) = self.owned_totals(cl);
     }
 
     /// Sample this shard if its slowest owned node has crossed the next
@@ -824,6 +940,7 @@ impl ObsShard {
             productive,
             stalls,
             retransmits: self.owned_retransmits(cl),
+            gauges: self.gauges,
         })
     }
 
@@ -850,238 +967,315 @@ impl ObsShard {
     }
 }
 
-/// Run one segment of the global cycle loop on this worker's shard —
-/// the sharded transliteration of [`Cluster::try_run_with`]'s loop.
-/// `lost_total` tracks the reconciled global packets-lost tally across
-/// cycles (and segments); `base_lost` is the worker-start baseline.
-#[allow(clippy::too_many_arguments)]
+/// What one worker carries from segment to segment.
+struct WorkerCtx<'a> {
+    engine: &'a EngineConfig,
+    mesh: &'a mut [Box<dyn FrameLink>],
+    ctl: &'a mut dyn FrameLink,
+    /// Every worker's owned node range, shard order.
+    ranges: &'a [Range<usize>],
+    index: usize,
+    obs: ObsShard,
+    /// Global packets-lost tally at the start of the next segment.
+    lost: u64,
+}
+
+/// Run one segment of the global cycle loop on this worker's shard:
+/// [`Cluster::try_run_with`]'s loop, synchronised with the peers once
+/// per lookahead window instead of once per cycle (module docs).
 fn run_segment(
     cl: &mut Cluster,
-    engine: &EngineConfig,
-    mesh: &mut [Box<dyn FrameLink>],
-    ctl: &mut dyn FrameLink,
-    obs: &mut ObsShard,
+    ctx: &mut WorkerCtx<'_>,
     target: u64,
     budget: u64,
-    base_lost: u64,
-    lost_total: &mut u64,
 ) -> Result<(), SegmentFail> {
-    let link_err = |e: LinkError| SegmentFail::Link(e.to_string());
-    let codec_err = |e: CkptError| SegmentFail::Link(format!("frame decode: {e}"));
     assert!(target > 0);
+    let index = ctx.index;
+    let shards = ctx.ranges.len();
+    let fast = ctx.engine.fast;
     let run_start = cl.cycle;
-    cl.arm_run(engine);
-    let mut idle_streak = 0u64;
+    let cap = run_start.saturating_add(budget);
+    let lookahead = cl.pos_fabric.lookahead().min(cl.frc_fabric.lookahead());
+    cl.arm_run(ctx.engine);
     let crashes: Vec<_> = cl
         .cfg
         .faults
         .as_ref()
         .map(|p| p.crashes.clone())
         .unwrap_or_default();
-    let owned = cl.owned_range();
+
+    // What the frames have told every worker about every worker (this
+    // one included — its own notes go through the same fold).
+    let mut clock = vec![run_start; shards];
+    let mut done_at: Vec<Option<u64>> = vec![None; shards];
+    let mut skipped: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
+    let mut crash: Option<CrashInfo> = None;
+    let mut lost_log: Vec<(u64, u64)> = Vec::new();
+    // Events addressed to owned nodes that some worker has not yet
+    // reported through; admitted once every clock has passed them.
+    let mut pending: Vec<WireEvent> = Vec::new();
+    // Fast-forward fold: spans every worker skipped below `folded_to`
+    // are booked; one reaching it stays open until its end is known.
+    let mut folded_to = run_start;
+    let mut open_jump: Option<u64> = None;
+
+    // This worker's own run state.
+    let mut idle = false;
+    let mut idle_from = run_start;
+    let mut never_from: Option<u64> = None;
+    let mut lost_seen = cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost;
+    let lost_base = ctx.lost;
 
     loop {
-        // Crash directives, checked at the loop top exactly like the
-        // oracle. Only the owner can observe one; it announces the crash
-        // in place of its frame A so every worker fails identically.
-        // (Peers learn one sub-cycle late — after their local compute —
-        // but the divergence is unobservable: no segment result is
-        // produced and the error is built from frame-consistent data.)
-        // Among concurrently-due directives the lowest node fires,
-        // matching the oracle's tie-break.
-        let due = crashes
-            .iter()
-            .filter(|cp| {
-                let node = cp.node as usize;
-                owned.contains(&node)
-                    && cl.state[node].phase == NodePhase::Force
-                    && cl.state[node].step == cp.step
-                    && cl.cycle > cl.state[node].phase_start
-            })
-            .min_by_key(|cp| cp.node)
-            .copied();
-        if let Some(cp) = due {
-            let ci = CrashInfo {
-                at_cycle: cl.cycle,
-                node: cp.node,
-                step: cp.step,
-                lost: *lost_total,
+        // ---- Run: up to one lookahead past the slowest clock. A done
+        // worker follows: no further than any worker is known to have
+        // got, so it cannot run past the global end. Once a crash is
+        // known nobody needs to pass it.
+        let t_run = Instant::now();
+        let global = clock.iter().copied().min().unwrap_or(run_start);
+        let mut limit = global.saturating_add(lookahead).min(cap);
+        if done_at[index].is_some() {
+            let reached = (0..shards).map(|w| done_at[w].unwrap_or(clock[w])).max();
+            limit = limit.min(reached.unwrap_or(run_start));
+        }
+        if let Some(c) = crash {
+            limit = limit.min(c.at_cycle);
+        }
+        let mut notes = WindowNotes::default();
+        // Scan the local event horizon after an idle cycle (and again
+        // after every admission): the fast engine skips to it, the
+        // oracle only learns whether anything is scheduled at all.
+        // `rescan_at` spares the oracle a scan per idle cycle.
+        let mut rescan_at = 0u64;
+        let mut scan = |cl: &mut Cluster, notes: &mut WindowNotes, never_from: &mut Option<u64>| {
+            if cl.cycle < rescan_at {
+                return;
+            }
+            let horizon = match cl.next_event_cycle() {
+                NextEvent::Busy => return *never_from = None,
+                NextEvent::At(t) => {
+                    *never_from = None;
+                    rescan_at = t + 1;
+                    t
+                }
+                NextEvent::Never => {
+                    never_from.get_or_insert(cl.cycle);
+                    rescan_at = u64::MAX;
+                    limit
+                }
             };
-            broadcast(mesh, &MeshFrame::Events { crash: Some(ci), events: Vec::new() })
-                .map_err(link_err)?;
-            return Err(SegmentFail::Crashed {
-                at_cycle: ci.at_cycle,
-                node: ci.node,
-                step: ci.step,
-                lost: ci.lost,
-            });
+            if fast {
+                let from = cl.cycle;
+                cl.skip_to(horizon.min(limit));
+                push_span(&mut notes.skipped, from, cl.cycle);
+            }
+        };
+        if idle {
+            scan(cl, &mut notes, &mut never_from);
         }
-
-        // Local cycle: compute → exchange → network, all on owned nodes.
-        let stepped_local = cl.compute_phase();
-        if cl.tracing {
-            cl.attribute_cycle();
-        }
-        cl.exchange_actions(target);
-        cl.network_cycle();
-
-        // Frame A: stage-0/1 events out, everyone's in, merge, admit.
-        let my_events = cl.take_wire_events();
-        broadcast(mesh, &MeshFrame::Events { crash: None, events: my_events.clone() })
-            .map_err(link_err)?;
-        let mut merged = my_events;
-        for link in mesh.iter_mut() {
-            match MeshFrame::decode(&link.recv_frame().map_err(link_err)?).map_err(codec_err)? {
-                MeshFrame::Events { crash: Some(ci), .. } => {
-                    return Err(SegmentFail::Crashed {
-                        at_cycle: ci.at_cycle,
-                        node: ci.node,
-                        step: ci.step,
-                        lost: ci.lost,
-                    });
+        while cl.cycle < limit {
+            let at = cl.cycle;
+            let active = cl.step_cycle(target);
+            idle = !active;
+            if active {
+                idle_from = cl.cycle;
+                never_from = None;
+            }
+            let lost_now = cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost;
+            if lost_now != lost_seen {
+                notes.lost.push((at, lost_now - lost_seen));
+                lost_seen = lost_now;
+            }
+            notes.obs.extend(ctx.obs.due(cl));
+            if done_at[index].is_none() && cl.owned_done(target) {
+                notes.done_at = Some(cl.cycle);
+                break;
+            }
+            // Crash directives fire at the top of the next cycle,
+            // exactly like the oracle's loop-top check (which the budget
+            // check precedes). Only the owner can observe one; it stops
+            // here and announces it, and the peers' overrun is harmless
+            // — no segment result is produced.
+            if cl.cycle < cap {
+                if let Some(cp) = cl.crash_due(&crashes) {
+                    notes.crash =
+                        Some(CrashInfo { at_cycle: cl.cycle, node: cp.node, step: cp.step });
+                    never_from = None;
+                    break;
                 }
-                MeshFrame::Events { crash: None, events } => merged.extend(events),
-                _ => return Err(SegmentFail::Link("expected events frame".into())),
+            }
+            if idle {
+                scan(cl, &mut notes, &mut never_from);
             }
         }
-        cl.admit_wire_events(merged);
+        notes.clock = cl.cycle;
+        notes.done_at = notes.done_at.or(done_at[index]);
+        notes.idle_from = idle_from;
+        notes.never_from = never_from.filter(|_| pending.is_empty());
+        let mine = cl.take_wire_events();
+        notes.generated = mine.len() as u64;
+        ctx.obs.gauges.compute_ns += t_run.elapsed().as_nanos() as u64;
 
-        // Delivery sweep, then frame B: acks + global-progress votes
-        // (+ this shard's telemetry sample when a heartbeat is due).
-        let delivered_local = cl.deliver_due();
-        let my_acks = cl.take_wire_events();
-        let done_local = cl.owned_done(target);
-        let lost_local = cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost;
-        let my_delta = lost_local - base_lost;
-        let my_obs = obs.due(cl);
-        broadcast(
-            mesh,
-            &MeshFrame::Tally {
-                events: my_acks.clone(),
-                stepped: stepped_local,
-                delivered: delivered_local,
-                done: done_local,
-                lost_delta: my_delta,
-                obs: my_obs.clone(),
-            },
-        )
-        .map_err(link_err)?;
-        let mut stepped = stepped_local;
-        let mut delivered = delivered_local;
-        let mut done_global = done_local;
-        let mut lost_sum = my_delta;
-        let mut merged2 = my_acks;
-        let mut samples: Vec<ObsDelta> = my_obs.into_iter().collect();
-        for link in mesh.iter_mut() {
-            match MeshFrame::decode(&link.recv_frame().map_err(link_err)?).map_err(codec_err)? {
-                MeshFrame::Tally {
-                    events,
-                    stepped: s,
-                    delivered: d,
-                    done: dn,
-                    lost_delta,
-                    obs: peer_obs,
-                } => {
-                    merged2.extend(events);
-                    stepped |= s;
-                    delivered |= d;
-                    done_global &= dn;
-                    lost_sum += lost_delta;
-                    if obs.index == 0 {
-                        samples.extend(peer_obs);
-                    }
+        // ---- Exchange: every peer gets the events for its own nodes.
+        let owner_of = |e: &WireEvent| {
+            ctx.ranges.partition_point(|r| r.end <= e.dst as usize)
+        };
+        let mut outbound: Vec<Vec<&WireEvent>> = vec![Vec::new(); shards];
+        for e in &mine {
+            outbound[owner_of(e)].push(e);
+        }
+        let frames: Vec<Vec<u8>> = (0..shards)
+            .filter(|&w| w != index)
+            .map(|w| MeshFrame::encode_window(&notes, outbound[w].iter().copied()))
+            .collect();
+        ctx.obs.gauges.windows += 1;
+        ctx.obs.gauges.events_sent += notes.generated - outbound[index].len() as u64;
+        ctx.obs.gauges.frame_bytes += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+        let replies = exchange(ctx.mesh, index, &frames, &mut ctx.obs.gauges)?;
+        drop(outbound);
+
+        // ---- Fold: own notes and every peer's, in shard order.
+        let mut heard = Vec::with_capacity(shards);
+        pending.extend(mine.into_iter().filter(|e| ctx.ranges[index].contains(&(e.dst as usize))));
+        let mut replies = replies.into_iter();
+        for w in 0..shards {
+            if w == index {
+                heard.push(std::mem::take(&mut notes));
+                continue;
+            }
+            let bytes = replies.next().expect("one reply per peer");
+            match MeshFrame::decode(&bytes) {
+                Ok(MeshFrame::Window { notes, events }) => {
+                    heard.push(notes);
+                    pending.extend(events);
                 }
-                _ => return Err(SegmentFail::Link("expected tally frame".into())),
+                Ok(other) => {
+                    return Err(SegmentFail::Link(format!(
+                        "worker {w} sent {other:?} where a window frame was due"
+                    )))
+                }
+                Err(e) => {
+                    return Err(SegmentFail::Link(format!("frame from worker {w}: {e}")))
+                }
             }
         }
-        cl.admit_wire_events(merged2);
-        *lost_total = base_lost + lost_sum;
+        let mut generated = 0;
+        let mut samples = Vec::new();
+        for (w, notes) in heard.iter_mut().enumerate() {
+            clock[w] = notes.clock;
+            done_at[w] = notes.done_at;
+            crash = [crash, notes.crash]
+                .into_iter()
+                .flatten()
+                .min_by_key(|c| (c.at_cycle, c.node));
+            for &(from, to) in &notes.skipped {
+                push_span(&mut skipped[w], from, to);
+            }
+            lost_log.append(&mut notes.lost);
+            generated += notes.generated;
+            samples.append(&mut notes.obs);
+        }
+        let global = clock.iter().copied().min().unwrap_or(run_start);
+        cl.admit_wire_events(&mut pending, global).map_err(SegmentFail::Lookahead)?;
+        // The oracle skipped exactly the cycles every worker skipped; a
+        // maximal such span is one of its jumps. One that reaches the
+        // fold's end stays open until a later round shows where it ends.
+        if global > folded_to {
+            let spans = intersect_spans(&skipped, folded_to, global);
+            if spans.first().is_none_or(|s| s.0 > folded_to) {
+                if let Some(from) = open_jump.take() {
+                    cl.record_jump(from, folded_to);
+                }
+            }
+            for (from, to) in spans {
+                let from = open_jump.take().unwrap_or(from);
+                if to == global {
+                    open_jump = Some(from);
+                } else {
+                    cl.record_jump(from, to);
+                }
+            }
+            folded_to = global;
+            for spans in &mut skipped {
+                spans.retain(|s| s.1 > global);
+            }
+        }
         // Worker 0 assembles fleet beats from the collected samples and
         // ships each completed one to the coordinator out of band.
-        if obs.index == 0 {
+        if index == 0 {
             for d in samples {
-                if let Some(fb) = obs.note(d, cl.cycle) {
-                    ctl.send_frame(&CtlFrame::Beat(Box::new(fb)).encode())
-                        .map_err(link_err)?;
+                if let Some(fb) = ctx.obs.note(d, cl.cycle) {
+                    ctx.ctl
+                        .send_frame(&CtlFrame::Beat(Box::new(fb)).encode())
+                        .map_err(|e| SegmentFail::Link(format!("control link: {e}")))?;
                 }
             }
         }
 
-        cl.cycle += 1;
-        if cl.cycle - run_start >= budget {
-            return Err(SegmentFail::Stalled {
-                at_cycle: cl.cycle,
-                nodes: owned_states(cl),
-                lost: *lost_total,
+        // ---- Verdicts, earliest simulated cycle first. Each is a
+        // function of the frames alone, so every worker returns from
+        // the same round.
+        let lost_before =
+            |c: u64| lost_base + lost_log.iter().filter(|l| l.0 < c).map(|l| l.1).sum::<u64>();
+        if let Some(c) = crash.filter(|c| global >= c.at_cycle) {
+            return Err(SegmentFail::Crashed {
+                at_cycle: c.at_cycle,
+                node: c.node,
+                step: c.step,
+                lost: lost_before(c.at_cycle),
             });
         }
-
-        // The deadlock / fast-forward scans fire on globally-agreed
-        // conditions, so every worker reaches frame C together.
-        let mut dl_scan = false;
-        if !engine.fast {
-            if stepped || delivered {
-                idle_streak = 0;
+        let stalled = |cl: &Cluster| SegmentFail::Stalled {
+            at_cycle: cap,
+            nodes: owned_states(cl),
+            lost: lost_before(cap),
+        };
+        if let Some(end) = done_at.iter().copied().collect::<Option<Vec<u64>>>() {
+            let end = end.into_iter().max().unwrap_or(run_start);
+            if global == end {
+                // Every clock stands at the global end and everything
+                // generated before it has been admitted.
+                debug_assert!(pending.is_empty() && open_jump.is_none());
+                if end >= cap {
+                    return Err(stalled(cl));
+                }
+                ctx.lost = lost_before(end);
+                return Ok(());
+            }
+        }
+        // Deadlock: every worker idle with nothing scheduled, nothing
+        // waiting for admission and nothing put on the wire this round.
+        // The fast oracle finds it on its first scan, the cycle after
+        // the last one anybody ran; the serial oracle on the first
+        // multiple of its idle-streak scan interval at or past it.
+        let nevers: Option<Vec<u64>> = heard.iter().map(|n| n.never_from).collect();
+        if let Some(nevers) = nevers.filter(|_| generated == 0) {
+            let settled = nevers.into_iter().max().unwrap_or(run_start);
+            let at_cycle = if fast {
+                settled
             } else {
-                idle_streak += 1;
-                if idle_streak.is_multiple_of(DEADLOCK_SCAN_INTERVAL) {
-                    dl_scan = true;
-                }
+                let streak_from = heard.iter().map(|n| n.idle_from).max().unwrap_or(run_start);
+                let scans = (settled - streak_from).div_ceil(DEADLOCK_SCAN_INTERVAL).max(1);
+                streak_from + scans * DEADLOCK_SCAN_INTERVAL
+            };
+            if at_cycle >= cap {
+                return Err(stalled(cl));
             }
+            return Err(SegmentFail::Deadlock {
+                at_cycle,
+                starving: owned_starving(cl),
+                lost: lost_before(at_cycle),
+                outages: owned_outages(cl),
+            });
         }
-        let ff_scan = engine.fast && !stepped && !delivered && !done_global;
-        if dl_scan || ff_scan {
-            let mine = cl.next_event_cycle();
-            broadcast(mesh, &MeshFrame::Horizon(mine)).map_err(link_err)?;
-            let mut horizons = vec![mine];
-            for link in mesh.iter_mut() {
-                match MeshFrame::decode(&link.recv_frame().map_err(link_err)?)
-                    .map_err(codec_err)?
-                {
-                    MeshFrame::Horizon(h) => horizons.push(h),
-                    _ => return Err(SegmentFail::Link("expected horizon frame".into())),
-                }
-            }
-            let combined = combine_horizons(&horizons);
-            if ff_scan {
-                let cap = run_start + budget;
-                match combined {
-                    NextEvent::Busy => {}
-                    NextEvent::At(t) => cl.jump_to(t.min(cap)),
-                    NextEvent::Never => {
-                        return Err(SegmentFail::Deadlock {
-                            at_cycle: cl.cycle,
-                            starving: owned_starving(cl),
-                            lost: *lost_total,
-                            outages: owned_outages(cl),
-                        });
-                    }
-                }
-                if cl.cycle >= cap {
-                    return Err(SegmentFail::Stalled {
-                        at_cycle: cl.cycle,
-                        nodes: owned_states(cl),
-                        lost: *lost_total,
-                    });
-                }
-            } else if matches!(combined, NextEvent::Never) {
-                return Err(SegmentFail::Deadlock {
-                    at_cycle: cl.cycle,
-                    starving: owned_starving(cl),
-                    lost: *lost_total,
-                    outages: owned_outages(cl),
-                });
-            }
-        }
-
-        if done_global {
-            return Ok(());
+        if global >= cap {
+            return Err(stalled(cl));
         }
     }
 }
 
 /// Package a completed segment for the coordinator.
-fn segment_ok(cl: &mut Cluster, base: &ScalarBase) -> SegmentOk {
+fn segment_ok(cl: &mut Cluster, base: &ScalarBase, gauges: ShardGauges) -> SegmentOk {
     let owned = cl.owned_range();
     let mut stats = StatSet::new();
     for n in owned.clone() {
@@ -1121,6 +1315,7 @@ fn segment_ok(cl: &mut Cluster, base: &ScalarBase) -> SegmentOk {
         d_acks: cl.rel.as_ref().map_or(0, |r| r.acks_sent) - base.acks,
         d_corrupt: cl.rel.as_ref().map_or(0, |r| r.corrupt_dropped) - base.corrupt,
         trace,
+        gauges,
         container: cw.finish(),
     }
 }
@@ -1128,6 +1323,11 @@ fn segment_ok(cl: &mut Cluster, base: &ScalarBase) -> SegmentOk {
 /// Worker main loop: obey `Run` / `Shutdown` control frames until the
 /// coordinator hangs up. `cl` must already have its `exchange` hook
 /// armed with the owned range (and be restored, when resuming).
+///
+/// A segment that fails on this worker alone — a dead link, a refused
+/// event — ends the worker after it has reported: dropping its mesh
+/// links is what wakes every peer still blocked on them, so a death
+/// anywhere in the mesh unwinds the whole fleet in bounded time.
 fn worker_loop(
     mut cl: Cluster,
     engine: &EngineConfig,
@@ -1137,30 +1337,35 @@ fn worker_loop(
     shards: usize,
 ) -> Result<(), ShardError> {
     let base = ScalarBase::of(&cl);
-    let base_lost = base.pos_lost + base.frc_lost;
-    let mut lost_total = base_lost;
-    let mut obs = ObsShard::new(engine.heartbeat_every, index as u32, shards);
+    let ranges = shard_ranges(cl.num_nodes(), shards);
+    let mut ctx = WorkerCtx {
+        engine,
+        mesh,
+        ctl,
+        ranges: &ranges,
+        index,
+        obs: ObsShard::new(engine.heartbeat_every, index as u32, shards),
+        lost: base.pos_lost + base.frc_lost,
+    };
     loop {
-        match CtlFrame::decode(&ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
+        match CtlFrame::decode(&ctx.ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
             CtlFrame::Run { target, budget } => {
-                let frame = match run_segment(
-                    &mut cl,
-                    engine,
-                    mesh,
-                    ctl,
-                    &mut obs,
-                    target,
-                    budget,
-                    base_lost,
-                    &mut lost_total,
-                ) {
+                let before = ctx.obs.gauges;
+                let outcome = run_segment(&mut cl, &mut ctx, target, budget);
+                let alone =
+                    matches!(outcome, Err(SegmentFail::Link(_) | SegmentFail::Lookahead(_)));
+                let frame = match outcome {
                     Ok(()) => {
-                        obs.bank_segment(&cl);
-                        CtlFrame::Done(Box::new(segment_ok(&mut cl, &base)))
+                        ctx.obs.bank_segment(&cl);
+                        let gauges = ctx.obs.gauges.since(&before);
+                        CtlFrame::Done(Box::new(segment_ok(&mut cl, &base, gauges)))
                     }
                     Err(f) => CtlFrame::Fail(f),
                 };
-                ctl.send_frame(&frame.encode())?;
+                ctx.ctl.send_frame(&frame.encode())?;
+                if alone {
+                    return Ok(());
+                }
             }
             CtlFrame::Shutdown => return Ok(()),
             _ => return Err(ShardError::Protocol("unexpected control frame in worker".into())),
@@ -1300,6 +1505,13 @@ fn fold_trace(oks: &mut [SegmentOk], nodes: usize) -> Option<Trace> {
 
 /// Convert the per-worker failure shares into the oracle's error.
 fn merge_failures(fails: Vec<SegmentFail>) -> ShardError {
+    // A worker-local failure explains every link error it caused in its
+    // peers, so it is the one to report.
+    for f in &fails {
+        if let SegmentFail::Lookahead(v) = f {
+            return ShardError::Lookahead(*v);
+        }
+    }
     // An injected crash is announced identically to every worker.
     for f in &fails {
         if let SegmentFail::Crashed { at_cycle, node, step, lost } = f {
@@ -1339,7 +1551,9 @@ fn merge_failures(fails: Vec<SegmentFail>) -> ShardError {
                 nodes.extend(n);
             }
             SegmentFail::Link(msg) => return ShardError::Worker(msg),
-            SegmentFail::Crashed { .. } => unreachable!("handled above"),
+            SegmentFail::Crashed { .. } | SegmentFail::Lookahead(_) => {
+                unreachable!("handled above")
+            }
         }
     }
     if saw_deadlock {
@@ -1359,6 +1573,14 @@ fn merge_failures(fails: Vec<SegmentFail>) -> ShardError {
     }
 }
 
+/// What [`drive`] hands back: [`ShardedRun`] minus the replica.
+struct Driven {
+    report: ClusterRunReport,
+    traces: Vec<Trace>,
+    checkpoints: Vec<PathBuf>,
+    gauges: Vec<ShardGauges>,
+}
+
 /// Drive the workers through checkpoint-sized segments — the sharded
 /// mirror of [`run_with_checkpoints`] — splicing each segment's state
 /// into `replica` and folding its report into `acc`.
@@ -1373,7 +1595,7 @@ fn drive(
     ckpt: Option<&CheckpointConfig>,
     mut acc: RunAccumulator,
     mut fleet: Option<FleetObs>,
-) -> Result<(ClusterRunReport, Vec<Trace>, Vec<PathBuf>), ShardError> {
+) -> Result<Driven, ShardError> {
     assert!(acc.steps_done <= steps, "accumulator past the requested step count");
     let every = match ckpt {
         Some(c) => c.every,
@@ -1383,6 +1605,7 @@ fn drive(
     let start_cycle = replica.cycle;
     let mut traces = Vec::new();
     let mut checkpoints = Vec::new();
+    let mut gauges = vec![ShardGauges::default(); ctl.len()];
     while acc.steps_done < steps {
         let target = (acc.steps_done + every).min(steps);
         let seg_start = replica.cycle;
@@ -1395,10 +1618,15 @@ fn drive(
         let mut oks = Vec::with_capacity(ctl.len());
         let mut fails = Vec::new();
         // Worker 0's link is read first and carries the fleet beats, so
-        // heartbeats stream out while the segment is still running.
-        for link in ctl.iter_mut() {
+        // heartbeats stream out while the segment is still running. A
+        // control link that dies names its worker: whatever the
+        // survivors report about their own links is a consequence.
+        for (w, link) in ctl.iter_mut().enumerate() {
             loop {
-                match CtlFrame::decode(&link.recv_frame()?)? {
+                let frame = link.recv_frame().map_err(|e| {
+                    ShardError::Worker(format!("worker {w} died mid-segment: {e}"))
+                })?;
+                match CtlFrame::decode(&frame)? {
                     CtlFrame::Beat(fb) => {
                         if let Some(f) = fleet.as_mut() {
                             f.on_beat(&fb, ranges, steps);
@@ -1424,6 +1652,7 @@ fn drive(
             let container = Container::parse(&ok.container)?;
             scratch.restore_from(&container)?;
             adopt_shard(replica, scratch, ranges[w].clone());
+            gauges[w].add(&ok.gauges);
         }
         replica.cycle = oks[0].end_cycle;
         replica.skipped_cycles = oks[0].skipped;
@@ -1439,7 +1668,7 @@ fn drive(
         }
     }
     shutdown(ctl);
-    Ok((acc.into_report(), traces, checkpoints))
+    Ok(Driven { report: acc.into_report(), traces, checkpoints, gauges })
 }
 
 /// Best-effort shutdown broadcast; link errors are ignored (a worker
@@ -1493,6 +1722,31 @@ fn tcp_pair() -> std::io::Result<(TcpLink, TcpLink)> {
     Ok((TcpLink::new(accepted)?, TcpLink::new(dialed)?))
 }
 
+/// One connected link per unordered worker pair, over socketpairs or
+/// loopback TCP: row `w` holds worker `w`'s links to its peers in index
+/// order (self excluded) — the `mesh` slice [`worker_loop`] expects.
+fn harness_mesh(shards: usize, tcp: bool) -> std::io::Result<Vec<Vec<Box<dyn FrameLink>>>> {
+    let mut rows: Vec<Vec<Option<Box<dyn FrameLink>>>> =
+        (0..shards).map(|_| (0..shards).map(|_| None).collect()).collect();
+    // Indexes two rows at once (i's column j and j's column i), which
+    // an iterator rewrite cannot express.
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..shards {
+        for j in i + 1..shards {
+            let (a, b): (Box<dyn FrameLink>, Box<dyn FrameLink>) = if tcp {
+                let (a, b) = tcp_pair()?;
+                (Box::new(a), Box::new(b))
+            } else {
+                let (a, b) = SocketLink::pair()?;
+                (Box::new(a), Box::new(b))
+            };
+            rows[i][j] = Some(a);
+            rows[j][i] = Some(b);
+        }
+    }
+    Ok(rows.into_iter().map(|row| row.into_iter().flatten().collect()).collect())
+}
+
 /// A completed sharded run.
 pub struct ShardedRun {
     /// Whole-run folded report — equal to the in-process oracle's.
@@ -1504,6 +1758,10 @@ pub struct ShardedRun {
     /// The coordinator's replica, spliced to the final state —
     /// bit-identical to an in-process cluster after the same run.
     pub replica: Cluster,
+    /// Per worker, where its wall time went (summed over segments).
+    /// Host-side gauges: they differ run to run and are no part of the
+    /// bit-identity contract.
+    pub gauges: Vec<ShardGauges>,
 }
 
 impl std::fmt::Debug for ShardedRun {
@@ -1529,6 +1787,21 @@ pub fn run_sharded(
     shards: usize,
     opts: ShardOpts,
 ) -> Result<ShardedRun, ShardError> {
+    run_harness(cfg, sys, steps, engine, shards, opts, &|_, link| link)
+}
+
+/// [`run_sharded`] with every worker-side link (control and mesh) of
+/// worker `w` passed through `wrap(w, link)` first — the seam the
+/// worker-death tests use to make one worker's links fail on cue.
+fn run_harness(
+    cfg: &ClusterConfig,
+    sys: &ParticleSystem,
+    steps: u64,
+    engine: &EngineConfig,
+    shards: usize,
+    opts: ShardOpts,
+    wrap: &dyn Fn(usize, Box<dyn FrameLink>) -> Box<dyn FrameLink>,
+) -> Result<ShardedRun, ShardError> {
     let mut replica = Cluster::new(cfg.clone(), sys);
     let n = replica.num_nodes();
     validate_sharding(cfg, shards, n)?;
@@ -1545,24 +1818,7 @@ pub fn run_sharded(
     }
 
     // Full mesh of socketpairs plus one control channel per worker.
-    let mut rows: Vec<Vec<Option<Box<dyn FrameLink>>>> =
-        (0..shards).map(|_| (0..shards).map(|_| None).collect()).collect();
-    // Indexes two rows at once (i's column j and j's column i), which
-    // an iterator rewrite cannot express.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..shards {
-        for j in i + 1..shards {
-            if opts.tcp {
-                let (a, b) = tcp_pair()?;
-                rows[i][j] = Some(Box::new(a));
-                rows[j][i] = Some(Box::new(b));
-            } else {
-                let (a, b) = SocketLink::pair()?;
-                rows[i][j] = Some(Box::new(a));
-                rows[j][i] = Some(Box::new(b));
-            }
-        }
-    }
+    let rows = harness_mesh(shards, opts.tcp)?;
     let mut ctl: Vec<Box<dyn FrameLink>> = Vec::with_capacity(shards);
     let mut handles = Vec::with_capacity(shards);
     for (w, row) in rows.into_iter().enumerate() {
@@ -1575,7 +1831,9 @@ pub fn run_sharded(
             ctl.push(Box::new(mine));
             Box::new(theirs)
         };
-        let mut mesh: Vec<Box<dyn FrameLink>> = row.into_iter().flatten().collect();
+        let theirs = wrap(w, theirs);
+        let mut mesh: Vec<Box<dyn FrameLink>> =
+            row.into_iter().map(|link| wrap(w, link)).collect();
         let range = ranges[w].clone();
         let cfg = cfg.clone();
         let sys = sys.clone();
@@ -1613,8 +1871,8 @@ pub fn run_sharded(
     for h in handles {
         let _ = h.join();
     }
-    let (report, traces, checkpoints) = res?;
-    Ok(ShardedRun { report, traces, checkpoints, replica })
+    let Driven { report, traces, checkpoints, gauges } = res?;
+    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
 }
 
 // ---------------------------------------------------------------------------
@@ -1746,7 +2004,7 @@ pub fn coordinator_main_net(
         children.push(child);
     }
 
-    let mut run = || -> Result<(ClusterRunReport, Vec<Trace>, Vec<PathBuf>), ShardError> {
+    let mut run = || -> Result<Driven, ShardError> {
         // Collect HELLOs; the fingerprint check catches a worker built
         // from different arguments before any state moves.
         let expect = meta_crc(&replica);
@@ -1820,8 +2078,8 @@ pub fn coordinator_main_net(
             let _ = std::fs::remove_file(peer_socket(&dir, i));
         }
     }
-    let (report, traces, checkpoints) = res?;
-    Ok(ShardedRun { report, traces, checkpoints, replica })
+    let Driven { report, traces, checkpoints, gauges } = res?;
+    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
 }
 
 /// [`worker_main_net`] over the same-host Unix-socket rendezvous.
@@ -1926,4 +2184,339 @@ pub fn worker_main_net(
     cl.exchange =
         Some(ExchangeBuf { owned: ranges[index].clone(), stage: 0, events: Vec::new() });
     worker_loop(cl, engine, &mut *ctl, &mut mesh, index, shards)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::NetMsg;
+    use fasda_core::config::ChipConfig;
+    use fasda_md::element::Element;
+    use fasda_md::space::SimulationSpace;
+    use fasda_md::workload::{Placement, WorkloadSpec};
+    use fasda_net::packet::PacketKind;
+    use fasda_sim::rng::XorShift64Star;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn workload() -> ParticleSystem {
+        WorkloadSpec {
+            space: SimulationSpace::cubic(6),
+            per_cell: 3,
+            placement: Placement::JitteredLattice { jitter: 0.05 },
+            temperature_k: 150.0,
+            seed: 47,
+            element: Element::Na,
+        }
+        .generate()
+    }
+
+    fn config() -> ClusterConfig {
+        ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3))
+    }
+
+    fn ack(cycle: u64, src: u32, dst: u32, arrive: u64) -> WireEvent {
+        WireEvent {
+            cycle,
+            stage: 2,
+            src,
+            dst,
+            arrive,
+            extra: 0,
+            msg: NetMsg::Ack { channel: PacketKind::Position, from: src as usize, seq: cycle as u32 },
+        }
+    }
+
+    // ---------------------------------------------------------------------
+    // Span folding
+    // ---------------------------------------------------------------------
+
+    #[test]
+    fn spans_merge_when_they_touch_and_intersect_by_sweep() {
+        let mut a = Vec::new();
+        push_span(&mut a, 10, 20);
+        push_span(&mut a, 20, 30);
+        push_span(&mut a, 40, 40);
+        push_span(&mut a, 50, 60);
+        assert_eq!(a, vec![(10, 30), (50, 60)]);
+
+        let b = vec![(0, 15), (25, 55), (58, 100)];
+        assert_eq!(
+            intersect_spans(&[a.clone(), b.clone()], 0, 100),
+            vec![(10, 15), (25, 30), (50, 55), (58, 60)]
+        );
+        assert_eq!(intersect_spans(&[a.clone(), b], 12, 52), vec![(12, 15), (25, 30), (50, 52)]);
+        assert_eq!(intersect_spans(&[a, Vec::new()], 0, 100), Vec::new());
+        assert_eq!(intersect_spans(&[], 3, 9), vec![(3, 9)]);
+    }
+
+    // ---------------------------------------------------------------------
+    // A wrong lookahead fails loudly
+    // ---------------------------------------------------------------------
+
+    #[test]
+    fn overdue_event_is_refused_with_a_typed_error_naming_it() {
+        let mut cl = Cluster::new(config(), &workload());
+        cl.exchange = Some(ExchangeBuf { owned: 0..4, stage: 0, events: Vec::new() });
+        cl.cycle = 1_000;
+        // Deliverable: arrives at the port after the shard's clock.
+        let mut pending = vec![ack(900, 5, 1, 1_100), ack(990, 6, 2, 1_200)];
+        cl.admit_wire_events(&mut pending, 950).expect("in-window event admits");
+        assert_eq!(pending.len(), 1, "events at or past the horizon stay pending");
+        assert_eq!(cl.inbox[1].len(), 1);
+        // Overdue: sent at 700, port-admitted at 912 — the shard already
+        // ran the delivery sweeps of cycles 912..1000 without it.
+        let mut pending = vec![ack(700, 5, 3, 910)];
+        let v = cl.admit_wire_events(&mut pending, 1_000).expect_err("overdue event refused");
+        assert_eq!(v, LookaheadViolation { src: 5, dst: 3, sent: 700, due: 912, clock: 1_000 });
+        assert_eq!(cl.inbox[3].len(), 0, "nothing delivered late");
+
+        // The worker reports it and the coordinator surfaces it typed,
+        // ahead of the link errors it causes in the peers.
+        let err = merge_failures(vec![
+            SegmentFail::Link("mesh link to worker 1: peer hung up".into()),
+            SegmentFail::Lookahead(v),
+        ]);
+        assert!(matches!(err, ShardError::Lookahead(got) if got == v), "got {err}");
+        assert!(err.to_string().contains("event 5->3 sent at cycle 700"), "{err}");
+    }
+
+    // ---------------------------------------------------------------------
+    // Deadlock-free exchange of frames beyond any socket buffer
+    // ---------------------------------------------------------------------
+
+    #[test]
+    fn window_frames_over_a_mebibyte_cross_every_carrier_without_deadlock() {
+        const EVENTS: usize = 40_000;
+        for tcp in [false, true] {
+            for shards in [2usize, 4] {
+                let (tx, rx) = mpsc::channel();
+                let mut workers = Vec::new();
+                for (w, mut mesh) in harness_mesh(shards, tcp).expect("mesh").into_iter().enumerate() {
+                    let tx = tx.clone();
+                    workers.push(std::thread::spawn(move || {
+                        // Every worker sends every peer a frame of its
+                        // own events, all at once — the pattern that
+                        // wedges a send-all-then-receive-all exchange.
+                        let events: Vec<WireEvent> =
+                            (0..EVENTS as u64).map(|c| ack(c, w as u32, 0, c + 204)).collect();
+                        let notes = WindowNotes { clock: w as u64, ..Default::default() };
+                        let frame = MeshFrame::encode_window(&notes, events.iter());
+                        assert!(frame.len() > 1 << 20, "frame is only {} bytes", frame.len());
+                        let frames = vec![frame; shards - 1];
+                        let mut gauges = ShardGauges::default();
+                        let replies = exchange(&mut mesh, w, &frames, &mut gauges);
+                        let senders: Vec<(u64, usize, u32)> = replies
+                            .expect("exchange completes")
+                            .iter()
+                            .map(|bytes| match MeshFrame::decode(bytes).expect("decodes") {
+                                MeshFrame::Window { notes, events } => {
+                                    (notes.clock, events.len(), events[0].src)
+                                }
+                                other => panic!("unexpected frame {other:?}"),
+                            })
+                            .collect();
+                        tx.send((w, senders)).expect("report");
+                    }));
+                }
+                for _ in 0..shards {
+                    let (w, senders) = rx
+                        .recv_timeout(Duration::from_secs(60))
+                        .unwrap_or_else(|_| panic!("exchange wedged (tcp {tcp}, {shards} shards)"));
+                    let peers: Vec<(u64, usize, u32)> = (0..shards)
+                        .filter(|&p| p != w)
+                        .map(|p| (p as u64, EVENTS, p as u32))
+                        .collect();
+                    assert_eq!(senders, peers, "worker {w} heard its peers in index order");
+                }
+                for worker in workers {
+                    worker.join().expect("exchange thread");
+                }
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------------
+    // Hostile window frames
+    // ---------------------------------------------------------------------
+
+    fn sample_frame(rng: &mut XorShift64Star) -> (WindowNotes, Vec<WireEvent>) {
+        let spans = |rng: &mut XorShift64Star| -> Vec<(u64, u64)> {
+            (0..rng.next_below(4)).map(|_| (rng.next_u64(), rng.next_u64())).collect()
+        };
+        let notes = WindowNotes {
+            clock: rng.next_u64(),
+            done_at: (rng.next_below(2) == 0).then(|| rng.next_u64()),
+            crash: (rng.next_below(3) == 0).then(|| CrashInfo {
+                at_cycle: rng.next_u64(),
+                node: rng.next_u64() as u32,
+                step: rng.next_u64(),
+            }),
+            idle_from: rng.next_u64(),
+            never_from: (rng.next_below(2) == 0).then(|| rng.next_u64()),
+            generated: rng.next_u64(),
+            skipped: spans(rng),
+            lost: spans(rng),
+            obs: Vec::new(),
+        };
+        let events = (0..rng.next_below(6))
+            .map(|_| ack(rng.next_u64(), rng.next_u64() as u32, rng.next_u64() as u32, rng.next_u64()))
+            .collect();
+        (notes, events)
+    }
+
+    #[test]
+    fn window_frame_decode_survives_truncation_bit_flips_and_count_bombs() {
+        let mut rng = XorShift64Star::new(0x5EED_F00D);
+        for case in 0..256 {
+            let (notes, events) = sample_frame(&mut rng);
+            let bytes = MeshFrame::encode_window(&notes, events.iter());
+            match MeshFrame::decode(&bytes).expect("round trip") {
+                MeshFrame::Window { notes: n, events: e } => {
+                    assert_eq!(n, notes, "case {case}");
+                    assert_eq!(e.len(), events.len(), "case {case}");
+                    for (got, want) in e.iter().zip(&events) {
+                        assert_eq!(
+                            (got.cycle, got.stage, got.src, got.dst, got.arrive, got.extra),
+                            (want.cycle, want.stage, want.src, want.dst, want.arrive, want.extra)
+                        );
+                    }
+                }
+                other => panic!("case {case}: decoded {other:?}"),
+            }
+
+            // Every strict prefix is an error, never a panic and never a
+            // shorter frame mistaken for a whole one.
+            let cut = rng.next_below(bytes.len() as u64) as usize;
+            match MeshFrame::decode(&bytes[..cut]) {
+                Err(CkptError::Truncated { .. } | CkptError::Malformed { .. }) => {}
+                other => panic!("case {case}: prefix of {cut} bytes decoded to {other:?}"),
+            }
+            // Trailing garbage is refused too.
+            let mut longer = bytes.clone();
+            longer.push(rng.next_u64() as u8);
+            assert!(matches!(MeshFrame::decode(&longer), Err(CkptError::Malformed { .. })));
+
+            // An event count the payload cannot hold is refused before
+            // anything is reserved for it — whatever the claimed size.
+            // (The count is the last word of an event-less frame.)
+            let count_at = MeshFrame::encode_window(&notes, [].iter()).len() - 8;
+            for bomb in [events.len() as u64 + 1, 1 << 40, u64::MAX] {
+                let mut bad = bytes.clone();
+                bad[count_at..count_at + 8].copy_from_slice(&bomb.to_le_bytes());
+                match MeshFrame::decode(&bad) {
+                    Err(CkptError::Truncated { .. } | CkptError::Malformed { .. }) => {}
+                    other => panic!("case {case}: count {bomb} decoded to {other:?}"),
+                }
+            }
+
+            // A bit flipped on the wire never reaches the decoder: the
+            // link's CRC framing catches it.
+            let mut framed = Vec::new();
+            fasda_ckpt::frame::write_frame(&mut framed, &bytes);
+            let bit = rng.next_below(bytes.len() as u64 * 8) as usize;
+            framed[fasda_ckpt::frame::HEADER_BYTES + bit / 8] ^= 1 << (bit % 8);
+            let mut rd = &framed[..];
+            match fasda_ckpt::frame::read_frame_from(&mut rd, FRAME) {
+                Err(CkptError::CrcMismatch { .. }) => {}
+                other => panic!("case {case}: flipped frame read as {other:?}"),
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------------
+    // Worker death is typed and bounded
+    // ---------------------------------------------------------------------
+
+    /// A link that dies on cue: once the shared fuse burns down, every
+    /// operation fails and the carrier underneath is dropped — to the
+    /// peer, exactly what a killed worker process looks like.
+    struct DoomedLink {
+        inner: Option<Box<dyn FrameLink>>,
+        /// Mesh receives the worker may still complete.
+        fuse: Arc<AtomicI64>,
+        mesh: bool,
+    }
+
+    impl DoomedLink {
+        fn live(&mut self) -> Result<&mut Box<dyn FrameLink>, LinkError> {
+            if self.fuse.load(Ordering::SeqCst) < 0 {
+                self.inner = None;
+            }
+            self.inner.as_mut().ok_or_else(|| LinkError::Io("worker killed".into()))
+        }
+    }
+
+    impl FrameLink for DoomedLink {
+        fn send_frame(&mut self, payload: &[u8]) -> Result<(), LinkError> {
+            self.live()?.send_frame(payload)
+        }
+        fn recv_frame(&mut self) -> Result<Vec<u8>, LinkError> {
+            if self.mesh && self.fuse.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                self.inner = None;
+            }
+            self.live()?.recv_frame()
+        }
+    }
+
+    /// Run 2 steps on `shards` workers with worker `victim` dying after
+    /// `fuse` mesh receives; the run must end — every survivor included
+    /// — well inside the timeout.
+    fn run_with_death(shards: usize, victim: usize, fuse: i64) -> Result<ShardedRun, ShardError> {
+        let (tx, rx) = mpsc::channel();
+        let harness = std::thread::spawn(move || {
+            let fuse = Arc::new(AtomicI64::new(fuse));
+            // Control links are wrapped first, then the mesh row.
+            let seen = std::sync::Mutex::new(vec![0usize; shards]);
+            let wrap = move |w: usize, link: Box<dyn FrameLink>| -> Box<dyn FrameLink> {
+                let mut seen = seen.lock().expect("wrap counter");
+                seen[w] += 1;
+                if w != victim {
+                    return link;
+                }
+                Box::new(DoomedLink { inner: Some(link), fuse: fuse.clone(), mesh: seen[w] > 1 })
+            };
+            // `run_harness` joins every worker thread before returning,
+            // so a result here means the survivors have exited too.
+            let res = run_harness(
+                &config(),
+                &workload(),
+                2,
+                &EngineConfig::auto(),
+                shards,
+                ShardOpts::default(),
+                &wrap,
+            );
+            let _ = tx.send(res);
+        });
+        let res = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a dead worker must not wedge the fleet");
+        harness.join().expect("harness thread");
+        res
+    }
+
+    #[test]
+    fn a_dead_worker_fails_the_run_typed_naming_it_and_frees_the_survivors() {
+        // A clean run tells how many rounds there are to die in.
+        let clean = run_with_death(2, 1, i64::MAX).expect("nobody dies");
+        let rounds = clean.gauges[1].windows as i64;
+        assert!(rounds > 8, "expected a multi-window run, got {rounds} rounds");
+        // Before the first window, mid-run, and in the tail / flush
+        // rounds of the last segment.
+        for (shards, victim) in [(2usize, 1usize), (2, 0), (4, 2)] {
+            let peers = shards as i64 - 1;
+            for fuse in [0, rounds * peers / 2, rounds * peers - 1] {
+                match run_with_death(shards, victim, fuse) {
+                    Err(ShardError::Worker(msg)) => assert!(
+                        msg.contains(&format!("worker {victim}")),
+                        "{shards} shards, fuse {fuse}: error does not name worker {victim}: {msg}"
+                    ),
+                    Err(other) => panic!("{shards} shards, fuse {fuse}: untyped failure {other}"),
+                    Ok(_) => panic!("{shards} shards, fuse {fuse}: run survived a dead worker"),
+                }
+            }
+        }
+    }
 }

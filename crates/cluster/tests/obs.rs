@@ -177,6 +177,7 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
     let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
     assert!(!records.is_empty(), "fleet heartbeats expected");
     let mut last_beat = 0;
+    let mut last_windows = [0i64; 2];
     for rec in &records {
         assert_eq!(rec.get("type").unwrap().as_str(), Some("fleet"));
         let beat = rec.get("beat").unwrap().as_i64().unwrap();
@@ -191,6 +192,24 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
             assert_eq!(s.get("shard").unwrap().as_i64(), Some(i as i64));
             assert!(s.get("nodes").unwrap().as_str().unwrap().contains(".."));
             assert!(s.get("min_step").unwrap().as_i64().is_some());
+            // Where the shard's wall time goes: cumulative exchange
+            // gauges, so they never run backwards.
+            let gauge = |name: &str| s.get(name).and_then(Json::as_i64).unwrap_or(-1);
+            assert!(gauge("windows") >= last_windows[i].max(1), "windows gauge on shard {i}");
+            last_windows[i] = gauge("windows");
+            for name in ["events_sent", "frame_bytes", "compute_ns", "wait_ns"] {
+                assert!(gauge(name) >= 0, "{name} gauge missing on shard {i}");
+            }
+            assert!(gauge("frame_bytes") > 0, "two shards always have a frame to send");
+            let share = s.get("wait_share").and_then(Json::as_f64).expect("wait_share");
+            assert!((0.0..=1.0).contains(&share), "wait_share {share} on shard {i}");
+        }
+        // Progress gauges never leak into the byte-compared sections.
+        for section in ["counters", "gauges"] {
+            let text = rec.get(section).map(Json::compact).unwrap_or_default();
+            for name in ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns", "wait_share"] {
+                assert!(!text.contains(name), "{name} leaked into {section}: {text}");
+            }
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The contract under test (DESIGN.md §11): partitioning the cluster's
 //! nodes across S workers — each running the existing engine over its
-//! own shard and exchanging boundary flits, markers, and barrier votes
-//! over real Unix-domain sockets — produces final positions,
+//! own shard and exchanging one frame of boundary flits, markers, acks
+//! and progress notes per lookahead window over real Unix-domain sockets — produces final positions,
 //! velocities, raw force-accumulator bank bits, the folded whole-run
 //! report, the merged per-segment traces, *and the checkpoint files
 //! themselves* byte-for-byte equal to a single-process run. This must
@@ -17,10 +17,11 @@ mod harness;
 
 use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig, RunAccumulator};
 use fasda_cluster::{
-    run_sharded, shard_ranges, validate_sharding, Cluster, ClusterError, EngineConfig, FaultPlan,
-    ShardError, ShardOpts, Trace, TraceConfig,
+    run_sharded, shard_ranges, validate_sharding, Cluster, ClusterConfig, ClusterError,
+    EngineConfig, FaultPlan, ShardError, ShardOpts, ShardedRun, Trace, TraceConfig,
 };
 use fasda_net::sync::SyncMode;
+use fasda_net::topology::Topology;
 use harness::{config, final_state, workload, BUDGET};
 use std::path::PathBuf;
 
@@ -137,8 +138,8 @@ fn scenarios() -> Vec<Scenario> {
             engine: EngineConfig::auto().with_trace(full),
         },
         // Fig. 16 straggler ablation: node 3 stalls 400 cycles per force
-        // phase, the others fast-forward — the horizon-agreement frames
-        // must land every worker on the same jump target every time.
+        // phase, the others fast-forward — the workers' local skips must
+        // fold back into exactly the jumps the in-process engine takes.
         Scenario {
             name: "straggler-auto",
             faults: None,
@@ -149,58 +150,84 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// The in-process reference for one configuration and engine, with the
+/// suite's checkpoint segmentation.
+struct Reference {
+    run: fasda_cluster::ckpt::CheckpointedRun,
+    state: (fasda_md::system::ParticleSystem, harness::ForceBits),
+    ckpts: Vec<(Option<u64>, Vec<u8>)>,
+}
+
+fn reference(
+    cfg: &ClusterConfig,
+    sys: &fasda_md::system::ParticleSystem,
+    steps: u64,
+    engine: &EngineConfig,
+    tag: &str,
+) -> Reference {
+    let dir = tmpdir(&format!("{tag}-oracle"));
+    let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);
+    let mut oracle = Cluster::new(cfg.clone(), sys);
+    let run = run_with_checkpoints(&mut oracle, steps, BUDGET, engine, Some(&ck), RunAccumulator::new())
+        .expect("oracle completes");
+    let state = final_state(&oracle, sys);
+    let ckpts = checkpoint_bytes(&run.checkpoints);
+    let _ = std::fs::remove_dir_all(&dir);
+    Reference { run, state, ckpts }
+}
+
+/// Run the same configuration sharded and hold it to the reference:
+/// report, positions/velocities, FC-bank bits, per-node traces, engine
+/// stream, stall ledger and checkpoint bytes.
+#[allow(clippy::too_many_arguments)]
+fn assert_sharded_matches(
+    cfg: &ClusterConfig,
+    sys: &fasda_md::system::ParticleSystem,
+    steps: u64,
+    engine: &EngineConfig,
+    shards: usize,
+    tcp: bool,
+    want: &Reference,
+    ctx: &str,
+) -> ShardedRun {
+    let dir = tmpdir(&format!("{}-run", ctx.replace(' ', "-")));
+    let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);
+    let run = run_sharded(
+        cfg,
+        sys,
+        steps,
+        engine,
+        shards,
+        ShardOpts { budget: BUDGET, ckpt: Some(ck), resume: None, obs: None, tcp },
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: sharded run failed: {e}"));
+
+    assert_eq!(run.report, want.run.report, "{ctx}: folded report drifted");
+    let state = final_state(&run.replica, sys);
+    assert_eq!(state.0.pos, want.state.0.pos, "{ctx}: positions drifted");
+    assert_eq!(state.0.vel, want.state.0.vel, "{ctx}: velocities drifted");
+    assert_eq!(state.1, want.state.1, "{ctx}: force-bank bits drifted");
+    assert_traces_equal(&run.traces, &want.run.traces, ctx);
+    assert_eq!(
+        checkpoint_bytes(&run.checkpoints),
+        want.ckpts,
+        "{ctx}: checkpoint files not byte-identical"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    run
+}
+
 #[test]
 fn sharded_runs_match_oracle_bit_for_bit() {
     let sys = workload();
     for sc in scenarios() {
         let mut cfg = config(sc.faults.clone(), sc.reliable);
         cfg.straggler = sc.straggler;
-
-        // In-process oracle with the same checkpoint segmentation.
-        let dir_oracle = tmpdir(&format!("{}-oracle", sc.name));
-        let ck_oracle = CheckpointConfig::new(EVERY, &dir_oracle).with_keep(0);
-        let mut oracle = Cluster::new(cfg.clone(), &sys);
-        let oracle_run = run_with_checkpoints(
-            &mut oracle,
-            STEPS,
-            BUDGET,
-            &sc.engine,
-            Some(&ck_oracle),
-            RunAccumulator::new(),
-        )
-        .expect("oracle completes");
-        let oracle_state = final_state(&oracle, &sys);
-        let oracle_ckpts = checkpoint_bytes(&oracle_run.checkpoints);
-
+        let want = reference(&cfg, &sys, STEPS, &sc.engine, sc.name);
         for shards in [2usize, 4] {
             let ctx = format!("{} x{shards}", sc.name);
-            let dir = tmpdir(&format!("{}-s{shards}", sc.name));
-            let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);
-            let run = run_sharded(
-                &cfg,
-                &sys,
-                STEPS,
-                &sc.engine,
-                shards,
-                ShardOpts { budget: BUDGET, ckpt: Some(ck), resume: None, obs: None, ..Default::default() },
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: sharded run failed: {e}"));
-
-            assert_eq!(run.report, oracle_run.report, "{ctx}: folded report drifted");
-            let state = final_state(&run.replica, &sys);
-            assert_eq!(state.0.pos, oracle_state.0.pos, "{ctx}: positions drifted");
-            assert_eq!(state.0.vel, oracle_state.0.vel, "{ctx}: velocities drifted");
-            assert_eq!(state.1, oracle_state.1, "{ctx}: force-bank bits drifted");
-            assert_traces_equal(&run.traces, &oracle_run.traces, &ctx);
-            assert_eq!(
-                checkpoint_bytes(&run.checkpoints),
-                oracle_ckpts,
-                "{ctx}: checkpoint files not byte-identical"
-            );
-
-            let _ = std::fs::remove_dir_all(&dir);
+            assert_sharded_matches(&cfg, &sys, STEPS, &sc.engine, shards, false, &want, &ctx);
         }
-        let _ = std::fs::remove_dir_all(&dir_oracle);
     }
 }
 
@@ -218,48 +245,85 @@ fn sharded_over_loopback_tcp_matches_oracle_bit_for_bit() {
     ] {
         let cfg = config(faults, reliable);
         let engine = EngineConfig::serial().with_trace(TraceConfig::full());
+        let want = reference(&cfg, &sys, STEPS, &engine, name);
+        assert_sharded_matches(&cfg, &sys, STEPS, &engine, 2, true, &want, name);
+    }
+}
 
-        let dir_oracle = tmpdir(&format!("{name}-oracle"));
-        let ck_oracle = CheckpointConfig::new(EVERY, &dir_oracle).with_keep(0);
-        let mut oracle = Cluster::new(cfg.clone(), &sys);
-        let oracle_run = run_with_checkpoints(
-            &mut oracle,
-            STEPS,
-            BUDGET,
-            &engine,
-            Some(&ck_oracle),
-            RunAccumulator::new(),
-        )
-        .expect("oracle completes");
-        let oracle_state = final_state(&oracle, &sys);
-        let oracle_ckpts = checkpoint_bytes(&oracle_run.checkpoints);
+// -------------------------------------------------------------------------
+// Window boundaries and degenerate lookahead
+// -------------------------------------------------------------------------
 
-        let dir = tmpdir(&format!("{name}-tcp"));
-        let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);
-        let run = run_sharded(
-            &cfg,
-            &sys,
-            STEPS,
-            &engine,
-            2,
-            ShardOpts { budget: BUDGET, ckpt: Some(ck), resume: None, obs: None, tcp: true },
-        )
-        .unwrap_or_else(|e| panic!("{name}: TCP sharded run failed: {e}"));
+/// The window protocol over every lookahead it can be handed: the
+/// paper's switch (L = 204), a one-cycle-hop ring at the paper link rate
+/// (L = 5, where a window is barely longer than the old per-cycle
+/// cadence) and a second-order ring (L = 9, unequal pair latencies) —
+/// each at 2 and 4 shards, under both engines, clean, lossy with
+/// reliability, with delay faults and with a straggler. Every run is
+/// held to the in-process run of the same engine by the same
+/// assertions as the suite above.
+#[test]
+fn window_protocol_matches_oracle_across_topologies_and_faults() {
+    const STEPS: u64 = 4;
+    let topologies = [
+        ("switch", Topology::PAPER_SWITCH),
+        ("ring", Topology::HyperRing { nodes: 8, hop_latency: 1 }),
+        ("ring2", Topology::HyperRing2 { inner: 4, rings: 2, hop_latency: 5, bridge_latency: 20 }),
+    ];
+    let delay = FaultPlan::parse("delay=0.1:400,seed=7").expect("delay plan parses");
+    let faults = [
+        ("clean", None, false, None),
+        ("lossy", Some(FaultPlan::drop_only(0.05, 0xC0FFEE)), true, None),
+        ("delay", Some(delay), false, None),
+        ("straggler", None, false, Some((3, 400))),
+    ];
+    let engines = [("serial", EngineConfig::serial()), ("auto", EngineConfig::auto())];
+    let sys = workload();
+    for (topo_name, topology) in topologies {
+        for (fault_name, plan, reliable, straggler) in &faults {
+            let mut cfg = config(plan.clone(), *reliable);
+            cfg.topology = topology;
+            cfg.straggler = *straggler;
+            for (engine_name, engine) in engines {
+                let engine = engine.with_trace(TraceConfig::full());
+                let tag = format!("{topo_name}-{fault_name}-{engine_name}");
+                let want = reference(&cfg, &sys, STEPS, &engine, &tag);
+                for shards in [2usize, 4] {
+                    let ctx = format!("{tag} x{shards}");
+                    assert_sharded_matches(&cfg, &sys, STEPS, &engine, shards, false, &want, &ctx);
+                }
+            }
+        }
+    }
+}
 
-        assert_eq!(run.report, oracle_run.report, "{name}: folded report drifted");
-        let state = final_state(&run.replica, &sys);
-        assert_eq!(state.0.pos, oracle_state.0.pos, "{name}: positions drifted");
-        assert_eq!(state.0.vel, oracle_state.0.vel, "{name}: velocities drifted");
-        assert_eq!(state.1, oracle_state.1, "{name}: force-bank bits drifted");
-        assert_traces_equal(&run.traces, &oracle_run.traces, name);
-        assert_eq!(
-            checkpoint_bytes(&run.checkpoints),
-            oracle_ckpts,
-            "{name}: checkpoint files not byte-identical"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir_oracle);
+/// One blocking mesh receive per peer per window — not two to three per
+/// simulated cycle. A worker meets its peers once per `L` cycles while
+/// everybody runs, at twice that rate while a finished worker follows
+/// the rest to the end of a segment, and a bounded number of extra
+/// rounds per step boundary.
+#[test]
+fn a_worker_blocks_on_its_peers_once_per_window_not_per_cycle() {
+    const STEPS: u64 = 2;
+    let sys = workload();
+    let cfg = config(None, false);
+    for engine in [EngineConfig::serial(), EngineConfig::auto()] {
+        let run = run_sharded(&cfg, &sys, STEPS, &engine, 2, ShardOpts::default())
+            .expect("sharded run completes");
+        let lookahead = run.replica.pos_fabric.lookahead();
+        assert_eq!(lookahead, 204, "the paper switch at the paper link rate");
+        let cycles = run.report.total_cycles;
+        let bound = 2 * cycles.div_ceil(lookahead) + 4 * STEPS;
+        assert_eq!(run.gauges.len(), 2);
+        for (w, g) in run.gauges.iter().enumerate() {
+            // Two shards: one peer, so one receive per window.
+            assert!(g.windows > 0, "worker {w} never exchanged a frame");
+            assert!(
+                g.windows <= bound,
+                "worker {w}: {} blocking receives over {cycles} cycles (bound {bound})",
+                g.windows
+            );
+        }
     }
 }
 

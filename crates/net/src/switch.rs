@@ -80,6 +80,18 @@ impl SwitchFabric {
         self.topology
     }
 
+    /// Cycles one 512-bit packet occupies a port.
+    #[inline]
+    fn ser(&self) -> u64 {
+        (PACKET_BITS as f64 / self.bits_per_cycle).ceil() as u64
+    }
+
+    /// [`Topology::lookahead`] at this fabric's port rate: no packet
+    /// sent at cycle `T` is delivered before `T + lookahead()`.
+    pub fn lookahead(&self) -> u64 {
+        self.topology.lookahead(self.ser())
+    }
+
     /// Send one 512-bit packet at `cycle`; returns its delivery cycle,
     /// or `None` if the fabric dropped it (injected loss).
     pub fn send_lossy(&mut self, cycle: Cycle, src: NodeId, dst: NodeId) -> Option<Cycle> {
@@ -88,7 +100,7 @@ impl SwitchFabric {
             if u < self.loss_probability {
                 self.packets_lost += 1;
                 // the sender's port time is still consumed
-                let ser = (PACKET_BITS as f64 / self.bits_per_cycle).ceil() as u64;
+                let ser = self.ser();
                 let tx_start = cycle.max(self.tx_free[src]);
                 self.tx_free[src] = tx_start + ser;
                 return None;
@@ -100,7 +112,7 @@ impl SwitchFabric {
     /// Account a packet the fault layer dropped (or killed) in flight:
     /// the source port still serializes the frame, but it never arrives.
     pub fn drop_at_tx(&mut self, cycle: Cycle, src: NodeId) {
-        let ser = (PACKET_BITS as f64 / self.bits_per_cycle).ceil() as u64;
+        let ser = self.ser();
         let tx_start = cycle.max(self.tx_free[src]);
         self.tx_free[src] = tx_start + ser;
         self.packets_lost += 1;
@@ -124,7 +136,7 @@ impl SwitchFabric {
     /// state, so a shard owning `src` can run it without seeing `dst`'s
     /// port.
     pub fn tx_serialize(&mut self, cycle: Cycle, src: NodeId, dst: NodeId) -> Cycle {
-        let ser = (PACKET_BITS as f64 / self.bits_per_cycle).ceil() as u64;
+        let ser = self.ser();
         let tx_start = cycle.max(self.tx_free[src]);
         let tx_done = tx_start + ser;
         self.tx_free[src] = tx_done;
@@ -136,7 +148,7 @@ impl SwitchFabric {
     /// packet (traffic accounting lives on the admitting side, so shard
     /// tallies sum to the oracle's counters).
     pub fn rx_admit(&mut self, arrive: Cycle, dst: NodeId) -> Cycle {
-        let ser = (PACKET_BITS as f64 / self.bits_per_cycle).ceil() as u64;
+        let ser = self.ser();
         let rx_start = arrive.max(self.rx_free[dst]);
         let rx_done = rx_start + ser;
         self.rx_free[dst] = rx_done;
@@ -246,6 +258,16 @@ mod tests {
         let d2 = f.send(0, 1, 3);
         assert_eq!(d1, 202);
         assert!(d2 > d1, "same rx port serializes: {d2}");
+    }
+
+    #[test]
+    fn lookahead_bounds_every_delivery() {
+        assert_eq!(SwitchFabric::paper(8).lookahead(), 204);
+        let mut f = fabric();
+        assert_eq!(f.lookahead(), 202);
+        for (t, src, dst) in [(0, 0, 1), (0, 0, 2), (5, 1, 2), (5, 3, 2)] {
+            assert!(f.send(t, src, dst) >= t + f.lookahead());
+        }
     }
 
     #[test]

@@ -90,18 +90,35 @@ impl Topology {
         }
     }
 
-    /// Minimum nonzero pair latency — the conservative lookahead window
-    /// for parallel multi-chip simulation.
+    /// Minimum path latency over distinct node pairs of a fully
+    /// populated topology. A degenerate axis (a one-node inner ring, a
+    /// single ring) contributes no pair and is left out.
     pub fn min_latency(&self) -> u64 {
         match *self {
             Topology::Switch { latency } => latency,
             Topology::HyperRing { hop_latency, .. } => hop_latency,
             Topology::HyperRing2 {
+                inner,
+                rings,
                 hop_latency,
                 bridge_latency,
-                ..
-            } => hop_latency.min(bridge_latency),
+            } => match (inner > 1, rings > 1) {
+                (true, true) => hop_latency.min(bridge_latency),
+                (false, true) => bridge_latency,
+                _ => hop_latency,
+            },
         }
+    }
+
+    /// Conservative lookahead window for parallel multi-chip simulation:
+    /// a packet put on the wire at cycle `T` pays `ser` cycles on the
+    /// source port, the path, and `ser` cycles on the destination port,
+    /// so its receiver cannot observe it before `T + lookahead`. The
+    /// minimum over all ordered pairs of distinct nodes of
+    /// `2·ser + path_latency` (a partially populated ring can only be
+    /// slower, which keeps the bound conservative).
+    pub fn lookahead(&self, ser: u64) -> u64 {
+        2 * ser + self.min_latency()
     }
 }
 
@@ -161,5 +178,36 @@ mod tests {
         assert_eq!(t.path_latency(0, 10), 20 + 10);
         assert_eq!(t.capacity(), Some(12));
         assert_eq!(t.min_latency(), 5);
+    }
+
+    /// The closed-form lookahead equals the brute-force minimum of
+    /// `2·ser + path_latency` over all ordered pairs of distinct nodes,
+    /// for every topology kind (degenerate axes included).
+    #[test]
+    fn lookahead_is_the_brute_force_pair_minimum() {
+        let cases: Vec<(Topology, usize)> = vec![
+            (Topology::PAPER_SWITCH, 8),
+            (Topology::Switch { latency: 0 }, 3),
+            (Topology::HyperRing { nodes: 8, hop_latency: 1 }, 8),
+            (Topology::HyperRing { nodes: 2, hop_latency: 9 }, 2),
+            (Topology::HyperRing { nodes: 5, hop_latency: 7 }, 5),
+            (Topology::HyperRing2 { inner: 4, rings: 2, hop_latency: 5, bridge_latency: 20 }, 8),
+            (Topology::HyperRing2 { inner: 2, rings: 4, hop_latency: 30, bridge_latency: 3 }, 8),
+            (Topology::HyperRing2 { inner: 1, rings: 8, hop_latency: 1, bridge_latency: 12 }, 8),
+            (Topology::HyperRing2 { inner: 8, rings: 1, hop_latency: 4, bridge_latency: 1 }, 8),
+        ];
+        for (t, n) in cases {
+            for ser in [1u64, 2, 7] {
+                let brute = (0..n)
+                    .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                    .map(|(a, b)| 2 * ser + t.path_latency(a, b))
+                    .min()
+                    .expect("at least one pair");
+                assert_eq!(t.lookahead(ser), brute, "{t:?} ser {ser}");
+            }
+        }
+        // The paper testbed: 2·⌈512/500⌉ + 200.
+        assert_eq!(Topology::PAPER_SWITCH.lookahead(2), 204);
+        assert_eq!(Topology::HyperRing { nodes: 8, hop_latency: 1 }.lookahead(2), 5);
     }
 }

@@ -1,8 +1,8 @@
 //! Shard exchange transport: one trait, two carriers.
 //!
-//! The sharded cluster engine exchanges per-cycle event frames between
-//! worker processes. Every frame travels as a length- and CRC-framed
-//! blob (the same `len u64 | crc32 u32 | payload` framing as the
+//! The sharded cluster engine exchanges one event frame per lookahead
+//! window between worker processes. Every frame travels as a length-
+//! and CRC-framed blob (the same `len u64 | crc32 u32 | payload` framing as the
 //! checkpoint container's sections — see `fasda_ckpt::frame`), so a torn
 //! or corrupted stream is detected at the transport boundary instead of
 //! surfacing as a garbled simulation state.
@@ -117,10 +117,9 @@ pub struct TcpLink {
 }
 
 impl TcpLink {
-    /// Wrap a connected stream. Disables Nagle's algorithm — exchange
-    /// frames are small and on the critical path of every simulated
-    /// cycle, so coalescing them for bandwidth costs exactly the wrong
-    /// thing.
+    /// Wrap a connected stream. Disables Nagle's algorithm — every
+    /// exchange frame is something a peer is blocked waiting for, so
+    /// holding one back to coalesce costs exactly the wrong thing.
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         let writer = BufWriter::new(stream.try_clone()?);
