@@ -293,9 +293,48 @@ impl FixAcc {
     /// Quantize one floating-point force contribution onto the
     /// accumulator grid (round-to-nearest; symmetric in sign, so a
     /// third-law pair quantizes to an exact cancellation).
+    ///
+    /// Evaluated on the `f32` bits: `v · 2²⁸` is exact, so rounding half
+    /// away from zero is a shift, an add and a sign fix on the 24-bit
+    /// significand — the same `i64` as
+    /// `(v as f64 * ACC_SCALE as f64).round() as i64`, including that
+    /// cast's saturation at ±2⁶³ and NaN → 0 (pinned over every exponent
+    /// by `tests/properties.rs`). This sits on the force-retire path of
+    /// every simulated pair; the float detour cost three conversions and
+    /// a libm call per component, and the in-range path here is
+    /// branch-free (force magnitudes straddle 1.0, so a branch on the
+    /// shift direction would not predict).
     #[inline]
     pub fn from_f32(v: f32) -> Self {
-        FixAcc((v as f64 * ACC_SCALE as f64).round() as i64)
+        const MANT_BITS: u32 = 23;
+        // The significand, pre-shifted to the top of a u63, is
+        // |v| · 2^(TOP_EXP − exp): one rounding right shift lands on the
+        // accumulator grid for every exponent that neither underflows to
+        // zero nor saturates.
+        const TOP_SHIFT: u32 = 63 - (MANT_BITS + 1);
+        const TOP_EXP: i32 = 127 + MANT_BITS as i32 - ACC_FRAC_BITS as i32 + TOP_SHIFT as i32;
+        let bits = v.to_bits();
+        let exp = ((bits >> MANT_BITS) & 0xff) as i32;
+        let frac = bits & ((1 << MANT_BITS) - 1);
+        let top = ((frac | (1 << MANT_BITS)) as u64) << TOP_SHIFT;
+        let sign = (bits as i32 >> 31) as i64; // 0 or −1
+        let shift = TOP_EXP - exp;
+        if (0..64).contains(&shift) {
+            let half = (1u64 << shift) >> 1;
+            let mag = ((top + half) >> shift) as i64;
+            // Two's-complement negate when the sign bit is set.
+            return FixAcc((mag ^ sign) - sign);
+        }
+        if shift >= 64 {
+            // Below half an accumulator ulp (every subnormal is).
+            FixAcc(0)
+        } else if exp == 0xff && frac != 0 {
+            FixAcc(0) // NaN
+        } else if sign == 0 {
+            FixAcc(i64::MAX) // ≥ 2⁶³, +∞
+        } else {
+            FixAcc(i64::MIN)
+        }
     }
 
     /// Accumulated value as `f32` (the fixed-to-float stage feeding the

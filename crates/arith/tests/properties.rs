@@ -1,11 +1,30 @@
 //! Property-based tests for the arithmetic substrate.
 
-use fasda_arith::fixed::{Fix, FixVec3, FRAC_BITS, SCALE};
+use fasda_arith::fixed::{Fix, FixAcc, FixVec3, ACC_SCALE, FRAC_BITS, SCALE};
 use fasda_arith::float_bits::{bin_lower_edge, bin_upper_edge, section_bin, SectionBin};
 use fasda_arith::interp::{InterpTable, TableConfig};
 use proptest::prelude::*;
 
+/// The float-domain definition `FixAcc::from_f32` must keep matching.
+fn acc_reference(v: f32) -> i64 {
+    (v as f64 * ACC_SCALE as f64).round() as i64
+}
+
 proptest! {
+    /// The integer-domain quantiser equals the float one on every
+    /// exponent (subnormals, the rounding window around one accumulator
+    /// ulp, the saturating top, infinities, NaNs) and both signs, for
+    /// random and for edge significands.
+    #[test]
+    fn acc_from_f32_matches_float_reference(frac in 0u32..(1 << 23), neg in 0u32..2) {
+        for exp in 0u32..=255 {
+            for f in [frac, 0, 1, (1 << 23) - 1, 1 << 22, (1 << 22) - 1, (1 << 22) + 1] {
+                let v = f32::from_bits(neg << 31 | exp << 23 | f);
+                prop_assert_eq!(FixAcc::from_f32(v).0, acc_reference(v), "v = {:e} ({:#010x})", v, v.to_bits());
+            }
+        }
+    }
+
     /// Every on-grid f64 round-trips exactly through Fix.
     #[test]
     fn fix_roundtrip_on_grid(bits in -(1i32 << 30)..(1i32 << 30)) {

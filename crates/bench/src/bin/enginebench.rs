@@ -3,7 +3,7 @@
 //!
 //! * `serial` — `EngineConfig::serial()`, the plain per-cycle oracle.
 //! * `fast` — `EngineConfig::auto()`: idle fast-forward, quiescence
-//!   cache, chip fast path, fused SoA filter→force scan.
+//!   cache, mask-driven chip tick, fused SoA filter→force scan.
 //!
 //! Two scenarios, both on the fig16 particle workload (6x6x6 cells,
 //! 64 Na/cell, 8 nodes of 3x3x3 cells):
@@ -233,7 +233,7 @@ fn main() {
             "serial oracle", o.serial.wall, o.serial.cpu
         );
         println!(
-            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (fast-forward + fast path + fused SoA scan)",
+            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (fast-forward + masked tick + fused SoA scan)",
             "fast engine", o.fast.wall, o.fast.cpu
         );
         println!(

@@ -66,13 +66,15 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The serial reference engine every test compares against: every
-    /// cycle simulated, plain per-cycle interpretation.
+    /// cycle simulated, every CBB, PE and ring node visited every cycle
+    /// (asserting that what the fast engine's masks would skip is a
+    /// no-op), scalar per-comparison filters.
     pub const fn serial() -> Self {
         EngineConfig { fast: false, trace: TraceConfig::OFF, heartbeat_every: 0 }
     }
 
     /// The fast engine, the same on every host: idle fast-forward, the
-    /// quiescence cache, the chips' fast path and the fused SoA scan.
+    /// quiescence cache, the mask-driven chip tick and the fused SoA scan.
     /// Used by the CLI unless `--serial` is given.
     pub const fn auto() -> Self {
         EngineConfig { fast: true, trace: TraceConfig::OFF, heartbeat_every: 0 }
@@ -480,6 +482,12 @@ impl RelState {
     }
 }
 
+/// Dense Eq.-7 node id of a chip coordinate over a node grid.
+#[inline]
+fn node_id(grid: (u32, u32, u32), c: ChipCoord) -> usize {
+    ((c.x * grid.1 + c.y) * grid.2 + c.z) as usize
+}
+
 /// The multi-FPGA FASDA system.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
@@ -640,7 +648,7 @@ impl Cluster {
         // Match Eq. 7: z fastest — the triple loop above already does
         // x-major / z-fastest ordering, so the node id of a coordinate is
         // dense arithmetic.
-        let node_of = |c: &ChipCoord| ((c.x * grid.1 + c.y) * grid.2 + c.z) as usize;
+        let node_of = |c: &ChipCoord| node_id(grid, *c);
         debug_assert!(node_coord.iter().enumerate().all(|(i, c)| node_of(c) == i));
 
         let mut chips = Vec::with_capacity(n);
@@ -837,13 +845,6 @@ impl Cluster {
     /// Node coordinates in the logical torus.
     pub fn node_coord(&self, node: usize) -> ChipCoord {
         self.node_coord[node]
-    }
-
-    /// Node id of a chip coordinate (dense Eq.-7 index, inverse of
-    /// [`Cluster::node_coord`]).
-    #[inline]
-    fn node_of(&self, c: ChipCoord) -> usize {
-        ((c.x * self.grid.1 + c.y) * self.grid.2 + c.z) as usize
     }
 
     /// Run `steps` timesteps; returns the run report.
@@ -1281,13 +1282,12 @@ impl Cluster {
         let step = self.state[node].step;
 
         // Drain EX egress into the encapsulation chains.
+        let grid = self.grid;
         for (peer_coord, flit) in self.chips[node].drain_pos_egress() {
-            let peer = self.node_of(peer_coord);
-            self.pos_pz[node].offer(&peer, flit, step);
+            self.pos_pz[node].offer(&node_id(grid, peer_coord), flit, step);
         }
         for (peer_coord, flit) in self.chips[node].drain_frc_egress() {
-            let peer = self.node_of(peer_coord);
-            self.frc_pz[node].offer(&peer, flit, step);
+            self.frc_pz[node].offer(&node_id(grid, peer_coord), flit, step);
         }
 
         // Last-position markers: all local positions routed and departed.
@@ -1308,22 +1308,21 @@ impl Cluster {
 
         // Last-force markers, per §4.4: answered only once every position
         // from that peer has been processed and the forces have departed.
-        for i in 0..self.sync[node].recv_peers.len() {
-            let p = self.sync[node].recv_peers[i];
-            if self.sync[node].owes_last_frc(&p) {
-                let pc = self.node_coord[p];
-                if self.chips[node].outstanding_from(pc) == 0
-                    && self.chips[node].frc_drained_to(pc)
-                    && self.chips[node].frc_egress_empty()
-                {
-                    self.frc_pz[node].flush_last(&p, step);
-                    self.sync[node].mark_last_frc_sent(p);
-                    if self.tracing {
-                        let cycle = self.cycle;
-                        self.chips[node]
-                            .trace_mut()
-                            .push(cycle, EventKind::LastFrcSent { peer: p as u32 });
-                    }
+        // (`sync.recv_peers` and `chip.recv_chips` list the same peers in
+        // the same order, so one index serves both.)
+        let mut owed = self.sync[node].owed_last_frc();
+        while owed != 0 {
+            let i = owed.trailing_zeros() as usize;
+            owed &= owed - 1;
+            if self.chips[node].settled_with(i) {
+                let p = self.sync[node].recv_peers[i];
+                self.frc_pz[node].flush_last(&p, step);
+                self.sync[node].mark_last_frc_sent(p);
+                if self.tracing {
+                    let cycle = self.cycle;
+                    self.chips[node]
+                        .trace_mut()
+                        .push(cycle, EventKind::LastFrcSent { peer: p as u32 });
                 }
             }
         }
@@ -1401,9 +1400,9 @@ impl Cluster {
     fn mu_exchange(&mut self, node: usize, steps: u64) {
         let step = self.state[node].step;
 
+        let grid = self.grid;
         for (peer_coord, flit) in self.chips[node].drain_mig_egress() {
-            let peer = self.node_of(peer_coord);
-            self.mig_pz[node].offer(&peer, flit, step);
+            self.mig_pz[node].offer(&node_id(grid, peer_coord), flit, step);
         }
 
         if !self.state[node].mig_flushed && self.chips[node].all_migrants_departed() {
@@ -2154,7 +2153,7 @@ impl Cluster {
         for chip in &self.chips {
             stats.merge_from(&chip.report(0, 0).stats);
         }
-        let per_node_traffic: Vec<_> = self.chips.iter().map(|c| c.traffic.clone()).collect();
+        let per_node_traffic: Vec<_> = self.chips.iter().map(TimedChip::traffic).collect();
 
         ClusterRunReport {
             steps,

@@ -1282,7 +1282,7 @@ fn segment_ok(cl: &mut Cluster, base: &ScalarBase, gauges: ShardGauges) -> Segme
         stats.merge_from(&cl.chips[n].report(0, 0).stats);
     }
     let traffic: Vec<TrafficCounters> =
-        owned.clone().map(|n| cl.chips[n].traffic.clone()).collect();
+        owned.clone().map(|n| cl.chips[n].traffic()).collect();
     let records = std::mem::take(&mut cl.records);
     let trace = cl.take_trace().map(|t| TraceShard {
         level: t.level,

@@ -1,5 +1,5 @@
 //! Engine determinism regression: the fast engine (`auto()` — idle
-//! fast-forward, quiescence cache, chip fast path, fused SoA scan) must
+//! fast-forward, quiescence cache, mask-driven chip tick, fused SoA scan) must
 //! produce reports and particle state bit-identical to the serial oracle
 //! under both synchronization modes, plain, with a straggler, and into a
 //! lossy deadlock. (The chip-level switches are isolated one by one in

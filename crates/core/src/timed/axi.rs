@@ -53,9 +53,10 @@ impl AxiLiteRegs {
     pub fn read(chip: &TimedChip, window_cycles: u64) -> Self {
         let report = chip.report(0, 0);
         let pkts = |flits: u64| flits.div_ceil(FLITS_PER_PACKET);
-        let pos_out: u64 = chip.traffic.pos_sent.values().sum();
-        let frc_out: u64 = chip.traffic.frc_sent.values().sum();
-        let pos_in: u64 = chip.traffic.pos_recv.values().sum();
+        let traffic = chip.traffic();
+        let pos_out: u64 = traffic.pos_sent.values().sum();
+        let frc_out: u64 = traffic.frc_sent.values().sum();
+        let pos_in: u64 = traffic.pos_recv.values().sum();
         let busy = |name: &str| {
             // StatSet folds replicas; busy cycles summed over replicas is
             // the hardware counter semantics (each component has its own
@@ -75,7 +76,7 @@ impl AxiLiteRegs {
             out_traffic_packets_pos: pkts(pos_out),
             out_traffic_packets_frc: pkts(frc_out),
             in_traffic_packets_pos: pkts(pos_in),
-            in_traffic_packets_frc: pkts(chip.traffic.frc_recv_remote),
+            in_traffic_packets_frc: pkts(traffic.frc_recv_remote),
         }
     }
 

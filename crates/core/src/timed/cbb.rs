@@ -30,8 +30,9 @@ use super::ring::{FrcFlit, MigFlit, PosFlit};
 /// One SPE: PEs plus its ring-facing queues.
 #[derive(Clone, Debug)]
 pub struct Spe {
-    /// The PEs of this SPE.
-    pub pes: Vec<Pe>,
+    /// The PEs of this SPE (private to the chip model: `pe_busy` /
+    /// `pe_free` below mirror them).
+    pub(super) pes: Vec<Pe>,
     /// Neighbour positions delivered by this SPE's PRN, awaiting a free
     /// filter station.
     pub pos_in: Fifo<NbrEntry>,
@@ -43,10 +44,16 @@ pub struct Spe {
     /// Home-internal pair entries (slot index) not yet dispatched.
     pub home_src: VecDeque<u16>,
     rr_pe: usize,
+    /// PEs holding work — a station or a pipeline entry. Only these are
+    /// stepped; an idle PE's cycle changes nothing.
+    pe_busy: u32,
+    /// PEs with a free filter station (dispatch candidates).
+    pe_free: u32,
 }
 
 impl Spe {
     fn new(cfg: &ChipConfig) -> Self {
+        assert!(cfg.pes_per_spe <= 32, "PE state is tracked in u32 bitmasks");
         Spe {
             pes: (0..cfg.pes_per_spe)
                 .map(|_| {
@@ -62,16 +69,35 @@ impl Spe {
             bcast: VecDeque::new(),
             home_src: VecDeque::new(),
             rr_pe: 0,
+            pe_busy: 0,
+            pe_free: ((1u64 << cfg.pes_per_spe) - 1) as u32,
         }
+    }
+
+    /// The PEs of this SPE.
+    pub fn pes(&self) -> &[Pe] {
+        &self.pes
     }
 
     /// True when the SPE holds no outstanding force-phase work.
     pub fn is_idle(&self) -> bool {
-        self.pos_in.is_empty()
-            && self.frc_out.is_empty()
-            && self.bcast.is_empty()
-            && self.home_src.is_empty()
-            && self.pes.iter().all(Pe::is_idle)
+        !self.is_live() && self.frc_out.is_empty() && self.bcast.is_empty()
+    }
+
+    /// True when a force cycle of this SPE's dispatcher and PEs would do
+    /// something (`bcast` / `frc_out` are the chip's injection stage's).
+    fn is_live(&self) -> bool {
+        self.pe_busy != 0 || !self.pos_in.is_empty() || !self.home_src.is_empty()
+    }
+
+    /// Re-derive the PE masks from the PEs (after a restore).
+    fn rebuild_masks(&mut self) {
+        self.pe_busy = 0;
+        self.pe_free = 0;
+        for (i, pe) in self.pes.iter().enumerate() {
+            self.pe_busy |= u32::from(!pe.is_idle()) << i;
+            self.pe_free |= u32::from(pe.has_free_station()) << i;
+        }
     }
 }
 
@@ -124,17 +150,14 @@ pub struct TimedCbb {
     pub dispatched: u64,
     /// Lifetime station ejections — ring, local, or discard (monotonic).
     pub ejected: u64,
-    /// Fast-path execution (see [`TimedCbb::set_fast_path`]).
-    fast_path: bool,
     /// SoA-scan execution (see [`TimedCbb::set_soa_scan`]).
     soa_scan: bool,
     /// Home-cell snapshot as structure-of-arrays fixed-point banks,
     /// rebuilt each force phase; feeds the SoA batch kernels.
     soa: HomeSoa,
-    /// Scratch buffers reused across force cycles (avoid per-cycle
+    /// Scratch buffer reused across force cycles (avoid per-cycle
     /// allocation on the hot path).
     scratch_ej: Vec<Ejection>,
-    scratch_ret: Vec<(u16, [f32; 3])>,
 }
 
 impl TimedCbb {
@@ -157,21 +180,10 @@ impl TimedCbb {
             mu_stats: Activity::with_capacity(1),
             dispatched: 0,
             ejected: 0,
-            fast_path: false,
             soa_scan: false,
             soa: HomeSoa::new(),
             scratch_ej: Vec::new(),
-            scratch_ret: Vec::new(),
         }
-    }
-
-    /// Enable/disable fast-path execution: provably bit-identical
-    /// shortcuts (idle-SPE cycle skipping) that the fast cluster
-    /// engine turns on. Off by default so the plain per-cycle
-    /// interpretation stays the reference the fast path is validated
-    /// against.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
     }
 
     /// Enable/disable the SoA scan path: neighbour entries are dispatched
@@ -250,87 +262,97 @@ impl TimedCbb {
     /// Dispatch policy: one neighbour entry per SPE per cycle, preferring
     /// ring deliveries (to relieve ring pressure) over home-internal
     /// entries. Completed *remote-origin* neighbour evaluations are
-    /// appended to `completed` as `(origin_chip, completed, frc_issued)`
-    /// records for the chained-synchronization bookkeeping — `frc_issued`
-    /// is 1 when a force flit was actually emitted toward that origin
-    /// (zero-force evaluations are discarded, §5.4).
-    pub fn step_force_collect(
+    /// appended to `completed` as `(origin_chip, frc_issued)` records for
+    /// the chained-synchronization bookkeeping — `frc_issued` says whether
+    /// a force flit was actually emitted toward that origin (zero-force
+    /// evaluations are discarded, §5.4).
+    ///
+    /// Only PEs that hold work are stepped: an idle PE's cycle retires,
+    /// issues, compares and ejects nothing and records no activity, and a
+    /// drained SPE has nothing to dispatch, so the force-phase tail — when
+    /// most cells sit idle — costs a few mask tests per SPE. With
+    /// `EXHAUSTIVE` (the serial oracle) every PE is stepped regardless and
+    /// the idle ones are asserted to have been no-ops.
+    pub fn step_force<const EXHAUSTIVE: bool>(
         &mut self,
         cycle: Cycle,
         dp: &ForceDatapath,
-        completed: &mut Vec<(crate::geometry::ChipCoord, u32, u32)>,
+        completed: &mut Vec<(crate::geometry::ChipCoord, bool)>,
     ) {
-        let n_slots = self.len();
-        debug_assert_eq!(self.home_concat.len(), n_slots);
+        debug_assert_eq!(self.home_concat.len(), self.len());
         for spe in &mut self.spes {
-            // Fast path: a drained SPE's cycle is a provable no-op —
-            // nothing to dispatch and every PE records zero work
-            // (`Activity::record(0, false)` leaves the counters
-            // untouched). Skip the scans; in the force-phase tail most
-            // cells sit in this state. (`bcast`/`frc_out` don't matter
-            // here: this step never consumes them, the chip's injection
-            // stage does.)
-            if self.fast_path
-                && spe.pos_in.is_empty()
-                && spe.home_src.is_empty()
-                && spe.pes.iter().all(Pe::is_idle)
-            {
-                continue;
-            }
-            // dispatch one entry to a free station (skip the free-station
-            // probe when there is nothing to dispatch — the common state
-            // once the queues drain and the PEs grind through their scans)
-            let pe_count = spe.pes.len();
+            // Dispatch one entry to a free station: round-robin from
+            // `rr_pe` is the lowest free PE at or above it, else the
+            // lowest overall.
             let have_work = !spe.pos_in.is_empty() || !spe.home_src.is_empty();
-            if let Some(pe_idx) = have_work
-                .then(|| {
-                    (0..pe_count)
-                        .map(|k| (spe.rr_pe + k) % pe_count)
-                        .find(|&i| spe.pes[i].has_free_station())
-                })
-                .flatten()
-            {
-                let entry = if let Some(e) = spe.pos_in.pop() {
-                    Some(e)
+            if have_work && spe.pe_free != 0 {
+                let ahead = spe.pe_free >> spe.rr_pe;
+                let pe_idx = if ahead != 0 {
+                    spe.rr_pe + ahead.trailing_zeros() as usize
                 } else {
-                    spe.home_src.pop_front().map(|slot| NbrEntry {
+                    spe.pe_free.trailing_zeros() as usize
+                };
+                let entry = spe.pos_in.pop().unwrap_or_else(|| {
+                    let slot = spe.home_src.pop_front().expect("have_work checked");
+                    NbrEntry {
                         concat: self.home_concat[slot as usize],
                         elem: self.elem[slot as usize],
                         scan_from: slot + 1,
                         kind: NbrKind::Internal { slot },
-                    })
-                };
-                if let Some(e) = entry {
-                    if self.soa_scan {
-                        spe.pes[pe_idx].dispatch_planned(e, dp, &self.soa);
-                    } else {
-                        spe.pes[pe_idx].dispatch(e);
                     }
-                    spe.rr_pe = (pe_idx + 1) % pe_count;
-                    self.dispatched += 1;
+                });
+                let pe = &mut spe.pes[pe_idx];
+                if self.soa_scan {
+                    pe.dispatch_planned(entry, dp, &self.soa);
+                } else {
+                    pe.dispatch(entry);
                 }
+                let bit = 1u32 << pe_idx;
+                spe.pe_busy |= bit;
+                if !pe.has_free_station() {
+                    spe.pe_free &= !bit;
+                }
+                spe.rr_pe = if pe_idx + 1 == spe.pes.len() { 0 } else { pe_idx + 1 };
+                self.dispatched += 1;
             }
 
             // PE cycles
             let mut budget = if spe.frc_out.is_full() { 0 } else { 1u32 };
             self.scratch_ej.clear();
-            self.scratch_ret.clear();
-            for pe in &mut spe.pes {
-                if let Some(r) = pe.step(
+            let visit = if EXHAUSTIVE { (1u64 << spe.pes.len()) - 1 } else { u64::from(spe.pe_busy) };
+            for i in super::set_bits(visit) {
+                let bit = 1u32 << i;
+                let pe = &mut spe.pes[i];
+                let expect_noop = EXHAUSTIVE && spe.pe_busy & bit == 0;
+                let ejected_before = self.scratch_ej.len();
+                let retired = pe.step(
                     cycle,
                     dp,
                     &self.elem,
                     &self.home_concat,
                     &mut self.scratch_ej,
                     &mut budget,
-                ) {
-                    self.scratch_ret.push(r);
+                );
+                if let Some((slot, f)) = retired {
+                    let fc = &mut self.force[slot as usize];
+                    for k in 0..3 {
+                        fc[k] += FixAcc::from_f32(f[k]);
+                    }
                 }
-            }
-            for &(slot, f) in &self.scratch_ret {
-                let fc = &mut self.force[slot as usize];
-                for k in 0..3 {
-                    fc[k] += FixAcc::from_f32(f[k]);
+                if expect_noop {
+                    // (Idle before and after with nothing retired or
+                    // ejected: its stations and pipeline were empty, so
+                    // both activity counters recorded `(0, false)`.)
+                    assert!(
+                        retired.is_none() && ejected_before == self.scratch_ej.len() && pe.is_idle(),
+                        "a PE the busy mask calls idle did work"
+                    );
+                }
+                if self.scratch_ej.len() != ejected_before {
+                    spe.pe_free |= bit;
+                    if pe.is_idle() {
+                        spe.pe_busy &= !bit;
+                    }
                 }
             }
             for ej in &self.scratch_ej {
@@ -339,7 +361,7 @@ impl TimedCbb {
                         spe.frc_out
                             .push(flit).expect("budget guaranteed frc_out space");
                         if remote {
-                            completed.push((flit.owner_chip, 1, 1));
+                            completed.push((flit.owner_chip, true));
                         }
                     }
                     Ejection::Local { slot, force } => {
@@ -350,7 +372,7 @@ impl TimedCbb {
                     }
                     Ejection::Discard { origin, remote } => {
                         if remote {
-                            completed.push((origin, 1, 0));
+                            completed.push((origin, false));
                         }
                     }
                 }
@@ -373,6 +395,17 @@ impl TimedCbb {
     /// those).
     pub fn force_idle(&self) -> bool {
         self.spes.iter().all(Spe::is_idle)
+    }
+
+    /// True when [`TimedCbb::step_force`] would do something: an entry
+    /// awaits dispatch or a PE holds work.
+    pub fn force_live(&self) -> bool {
+        self.spes.iter().any(Spe::is_live)
+    }
+
+    /// True when some PE of this CBB holds work.
+    pub fn pe_busy(&self) -> bool {
+        self.spes.iter().any(|s| s.pe_busy != 0)
     }
 
     /// Prepare the motion-update phase.
@@ -529,6 +562,7 @@ impl fasda_ckpt::Snapshot for Spe {
         if self.rr_pe >= self.pes.len().max(1) {
             return Err(r.malformed("round-robin PE cursor out of range"));
         }
+        self.rebuild_masks();
         Ok(())
     }
 }
@@ -623,7 +657,7 @@ mod tests {
         // no broadcasts (masks 0) — only internal entries
         let mut completed = Vec::new();
         for c in 0..2_000u64 {
-            cbb.step_force_collect(c, &dp, &mut completed);
+            cbb.step_force::<true>(c, &dp, &mut completed);
             if cbb.force_idle() {
                 break;
             }

@@ -137,6 +137,76 @@ impl fasda_ckpt::Persist for TrafficCounters {
     }
 }
 
+/// [`TrafficCounters`] as the chip keeps them: flat arrays indexed by
+/// `send_chips` / `recv_chips` position (a flit is counted with an add,
+/// not a hash), folded into the report type on read.
+#[derive(Clone, Debug, Default)]
+struct PeerTraffic {
+    pos_sent: Vec<u64>,
+    frc_sent: Vec<u64>,
+    pos_recv: Vec<u64>,
+    frc_recv: u64,
+    frc_recv_remote: u64,
+    mig_sent: HashMap<ChipCoord, u64>,
+}
+
+/// SPEs per CBB — rings per class — the configuration admits
+/// ([`ChipConfig::validate`]).
+const MAX_SPES: usize = 8;
+
+/// The summaries of chip state the force tick visits its work by, and the
+/// idle / activity predicates read instead of scanning. Each is a pure
+/// function of the state it summarises ([`TimedChip::derive_masks`]); the
+/// tick maintains them incrementally, the serial oracle's exhaustive walk
+/// asserts each skip they imply, and debug builds of it re-derive and
+/// compare them whole every cycle.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct TickMasks {
+    /// CBBs whose dispatcher or PEs hold work.
+    cbb_live: u64,
+    /// CBBs with a busy PE.
+    pe_live: u64,
+    /// Per ring: CBBs with broadcasts awaiting injection.
+    bcast_pending: [u64; MAX_SPES],
+    /// Per ring: CBBs with force flits awaiting injection.
+    frc_pending: [u64; MAX_SPES],
+    /// Position-ring flits still carrying remote destinations.
+    pos_remote_on_ring: u32,
+    /// (dispatched, ejected) sums over the CBBs.
+    pe_totals: (u64, u64),
+}
+
+/// `recv_index` entry of a chip that is not a receive peer.
+const NO_PEER: u8 = u8::MAX;
+
+/// Indices of the set bits of `mask`, ascending.
+#[inline]
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Eq.-7 id of a chip over a node grid of extent `(_, gy, gz)`.
+#[inline]
+fn chip_id((gy, gz): (u32, u32), c: ChipCoord) -> usize {
+    ((c.x * gy + c.y) * gz + c.z) as usize
+}
+
+/// Bits `0..n`.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// The cycle-level model of one FASDA FPGA.
 pub struct TimedChip {
     cfg: ChipConfig,
@@ -168,14 +238,27 @@ pub struct TimedChip {
     pos_ingress: VecDeque<PosFlit>,
     frc_ingress: VecDeque<FrcFlit>,
     mig_ingress: VecDeque<MigFlit>,
+    /// Node-grid extent in y and z (for Eq.-7 chip ids).
+    grid_yz: (u32, u32),
+    /// `recv_chips` index of a peer chip, by its Eq.-7 id over the node
+    /// grid (`NO_PEER` for chips this one receives nothing from): origin
+    /// → counter-slot lookups are arithmetic, not hashing.
+    recv_index: Vec<u8>,
+    /// `recv_chips` indices in ascending coordinate order (the key order
+    /// the checkpoint writes the outstanding-work map in).
+    recv_sorted: Vec<u8>,
     /// Remote-origin neighbour evaluations ingested but not yet complete,
-    /// per origin chip (chained-sync bookkeeping, §4.4).
-    remote_pos_outstanding: HashMap<ChipCoord, i64>,
+    /// per `recv_chips` index (chained-sync bookkeeping, §4.4).
+    remote_pos_outstanding: Vec<i64>,
+    /// Origins `remote_pos_outstanding` has an entry for — one that
+    /// returned to 0 is still a checkpointed entry.
+    outstanding_seen: u32,
     /// Force flits issued toward each remote origin (eject-time count);
     /// compared with EX-captured counts to detect full force drain.
-    frc_issued_to: HashMap<ChipCoord, u64>,
-    /// Cached local destination masks for remote source cells.
-    halo_mask_cache: HashMap<(i32, i32, i32), u64>,
+    frc_issued_to: Vec<u64>,
+    /// Local destination masks for remote source cells, by
+    /// `(recv_chips index, owner CBB)`; 0 = not computed yet.
+    halo_masks: Vec<u64>,
     // Ring activity counters (capacity = ring nodes).
     pr_stats: Vec<Activity>,
     fr_stats: Vec<Activity>,
@@ -186,9 +269,20 @@ pub struct TimedChip {
     last_bcast: Vec<Vec<u64>>,
     /// Effective broadcast cooldown for the current force phase.
     bcast_cooldown: u64,
-    /// Traffic counters since the last stats reset.
-    pub traffic: TrafficCounters,
-    completed_buf: Vec<(ChipCoord, u32, u32)>,
+    /// Traffic counters since the last stats reset, by peer index.
+    traffic: PeerTraffic,
+    completed_buf: Vec<(ChipCoord, bool)>,
+    /// `false` (the serial oracle) makes every force tick walk all CBBs
+    /// and ring nodes and assert that whatever the masks below call idle
+    /// was a no-op; `true` visits only what the masks name.
+    fast_path: bool,
+    /// What the force tick skips by (see [`TickMasks`]).
+    masks: TickMasks,
+    /// Per ring: first cycle a pending broadcast is out of its cooldown
+    /// (a lower bound; the injection scan it triggers re-derives it).
+    bcast_due: [u64; MAX_SPES],
+    /// More than one chip in the grid: the rings carry an EX node.
+    multi: bool,
     /// Flight recorder for this node's event stream (off by default).
     trace: NodeRecorder,
     /// Global cluster cycle to stamp chip-emitted events with. The chip's
@@ -232,9 +326,17 @@ impl TimedChip {
         let send_chips = geo.send_chips();
         let recv_chips = geo.recv_chips();
         assert!(
-            send_chips.len() <= 32,
-            "remote destination mask is u32: at most 32 peer chips"
+            send_chips.len() <= 32 && recv_chips.len() <= 32,
+            "peer masks are u32: at most 32 peer chips each way"
         );
+        assert!(n <= 64, "CBB masks are u64: at most 64 cells per chip");
+        let grid = geo.grid();
+        let mut recv_index = vec![NO_PEER; geo.num_chips() as usize];
+        for (i, c) in recv_chips.iter().enumerate() {
+            recv_index[chip_id((grid.1, grid.2), *c)] = i as u8;
+        }
+        let mut recv_sorted: Vec<u8> = (0..recv_chips.len() as u8).collect();
+        recv_sorted.sort_by_key(|&i| recv_chips[i as usize]);
 
         // Destination masks per CBB.
         let mut local_masks = vec![0u64; n];
@@ -259,6 +361,7 @@ impl TimedChip {
         }
 
         let spes = cfg.spes_per_cbb as usize;
+        let (n_send, n_recv) = (send_chips.len(), recv_chips.len());
         TimedChip {
             dp,
             units,
@@ -286,17 +389,30 @@ impl TimedChip {
             pos_ingress: VecDeque::new(),
             frc_ingress: VecDeque::new(),
             mig_ingress: VecDeque::new(),
-            remote_pos_outstanding: HashMap::new(),
-            frc_issued_to: HashMap::new(),
-            halo_mask_cache: HashMap::new(),
+            remote_pos_outstanding: vec![0; n_recv],
+            outstanding_seen: 0,
+            frc_issued_to: vec![0; n_recv],
+            halo_masks: vec![0; n_recv * n],
+            grid_yz: (grid.1, grid.2),
+            recv_index,
+            recv_sorted,
             pr_stats: vec![Activity::with_capacity(nodes as u64); spes],
             fr_stats: vec![Activity::with_capacity(nodes as u64); spes],
             mu_ring_stats: Activity::with_capacity(nodes as u64),
             migrations: 0,
             last_bcast: vec![vec![0; spes]; n],
             bcast_cooldown: 0,
-            traffic: TrafficCounters::default(),
+            traffic: PeerTraffic {
+                pos_sent: vec![0; n_send],
+                frc_sent: vec![0; n_recv],
+                pos_recv: vec![0; n_recv],
+                ..PeerTraffic::default()
+            },
             completed_buf: Vec::new(),
+            fast_path: false,
+            masks: TickMasks::default(),
+            bcast_due: [0; MAX_SPES],
+            multi,
             trace: NodeRecorder::off(),
             trace_now: 0,
             pe_prev: (0, 0),
@@ -362,7 +478,7 @@ impl TimedChip {
     pub fn set_trace(&mut self, cfg: TraceConfig) {
         self.trace = NodeRecorder::new(cfg);
         self.trace_now = 0;
-        self.pe_prev = self.pe_counters();
+        self.pe_prev = self.masks.pe_totals;
     }
 
     /// Sync the global-cycle stamp used for chip-emitted events. The
@@ -385,31 +501,13 @@ impl TimedChip {
         self.trace.take()
     }
 
-    fn pe_counters(&self) -> (u64, u64) {
-        let mut dispatched = 0;
-        let mut ejected = 0;
-        for cbb in &self.cbbs {
-            dispatched += cbb.dispatched;
-            ejected += cbb.ejected;
-        }
-        (dispatched, ejected)
-    }
-
     /// Classify what the force-phase datapath is doing (stall-attribution
     /// probe; see [`ForceActivity`]). Meaningful right after a force tick.
     pub fn force_activity(&self) -> ForceActivity {
-        for cbb in &self.cbbs {
-            for spe in &cbb.spes {
-                if spe.pes.iter().any(|pe| !pe.is_idle()) {
-                    return ForceActivity::PeBusy;
-                }
-            }
+        if self.masks.pe_live != 0 {
+            return ForceActivity::PeBusy;
         }
-        let output_live = self
-            .cbbs
-            .iter()
-            .flat_map(|c| c.spes.iter())
-            .any(|s| !s.frc_out.is_empty() || !s.bcast.is_empty())
+        let output_live = self.masks.frc_pending.iter().chain(&self.masks.bcast_pending).any(|&m| m != 0)
             || self.frc_rings.iter().any(|r| !r.is_empty())
             || !self.frc_egress.is_empty()
             || !self.pos_egress.is_empty();
@@ -420,14 +518,15 @@ impl TimedChip {
         }
     }
 
-    /// Enable/disable the CBBs' fast-path execution (idle-SPE skipping,
-    /// precomputed station scans). Bit-identical to the reference
-    /// per-cycle walk; off by default so the plain interpretation stays
-    /// the oracle the fast path is validated against.
+    /// Choose how a force tick finds its work. On (the fast engine): it
+    /// visits only the CBBs, ring nodes and queues its masks and counters
+    /// name. Off (the default, the serial oracle): it walks every CBB and
+    /// ring node exactly as the hardware clocks them, and asserts that
+    /// each one the masks would have skipped was a no-op — so every
+    /// oracle run checks the fast engine's skip predicates. Bit-identical
+    /// either way.
     pub fn set_fast_path(&mut self, on: bool) {
-        for cbb in &mut self.cbbs {
-            cbb.set_fast_path(on);
-        }
+        self.fast_path = on;
     }
 
     /// Enable/disable the SoA scan path on every CBB (see
@@ -488,8 +587,42 @@ impl TimedChip {
             }
         }
         self.migrations = 0;
-        self.traffic = TrafficCounters::default();
-        self.frc_issued_to.clear();
+        self.traffic.pos_sent.fill(0);
+        self.traffic.frc_sent.fill(0);
+        self.traffic.pos_recv.fill(0);
+        self.traffic.frc_recv = 0;
+        self.traffic.frc_recv_remote = 0;
+        self.traffic.mig_sent.clear();
+        self.frc_issued_to.fill(0);
+    }
+
+    /// Traffic counters since the last stats reset. A peer appears in a
+    /// map once it has been counted at least once.
+    pub fn traffic(&self) -> TrafficCounters {
+        let per_peer = |peers: &[ChipCoord], counts: &[u64]| {
+            peers
+                .iter()
+                .zip(counts)
+                .filter(|(_, &n)| n > 0)
+                .map(|(c, &n)| (*c, n))
+                .collect()
+        };
+        TrafficCounters {
+            pos_sent: per_peer(&self.send_chips, &self.traffic.pos_sent),
+            frc_sent: per_peer(&self.recv_chips, &self.traffic.frc_sent),
+            pos_recv: per_peer(&self.recv_chips, &self.traffic.pos_recv),
+            frc_recv: self.traffic.frc_recv,
+            frc_recv_remote: self.traffic.frc_recv_remote,
+            mig_sent: self.traffic.mig_sent.clone(),
+        }
+    }
+
+    /// `recv_chips` index of a chip this one receives positions from.
+    #[inline]
+    fn recv_idx(&self, origin: ChipCoord) -> usize {
+        let i = self.recv_index[chip_id(self.grid_yz, origin)];
+        debug_assert!(i != NO_PEER, "{origin:?} is not a receive peer");
+        i as usize
     }
 
     /// Begin the force-evaluation phase.
@@ -514,14 +647,58 @@ impl TimedChip {
         for row in &mut self.last_bcast {
             row.iter_mut().for_each(|c| *c = 0);
         }
+        self.rebuild_masks();
+    }
+
+    /// The tick's masks and counters, computed from the state they
+    /// summarise.
+    fn derive_masks(&self) -> TickMasks {
+        let mut m = TickMasks::default();
+        for (i, cbb) in self.cbbs.iter().enumerate() {
+            m.cbb_live |= u64::from(cbb.force_live()) << i;
+            m.pe_live |= u64::from(cbb.pe_busy()) << i;
+            for (k, spe) in cbb.spes.iter().enumerate() {
+                m.bcast_pending[k] |= u64::from(!spe.bcast.is_empty()) << i;
+                m.frc_pending[k] |= u64::from(!spe.frc_out.is_empty()) << i;
+            }
+            m.pe_totals.0 += cbb.dispatched;
+            m.pe_totals.1 += cbb.ejected;
+        }
+        for ring in &self.pos_rings {
+            for node in 0..ring.len() {
+                m.pos_remote_on_ring += u32::from(ring.at(node).is_some_and(|f| f.remote_mask != 0));
+            }
+        }
+        m
+    }
+
+    /// (Re)build the tick's masks (phase start, restore).
+    fn rebuild_masks(&mut self) {
+        self.masks = self.derive_masks();
+        self.bcast_due = [0; MAX_SPES];
     }
 
     /// One force-phase cycle.
     pub fn step_force_cycle(&mut self) {
+        if self.fast_path {
+            self.force_tick::<false>();
+        } else {
+            self.force_tick::<true>();
+        }
+    }
+
+    /// The force tick. Work per cycle follows *events*: delivery probes
+    /// only ring nodes that hold a flit, only CBBs with work are stepped,
+    /// injection visits only queues with something to inject (broadcasts
+    /// only once the earliest cooldown has run out), and ring activity is
+    /// read from counters. With `EXHAUSTIVE` every CBB and ring node is
+    /// visited instead and each one outside the masks is asserted to be a
+    /// no-op (debug builds also re-derive the masks whole).
+    fn force_tick<const EXHAUSTIVE: bool>(&mut self) {
         debug_assert_eq!(self.phase, Phase::Force);
-        let multi = self.geo.num_chips() > 1;
+        let multi = self.multi;
         let ex = self.ex_node();
-        let n = self.cbbs.len();
+        let all = low_bits(self.cbbs.len());
 
         // 1. Rotate rings, recording activity.
         for k in 0..self.pos_rings.len() {
@@ -536,68 +713,70 @@ impl TimedChip {
         // 2. Ring-node processing.
         for k in 0..self.pos_rings.len() {
             // Position ring: PRN delivery at CBB nodes.
-            for node in 0..n {
-                let deliver = match self.pos_rings[k].at(node) {
-                    Some(f) => f.local_mask & (1 << node) != 0,
-                    None => false,
+            let occupied = self.pos_rings[k].occupied_nodes() as u64 & all;
+            for node in set_bits(if EXHAUSTIVE { all } else { occupied }) {
+                let bit = 1u64 << node;
+                let Some(flit) = self.pos_rings[k].at(node) else {
+                    assert!(EXHAUSTIVE && occupied & bit == 0, "occupancy mask names an empty node");
+                    continue;
                 };
-                if deliver && !self.cbbs[node].spes[k].pos_in.is_full() {
-                    let slot_ref = self.pos_rings[k].at_mut(node);
-                    let flit_ref = slot_ref.as_mut().expect("checked");
-                    flit_ref.local_mask &= !(1 << node);
-                    let flit = *flit_ref;
-                    if flit.exhausted() {
-                        *slot_ref = None;
-                    }
-                    let rcid = self.geo.rcid(flit.src_gcell, self.cbbs[node].gcell);
-                    let remote = flit.owner_chip != self.geo.chip;
-                    let entry = NbrEntry {
-                        concat: ForceDatapath::concat(rcid, flit.offset),
-                        elem: flit.elem,
-                        scan_from: 0,
-                        kind: NbrKind::Ring {
-                            owner_chip: flit.owner_chip,
-                            owner_cbb: flit.owner_cbb,
-                            slot: flit.slot,
-                            remote,
-                        },
-                    };
-                    self.cbbs[node].spes[k]
-                        .pos_in
-                        .push(entry).expect("room checked");
+                assert!(!EXHAUSTIVE || occupied & bit != 0, "occupancy mask misses a flit");
+                if flit.local_mask & bit == 0 || self.cbbs[node].spes[k].pos_in.is_full() {
+                    continue; // not for this cell, or it keeps rotating and retries next lap
                 }
-                // else: flit keeps rotating and retries next lap
+                let flit = *self.pos_rings[k]
+                    .update(node, |f| f.local_mask &= !bit)
+                    .expect("probed above");
+                if flit.exhausted() {
+                    self.pos_rings[k].take(node);
+                }
+                let rcid = self.geo.rcid(flit.src_gcell, self.cbbs[node].gcell);
+                let remote = flit.owner_chip != self.geo.chip;
+                let entry = NbrEntry {
+                    concat: ForceDatapath::concat(rcid, flit.offset),
+                    elem: flit.elem,
+                    scan_from: 0,
+                    kind: NbrKind::Ring {
+                        owner_chip: flit.owner_chip,
+                        owner_cbb: flit.owner_cbb,
+                        slot: flit.slot,
+                        remote,
+                    },
+                };
+                self.cbbs[node].spes[k]
+                    .pos_in
+                    .push(entry).expect("room checked");
+                self.masks.cbb_live |= bit;
             }
             // EX capture of remote-destined positions.
             if multi {
-                let capture = matches!(self.pos_rings[k].at(ex), Some(f) if f.remote_mask != 0);
-                if capture {
-                    let slot_ref = self.pos_rings[k].at_mut(ex);
-                    let flit_ref = slot_ref.as_mut().expect("checked");
-                    let mask = flit_ref.remote_mask;
-                    flit_ref.remote_mask = 0;
-                    let flit = *flit_ref;
+                let mask = self.pos_rings[k].at(ex).map_or(0, |f| f.remote_mask);
+                if mask != 0 {
+                    let flit = *self.pos_rings[k]
+                        .update(ex, |f| f.remote_mask = 0)
+                        .expect("probed above");
                     if flit.exhausted() {
-                        *slot_ref = None;
+                        self.pos_rings[k].take(ex);
                     }
-                    for b in 0..self.send_chips.len() {
-                        if mask & (1 << b) != 0 {
-                            let peer = self.send_chips[b];
-                            *self.traffic.pos_sent.entry(peer).or_default() += 1;
-                            self.pos_egress.push_back((peer, flit));
-                        }
+                    self.masks.pos_remote_on_ring -= 1;
+                    for b in set_bits(u64::from(mask)) {
+                        self.traffic.pos_sent[b] += 1;
+                        self.pos_egress.push_back((self.send_chips[b], flit));
                     }
                 }
             }
 
             // Force ring: owner delivery, EX capture of remote-owned.
-            for node in 0..n {
-                let deliver = matches!(
-                    self.frc_rings[k].at(node),
-                    Some(f) if f.owner_chip == self.geo.chip && f.owner_cbb as usize == node
-                );
-                if deliver {
-                    let flit = self.frc_rings[k].take(node).expect("checked");
+            let occupied = self.frc_rings[k].occupied_nodes() as u64 & all;
+            for node in set_bits(if EXHAUSTIVE { all } else { occupied }) {
+                let bit = 1u64 << node;
+                let Some(flit) = self.frc_rings[k].at(node) else {
+                    assert!(EXHAUSTIVE && occupied & bit == 0, "occupancy mask names an empty node");
+                    continue;
+                };
+                assert!(!EXHAUSTIVE || occupied & bit != 0, "occupancy mask misses a flit");
+                if flit.owner_chip == self.geo.chip && flit.owner_cbb as usize == node {
+                    let flit = self.frc_rings[k].take(node).expect("probed above");
                     self.cbbs[node].accumulate_ring_force(&flit);
                     self.traffic.frc_recv += 1;
                 }
@@ -607,7 +786,8 @@ impl TimedChip {
                     matches!(self.frc_rings[k].at(ex), Some(f) if f.owner_chip != self.geo.chip);
                 if capture {
                     let flit = self.frc_rings[k].take(ex).expect("checked");
-                    *self.traffic.frc_sent.entry(flit.owner_chip).or_default() += 1;
+                    let origin = self.recv_idx(flit.owner_chip);
+                    self.traffic.frc_sent[origin] += 1;
                     self.frc_egress.push_back((flit.owner_chip, flit));
                 }
             }
@@ -615,44 +795,102 @@ impl TimedChip {
 
         // 3. CBB internals; completion records are merged in CBB index
         // order.
-        self.completed_buf.clear();
         let mut buf = std::mem::take(&mut self.completed_buf);
-        for cbb in &mut self.cbbs {
-            cbb.step_force_collect(self.cycle, &self.dp, &mut buf);
-        }
-        for &(origin, completed, issued) in &buf {
-            *self.remote_pos_outstanding.entry(origin).or_default() -= completed as i64;
-            if issued > 0 {
-                *self.frc_issued_to.entry(origin).or_default() += issued as u64;
+        buf.clear();
+        for i in set_bits(if EXHAUSTIVE { all } else { self.masks.cbb_live }) {
+            let bit = 1u64 << i;
+            let cbb = &mut self.cbbs[i];
+            let before = (cbb.dispatched, cbb.ejected, buf.len());
+            cbb.step_force::<EXHAUSTIVE>(self.cycle, &self.dp, &mut buf);
+            if EXHAUSTIVE && self.masks.cbb_live & bit == 0 {
+                assert!(
+                    before == (cbb.dispatched, cbb.ejected, buf.len()) && !cbb.force_live(),
+                    "a CBB the live mask calls idle did work"
+                );
+                continue;
             }
+            self.masks.pe_totals.0 += cbb.dispatched - before.0;
+            self.masks.pe_totals.1 += cbb.ejected - before.1;
+            if !cbb.force_live() {
+                self.masks.cbb_live &= !bit;
+            }
+            self.masks.pe_live = self.masks.pe_live & !bit | u64::from(cbb.pe_busy()) << i;
+            for (k, spe) in cbb.spes.iter().enumerate() {
+                if !spe.frc_out.is_empty() {
+                    self.masks.frc_pending[k] |= bit;
+                }
+            }
+        }
+        for &(origin, issued) in &buf {
+            let origin = self.recv_idx(origin);
+            self.remote_pos_outstanding[origin] -= 1;
+            self.outstanding_seen |= 1 << origin;
+            self.frc_issued_to[origin] += u64::from(issued);
         }
         self.completed_buf = buf;
 
         // 4. Injections.
         for k in 0..self.pos_rings.len() {
-            for (i, cbb) in self.cbbs.iter_mut().enumerate() {
-                let spe = &mut cbb.spes[k];
-                let cooled = self.cycle >= self.last_bcast[i][k] + self.bcast_cooldown
-                    || self.last_bcast[i][k] == 0;
+            // Broadcasts, metered by the per-cell cooldown: nothing can
+            // inject before the earliest pending one has cooled.
+            let scan = self.masks.bcast_pending[k] != 0 && self.cycle >= self.bcast_due[k];
+            let visit = match (EXHAUSTIVE, scan) {
+                (true, _) => all,
+                (false, true) => self.masks.bcast_pending[k],
+                (false, false) => 0,
+            };
+            let mut due = u64::MAX;
+            for i in set_bits(visit) {
+                let bit = 1u64 << i;
+                let spe = &mut self.cbbs[i].spes[k];
+                let last = &mut self.last_bcast[i][k];
+                let cooled = self.cycle >= *last + self.bcast_cooldown || *last == 0;
                 if cooled {
                     if let Some(flit) = spe.bcast.front().copied() {
+                        assert!(
+                            !EXHAUSTIVE || scan && self.masks.bcast_pending[k] & bit != 0,
+                            "broadcast scan would have skipped a ready cell"
+                        );
                         if self.pos_rings[k].inject(i, flit).is_ok() {
                             spe.bcast.pop_front();
-                            self.last_bcast[i][k] = self.cycle.max(1);
+                            *last = self.cycle.max(1);
+                            self.masks.pos_remote_on_ring += u32::from(flit.remote_mask != 0);
+                            if spe.bcast.is_empty() {
+                                self.masks.bcast_pending[k] &= !bit;
+                            }
                         }
                     }
                 }
-                if let Some(&flit) = spe.frc_out.peek() {
-                    if self.frc_rings[k].inject(i, flit).is_ok() {
-                        spe.frc_out.pop();
+                if !spe.bcast.is_empty() {
+                    due = due.min(if *last == 0 { 0 } else { *last + self.bcast_cooldown });
+                }
+            }
+            if scan {
+                self.bcast_due[k] = due;
+            }
+            // Force flits: retried every cycle until their node is free.
+            for i in set_bits(if EXHAUSTIVE { all } else { self.masks.frc_pending[k] }) {
+                let bit = 1u64 << i;
+                let spe = &mut self.cbbs[i].spes[k];
+                let Some(&flit) = spe.frc_out.peek() else {
+                    assert!(EXHAUSTIVE && self.masks.frc_pending[k] & bit == 0, "frc_pending names an empty queue");
+                    continue;
+                };
+                assert!(!EXHAUSTIVE || self.masks.frc_pending[k] & bit != 0, "frc_pending misses a queued flit");
+                if self.frc_rings[k].inject(i, flit).is_ok() {
+                    spe.frc_out.pop();
+                    if spe.frc_out.is_empty() {
+                        self.masks.frc_pending[k] &= !bit;
                     }
                 }
             }
             if multi {
                 // EX ingress: one flit per ring per cycle, ring chosen by
                 // slot parity (the PC0/PC1 interleave of §4.6).
+                let rings = self.pos_rings.len();
+                let ring_of = |slot: u16| if rings == 1 { 0 } else { slot as usize % rings };
                 if let Some(pos) = self.pos_ingress.front() {
-                    if pos.slot as usize % self.pos_rings.len() == k {
+                    if ring_of(pos.slot) == k {
                         let flit = *pos;
                         if self.pos_rings[k].inject(ex, flit).is_ok() {
                             self.pos_ingress.pop_front();
@@ -660,7 +898,7 @@ impl TimedChip {
                     }
                 }
                 if let Some(frc) = self.frc_ingress.front() {
-                    if frc.slot as usize % self.frc_rings.len() == k {
+                    if ring_of(frc.slot) == k {
                         let flit = *frc;
                         if self.frc_rings[k].inject(ex, flit).is_ok() {
                             self.frc_ingress.pop_front();
@@ -671,7 +909,7 @@ impl TimedChip {
         }
 
         if self.trace.wants(TraceLevel::Full) {
-            let (dispatched, ejected) = self.pe_counters();
+            let (dispatched, ejected) = self.masks.pe_totals;
             let (pd, pj) = self.pe_prev;
             if dispatched != pd || ejected != pj {
                 self.trace.push(
@@ -684,6 +922,12 @@ impl TimedChip {
                 self.pe_prev = (dispatched, ejected);
             }
         }
+        if EXHAUSTIVE {
+            // The walk above asserted each skip decision; debug builds
+            // (every `cargo test` run of the oracle) also re-derive the
+            // summaries whole.
+            debug_assert_eq!(self.masks, self.derive_masks(), "tick masks drifted from their state");
+        }
 
         self.cycle += 1;
     }
@@ -692,7 +936,8 @@ impl TimedChip {
     /// multi-chip mode remote work may still arrive; the cluster combines
     /// this with the chained-synchronization handshakes.
     pub fn force_phase_local_idle(&self) -> bool {
-        self.cbbs.iter().all(TimedCbb::force_idle)
+        self.masks.cbb_live == 0
+            && self.masks.bcast_pending.iter().chain(&self.masks.frc_pending).all(|&m| m == 0)
             && self.pos_rings.iter().all(Ring::is_empty)
             && self.frc_rings.iter().all(Ring::is_empty)
             && self.pos_ingress.is_empty()
@@ -702,39 +947,30 @@ impl TimedChip {
     /// True when all positions destined to peer chips have left the chip
     /// (broadcast queues empty and no remote-masked flit on a ring).
     pub fn all_positions_departed(&self) -> bool {
-        self.cbbs
-            .iter()
-            .flat_map(|c| c.spes.iter())
-            .all(|s| s.bcast.is_empty())
-            && self
-                .pos_rings
-                .iter()
-                .all(|r| (0..r.len()).all(|i| r.at(i).is_none_or(|f| f.remote_mask == 0)))
+        self.masks.bcast_pending.iter().all(|&m| m == 0)
+            && self.masks.pos_remote_on_ring == 0
             && self.pos_egress.is_empty()
     }
 
     /// Outstanding remote-origin work from one peer (ingested position
     /// deliveries not yet fully evaluated).
     pub fn outstanding_from(&self, origin: ChipCoord) -> i64 {
-        self.remote_pos_outstanding
-            .get(&origin)
-            .copied()
-            .unwrap_or(0)
+        self.recv_chips
+            .iter()
+            .position(|c| *c == origin)
+            .map_or(0, |peer| self.remote_pos_outstanding[peer])
     }
 
-    /// True when force flits owed to peers have all left the EX queue.
-    pub fn frc_egress_empty(&self) -> bool {
-        self.frc_egress.is_empty()
-    }
-
-    /// True when every force flit this chip ever issued toward `origin`
-    /// has been captured by the EX node (none remain in frc-out FIFOs or
-    /// on the force rings).
-    pub fn frc_drained_to(&self, origin: ChipCoord) -> bool {
-        let issued = self.frc_issued_to.get(&origin).copied().unwrap_or(0);
-        let captured = self.traffic.frc_sent.get(&origin).copied().unwrap_or(0);
-        debug_assert!(captured <= issued);
-        issued == captured
+    /// True when nothing is owed to receive peer `peer` (an index into
+    /// [`TimedChip::recv_chips`]) any more: every position it sent has
+    /// been evaluated, and every force flit issued toward it has been
+    /// captured by the EX node (none remain in frc-out FIFOs or on the
+    /// force rings) and has left the EX queue.
+    pub fn settled_with(&self, peer: usize) -> bool {
+        debug_assert!(self.traffic.frc_sent[peer] <= self.frc_issued_to[peer]);
+        self.remote_pos_outstanding[peer] == 0
+            && self.frc_issued_to[peer] == self.traffic.frc_sent[peer]
+            && self.frc_egress.is_empty()
     }
 
     /// True when this chip's own MU streaming and remote-migrant
@@ -762,7 +998,7 @@ impl TimedChip {
     /// One motion-update cycle.
     pub fn step_mu_cycle(&mut self) {
         debug_assert_eq!(self.phase, Phase::MotionUpdate);
-        let multi = self.geo.num_chips() > 1;
+        let multi = self.multi;
         let ex = self.ex_node();
         let n = self.cbbs.len();
 
@@ -845,41 +1081,38 @@ impl TimedChip {
     // ------------------------------------------------------------------
 
     /// Drain position flits departing to peer chips.
-    pub fn drain_pos_egress(&mut self) -> Vec<(ChipCoord, PosFlit)> {
-        self.pos_egress.drain(..).collect()
+    pub fn drain_pos_egress(&mut self) -> impl Iterator<Item = (ChipCoord, PosFlit)> + '_ {
+        self.pos_egress.drain(..)
     }
 
     /// Drain force flits departing to peer chips.
-    pub fn drain_frc_egress(&mut self) -> Vec<(ChipCoord, FrcFlit)> {
-        self.frc_egress.drain(..).collect()
+    pub fn drain_frc_egress(&mut self) -> impl Iterator<Item = (ChipCoord, FrcFlit)> + '_ {
+        self.frc_egress.drain(..)
     }
 
     /// Drain migration flits departing to peer chips.
-    pub fn drain_mig_egress(&mut self) -> Vec<(ChipCoord, MigFlit)> {
-        self.mig_egress.drain(..).collect()
+    pub fn drain_mig_egress(&mut self) -> impl Iterator<Item = (ChipCoord, MigFlit)> + '_ {
+        self.mig_egress.drain(..)
     }
 
     /// Ingest a position flit from a peer chip: compute its local
     /// destination mask (the GCID→LCID conversion point, §4.2) and queue
     /// it for EX-node injection.
     pub fn ingest_remote_pos(&mut self, mut flit: PosFlit) {
-        let key = (flit.src_gcell.x, flit.src_gcell.y, flit.src_gcell.z);
-        let mask = match self.halo_mask_cache.get(&key) {
-            Some(&m) => m,
-            None => {
-                let m = self.local_mask_for_source(flit.src_gcell);
-                self.halo_mask_cache.insert(key, m);
-                m
-            }
-        };
+        let origin = self.recv_idx(flit.owner_chip);
+        // A source cell is named by (owner chip, owner CBB); its mask is
+        // computed once.
+        let cell = origin * self.cbbs.len() + flit.owner_cbb as usize;
+        if self.halo_masks[cell] == 0 {
+            self.halo_masks[cell] = self.local_mask_for_source(flit.src_gcell);
+        }
+        let mask = self.halo_masks[cell];
         assert!(mask != 0, "received a position with no local destinations");
         flit.local_mask = mask;
         flit.remote_mask = 0;
-        *self
-            .remote_pos_outstanding
-            .entry(flit.owner_chip)
-            .or_default() += mask.count_ones() as i64;
-        *self.traffic.pos_recv.entry(flit.owner_chip).or_default() += 1;
+        self.remote_pos_outstanding[origin] += mask.count_ones() as i64;
+        self.outstanding_seen |= 1 << origin;
+        self.traffic.pos_recv[origin] += 1;
         self.pos_ingress.push_back(flit);
     }
 
@@ -1018,7 +1251,15 @@ impl fasda_ckpt::Snapshot for TimedChip {
         self.pos_ingress.save(w);
         self.frc_ingress.save(w);
         self.mig_ingress.save(w);
-        self.remote_pos_outstanding.save(w);
+        // The outstanding-work map, as `HashMap<ChipCoord, i64>` wrote
+        // it: the origins seen so far, in ascending coordinate order.
+        w.put_usize(self.outstanding_seen.count_ones() as usize);
+        for &peer in &self.recv_sorted {
+            if self.outstanding_seen & 1 << peer != 0 {
+                self.recv_chips[peer as usize].save(w);
+                w.put_i64(self.remote_pos_outstanding[peer as usize]);
+            }
+        }
     }
     fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
         use fasda_ckpt::Persist;
@@ -1039,7 +1280,17 @@ impl fasda_ckpt::Snapshot for TimedChip {
         self.pos_ingress = Persist::load(r)?;
         self.frc_ingress = Persist::load(r)?;
         self.mig_ingress = Persist::load(r)?;
-        self.remote_pos_outstanding = Persist::load(r)?;
+        let outstanding: HashMap<ChipCoord, i64> = Persist::load(r)?;
+        self.remote_pos_outstanding.fill(0);
+        self.outstanding_seen = 0;
+        for (origin, count) in outstanding {
+            let Some(peer) = self.recv_chips.iter().position(|c| *c == origin) else {
+                return Err(r.malformed(format!("outstanding work from {origin:?}, not a receive peer")));
+            };
+            self.remote_pos_outstanding[peer] = count;
+            self.outstanding_seen |= 1 << peer;
+        }
+        self.rebuild_masks();
         Ok(())
     }
 }

@@ -22,6 +22,7 @@ use fasda_md::element::Element;
 use fasda_sim::{Activity, Cycle, Fifo, Pipeline};
 
 use super::ring::FrcFlit;
+use super::set_bits;
 use crate::geometry::ChipCoord;
 
 /// Where an ejected neighbour force must go.
@@ -71,13 +72,10 @@ pub struct PipeJob {
     pub force: [f32; 3],
 }
 
-/// One filter station — the wide, *cold* half of its state.
-///
-/// The scan-control fields the per-cycle loops touch every cycle
-/// (cursor, occupancy, FIFO fullness, next planned hit) live in the
-/// [`Pe`]'s packed parallel arrays and bitmasks instead; this struct is
-/// only loaded on the rarer events: a passing pair, a retire, an
-/// ejection, a dispatch.
+/// One filter station — the wide, *cold* half of its state, touched on
+/// events only (a passing pair, a retire, an ejection, a dispatch). What
+/// the every-cycle stage reads lives in the [`Pe`]'s packed lanes and
+/// masks.
 #[derive(Clone, Debug)]
 struct Station {
     entry: Option<NbrEntry>,
@@ -119,36 +117,72 @@ pub enum Ejection {
     Discard { origin: ChipCoord, remote: bool },
 }
 
+/// Station lanes per PE (the width of the station masks).
+const LANES: usize = 32;
+
 /// A Processing Element: `filters_per_pe` stations + one force pipeline.
 ///
-/// The per-cycle scan control lives in packed parallel arrays and `u32`
-/// occupancy bitmasks rather than inside the [`Station`] structs: the
-/// cycle loop is memory-bound when it chases six wide station structs per
-/// PE per cycle, so the every-cycle state (cursors, next planned hit,
-/// occupied / scan-done / FIFO masks) is kept inside a couple of cache
-/// lines and the wide structs are touched only on hits, retires and
-/// ejections.
+/// **Event-timed stations.** A station compares one home slot per cycle,
+/// so once its scan is running the slot it is on is a function of the
+/// clock: `cursor = now − base`. The scan plan fixes every hit slot at
+/// dispatch, hence the *cycle* of the station's next event — its next
+/// hit, or the last comparison of its scan — is known in advance and is
+/// kept in the `ev_at` lane, and the earliest of them in `next_due`. The
+/// every-cycle filter stage is then one compare of `next_due` against the
+/// clock plus a `count_ones` for the activity counter; cursors are
+/// implicit and only the stations whose event is due touch their
+/// [`Station`], plan and FIFO. (A scalar station, whose pairs are
+/// filtered one comparison at a time, is simply due every cycle.)
+///
+/// The clock is the `cycle` argument of [`Pe::step`] truncated to 16
+/// bits. That is sound because lanes are only compared for equality, only
+/// while the station is running, and a running station's event lies at
+/// most one scan (`home_len ≤ u16::MAX` comparisons) ahead — it is
+/// recomputed whenever the station (re)starts. It requires a PE with a
+/// running station to be stepped on consecutive cycles, which the CBB
+/// guarantees: a non-idle PE is stepped on every tick of its chip.
+///
+/// A station that is not running — free, freshly dispatched, stalled on a
+/// full pair FIFO, scan finished, or just restored from a snapshot — is
+/// *parked*: its `base` lane holds the literal cursor. The filter stage
+/// (re)starts a parked station that is occupied, unfinished and not
+/// stalled by rebasing it on the current clock, so a FIFO stall is a
+/// shift of the station's stamps, and the arbiter's pop in stage 2
+/// resumes the station in stage 3 of the same cycle.
 #[derive(Clone, Debug)]
 pub struct Pe {
     stations: Vec<Station>,
     pipe: Pipeline<PipeJob>,
+    /// Cycle the pipeline's oldest job retires (`Cycle::MAX` when it is
+    /// empty): a cycle without a retire does not touch the pipeline.
+    retire_at: Cycle,
     rr: usize,
-    /// Per-station scan cursor: next home slot to compare.
-    cursors: Vec<u16>,
-    /// Per-station slot of the next planned hit (`u16::MAX`: none
-    /// pending, or the station was dispatched on the scalar path).
-    next_hit: Vec<u16>,
+    /// Running: `clock − cursor` at (re)start. Parked: the cursor itself.
+    base: [u16; LANES],
+    /// Running planned stations: clock value of the next hit, or of the
+    /// scan's last comparison when no hit is left.
+    ev_at: [u16; LANES],
+    /// Earliest `ev_at` among the running planned stations (stale, and
+    /// then harmless, when there are none: a spurious match finds no
+    /// lane due).
+    next_due: u16,
+    /// Clock value the next [`Pe::step`] is expected at (materialises
+    /// cursors on save).
+    now: u16,
     /// Stations holding a neighbour entry.
     occupied: u32,
     /// Stations dispatched through the SoA batch kernels.
     planned: u32,
-    /// Occupied stations whose scan has finished (maintained lazily by
-    /// the filter stage, which is the only place `home_len` is known).
+    /// Occupied stations whose scan has finished.
     done: u32,
-    /// Stations whose pair FIFO is full (filter stage stalls on these).
+    /// Stations whose pair FIFO is full (their scan is stalled).
     fifo_full: u32,
     /// Stations whose pair FIFO holds at least one job (arbiter input).
     fifo_nonempty: u32,
+    /// Stations whose scan is advancing one slot per cycle.
+    running: u32,
+    /// Finished stations with nothing left in flight: ejection candidates.
+    drained: u32,
     /// Filter activity (capacity = stations).
     pub filter_stats: Activity,
     /// Force-pipeline activity (capacity = 1/cycle).
@@ -158,18 +192,23 @@ pub struct Pe {
 impl Pe {
     /// Build a PE.
     pub fn new(filters: u32, pipe_latency: u32, pair_fifo_depth: usize) -> Self {
-        assert!(filters <= 32, "station state is tracked in u32 bitmasks");
+        assert!(filters as usize <= LANES, "station state is tracked in u32 bitmasks");
         Pe {
             stations: (0..filters).map(|_| Station::new(pair_fifo_depth)).collect(),
             pipe: Pipeline::new(pipe_latency as u64),
+            retire_at: Cycle::MAX,
             rr: 0,
-            cursors: vec![0; filters as usize],
-            next_hit: vec![u16::MAX; filters as usize],
+            base: [0; LANES],
+            ev_at: [0; LANES],
+            next_due: 0,
+            now: 0,
             occupied: 0,
             planned: 0,
             done: 0,
             fifo_full: 0,
             fifo_nonempty: 0,
+            running: 0,
+            drained: 0,
             filter_stats: Activity::with_capacity(filters as u64),
             pe_stats: Activity::with_capacity(1),
         }
@@ -180,16 +219,23 @@ impl Pe {
         (self.occupied.count_ones() as usize) < self.stations.len()
     }
 
-    /// Index of the lowest free station, mirroring the original
-    /// first-free linear scan.
-    fn free_station(&self) -> Option<usize> {
-        let free = !self.occupied & ((1u32 << self.stations.len()) - 1);
-        (free != 0).then(|| free.trailing_zeros() as usize)
+    /// Stations stalled on a full pair FIFO.
+    pub fn stalled_mask(&self) -> u32 {
+        self.fifo_full
     }
 
-    /// Reset station `si` around a fresh entry and raise its mask bits.
-    fn load_station(&mut self, si: usize, entry: NbrEntry) {
-        let bit = 1u32 << si;
+    /// Stations whose scan and pairs are finished but which have not
+    /// been ejected yet.
+    pub fn drained_mask(&self) -> u32 {
+        self.drained
+    }
+
+    /// Reset the lowest free station around a fresh entry, parked on its
+    /// first slot; the next [`Pe::step`] starts its scan.
+    fn load_station(&mut self, entry: NbrEntry) -> usize {
+        let free = !self.occupied & ((1u64 << self.stations.len()) - 1) as u32;
+        assert!(free != 0, "dispatch requires a free station");
+        let si = free.trailing_zeros() as usize;
         let st = &mut self.stations[si];
         debug_assert!(
             st.entry.is_none() && st.in_flight == 0 && st.pair_fifo.is_empty(),
@@ -200,44 +246,138 @@ impl Pe {
         st.acc = [0.0; 3];
         st.plan.clear();
         st.plan_next = 0;
-        self.cursors[si] = entry.scan_from;
-        self.next_hit[si] = u16::MAX;
-        self.occupied |= bit;
-        self.planned &= !bit;
-        self.done &= !bit;
-        self.fifo_full &= !bit;
-        self.fifo_nonempty &= !bit;
+        self.base[si] = entry.scan_from;
+        self.occupied |= 1u32 << si;
+        si
     }
 
     /// Load a neighbour entry into a free station. Panics if none free —
     /// guard with [`Pe::has_free_station`].
     pub fn dispatch(&mut self, entry: NbrEntry) {
-        let si = self.free_station().expect("dispatch requires a free station");
-        self.load_station(si, entry);
+        self.load_station(entry);
     }
 
     /// [`Pe::dispatch`] through the fused SoA kernel: run the station's
     /// whole scan against the home banks now
     /// ([`ForceDatapath::fused_scan_into`]) and store the finished
     /// [`ScanHit`]s — written *directly* into the station's plan, no
-    /// intermediate `FilteredPair` buffer — as a plan the per-cycle state
-    /// machine consumes one comparison at a time. Cycle-for-cycle and
-    /// bit-for-bit identical to the scalar path: the station still
-    /// advances one home slot per cycle, stalls on a full pair FIFO, and
-    /// pushes the same jobs on the same cycles — only the arithmetic is
-    /// hoisted out of the cycle loop.
+    /// intermediate `FilteredPair` buffer — as the plan that times the
+    /// station's events. Cycle-for-cycle and bit-for-bit identical to the
+    /// scalar path: the station still advances one home slot per cycle,
+    /// stalls on a full pair FIFO, and pushes the same jobs on the same
+    /// cycles — only the arithmetic is hoisted out of the cycle loop.
     pub fn dispatch_planned(&mut self, entry: NbrEntry, dp: &ForceDatapath, home: &HomeSoa) {
-        let si = self.free_station().expect("dispatch requires a free station");
-        self.load_station(si, entry);
-        let st = &mut self.stations[si];
-        dp.fused_scan_into(home, entry.concat, entry.elem, entry.scan_from, &mut st.plan);
-        self.next_hit[si] = st.plan.first().map_or(u16::MAX, |h| h.slot);
+        let si = self.load_station(entry);
+        dp.fused_scan_into(home, entry.concat, entry.elem, entry.scan_from, &mut self.stations[si].plan);
         self.planned |= 1u32 << si;
     }
 
     /// True when the PE holds no work at all.
     pub fn is_idle(&self) -> bool {
-        self.pipe.is_empty() && self.occupied == 0
+        self.retire_at == Cycle::MAX && self.occupied == 0
+    }
+
+    /// Clock value of a running planned station's next event.
+    #[inline]
+    fn next_event(&self, si: usize, home_len: u16) -> u16 {
+        let st = &self.stations[si];
+        let slot = st.plan.get(st.plan_next).map_or(home_len - 1, |h| h.slot);
+        self.base[si].wrapping_add(slot)
+    }
+
+    /// Recompute `next_due` after the running planned set or its stamps
+    /// changed. Every stamp lies at most one scan ahead of `now`, so the
+    /// wrapped distance orders them.
+    fn retime(&mut self, now: u16) {
+        let ahead = set_bits(u64::from(self.running & self.planned))
+            .map(|si| self.ev_at[si].wrapping_sub(now))
+            .min()
+            .unwrap_or(u16::MAX);
+        self.next_due = now.wrapping_add(ahead);
+    }
+
+    /// (Re)start a parked station's scan at clock `now`: rebase its
+    /// cursor on the clock and stamp its next event. A station parked at
+    /// or past the end of the home cell finishes without a comparison.
+    fn start_scan(&mut self, si: usize, now: u16, home_len: u16) {
+        let bit = 1u32 << si;
+        let cursor = self.base[si];
+        if cursor >= home_len {
+            self.done |= bit;
+            if self.stations[si].in_flight == 0 {
+                self.drained |= bit;
+            }
+            return;
+        }
+        self.base[si] = now.wrapping_sub(cursor);
+        self.running |= bit;
+        if self.planned & bit != 0 {
+            self.ev_at[si] = self.next_event(si, home_len);
+        }
+    }
+
+    /// One due comparison of running station `si`: a planned hit, the
+    /// last comparison of a planned scan, or any comparison of a scalar
+    /// station.
+    #[inline]
+    fn compare(
+        &mut self,
+        si: usize,
+        now: u16,
+        dp: &ForceDatapath,
+        home_elem: &[Element],
+        home_concat: &[FixVec3],
+    ) {
+        let bit = 1u32 << si;
+        let cur = now.wrapping_sub(self.base[si]);
+        let st = &mut self.stations[si];
+        let hit = if self.planned & bit != 0 {
+            match st.plan.get(st.plan_next) {
+                Some(h) if h.slot == cur => {
+                    st.plan_next += 1;
+                    Some(h.force)
+                }
+                _ => None,
+            }
+        } else {
+            let entry = st.entry.expect("occupied bit tracks entries");
+            let hi = cur as usize;
+            dp.filter(home_concat[hi], entry.concat)
+                .map(|pair| dp.force(home_elem[hi], entry.elem, pair))
+        };
+        let mut stalled = false;
+        if let Some(force) = hit {
+            let job = PipeJob {
+                station: si as u8,
+                home_slot: cur,
+                force,
+            };
+            st.pair_fifo.push(job).expect("a stalled station is not running");
+            st.in_flight += 1;
+            st.had_pairs = true;
+            self.fifo_nonempty |= bit;
+            if st.pair_fifo.is_full() {
+                self.fifo_full |= bit;
+                stalled = true;
+            }
+        }
+        let next = cur + 1;
+        let home_len = home_elem.len() as u16;
+        let ended = next >= home_len;
+        if ended || stalled {
+            // Park on the next slot; a stalled station restarts when the
+            // arbiter makes room.
+            self.running &= !bit;
+            self.base[si] = next;
+            if ended {
+                self.done |= bit;
+                if st.in_flight == 0 {
+                    self.drained |= bit;
+                }
+            }
+        } else if self.planned & bit != 0 {
+            self.ev_at[si] = self.next_event(si, home_len);
+        }
     }
 
     /// One cycle of PE operation against the home cell's snapshot.
@@ -261,118 +401,86 @@ impl Pe {
         ring_eject_budget: &mut u32,
     ) -> Option<(u16, [f32; 3])> {
         let home_len = home_elem.len() as u16;
+        let now = cycle as u16;
+        debug_assert!(
+            self.running == 0 || now == self.now,
+            "a PE with running stations is stepped on consecutive cycles"
+        );
 
         // 1. Retire a pipeline result: home force to FC, reaction into
         //    the producing station's accumulator.
         let mut retired = None;
-        if let Some(job) = self.pipe.pop_ready(cycle) {
+        if cycle >= self.retire_at {
+            let job = self.pipe.pop_ready(cycle).expect("retire_at tracks the oldest job");
+            self.retire_at = self.pipe.next_ready().unwrap_or(Cycle::MAX);
             let f = job.force;
             let st = &mut self.stations[job.station as usize];
             for k in 0..3 {
                 st.acc[k] -= f[k];
             }
             st.in_flight -= 1;
+            if st.in_flight == 0 {
+                self.drained |= self.done & (1u32 << job.station);
+            }
             retired = Some((job.home_slot, f));
         }
 
-        // 2. Arbitrate one buffered pair into the pipeline (round-robin).
-        //    The non-empty mask makes the losing probes register tests
-        //    instead of FIFO loads.
+        // 2. Arbitrate one buffered pair into the pipeline: round-robin
+        //    from `rr` is the lowest non-empty FIFO at or above it, else
+        //    the lowest overall.
         if self.fifo_nonempty != 0 && self.pipe.can_issue(cycle) {
-            let n = self.stations.len();
-            for k in 0..n {
-                let idx = (self.rr + k) % n;
-                let bit = 1u32 << idx;
-                if self.fifo_nonempty & bit == 0 {
-                    continue;
-                }
-                let st = &mut self.stations[idx];
-                let job = st.pair_fifo.pop().expect("mask tracks non-empty FIFOs");
-                if st.pair_fifo.is_empty() {
-                    self.fifo_nonempty &= !bit;
-                }
-                self.fifo_full &= !bit;
-                self.pipe.issue(cycle, job).expect("can_issue checked");
-                self.rr = (idx + 1) % n;
-                break;
+            let ahead = self.fifo_nonempty >> self.rr;
+            let idx = if ahead != 0 {
+                self.rr + ahead.trailing_zeros() as usize
+            } else {
+                self.fifo_nonempty.trailing_zeros() as usize
+            };
+            let bit = 1u32 << idx;
+            let st = &mut self.stations[idx];
+            let job = st.pair_fifo.pop().expect("mask tracks non-empty FIFOs");
+            self.fifo_nonempty &= !(u32::from(st.pair_fifo.is_empty()) << idx);
+            self.fifo_full &= !bit;
+            self.pipe.issue(cycle, job).expect("can_issue checked");
+            if self.retire_at == Cycle::MAX {
+                self.retire_at = cycle + self.pipe.latency();
             }
+            self.rr = if idx + 1 == self.stations.len() { 0 } else { idx + 1 };
         }
 
-        // 3. Filters: each occupied, unfinished station compares one home
-        //    particle per cycle (stalling only on a full pair FIFO). The
-        //    mask walk touches only the packed cursor / next-hit arrays on
-        //    a miss; the wide station struct is loaded on hits alone.
-        let mut comparisons = 0u64;
-        let mut m = self.occupied & !self.done & !self.fifo_full;
-        while m != 0 {
-            let si = m.trailing_zeros() as usize;
-            let bit = m & m.wrapping_neg();
-            m &= m - 1;
-            let cur = self.cursors[si];
-            if cur >= home_len {
-                // Scan finished (or dispatched past the end): record it
-                // and stop probing this station.
-                self.done |= bit;
-                continue;
+        // 3. Filters: every running station compares one home slot this
+        //    cycle. (Re)start what is parked but free to scan — fresh
+        //    dispatches, and stations the arbiter just unstalled — then
+        //    visit only the stations whose event is due.
+        let wake = self.occupied & !self.done & !self.fifo_full & !self.running;
+        if wake != 0 {
+            for si in set_bits(u64::from(wake)) {
+                self.start_scan(si, now, home_len);
             }
-            comparisons += 1;
-            let hit = if self.planned & bit != 0 {
-                // SoA fast path: the scan was evaluated at dispatch; the
-                // comparison this cycle hits iff the next planned slot is
-                // the cursor.
-                if self.next_hit[si] == cur {
-                    let st = &self.stations[si];
-                    Some(st.plan[st.plan_next].force)
-                } else {
-                    None
-                }
-            } else {
-                let entry = self.stations[si].entry.expect("occupied bit tracks entries");
-                let hi = cur as usize;
-                dp.filter(home_concat[hi], entry.concat)
-                    .map(|pair| dp.force(home_elem[hi], entry.elem, pair))
-            };
-            if let Some(force) = hit {
-                let st = &mut self.stations[si];
-                if self.planned & bit != 0 {
-                    st.plan_next += 1;
-                    self.next_hit[si] = st.plan.get(st.plan_next).map_or(u16::MAX, |h| h.slot);
-                }
-                let job = PipeJob {
-                    station: si as u8,
-                    home_slot: cur,
-                    force,
-                };
-                st.pair_fifo.push(job).expect("fullness checked");
-                st.in_flight += 1;
-                st.had_pairs = true;
-                self.fifo_nonempty |= bit;
-                if st.pair_fifo.is_full() {
-                    self.fifo_full |= bit;
-                }
+            self.retime(now);
+        }
+        let comparisons = self.running.count_ones() as u64;
+        let mut due = !self.planned & self.running;
+        if now == self.next_due {
+            for si in set_bits(u64::from(self.planned & self.running)) {
+                due |= u32::from(self.ev_at[si] == now) << si;
             }
-            let next = cur + 1;
-            self.cursors[si] = next;
-            if next >= home_len {
-                self.done |= bit;
-            }
+        }
+        let restamped = due & self.planned != 0;
+        for si in set_bits(u64::from(due)) {
+            self.compare(si, now, dp, home_elem, home_concat);
+        }
+        if restamped {
+            self.retime(now);
         }
         let any_station_active = self.occupied != 0;
 
-        // 4. Eject at most one drained station per cycle. Ring ejections
-        //    additionally need the SPE's FRN injection budget. Only
-        //    scan-done stations (the `done` mask) can be drained; the
-        //    walk preserves the original ascending-index order.
-        let mut dm = self.done;
-        while dm != 0 {
-            let si = dm.trailing_zeros() as usize;
-            let bit = dm & dm.wrapping_neg();
-            dm &= dm - 1;
+        // 4. Eject at most one drained station per cycle, lowest index
+        //    first. Ring ejections additionally need the SPE's FRN
+        //    injection budget.
+        for si in set_bits(u64::from(self.drained)) {
+            let bit = 1u32 << si;
             let st = &mut self.stations[si];
-            if st.in_flight != 0 {
-                continue;
-            }
-            debug_assert!(st.pair_fifo.is_empty(), "in_flight counts FIFO jobs");
+            debug_assert!(st.in_flight == 0 && st.pair_fifo.is_empty(), "in_flight counts FIFO jobs");
             let entry = st.entry.expect("done implies occupied");
             let needs_ring = matches!(entry.kind, NbrKind::Ring { .. }) && st.had_pairs;
             if needs_ring && *ring_eject_budget == 0 {
@@ -382,6 +490,7 @@ impl Pe {
             self.occupied &= !bit;
             self.done &= !bit;
             self.planned &= !bit;
+            self.drained &= !bit;
             let ej = match entry.kind {
                 NbrKind::Internal { slot } => {
                     if st.had_pairs {
@@ -428,8 +537,9 @@ impl Pe {
         // 5. Stats.
         self.filter_stats.record(comparisons, any_station_active);
         self.pe_stats
-            .record(u64::from(retired.is_some()), !self.pipe.is_empty() || retired.is_some());
+            .record(u64::from(retired.is_some()), self.retire_at != Cycle::MAX || retired.is_some());
 
+        self.now = now.wrapping_add(1);
         retired
     }
 }
@@ -542,19 +652,40 @@ impl fasda_ckpt::Snapshot for Station {
 }
 
 /// Checkpointing: station count, pipeline latency, and FIFO depths are
-/// configuration; the scan-control arrays, bitmasks, and station/pipeline
-/// contents are state. The activity counters ([`Pe::filter_stats`],
-/// [`Pe::pe_stats`]) are *not* captured — the driver resets every
-/// utilization counter at the start of a measurement window, which is
-/// where checkpoints are cut.
+/// configuration; the station/pipeline contents, scan cursors and masks
+/// are state. The byte layout predates the event-timed lanes and is kept:
+/// per-station cursors are materialised from the clock on save (and every
+/// station restarts parked on its cursor after a restore), the "slot of
+/// the next planned hit" array is derived from the plans, and the
+/// `running` / `drained` masks are functions of the rest. The activity
+/// counters ([`Pe::filter_stats`], [`Pe::pe_stats`]) are *not* captured —
+/// the driver resets every utilization counter at the start of a
+/// measurement window, which is where checkpoints are cut.
 impl fasda_ckpt::Snapshot for Pe {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
         fasda_ckpt::snapshot_slice(&self.stations, w);
         self.pipe.snapshot(w);
         w.put_usize(self.rr);
-        self.cursors.save(w);
-        self.next_hit.save(w);
+        let n = self.stations.len();
+        let cursors: Vec<u16> = (0..n)
+            .map(|si| {
+                if self.running & (1 << si) != 0 {
+                    self.now.wrapping_sub(self.base[si])
+                } else {
+                    self.base[si]
+                }
+            })
+            .collect();
+        cursors.save(w);
+        let next_hit: Vec<u16> = (0..n)
+            .map(|si| {
+                let st = &self.stations[si];
+                let live = self.occupied & self.planned & (1 << si) != 0;
+                st.plan.get(st.plan_next).filter(|_| live).map_or(u16::MAX, |h| h.slot)
+            })
+            .collect();
+        next_hit.save(w);
         w.put_u32(self.occupied);
         w.put_u32(self.planned);
         w.put_u32(self.done);
@@ -565,19 +696,44 @@ impl fasda_ckpt::Snapshot for Pe {
         use fasda_ckpt::Persist;
         fasda_ckpt::restore_slice(&mut self.stations, r)?;
         self.pipe.restore(r)?;
+        self.retire_at = self.pipe.next_ready().unwrap_or(Cycle::MAX);
         self.rr = r.get_usize()?;
+        let n = self.stations.len();
         let cursors: Vec<u16> = Persist::load(r)?;
         let next_hit: Vec<u16> = Persist::load(r)?;
-        if cursors.len() != self.stations.len() || next_hit.len() != self.stations.len() {
+        if cursors.len() != n || next_hit.len() != n {
             return Err(r.malformed("scan-control array length disagrees with station count"));
         }
-        self.cursors = cursors;
-        self.next_hit = next_hit;
+        if self.rr >= n.max(1) {
+            return Err(r.malformed("round-robin station cursor out of range"));
+        }
+        self.base[..n].copy_from_slice(&cursors);
         self.occupied = r.get_u32()?;
         self.planned = r.get_u32()?;
         self.done = r.get_u32()?;
         self.fifo_full = r.get_u32()?;
         self.fifo_nonempty = r.get_u32()?;
+        let all = ((1u64 << n) - 1) as u32;
+        let masks = self.occupied | self.planned | self.done | self.fifo_full | self.fifo_nonempty;
+        if masks & !all != 0 || (self.planned | self.done) & !self.occupied != 0 {
+            return Err(r.malformed("station masks are inconsistent with the station count"));
+        }
+        for (si, st) in self.stations.iter().enumerate() {
+            let bit = 1u32 << si;
+            if (self.occupied & bit != 0) != st.entry.is_some()
+                || (self.fifo_nonempty & bit != 0) == st.pair_fifo.is_empty()
+                || (self.fifo_full & bit != 0) != st.pair_fifo.is_full()
+            {
+                return Err(r.malformed("station mask disagrees with station contents"));
+            }
+        }
+        self.running = 0;
+        self.drained = 0;
+        for (si, st) in self.stations.iter().enumerate() {
+            if st.in_flight == 0 {
+                self.drained |= self.done & (1 << si);
+            }
+        }
         Ok(())
     }
 }

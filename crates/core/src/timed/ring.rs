@@ -88,10 +88,23 @@ pub enum Direction {
 }
 
 /// A slotted ring: one flit register per node, one hop per cycle.
+///
+/// Rotation moves the *head index*, not the registers: node `i` lives in
+/// storage slot `(head + i) mod len`. An occupancy mask (in storage
+/// space, so rotation leaves it alone) is maintained by
+/// [`Ring::inject`] / [`Ring::take`], which are the only ways a register
+/// changes between empty and full — [`Ring::update`] edits a flit in
+/// place but cannot remove it. `is_empty`, `occupancy` and `rotate` are
+/// O(1), and [`Ring::occupied_nodes`] lets the chip visit occupied nodes
+/// only.
 #[derive(Clone, Debug)]
 pub struct Ring<T> {
     slots: Vec<Option<T>>,
     dir: Direction,
+    /// Storage slot of node 0.
+    head: usize,
+    /// Bit `s` set iff storage slot `s` holds a flit.
+    occ: u128,
     /// Flit-hops performed (hardware-utilization numerator).
     pub hops: u64,
 }
@@ -100,9 +113,12 @@ impl<T> Ring<T> {
     /// A ring of `nodes` registers.
     pub fn new(nodes: usize, dir: Direction) -> Self {
         assert!(nodes >= 2, "a ring needs at least 2 nodes");
+        assert!(nodes <= 128, "ring occupancy is tracked in a u128 mask");
         Ring {
             slots: (0..nodes).map(|_| None).collect(),
             dir,
+            head: 0,
+            occ: 0,
             hops: 0,
         }
     }
@@ -114,53 +130,87 @@ impl<T> Ring<T> {
     }
 
     /// True when no flits are on the ring.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+        self.occ == 0
     }
 
     /// Occupied slot count.
+    #[inline]
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occ.count_ones() as usize
+    }
+
+    /// Storage slot of `node`.
+    #[inline]
+    fn slot_of(&self, node: usize) -> usize {
+        debug_assert!(node < self.slots.len());
+        let s = self.head + node;
+        if s >= self.slots.len() {
+            s - self.slots.len()
+        } else {
+            s
+        }
+    }
+
+    /// Bit `i` set iff node `i` holds a flit.
+    #[inline]
+    pub fn occupied_nodes(&self) -> u128 {
+        if self.head == 0 {
+            return self.occ;
+        }
+        let n = self.slots.len() as u32;
+        let h = self.head as u32;
+        // Node i ↔ slot head + i (mod n): rotate the slot mask down by head.
+        (self.occ >> h) | ((self.occ << (n - h)) & (u128::MAX >> (128 - n)))
     }
 
     /// Advance every flit one hop.
+    #[inline]
     pub fn rotate(&mut self) {
-        let occ = self.occupancy() as u64;
-        self.hops += occ;
-        if occ == 0 {
-            return;
-        }
-        match self.dir {
-            Direction::Clockwise => self.slots.rotate_right(1),
-            Direction::CounterClockwise => self.slots.rotate_left(1),
-        }
+        self.hops += self.occupancy() as u64;
+        let n = self.slots.len();
+        // A flit at node i must next be read at node i ± 1.
+        self.head = match self.dir {
+            Direction::Clockwise => if self.head == 0 { n - 1 } else { self.head - 1 },
+            Direction::CounterClockwise => if self.head + 1 == n { 0 } else { self.head + 1 },
+        };
     }
 
     /// The flit currently at `node`, if any.
     #[inline]
     pub fn at(&self, node: usize) -> Option<&T> {
-        self.slots[node].as_ref()
+        self.slots[self.slot_of(node)].as_ref()
     }
 
-    /// Mutable access to the flit at `node`.
+    /// Edit the flit at `node` in place and return it; the register stays
+    /// occupied (use [`Ring::take`] to remove a flit).
     #[inline]
-    pub fn at_mut(&mut self, node: usize) -> &mut Option<T> {
-        &mut self.slots[node]
+    pub fn update(&mut self, node: usize, edit: impl FnOnce(&mut T)) -> Option<&T> {
+        let s = self.slot_of(node);
+        let flit = self.slots[s].as_mut()?;
+        edit(flit);
+        Some(flit)
     }
 
     /// Remove and return the flit at `node`.
     #[inline]
     pub fn take(&mut self, node: usize) -> Option<T> {
-        self.slots[node].take()
+        let s = self.slot_of(node);
+        let flit = self.slots[s].take()?;
+        self.occ &= !(1u128 << s);
+        Some(flit)
     }
 
     /// Inject a flit at `node` if the register is empty.
     #[inline]
     pub fn inject(&mut self, node: usize, flit: T) -> Result<(), T> {
-        if self.slots[node].is_some() {
+        let s = self.slot_of(node);
+        if self.slots[s].is_some() {
             return Err(flit);
         }
-        self.slots[node] = Some(flit);
+        self.slots[s] = Some(flit);
+        self.occ |= 1u128 << s;
         Ok(())
     }
 }
@@ -227,11 +277,17 @@ impl fasda_ckpt::Persist for MigFlit {
 }
 
 /// Checkpointing: node count and direction are configuration; the flit
-/// registers and the hop counter are state.
+/// registers and the hop counter are state. Registers are written in
+/// logical node order — the byte layout of the register file the ring
+/// used to rotate physically — so the head index is not state: a restored
+/// ring starts with node 0 in slot 0.
 impl<T: fasda_ckpt::Persist> fasda_ckpt::Snapshot for Ring<T> {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
-        self.slots.save(w);
+        w.put_usize(self.slots.len());
+        for node in 0..self.slots.len() {
+            self.slots[self.slot_of(node)].save(w);
+        }
         w.put_u64(self.hops);
     }
     fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
@@ -243,6 +299,11 @@ impl<T: fasda_ckpt::Persist> fasda_ckpt::Snapshot for Ring<T> {
                 self.slots.len()
             )));
         }
+        self.head = 0;
+        self.occ = slots
+            .iter()
+            .enumerate()
+            .fold(0, |m, (i, s)| m | u128::from(s.is_some()) << i);
         self.slots = slots;
         self.hops = r.get_u64()?;
         Ok(())
@@ -297,5 +358,94 @@ mod tests {
         assert_eq!(r.at(1), Some(&0));
         assert_eq!(r.at(2), Some(&1));
         assert_eq!(r.occupancy(), 2);
+    }
+
+    mod head_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The register file rotated physically, as the ring used to.
+        struct Reference {
+            slots: Vec<Option<u32>>,
+            dir: Direction,
+        }
+
+        impl Reference {
+            fn rotate(&mut self) {
+                match self.dir {
+                    Direction::Clockwise => self.slots.rotate_right(1),
+                    Direction::CounterClockwise => self.slots.rotate_left(1),
+                }
+            }
+        }
+
+        proptest! {
+            /// A head-indexed ring and a `rotate_right` reference agree on
+            /// every node, the occupancy mask, count and hop total after
+            /// random inject / take / update / rotate sequences, in both
+            /// directions, and the snapshot bytes are the reference's
+            /// register file in node order.
+            #[test]
+            fn agrees_with_physical_rotation(
+                nodes in 2usize..70,
+                clockwise in 0u32..2,
+                ops in proptest::collection::vec((0u32..4, 0usize..70, 0u32..1000), 1..200),
+            ) {
+                let dir = if clockwise == 1 { Direction::Clockwise } else { Direction::CounterClockwise };
+                let mut ring: Ring<u32> = Ring::new(nodes, dir);
+                let mut reference = Reference { slots: vec![None; nodes], dir };
+                let mut hops = 0u64;
+                for (op, node, val) in ops {
+                    let node = node * nodes / 70; // scale the draw onto this ring
+                    match op {
+                        0 => {
+                            let want = match reference.slots[node] {
+                                Some(_) => Err(val),
+                                None => {
+                                    reference.slots[node] = Some(val);
+                                    Ok(())
+                                }
+                            };
+                            prop_assert_eq!(ring.inject(node, val), want);
+                        }
+                        1 => prop_assert_eq!(ring.take(node), reference.slots[node].take()),
+                        2 => {
+                            if let Some(v) = reference.slots[node].as_mut() {
+                                *v += 1;
+                            }
+                            prop_assert_eq!(ring.update(node, |v| *v += 1).copied(), reference.slots[node]);
+                        }
+                        _ => {
+                            hops += reference.slots.iter().flatten().count() as u64;
+                            reference.rotate();
+                            ring.rotate();
+                        }
+                    }
+                    let mut mask = 0u128;
+                    for i in 0..nodes {
+                        prop_assert_eq!(ring.at(i), reference.slots[i].as_ref(), "node {}", i);
+                        mask |= u128::from(reference.slots[i].is_some()) << i;
+                    }
+                    prop_assert_eq!(ring.occupied_nodes(), mask);
+                    prop_assert_eq!(ring.occupancy(), mask.count_ones() as usize);
+                    prop_assert_eq!(ring.is_empty(), mask == 0);
+                    prop_assert_eq!(ring.hops, hops);
+                }
+                use fasda_ckpt::{Persist, Snapshot};
+                let mut got = fasda_ckpt::Writer::new();
+                ring.snapshot(&mut got);
+                let mut want = fasda_ckpt::Writer::new();
+                reference.slots.save(&mut want);
+                want.put_u64(hops);
+                let bytes = got.into_bytes();
+                prop_assert_eq!(&bytes, &want.into_bytes());
+                let mut back: Ring<u32> = Ring::new(nodes, dir);
+                back.restore(&mut fasda_ckpt::Reader::new(&bytes, "ring")).unwrap();
+                for i in 0..nodes {
+                    prop_assert_eq!(back.at(i), reference.slots[i].as_ref());
+                }
+                prop_assert_eq!(back.occupied_nodes(), ring.occupied_nodes());
+            }
+        }
     }
 }

@@ -146,11 +146,11 @@ fn manual_two_chip_exchange_matches_functional() {
         }
         for i in 0..2 {
             let o = 1 - i;
-            for (_, f) in chips[i].drain_pos_egress() {
+            for (_, f) in chips[i].drain_pos_egress().collect::<Vec<_>>() {
                 chips[o].ingest_remote_pos(f);
                 all_idle = false;
             }
-            for (_, f) in chips[i].drain_frc_egress() {
+            for (_, f) in chips[i].drain_frc_egress().collect::<Vec<_>>() {
                 chips[o].ingest_remote_frc(f);
                 all_idle = false;
             }
@@ -185,7 +185,7 @@ fn manual_two_chip_exchange_matches_functional() {
         }
         for i in 0..2 {
             let o = 1 - i;
-            for (_, m) in chips[i].drain_mig_egress() {
+            for (_, m) in chips[i].drain_mig_egress().collect::<Vec<_>>() {
                 chips[o].ingest_remote_mig(m);
                 all_idle = false;
             }

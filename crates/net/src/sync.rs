@@ -21,8 +21,6 @@
 
 use crate::packet::PacketKind;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 
 /// Synchronization strategy for the cluster driver.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -40,26 +38,25 @@ pub enum SyncMode {
     },
 }
 
-#[derive(Clone, Debug)]
-struct StepMarkers<P> {
-    pos: HashSet<P>,
-    frc: HashSet<P>,
-    mig: HashSet<P>,
-}
-
-impl<P> Default for StepMarkers<P> {
-    fn default() -> Self {
-        StepMarkers {
-            pos: HashSet::new(),
-            frc: HashSet::new(),
-            mig: HashSet::new(),
-        }
-    }
+/// `last` markers received for one step, as masks over the peer lists:
+/// `pos` over `recv_peers`, `frc` over `send_peers`, `mig` over
+/// `mig_peers`.
+#[derive(Clone, Copy, Debug, Default)]
+struct StepMarkers {
+    pos: u64,
+    frc: u64,
+    mig: u64,
 }
 
 /// Per-node chained synchronization state machine.
+///
+/// Every peer set is a `u64` mask over the position of the peer in the
+/// corresponding list, so the predicates the driver evaluates every cycle
+/// for every node ([`ChainedSync::force_phase_complete`],
+/// [`ChainedSync::owed_last_frc`]) are a handful of mask compares. Marker
+/// events, which name a peer by value, look its position up.
 #[derive(Clone, Debug)]
-pub struct ChainedSync<P: Eq + Hash + Clone> {
+pub struct ChainedSync<P: Eq + Clone> {
     /// Peers this node sends positions to (and receives forces from).
     pub send_peers: Vec<P>,
     /// Peers this node receives positions from (and sends forces to).
@@ -68,13 +65,30 @@ pub struct ChainedSync<P: Eq + Hash + Clone> {
     /// any face: the union of the two sets).
     pub mig_peers: Vec<P>,
     step: u64,
-    sent_pos: HashSet<P>,
-    sent_frc: HashSet<P>,
-    sent_mig: HashSet<P>,
-    received: HashMap<u64, StepMarkers<P>>,
+    /// Over `send_peers`.
+    sent_pos: u64,
+    /// Over `recv_peers`.
+    sent_frc: u64,
+    /// Over `mig_peers`.
+    sent_mig: u64,
+    /// Buffered markers by step, ascending; nothing older than `step`.
+    received: Vec<(u64, StepMarkers)>,
 }
 
-impl<P: Eq + Hash + Clone> ChainedSync<P> {
+/// Bits `0..n` (the "every peer" mask of an `n`-peer list).
+fn all_of(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+fn bit_of<P: Eq>(peers: &[P], peer: &P) -> u64 {
+    peers.iter().position(|p| p == peer).map_or(0, |i| 1u64 << i)
+}
+
+impl<P: Eq + Clone> ChainedSync<P> {
     /// Build the state machine for a node's neighbourhood.
     pub fn new(send_peers: Vec<P>, recv_peers: Vec<P>) -> Self {
         let mut mig_peers = send_peers.clone();
@@ -83,15 +97,16 @@ impl<P: Eq + Hash + Clone> ChainedSync<P> {
                 mig_peers.push(p.clone());
             }
         }
+        assert!(mig_peers.len() <= 64, "peer sets are u64 masks: at most 64 neighbours");
         ChainedSync {
             send_peers,
             recv_peers,
             mig_peers,
             step: 0,
-            sent_pos: HashSet::new(),
-            sent_frc: HashSet::new(),
-            sent_mig: HashSet::new(),
-            received: HashMap::new(),
+            sent_pos: 0,
+            sent_frc: 0,
+            sent_mig: 0,
+            received: Vec::new(),
         }
     }
 
@@ -105,11 +120,11 @@ impl<P: Eq + Hash + Clone> ChainedSync<P> {
     pub fn begin_step(&mut self, step: u64) {
         assert!(step >= self.step, "steps are monotonic");
         // Drop buffered markers for completed steps.
-        self.received.retain(|&s, _| s >= step);
+        self.received.retain(|&(s, _)| s >= step);
         self.step = step;
-        self.sent_pos.clear();
-        self.sent_frc.clear();
-        self.sent_mig.clear();
+        self.sent_pos = 0;
+        self.sent_frc = 0;
+        self.sent_mig = 0;
     }
 
     /// Record an incoming `last` marker.
@@ -118,71 +133,80 @@ impl<P: Eq + Hash + Clone> ChainedSync<P> {
             step >= self.step,
             "marker for an already-completed step"
         );
-        let m = self.received.entry(step).or_default();
-        match kind {
-            PacketKind::Position => m.pos.insert(peer),
-            PacketKind::Force => m.frc.insert(peer),
-            PacketKind::Migration => m.mig.insert(peer),
+        let at = self.received.partition_point(|&(s, _)| s < step);
+        if self.received.get(at).is_none_or(|&(s, _)| s != step) {
+            self.received.insert(at, (step, StepMarkers::default()));
+        }
+        let m = &mut self.received[at].1;
+        let (set, peers) = match kind {
+            PacketKind::Position => (&mut m.pos, &self.recv_peers),
+            PacketKind::Force => (&mut m.frc, &self.send_peers),
+            PacketKind::Migration => (&mut m.mig, &self.mig_peers),
         };
+        let bit = bit_of(peers, &peer);
+        debug_assert!(bit != 0, "marker from a peer outside the neighbourhood");
+        *set |= bit;
     }
 
-    fn current(&self) -> Option<&StepMarkers<P>> {
-        self.received.get(&self.step)
+    /// Markers received for the current step (the oldest buffered entry,
+    /// if it is for this step).
+    fn current(&self) -> StepMarkers {
+        match self.received.first() {
+            Some(&(s, m)) if s == self.step => m,
+            _ => StepMarkers::default(),
+        }
     }
 
     /// Note that *last-position* departed to `peer`.
     pub fn mark_last_pos_sent(&mut self, peer: P) {
-        self.sent_pos.insert(peer);
+        self.sent_pos |= bit_of(&self.send_peers, &peer);
     }
 
     /// Note that *last-force* departed to `peer`.
     pub fn mark_last_frc_sent(&mut self, peer: P) {
-        self.sent_frc.insert(peer);
+        self.sent_frc |= bit_of(&self.recv_peers, &peer);
     }
 
     /// Note that *last-migration* departed to `peer`.
     pub fn mark_last_mig_sent(&mut self, peer: P) {
-        self.sent_mig.insert(peer);
+        self.sent_mig |= bit_of(&self.mig_peers, &peer);
     }
 
     /// True if last-position has been sent to every send-peer.
     pub fn last_pos_sent_all(&self) -> bool {
-        self.send_peers.iter().all(|p| self.sent_pos.contains(p))
+        self.sent_pos == all_of(self.send_peers.len())
     }
 
     /// True if last-position was received from `peer` for the current
     /// step.
     pub fn last_pos_received(&self, peer: &P) -> bool {
-        self.current().is_some_and(|m| m.pos.contains(peer))
+        self.current().pos & bit_of(&self.recv_peers, peer) != 0
+    }
+
+    /// The receive peers this node still owes a last-force marker (their
+    /// last-position arrived, the answer has not left), as a mask over
+    /// `recv_peers` positions.
+    pub fn owed_last_frc(&self) -> u64 {
+        self.current().pos & !self.sent_frc
     }
 
     /// True if this node still owes `peer` a last-force marker.
     pub fn owes_last_frc(&self, peer: &P) -> bool {
-        self.last_pos_received(peer) && !self.sent_frc.contains(peer)
+        self.owed_last_frc() & bit_of(&self.recv_peers, peer) != 0
     }
 
     /// The four force-phase criteria of §4.4 (Fig. 13): a node "can
     /// independently proceed to the motion update phase" when all hold.
     pub fn force_phase_complete(&self) -> bool {
-        let Some(m) = self.current() else {
-            return self.send_peers.is_empty() && self.recv_peers.is_empty();
-        };
-        self.last_pos_sent_all()
-            && self.recv_peers.iter().all(|p| m.pos.contains(p))
-            && self.recv_peers.iter().all(|p| self.sent_frc.contains(p))
-            && self.send_peers.iter().all(|p| m.frc.contains(p))
+        let m = self.current();
+        let (send, recv) = (all_of(self.send_peers.len()), all_of(self.recv_peers.len()));
+        self.sent_pos == send && m.pos == recv && self.sent_frc == recv && m.frc == send
     }
 
     /// The simplified single-handshake MU criterion (§4.4).
     pub fn mu_phase_complete(&self) -> bool {
-        let sent_all = self.mig_peers.iter().all(|p| self.sent_mig.contains(p));
-        if self.mig_peers.is_empty() {
-            return true;
-        }
-        let Some(m) = self.current() else {
-            return false;
-        };
-        sent_all && self.mig_peers.iter().all(|p| m.mig.contains(p))
+        let all = all_of(self.mig_peers.len());
+        self.sent_mig == all && self.current().mig == all
     }
 }
 
@@ -192,7 +216,8 @@ impl<P: Eq + Hash + Clone> ChainedSync<P> {
 pub struct BulkBarrier {
     n: usize,
     latency: u64,
-    arrived: HashSet<usize>,
+    /// Arrival bitset, 64 nodes per word.
+    arrived: Vec<u64>,
     slowest: u64,
 }
 
@@ -202,18 +227,22 @@ impl BulkBarrier {
         BulkBarrier {
             n,
             latency,
-            arrived: HashSet::new(),
+            arrived: vec![0; n.div_ceil(64)],
             slowest: 0,
         }
+    }
+
+    fn arrivals(&self) -> usize {
+        self.arrived.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Node `id` reaches the barrier at `cycle`. Returns the global
     /// release cycle once every node has arrived.
     pub fn arrive(&mut self, id: usize, cycle: u64) -> Option<u64> {
         assert!(id < self.n);
-        self.arrived.insert(id);
+        self.arrived[id / 64] |= 1 << (id % 64);
         self.slowest = self.slowest.max(cycle);
-        if self.arrived.len() == self.n {
+        if self.arrivals() == self.n {
             // arrival message + release broadcast
             Some(self.slowest + 2 * self.latency)
         } else {
@@ -223,47 +252,81 @@ impl BulkBarrier {
 
     /// Reset for the next phase.
     pub fn reset(&mut self) {
-        self.arrived.clear();
+        self.arrived.fill(0);
         self.slowest = 0;
     }
 }
 
-impl<P: fasda_ckpt::Persist + Ord + Hash + Eq> fasda_ckpt::Persist for StepMarkers<P> {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.pos.save(w);
-        self.frc.save(w);
-        self.mig.save(w);
+/// Write the peers a mask names as the `HashSet<P>` the format holds:
+/// count, then the peers in ascending order.
+fn save_peer_set<P: fasda_ckpt::Persist + Ord>(mask: u64, peers: &[P], w: &mut fasda_ckpt::Writer) {
+    let mut named: Vec<&P> = peers
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| mask >> i & 1 != 0)
+        .map(|(_, p)| p)
+        .collect();
+    named.sort();
+    w.put_usize(named.len());
+    for p in named {
+        p.save(w);
     }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(StepMarkers {
-            pos: fasda_ckpt::Persist::load(r)?,
-            frc: fasda_ckpt::Persist::load(r)?,
-            mig: fasda_ckpt::Persist::load(r)?,
-        })
+}
+
+fn load_peer_set<P: fasda_ckpt::Persist + Eq>(
+    peers: &[P],
+    r: &mut fasda_ckpt::Reader<'_>,
+) -> Result<u64, fasda_ckpt::CkptError> {
+    let mut mask = 0;
+    for _ in 0..r.get_len()? {
+        let bit = bit_of(peers, &P::load(r)?);
+        if bit == 0 || mask & bit != 0 {
+            return Err(r.malformed("marker set names a peer twice or one outside the neighbourhood"));
+        }
+        mask |= bit;
     }
+    Ok(mask)
 }
 
 /// Checkpointing: the peer lists are configuration (rebuilt from the
 /// topology); the step counter, sent-marker sets, and buffered received
 /// markers — including markers already credited to *future* steps by
-/// fast neighbours — are state.
-impl<P: fasda_ckpt::Persist + Ord + Eq + Hash + Clone> fasda_ckpt::Snapshot for ChainedSync<P> {
+/// fast neighbours — are state. The byte layout is that of the peer-value
+/// sets the masks replaced: each set as its sorted members, the buffered
+/// steps as a map in ascending step order.
+impl<P: fasda_ckpt::Persist + Ord + Clone> fasda_ckpt::Snapshot for ChainedSync<P> {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
-        use fasda_ckpt::Persist;
         w.put_u64(self.step);
-        self.sent_pos.save(w);
-        self.sent_frc.save(w);
-        self.sent_mig.save(w);
-        self.received.save(w);
+        save_peer_set(self.sent_pos, &self.send_peers, w);
+        save_peer_set(self.sent_frc, &self.recv_peers, w);
+        save_peer_set(self.sent_mig, &self.mig_peers, w);
+        w.put_usize(self.received.len());
+        for &(step, m) in &self.received {
+            w.put_u64(step);
+            save_peer_set(m.pos, &self.recv_peers, w);
+            save_peer_set(m.frc, &self.send_peers, w);
+            save_peer_set(m.mig, &self.mig_peers, w);
+        }
     }
 
     fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
-        use fasda_ckpt::Persist;
         self.step = r.get_u64()?;
-        self.sent_pos = Persist::load(r)?;
-        self.sent_frc = Persist::load(r)?;
-        self.sent_mig = Persist::load(r)?;
-        self.received = Persist::load(r)?;
+        self.sent_pos = load_peer_set(&self.send_peers, r)?;
+        self.sent_frc = load_peer_set(&self.recv_peers, r)?;
+        self.sent_mig = load_peer_set(&self.mig_peers, r)?;
+        self.received.clear();
+        for _ in 0..r.get_len()? {
+            let step = r.get_u64()?;
+            if self.received.last().is_some_and(|&(s, _)| s >= step) {
+                return Err(r.malformed("buffered marker steps out of order"));
+            }
+            let m = StepMarkers {
+                pos: load_peer_set(&self.recv_peers, r)?,
+                frc: load_peer_set(&self.send_peers, r)?,
+                mig: load_peer_set(&self.mig_peers, r)?,
+            };
+            self.received.push((step, m));
+        }
         Ok(())
     }
 }
@@ -272,18 +335,22 @@ impl<P: fasda_ckpt::Persist + Ord + Eq + Hash + Clone> fasda_ckpt::Snapshot for 
 /// set and slowest-arrival clock are state.
 impl fasda_ckpt::Snapshot for BulkBarrier {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
-        use fasda_ckpt::Persist;
-        self.arrived.save(w);
+        w.put_usize(self.arrivals());
+        for id in (0..self.n).filter(|id| self.arrived[id / 64] >> (id % 64) & 1 != 0) {
+            w.put_usize(id);
+        }
         w.put_u64(self.slowest);
     }
 
     fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
-        use fasda_ckpt::Persist;
-        let arrived: HashSet<usize> = Persist::load(r)?;
-        if arrived.iter().any(|&id| id >= self.n) {
-            return Err(r.malformed("barrier arrival id out of range"));
+        self.arrived.fill(0);
+        for _ in 0..r.get_len()? {
+            let id = r.get_usize()?;
+            if id >= self.n {
+                return Err(r.malformed("barrier arrival id out of range"));
+            }
+            self.arrived[id / 64] |= 1 << (id % 64);
         }
-        self.arrived = arrived;
         self.slowest = r.get_u64()?;
         Ok(())
     }
