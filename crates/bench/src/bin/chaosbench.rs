@@ -36,7 +36,7 @@ use fasda_bench::{rule, Args};
 use fasda_cluster::{
     resume_latest, run_with_checkpoints, save_checkpoint, CheckpointConfig, Cluster,
     ClusterConfig, ClusterError, CkptRunError, EngineConfig, FaultPlan, ObsLive, ObsSinkConfig,
-    RelConfig, RunAccumulator,
+    RelConfig, RunAccumulator, MAX_RUN_CYCLES,
 };
 use fasda_core::config::ChipConfig;
 use fasda_md::element::Element;
@@ -70,7 +70,7 @@ struct RunOut {
 fn run(sys: &ParticleSystem, cfg: ClusterConfig, steps: u64, engine: &EngineConfig) -> RunOut {
     let mut cluster = Cluster::new(cfg, sys);
     let report = cluster
-        .try_run_with(steps, 2_000_000_000, engine)
+        .try_run_with(steps, MAX_RUN_CYCLES, engine)
         .expect("chaos sweep run converges");
     let mut out = sys.clone();
     cluster.store_into(&mut out);
@@ -260,7 +260,7 @@ fn main() {
         let mut cluster = Cluster::new(c, &sys);
         cluster.attach_obs(Box::new(ObsLive::new(every, &sinks).expect("beat sink opens")));
         cluster
-            .try_run_with(steps, 2_000_000_000, &engine)
+            .try_run_with(steps, MAX_RUN_CYCLES, &engine)
             .expect("lossy heartbeat run converges");
         let text = std::fs::read_to_string(&beats_path).expect("beat stream");
         let seen: Vec<u64> = text
@@ -326,7 +326,6 @@ fn recovery(args: &Args) {
     let sys = workload(per_cell);
     let base = ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3));
     let engine = EngineConfig::auto();
-    let budget = 2_000_000_000u64;
     let scratch = std::env::temp_dir().join(format!("fasda-recovery-{}", std::process::id()));
 
     println!(
@@ -367,7 +366,7 @@ fn recovery(args: &Args) {
             let oracle_run = run_with_checkpoints(
                 &mut oracle,
                 steps,
-                budget,
+                MAX_RUN_CYCLES,
                 &engine,
                 Some(&ckpt),
                 RunAccumulator::new(),
@@ -390,7 +389,7 @@ fn recovery(args: &Args) {
             let crashed = run_with_checkpoints(
                 &mut victim,
                 steps,
-                budget,
+                MAX_RUN_CYCLES,
                 &engine,
                 Some(&ckpt_crash),
                 RunAccumulator::new(),
@@ -410,7 +409,7 @@ fn recovery(args: &Args) {
             let steps_replayed = crash_step + 1 - acc.steps_done.min(crash_step + 1);
             let resume_cycle = revived.cycle;
             let run =
-                run_with_checkpoints(&mut revived, steps, budget, &engine, Some(&ckpt_crash), acc)
+                run_with_checkpoints(&mut revived, steps, MAX_RUN_CYCLES, &engine, Some(&ckpt_crash), acc)
                     .expect("resumed run completes");
             let replay_cycles = revived.cycle - resume_cycle;
             let overhead = replay_cycles as f64 / run.report.total_cycles.max(1) as f64;

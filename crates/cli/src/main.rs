@@ -12,40 +12,23 @@
 //! fasda info --per-fpga 222 --total 444 [--variant C]
 //! ```
 
-use fasda_cluster::ckpt::{
-    latest_checkpoint, load_checkpoint, resume_latest, run_with_checkpoints, run_with_recovery,
-    CheckpointConfig, RecoveryPolicy, RunAccumulator,
-};
+use fasda_cluster::ckpt::{CheckpointConfig, SegmentControl};
 use fasda_cluster::{
     chrome_trace, coordinator_main_net, emit_final, final_totals_json, shard_ranges, stall_json,
-    state_dump, trace_summary_json_with, worker_main_net, Cluster, ClusterConfig,
-    ClusterRunReport, EngineConfig, FaultPlan, HostController, Json, ObsLive, ObsSinkConfig,
-    RelConfig, ShardNet, ShardOpts, StallLedger, Trace, TraceConfig, TraceLevel,
+    state_dump, trace_summary_json_with, worker_main_net, ClusterRunReport, EngineConfig,
+    FaultPlan, Json, ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts, StallLedger,
+    Trace, TraceConfig, TraceLevel,
 };
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
 use fasda_core::resources::{estimate, ALVEO_U280};
+use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::pdb::to_pdb;
 use fasda_md::space::SimulationSpace;
-use fasda_md::workload::WorkloadSpec;
 use fasda_net::sync::SyncMode;
 use fasda_svc::server::{bench_recovery_costs, policy_interval};
 use fasda_svc::{Client, JobSpec, Listen, Server, ServerConfig};
 use std::process::ExitCode;
-
-/// Parse the artifact's `222`-style dimension triple.
-fn parse_dims(s: &str) -> Result<(u32, u32, u32), String> {
-    let digits: Vec<u32> = s
-        .chars()
-        .map(|c| c.to_digit(10).ok_or_else(|| format!("bad dims '{s}'")))
-        .collect::<Result<_, _>>()?;
-    match digits.as_slice() {
-        [x, y, z] => Ok((*x, *y, *z)),
-        _ => Err(format!(
-            "dims must be three digits like the artifact's '222'/'444', got '{s}'"
-        )),
-    }
-}
 
 struct Opts {
     args: Vec<String>,
@@ -66,6 +49,17 @@ impl Opts {
 
     fn has(&self, key: &str) -> bool {
         self.args.iter().any(|a| a == key)
+    }
+
+    /// The flag's value parsed, or `default` when the flag is absent.
+    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.get(key).map_or(Ok(default), |v| v.parse().map_err(|_| format!("bad {key}")))
+    }
+
+    /// A required `222`-style dims flag.
+    fn dims(&self, key: &'static str) -> Result<(u32, u32, u32), String> {
+        let v = self.get(key).ok_or(format!("{key} required"))?;
+        RunSpec::parse_dims(key, v).map_err(|e| e.to_string())
     }
 
     /// Every value of a repeatable flag, in order.
@@ -285,21 +279,6 @@ fn variant(opts: &Opts) -> Result<DesignVariant, String> {
     }
 }
 
-fn workload(opts: &Opts) -> Result<(SimulationSpace, fasda_md::system::ParticleSystem), String> {
-    let total = parse_dims(opts.get("--total").ok_or("--total required")?)?;
-    let space = SimulationSpace::new(total.0, total.1, total.2);
-    let per_cell: u32 = opts
-        .get_or("--per-cell", "64")
-        .parse()
-        .map_err(|_| "bad --per-cell")?;
-    let seed: u64 = opts.get_or("--seed", "64205").parse().map_err(|_| "bad --seed")?;
-    let spec = WorkloadSpec {
-        per_cell,
-        ..WorkloadSpec::paper(space, seed)
-    };
-    Ok((space, spec.generate()))
-}
-
 /// `--checkpoint-every` / `--checkpoint-dir` / `--checkpoint-keep` → the
 /// periodic snapshot schedule. Both of the first two are required to
 /// turn checkpointing on.
@@ -310,219 +289,67 @@ fn checkpoint_config(opts: &Opts) -> Result<Option<CheckpointConfig>, String> {
             if every == 0 {
                 return Err("--checkpoint-every must be >= 1".into());
             }
-            let keep: usize = opts
-                .get_or("--checkpoint-keep", "3")
-                .parse()
-                .map_err(|_| "bad --checkpoint-keep")?;
-            Ok(Some(CheckpointConfig::new(every, dir).with_keep(keep)))
+            let cfg = CheckpointConfig::new(every, dir);
+            let keep = opts.parse_or("--checkpoint-keep", cfg.keep)?;
+            Ok(Some(cfg.with_keep(keep)))
         }
         (None, None) => Ok(None),
         _ => Err("--checkpoint-every and --checkpoint-dir must be given together".into()),
     }
 }
 
-// Deterministic final-state dump (`--dump-state`): shared with the job
-// service so a migrated job's dump and a direct run's dump are the same
-// byte stream. See `fasda_cluster::state_dump`.
-
-/// The checkpoint/resume run path: drives the cluster in segments via
-/// `run_with_checkpoints` instead of the host controller. Selected only
-/// when a checkpoint or resume flag is present, so plain runs keep the
-/// exact pre-checkpointing code path.
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
-    opts: &Opts,
-    cfg: ClusterConfig,
-    sys: &fasda_md::system::ParticleSystem,
-    steps: u64,
-    eng: &EngineConfig,
-    ckpt: Option<CheckpointConfig>,
-    resume: Option<&str>,
-) -> Result<(), String> {
-    let mut cluster = Cluster::new(cfg, sys);
-    println!("{} FPGA node(s) configured; running...", cluster.num_nodes());
-    let acc = match resume {
-        None => RunAccumulator::new(),
-        Some("latest") => {
-            let dir = ckpt
-                .as_ref()
-                .map(|c| c.dir.clone())
-                .ok_or("--resume latest needs --checkpoint-dir")?;
-            match resume_latest(&mut cluster, &dir).map_err(|e| e.to_string())? {
-                Some((path, acc)) => {
-                    println!("resumed from {} (step {})", path.display(), acc.steps_done);
-                    acc
-                }
-                None => {
-                    println!("no checkpoint in {}; starting from step 0", dir.display());
-                    RunAccumulator::new()
-                }
-            }
-        }
-        Some(path) => {
-            let acc = load_checkpoint(&mut cluster, std::path::Path::new(path))
-                .map_err(|e| e.to_string())?;
-            println!("resumed from {path} (step {})", acc.steps_done);
-            acc
-        }
+/// Every `fasda run` flag that describes the run, as a validated
+/// [`RunSpec`] — `fasda job submit` builds the same value from the same
+/// flags ([`job_spec`]), so the two commands simulate the same machine.
+fn run_spec(opts: &Opts) -> Result<RunSpec, String> {
+    let mut spec = RunSpec::new(opts.dims("--total")?, opts.dims("--per-fpga")?);
+    spec.per_cell = opts.parse_or("--per-cell", spec.per_cell)?;
+    spec.seed = opts.parse_or("--seed", spec.seed)?;
+    spec.steps = opts.parse_or("--steps", spec.steps)?;
+    spec.variant = variant(opts)?;
+    spec.sync = match opts.get_or("--sync", "chained") {
+        "chained" => SyncMode::Chained,
+        "bulk" => SyncMode::Bulk { latency: 2_000 },
+        other => return Err(format!("unknown sync mode '{other}'")),
     };
-    let obs = obs_opts(opts)?;
-    if obs.every > 0 && obs.sinks.any() {
-        let live = ObsLive::new(obs.every, &obs.sinks).map_err(|e| e.to_string())?;
-        cluster.attach_obs(Box::new(live));
+    spec.faults = fault_plan(opts)?;
+    spec.unreliable = opts.has("--unreliable");
+    spec.engine = engine(opts)?;
+    spec.ckpt = checkpoint_config(opts)?;
+    spec.resume = match opts.get("--resume") {
+        None => Resume::Fresh,
+        Some("latest") => Resume::Latest,
+        Some(path) => Resume::File(path.into()),
+    };
+    spec.recover = opts.get("--recover").map(|n| n.parse().map_err(|_| "bad --recover")).transpose()?;
+    // A run resumed by hand replays the dead process's argv: which crash
+    // directive killed it is not recorded, so none may re-fire.
+    if spec.resume != Resume::Fresh {
+        spec.faults = spec.faults.map(|plan| plan.without_crash());
     }
-    let run = run_with_checkpoints(
-        &mut cluster,
-        steps,
-        2_000_000_000,
-        eng,
-        ckpt.as_ref(),
-        acc,
-    )
-    .map_err(|e| e.to_string())?;
-    let folded = folded_stalls(&run.traces, cluster.num_nodes());
-    finish_obs(&obs, &run.report, folded.as_ref())?;
-
-    println!(
-        "\nsimulation rate: {:.2} µs/day ({:.0} cycles/step at 200 MHz)",
-        run.report.us_per_day(),
-        run.report.cycles_per_step()
-    );
-    if !run.checkpoints.is_empty() {
-        println!(
-            "wrote {} checkpoint(s), latest {}",
-            run.checkpoints.len(),
-            run.checkpoints.last().expect("non-empty").display()
-        );
-    }
-    if run.report.faults_injected > 0 {
-        println!("faults injected: {}", run.report.faults_injected);
-    }
-    if let Some(rel) = &run.report.reliability {
-        println!(
-            "reliable delivery: {} retransmits, {} acks, {} duplicates dropped, {} corrupt dropped",
-            rel.retransmits, rel.acks_sent, rel.duplicates_dropped, rel.corrupt_dropped
-        );
-    }
-    if let Some(out) = opts.get("--trace-out") {
-        let trace = run
-            .traces
-            .last()
-            .ok_or("--trace-out needs tracing on (drop --trace-level off)")?;
-        std::fs::write(out, chrome_trace(trace)).map_err(|e| e.to_string())?;
-        println!("wrote final-segment trace to {out} (earlier segments are not retained)");
-    }
-    if let Some(out) = opts.get("--metrics-out") {
-        let nodes = cluster.num_nodes() as u64;
-        let mut doc = Json::obj().field("run", run.report.metrics_json());
-        if let Some(trace) = run.traces.last() {
-            doc = doc
-                .field("stalls", stall_json(&trace.stalls))
-                .field("trace", trace_summary_json_with(trace, &[(0, 0, nodes)]));
-        }
-        if obs.armed() {
-            doc = doc.field("obs", final_totals_json(&run.report, folded.as_ref()));
-        }
-        std::fs::write(out, doc.build().pretty()).map_err(|e| e.to_string())?;
-        println!("wrote metrics to {out}");
-    }
-    if let Some(out) = opts.get("--dump-state") {
-        std::fs::write(out, state_dump(&cluster, sys)).map_err(|e| e.to_string())?;
-        println!("wrote state dump to {out}");
-    }
-    Ok(())
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
-/// The `--recover N` run path: [`run_with_recovery`] builds (and after
-/// each failure rebuilds) the cluster itself, stripping exactly the
-/// fault directive that fired before resuming from the newest
-/// checkpoint — so this path owns no resume flags, only the checkpoint
-/// schedule, which it requires.
-fn run_recovering(
+/// The `--shards S` run: spawn S worker processes (re-invoking our own
+/// argv with `--worker I` and the rendezvous flag appended) and drive
+/// them as the coordinator. Process spawning by argv replay is the one
+/// part of a run only the CLI can do; the spec, its construction and the
+/// reporting of the output are the same as in-process.
+fn spawn_shards(
     opts: &Opts,
-    cfg: ClusterConfig,
-    sys: &fasda_md::system::ParticleSystem,
-    steps: u64,
-    eng: &EngineConfig,
-    ckpt: CheckpointConfig,
-    max_restarts: u32,
-) -> Result<(), String> {
-    println!("recovery armed: up to {max_restarts} automatic restart(s)");
-    let rec = run_with_recovery(
-        sys,
-        &cfg,
-        steps,
-        2_000_000_000,
-        eng,
-        &ckpt,
-        &RecoveryPolicy::new(max_restarts),
-    )
-    .map_err(|e| e.to_string())?;
-    for line in &rec.restarts {
-        println!("recovered: {line}");
-    }
-    if rec.restarts.is_empty() {
-        println!("no failure fired; the run completed on the first attempt");
-    }
-    println!(
-        "\nsimulation rate: {:.2} µs/day ({:.0} cycles/step at 200 MHz)",
-        rec.run.report.us_per_day(),
-        rec.run.report.cycles_per_step()
-    );
-    if rec.run.report.faults_injected > 0 {
-        println!("faults injected: {}", rec.run.report.faults_injected);
-    }
-    if let Some(out) = opts.get("--metrics-out") {
-        let doc = Json::obj()
-            .field("run", rec.run.report.metrics_json())
-            .field(
-                "restarts",
-                Json::Arr(rec.restarts.iter().map(|s| Json::Str(s.clone())).collect()),
-            );
-        std::fs::write(out, doc.build().pretty()).map_err(|e| e.to_string())?;
-        println!("wrote metrics to {out}");
-    }
-    if let Some(out) = opts.get("--dump-state") {
-        std::fs::write(out, state_dump(&rec.cluster, sys)).map_err(|e| e.to_string())?;
-        println!("wrote state dump to {out}");
-    }
-    Ok(())
-}
-
-/// The `--shards S` run path: spawn S worker processes (re-invoking our
-/// own argv with `--worker I --shard-dir DIR` appended), drive the
-/// global step barrier over the control socket, and fold their reports,
-/// traces, and checkpoints into the same artifacts a one-process run
-/// writes.
-fn run_sharded_cli(
-    opts: &Opts,
-    cfg: ClusterConfig,
-    sys: &fasda_md::system::ParticleSystem,
-    steps: u64,
+    spec: &RunSpec,
     shards: usize,
-    ckpt: Option<CheckpointConfig>,
-    resume: Option<&str>,
-) -> Result<(), String> {
-    let resume_path = match resume {
-        None => None,
-        Some("latest") => {
-            let dir = ckpt
-                .as_ref()
-                .map(|c| c.dir.clone())
-                .ok_or("--resume latest needs --checkpoint-dir")?;
-            match latest_checkpoint(&dir).map_err(|e| e.to_string())? {
-                Some(path) => {
-                    println!("resuming from {}", path.display());
-                    Some(path)
-                }
-                None => {
-                    println!("no checkpoint in {}; starting from step 0", dir.display());
-                    None
-                }
-            }
+    obs: Option<ObsSinkConfig>,
+) -> Result<RunOutput, String> {
+    let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
+    let resume = spec.resume_file().map_err(|e| e.to_string())?;
+    if let (Resume::Latest, Some(ckpt)) = (&spec.resume, &spec.ckpt) {
+        match &resume {
+            Some(path) => println!("resuming from {}", path.display()),
+            None => println!("no checkpoint in {}; starting from step 0", ckpt.dir.display()),
         }
-        Some(path) => Some(std::path::PathBuf::from(path)),
-    };
+    }
     // Rendezvous carrier: `--shard-listen ADDR` puts the control socket
     // and worker mesh on TCP (cross-host capable; loopback in CI), the
     // default stays Unix sockets in `--shard-dir`.
@@ -533,7 +360,7 @@ fn run_sharded_cli(
             None => std::env::temp_dir().join(format!("fasda-shard-{}", std::process::id())),
         }),
     };
-    // Workers rebuild config and workload by replaying this exact argv.
+    // Workers rebuild the spec by replaying this exact argv.
     let mut worker_argv = vec!["run".to_string()];
     worker_argv.extend(opts.args.iter().cloned());
 
@@ -546,255 +373,136 @@ fn run_sharded_cli(
             println!("sharding across {shards} worker process(es); listening on tcp {addr}")
         }
     }
-    let obs = obs_opts(opts)?;
-    let run = coordinator_main_net(
-        &cfg,
-        sys,
-        steps,
-        shards,
-        ShardOpts {
-            budget: 2_000_000_000,
-            ckpt,
-            resume: resume_path,
-            obs: (obs.every > 0 && obs.sinks.any()).then(|| obs.sinks.clone()),
-            tcp: false,
-        },
-        &net,
-        &worker_argv,
-    )
-    .map_err(|e| e.to_string())?;
-    let nodes = run.replica.num_nodes();
-    let folded = folded_stalls(&run.traces, nodes);
-    finish_obs(&obs, &run.report, folded.as_ref())?;
-    // Shard provenance for the trace summary: which worker owned which
-    // node span.
-    let prov: Vec<(u32, u64, u64)> = shard_ranges(nodes, shards)
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i as u32, r.start as u64, r.end as u64))
-        .collect();
+    let shard_opts = ShardOpts { ckpt: spec.ckpt.clone(), resume, obs, ..ShardOpts::default() };
+    let run = coordinator_main_net(&cfg, &sys, spec.steps, shards, shard_opts, &net, &worker_argv)
+        .map_err(|e| e.to_string())?;
+    Ok(RunOutput::from_sharded(run, sys))
+}
 
+/// Everything a finished run prints and writes, whichever way it ran:
+/// AXI-Lite registers, rate and bandwidth lines, checkpoints, faults,
+/// reliability, then the `--obs-out` / `--trace-out` / `--metrics-out` /
+/// `--dump-group` / `--dump-state` artifacts.
+fn report_run(
+    opts: &Opts,
+    spec: &RunSpec,
+    obs: &ObsOpts,
+    shards: Option<usize>,
+    out: &RunOutput,
+) -> Result<(), String> {
+    let report = &out.report;
+    if spec.recover.is_some() {
+        for line in &out.restarts {
+            println!("recovered: {line}");
+        }
+        if out.restarts.is_empty() {
+            println!("no failure fired; the run completed on the first attempt");
+        }
+    }
+    // The registers count since the chips were last armed. They describe
+    // this run only when that window is the whole of it: not after the
+    // last segment of a checkpointed or resumed run, and not on a shard
+    // coordinator's replica, whose chips are spliced from snapshots and
+    // never executed (a snapshot carries no utilisation counters).
+    let chips = &out.cluster.chips;
+    if chips.iter().zip(&report.per_node_traffic).all(|(chip, t)| chip.traffic() == *t) {
+        println!("\nAXI-Lite result registers (per node):");
+        println!(
+            "{:<6}{:>16}{:>14}{:>12}{:>12}{:>12}{:>12}",
+            "node",
+            "operation_cyc",
+            "PE_cyc",
+            "out_pos",
+            "out_frc",
+            "in_pos",
+            "in_frc"
+        );
+        for (n, chip) in chips.iter().enumerate() {
+            let regs = AxiLiteRegs::read(chip, report.total_cycles);
+            println!(
+                "{:<6}{:>16}{:>14}{:>12}{:>12}{:>12}{:>12}",
+                n,
+                regs.operation_cycle_cnt,
+                regs.PE_cycle_cnt,
+                regs.out_traffic_packets_pos,
+                regs.out_traffic_packets_frc,
+                regs.in_traffic_packets_pos,
+                regs.in_traffic_packets_frc
+            );
+        }
+    }
     println!(
         "\nsimulation rate: {:.2} µs/day ({:.0} cycles/step at 200 MHz)",
-        run.report.us_per_day(),
-        run.report.cycles_per_step()
+        report.us_per_day(),
+        report.cycles_per_step()
     );
-    if !run.checkpoints.is_empty() {
-        println!(
-            "wrote {} checkpoint(s), latest {}",
-            run.checkpoints.len(),
-            run.checkpoints.last().expect("non-empty").display()
-        );
+    println!(
+        "bandwidth demand: pos {:.2} Gbps, frc {:.2} Gbps per node",
+        report.pos_gbps_per_node(),
+        report.frc_gbps_per_node()
+    );
+    if let Some(latest) = out.checkpoints.last() {
+        println!("wrote {} checkpoint(s), latest {}", out.checkpoints.len(), latest.display());
     }
-    if run.report.faults_injected > 0 {
-        println!("faults injected: {}", run.report.faults_injected);
+    if report.faults_injected > 0 {
+        println!("faults injected: {}", report.faults_injected);
     }
-    if let Some(rel) = &run.report.reliability {
+    if let Some(rel) = &report.reliability {
         println!(
             "reliable delivery: {} retransmits, {} acks, {} duplicates dropped, {} corrupt dropped",
             rel.retransmits, rel.acks_sent, rel.duplicates_dropped, rel.corrupt_dropped
         );
     }
-    if let Some(out) = opts.get("--trace-out") {
-        let trace = run
+
+    let nodes = out.cluster.num_nodes();
+    let folded = folded_stalls(&out.traces, nodes);
+    finish_obs(obs, report, folded.as_ref())?;
+    if let Some(path) = opts.get("--trace-out") {
+        let trace = out
             .traces
             .last()
             .ok_or("--trace-out needs tracing on (drop --trace-level off)")?;
-        std::fs::write(out, chrome_trace(trace)).map_err(|e| e.to_string())?;
-        println!("wrote final-segment trace to {out} (earlier segments are not retained)");
+        std::fs::write(path, chrome_trace(trace)).map_err(|e| e.to_string())?;
+        // Without checkpoints or a resume the run is one segment and its
+        // trace the whole run.
+        if spec.ckpt.is_none() && spec.resume == Resume::Fresh {
+            let events: u64 = trace.nodes.iter().map(|n| n.events.len() as u64).sum();
+            println!("wrote {events} trace events to {path} (load at https://ui.perfetto.dev)");
+        } else {
+            println!("wrote final-segment trace to {path} (earlier segments are not retained)");
+        }
     }
-    if let Some(out) = opts.get("--metrics-out") {
-        let mut doc = Json::obj().field("run", run.report.metrics_json());
-        if let Some(trace) = run.traces.last() {
+    if let Some(path) = opts.get("--metrics-out") {
+        let mut doc = Json::obj().field("run", report.metrics_json());
+        if let Some(trace) = out.traces.last() {
+            // Shard provenance for the trace summary: which worker owned
+            // which node span (one span when the run was not sharded).
+            let prov: Vec<(u32, u64, u64)> = shard_ranges(nodes, shards.unwrap_or(1))
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (i as u32, r.start as u64, r.end as u64))
+                .collect();
             doc = doc
                 .field("stalls", stall_json(&trace.stalls))
                 .field("trace", trace_summary_json_with(trace, &prov));
         }
         if obs.armed() {
-            doc = doc.field("obs", final_totals_json(&run.report, folded.as_ref()));
+            doc = doc.field("obs", final_totals_json(report, folded.as_ref()));
         }
-        std::fs::write(out, doc.build().pretty()).map_err(|e| e.to_string())?;
-        println!("wrote metrics to {out}");
-    }
-    if let Some(out) = opts.get("--dump-state") {
-        std::fs::write(out, state_dump(&run.replica, sys)).map_err(|e| e.to_string())?;
-        println!("wrote state dump to {out}");
-    }
-    Ok(())
-}
-
-fn cmd_run(opts: &Opts) -> Result<(), String> {
-    let per_fpga = parse_dims(opts.get("--per-fpga").ok_or("--per-fpga required")?)?;
-    let (space, sys) = workload(opts)?;
-    let steps: u64 = opts.get_or("--steps", "5").parse().map_err(|_| "bad --steps")?;
-    let v = variant(opts)?;
-    let mut cfg = ClusterConfig::paper(ChipConfig::variant(v), per_fpga);
-    cfg.sync = match opts.get_or("--sync", "chained") {
-        "chained" => SyncMode::Chained,
-        "bulk" => SyncMode::Bulk { latency: 2_000 },
-        other => return Err(format!("unknown sync mode '{other}'")),
-    };
-    if let Some(plan) = fault_plan(opts)? {
-        cfg = cfg.with_faults(plan);
-        if !opts.has("--unreliable") {
-            cfg = cfg.with_reliability(RelConfig::DEFAULT);
+        if spec.recover.is_some() {
+            let lines = out.restarts.iter().map(|s| Json::Str(s.clone())).collect();
+            doc = doc.field("restarts", Json::Arr(lines));
         }
-    }
-    // A resumed run must not re-fire the crash directive that killed the
-    // original process.
-    let resume = opts.get("--resume");
-    if resume.is_some() {
-        if let Some(plan) = &cfg.faults {
-            cfg.faults = Some(plan.without_crash());
-        }
-    }
-
-    // Shard-worker mode: this process was spawned by a `--shards`
-    // coordinator re-invoking its own argv. Rendezvous and serve — all
-    // output belongs to the coordinator.
-    if let Some(w) = opts.get("--worker") {
-        let index: usize = w.parse().map_err(|_| "bad --worker")?;
-        let shards: usize = opts
-            .get("--shards")
-            .ok_or("--worker needs --shards")?
-            .parse()
-            .map_err(|_| "bad --shards")?;
-        let net = match opts.get("--shard-connect") {
-            Some(addr) => ShardNet::Tcp(addr.to_string()),
-            None => ShardNet::Unix(
-                opts.get("--shard-dir")
-                    .ok_or("--worker needs --shard-dir or --shard-connect")?
-                    .into(),
-            ),
-        };
-        let eng = engine(opts)?;
-        return worker_main_net(&cfg, &sys, &eng, index, shards, &net).map_err(|e| e.to_string());
-    }
-
-    println!(
-        "FASDA: {}x{}x{} cells ({} atoms) on {}x{}x{} cells/FPGA, variant {} ({}), {} steps",
-        space.dx,
-        space.dy,
-        space.dz,
-        sys.len(),
-        per_fpga.0,
-        per_fpga.1,
-        per_fpga.2,
-        match v {
-            DesignVariant::A => "A",
-            DesignVariant::B => "B",
-            DesignVariant::C => "C",
-        },
-        v.label(),
-        steps
-    );
-
-    let eng = engine(opts)?;
-    let ckpt = checkpoint_config(opts)?;
-    if let Some(n) = opts.get("--recover") {
-        let n: u32 = n.parse().map_err(|_| "bad --recover")?;
-        if opts.get("--shards").is_some() {
-            return Err("--recover drives a single-process run (each restart rebuilds the cluster in-process)".into());
-        }
-        if resume.is_some() {
-            return Err("--recover and --resume are exclusive (recovery resumes by itself)".into());
-        }
-        let ckpt = ckpt.ok_or("--recover needs --checkpoint-every and --checkpoint-dir")?;
-        return run_recovering(opts, cfg, &sys, steps, &eng, ckpt, n);
-    }
-    if let Some(s) = opts.get("--shards") {
-        let shards: usize = s.parse().map_err(|_| "bad --shards")?;
-        return run_sharded_cli(opts, cfg, &sys, steps, shards, ckpt, resume);
-    }
-    if ckpt.is_some() || resume.is_some() {
-        return run_checkpointed(opts, cfg, &sys, steps, &eng, ckpt, resume);
-    }
-    let mut cluster = Cluster::new(cfg, &sys);
-    println!("{} FPGA node(s) configured; running...", cluster.num_nodes());
-    let obs = obs_opts(opts)?;
-    if obs.every > 0 && obs.sinks.any() {
-        let live = ObsLive::new(obs.every, &obs.sinks).map_err(|e| e.to_string())?;
-        cluster.attach_obs(Box::new(live));
-    }
-    let mut host = HostController::new(cluster);
-    let run = host
-        .run_iterations_with(steps, &eng)
-        .map_err(|e| e.to_string())?;
-
-    println!("\nAXI-Lite result registers (per node):");
-    println!(
-        "{:<6}{:>16}{:>14}{:>12}{:>12}{:>12}{:>12}",
-        "node",
-        "operation_cyc",
-        "PE_cyc",
-        "out_pos",
-        "out_frc",
-        "in_pos",
-        "in_frc"
-    );
-    for (n, regs) in run.regs.iter().enumerate() {
-        println!(
-            "{:<6}{:>16}{:>14}{:>12}{:>12}{:>12}{:>12}",
-            n,
-            regs.operation_cycle_cnt,
-            regs.PE_cycle_cnt,
-            regs.out_traffic_packets_pos,
-            regs.out_traffic_packets_frc,
-            regs.in_traffic_packets_pos,
-            regs.in_traffic_packets_frc
-        );
-    }
-    println!(
-        "\nsimulation rate: {:.2} µs/day ({:.0} cycles/step at 200 MHz)",
-        run.report.us_per_day(),
-        run.report.cycles_per_step()
-    );
-    println!(
-        "bandwidth demand: pos {:.2} Gbps, frc {:.2} Gbps per node",
-        run.report.pos_gbps_per_node(),
-        run.report.frc_gbps_per_node()
-    );
-    if run.report.faults_injected > 0 {
-        println!("faults injected: {}", run.report.faults_injected);
-    }
-    if let Some(rel) = &run.report.reliability {
-        println!(
-            "reliable delivery: {} retransmits, {} acks, {} duplicates dropped, {} corrupt dropped",
-            rel.retransmits, rel.acks_sent, rel.duplicates_dropped, rel.corrupt_dropped
-        );
-    }
-
-    let trace = host.take_trace();
-    finish_obs(&obs, &run.report, trace.as_ref().map(|t| &t.stalls))?;
-    if let Some(out) = opts.get("--trace-out") {
-        let trace = trace
-            .as_ref()
-            .ok_or("--trace-out needs tracing on (drop --trace-level off)")?;
-        std::fs::write(out, chrome_trace(trace)).map_err(|e| e.to_string())?;
-        let events: u64 = trace.nodes.iter().map(|n| n.events.len() as u64).sum();
-        println!("wrote {events} trace events to {out} (load at https://ui.perfetto.dev)");
-    }
-    if let Some(out) = opts.get("--metrics-out") {
-        let nodes = host.cluster().num_nodes() as u64;
-        let mut doc = Json::obj().field("run", run.report.metrics_json());
-        if let Some(trace) = &trace {
-            doc = doc
-                .field("stalls", stall_json(&trace.stalls))
-                .field("trace", trace_summary_json_with(trace, &[(0, 0, nodes)]));
-        }
-        if obs.armed() {
-            doc = doc.field(
-                "obs",
-                final_totals_json(&run.report, trace.as_ref().map(|t| &t.stalls)),
-            );
-        }
-        std::fs::write(out, doc.build().pretty()).map_err(|e| e.to_string())?;
-        println!("wrote metrics to {out}");
+        std::fs::write(path, doc.build().pretty()).map_err(|e| e.to_string())?;
+        println!("wrote metrics to {path}");
     }
 
     if let Some(g) = opts.get("--dump-group") {
         let node: usize = g.parse().map_err(|_| "bad --dump-group")?;
-        let dump = host.dump_group(node);
+        if node >= nodes {
+            return Err(format!("--dump-group {node}: the run has {nodes} nodes"));
+        }
+        let dump = out.cluster.dump_group(node);
         println!("\ndump of node {node} ({} particles):", dump.len());
         for (id, elem, pos, vel) in dump.iter().take(16) {
             println!(
@@ -812,15 +520,72 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             println!("  ... {} more", dump.len() - 16);
         }
     }
-    if let Some(out) = opts.get("--dump-state") {
-        std::fs::write(out, state_dump(host.cluster(), &sys)).map_err(|e| e.to_string())?;
-        println!("wrote state dump to {out}");
+    // Deterministic final-state dump: shared with the job service so a
+    // migrated job's dump and a direct run's dump are the same byte
+    // stream. See `fasda_cluster::state_dump`.
+    if let Some(path) = opts.get("--dump-state") {
+        std::fs::write(path, state_dump(&out.cluster, &out.sys)).map_err(|e| e.to_string())?;
+        println!("wrote state dump to {path}");
     }
     Ok(())
 }
 
+fn cmd_run(opts: &Opts) -> Result<(), String> {
+    let spec = run_spec(opts)?;
+    let shards: Option<usize> =
+        opts.get("--shards").map(|s| s.parse().map_err(|_| "bad --shards")).transpose()?;
+
+    // Shard-worker mode: this process was spawned by a `--shards`
+    // coordinator re-invoking its own argv. Rendezvous and serve — all
+    // output belongs to the coordinator.
+    if let Some(w) = opts.get("--worker") {
+        let index: usize = w.parse().map_err(|_| "bad --worker")?;
+        let shards = shards.ok_or("--worker needs --shards")?;
+        let net = match opts.get("--shard-connect") {
+            Some(addr) => ShardNet::Tcp(addr.to_string()),
+            None => ShardNet::Unix(
+                opts.get("--shard-dir")
+                    .ok_or("--worker needs --shard-dir or --shard-connect")?
+                    .into(),
+            ),
+        };
+        let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
+        return worker_main_net(&cfg, &sys, &spec.engine, index, shards, &net)
+            .map_err(|e| e.to_string());
+    }
+    if spec.recover.is_some() && shards.is_some() {
+        return Err("--recover drives a single-process run (each restart rebuilds the cluster in-process)".into());
+    }
+
+    let ((tx, ty, tz), (px, py, pz)) = (spec.total, spec.per_fpga);
+    println!(
+        "FASDA: {tx}x{ty}x{tz} cells ({} atoms) on {px}x{py}x{pz} cells/FPGA, variant {:?} ({}), {} steps",
+        u64::from(tx * ty * tz) * u64::from(spec.per_cell),
+        spec.variant,
+        spec.variant.label(),
+        spec.steps
+    );
+
+    let obs = obs_opts(opts)?;
+    let out = if let Some(shards) = shards {
+        spawn_shards(opts, &spec, shards, obs.sinks.any().then(|| obs.sinks.clone()))?
+    } else {
+        match spec.recover {
+            Some(n) => println!("recovery armed: up to {n} automatic restart(s)"),
+            None => println!("{} FPGA node(s) configured; running...", spec.nodes()),
+        }
+        let (mut note, mut ctl) = (|line| println!("{line}"), |_: &_| SegmentControl::Continue);
+        spec.run(Some(&obs.sinks), &mut note, &mut ctl).map_err(|e| e.to_string())?
+    };
+    report_run(opts, &spec, &obs, shards, &out)
+}
+
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
-    let (_, sys) = workload(opts)?;
+    // The workload `fasda run` would simulate over the same flags.
+    let run = RunSpec::new(opts.dims("--total")?, (1, 1, 1));
+    let per_cell = opts.parse_or("--per-cell", run.per_cell)?;
+    let seed = opts.parse_or("--seed", run.seed)?;
+    let sys = RunSpec::workload(run.total, per_cell, seed).map_err(|e| e.to_string())?.generate();
     let out = opts.get("--out").ok_or("--out required")?;
     std::fs::write(out, to_pdb(&sys)).map_err(|e| e.to_string())?;
     println!("wrote {} atoms to {out}", sys.len());
@@ -828,8 +593,8 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_info(opts: &Opts) -> Result<(), String> {
-    let per_fpga = parse_dims(opts.get("--per-fpga").ok_or("--per-fpga required")?)?;
-    let total = parse_dims(opts.get("--total").ok_or("--total required")?)?;
+    let per_fpga = opts.dims("--per-fpga")?;
+    let total = opts.dims("--total")?;
     let space = SimulationSpace::new(total.0, total.1, total.2);
     let v = variant(opts)?;
     let geo = ChipGeometry::new(space, per_fpga, ChipCoord::new(0, 0, 0));
@@ -953,12 +718,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if let Some(l) = opts.get("--listen") {
         cfg.listen = parse_endpoint(l);
     }
-    if let Some(w) = opts.get("--workers") {
-        cfg.workers = w.parse().map_err(|_| "bad --workers")?;
-    }
-    if let Some(m) = opts.get("--max-restarts") {
-        cfg.max_restarts = m.parse().map_err(|_| "bad --max-restarts")?;
-    }
+    cfg.workers = opts.parse_or("--workers", cfg.workers)?;
+    cfg.max_restarts = opts.parse_or("--max-restarts", cfg.max_restarts)?;
     for clause in opts.get_all("--tenant") {
         cfg.tenants.parse_clause(clause)?;
     }
@@ -1027,34 +788,15 @@ fn job_spec(opts: &Opts) -> Result<JobSpec, String> {
     let spec = JobSpec {
         name: opts.get_or("--name", "").to_string(),
         tenant: opts.get_or("--tenant", &d.tenant).to_string(),
-        priority: opts
-            .get_or("--priority", "0")
-            .parse()
-            .map_err(|_| "bad --priority")?,
+        priority: opts.parse_or("--priority", 0)?,
         total: opts.get_or("--total", &d.total).to_string(),
         per_fpga: opts.get_or("--per-fpga", &d.per_fpga).to_string(),
-        per_cell: opts
-            .get("--per-cell")
-            .map(|v| v.parse().map_err(|_| "bad --per-cell"))
-            .transpose()?
-            .unwrap_or(d.per_cell),
-        seed: opts
-            .get("--seed")
-            .map(|v| v.parse().map_err(|_| "bad --seed"))
-            .transpose()?
-            .unwrap_or(d.seed),
-        steps: opts
-            .get("--steps")
-            .map(|v| v.parse().map_err(|_| "bad --steps"))
-            .transpose()?
-            .unwrap_or(d.steps),
+        per_cell: opts.parse_or("--per-cell", d.per_cell)?,
+        seed: opts.parse_or("--seed", d.seed)?,
+        steps: opts.parse_or("--steps", d.steps)?,
         fault_plan: opts.get("--fault-plan").map(String::from),
         unreliable: opts.has("--unreliable"),
-        ckpt_every: opts
-            .get("--ckpt-every")
-            .map(|v| v.parse().map_err(|_| "bad --ckpt-every"))
-            .transpose()?
-            .unwrap_or(0),
+        ckpt_every: opts.parse_or("--ckpt-every", 0)?,
         dump_state: opts.get("--dump-state").map(String::from),
     };
     // Round-trip through JSON so flag-built specs hit exactly the
@@ -1134,11 +876,7 @@ fn cmd_job(opts: &Opts) -> Result<(), String> {
 }
 
 fn wait_timeout(opts: &Opts) -> Result<std::time::Duration, String> {
-    let secs: u64 = opts
-        .get_or("--timeout", "3600")
-        .parse()
-        .map_err(|_| "bad --timeout")?;
-    Ok(std::time::Duration::from_secs(secs))
+    Ok(std::time::Duration::from_secs(opts.parse_or("--timeout", 3600)?))
 }
 
 fn cmd_ckpt(opts: &Opts) -> Result<(), String> {
@@ -1176,15 +914,37 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_dims;
+    use super::*;
+    use fasda_cluster::{drain_to_container, Cluster, RunAccumulator};
+    use proptest::prelude::*;
 
-    #[test]
-    fn artifact_dim_syntax() {
-        assert_eq!(parse_dims("222"), Ok((2, 2, 2)));
-        assert_eq!(parse_dims("444"), Ok((4, 4, 4)));
-        assert_eq!(parse_dims("633"), Ok((6, 3, 3)));
-        assert!(parse_dims("22").is_err());
-        assert!(parse_dims("2222").is_err());
-        assert!(parse_dims("2x2").is_err());
+    proptest! {
+        /// `fasda run` flags and a `fasda job submit` document of the same
+        /// values describe the same machine, byte for byte: the two parsers
+        /// meet in one `RunSpec`.
+        #[test]
+        fn run_flags_and_job_document_build_the_same_machine(
+            geometry in 0usize..3,
+            per_cell in 0u32..6,
+            seed in any::<u64>(),
+            plan in 0usize..4,
+            unreliable in any::<bool>(),
+        ) {
+            let (total, per_fpga) = [("633", "333"), ("444", "222"), ("336", "331")][geometry];
+            let plans = ["drop=0.05,seed=9", "seed=4", "dup=0.02,partition=0|1:@1+500,crash=0@1"];
+            let plan = plans.get(plan).map(|p| p.to_string());
+            let mut args: Vec<String> = ["--total", total, "--per-fpga", per_fpga].map(String::from).into();
+            args.extend(["--per-cell".into(), per_cell.to_string(), "--seed".into(), seed.to_string()]);
+            args.extend(plan.iter().flat_map(|p| ["--fault-plan".to_string(), p.clone()]));
+            args.extend(unreliable.then(|| "--unreliable".to_string()));
+            let flags = run_spec(&Opts { args }).expect("flags parse");
+            let (total, per_fpga) = (total.to_string(), per_fpga.to_string());
+            let job = JobSpec { total, per_fpga, per_cell, seed, fault_plan: plan, unreliable, ..JobSpec::default() };
+            let machine = |spec: RunSpec| {
+                let (cfg, sys) = spec.build().expect("valid spec");
+                drain_to_container(&Cluster::new(cfg, &sys), &RunAccumulator::new())
+            };
+            prop_assert!(machine(flags) == machine(job.run_spec().expect("job parses")));
+        }
     }
 }

@@ -1,0 +1,161 @@
+//! `fasda run` end to end, through the built binary.
+//!
+//! Every way of running — plain, checkpointed, `--recover`, `--shards`,
+//! `--serial` — goes through one `RunSpec` → `run()` → `report_run`
+//! path. Equality of those paths with each other cannot see an error made
+//! in all of them, so the first test compares against bytes written by the
+//! **parent commit's** binary (`tests/golden/`, cut before the four
+//! hand-copied run/report paths were merged); the rest prove the paths
+//! equal and the invalid inputs typed.
+
+use fasda_cluster::Json;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// The workload every test runs: 8 nodes, 648 atoms.
+const RUN: &[&str] = &["run", "--per-fpga", "333", "--total", "666", "--per-cell", "3"];
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fasda-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    dir
+}
+
+/// Run `fasda-cli RUN.. args..` in `dir`.
+fn fasda(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
+        .args(RUN)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn fasda-cli")
+}
+
+/// Run to success with the three artifact flags; returns (dump, metrics
+/// document, obs totals document).
+fn artifacts(dir: &Path, tag: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let (state, metrics, obs) =
+        (format!("{tag}.state"), format!("{tag}.metrics.json"), format!("{tag}.obs.json"));
+    let out = fasda(
+        dir,
+        &[args, &["--dump-state", &state, "--metrics-out", &metrics, "--obs-out", &obs]].concat(),
+    );
+    assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+    let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    (read(&state), read(&metrics), read(&obs))
+}
+
+fn run_section(metrics: &[u8]) -> Json {
+    let doc = Json::parse(std::str::from_utf8(metrics).expect("utf-8")).expect("metrics json");
+    doc.get("run").expect("run section").clone()
+}
+
+fn golden(name: &str) -> Vec<u8> {
+    std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name))
+        .expect(name)
+}
+
+#[test]
+fn artifacts_match_the_parent_commit() {
+    let dir = tmpdir("golden");
+    let (state, metrics, obs) = artifacts(&dir, "plain", &["--steps", "2"]);
+    assert!(state == golden("run.state"), "plain dump moved");
+    assert!(metrics == golden("plain.metrics.json"), "plain metrics document moved");
+    assert!(obs == golden("plain.obs.json"), "plain obs totals moved");
+
+    let ckpt = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir", "ck"];
+    let (state, metrics, obs) = artifacts(&dir, "ckpt", &ckpt);
+    // Segmentation moves the cycle accounting, never the physics.
+    assert!(state == golden("run.state"), "checkpointed dump moved");
+    assert!(metrics == golden("ckpt.metrics.json"), "checkpointed metrics document moved");
+    assert!(obs == golden("ckpt.obs.json"), "checkpointed obs totals moved");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_run_path_agrees() {
+    let dir = tmpdir("paths");
+    let (plain, plain_m, _) = artifacts(&dir, "plain", &["--steps", "2"]);
+    let (serial, serial_m, _) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
+    let (shard, shard_m, _) =
+        artifacts(&dir, "shard", &["--steps", "2", "--shards", "2", "--shard-dir", "rdv"]);
+    let ckpt_args = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir"];
+    let (ckpt, ckpt_m, _) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
+    let (rec, rec_m, _) =
+        artifacts(&dir, "rec", &[&ckpt_args[..], &["ck-rec", "--recover", "2"]].concat());
+
+    for (name, dump) in [("serial", &serial), ("shard", &shard), ("ckpt", &ckpt), ("rec", &rec)] {
+        assert!(*dump == plain, "{name} dump differs from the plain run's");
+    }
+    // One segment: engine and shard count are invisible in the report.
+    assert_eq!(run_section(&serial_m), run_section(&plain_m));
+    assert_eq!(run_section(&shard_m), run_section(&plain_m));
+    // Two segments re-arm the nodes once more; recovery with nothing to
+    // recover from is that same run.
+    assert_eq!(run_section(&rec_m), run_section(&ckpt_m));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovered_run_writes_every_artifact() {
+    let dir = tmpdir("recover");
+    let (want, _, _) = artifacts(&dir, "ref", &["--steps", "3"]);
+    let out = fasda(
+        &dir,
+        &[
+            "--steps", "3", "--fault-plan", "crash=1@2", "--unreliable",
+            "--checkpoint-every", "1", "--checkpoint-dir", "ck", "--recover", "2",
+            "--dump-state", "rec.state", "--trace-out", "rec.trace.json",
+            "--metrics-out", "rec.metrics.json", "--obs-out", "rec.obs.json",
+        ],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("recovered: crash: node 1 at step 2"), "{stdout}");
+    assert!(std::fs::read(dir.join("rec.state")).expect("dump") == want, "recovered dump differs");
+    // --recover used to ignore --trace-out and every obs flag.
+    let trace = std::fs::read_to_string(dir.join("rec.trace.json")).expect("trace written");
+    assert!(trace.contains("traceEvents"), "not a chrome trace");
+    let metrics = std::fs::read(dir.join("rec.metrics.json")).expect("metrics written");
+    let doc = Json::parse(std::str::from_utf8(&metrics).unwrap()).expect("metrics json");
+    assert_eq!(doc.get("restarts").map(|r| r.items().len()), Some(1));
+    assert!(doc.get("stalls").is_some() && doc.get("obs").is_some());
+    assert!(dir.join("rec.obs.json").exists());
+
+    // Its checkpoints are at step 3: resuming them into a 2-step run is an
+    // error naming the flag, not the runner's assert.
+    let out = fasda(&dir, &["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir", "ck", "--resume", "latest"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: resume: ") && stderr.contains("step 3"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn invalid_runs_fail_typed_not_panicking() {
+    let dir = tmpdir("invalid");
+    for (args, names) in [
+        (&["run", "--total", "222", "--per-fpga", "222"][..], "total"),
+        (&["run", "--total", "444", "--per-fpga", "333"], "per_fpga"),
+        (&["run", "--total", "333", "--per-fpga", "333"], "per_fpga"),
+        (&["run", "--total", "666", "--per-fpga", "033"], "per_fpga"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--steps", "0"], "steps"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--per-cell", "1729"], "per_cell"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--per-cell", "-1"], "--per-cell"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--steps", "-1"], "--steps"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--recover", "2"], "recover"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--resume", "latest"], "resume"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn fasda-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: ") && stderr.contains(names), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -28,6 +28,7 @@ use fasda_ckpt::{
     checkpoint_path, prune_checkpoints, write_atomic, CkptError, Container, ContainerWriter,
     Persist, Reader, Writer,
 };
+use fasda_net::fault::FaultPlan;
 pub use fasda_ckpt::latest_checkpoint;
 pub use fasda_ckpt::policy;
 use fasda_core::timed::TrafficCounters;
@@ -251,10 +252,7 @@ pub fn save_checkpoint(
 /// the completed segments. On any error the cluster may be partially
 /// overwritten and must be rebuilt before retrying.
 pub fn load_checkpoint(cluster: &mut Cluster, path: &Path) -> Result<RunAccumulator, CkptError> {
-    let bytes = std::fs::read(path)?;
-    let container = Container::parse(&bytes)?;
-    cluster.restore_from(&container)?;
-    RunAccumulator::load(&mut container.reader(sections::RUNNER)?)
+    resume_from_container(cluster, &std::fs::read(path)?)
 }
 
 /// [`load_checkpoint`] from the newest checkpoint in `dir`; `Ok(None)`
@@ -496,6 +494,41 @@ impl Default for RecoveryPolicy {
     }
 }
 
+/// What a failure teaches the next attempt — the one rule every
+/// recovery loop (the in-process [`run_with_recovery`], the job service's
+/// requeue) applies to the plan it will retry under:
+/// * an injected **crash** strips exactly that `crash=NODE@STEP`
+///   directive ([`FaultPlan::without_crash_at`]) — later staggered
+///   crashes still fire, each recovered in its own restart;
+/// * a **deadlock diagnosed as an outage** (the fault layer latched a
+///   flap/partition before traffic starved) strips every window
+///   directive ([`FaultPlan::without_windows`]) — with the partition
+///   lifted the replay completes.
+///
+/// Returns the cause, for the restart log; `None` means the failure is
+/// not recoverable (a stall, or an *organic* deadlock no outage explains)
+/// and `plan` is untouched. A plan taught down to nothing stays `Some`:
+/// the cluster treats an empty plan as none, and whether the run carries
+/// the reliability layer — which its checkpoints fingerprint — was
+/// decided by the plan it started with.
+pub fn learn(plan: &mut Option<FaultPlan>, err: &ClusterError) -> Option<String> {
+    match err {
+        ClusterError::Crashed(c) => {
+            *plan = plan.take().map(|p| p.without_crash_at(c.node as u32, c.step));
+            Some(format!("crash: node {} at step {} (cycle {})", c.node, c.step, c.at_cycle))
+        }
+        ClusterError::Deadlock(d) if !d.outages.is_empty() => {
+            *plan = plan.take().map(|p| p.without_windows());
+            Some(format!(
+                "outage deadlock at cycle {} [{}]; windows lifted",
+                d.at_cycle,
+                d.outages.join(", ")
+            ))
+        }
+        _ => None,
+    }
+}
+
 /// A run that [`run_with_recovery`] drove to completion, possibly
 /// through one or more restarts.
 pub struct RecoveredRun {
@@ -517,17 +550,8 @@ pub struct RecoveredRun {
 /// checkpoint in `ckpt.dir` — or replays from step 0 when the failure
 /// beat the first checkpoint to disk. Checkpoints are only written at
 /// quiescent segment boundaries, so the newest one always predates the
-/// failure's damage.
-///
-/// What each failure teaches the next attempt:
-/// * an injected **crash** strips exactly that `crash=NODE@STEP`
-///   directive ([`FaultPlan::without_crash_at`]) — later staggered
-///   crashes still fire, each recovered in its own restart;
-/// * a **deadlock diagnosed as an outage** (the fault layer latched a
-///   flap/partition before traffic starved) strips every window
-///   directive ([`FaultPlan::without_windows`]) — with the partition
-///   lifted the replay completes; an *organic* deadlock (no outage
-///   fired) is not recoverable and is returned as the error.
+/// failure's damage. Each failure teaches the next attempt by [`learn`];
+/// one it cannot learn from is returned as the error.
 ///
 /// The recovered run's final state is bit-identical to an uninterrupted
 /// run with the same segmentation: every attempt replays from a
@@ -545,22 +569,13 @@ pub fn run_with_recovery(
     ckpt: &CheckpointConfig,
     policy: &RecoveryPolicy,
 ) -> Result<RecoveredRun, CkptRunError> {
-    let mut plan = cfg.faults.clone();
+    let mut run_cfg = cfg.clone();
     let mut restarts: Vec<String> = Vec::new();
     loop {
-        let mut run_cfg = cfg.clone();
-        run_cfg.faults = plan
-            .clone()
-            .filter(|p| !p.is_none() || !p.crashes.is_empty());
-        let mut cluster = Cluster::new(run_cfg, sys);
-        let acc = if restarts.is_empty() {
-            RunAccumulator::new()
-        } else {
-            match resume_latest(&mut cluster, &ckpt.dir)? {
-                Some((_, acc)) => acc,
-                None => RunAccumulator::new(),
-            }
-        };
+        let mut cluster = Cluster::new(run_cfg.clone(), sys);
+        let resumed =
+            if restarts.is_empty() { None } else { resume_latest(&mut cluster, &ckpt.dir)? };
+        let acc = resumed.map_or_else(RunAccumulator::new, |(_, acc)| acc);
         match run_with_checkpoints(&mut cluster, steps, cycle_budget, engine, Some(ckpt), acc) {
             Ok(run) => {
                 return Ok(RecoveredRun {
@@ -570,23 +585,11 @@ pub fn run_with_recovery(
                 })
             }
             Err(CkptRunError::Run(err)) if (restarts.len() as u32) < policy.max_restarts => {
-                match err {
-                    ClusterError::Crashed(c) => {
-                        plan = plan.map(|p| p.without_crash_at(c.node as u32, c.step));
-                        restarts.push(format!(
-                            "crash: node {} at step {} (cycle {}); resuming from latest checkpoint",
-                            c.node, c.step, c.at_cycle
-                        ));
+                match learn(&mut run_cfg.faults, &err) {
+                    Some(cause) => {
+                        restarts.push(format!("{cause}; resuming from latest checkpoint"))
                     }
-                    ClusterError::Deadlock(d) if !d.outages.is_empty() => {
-                        plan = plan.map(|p| p.without_windows());
-                        restarts.push(format!(
-                            "outage deadlock at cycle {} [{}]; windows lifted, resuming from latest checkpoint",
-                            d.at_cycle,
-                            d.outages.join(", ")
-                        ));
-                    }
-                    other => return Err(other.into()),
+                    None => return Err(err.into()),
                 }
             }
             Err(e) => return Err(e),

@@ -23,8 +23,10 @@ use fasda_trace::{
 };
 use std::collections::BTreeMap;
 
-/// Safety cap on the global cycle loop.
-pub(crate) const MAX_RUN_CYCLES: u64 = 2_000_000_000;
+/// Safety cap on the global cycle loop — the one cycle budget every run
+/// path (CLI, service, host controller, sharded engine, benches) hands
+/// to [`Cluster::try_run_with`].
+pub const MAX_RUN_CYCLES: u64 = 2_000_000_000;
 
 /// Idle-streak length between deadlock scans under the oracle (the fast
 /// engine detects deadlock through its fast-forward event scan).

@@ -8,9 +8,9 @@
 //! [`HostController`] reproduces that workflow over the simulated
 //! cluster: run a number of iterations, read every node's
 //! [`AxiLiteRegs`], and dump the particle contents of a chosen cell
-//! group.
+//! group ([`Cluster::dump_group`]).
 
-use crate::driver::{Cluster, ClusterError, EngineConfig};
+use crate::driver::{Cluster, ClusterError, EngineConfig, MAX_RUN_CYCLES};
 use crate::report::ClusterRunReport;
 use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::system::ParticleSystem;
@@ -75,18 +75,25 @@ impl HostController {
     ) -> Result<HostRun, ClusterError> {
         let report = self
             .cluster
-            .try_run_with(num_iterations, 2_000_000_000, engine)?;
+            .try_run_with(num_iterations, MAX_RUN_CYCLES, engine)?;
         let regs = (0..self.cluster.num_nodes())
             .map(|n| AxiLiteRegs::read(&self.cluster.chips[n], report.total_cycles))
             .collect();
         Ok(HostRun { report, regs })
     }
 
-    /// `<dump_group>`: dump the particle contents of one node's cells
-    /// (stable ID, element, global position, velocity) — the artifact's
-    /// demonstration dump.
+    /// Gather the full particle state (all nodes) into `sys`.
+    pub fn gather(&self, sys: &mut ParticleSystem) {
+        self.cluster.store_into(sys);
+    }
+}
+
+impl Cluster {
+    /// The artifact's `<dump_group>` demonstration dump: the particle
+    /// contents of one node's cells (stable ID, element, global position,
+    /// velocity), sorted by ID.
     pub fn dump_group(&self, node: usize) -> Vec<(u32, fasda_md::element::Element, [f64; 3], [f64; 3])> {
-        let chip = &self.cluster.chips[node];
+        let chip = &self.chips[node];
         let mut out = Vec::new();
         for cbb in &chip.cbbs {
             for i in 0..cbb.len() {
@@ -109,11 +116,6 @@ impl HostController {
         }
         out.sort_by_key(|e| e.0);
         out
-    }
-
-    /// Gather the full particle state (all nodes) into `sys`.
-    pub fn gather(&self, sys: &mut ParticleSystem) {
-        self.cluster.store_into(sys);
     }
 }
 
@@ -157,9 +159,9 @@ mod tests {
     fn dump_group_returns_owned_particles_sorted() {
         let mut host = HostController::new(cluster());
         host.run_iterations(1).expect("run");
-        let total: usize = (0..8).map(|n| host.dump_group(n).len()).sum();
+        let total: usize = (0..8).map(|n| host.cluster().dump_group(n).len()).sum();
         assert_eq!(total, 6 * 6 * 6 * 3, "every particle in exactly one dump");
-        let d = host.dump_group(0);
+        let d = host.cluster().dump_group(0);
         assert!(d.windows(2).all(|w| w[0].0 < w[1].0), "sorted by id");
     }
 }

@@ -18,18 +18,19 @@ pub mod driver;
 pub mod host;
 pub mod obs;
 pub mod report;
+pub mod run;
 pub mod shard;
 pub mod wire;
 
 pub use ckpt::{
-    drain_to_container, latest_checkpoint, load_checkpoint, newest_consistent, resume_from_container,
-    resume_latest, run_with_checkpoints, run_with_checkpoints_ctl, run_with_recovery,
-    save_checkpoint, CheckpointConfig, CheckpointedRun, CkptRunError, CkptRunOutcome, RecoveredRun,
-    RecoveryPolicy, RunAccumulator, SegmentControl, SegmentStatus,
+    drain_to_container, latest_checkpoint, learn, load_checkpoint, newest_consistent,
+    resume_from_container, resume_latest, run_with_checkpoints, run_with_checkpoints_ctl,
+    run_with_recovery, save_checkpoint, CheckpointConfig, CheckpointedRun, CkptRunError,
+    CkptRunOutcome, RecoveredRun, RecoveryPolicy, RunAccumulator, SegmentControl, SegmentStatus,
 };
 pub use driver::{
     state_dump, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
-    DeadlockDetected, EngineConfig, LookaheadViolation,
+    DeadlockDetected, EngineConfig, LookaheadViolation, MAX_RUN_CYCLES,
 };
 pub use fasda_net::fault::CrashPoint;
 pub use fasda_net::fault::{FaultChannel, FaultPlan, LinkFaults, LinkFlap, MarkerKill, Partition};
@@ -41,9 +42,10 @@ pub use obs::{
     FleetObs, ObsDelta, ObsLive, ObsSinkConfig, ShardGauges,
 };
 pub use report::{ClusterRunReport, NodeStepReport};
+pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};
 pub use shard::{
-    coordinator_main, coordinator_main_net, run_sharded, shard_ranges, validate_sharding,
-    worker_main, worker_main_net, ShardError, ShardNet, ShardOpts, ShardedRun,
+    coordinator_main_net, run_sharded, shard_ranges, validate_sharding, worker_main_net,
+    ShardError, ShardNet, ShardOpts, ShardedRun,
 };
 
 // Re-export the flight-recorder vocabulary so downstream users can

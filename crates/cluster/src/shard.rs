@@ -79,9 +79,11 @@
 //! same step boundary, which is what makes quiescent-step checkpoints —
 //! and `--resume` across a *different* shard count — work unchanged.
 
-use crate::ckpt::{save_checkpoint, CheckpointConfig, RunAccumulator};
+use crate::ckpt::{
+    load_checkpoint, resume_from_container, save_checkpoint, CheckpointConfig, RunAccumulator,
+};
 use crate::driver::{
-    sections, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
+    Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
     DeadlockDetected, EngineConfig, ExchangeBuf, LookaheadViolation, NextEvent, NodePhase,
     WireEvent, DEADLOCK_SCAN_INTERVAL, MAX_RUN_CYCLES,
 };
@@ -1776,7 +1778,7 @@ impl std::fmt::Debug for ShardedRun {
 
 /// Run `steps` timesteps over `shards` workers backed by harness
 /// threads, exchanging frames over real Unix-domain socketpairs. The
-/// process-backed path ([`coordinator_main`] / [`worker_main`]) moves
+/// process-backed path ([`coordinator_main_net`] / [`worker_main_net`]) moves
 /// identical bytes over named sockets; this entry point exists so
 /// tests and benches can run the full protocol hermetically.
 pub fn run_sharded(
@@ -1811,9 +1813,7 @@ fn run_harness(
     let mut resume_bytes: Option<Arc<Vec<u8>>> = None;
     if let Some(path) = &opts.resume {
         let bytes = std::fs::read(path)?;
-        let container = Container::parse(&bytes)?;
-        replica.restore_from(&container)?;
-        acc = RunAccumulator::load(&mut container.reader(sections::RUNNER)?)?;
+        acc = resume_from_container(&mut replica, &bytes)?;
         resume_bytes = Some(Arc::new(bytes));
     }
 
@@ -1842,8 +1842,7 @@ fn run_harness(
         handles.push(std::thread::spawn(move || -> Result<(), ShardError> {
             let mut cl = Cluster::new(cfg, &sys);
             if let Some(bytes) = resume {
-                let container = Container::parse(&bytes)?;
-                cl.restore_from(&container)?;
+                resume_from_container(&mut cl, &bytes)?;
             }
             cl.exchange = Some(ExchangeBuf { owned: range, stage: 0, events: Vec::new() });
             let mut theirs = theirs;
@@ -1926,28 +1925,6 @@ fn dial_mesh(net_is_tcp: bool, addr: &str) -> Result<Box<dyn FrameLink>, ShardEr
     } else {
         Box::new(SocketLink::new(std::os::unix::net::UnixStream::connect(addr)?)?)
     })
-}
-
-/// [`coordinator_main_net`] over the same-host Unix-socket rendezvous.
-#[allow(clippy::too_many_arguments)]
-pub fn coordinator_main(
-    cfg: &ClusterConfig,
-    sys: &ParticleSystem,
-    steps: u64,
-    shards: usize,
-    opts: ShardOpts,
-    dir: &std::path::Path,
-    worker_argv: &[String],
-) -> Result<ShardedRun, ShardError> {
-    coordinator_main_net(
-        cfg,
-        sys,
-        steps,
-        shards,
-        opts,
-        &ShardNet::Unix(dir.to_path_buf()),
-        worker_argv,
-    )
 }
 
 /// Spawn `shards` worker processes (re-invoking `worker_argv` with
@@ -2037,10 +2014,7 @@ pub fn coordinator_main_net(
         let mut acc = RunAccumulator::new();
         let mut resume_str = None;
         if let Some(path) = &opts.resume {
-            let bytes = std::fs::read(path)?;
-            let container = Container::parse(&bytes)?;
-            replica.restore_from(&container)?;
-            acc = RunAccumulator::load(&mut container.reader(sections::RUNNER)?)?;
+            acc = load_checkpoint(&mut replica, path)?;
             resume_str = Some(path.to_string_lossy().into_owned());
         }
         let go = CtlFrame::Go { resume: resume_str, peers }.encode();
@@ -2080,18 +2054,6 @@ pub fn coordinator_main_net(
     }
     let Driven { report, traces, checkpoints, gauges } = res?;
     Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
-}
-
-/// [`worker_main_net`] over the same-host Unix-socket rendezvous.
-pub fn worker_main(
-    cfg: &ClusterConfig,
-    sys: &ParticleSystem,
-    engine: &EngineConfig,
-    index: usize,
-    shards: usize,
-    dir: &std::path::Path,
-) -> Result<(), ShardError> {
-    worker_main_net(cfg, sys, engine, index, shards, &ShardNet::Unix(dir.to_path_buf()))
 }
 
 /// Worker-process entry point: rendezvous with the coordinator (a Unix
@@ -2156,9 +2118,7 @@ pub fn worker_main_net(
         )));
     }
     if let Some(path) = resume {
-        let bytes = std::fs::read(path)?;
-        let container = Container::parse(&bytes)?;
-        cl.restore_from(&container)?;
+        load_checkpoint(&mut cl, std::path::Path::new(&path))?;
     }
 
     // Mesh: dial lower indices (announcing who we are), accept higher.

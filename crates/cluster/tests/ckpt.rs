@@ -24,7 +24,7 @@ use fasda_cluster::{
 use fasda_ckpt::{CkptError, Container, ContainerWriter};
 use fasda_md::system::ParticleSystem;
 use fasda_sim::rng::XorShift64Star;
-use harness::{config, final_state, workload, BUDGET};
+use harness::{assert_state_eq, config, final_state, workload, BUDGET};
 
 const STEPS: u64 = 6;
 const EVERY: u64 = 2;
@@ -70,6 +70,30 @@ fn restore_then_resnapshot_is_byte_identical() {
         cw2.finish(),
         "snapshot -> restore -> snapshot must be the identity on bytes"
     );
+}
+
+/// The fact that lets every run, checkpointed or not, take one path: an
+/// unsegmented `run_with_checkpoints` *is* `try_run_with` — same report,
+/// same trace, same final state — on both engines.
+#[test]
+fn uncheckpointed_run_is_the_plain_run() {
+    let sys = workload();
+    for engine in [EngineConfig::serial(), EngineConfig::auto()] {
+        let engine = engine.with_trace(TraceConfig::full());
+        let mut plain = Cluster::new(config(None, false), &sys);
+        let want = plain.try_run_with(STEPS, BUDGET, &engine).expect("plain run");
+        let want_trace = plain.take_trace().expect("plain trace");
+
+        let mut cluster = Cluster::new(config(None, false), &sys);
+        let run = run_with_checkpoints(&mut cluster, STEPS, BUDGET, &engine, None, RunAccumulator::new())
+            .expect("unsegmented run");
+        assert_eq!(run.report, want);
+        assert!(run.checkpoints.is_empty());
+        assert_eq!(run.traces.len(), 1);
+        assert_eq!(run.traces[0].nodes, want_trace.nodes);
+        assert_eq!(run.traces[0].stalls, want_trace.stalls);
+        assert_state_eq(&final_state(&cluster, &sys), &final_state(&plain, &sys), "unsegmented");
+    }
 }
 
 #[test]

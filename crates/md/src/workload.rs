@@ -90,14 +90,29 @@ impl WorkloadSpec {
         sys
     }
 
+    /// Whether the placement can hold `per_cell` particles: a jittered
+    /// lattice needs its pitch `1/⌈∛per_cell⌉` to exceed twice the jitter,
+    /// or neighbouring sites could swap order (or coincide).
+    /// [`WorkloadSpec::generate`] panics when this fails, so check a
+    /// `per_cell` that came from outside the program here first.
+    pub fn check(&self) -> Result<(), String> {
+        if let Placement::JitteredLattice { jitter } = self.placement {
+            // smallest k with k³ >= per_cell
+            let pitch = 1.0 / (self.per_cell as f64).cbrt().ceil();
+            if jitter * 2.0 >= pitch {
+                return Err(format!("jitter {jitter} too large for lattice pitch {pitch}"));
+            }
+        }
+        Ok(())
+    }
+
     fn place_lattice(&self, sys: &mut ParticleSystem, rng: &mut SmallRng, jitter: f64) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         // smallest k with k³ >= per_cell
         let k = (self.per_cell as f64).cbrt().ceil() as u32;
         let pitch = 1.0 / k as f64;
-        assert!(
-            jitter * 2.0 < pitch,
-            "jitter {jitter} too large for lattice pitch {pitch}"
-        );
         for cell in self.space.iter_cells().collect::<Vec<_>>() {
             let base = Vec3::new(cell.x as f64, cell.y as f64, cell.z as f64);
             let mut placed = 0;

@@ -2,61 +2,16 @@
 //!
 //! A [`JobSpec`] is the client-side description of one simulation run —
 //! the same knobs the `fasda run` command exposes, made serializable so
-//! they survive the queue journal and the wire. [`JobSpec::build`]
-//! materializes the cluster configuration and particle system from the
-//! spec with exactly the CLI's defaults, so a job submitted to the
-//! service and a direct `fasda run` with the same flags simulate the
-//! same machine (which is what lets CI `cmp` a migrated job's state
-//! dump against a direct run's).
+//! they survive the queue journal and the wire. It is a document form of
+//! [`RunSpec`]: [`JobSpec::run_spec`] is the only conversion, and
+//! validation, construction and execution all go through the `RunSpec`
+//! it yields — so a job submitted to the service and a direct `fasda run`
+//! with the same flags simulate the same machine by construction (CI
+//! still `cmp`s a migrated job's state dump against a direct run's).
 
-use fasda_cluster::{ClusterConfig, FaultPlan, RelConfig};
-use fasda_core::config::{ChipConfig, DesignVariant};
-use fasda_md::space::SimulationSpace;
+use fasda_cluster::{ClusterConfig, EngineConfig, FaultPlan, RunSpec, SpecError};
 use fasda_md::system::ParticleSystem;
-use fasda_md::workload::WorkloadSpec;
 use fasda_trace::Json;
-
-/// Parse the artifact's `222`-style dimension triple.
-pub fn parse_dims(s: &str) -> Result<(u32, u32, u32), String> {
-    let digits: Vec<u32> = s
-        .chars()
-        .map(|c| c.to_digit(10).ok_or_else(|| format!("bad dims '{s}'")))
-        .collect::<Result<_, _>>()?;
-    match digits.as_slice() {
-        [x, y, z] => Ok((*x, *y, *z)),
-        _ => Err(format!(
-            "dims must be three digits like the artifact's '222'/'444', got '{s}'"
-        )),
-    }
-}
-
-/// Validate a spec's geometry without building it — everything
-/// [`SimulationSpace`] and the cluster constructor would otherwise
-/// panic on, turned into errors the server can reject at submit time.
-fn check_geometry(total: (u32, u32, u32), per_fpga: (u32, u32, u32)) -> Result<(), String> {
-    let (tx, ty, tz) = total;
-    let (px, py, pz) = per_fpga;
-    if tx < 3 || ty < 3 || tz < 3 {
-        return Err(format!(
-            "total space must be at least 3 cells per axis (got {tx}{ty}{tz})"
-        ));
-    }
-    if px == 0 || py == 0 || pz == 0 {
-        return Err("per-FPGA dims must be at least 1 cell per axis".into());
-    }
-    if tx % px != 0 || ty % py != 0 || tz % pz != 0 {
-        return Err(format!(
-            "per-FPGA dims {px}{py}{pz} must divide the total space {tx}{ty}{tz}"
-        ));
-    }
-    if (tx / px) * (ty / py) * (tz / pz) < 2 {
-        return Err(format!(
-            "space {tx}{ty}{tz} over per-FPGA {px}{py}{pz} is a single chip; \
-             the cluster driver needs at least 2"
-        ));
-    }
-    Ok(())
-}
 
 /// Everything needed to run one simulation job. Field defaults match
 /// the `fasda run` CLI so service jobs and direct runs are comparable.
@@ -91,15 +46,17 @@ pub struct JobSpec {
 
 impl Default for JobSpec {
     fn default() -> Self {
+        // The canonical 2-node geometry under `fasda run`'s own defaults.
+        let run = RunSpec::new((6, 3, 3), (3, 3, 3));
         JobSpec {
             name: String::new(),
             tenant: "default".to_string(),
             priority: 0,
             total: "633".to_string(),
             per_fpga: "333".to_string(),
-            per_cell: 64,
-            seed: 64205,
-            steps: 5,
+            per_cell: run.per_cell,
+            seed: run.seed,
+            steps: run.steps,
             fault_plan: None,
             unreliable: false,
             ckpt_every: 0,
@@ -131,10 +88,18 @@ impl JobSpec {
         o.build()
     }
 
-    /// Parse a spec; missing optional fields take the CLI defaults.
+    /// Parse a spec; missing optional fields take the CLI defaults. A
+    /// document that would fail (or run to the cycle budget) on a worker
+    /// is rejected here, at submit: [`RunSpec::validate`].
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let s = |key: &str| doc.get(key).and_then(Json::as_str).map(String::from);
         let n = |key: &str| doc.get(key).and_then(Json::as_i64);
+        // A non-negative integer field, checked into its width; `None` when absent.
+        fn uint<T: TryFrom<i64>>(doc: &Json, key: &str) -> Result<Option<T>, String> {
+            let out_of_range = |v| format!("job spec '{key}' is out of range (got {v})");
+            let v = doc.get(key).and_then(Json::as_i64);
+            v.map(|v| T::try_from(v).map_err(|_| out_of_range(v))).transpose()
+        }
         let d = JobSpec::default();
         let spec = JobSpec {
             name: s("name").unwrap_or_default(),
@@ -142,46 +107,45 @@ impl JobSpec {
             priority: n("priority").unwrap_or(0),
             total: s("total").ok_or("job spec needs 'total'")?,
             per_fpga: s("per_fpga").ok_or("job spec needs 'per_fpga'")?,
-            per_cell: n("per_cell").unwrap_or(d.per_cell as i64) as u32,
-            seed: n("seed").unwrap_or(d.seed as i64) as u64,
-            steps: n("steps").ok_or("job spec needs 'steps'")? as u64,
+            per_cell: uint(doc, "per_cell")?.unwrap_or(d.per_cell),
+            seed: uint(doc, "seed")?.unwrap_or(d.seed),
+            steps: uint(doc, "steps")?.ok_or("job spec needs 'steps'")?,
             fault_plan: s("fault_plan"),
             unreliable: doc.get("unreliable") == Some(&Json::Bool(true)),
-            ckpt_every: n("ckpt_every").unwrap_or(0) as u64,
+            ckpt_every: uint(doc, "ckpt_every")?.unwrap_or(0),
             dump_state: s("dump_state"),
         };
-        check_geometry(parse_dims(&spec.total)?, parse_dims(&spec.per_fpga)?)?;
-        if spec.steps == 0 {
-            return Err("job spec needs steps >= 1".into());
-        }
-        if let Some(fp) = &spec.fault_plan {
-            FaultPlan::parse(fp)?;
-        }
+        spec.run_spec().map_err(|e| format!("job spec {e}"))?;
         Ok(spec)
     }
 
-    /// Materialize the cluster configuration and particle system — the
-    /// exact construction `fasda run` performs, so service jobs and
-    /// direct runs are bit-comparable. Faults enable the reliability
-    /// layer unless the spec opts out, matching the CLI.
-    pub fn build(&self) -> Result<(ClusterConfig, ParticleSystem), String> {
-        let total = parse_dims(&self.total)?;
-        let per_fpga = parse_dims(&self.per_fpga)?;
-        check_geometry(total, per_fpga)?;
-        let space = SimulationSpace::new(total.0, total.1, total.2);
-        let spec = WorkloadSpec {
+    /// The [`RunSpec`] this document describes, validated. The checkpoint
+    /// schedule is not part of it: the server owns the directory and the
+    /// default cadence (`ckpt_every == 0`).
+    pub fn run_spec(&self) -> Result<RunSpec, SpecError> {
+        let faults = self.fault_plan.as_deref().map(FaultPlan::parse).transpose();
+        let run = RunSpec {
             per_cell: self.per_cell,
-            ..WorkloadSpec::paper(space, self.seed)
+            seed: self.seed,
+            steps: self.steps,
+            faults: faults.map_err(|e| SpecError::new("fault_plan", e))?,
+            unreliable: self.unreliable,
+            // Not `RunSpec`'s default yet: on the fast engine CI's service smoke loses its race (a
+            // 6-step job completes before `job cancel` connects, 3 of 3 runs) — ROADMAP item 3.
+            engine: EngineConfig::serial(),
+            ..RunSpec::new(
+                RunSpec::parse_dims("total", &self.total)?,
+                RunSpec::parse_dims("per_fpga", &self.per_fpga)?,
+            )
         };
-        let sys = spec.generate();
-        let mut cfg = ClusterConfig::paper(ChipConfig::variant(DesignVariant::A), per_fpga);
-        if let Some(fp) = &self.fault_plan {
-            cfg = cfg.with_faults(FaultPlan::parse(fp)?);
-            if !self.unreliable {
-                cfg = cfg.with_reliability(RelConfig::DEFAULT);
-            }
-        }
-        Ok((cfg, sys))
+        run.validate()?;
+        Ok(run)
+    }
+
+    /// Materialize the cluster configuration and particle system:
+    /// [`RunSpec::build`] of [`JobSpec::run_spec`].
+    pub fn build(&self) -> Result<(ClusterConfig, ParticleSystem), String> {
+        self.run_spec().and_then(|run| run.build()).map_err(|e| e.to_string())
     }
 }
 
@@ -260,17 +224,25 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        for bad in [
-            r#"{"per_fpga":"333","steps":3}"#,
-            r#"{"total":"33","per_fpga":"333","steps":3}"#,
-            r#"{"total":"222","per_fpga":"222","steps":3}"#, // space below 3 cells/axis
-            r#"{"total":"444","per_fpga":"333","steps":3}"#, // non-dividing per-FPGA dims
-            r#"{"total":"333","per_fpga":"333","steps":3}"#, // single chip
-            r#"{"total":"633","per_fpga":"333","steps":0}"#,
-            r#"{"total":"633","per_fpga":"333","steps":3,"fault_plan":"nonsense=1"}"#,
+        // (document, the field its rejection must name)
+        for (bad, field) in [
+            (r#"{"per_fpga":"333","steps":3}"#, "total"),
+            (r#"{"total":"33","per_fpga":"333","steps":3}"#, "total"),
+            (r#"{"total":"222","per_fpga":"222","steps":3}"#, "total"), // space below 3 cells/axis
+            (r#"{"total":"444","per_fpga":"333","steps":3}"#, "per_fpga"), // non-dividing per-FPGA dims
+            (r#"{"total":"333","per_fpga":"333","steps":3}"#, "per_fpga"), // single chip
+            (r#"{"total":"633","per_fpga":"033","steps":3}"#, "per_fpga"), // empty per-FPGA axis
+            (r#"{"total":"558","per_fpga":"554","steps":3}"#, "per_fpga"), // over 64 cells per FPGA
+            (r#"{"total":"633","per_fpga":"333","steps":0}"#, "steps"),
+            (r#"{"total":"633","per_fpga":"333","steps":-1}"#, "steps"),
+            (r#"{"total":"633","per_fpga":"333","steps":3,"per_cell":-1}"#, "per_cell"),
+            (r#"{"total":"633","per_fpga":"333","steps":3,"per_cell":1729}"#, "per_cell"), // pitch < 2·jitter
+            (r#"{"total":"633","per_fpga":"333","steps":3,"per_cell":70000}"#, "per_cell"),
+            (r#"{"total":"633","per_fpga":"333","steps":3,"ckpt_every":-1}"#, "ckpt_every"),
+            (r#"{"total":"633","per_fpga":"333","steps":3,"fault_plan":"nonsense=1"}"#, "fault_plan"),
         ] {
-            let doc = Json::parse(bad).unwrap();
-            assert!(JobSpec::from_json(&doc).is_err(), "accepted: {bad}");
+            let err = JobSpec::from_json(&Json::parse(bad).unwrap()).expect_err(bad);
+            assert!(err.contains(field), "{bad}: {err}");
         }
     }
 }

@@ -6,8 +6,8 @@
 //! One shared [`State`] (mutex + condvar) holds every job record, the
 //! open queue journal, and the metrics registry. `workers` threads loop:
 //! pick the next runnable job by fair share ([`crate::queue::pick`]),
-//! journal the pickup, and drive the cluster through
-//! [`run_with_checkpoints_ctl`] — the control callback re-locks the
+//! journal the pickup, and run the job's [`RunSpec`]
+//! ([`fasda_cluster::RunSpec::run`]) — the control callback re-locks the
 //! state at each segment boundary to publish progress and read the
 //! job's *wanted* verb (continue / drain / cancel). A listener thread
 //! accepts control connections (Unix or TCP) and answers the
@@ -19,14 +19,14 @@
 //! boundary the running worker receives the quiescent state as
 //! in-memory checkpoint-container bytes, requeues the job with
 //! anti-affinity against itself, and another worker resumes it via
-//! [`resume_from_container`]. Because both halves are the checkpoint
+//! [`Resume::Container`]. Because both halves are the checkpoint
 //! path, the migrated run is bit-identical to an unmigrated run with
 //! the same segmentation (DESIGN.md §9 and §14).
 //!
 //! A worker *crash* (the fault plan's `crash=NODE@STEP`, the service's
 //! stand-in for a dying worker process) requeues the job from its
 //! newest on-disk checkpoint with exactly the fired directive stripped
-//! — the rolling-recovery contract, applied across the pool. Server
+//! ([`learn`]) — the rolling-recovery contract, applied across the pool. Server
 //! death loses only in-memory drain containers: the journal replays
 //! every non-terminal job back to *queued*, and each resumes from its
 //! newest on-disk checkpoint.
@@ -34,11 +34,8 @@
 use crate::job::{JobSpec, JobState};
 use crate::proto::{self, ProtoError};
 use crate::queue::{self, QueueJournal, ReplayedState, SchedJob, TenantTable};
-use fasda_cluster::ckpt::{
-    resume_latest, run_with_checkpoints_ctl, CheckpointConfig, CkptRunError, CkptRunOutcome,
-    RunAccumulator, SegmentControl,
-};
-use fasda_cluster::{state_dump, Cluster, ClusterError, EngineConfig};
+use fasda_cluster::ckpt::{learn, CheckpointConfig, SegmentControl};
+use fasda_cluster::{state_dump, FaultPlan, Resume, RunError, RunOutput};
 use fasda_net::transport::{FrameLink, SocketLink, TcpLink};
 use fasda_obs::Registry;
 use fasda_trace::Json;
@@ -109,17 +106,6 @@ enum Wanted {
     Cancel,
 }
 
-/// Where a (re)starting job resumes from.
-enum Resume {
-    /// Step 0.
-    Fresh,
-    /// In-memory drain container (live migration).
-    Container(Vec<u8>),
-    /// Newest on-disk checkpoint in the job's directory (crash requeue
-    /// and post-restart recovery); falls back to fresh when none exists.
-    Disk,
-}
-
 /// One job's full server-side record.
 struct JobRec {
     id: u64,
@@ -127,13 +113,16 @@ struct JobRec {
     state: JobState,
     steps_done: u64,
     wanted: Wanted,
+    /// Where the next attempt picks up: an in-memory drain container
+    /// (live migration), or the newest on-disk checkpoint in the job's
+    /// directory (crash requeue and post-restart recovery; fresh when
+    /// none exists).
     resume: Resume,
     avoid: Option<usize>,
-    /// Crash directives already fired and stripped (node, step).
-    stripped_crashes: Vec<(u32, u64)>,
-    /// Whether outage windows were stripped after a fault-induced
-    /// deadlock.
-    stripped_windows: bool,
+    /// The fault plan the next attempt runs under: the spec's, minus what
+    /// earlier failures taught ([`learn`]). Boxed: the daemon keeps every
+    /// job's record, and most jobs have no plan.
+    faults: Option<Box<FaultPlan>>,
     restarts: u32,
     migrations: u32,
     submitted: Instant,
@@ -141,6 +130,24 @@ struct JobRec {
 }
 
 impl JobRec {
+    fn queued(id: u64, spec: JobSpec, resume: Resume, submitted: Instant, log: &str) -> Self {
+        JobRec {
+            id,
+            // Both ways in (submit, journal replay) validated the spec.
+            faults: spec.run_spec().ok().and_then(|run| run.faults).map(Box::new),
+            spec,
+            state: JobState::Queued,
+            steps_done: 0,
+            wanted: Wanted::Run,
+            resume,
+            avoid: None,
+            restarts: 0,
+            migrations: 0,
+            submitted,
+            logs: vec![log.to_string()],
+        }
+    }
+
     fn status_json(&self) -> Json {
         let mut o = Json::obj()
             .field("id", Json::uint(self.id))
@@ -281,21 +288,7 @@ impl Server {
             .jobs
             .into_iter()
             .filter(|j| j.state == ReplayedState::Queued)
-            .map(|j| JobRec {
-                id: j.id,
-                spec: j.spec,
-                state: JobState::Queued,
-                steps_done: 0,
-                wanted: Wanted::Run,
-                resume: Resume::Disk,
-                avoid: None,
-                stripped_crashes: Vec::new(),
-                stripped_windows: false,
-                restarts: 0,
-                migrations: 0,
-                submitted: now,
-                logs: vec!["replayed from journal after server restart".to_string()],
-            })
+            .map(|j| JobRec::queued(j.id, j.spec, Resume::Latest, now, "replayed from journal after server restart"))
             .collect();
         let next_id = recovered.next_id;
 
@@ -369,11 +362,12 @@ impl Server {
 
 /// How one execution attempt ended.
 enum Attempt {
-    Completed { cluster: Box<Cluster>, sys: fasda_md::system::ParticleSystem },
+    Completed(Box<RunOutput>),
     Drained(Vec<u8>),
     Cancelled,
-    Crashed { node: u32, step: u64 },
-    OutageDeadlock { outages: Vec<String> },
+    /// The simulation failed in a way the next attempt can [`learn`]
+    /// from: `faults` is the plan to retry under.
+    Retry { cause: String, faults: Option<Box<FaultPlan>> },
     Error(String),
 }
 
@@ -406,12 +400,11 @@ fn worker_loop(sh: &Shared, worker: usize) {
                     let tenant = job.spec.tenant.clone();
                     let spec = job.spec.clone();
                     let resume = std::mem::replace(&mut job.resume, Resume::Fresh);
-                    let stripped_crashes = job.stripped_crashes.clone();
-                    let stripped_windows = job.stripped_windows;
+                    let faults = job.faults.clone();
                     let _ = st.journal.start(id, worker);
                     *st.running_by_tenant.entry(tenant).or_insert(0) += 1;
                     st.refresh_gauges();
-                    break Some((id, spec, resume, stripped_crashes, stripped_windows));
+                    break Some((id, spec, resume, faults));
                 }
                 let (guard, _) = sh
                     .wake
@@ -420,13 +413,13 @@ fn worker_loop(sh: &Shared, worker: usize) {
                 st = guard;
             }
         };
-        let Some((id, spec, resume, stripped_crashes, stripped_windows)) = picked else {
+        let Some((id, spec, resume, faults)) = picked else {
             return;
         };
         // A panic anywhere in the simulator must fail the job, not
         // silently kill the worker thread and strand the pool.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(sh, worker, id, &spec, resume, &stripped_crashes, stripped_windows)
+            execute(sh, worker, id, &spec, resume, faults)
         }))
         .unwrap_or_else(|p| {
             let what = p
@@ -440,66 +433,27 @@ fn worker_loop(sh: &Shared, worker: usize) {
     }
 }
 
-/// Build the cluster for `spec` (with recovered-against directives
-/// stripped), resume it, and drive it segment by segment under the
-/// job's control verb.
+/// Run `spec` — under the fault plan earlier attempts taught, from where
+/// the last one left off — segment by segment under the job's control
+/// verb.
 fn execute(
     sh: &Shared,
     worker: usize,
     id: u64,
     spec: &JobSpec,
     resume: Resume,
-    stripped_crashes: &[(u32, u64)],
-    stripped_windows: bool,
+    faults: Option<Box<FaultPlan>>,
 ) -> Attempt {
-    let (mut cfg, sys) = match spec.build() {
-        Ok(v) => v,
-        Err(e) => return Attempt::Error(e),
+    let mut run = match spec.run_spec() {
+        Ok(run) => run,
+        Err(e) => return Attempt::Error(e.to_string()),
     };
-    // Strip the directives previous attempts already absorbed — the
-    // rolling-recovery contract (each failure teaches the next attempt).
-    let mut plan = cfg.faults.clone();
-    for (node, step) in stripped_crashes {
-        plan = plan.map(|p| p.without_crash_at(*node, *step));
-    }
-    if stripped_windows {
-        plan = plan.map(|p| p.without_windows());
-    }
-    cfg.faults = plan.filter(|p| !p.is_none() || !p.crashes.is_empty());
-
     let every = if spec.ckpt_every > 0 { spec.ckpt_every } else { sh.cfg.default_ckpt_every };
-    let ckpt = CheckpointConfig::new(every, sh.cfg.ckpt_root.join(format!("job-{id}")));
+    run.ckpt = Some(CheckpointConfig::new(every, sh.cfg.ckpt_root.join(format!("job-{id}"))));
+    run.faults = faults.map(|plan| *plan);
+    run.resume = resume;
 
-    let mut cluster = Box::new(Cluster::new(cfg, &sys));
-    let acc = match resume {
-        Resume::Fresh => RunAccumulator::new(),
-        Resume::Container(bytes) => {
-            match fasda_cluster::resume_from_container(&mut cluster, &bytes) {
-                Ok(acc) => {
-                    log_to(sh, id, format!(
-                        "resumed on worker {worker} from in-memory container at step {}",
-                        acc.steps_done
-                    ));
-                    acc
-                }
-                Err(e) => return Attempt::Error(format!("container resume: {e}")),
-            }
-        }
-        Resume::Disk => match resume_latest(&mut cluster, &ckpt.dir) {
-            Ok(Some((path, acc))) => {
-                log_to(sh, id, format!(
-                    "resumed on worker {worker} from {} at step {}",
-                    path.display(),
-                    acc.steps_done
-                ));
-                acc
-            }
-            Ok(None) => RunAccumulator::new(),
-            Err(e) => return Attempt::Error(format!("checkpoint resume: {e}")),
-        },
-    };
-
-    let engine = EngineConfig::serial();
+    let mut note = |line: String| log_to(sh, id, format!("worker {worker}: {line}"));
     let mut ctl = |status: &fasda_cluster::SegmentStatus| -> SegmentControl {
         let mut st = sh.state.lock().expect("state lock");
         let Some(job) = st.job_mut(id) else { return SegmentControl::Cancel };
@@ -514,17 +468,9 @@ fn execute(
             Wanted::Cancel => SegmentControl::Cancel,
         }
     };
-    match run_with_checkpoints_ctl(
-        &mut cluster,
-        spec.steps,
-        2_000_000_000,
-        &engine,
-        Some(&ckpt),
-        acc,
-        &mut ctl,
-    ) {
-        Ok(CkptRunOutcome::Completed(_run)) => Attempt::Completed { cluster, sys },
-        Ok(CkptRunOutcome::Drained { run, container }) => {
+    match run.run(None, &mut note, &mut ctl) {
+        Ok(out) => Attempt::Completed(Box::new(out)),
+        Err(RunError::Drained { container, run }) => {
             log_to(sh, id, format!(
                 "drained on worker {worker} at step {} ({} checkpoint(s) on disk)",
                 run.report.steps,
@@ -532,13 +478,11 @@ fn execute(
             ));
             Attempt::Drained(container)
         }
-        Ok(CkptRunOutcome::Cancelled(_)) => Attempt::Cancelled,
-        Err(CkptRunError::Run(ClusterError::Crashed(c))) => {
-            Attempt::Crashed { node: c.node as u32, step: c.step }
-        }
-        Err(CkptRunError::Run(ClusterError::Deadlock(d))) if !d.outages.is_empty() => {
-            Attempt::OutageDeadlock { outages: d.outages.clone() }
-        }
+        Err(RunError::Cancelled) => Attempt::Cancelled,
+        Err(RunError::Run(e)) => match learn(&mut run.faults, &e) {
+            Some(cause) => Attempt::Retry { cause, faults: run.faults.map(Box::new) },
+            None => Attempt::Error(e.to_string()),
+        },
         Err(e) => Attempt::Error(e.to_string()),
     }
 }
@@ -548,8 +492,8 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
     // The completion dump happens outside the lock (it walks the whole
     // cluster), before the state transition is published.
     let dump = match &outcome {
-        Attempt::Completed { cluster, sys } => {
-            spec.dump_state.as_ref().map(|path| (path.clone(), state_dump(cluster, sys)))
+        Attempt::Completed(out) => {
+            spec.dump_state.as_ref().map(|path| (path.clone(), state_dump(&out.cluster, &out.sys)))
         }
         _ => None,
     };
@@ -560,8 +504,14 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
     let shutdown = st.shutdown;
     let Some(job) = st.job_mut(id) else { return };
     let elapsed_ms = job.submitted.elapsed().as_millis() as u64;
+    let outcome = match outcome {
+        Attempt::Retry { cause, .. } if job.restarts >= sh.cfg.max_restarts => {
+            Attempt::Error(format!("{cause}: exceeded {} restarts", sh.cfg.max_restarts))
+        }
+        other => other,
+    };
     match outcome {
-        Attempt::Completed { .. } => {
+        Attempt::Completed(_) => {
             job.state = JobState::Completed;
             job.steps_done = spec.steps;
             job.logs.push(format!("completed on worker {worker}"));
@@ -587,7 +537,7 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
             if shutdown {
                 // The container dies with the process; the journal entry
                 // sends the job back through its on-disk checkpoints.
-                job.resume = Resume::Disk;
+                job.resume = Resume::Latest;
                 job.avoid = None;
                 job.logs.push("drained for shutdown; will resume from disk".to_string());
                 let _ = st.journal.requeue(id, "shutdown");
@@ -605,45 +555,17 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
             let _ = st.journal.cancel(id);
             st.registry.counter_add("jobs_cancelled", 1);
         }
-        Attempt::Crashed { node, step } => {
-            if job.restarts < sh.cfg.max_restarts {
-                job.restarts += 1;
-                job.stripped_crashes.push((node, step));
-                job.state = JobState::Queued;
-                job.resume = Resume::Disk;
-                job.avoid = None;
-                job.logs.push(format!(
-                    "worker {worker} crashed (node {node} at step {step}); requeued from newest checkpoint"
-                ));
-                let _ = st.journal.requeue(id, "crash");
-                st.registry.counter_add("jobs_requeued_crash", 1);
-            } else {
-                job.state = JobState::Failed(format!(
-                    "crash of node {node} at step {step} exceeded {} restarts",
-                    sh.cfg.max_restarts
-                ));
-                let _ = st.journal.fail(id, "restart budget exhausted");
-                st.registry.counter_add("jobs_failed", 1);
-            }
-        }
-        Attempt::OutageDeadlock { outages } => {
-            if job.restarts < sh.cfg.max_restarts {
-                job.restarts += 1;
-                job.stripped_windows = true;
-                job.state = JobState::Queued;
-                job.resume = Resume::Disk;
-                job.avoid = None;
-                job.logs.push(format!(
-                    "outage deadlock [{}]; windows lifted, requeued from newest checkpoint",
-                    outages.join(", ")
-                ));
-                let _ = st.journal.requeue(id, "crash");
-                st.registry.counter_add("jobs_requeued_crash", 1);
-            } else {
-                job.state = JobState::Failed("outage deadlock exceeded restart budget".into());
-                let _ = st.journal.fail(id, "restart budget exhausted");
-                st.registry.counter_add("jobs_failed", 1);
-            }
+        Attempt::Retry { cause, faults } => {
+            job.restarts += 1;
+            job.faults = faults;
+            job.state = JobState::Queued;
+            job.resume = Resume::Latest;
+            job.avoid = None;
+            job.logs.push(format!(
+                "worker {worker} crashed ({cause}); requeued from newest checkpoint"
+            ));
+            let _ = st.journal.requeue(id, "crash");
+            st.registry.counter_add("jobs_requeued_crash", 1);
         }
         Attempt::Error(e) => {
             job.state = JobState::Failed(e.clone());
@@ -752,21 +674,7 @@ fn handle_request(
             if let Err(e) = st.journal.submit(id, &spec) {
                 return (proto::err(&format!("journal: {e}")), false);
             }
-            st.jobs.push(JobRec {
-                id,
-                spec,
-                state: JobState::Queued,
-                steps_done: 0,
-                wanted: Wanted::Run,
-                resume: Resume::Fresh,
-                avoid: None,
-                stripped_crashes: Vec::new(),
-                stripped_windows: false,
-                restarts: 0,
-                migrations: 0,
-                submitted: Instant::now(),
-                logs: vec!["submitted".to_string()],
-            });
+            st.jobs.push(JobRec::queued(id, spec, Resume::Fresh, Instant::now(), "submitted"));
             st.registry.counter_add("jobs_submitted", 1);
             st.refresh_gauges();
             drop(st);
