@@ -1,7 +1,8 @@
 //! Datapath kernel micro-benchmarks: the scalar per-comparison
 //! `filter()`/`force()` walk vs the fused filter→force kernel
 //! (`ForceDatapath::fused_scan_into`) that the timed model's stations
-//! dispatch through by default.
+//! dispatch through by default, over the fig16-density 64-particle home
+//! cell.
 //!
 //! Same hand-rolled harness as `microbench` (no external bench
 //! framework). Run with `cargo bench --bench datapathbench`.
@@ -13,24 +14,174 @@
 //! * `--smoke` — the CI perf-regression gate: a short measurement whose
 //!   fused/scalar throughput *ratio* is compared against the committed
 //!   `BENCH_datapath.json` baseline; exits non-zero if the fused kernel
-//!   regressed more than 15%. The ratio (not absolute pairs/sec) is
-//!   gated because both kernels run in the same process on the same
-//!   host, which cancels machine speed.
+//!   regressed more than 15%. Absolute throughput moves with the host;
+//!   both kernels run the same arithmetic in the same process on the
+//!   same machine, so the ratio cancels machine speed and leaves only
+//!   the kernels' relative shape (the thing a vectorization regression
+//!   actually changes).
 //! * `--write-baseline` — regenerate `BENCH_datapath.json` from a full
 //!   measurement (run on a quiet host, then commit the file).
 
-use fasda_bench::kernels::{measure_kernels, reference_home, reference_neighbour, KernelThroughput};
+use fasda_arith::fixed::FixVec3;
+use fasda_arith::interp::TableConfig;
 use fasda_bench::Args;
 use fasda_core::datapath::{ForceDatapath, HomeSoa, ScanHit};
-use fasda_arith::interp::TableConfig;
 use fasda_md::element::{Element, PairTable};
 use fasda_md::units::UnitSystem;
 use fasda_trace::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+/// The reference scan every kernel here runs: a deterministic jittered
+/// home cell of 64 particles (fig16 density) concatenated at the home
+/// RCID, against one adjacent-cell neighbour — a realistic mix of hits
+/// and misses.
+struct Scan {
+    dp: ForceDatapath,
+    elems: Vec<Element>,
+    concat: Vec<FixVec3>,
+    soa: HomeSoa,
+    nbr: FixVec3,
+    nbr_elem: Element,
+}
+
+impl Scan {
+    fn reference() -> Self {
+        const N: usize = 64;
+        let mut state = 0x5DA_F00Du64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let elems: Vec<Element> = (0..N).map(|i| Element::ALL[i % Element::ALL.len()]).collect();
+        let concat: Vec<FixVec3> = (0..N)
+            .map(|_| ForceDatapath::concat((2, 2, 2), FixVec3::from_f64(rnd(), rnd(), rnd())))
+            .collect();
+        let mut soa = HomeSoa::new();
+        soa.rebuild(&elems, &concat);
+        Scan {
+            dp: ForceDatapath::new(&PairTable::new(UnitSystem::PAPER), TableConfig::PAPER),
+            elems,
+            concat,
+            soa,
+            nbr: ForceDatapath::concat((3, 2, 2), FixVec3::from_f64(0.12, 0.43, 0.77)),
+            nbr_elem: Element::Na,
+        }
+    }
+
+    /// Scalar reference: one virtual filter() per slot, force() per hit —
+    /// the work one station performs over a 64-particle scan.
+    fn scalar(&self) -> [f32; 3] {
+        let mut acc = [0.0f32; 3];
+        for i in 0..self.concat.len() {
+            if let Some(pair) = self.dp.filter(self.concat[i], self.nbr) {
+                let f = self.dp.force(self.elems[i], self.nbr_elem, pair);
+                for k in 0..3 {
+                    acc[k] += f[k];
+                }
+            }
+        }
+        acc
+    }
+
+    /// Fused filter→force kernel: what Pe::dispatch_planned runs at
+    /// dispatch time by default — survivors go straight from the pass
+    /// mask into interpolation, no FilteredPair vector in between.
+    fn fused(&self, hits: &mut Vec<ScanHit>) -> [f32; 3] {
+        hits.clear();
+        self.dp.fused_scan_into(&self.soa, self.nbr, self.nbr_elem, 0, hits);
+        let mut acc = [0.0f32; 3];
+        for h in hits.iter() {
+            for (a, f) in acc.iter_mut().zip(h.force) {
+                *a += f;
+            }
+        }
+        acc
+    }
+}
+
+/// Throughput of the two scan kernels over the reference home cell.
+struct KernelThroughput {
+    /// Particles in the scanned home cell.
+    home_len: usize,
+    /// Filter hits per scan (the mix the adjacent-cell neighbour sees).
+    hits_per_scan: usize,
+    /// Pairs filtered per second by the scalar `filter()`+`force()` walk.
+    scalar_pairs_per_sec: f64,
+    /// Pairs filtered per second by the fused filter→force kernel.
+    fused_pairs_per_sec: f64,
+    /// Forces evaluated per second by the scalar walk.
+    scalar_forces_per_sec: f64,
+    /// Forces evaluated per second by the fused kernel.
+    fused_forces_per_sec: f64,
+}
+
+impl KernelThroughput {
+    /// Fused-over-scalar pairs/sec ratio — the machine-speed-independent
+    /// quantity the regression gate tracks.
+    fn fused_vs_scalar(&self) -> f64 {
+        self.fused_pairs_per_sec / self.scalar_pairs_per_sec
+    }
+}
+
+/// Time one batch of `iters` calls of `f`, returning seconds/iter.
+fn time_batch<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    t.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Measure both scan kernels; `min` is the total measurement budget.
+///
+/// A shared host steals the core for tens of milliseconds at a time, so
+/// a single timed run of each kernel can be off by 40%. The kernels are
+/// instead timed in short **interleaved rounds** (scalar batch, fused
+/// batch, scalar batch, …) and each keeps its *minimum* seconds/iter
+/// across rounds: a steal window inflates one batch of one round, and
+/// the minimum discards it, while interleaving guarantees neither kernel
+/// systematically gets the colder machine.
+fn measure_kernels(scan: &Scan, min: Duration) -> KernelThroughput {
+    let mut hits: Vec<ScanHit> = Vec::with_capacity(64);
+    scan.fused(&mut hits);
+    let hits_per_scan = hits.len();
+
+    // Calibrate a batch size on the scalar kernel so each of the
+    // ROUNDS×2 batches takes roughly min/(ROUNDS×2)·(3/4) — a quarter
+    // of the budget warms the calibration itself.
+    const ROUNDS: u32 = 8;
+    let t = Instant::now();
+    let mut calib = 0u64;
+    while t.elapsed() < min / 4 {
+        black_box(scan.scalar());
+        calib += 1;
+    }
+    let batch = (calib * 3 / (u64::from(ROUNDS) * 2)).max(1);
+
+    let mut scalar_s = f64::INFINITY;
+    let mut fused_s = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        scalar_s = scalar_s.min(time_batch(batch, || scan.scalar()));
+        fused_s = fused_s.min(time_batch(batch, || scan.fused(&mut hits)));
+    }
+
+    let n = scan.concat.len() as f64;
+    let h = hits_per_scan as f64;
+    KernelThroughput {
+        home_len: scan.concat.len(),
+        hits_per_scan,
+        scalar_pairs_per_sec: n / scalar_s,
+        fused_pairs_per_sec: n / fused_s,
+        scalar_forces_per_sec: h / scalar_s,
+        fused_forces_per_sec: h / fused_s,
+    }
+}
+
 /// The committed throughput baseline the `--smoke` gate compares
-/// against, at the workspace root next to `BENCH_engine.json`.
+/// against, at the workspace root.
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
 
 /// Largest tolerated drop of the fused/scalar throughput ratio before
@@ -91,8 +242,8 @@ fn baseline_json(k: &KernelThroughput) -> String {
 
 /// The `--smoke` perf-regression gate. Exits the process non-zero on a
 /// regression so CI fails the job.
-fn smoke_gate() {
-    let k = measure_kernels(Duration::from_millis(60));
+fn smoke_gate(scan: &Scan) {
+    let k = measure_kernels(scan, Duration::from_millis(60));
     throughput_report(&k);
     let text = std::fs::read_to_string(BASELINE)
         .unwrap_or_else(|e| panic!("missing baseline {BASELINE}: {e} (run --write-baseline)"));
@@ -118,12 +269,13 @@ const MIN: Duration = Duration::from_millis(300);
 
 fn main() {
     let args = Args::parse();
+    let scan = Scan::reference();
     if args.flag("smoke") {
-        smoke_gate();
+        smoke_gate(&scan);
         return;
     }
     if args.flag("write-baseline") {
-        let k = measure_kernels(MIN);
+        let k = measure_kernels(&scan, MIN);
         throughput_report(&k);
         std::fs::write(BASELINE, baseline_json(&k)).expect("write baseline");
         println!("wrote {BASELINE}");
@@ -131,50 +283,15 @@ fn main() {
     }
 
     println!("fasda datapathbench (hand-rolled harness, ns/iter)");
-    let dp = ForceDatapath::new(&PairTable::new(UnitSystem::PAPER), TableConfig::PAPER);
-    let (elems, concat) = reference_home(64);
-    let mut soa = HomeSoa::new();
-    soa.rebuild(&elems, &concat);
-    // An adjacent-cell neighbour: a realistic mix of hits and misses.
-    let nbr = reference_neighbour();
-    let nbr_elem = Element::Na;
-
-    // Scalar reference: one virtual filter() per slot, force() per hit —
-    // the work one station performs over a 64-particle scan.
-    bench("datapath", "scan64_scalar", MIN, || {
-        let mut acc = [0.0f32; 3];
-        for i in 0..concat.len() {
-            if let Some(pair) = dp.filter(concat[i], nbr) {
-                let f = dp.force(elems[i], nbr_elem, pair);
-                for k in 0..3 {
-                    acc[k] += f[k];
-                }
-            }
-        }
-        acc
-    });
-
-    // Fused filter→force kernel: what Pe::dispatch_planned runs at
-    // dispatch time by default — survivors go straight from the pass
-    // mask into interpolation, no FilteredPair vector in between.
+    bench("datapath", "scan64_scalar", MIN, || scan.scalar());
     let mut planned: Vec<ScanHit> = Vec::with_capacity(64);
-    bench("datapath", "scan64_fused", MIN, || {
-        planned.clear();
-        dp.fused_scan_into(&soa, nbr, nbr_elem, 0, &mut planned);
-        let mut acc = [0.0f32; 3];
-        for h in &planned {
-            for (a, f) in acc.iter_mut().zip(h.force) {
-                *a += f;
-            }
-        }
-        acc
-    });
+    bench("datapath", "scan64_fused", MIN, || scan.fused(&mut planned));
 
     // Filter only: the scalar scan loop without the force table.
     bench("datapath", "filter64_scalar", MIN, || {
         let mut n = 0u32;
-        for &c in &concat {
-            n += u32::from(dp.filter(c, nbr).is_some());
+        for &c in &scan.concat {
+            n += u32::from(scan.dp.filter(c, scan.nbr).is_some());
         }
         n
     });
@@ -182,9 +299,9 @@ fn main() {
     // Phase-start transposition cost (amortized over the whole phase).
     let mut rebuilt = HomeSoa::new();
     bench("datapath", "soa_rebuild64", MIN, || {
-        rebuilt.rebuild(&elems, &concat);
+        rebuilt.rebuild(&scan.elems, &scan.concat);
         rebuilt.len()
     });
 
-    throughput_report(&measure_kernels(MIN));
+    throughput_report(&measure_kernels(&scan, MIN));
 }

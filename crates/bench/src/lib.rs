@@ -13,13 +13,19 @@
 //! | `ablate_sync` | §4.4 — chained vs bulk synchronization under stragglers |
 //! | `ablate_interp` | §3.4 — interpolation table precision sweep |
 //! | `ablate_filters` | §5.3 — filters-per-pipeline sweep |
+//! | `ablate_cellsize` | Fig. 3 — cell edge vs cutoff radius |
+//! | `ablate_topology` | §4.1 — switch vs ring vs 2nd-order hyper-ring |
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Two more binaries write or read documents for other programs:
+//! `chaosbench` writes the recovery-cost rows `fasda ckpt policy --bench`
+//! averages, and `tracecheck` validates the CLI's trace / metrics /
+//! heartbeat exports. Host-time numbers come from the frozen `benchmark/`
+//! package (`BENCHMARK.json`), gates from `cargo test`; the hand-rolled
+//! micro-benchmarks in `benches/` (`microbench`, `datapathbench`) are
+//! for looking at one kernel at a time.
 
 use fasda_cluster::EngineConfig;
 use std::collections::HashMap;
-
-pub mod kernels;
 
 /// Tiny `--key value` / `--flag` argument parser (no external deps).
 pub struct Args {
@@ -51,12 +57,16 @@ impl Args {
         Args { flags, values }
     }
 
-    /// Value of `--key`, parsed.
+    /// Value of `--key`, parsed; `default` when the flag is absent. A
+    /// value that does not parse exits 1 naming the flag.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(v) = self.values.get(key) else {
+            return default;
+        };
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("error: --{key}: cannot parse '{v}'");
+            std::process::exit(1)
+        })
     }
 
     /// Presence of `--flag`.

@@ -1199,8 +1199,8 @@ pub mod policy {
     //!
     //! which is minimized at the Young–Daly interval
     //! `k* = sqrt(2·save_cost/(λ·step_cost))`. Costs are in any common
-    //! unit (the `chaosbench --recovery` sweep measures them in
-    //! milliseconds); the failure rate is per simulated step.
+    //! unit (the `chaosbench` sweep measures them in milliseconds); the
+    //! failure rate is per simulated step.
 
     /// Measured costs and the assumed failure process.
     #[derive(Clone, Copy, Debug)]
@@ -1233,14 +1233,30 @@ pub mod policy {
     }
 
     impl PolicyInput {
+        /// The one range check: every input finite and non-negative,
+        /// `step_cost > 0`. Callers taking costs from outside the
+        /// program report the `Err`; the methods below panic on it.
+        pub fn check(&self) -> Result<(), String> {
+            for (name, v) in [
+                ("save cost", self.save_cost),
+                ("restore cost", self.restore_cost),
+                ("step cost", self.step_cost),
+                ("failure rate", self.failure_rate),
+            ] {
+                if !v.is_finite() || v < 0.0 {
+                    return Err(format!("policy {name} must be finite and non-negative, got {v}"));
+                }
+            }
+            if self.step_cost == 0.0 {
+                return Err("policy step cost must be > 0".into());
+            }
+            Ok(())
+        }
+
         fn validate(&self) {
-            assert!(
-                self.save_cost >= 0.0
-                    && self.restore_cost >= 0.0
-                    && self.step_cost > 0.0
-                    && self.failure_rate >= 0.0,
-                "policy inputs must be non-negative with step_cost > 0"
-            );
+            if let Err(e) = self.check() {
+                panic!("{e}");
+            }
         }
 
         /// The unrounded Young–Daly interval
@@ -1548,5 +1564,14 @@ mod tests {
         let best = free_saves.optimize();
         assert_eq!(best.interval_steps, 1);
         assert_eq!(best.expected_loss_steps, 0.0);
+        // Out-of-range inputs are an Err to report, NaN and inf included.
+        assert!(free_saves.check().is_ok());
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(policy::PolicyInput { save_cost: bad, ..free_saves }.check().is_err());
+            assert!(policy::PolicyInput { restore_cost: bad, ..free_saves }.check().is_err());
+            assert!(policy::PolicyInput { step_cost: bad, ..free_saves }.check().is_err());
+            assert!(policy::PolicyInput { failure_rate: bad, ..free_saves }.check().is_err());
+        }
+        assert!(policy::PolicyInput { step_cost: 0.0, ..free_saves }.check().is_err());
     }
 }

@@ -207,7 +207,7 @@ fn usage() -> ExitCode {
          \x20 fasda generate --total 444 --out system.pdb [--per-cell 64] [--seed S]\n\
          \x20 fasda info --per-fpga 222 --total 444 [--variant A|B|C]\n\
          \x20 fasda ckpt policy --step-ms T --failure-rate L\n\
-         \x20           [--save-ms S --restore-ms R | --bench BENCH_engine.json]\n\
+         \x20           [--save-ms S --restore-ms R | --bench BENCH.json]\n\
          \x20           [--interval K]\n\
          \x20 fasda serve [--dir DIR] [--listen unix:PATH|tcp:HOST:PORT] [--workers N]\n\
          \x20           [--default-ckpt-every N | --policy-bench BENCH.json\n\
@@ -618,8 +618,7 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
 /// `fasda ckpt policy` — the data-loss / availability calculator:
 /// Young–Daly checkpoint-interval optimization over measured costs.
 /// `--save-ms` / `--restore-ms` may come from flags or from the mean of
-/// the `recovery` sweep a `chaosbench --recovery` run merged into the
-/// benchmark document (`--bench`).
+/// the `recovery.sweep` rows `chaosbench` wrote (`--bench`).
 fn cmd_ckpt_policy(opts: &Opts) -> Result<(), String> {
     use fasda_cluster::ckpt::policy::PolicyInput;
     let step_cost: f64 = opts
@@ -650,10 +649,8 @@ fn cmd_ckpt_policy(opts: &Opts) -> Result<(), String> {
     };
     let save_cost = cost("--save-ms", bench.as_ref().and_then(|b| b.0))?;
     let restore_cost = cost("--restore-ms", bench.as_ref().and_then(|b| b.1))?;
-    if !step_cost.is_finite() || step_cost <= 0.0 || failure_rate < 0.0 || save_cost < 0.0 || restore_cost < 0.0 {
-        return Err("costs must be non-negative, with --step-ms > 0".into());
-    }
     let input = PolicyInput { save_cost, restore_cost, step_cost, failure_rate };
+    input.check()?;
 
     println!(
         "inputs: save {save_cost:.3} ms, restore {restore_cost:.3} ms, step {step_cost:.3} ms, \

@@ -135,6 +135,13 @@ fn recovered_run_writes_every_artifact() {
 #[test]
 fn invalid_runs_fail_typed_not_panicking() {
     let dir = tmpdir("invalid");
+    // Policy documents: one usable, one whose save cost reads as +inf.
+    for (name, save) in [("ok.json", "1.0"), ("inf.json", "1e999")] {
+        let doc = format!(r#"{{"recovery": {{"sweep": [{{"serialize_ms": {save}, "restore_ms": 1.0}}]}}}}"#);
+        std::fs::write(dir.join(name), doc).expect("write policy document");
+    }
+    const POLICY: [&str; 2] = ["ckpt", "policy"];
+    const SERVE: [&str; 4] = ["serve", "--dir", "svc", "--policy-bench"];
     for (args, names) in [
         (&["run", "--total", "222", "--per-fpga", "222"][..], "total"),
         (&["run", "--total", "444", "--per-fpga", "333"], "per_fpga"),
@@ -146,6 +153,14 @@ fn invalid_runs_fail_typed_not_panicking() {
         (&["run", "--total", "666", "--per-fpga", "333", "--steps", "-1"], "--steps"),
         (&["run", "--total", "666", "--per-fpga", "333", "--recover", "2"], "recover"),
         (&["run", "--total", "666", "--per-fpga", "333", "--resume", "latest"], "resume"),
+        // NaN passes a `< 0.0` test; the policy's one range check does not.
+        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "nan", "--save-ms", "1", "--restore-ms", "1"]].concat(), "failure rate"),
+        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--save-ms", "nan", "--restore-ms", "1"]].concat(), "save cost"),
+        (&[&POLICY[..], &["--step-ms", "inf", "--failure-rate", "0.1", "--save-ms", "1", "--restore-ms", "1"]].concat(), "step cost"),
+        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--bench", "inf.json"]].concat(), "save cost"),
+        (&[&SERVE[..], &["ok.json", "--step-ms", "1", "--failure-rate", "nan"]].concat(), "failure rate"),
+        (&[&SERVE[..], &["ok.json", "--step-ms", "inf", "--failure-rate", "0.1"]].concat(), "step cost"),
+        (&[&SERVE[..], &["inf.json", "--step-ms", "1", "--failure-rate", "0.1"]].concat(), "save cost"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
             .args(args)

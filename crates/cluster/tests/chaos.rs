@@ -25,9 +25,9 @@ use harness::{config, workload, ForceBits};
 
 const STEPS: u64 = 3;
 
-/// The three seeded plans the acceptance gate names: pure loss, loss
-/// plus reordering hazards (delay/duplicate/corrupt), and targeted
-/// marker kills on two different channels.
+/// The seeded plans the acceptance gate names: pure loss, loss plus
+/// reordering hazards (delay/duplicate/corrupt), targeted marker kills
+/// on two different channels, and pure loss again at 20 %.
 fn plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("drop-only", FaultPlan::drop_only(0.05, 0xC0FFEE)),
@@ -58,6 +58,7 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
                     nth: 1,
                 }),
         ),
+        ("drop-heavy", FaultPlan::drop_only(0.2, 0xC4A05)),
     ]
 }
 
@@ -87,17 +88,24 @@ fn run(plan: Option<FaultPlan>, reliable: bool, engine: &EngineConfig) -> RunOut
 #[test]
 fn chaos_runs_bit_identical_to_fault_free() {
     let baseline = run(None, false, &EngineConfig::serial());
-    for (name, plan) in plans() {
-        let chaotic = run(Some(plan), true, &EngineConfig::serial());
-        assert!(
-            chaotic.report.faults_injected > 0,
-            "{name}: plan injected nothing"
-        );
+    // The rate-0 row — reliability on, nothing injected — isolates the
+    // layer's own acks and bookkeeping.
+    let rows = std::iter::once(("no-faults", None))
+        .chain(plans().into_iter().map(|(name, plan)| (name, Some(plan))));
+    for (name, plan) in rows {
+        let faulted = plan.is_some();
+        let chaotic = run(plan, true, &EngineConfig::serial());
         let rel = chaotic.report.reliability.expect("reliability layer on");
-        assert!(
-            rel.retransmits > 0,
-            "{name}: faults but no retransmissions?"
-        );
+        if faulted {
+            assert!(
+                chaotic.report.faults_injected > 0,
+                "{name}: plan injected nothing"
+            );
+            assert!(
+                rel.retransmits > 0,
+                "{name}: faults but no retransmissions?"
+            );
+        }
         assert_eq!(
             chaotic.sys.pos, baseline.sys.pos,
             "{name}: final positions drifted under faults"

@@ -23,12 +23,17 @@ pub const BUDGET: u64 = 2_000_000_000;
 
 /// The shared 8-node workload: 6³ cells, 3 Na/cell, jittered lattice.
 pub fn workload() -> ParticleSystem {
+    workload_of(3, 47)
+}
+
+/// The same lattice at another density and seed.
+pub fn workload_of(per_cell: u32, seed: u64) -> ParticleSystem {
     WorkloadSpec {
         space: SimulationSpace::cubic(6),
-        per_cell: 3,
+        per_cell,
         placement: Placement::JitteredLattice { jitter: 0.05 },
         temperature_k: 150.0,
-        seed: 47,
+        seed,
         element: Element::Na,
     }
     .generate()

@@ -11,10 +11,10 @@ mod harness;
 
 use fasda_cluster::{
     emit_final, final_totals_json, measured_from, model_input, run_sharded, Cluster, EngineConfig,
-    FaultPlan, ObsLive, ObsSinkConfig, ShardOpts, TraceConfig,
+    FaultPlan, ObsLive, ObsSinkConfig, ShardOpts, TraceConfig, TraceLevel,
 };
 use fasda_trace::Json;
-use harness::{config, fold, parse_jsonl, workload, BUDGET};
+use harness::{config, fold, parse_jsonl, workload, workload_of, BUDGET};
 use std::path::PathBuf;
 
 const STEPS: u64 = 4;
@@ -93,11 +93,16 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
         prom_out: Some(dir.join("scrape.prom")),
     };
 
+    let engine = EngineConfig::serial().with_trace(TraceConfig::full());
     let mut cluster = Cluster::new(config(None, false), &sys);
     cluster.attach_obs(Box::new(ObsLive::new(1, &sinks).expect("sinks open")));
-    let report = cluster
-        .try_run_with(STEPS, BUDGET, &EngineConfig::serial().with_trace(TraceConfig::full()))
-        .expect("run completes");
+    let report = cluster.try_run_with(STEPS, BUDGET, &engine).expect("run completes");
+    // An armed sampler only watches: the same run without one reports
+    // the same thing.
+    let unarmed_report = Cluster::new(config(None, false), &sys)
+        .try_run_with(STEPS, BUDGET, &engine)
+        .expect("unarmed run completes");
+    assert_eq!(report, unarmed_report);
     let obs = cluster.take_obs().expect("sampler still attached");
     assert!(obs.beats() >= STEPS - 1, "cadence 1 must beat (almost) every step");
     let trace = cluster.take_trace().expect("tracing was on");
@@ -241,47 +246,54 @@ fn heartbeats_stay_continuous_across_partition_heal() {
     };
 
     // Halves sever at step 1 and heal mid-run; reliability on, so the
-    // retransmit timers outlive the window and the run completes.
-    let plan = FaultPlan::none()
+    // retransmit timers outlive the window and the run completes. The
+    // second plan stretches every step instead: 5 % uniform loss.
+    let partition = FaultPlan::none()
         .with_seed(0x0B5)
         .with_partition(vec![0, 1, 2, 3], vec![4, 5, 6, 7], 1, 6_000);
-    let mut cluster = Cluster::new(config(Some(plan), true), &sys);
-    cluster.attach_obs(Box::new(ObsLive::new(every, &sinks).expect("sinks open")));
-    let report = cluster
-        .try_run_with(STEPS, BUDGET, &EngineConfig::serial())
-        .expect("partitioned run heals and completes");
-    assert!(report.faults_injected > 0, "partition window injected nothing");
+    for (name, plan) in [("partition", partition), ("drop 5%", FaultPlan::drop_only(0.05, 0xC4A05))] {
+        let mut cluster = Cluster::new(config(Some(plan), true), &sys);
+        cluster.attach_obs(Box::new(ObsLive::new(every, &sinks).expect("sinks open")));
+        let report = cluster
+            .try_run_with(STEPS, BUDGET, &EngineConfig::serial())
+            .expect("faulted run heals and completes");
+        assert!(report.faults_injected > 0, "{name}: plan injected nothing");
 
-    let seen: Vec<u64> = parse_jsonl(&sinks.heartbeat_out.clone().unwrap())
-        .iter()
-        .filter(|rec| rec.get("type").unwrap().as_str() == Some("beat"))
-        .map(|rec| rec.get("step").unwrap().as_i64().unwrap() as u64)
-        .collect();
-    assert!(!seen.is_empty(), "no heartbeats emitted");
-    let mut max_gap = seen[0]; // start-of-run to first beat
-    for w in seen.windows(2) {
-        max_gap = max_gap.max(w[1] - w[0]);
+        let seen: Vec<u64> = parse_jsonl(&sinks.heartbeat_out.clone().unwrap())
+            .iter()
+            .filter(|rec| rec.get("type").unwrap().as_str() == Some("beat"))
+            .map(|rec| rec.get("step").unwrap().as_i64().unwrap() as u64)
+            .collect();
+        assert!(!seen.is_empty(), "{name}: no heartbeats emitted");
+        let mut max_gap = seen[0]; // start-of-run to first beat
+        for w in seen.windows(2) {
+            max_gap = max_gap.max(w[1] - w[0]);
+        }
+        max_gap = max_gap.max(STEPS - seen.last().unwrap()); // last beat to end
+        assert!(
+            max_gap <= limit,
+            "{name}: heartbeat gap of {max_gap} steps exceeds {limit} (2x cadence)"
+        );
     }
-    max_gap = max_gap.max(STEPS - seen.last().unwrap()); // last beat to end
-    assert!(
-        max_gap <= limit,
-        "heartbeat gap of {max_gap} steps across the partition window exceeds {limit} (2x cadence)"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // -------------------------------------------------------------------------
-// §5 model plumbing end to end (gating lives in enginebench)
+// §5 model end to end: plumbing and the divergence gate
 // -------------------------------------------------------------------------
 
 #[test]
 fn model_divergence_computes_from_a_real_run() {
-    let sys = workload();
+    // Not the shared harness workload: `Gate::default()`'s thresholds were
+    // calibrated on this one (4 Na/cell, one serial step at sync-level
+    // tracing), and the sparser 3/cell workload sits just outside two of
+    // them (occupancy 0.157 vs 0.15, frc packets 0.111 vs 0.10).
+    let sys = workload_of(4, 0xFA5DA);
     let cfg = config(None, false);
+    let engine = EngineConfig::serial()
+        .with_trace(TraceConfig { level: TraceLevel::Sync, ..TraceConfig::full() });
     let mut cluster = Cluster::new(cfg.clone(), &sys);
-    let report = cluster
-        .try_run_with(STEPS, BUDGET, &EngineConfig::serial().with_trace(TraceConfig::full()))
-        .expect("run completes");
+    let report = cluster.try_run_with(1, BUDGET, &engine).expect("run completes");
     let trace = cluster.take_trace().expect("tracing was on");
 
     let input = model_input(&cfg, (6, 6, 6), sys.len() as f64 / 216.0);
@@ -291,7 +303,10 @@ fn model_divergence_computes_from_a_real_run() {
     assert!(div.cycles_rel.is_finite());
     assert!(div.occupancy_abs.is_finite());
     assert!(meas.occupancy > 0.0 && meas.occupancy <= 1.0);
+    let gate = fasda_obs::model::Gate::default();
+    let violations = div.violations(&gate, &meas);
+    assert!(violations.is_empty(), "§5 model diverged beyond gate: {violations:?}");
     // The report round-trips through the JSON emitter.
-    let doc = fasda_obs::model::modelcheck_json(&pred, &meas, &fasda_obs::model::Gate::default());
+    let doc = fasda_obs::model::modelcheck_json(&pred, &meas, &gate);
     assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
 }

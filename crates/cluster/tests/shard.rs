@@ -224,7 +224,8 @@ fn sharded_runs_match_oracle_bit_for_bit() {
         let mut cfg = config(sc.faults.clone(), sc.reliable);
         cfg.straggler = sc.straggler;
         let want = reference(&cfg, &sys, STEPS, &sc.engine, sc.name);
-        for shards in [2usize, 4] {
+        // One shard is the protocol with no mesh peers.
+        for shards in [1usize, 2, 4] {
             let ctx = format!("{} x{shards}", sc.name);
             assert_sharded_matches(&cfg, &sys, STEPS, &sc.engine, shards, false, &want, &ctx);
         }

@@ -529,7 +529,8 @@ pub struct Measured {
 
 /// Gate thresholds for the divergence report. The defaults are
 /// calibrated against the dense fig16 smoke workloads (see DESIGN.md
-/// §12 — "calibration method"); `enginebench` enforces them in CI.
+/// §12 — "calibration method"); `fasda-cluster`'s `obs` test suite
+/// (`model_divergence_computes_from_a_real_run`) enforces them in CI.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Gate {
     /// Max |rel err| on cycles per step.

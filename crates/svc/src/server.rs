@@ -793,9 +793,8 @@ fn connection_loop(
 // -----------------------------------------------------------------------
 
 /// Mean `serialize_ms` / `restore_ms` over the `recovery.sweep` rows of
-/// a benchmark document (`chaosbench --recovery` output) — the measured
-/// costs `fasda ckpt policy --bench` uses. Returns the two means and
-/// the row count.
+/// a `chaosbench` output document — the measured costs `fasda ckpt
+/// policy --bench` uses. Returns the two means and the row count.
 pub fn bench_recovery_costs(path: &str) -> Result<(Option<f64>, Option<f64>, usize), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -806,7 +805,7 @@ pub fn bench_recovery_costs(path: &str) -> Result<(Option<f64>, Option<f64>, usi
         .unwrap_or_default();
     if rows.is_empty() {
         return Err(format!(
-            "{path} has no recovery.sweep rows — run `chaosbench --recovery` first"
+            "{path} has no recovery.sweep rows — run `chaosbench --out {path}` first"
         ));
     }
     let mean = |field: &str| -> Option<f64> {
@@ -827,17 +826,15 @@ pub fn policy_interval(
     restore_ms: f64,
 ) -> Result<u64, String> {
     use fasda_cluster::ckpt::policy::PolicyInput;
-    if !step_ms.is_finite() || step_ms <= 0.0 || failure_rate < 0.0 || save_ms < 0.0 || restore_ms < 0.0 {
-        return Err("policy costs must be non-negative, with step cost > 0".into());
-    }
-    if failure_rate == 0.0 {
-        return Err("failure rate 0 means never checkpoint — give the server an explicit --default-ckpt-every instead".into());
-    }
     let input = PolicyInput {
         save_cost: save_ms,
         restore_cost: restore_ms,
         step_cost: step_ms,
         failure_rate,
     };
+    input.check()?;
+    if failure_rate == 0.0 {
+        return Err("failure rate 0 means never checkpoint — give the server an explicit --default-ckpt-every instead".into());
+    }
     Ok(input.optimize().interval_steps.max(1))
 }
