@@ -33,7 +33,7 @@ pub const MAGIC: [u8; 4] = *b"FCKP";
 /// Current container format version. There is no read path for older
 /// versions: [`Container::parse`] answers them with
 /// [`CkptError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File extension used for checkpoint files.
 pub const EXTENSION: &str = "fckp";

@@ -24,7 +24,6 @@ use fasda_core::geometry::{ChipCoord, ChipGeometry};
 use fasda_core::resources::{estimate, ALVEO_U280};
 use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::pdb::to_pdb;
-use fasda_md::space::SimulationSpace;
 use fasda_net::sync::SyncMode;
 use fasda_svc::server::{bench_recovery_costs, policy_interval};
 use fasda_svc::{Client, JobSpec, Listen, Server, ServerConfig};
@@ -595,7 +594,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 fn cmd_info(opts: &Opts) -> Result<(), String> {
     let per_fpga = opts.dims("--per-fpga")?;
     let total = opts.dims("--total")?;
-    let space = SimulationSpace::new(total.0, total.1, total.2);
+    let space = RunSpec::geometry(total, per_fpga).map_err(|e| e.to_string())?;
     let v = variant(opts)?;
     let geo = ChipGeometry::new(space, per_fpga, ChipCoord::new(0, 0, 0));
     let cfg = ChipConfig::variant(v);

@@ -4,9 +4,10 @@
 //! `--serial` — goes through one `RunSpec` → `run()` → `report_run`
 //! path. Equality of those paths with each other cannot see an error made
 //! in all of them, so the first test compares against bytes written by the
-//! **parent commit's** binary (`tests/golden/`, cut before the four
-//! hand-copied run/report paths were merged); the rest prove the paths
-//! equal and the invalid inputs typed.
+//! **parent commit's** binary (`tests/golden/`: `plain.*` / `ckpt.*` cut
+//! before the four hand-copied run/report paths were merged, `chaos.*`
+//! before the driver's four fault-outcome matches were); the rest prove
+//! the paths equal and the invalid inputs typed.
 
 use fasda_cluster::Json;
 use std::path::{Path, PathBuf};
@@ -14,6 +15,16 @@ use std::process::{Command, Output};
 
 /// The workload every test runs: 8 nodes, 648 atoms.
 const RUN: &[&str] = &["run", "--per-fpga", "333", "--total", "666", "--per-cell", "3"];
+
+/// Every fault outcome at once, healed by the reliability layer the plan
+/// switches on: frames of this run reach every arm of the driver's fault
+/// match, data and acks alike.
+const CHAOS: [&str; 4] = [
+    "--steps",
+    "2",
+    "--fault-plan",
+    "drop=0.03,corrupt=0.02,dup=0.03,delay=0.05:700,seed=9,kill=frc:0->1:1,kill=pos:3->2:1",
+];
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fasda-cli-{tag}-{}", std::process::id()));
@@ -70,6 +81,13 @@ fn artifacts_match_the_parent_commit() {
     assert!(state == golden("run.state"), "checkpointed dump moved");
     assert!(metrics == golden("ckpt.metrics.json"), "checkpointed metrics document moved");
     assert!(obs == golden("ckpt.obs.json"), "checkpointed obs totals moved");
+
+    let (state, metrics, obs) = artifacts(&dir, "chaos", &CHAOS);
+    // Faults under reliable delivery move the cycle accounting too, and
+    // still never the physics.
+    assert!(state == golden("run.state"), "faulted dump moved");
+    assert!(metrics == golden("chaos.metrics.json"), "faulted metrics document moved");
+    assert!(obs == golden("chaos.obs.json"), "faulted obs totals moved");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -94,6 +112,14 @@ fn every_run_path_agrees() {
     // Two segments re-arm the nodes once more; recovery with nothing to
     // recover from is that same run.
     assert_eq!(run_section(&rec_m), run_section(&ckpt_m));
+
+    // The same holds with every fault outcome in play, where the shard
+    // workers split each crossing between its two owners.
+    let (chaos, chaos_m, _) = artifacts(&dir, "chaos", &CHAOS);
+    let (chaos_2, chaos_2m, _) =
+        artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2", "--shard-dir", "rdv-chaos"]].concat());
+    assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
+    assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -153,6 +179,10 @@ fn invalid_runs_fail_typed_not_panicking() {
         (&["run", "--total", "666", "--per-fpga", "333", "--steps", "-1"], "--steps"),
         (&["run", "--total", "666", "--per-fpga", "333", "--recover", "2"], "recover"),
         (&["run", "--total", "666", "--per-fpga", "333", "--resume", "latest"], "resume"),
+        (&["info", "--total", "444", "--per-fpga", "333"], "per_fpga"),
+        (&["info", "--total", "444", "--per-fpga", "000"], "per_fpga"),
+        (&["info", "--total", "222", "--per-fpga", "222"], "total"),
+        (&["info", "--total", "999", "--per-fpga", "999"], "per_fpga"),
         // NaN passes a `< 0.0` test; the policy's one range check does not.
         (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "nan", "--save-ms", "1", "--restore-ms", "1"]].concat(), "failure rate"),
         (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--save-ms", "nan", "--restore-ms", "1"]].concat(), "save cost"),

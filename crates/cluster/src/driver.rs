@@ -11,7 +11,7 @@ use fasda_md::system::ParticleSystem;
 use fasda_md::units::UnitSystem;
 use fasda_net::encap::Packetizer;
 use fasda_net::fault::{CrashPoint, FaultChannel, FaultOutcome, FaultPlan, FaultState};
-use fasda_net::packet::PacketKind;
+use fasda_net::packet::{Packet, PacketKind};
 use fasda_net::reliable::{Accept, LinkReceiver, LinkSender, RelConfig};
 use fasda_net::switch::SwitchFabric;
 use fasda_net::sync::{BulkBarrier, ChainedSync, SyncMode};
@@ -128,13 +128,6 @@ pub struct ClusterConfig {
     /// Optional straggler injection: `(node, stall_cycles)` delays that
     /// node's force phase every step (ablation for §4.4).
     pub straggler: Option<(usize, u64)>,
-    /// Optional packet-loss injection `(probability, seed)` on both
-    /// fabrics. UDP has no retransmission, so any loss deadlocks the
-    /// chained synchronization — use with [`Cluster::try_run`] to observe
-    /// the stall the paper's cooldown counters exist to prevent (§5.4).
-    /// Superseded by [`ClusterConfig::faults`], which injects at the
-    /// reliable-delivery boundary instead of inside the fabric.
-    pub loss: Option<(f64, u64)>,
     /// Optional seeded link-fault schedule (drop / corrupt / duplicate /
     /// delay + targeted marker kills) applied at transmit time in the
     /// serial network phase — deterministic and engine-invariant.
@@ -159,7 +152,6 @@ impl ClusterConfig {
             packet_cooldown: 2,
             dt_fs: 2.0,
             straggler: None,
-            loss: None,
             faults: None,
             reliability: None,
         }
@@ -692,17 +684,8 @@ impl Cluster {
             SyncMode::Chained => 0,
         };
 
-        let pos_fabric = match cfg.loss {
-            Some((p, seed)) => {
-                SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle).with_loss(p, seed)
-            }
-            None => SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle),
-        };
-        let frc_fabric = match cfg.loss {
-            Some((p, seed)) => SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle)
-                .with_loss(p, seed.wrapping_add(1)),
-            None => SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle),
-        };
+        let pos_fabric = SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle);
+        let frc_fabric = SwitchFabric::new(cfg.topology, n, cfg.bits_per_cycle);
         let faults = cfg
             .faults
             .clone()
@@ -820,11 +803,7 @@ impl Cluster {
                 NetMsg::Data(d) => d.cargo.kind(),
                 NetMsg::Ack { channel, .. } => *channel,
             };
-            let at = match kind {
-                PacketKind::Force => self.frc_fabric.rx_admit(e.arrive, dst),
-                _ => self.pos_fabric.rx_admit(e.arrive, dst),
-            };
-            let due = at + e.extra;
+            let due = self.fabric(kind).rx_admit(e.arrive, dst) + e.extra;
             if due < self.cycle {
                 return Err(LookaheadViolation {
                     src: e.src,
@@ -1637,51 +1616,12 @@ impl Cluster {
             ex.stage = 0;
         }
         for node in self.owned_range() {
-            if let Some((peer, pkt)) = self.pos_pz[node].tick(self.cycle) {
-                self.note_packet_sent(node, ChannelId::Pos, peer, pkt.payloads.len(), pkt.last);
-                self.transmit(
-                    node,
-                    peer,
-                    Delivery {
-                        from: node,
-                        cargo: Cargo::Pos(pkt.payloads),
-                        last: pkt.last,
-                        step: pkt.step,
-                        seq: 0,
-                        corrupt: false,
-                    },
-                );
-            }
-            if let Some((peer, pkt)) = self.frc_pz[node].tick(self.cycle) {
-                self.note_packet_sent(node, ChannelId::Frc, peer, pkt.payloads.len(), pkt.last);
-                self.transmit(
-                    node,
-                    peer,
-                    Delivery {
-                        from: node,
-                        cargo: Cargo::Frc(pkt.payloads),
-                        last: pkt.last,
-                        step: pkt.step,
-                        seq: 0,
-                        corrupt: false,
-                    },
-                );
-            }
-            if let Some((peer, pkt)) = self.mig_pz[node].tick(self.cycle) {
-                self.note_packet_sent(node, ChannelId::Mig, peer, pkt.payloads.len(), pkt.last);
-                self.transmit(
-                    node,
-                    peer,
-                    Delivery {
-                        from: node,
-                        cargo: Cargo::Mig(pkt.payloads),
-                        last: pkt.last,
-                        step: pkt.step,
-                        seq: 0,
-                        corrupt: false,
-                    },
-                );
-            }
+            let released = self.pos_pz[node].tick(self.cycle);
+            self.transmit(node, released, Cargo::Pos);
+            let released = self.frc_pz[node].tick(self.cycle);
+            self.transmit(node, released, Cargo::Frc);
+            let released = self.mig_pz[node].tick(self.cycle);
+            self.transmit(node, released, Cargo::Mig);
         }
         if self.rel.is_some() {
             if let Some(ex) = &mut self.exchange {
@@ -1691,101 +1631,79 @@ impl Cluster {
         }
     }
 
-    /// Launch one fresh frame: assign its per-link sequence number and
-    /// buffer it for retransmission (reliability on), then put it on the
-    /// fabric through the fault plan.
-    fn transmit(&mut self, node: usize, peer: usize, mut d: Delivery) {
+    /// Launch the packet one of `node`'s packetizers released this cycle,
+    /// if it released one: assign its per-link sequence number and buffer
+    /// it for retransmission (reliability on), then put it on the fabric
+    /// through the fault plan.
+    fn transmit<T>(
+        &mut self,
+        node: usize,
+        released: Option<(usize, Packet<T>)>,
+        cargo: fn(Vec<T>) -> Cargo,
+    ) {
+        let Some((peer, pkt)) = released else { return };
+        let (payloads, last) = (pkt.payloads.len() as u32, pkt.last);
+        let cargo = cargo(pkt.payloads);
+        let kind = cargo.kind();
+        let sent = EventKind::PacketSent { channel: channel_id(kind), to: peer as u32, payloads, last };
+        self.trace_full_event(node, sent);
+        let mut d = Delivery { from: node, cargo, last, step: pkt.step, seq: 0, corrupt: false };
         if let Some(rel) = &mut self.rel {
-            let kind = d.cargo.kind();
             // The stored copy keeps seq 0; retransmissions are re-tagged
             // from the sequence `poll_retransmit` reports.
-            let seq = rel.sender(node, kind, peer).launch(self.cycle, d.clone());
-            d.seq = seq;
+            d.seq = rel.sender(node, kind, peer).launch(self.cycle, d.clone());
         }
-        self.put_on_wire(node, peer, d);
+        self.put_on_wire(node, peer, kind, d.seq, last, NetMsg::Data(d));
     }
 
-    /// Apply the fault plan to one frame and schedule its delivery (or
-    /// loss) on the channel's fabric. Runs only in the serial network /
-    /// delivery phases, so outcomes are engine-invariant.
-    fn put_on_wire(&mut self, node: usize, peer: usize, mut d: Delivery) {
-        let kind = d.cargo.kind();
+    /// Apply the fault plan to one frame — data or ack — and schedule its
+    /// delivery (or loss) on the channel's fabric. Runs only in the serial
+    /// network / delivery phases, so outcomes are engine-invariant. Acks
+    /// pass `last = false`, and differ from data in two arms only: a
+    /// corrupted ack fails the receiver's checksum, so it is dropped at tx
+    /// (observably a lost ack that still burned the port) where a
+    /// corrupted data frame travels on to burn rx bandwidth too; and only
+    /// a data frame is ever logged as a marker kill.
+    fn put_on_wire(
+        &mut self,
+        node: usize,
+        peer: usize,
+        kind: PacketKind,
+        seq: u32,
+        last: bool,
+        mut msg: NetMsg,
+    ) {
         let (step, cycle) = (self.state[node].step, self.cycle);
         let outcome = match &mut self.faults {
-            Some(f) => f.on_transmit(chan_of(kind), node as u32, peer as u32, step, cycle, d.last),
+            Some(f) => f.on_transmit(chan_of(kind), node as u32, peer as u32, step, cycle, last),
             None => FaultOutcome::Deliver,
         };
         let channel = channel_id(kind);
         let to = peer as u32;
-        let seq = d.seq;
-        if self.exchange.is_some() {
-            // Sharded capture: serialize on the owned source port now,
-            // defer destination-port admission to the cross-shard merge
-            // so every worker admits the same global (stage, src) order
-            // the oracle produces. Sharded runs refuse the legacy
-            // `ClusterConfig::loss` model (its global RNG draw order
-            // cannot be partitioned), so plain tx serialization matches
-            // the oracle's `send_lossy` exactly.
-            match outcome {
-                FaultOutcome::Deliver => {
-                    let arrive = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, arrive, 0, NetMsg::Data(d));
-                }
-                FaultOutcome::Drop | FaultOutcome::Kill => {
-                    let kill = outcome == FaultOutcome::Kill;
-                    self.fabric_drop(kind, node);
-                    self.trace_node_event(node, EventKind::FaultDrop { channel, to, seq, kill });
-                }
-                FaultOutcome::Corrupt => {
-                    let arrive = self.fabric_tx(kind, node, peer);
-                    d.corrupt = true;
-                    self.push_wire(node, peer, arrive, 0, NetMsg::Data(d));
-                    self.trace_node_event(node, EventKind::FaultCorrupt { channel, to, seq });
-                }
-                FaultOutcome::Duplicate => {
-                    let at1 = self.fabric_tx(kind, node, peer);
-                    let at2 = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, at1, 0, NetMsg::Data(d.clone()));
-                    self.push_wire(node, peer, at2, 0, NetMsg::Data(d));
-                    self.trace_node_event(node, EventKind::FaultDuplicate { channel, to, seq });
-                }
-                FaultOutcome::Delay(extra) => {
-                    let arrive = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, arrive, extra, NetMsg::Data(d));
-                    self.trace_node_event(node, EventKind::FaultDelay { channel, to, seq, extra });
-                }
-            }
-            return;
-        }
         match outcome {
-            FaultOutcome::Deliver => {
-                // `send_lossy` preserves the legacy `ClusterConfig::loss`
-                // model (plain `send` when no loss is configured).
-                if let Some(at) = self.fabric_send_lossy(kind, node, peer) {
-                    self.inbox[peer].send(at, NetMsg::Data(d));
-                }
-            }
+            FaultOutcome::Deliver => self.wire(kind, node, peer, 0, msg),
             FaultOutcome::Drop | FaultOutcome::Kill => {
-                let kill = outcome == FaultOutcome::Kill;
-                self.fabric_drop(kind, node);
+                let kill = outcome == FaultOutcome::Kill && matches!(msg, NetMsg::Data(_));
+                self.fabric(kind).drop_at_tx(cycle, node);
                 self.trace_node_event(node, EventKind::FaultDrop { channel, to, seq, kill });
             }
             FaultOutcome::Corrupt => {
-                let at = self.fabric_send(kind, node, peer);
-                d.corrupt = true;
-                self.inbox[peer].send(at, NetMsg::Data(d));
+                match &mut msg {
+                    NetMsg::Data(d) => {
+                        d.corrupt = true;
+                        self.wire(kind, node, peer, 0, msg);
+                    }
+                    NetMsg::Ack { .. } => self.fabric(kind).drop_at_tx(cycle, node),
+                }
                 self.trace_node_event(node, EventKind::FaultCorrupt { channel, to, seq });
             }
             FaultOutcome::Duplicate => {
-                let at1 = self.fabric_send(kind, node, peer);
-                let at2 = self.fabric_send(kind, node, peer);
-                self.inbox[peer].send(at1, NetMsg::Data(d.clone()));
-                self.inbox[peer].send(at2, NetMsg::Data(d));
+                self.wire(kind, node, peer, 0, msg.clone());
+                self.wire(kind, node, peer, 0, msg);
                 self.trace_node_event(node, EventKind::FaultDuplicate { channel, to, seq });
             }
             FaultOutcome::Delay(extra) => {
-                let at = self.fabric_send(kind, node, peer) + extra;
-                self.inbox[peer].send(at, NetMsg::Data(d));
+                self.wire(kind, node, peer, extra, msg);
                 self.trace_node_event(node, EventKind::FaultDelay { channel, to, seq, extra });
             }
         }
@@ -1823,7 +1741,7 @@ impl Cluster {
                                 attempt,
                             },
                         );
-                        self.put_on_wire(node, peer, d);
+                        self.put_on_wire(node, peer, kind, seq, d.last, NetMsg::Data(d));
                     }
                 }
             }
@@ -1837,138 +1755,36 @@ impl Cluster {
         if let Some(rel) = &mut self.rel {
             rel.acks_sent += 1;
         }
-        if self.tracing && self.chips[node].trace_mut().wants(TraceLevel::Full) {
-            let cycle = self.cycle;
-            self.chips[node].trace_mut().push(
-                cycle,
-                EventKind::AckSent { channel: channel_id(kind), to: peer as u32, seq },
-            );
-        }
-        let (step, cycle) = (self.state[node].step, self.cycle);
-        let outcome = match &mut self.faults {
-            Some(f) => f.on_transmit(chan_of(kind), node as u32, peer as u32, step, cycle, false),
-            None => FaultOutcome::Deliver,
-        };
-        let channel = channel_id(kind);
-        let msg = NetMsg::Ack { channel: kind, from: node, seq };
-        if self.exchange.is_some() {
-            match outcome {
-                FaultOutcome::Deliver => {
-                    let arrive = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, arrive, 0, msg);
-                }
-                FaultOutcome::Drop | FaultOutcome::Kill => {
-                    self.fabric_drop(kind, node);
-                    self.trace_node_event(
-                        node,
-                        EventKind::FaultDrop { channel, to: peer as u32, seq, kill: false },
-                    );
-                }
-                FaultOutcome::Corrupt => {
-                    self.fabric_drop(kind, node);
-                    self.trace_node_event(
-                        node,
-                        EventKind::FaultCorrupt { channel, to: peer as u32, seq },
-                    );
-                }
-                FaultOutcome::Duplicate => {
-                    let at1 = self.fabric_tx(kind, node, peer);
-                    let at2 = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, at1, 0, msg.clone());
-                    self.push_wire(node, peer, at2, 0, msg);
-                    self.trace_node_event(
-                        node,
-                        EventKind::FaultDuplicate { channel, to: peer as u32, seq },
-                    );
-                }
-                FaultOutcome::Delay(extra) => {
-                    let arrive = self.fabric_tx(kind, node, peer);
-                    self.push_wire(node, peer, arrive, extra, msg);
-                    self.trace_node_event(
-                        node,
-                        EventKind::FaultDelay { channel, to: peer as u32, seq, extra },
-                    );
-                }
-            }
-            return;
-        }
-        match outcome {
-            FaultOutcome::Deliver => {
-                let at = self.fabric_send(kind, node, peer);
-                self.inbox[peer].send(at, msg);
-            }
-            FaultOutcome::Drop | FaultOutcome::Kill => {
-                self.fabric_drop(kind, node);
-                self.trace_node_event(
-                    node,
-                    EventKind::FaultDrop { channel, to: peer as u32, seq, kill: false },
-                );
-            }
-            FaultOutcome::Corrupt => {
-                // A corrupted ack frame fails the receiver's checksum —
-                // observably a lost ack that still burned the tx port.
-                self.fabric_drop(kind, node);
-                self.trace_node_event(
-                    node,
-                    EventKind::FaultCorrupt { channel, to: peer as u32, seq },
-                );
-            }
-            FaultOutcome::Duplicate => {
-                let at1 = self.fabric_send(kind, node, peer);
-                let at2 = self.fabric_send(kind, node, peer);
-                self.inbox[peer].send(at1, msg.clone());
-                self.inbox[peer].send(at2, msg);
-                self.trace_node_event(
-                    node,
-                    EventKind::FaultDuplicate { channel, to: peer as u32, seq },
-                );
-            }
-            FaultOutcome::Delay(extra) => {
-                let at = self.fabric_send(kind, node, peer) + extra;
-                self.inbox[peer].send(at, msg);
-                self.trace_node_event(
-                    node,
-                    EventKind::FaultDelay { channel, to: peer as u32, seq, extra },
-                );
-            }
-        }
+        let sent = EventKind::AckSent { channel: channel_id(kind), to: peer as u32, seq };
+        self.trace_full_event(node, sent);
+        self.put_on_wire(node, peer, kind, seq, false, NetMsg::Ack { channel: kind, from: node, seq });
     }
 
     /// The fabric a packet kind travels on: force traffic has its own
     /// QSFP port; positions and migration share the other (§5.4).
     #[inline]
-    fn fabric_send(&mut self, kind: PacketKind, src: usize, dst: usize) -> u64 {
+    fn fabric(&mut self, kind: PacketKind) -> &mut SwitchFabric {
         match kind {
-            PacketKind::Force => self.frc_fabric.send(self.cycle, src, dst),
-            _ => self.pos_fabric.send(self.cycle, src, dst),
+            PacketKind::Force => &mut self.frc_fabric,
+            _ => &mut self.pos_fabric,
         }
     }
 
-    #[inline]
-    fn fabric_send_lossy(&mut self, kind: PacketKind, src: usize, dst: usize) -> Option<u64> {
-        match kind {
-            PacketKind::Force => self.frc_fabric.send_lossy(self.cycle, src, dst),
-            _ => self.pos_fabric.send_lossy(self.cycle, src, dst),
-        }
-    }
-
-    #[inline]
-    fn fabric_drop(&mut self, kind: PacketKind, src: usize) {
-        match kind {
-            PacketKind::Force => self.frc_fabric.drop_at_tx(self.cycle, src),
-            _ => self.pos_fabric.drop_at_tx(self.cycle, src),
-        }
-    }
-
-    /// Source half of a sharded fabric send: burn the tx port and return
-    /// the store-and-forward arrival cycle at the destination port. The
-    /// destination's owner completes admission in
-    /// [`Cluster::admit_wire_events`].
-    #[inline]
-    fn fabric_tx(&mut self, kind: PacketKind, src: usize, dst: usize) -> u64 {
-        match kind {
-            PacketKind::Force => self.frc_fabric.tx_serialize(self.cycle, src, dst),
-            _ => self.pos_fabric.tx_serialize(self.cycle, src, dst),
+    /// Carry one frame from `src`'s port to `dst`'s inbox, `extra` cycles
+    /// late: serialize on the source port, then admit at the destination
+    /// port — here when one process owns both ends, which composes to
+    /// [`SwitchFabric::send`]; in sharded mode the crossing is captured
+    /// and `dst`'s owner admits it in [`Cluster::admit_wire_events`], so
+    /// every worker admits the same global (stage, src) order the oracle
+    /// produces. The only place the transmit path asks which it is.
+    fn wire(&mut self, kind: PacketKind, src: usize, dst: usize, extra: u64, msg: NetMsg) {
+        let cycle = self.cycle;
+        let arrive = self.fabric(kind).tx_serialize(cycle, src, dst);
+        if self.exchange.is_some() {
+            self.push_wire(src, dst, arrive, extra, msg);
+        } else {
+            let at = self.fabric(kind).rx_admit(arrive, dst);
+            self.inbox[dst].send(at + extra, msg);
         }
     }
 
@@ -1995,23 +1811,14 @@ impl Cluster {
         }
     }
 
-    /// Record a [`EventKind::PacketSent`] on the sending node (Full level
-    /// only — packet traffic is too chatty for the sync tier).
+    /// Record a Full-tier event (packet and ack traffic, too chatty for
+    /// the sync tier) on a node's stream at the current cycle.
     #[inline]
-    fn note_packet_sent(&mut self, node: usize, channel: ChannelId, peer: usize, payloads: usize, last: bool) {
-        if !self.tracing || !self.chips[node].trace_mut().wants(TraceLevel::Full) {
-            return;
+    fn trace_full_event(&mut self, node: usize, ev: EventKind) {
+        if self.tracing && self.chips[node].trace_mut().wants(TraceLevel::Full) {
+            let cycle = self.cycle;
+            self.chips[node].trace_mut().push(cycle, ev);
         }
-        let cycle = self.cycle;
-        self.chips[node].trace_mut().push(
-            cycle,
-            EventKind::PacketSent {
-                channel,
-                to: peer as u32,
-                payloads: payloads as u32,
-                last,
-            },
-        );
     }
 
     /// Drain every due delivery into its chip; returns whether anything
@@ -2315,7 +2122,6 @@ impl Cluster {
         w.put_u32(self.cfg.packet_cooldown);
         w.put_f64(self.cfg.dt_fs);
         w.put_u32(dbg(format!("{:?}", self.cfg.straggler)));
-        w.put_u32(dbg(format!("{:?}", self.cfg.loss)));
         // Fingerprint the recovery-invariant core of the plan: resumed
         // runs strip crash directives (and, after a partition-diagnosed
         // deadlock, flap/partition windows), and a stripped plan must
@@ -2337,7 +2143,7 @@ impl Cluster {
     fn check_meta(&self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
         let mine = self.meta_writer().into_bytes();
         let mut me = fasda_ckpt::Reader::new(&mine, sections::META);
-        const FIELDS: [&str; 16] = [
+        const FIELDS: [&str; 15] = [
             "chip",
             "block.x",
             "block.y",
@@ -2348,7 +2154,6 @@ impl Cluster {
             "packet_cooldown",
             "dt_fs",
             "straggler",
-            "loss",
             "faults",
             "reliability",
             "space",
@@ -2358,7 +2163,7 @@ impl Cluster {
         for field in FIELDS {
             let (stored, expected): (u64, u64) = match field {
                 "block.x" | "block.y" | "block.z" | "chip" | "sync" | "topology"
-                | "packet_cooldown" | "straggler" | "loss" | "faults" | "reliability"
+                | "packet_cooldown" | "straggler" | "faults" | "reliability"
                 | "space" => (r.get_u32()? as u64, me.get_u32().expect("meta shape") as u64),
                 "bits_per_cycle" | "dt_fs" => {
                     (r.get_f64()?.to_bits(), me.get_f64().expect("meta shape").to_bits())

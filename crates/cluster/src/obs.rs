@@ -166,26 +166,17 @@ impl ObsLive {
     /// Fold the current segment's ledger totals into the reset-tolerant
     /// accumulators.
     fn fold_ledger(&mut self, ledger: &StallLedger) {
-        let mut stalls = [0u64; STALL_CLASSES];
-        let mut prod = 0u64;
-        for node in 0..ledger.num_nodes() {
-            let t = ledger.node_total(node);
-            for (acc, v) in stalls.iter_mut().zip(t.stalled.iter()) {
-                *acc += v;
-            }
-            prod += t.productive;
-        }
+        let now = ledger.total_over(0..ledger.num_nodes());
         let seen: u64 = self.stall_seen.iter().sum::<u64>() + self.prod_seen;
-        let now: u64 = stalls.iter().sum::<u64>() + prod;
-        if now < seen {
+        if now.total() < seen {
             // A new segment re-armed the ledger: bank the old totals.
             for (acc, v) in self.stall_acc.iter_mut().zip(self.stall_seen.iter()) {
                 *acc += v;
             }
             self.prod_acc += self.prod_seen;
         }
-        self.stall_seen = stalls;
-        self.prod_seen = prod;
+        self.stall_seen = now.stalled;
+        self.prod_seen = now.productive;
     }
 
     fn live_stalls(&self) -> [u64; STALL_CLASSES] {
@@ -576,16 +567,8 @@ pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -
     reg.counter_set("mu_cycles", mu_total);
     reg.hist_set("step_force_cycles", force_hist);
     if let Some(ledger) = stalls {
-        let mut totals = [0u64; STALL_CLASSES];
-        let mut productive = 0u64;
-        for node in 0..ledger.num_nodes() {
-            let t = ledger.node_total(node);
-            for (acc, v) in totals.iter_mut().zip(t.stalled.iter()) {
-                *acc += v;
-            }
-            productive += t.productive;
-        }
-        set_stalls(&mut reg, &totals, productive);
+        let t = ledger.total_over(0..ledger.num_nodes());
+        set_stalls(&mut reg, &t.stalled, t.productive);
     }
     reg
 }
@@ -684,28 +667,18 @@ pub fn measured_from(report: &ClusterRunReport, stalls: Option<&StallLedger>) ->
         ..Measured::default()
     };
     if let Some(ledger) = stalls {
-        let mut totals = [0u64; STALL_CLASSES];
-        let mut productive = 0u64;
-        for node in 0..ledger.num_nodes() {
-            let t = ledger.node_total(node);
-            for (acc, v) in totals.iter_mut().zip(t.stalled.iter()) {
-                *acc += v;
-            }
-            productive += t.productive;
-        }
-        let idle: u64 = totals.iter().sum();
-        let attributed = productive + idle;
-        if attributed > 0 {
-            meas.occupancy = productive as f64 / attributed as f64;
+        let t = ledger.total_over(0..ledger.num_nodes());
+        let idle = t.idle();
+        if t.total() > 0 {
+            meas.occupancy = t.productive as f64 / t.total() as f64;
         }
         if idle > 0 {
-            for (share, v) in meas.stall_shares.iter_mut().zip(totals.iter()) {
+            for (share, v) in meas.stall_shares.iter_mut().zip(t.stalled.iter()) {
                 *share = *v as f64 / idle as f64;
             }
         }
-        meas.sync_tail = (totals[StallCause::WaitNeighborSync as usize]
-            + totals[StallCause::Drained as usize]) as f64
-            / recs;
+        meas.sync_tail =
+            (t.of(StallCause::WaitNeighborSync) + t.of(StallCause::Drained)) as f64 / recs;
     }
     meas
 }

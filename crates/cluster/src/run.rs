@@ -222,14 +222,40 @@ impl RunSpec {
         per_cell: u32,
         seed: u64,
     ) -> Result<WorkloadSpec, SpecError> {
-        let (x, y, z) = total;
+        let spec = WorkloadSpec { per_cell, ..WorkloadSpec::paper(Self::space(total)?, seed) };
+        spec.check().map_err(|e| SpecError::new("per_cell", format!("{per_cell} per cell: {e}")))?;
+        Ok(spec)
+    }
+
+    /// The space of `total` cells — checked, where
+    /// [`SimulationSpace::new`] would panic.
+    fn space((x, y, z): (u32, u32, u32)) -> Result<SimulationSpace, SpecError> {
         if x < 3 || y < 3 || z < 3 {
             let reason = format!("the space must be at least 3 cells per axis (got {x}{y}{z})");
             return Err(SpecError::new("total", reason));
         }
-        let spec = WorkloadSpec { per_cell, ..WorkloadSpec::paper(SimulationSpace::new(x, y, z), seed) };
-        spec.check().map_err(|e| SpecError::new("per_cell", format!("{per_cell} per cell: {e}")))?;
-        Ok(spec)
+        Ok(SimulationSpace::new(x, y, z))
+    }
+
+    /// The space of `total` cells cut into chips of `per_fpga` cells —
+    /// checked, where `ChipGeometry::new` would panic. A single chip is a
+    /// geometry (`fasda info` describes one); only a run needs two.
+    pub fn geometry(
+        total: (u32, u32, u32),
+        per_fpga: (u32, u32, u32),
+    ) -> Result<SimulationSpace, SpecError> {
+        let ((tx, ty, tz), (px, py, pz)) = (total, per_fpga);
+        let space = Self::space(total)?;
+        let reason = if px == 0 || py == 0 || pz == 0 {
+            "must be at least 1 cell per axis".to_string()
+        } else if tx % px != 0 || ty % py != 0 || tz % pz != 0 {
+            format!("{px}{py}{pz} must divide the total space {tx}{ty}{tz}")
+        } else if px * py * pz > 64 {
+            format!("{px}{py}{pz} is over 64 cells per FPGA (destination masks are 64-bit)")
+        } else {
+            return Ok(space);
+        };
+        Err(SpecError::new("per_fpga", reason))
     }
 
     /// FPGA nodes the geometry spans (0 when `per_fpga` has a zero axis).
@@ -246,13 +272,8 @@ impl RunSpec {
         let ((tx, ty, tz), (px, py, pz)) = (self.total, self.per_fpga);
         let (recover, fresh) = (self.recover.is_some(), self.resume == Resume::Fresh);
         Self::workload(self.total, self.per_cell, self.seed)?;
-        let (field, reason) = if px == 0 || py == 0 || pz == 0 {
-            ("per_fpga", "must be at least 1 cell per axis".to_string())
-        } else if tx % px != 0 || ty % py != 0 || tz % pz != 0 {
-            ("per_fpga", format!("{px}{py}{pz} must divide the total space {tx}{ty}{tz}"))
-        } else if px * py * pz > 64 {
-            ("per_fpga", format!("{px}{py}{pz} is over 64 cells per FPGA (destination masks are 64-bit)"))
-        } else if self.nodes() < 2 {
+        Self::geometry(self.total, self.per_fpga)?;
+        let (field, reason) = if self.nodes() < 2 {
             ("per_fpga", format!("{tx}{ty}{tz} over {px}{py}{pz} is a single chip; the cluster driver needs 2"))
         } else if self.steps == 0 {
             ("steps", "must be at least 1".to_string())

@@ -89,14 +89,13 @@ use crate::driver::{
 };
 use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, ShardGauges};
 use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
-use fasda_obs::model::STALL_CLASSES;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use fasda_ckpt::{crc32, CkptError, Container, ContainerWriter, Persist, Reader, Writer};
 use fasda_net::sync::SyncMode;
 use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
 use fasda_sim::StatSet;
-use fasda_trace::{NodeStream, StallLedger, Trace, TraceLevel};
+use fasda_trace::{NodeStream, StallLedger, StepStalls, Trace, TraceLevel};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -216,13 +215,6 @@ pub fn validate_sharding(
         return Err(ShardError::Unsupported(
             "bulk synchronization uses a central barrier and cannot be sharded; \
              use chained sync"
-                .into(),
-        ));
-    }
-    if cfg.loss.is_some() {
-        return Err(ShardError::Unsupported(
-            "the legacy fabric loss model draws from one global RNG whose order \
-             cannot be partitioned; use --fault-plan 'drop=P,seed=S' instead"
                 .into(),
         ));
     }
@@ -858,8 +850,7 @@ struct ObsShard {
     /// Ledger totals banked from already-completed segments (owned
     /// nodes only) — [`Cluster::arm_run`] resets the live ledger per
     /// segment, so cumulative totals are `banked + live`.
-    prod_acc: u64,
-    stall_acc: [u64; STALL_CLASSES],
+    banked: StepStalls,
     /// Exchange gauges, cumulative since worker start.
     gauges: ShardGauges,
     /// Worker 0 only: boundary → per-shard samples collected so far.
@@ -874,8 +865,7 @@ impl ObsShard {
             index,
             shards,
             next_due: every.max(1),
-            prod_acc: 0,
-            stall_acc: [0; STALL_CLASSES],
+            banked: StepStalls::default(),
             gauges: ShardGauges::default(),
             pending: BTreeMap::new(),
             beats: 0,
@@ -884,17 +874,10 @@ impl ObsShard {
 
     /// Owned-node ledger totals of the current segment plus the banked
     /// totals of completed ones.
-    fn owned_totals(&self, cl: &Cluster) -> (u64, [u64; STALL_CLASSES]) {
-        let mut prod = self.prod_acc;
-        let mut stalls = self.stall_acc;
-        for node in cl.owned_range() {
-            let t = cl.tr_stalls.node_total(node);
-            prod += t.productive;
-            for (acc, v) in stalls.iter_mut().zip(t.stalled.iter()) {
-                *acc += v;
-            }
-        }
-        (prod, stalls)
+    fn owned_totals(&self, cl: &Cluster) -> StepStalls {
+        let mut t = cl.tr_stalls.total_over(cl.owned_range());
+        t.merge(&self.banked);
+        t
     }
 
     /// Retransmissions originated by owned nodes.
@@ -917,7 +900,7 @@ impl ObsShard {
         if self.every == 0 {
             return;
         }
-        (self.prod_acc, self.stall_acc) = self.owned_totals(cl);
+        self.banked = self.owned_totals(cl);
     }
 
     /// Sample this shard if its slowest owned node has crossed the next
@@ -934,7 +917,7 @@ impl ObsShard {
         }
         let boundary = self.next_due;
         self.next_due += self.every;
-        let (productive, stalls) = self.owned_totals(cl);
+        let StepStalls { productive, stalled: stalls } = self.owned_totals(cl);
         Some(ObsDelta {
             worker: self.index,
             boundary,

@@ -369,13 +369,13 @@ fn wrong_magic_and_version_are_rejected() {
     nonsense[..4].copy_from_slice(b"NOPE");
     assert!(matches!(Container::parse(&nonsense), Err(CkptError::BadMagic)));
 
-    // 999 never existed; 1 is the retired format, which has no read
-    // path and gets the same typed error.
-    for found in [999u32, 1] {
+    // 999 never existed; 1 and 2 are the retired formats, which have no
+    // read path and get the same typed error.
+    for found in [999u32, 1, 2] {
         bytes[4..8].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
             Container::parse(&bytes).unwrap_err(),
-            CkptError::BadVersion { found, expected: 2 }
+            CkptError::BadVersion { found, expected: 3 }
         );
     }
 }

@@ -3,7 +3,7 @@
 //! synchronization protocol terminates and lets fast nodes race ahead.
 
 use fasda_arith::interp::TableConfig;
-use fasda_cluster::{Cluster, ClusterConfig};
+use fasda_cluster::{Cluster, ClusterConfig, FaultPlan};
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::functional::FunctionalChip;
 use fasda_md::element::Element;
@@ -185,8 +185,8 @@ fn packet_loss_stalls_chained_sync() {
     // the chained synchronization. try_run reports the stall instead of
     // hanging — the failure mode the paper's cooldown counters prevent.
     let sys = workload(6, 3, 28);
-    let mut cfg = ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3));
-    cfg.loss = Some((0.2, 7));
+    let cfg = ClusterConfig::paper(ChipConfig::baseline(), (3, 3, 3))
+        .with_faults(FaultPlan::drop_only(0.2, 7));
     let mut cluster = Cluster::new(cfg, &sys);
     match cluster.try_run(3, 300_000) {
         Err(stall) => {

@@ -5,7 +5,9 @@
 //! lossy deadlock. (The chip-level switches are isolated one by one in
 //! `fasda-core`'s `timed_vs_functional` suite.)
 
-use fasda_cluster::{Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig};
+use fasda_cluster::{
+    Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig, FaultPlan,
+};
 use fasda_core::config::ChipConfig;
 use fasda_md::element::Element;
 use fasda_md::space::SimulationSpace;
@@ -88,8 +90,7 @@ fn both_engines_report_packet_loss_deadlock() {
     for sync in SYNCS {
         for (name, engine) in [("serial", EngineConfig::serial()), ("auto", EngineConfig::auto())] {
             let sys = workload(34);
-            let mut c = cfg(sync);
-            c.loss = Some((0.2, 7));
+            let c = cfg(sync).with_faults(FaultPlan::drop_only(0.2, 7));
             let mut cluster = Cluster::new(c, &sys);
             let err = cluster
                 .try_run_with(3, 300_000, &engine)

@@ -92,7 +92,7 @@ fn golden_checkpoints_parse_resume_and_stay_byte_stable() {
             .unwrap_or_else(|e| panic!("committed fixture step {step} no longer parses: {e}"));
         assert!(container.section_names().count() > 0, "fixture has no sections");
         assert_eq!(
-            FORMAT_VERSION, 2,
+            FORMAT_VERSION, 3,
             "FORMAT_VERSION bumped: regenerate the fixtures (older versions fail with BadVersion)"
         );
 

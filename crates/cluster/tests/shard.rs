@@ -22,6 +22,7 @@ use fasda_cluster::{
 };
 use fasda_net::sync::SyncMode;
 use fasda_net::topology::Topology;
+use fasda_trace::EventKind;
 use harness::{config, final_state, workload, BUDGET};
 use std::path::PathBuf;
 
@@ -86,10 +87,6 @@ fn validate_rejects_unsupported_configs() {
     let mut bulk = config(None, false);
     bulk.sync = SyncMode::Bulk { latency: 2_000 };
     assert!(matches!(validate_sharding(&bulk, 2, 8), Err(ShardError::Unsupported(_))));
-
-    let mut lossy = config(None, false);
-    lossy.loss = Some((0.05, 7));
-    assert!(matches!(validate_sharding(&lossy, 2, 8), Err(ShardError::Unsupported(_))));
 }
 
 // -------------------------------------------------------------------------
@@ -104,10 +101,18 @@ struct Scenario {
     engine: EngineConfig,
 }
 
-/// Both engines, clean and lossy; reference and sharded run share the
-/// engine, so even the engine trace stream is comparable.
+/// Every fault outcome at once — drop, corrupt, duplicate, delay and one
+/// marker kill on each port — healed by the reliability layer: data and
+/// acks both reach all arms of the driver's one `put_on_wire` match.
+const MIXED_PLAN: &str =
+    "drop=0.03,corrupt=0.02,dup=0.03,delay=0.05:700,seed=9,kill=frc:0->1:1,kill=pos:3->2:1";
+
+/// Both engines, clean, lossy and under [`MIXED_PLAN`]; reference and
+/// sharded run share the engine, so even the engine trace stream is
+/// comparable.
 fn scenarios() -> Vec<Scenario> {
     let full = TraceConfig::full();
+    let mixed = FaultPlan::parse(MIXED_PLAN).expect("mixed plan parses");
     vec![
         Scenario {
             name: "clean-serial",
@@ -133,6 +138,20 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "lossy-auto",
             faults: Some(FaultPlan::drop_only(0.05, 0xC0FFEE)),
+            reliable: true,
+            straggler: None,
+            engine: EngineConfig::auto().with_trace(full),
+        },
+        Scenario {
+            name: "mixed-serial",
+            faults: Some(mixed.clone()),
+            reliable: true,
+            straggler: None,
+            engine: EngineConfig::serial().with_trace(full),
+        },
+        Scenario {
+            name: "mixed-auto",
+            faults: Some(mixed),
             reliable: true,
             straggler: None,
             engine: EngineConfig::auto().with_trace(full),
@@ -217,6 +236,32 @@ fn assert_sharded_matches(
     run
 }
 
+/// The reference run drew every one of the five fault outcomes (one
+/// trace event per injection) and its receivers discarded both kinds of
+/// bad frame — otherwise a scenario could match the oracle by never
+/// reaching the arm under test.
+fn assert_every_outcome_injected(want: &Reference, ctx: &str) {
+    let mut tally = [0u64; 5];
+    let events = want.run.traces.iter().flat_map(|t| &t.nodes).flat_map(|n| &n.events);
+    for e in events {
+        match e.kind {
+            EventKind::FaultDrop { kill: false, .. } => tally[0] += 1,
+            EventKind::FaultDrop { kill: true, .. } => tally[1] += 1,
+            EventKind::FaultCorrupt { .. } => tally[2] += 1,
+            EventKind::FaultDuplicate { .. } => tally[3] += 1,
+            EventKind::FaultDelay { .. } => tally[4] += 1,
+            _ => {}
+        }
+    }
+    for (name, n) in ["drop", "kill", "corrupt", "duplicate", "delay"].iter().zip(tally) {
+        assert!(n > 0, "{ctx}: the plan injected no {name}");
+    }
+    assert_eq!(tally.iter().sum::<u64>(), want.run.report.faults_injected, "{ctx}: tally");
+    let rel = want.run.report.reliability.as_ref().expect("reliability on");
+    assert!(rel.duplicates_dropped > 0, "{ctx}: no duplicate reached a receiver");
+    assert!(rel.corrupt_dropped > 0, "{ctx}: no corrupt frame reached a receiver");
+}
+
 #[test]
 fn sharded_runs_match_oracle_bit_for_bit() {
     let sys = workload();
@@ -224,6 +269,9 @@ fn sharded_runs_match_oracle_bit_for_bit() {
         let mut cfg = config(sc.faults.clone(), sc.reliable);
         cfg.straggler = sc.straggler;
         let want = reference(&cfg, &sys, STEPS, &sc.engine, sc.name);
+        if sc.name.starts_with("mixed") {
+            assert_every_outcome_injected(&want, sc.name);
+        }
         // One shard is the protocol with no mesh peers.
         for shards in [1usize, 2, 4] {
             let ctx = format!("{} x{shards}", sc.name);

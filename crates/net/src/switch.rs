@@ -9,7 +9,6 @@
 
 use crate::packet::PACKET_BITS;
 use crate::topology::{NodeId, Topology};
-use fasda_sim::rng;
 use fasda_sim::Cycle;
 
 /// Per-traffic-class link fabric.
@@ -21,13 +20,7 @@ pub struct SwitchFabric {
     bits_per_cycle: f64,
     tx_free: Vec<Cycle>,
     rx_free: Vec<Cycle>,
-    /// Packet-loss probability per packet (UDP has no retransmission —
-    /// §5.4's cooldown counters exist to keep this at zero by avoiding
-    /// switch-buffer overruns). Default 0.
-    loss_probability: f64,
-    /// Deterministic xorshift state for loss decisions.
-    loss_rng: u64,
-    /// Packets dropped by injected loss.
+    /// Packets the fault layer dropped at this fabric's tx ports.
     pub packets_lost: u64,
     /// Total bits offered (bandwidth accounting).
     pub bits_sent: u64,
@@ -51,23 +44,10 @@ impl SwitchFabric {
             bits_per_cycle,
             tx_free: vec![0; nodes],
             rx_free: vec![0; nodes],
-            loss_probability: 0.0,
-            loss_rng: rng::GOLDEN_GAMMA,
             packets_lost: 0,
             bits_sent: 0,
             packets: 0,
         }
-    }
-
-    /// Inject packet loss with the given per-packet probability
-    /// (deterministic given `seed`). Models a switch dropping frames
-    /// under buffer pressure — the failure mode the paper's transmission
-    /// cooldown is designed to prevent.
-    pub fn with_loss(mut self, probability: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&probability));
-        self.loss_probability = probability;
-        self.loss_rng = seed | 1;
-        self
     }
 
     /// Paper-testbed fabric: switch star, 100 Gbps ports.
@@ -90,23 +70,6 @@ impl SwitchFabric {
     /// sent at cycle `T` is delivered before `T + lookahead()`.
     pub fn lookahead(&self) -> u64 {
         self.topology.lookahead(self.ser())
-    }
-
-    /// Send one 512-bit packet at `cycle`; returns its delivery cycle,
-    /// or `None` if the fabric dropped it (injected loss).
-    pub fn send_lossy(&mut self, cycle: Cycle, src: NodeId, dst: NodeId) -> Option<Cycle> {
-        if self.loss_probability > 0.0 {
-            let u = rng::xorshift64star_unit(&mut self.loss_rng);
-            if u < self.loss_probability {
-                self.packets_lost += 1;
-                // the sender's port time is still consumed
-                let ser = self.ser();
-                let tx_start = cycle.max(self.tx_free[src]);
-                self.tx_free[src] = tx_start + ser;
-                return None;
-            }
-        }
-        Some(self.send(cycle, src, dst))
     }
 
     /// Account a packet the fault layer dropped (or killed) in flight:
@@ -185,15 +148,13 @@ impl SwitchFabric {
     }
 }
 
-/// Checkpointing: topology, bandwidth, and loss probability are
-/// configuration; per-port next-free times, the loss RNG state, and the
-/// traffic counters are state.
+/// Checkpointing: topology and bandwidth are configuration; per-port
+/// next-free times and the traffic counters are state.
 impl fasda_ckpt::Snapshot for SwitchFabric {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
         self.tx_free.save(w);
         self.rx_free.save(w);
-        w.put_u64(self.loss_rng);
         w.put_u64(self.packets_lost);
         w.put_u64(self.bits_sent);
         w.put_u64(self.packets);
@@ -211,13 +172,8 @@ impl fasda_ckpt::Snapshot for SwitchFabric {
                 self.tx_free.len()
             )));
         }
-        let loss_rng = r.get_u64()?;
-        if loss_rng == 0 {
-            return Err(r.malformed("zero xorshift64* loss-RNG state"));
-        }
         self.tx_free = tx_free;
         self.rx_free = rx_free;
-        self.loss_rng = loss_rng;
         self.packets_lost = r.get_u64()?;
         self.bits_sent = r.get_u64()?;
         self.packets = r.get_u64()?;
@@ -283,29 +239,6 @@ mod tests {
             f.send(0, 0, 1);
         }
         assert_eq!(f.avg_bits_per_cycle(100), 51.2);
-    }
-
-    #[test]
-    fn lossless_by_default() {
-        let mut f = fabric();
-        for _ in 0..100 {
-            assert!(f.send_lossy(0, 0, 1).is_some());
-        }
-        assert_eq!(f.packets_lost, 0);
-    }
-
-    #[test]
-    fn injected_loss_drops_expected_fraction() {
-        let mut f = fabric().with_loss(0.25, 42);
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            if f.send_lossy(0, 0, 1).is_none() {
-                dropped += 1;
-            }
-        }
-        assert_eq!(f.packets_lost, dropped);
-        let rate = dropped as f64 / 10_000.0;
-        assert!((rate - 0.25).abs() < 0.03, "loss rate {rate}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! [`FrameLink`] abstracts the carrier:
 //!
-//! * [`SocketLink`] — a Unix-domain stream socket, the same-host
-//!   inter-process transport;
-//! * [`TcpLink`] — a TCP stream (Nagle off: frames are latency-bound
-//!   barrier traffic), the cross-host transport;
+//! * [`StreamLink`] — a connected byte stream: [`SocketLink`] over a
+//!   Unix-domain socket, the same-host inter-process transport, and
+//!   [`TcpLink`] over TCP (Nagle off: frames are latency-bound barrier
+//!   traffic), the cross-host transport;
 //! * [`MemLink`] — an in-process channel pair for hermetic tests and the
 //!   thread-backed shard harness.
 //!
@@ -20,7 +20,7 @@
 //! affect simulation results, only wall-clock time.
 
 use fasda_ckpt::{frame, CkptError};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{Receiver, Sender};
@@ -72,21 +72,27 @@ pub trait FrameLink: Send {
     fn recv_frame(&mut self) -> Result<Vec<u8>, LinkError>;
 }
 
-/// [`FrameLink`] over a Unix-domain stream socket.
-pub struct SocketLink {
-    reader: BufReader<UnixStream>,
-    writer: BufWriter<UnixStream>,
+/// [`FrameLink`] over a connected byte stream, buffered independently
+/// in each direction. [`SocketLink`] and [`TcpLink`] are this one carrier
+/// over their two stream types, so swapping one for the other cannot
+/// change what a run computes, only where its processes live.
+pub struct StreamLink<S: Read + Write> {
+    reader: BufReader<S>,
+    writer: BufWriter<S>,
 }
+
+/// [`StreamLink`] over a Unix-domain stream socket.
+pub type SocketLink = StreamLink<UnixStream>;
+
+/// [`StreamLink`] over a TCP stream.
+pub type TcpLink = StreamLink<TcpStream>;
 
 impl SocketLink {
     /// Wrap a connected stream. The stream is cloned internally so reads
     /// and writes buffer independently.
     pub fn new(stream: UnixStream) -> std::io::Result<Self> {
         let writer = BufWriter::new(stream.try_clone()?);
-        Ok(SocketLink {
-            reader: BufReader::new(stream),
-            writer,
-        })
+        Ok(StreamLink { reader: BufReader::new(stream), writer })
     }
 
     /// A connected in-process socket pair (loopback testing).
@@ -96,26 +102,6 @@ impl SocketLink {
     }
 }
 
-impl FrameLink for SocketLink {
-    fn send_frame(&mut self, payload: &[u8]) -> Result<(), LinkError> {
-        frame::write_frame_to(&mut self.writer, payload)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-
-    fn recv_frame(&mut self) -> Result<Vec<u8>, LinkError> {
-        Ok(frame::read_frame_from(&mut self.reader, "shard-link")?)
-    }
-}
-
-/// [`FrameLink`] over a TCP stream — byte-for-byte the same framing as
-/// [`SocketLink`], so swapping the carrier cannot change what a run
-/// computes, only where its processes live.
-pub struct TcpLink {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
 impl TcpLink {
     /// Wrap a connected stream. Disables Nagle's algorithm — every
     /// exchange frame is something a peer is blocked waiting for, so
@@ -123,10 +109,7 @@ impl TcpLink {
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         let writer = BufWriter::new(stream.try_clone()?);
-        Ok(TcpLink {
-            reader: BufReader::new(stream),
-            writer,
-        })
+        Ok(StreamLink { reader: BufReader::new(stream), writer })
     }
 
     /// Connect to `addr` (e.g. `127.0.0.1:7700` or `host:port`).
@@ -135,7 +118,7 @@ impl TcpLink {
     }
 }
 
-impl FrameLink for TcpLink {
+impl<S: Read + Write + Send> FrameLink for StreamLink<S> {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), LinkError> {
         frame::write_frame_to(&mut self.writer, payload)?;
         self.writer.flush()?;

@@ -1,7 +1,7 @@
 //! Shared deterministic PRNG primitives.
 //!
 //! Every source of pseudo-randomness in the simulator — link-fault
-//! schedules, injected switch loss, fuzz inputs — goes through this one
+//! schedules, fuzz inputs — goes through this one
 //! audited implementation so that a seed fully determines behaviour on
 //! every engine, and so checkpoint/restore can freeze and resume a
 //! stream mid-sequence by persisting a single `u64` of state.

@@ -294,23 +294,31 @@ impl Server {
 
         // Bind the control listener before spawning anything so a
         // bad address fails the whole start.
-        enum Bound {
-            Unix(UnixListener),
-            Tcp(TcpListener),
-        }
-        let (bound, addr) = match &cfg.listen {
+        let (accept, addr): (Accept, Listen) = match &cfg.listen {
             Listen::Unix(path) => {
                 let _ = std::fs::remove_file(path);
                 if let Some(parent) = path.parent() {
                     std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
                 }
                 let l = UnixListener::bind(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                (Bound::Unix(l), Listen::Unix(path.clone()))
+                l.set_nonblocking(true).map_err(|e| e.to_string())?;
+                let accept = move || {
+                    let (stream, _) = l.accept()?;
+                    let _ = stream.set_nonblocking(false);
+                    Ok(SocketLink::new(stream).ok().map(|l| Box::new(l) as Box<dyn FrameLink>))
+                };
+                (Box::new(accept), Listen::Unix(path.clone()))
             }
             Listen::Tcp(spec) => {
                 let l = TcpListener::bind(spec.as_str()).map_err(|e| format!("{spec}: {e}"))?;
                 let resolved = l.local_addr().map_err(|e| e.to_string())?.to_string();
-                (Bound::Tcp(l), Listen::Tcp(resolved))
+                l.set_nonblocking(true).map_err(|e| e.to_string())?;
+                let accept = move || {
+                    let (stream, _) = l.accept()?;
+                    let _ = stream.set_nonblocking(false);
+                    Ok(TcpLink::new(stream).ok().map(|l| Box::new(l) as Box<dyn FrameLink>))
+                };
+                (Box::new(accept), Listen::Tcp(resolved))
             }
         };
 
@@ -345,10 +353,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("fasda-listener".to_string())
-                    .spawn(move || match bound {
-                        Bound::Unix(l) => listener_loop(&sh, &nid, l),
-                        Bound::Tcp(l) => tcp_listener_loop(&sh, &nid, l),
-                    })
+                    .spawn(move || listener_loop(&sh, &nid, accept))
                     .map_err(|e| e.to_string())?,
             );
         }
@@ -590,40 +595,18 @@ fn log_to(sh: &Shared, id: u64, line: String) {
 // Control listener
 // -----------------------------------------------------------------------
 
-fn listener_loop(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, listener: UnixListener) {
-    listener.set_nonblocking(true).expect("nonblocking listener");
-    loop {
-        if sh.state.lock().expect("state lock").shutdown {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                if let Ok(link) = SocketLink::new(stream) {
-                    spawn_handler(sh, next_id, Box::new(link));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => return,
-        }
-    }
-}
+/// Takes one connection off a non-blocking listener and wraps it as a
+/// link; `Ok(None)` when the accepted stream could not be wrapped.
+type Accept = Box<dyn Fn() -> std::io::Result<Option<Box<dyn FrameLink>>> + Send>;
 
-fn tcp_listener_loop(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, listener: TcpListener) {
-    listener.set_nonblocking(true).expect("nonblocking listener");
+fn listener_loop(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, accept: Accept) {
     loop {
         if sh.state.lock().expect("state lock").shutdown {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                if let Ok(link) = TcpLink::new(stream) {
-                    spawn_handler(sh, next_id, Box::new(link));
-                }
-            }
+        match accept() {
+            Ok(Some(link)) => spawn_handler(sh, next_id, link),
+            Ok(None) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
             }

@@ -173,8 +173,13 @@ impl StallLedger {
 
     /// Whole-run totals for one node.
     pub fn node_total(&self, node: usize) -> StepStalls {
+        self.total_over(node..node + 1)
+    }
+
+    /// Whole-run totals summed over a range of nodes.
+    pub fn total_over(&self, nodes: std::ops::Range<usize>) -> StepStalls {
         let mut t = StepStalls::default();
-        for r in self.nodes[node].values() {
+        for r in self.nodes[nodes].iter().flat_map(BTreeMap::values) {
             t.merge(r);
         }
         t
