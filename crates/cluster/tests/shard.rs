@@ -300,6 +300,55 @@ fn sharded_over_loopback_tcp_matches_oracle_bit_for_bit() {
 }
 
 // -------------------------------------------------------------------------
+// Failures are the oracle's own errors
+// -------------------------------------------------------------------------
+
+/// A sharded run that fails returns the in-process run's error field for
+/// field — a lost-marker deadlock, a drop-starved run, a budget stall, an
+/// injected crash and a partition diagnosed as an outage, under both
+/// engines, at 2 and 4 shards. Each worker reports its share of the
+/// error; the coordinator's merge must rebuild the whole of it.
+#[test]
+fn sharded_failures_equal_the_oracles_errors() {
+    const STEPS: u64 = 3;
+    let sys = workload();
+    let plan = |s: &str| Some(FaultPlan::parse(s).expect("plan parses"));
+    let cases = [
+        ("lost-marker", plan("kill=frc:0->1:1"), BUDGET),
+        ("drop", plan("drop=0.2"), BUDGET),
+        ("stall", None, 3_000),
+        ("crash", plan("crash=1@1"), BUDGET),
+        ("partition", plan("partition=0..4|4..8:@1+100000000"), BUDGET),
+    ];
+    for (name, faults, budget) in cases {
+        let cfg = config(faults, false);
+        for (engine_name, engine) in [("serial", EngineConfig::serial()), ("auto", EngineConfig::auto())] {
+            let want = Cluster::new(cfg.clone(), &sys)
+                .try_run_with(STEPS, budget, &engine)
+                .expect_err("the in-process run fails");
+            let expected = match (name, &want) {
+                ("lost-marker" | "drop", ClusterError::Deadlock(_)) => true,
+                ("partition", ClusterError::Deadlock(d)) => !d.outages.is_empty(),
+                ("stall", ClusterError::Stalled(_)) | ("crash", ClusterError::Crashed(_)) => true,
+                _ => false,
+            };
+            assert!(expected, "{name}: unexpected in-process failure {want}");
+            for shards in [2usize, 4] {
+                let ctx = format!("{name} {engine_name} x{shards}");
+                let opts = ShardOpts { budget, ..Default::default() };
+                match run_sharded(&cfg, &sys, STEPS, &engine, shards, opts) {
+                    Err(ShardError::Cluster(got)) => {
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}")
+                    }
+                    Err(other) => panic!("{ctx}: untyped failure {other}"),
+                    Ok(_) => panic!("{ctx}: the sharded run completed"),
+                }
+            }
+        }
+    }
+}
+
+// -------------------------------------------------------------------------
 // Window boundaries and degenerate lookahead
 // -------------------------------------------------------------------------
 
