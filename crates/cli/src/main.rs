@@ -342,13 +342,6 @@ fn spawn_shards(
     obs: Option<ObsSinkConfig>,
 ) -> Result<RunOutput, String> {
     let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
-    let resume = spec.resume_file().map_err(|e| e.to_string())?;
-    if let (Resume::Latest, Some(ckpt)) = (&spec.resume, &spec.ckpt) {
-        match &resume {
-            Some(path) => println!("resuming from {}", path.display()),
-            None => println!("no checkpoint in {}; starting from step 0", ckpt.dir.display()),
-        }
-    }
     // Rendezvous carrier: `--shard-listen ADDR` puts the control socket
     // and worker mesh on TCP (cross-host capable; loopback in CI), the
     // default stays Unix sockets in `--shard-dir`.
@@ -372,8 +365,12 @@ fn spawn_shards(
             println!("sharding across {shards} worker process(es); listening on tcp {addr}")
         }
     }
+    // The coordinator resumes by the in-process rule and says so the same way.
+    let mut note = |line| println!("{line}");
+    let resume = spec.resume_file(&mut note).map_err(|e| e.to_string())?;
     let shard_opts = ShardOpts { ckpt: spec.ckpt.clone(), resume, obs, ..ShardOpts::default() };
-    let run = coordinator_main_net(&cfg, &sys, spec.steps, shards, shard_opts, &net, &worker_argv)
+    let (steps, argv) = (spec.steps, &worker_argv);
+    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &net, argv, &mut note)
         .map_err(|e| e.to_string())?;
     Ok(RunOutput::from_sharded(run, sys))
 }

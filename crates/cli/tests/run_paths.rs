@@ -150,11 +150,37 @@ fn recovered_run_writes_every_artifact() {
     assert!(dir.join("rec.obs.json").exists());
 
     // Its checkpoints are at step 3: resuming them into a 2-step run is an
-    // error naming the flag, not the runner's assert.
-    let out = fasda(&dir, &["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir", "ck", "--resume", "latest"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.starts_with("error: resume: ") && stderr.contains("step 3"), "{stderr}");
+    // error naming the flag, not the runner's assert — from the directory
+    // or the file, in-process or sharded.
+    let latest = ["--checkpoint-every", "1", "--checkpoint-dir", "ck", "--resume", "latest"];
+    let file = ["--resume", "ck/ckpt-0000000003.fckp"];
+    let sharded = ["--shards", "2", "--shard-dir", "rdv"];
+    for resume in [&latest[..], &file] {
+        for shards in [&[][..], &sharded] {
+            let out = fasda(&dir, &[&["--steps", "2"][..], resume, shards].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{resume:?} {shards:?}: {stderr}");
+            assert!(stderr.starts_with("error: resume: ") && stderr.contains("step 3"), "{stderr}");
+        }
+    }
+    // A resume that is allowed says where it resumed from, whichever path
+    // runs it: the file it found at step 3, or an empty directory.
+    let replay = ["--steps", "3", "--fault-plan", "crash=1@2", "--unreliable"];
+    let empty = ["--checkpoint-every", "1", "--checkpoint-dir", "none", "--resume", "latest"];
+    for (resume, says) in [
+        (&latest[..], "resumed from ck/ckpt-0000000003.fckp (step 3)"),
+        (&file, "resumed from ck/ckpt-0000000003.fckp (step 3)"),
+        (&empty, "no checkpoint in none; starting from step 0"),
+    ] {
+        for shards in [&[][..], &sharded] {
+            let out = fasda(&dir, &[&replay[..], resume, shards].concat());
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{resume:?} {shards:?}: {stderr}");
+            assert!(stdout.lines().any(|l| l == says), "{resume:?} {shards:?}: {stdout}");
+            let _ = std::fs::remove_dir_all(dir.join("none"));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -33,7 +33,7 @@ pub use fasda_ckpt::latest_checkpoint;
 pub use fasda_ckpt::policy;
 use fasda_core::timed::TrafficCounters;
 use fasda_sim::StatSet;
-use fasda_trace::{Trace, TraceLevel};
+use fasda_trace::Trace;
 use std::path::{Path, PathBuf};
 
 /// Where and how often to checkpoint a run.
@@ -406,9 +406,33 @@ pub fn run_with_checkpoints_ctl(
     cycle_budget: u64,
     engine: &EngineConfig,
     ckpt: Option<&CheckpointConfig>,
-    mut acc: RunAccumulator,
+    acc: RunAccumulator,
     ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
 ) -> Result<CkptRunOutcome, CkptRunError> {
+    run_segments(cluster, steps, cycle_budget, ckpt, acc, ctl, &mut |cluster, target, budget| {
+        let report = cluster.try_run_with(target, budget, engine)?;
+        Ok((report, cluster.take_trace()))
+    })
+}
+
+/// One segment's report and trace, or why it failed.
+pub(crate) type Segment<E> = Result<(ClusterRunReport, Option<Trace>), E>;
+
+/// The one segment loop, whatever advances the machine: `segment(cluster,
+/// target, budget)` runs one segment to the absolute step `target` within
+/// `budget` cycles and returns its report and trace — in-process by
+/// [`Cluster::try_run_with`], on a shard coordinator by one round of
+/// worker frames spliced into its replica. Budget accounting, report
+/// accumulation, checkpoint writing and the controller live here only.
+pub(crate) fn run_segments<E: From<CkptError>>(
+    cluster: &mut Cluster,
+    steps: u64,
+    cycle_budget: u64,
+    ckpt: Option<&CheckpointConfig>,
+    mut acc: RunAccumulator,
+    ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
+    segment: &mut dyn FnMut(&mut Cluster, u64, u64) -> Segment<E>,
+) -> Result<CkptRunOutcome, E> {
     assert!(
         acc.steps_done <= steps,
         "accumulator is already past the requested step count"
@@ -423,12 +447,8 @@ pub fn run_with_checkpoints_ctl(
     while acc.steps_done < steps {
         let target = (acc.steps_done + every).min(steps);
         let spent = cluster.cycle - start_cycle;
-        let report = cluster.try_run_with(target, cycle_budget.saturating_sub(spent), engine)?;
-        if engine.trace.level != TraceLevel::Off {
-            if let Some(t) = cluster.take_trace() {
-                traces.push(t);
-            }
-        }
+        let (report, trace) = segment(cluster, target, cycle_budget.saturating_sub(spent))?;
+        traces.extend(trace);
         acc.fold(&report);
         let mut written = None;
         if let Some(c) = ckpt {

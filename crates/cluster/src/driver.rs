@@ -5,7 +5,7 @@ use crate::wire::{Cargo, Delivery, NetMsg};
 use fasda_core::config::ChipConfig;
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
 use fasda_core::timed::ring::{FrcFlit, MigFlit, PosFlit};
-use fasda_core::timed::{ForceActivity, TimedChip};
+use fasda_core::timed::{ForceActivity, TimedChip, TrafficCounters};
 use fasda_md::space::SimulationSpace;
 use fasda_md::system::ParticleSystem;
 use fasda_md::units::UnitSystem;
@@ -1077,27 +1077,29 @@ impl Cluster {
         }
     }
 
-    fn stalled(&self) -> ClusterStalled {
+    /// The stall as this execution context sees it: the owned nodes'
+    /// states — every node in-process, a shard worker's share of the
+    /// error otherwise (the coordinator concatenates the shares).
+    pub(crate) fn stalled(&self) -> ClusterStalled {
         ClusterStalled {
             at_cycle: self.cycle,
             node_states: self
-                .state
-                .iter()
-                .map(|s| (s.step, format!("{:?}", s.phase)))
+                .owned_range()
+                .map(|n| (self.state[n].step, format!("{:?}", self.state[n].phase)))
                 .collect(),
             packets_lost: self.pos_fabric.packets_lost + self.frc_fabric.packets_lost,
         }
     }
 
-    fn deadlocked(&self) -> DeadlockDetected {
+    /// The deadlock over the owned nodes, like [`Cluster::stalled`]; the
+    /// outages are the directives this context saw latch.
+    pub(crate) fn deadlocked(&self) -> DeadlockDetected {
         DeadlockDetected {
             at_cycle: self.cycle,
             starving: self
-                .state
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.phase != NodePhase::Done)
-                .map(|(n, s)| (n, s.step, format!("{:?}", s.phase)))
+                .owned_range()
+                .filter(|&n| self.state[n].phase != NodePhase::Done)
+                .map(|n| (n, self.state[n].step, format!("{:?}", self.state[n].phase)))
                 .collect(),
             packets_lost: self.pos_fabric.packets_lost + self.frc_fabric.packets_lost,
             outages: self
@@ -1956,18 +1958,36 @@ impl Cluster {
         self.chips[0].units()
     }
 
-    fn assemble_report(&mut self, steps: u64, total_cycles: u64) -> ClusterRunReport {
-        // Merge per-chip utilization counters into a cluster-wide set.
+    /// The report of the run just finished, over the owned nodes: their
+    /// records, merged utilization counters and traffic (a shard worker
+    /// ships these three to the coordinator).
+    pub(crate) fn assemble_report(&mut self, steps: u64, total_cycles: u64) -> ClusterRunReport {
         let mut stats = StatSet::new();
-        for chip in &self.chips {
-            stats.merge_from(&chip.report(0, 0).stats);
+        for n in self.owned_range() {
+            stats.merge_from(&self.chips[n].report(0, 0).stats);
         }
-        let per_node_traffic: Vec<_> = self.chips.iter().map(TimedChip::traffic).collect();
+        let traffic = self.owned_range().map(|n| self.chips[n].traffic()).collect();
+        let records = std::mem::take(&mut self.records);
+        self.segment_report(steps, total_cycles, records, stats, traffic)
+    }
 
+    /// A segment report over the given records, statistics and per-node
+    /// traffic, with the cumulative fabric, fault and reliability tallies
+    /// read from this cluster — the one constructor of
+    /// [`ClusterRunReport`], for the in-process run and the shard
+    /// coordinator's fold alike.
+    pub(crate) fn segment_report(
+        &self,
+        steps: u64,
+        total_cycles: u64,
+        records: Vec<NodeStepReport>,
+        stats: StatSet,
+        per_node_traffic: Vec<TrafficCounters>,
+    ) -> ClusterRunReport {
         ClusterRunReport {
             steps,
             total_cycles,
-            records: std::mem::take(&mut self.records),
+            records,
             stats,
             per_node_traffic,
             pos_packets: self.pos_fabric.packets,

@@ -309,12 +309,18 @@ impl RunSpec {
     }
 
     /// The checkpoint file `resume` names: the newest one in the
-    /// checkpoint directory for [`Resume::Latest`] (`None` when it holds
-    /// none), the file itself for [`Resume::File`].
-    pub fn resume_file(&self) -> Result<Option<PathBuf>, CkptError> {
+    /// checkpoint directory for [`Resume::Latest`] (`None`, and a note
+    /// saying so, when it holds none), the file itself for [`Resume::File`].
+    pub fn resume_file(&self, note: &mut dyn FnMut(String)) -> Result<Option<PathBuf>, CkptError> {
         match (&self.resume, &self.ckpt) {
             (Resume::File(path), _) => Ok(Some(path.clone())),
-            (Resume::Latest, Some(ckpt)) => latest_checkpoint(&ckpt.dir),
+            (Resume::Latest, Some(ckpt)) => {
+                let latest = latest_checkpoint(&ckpt.dir)?;
+                if latest.is_none() {
+                    note(format!("no checkpoint in {}; starting from step 0", ckpt.dir.display()));
+                }
+                Ok(latest)
+            }
             _ => Ok(None),
         }
     }
@@ -326,27 +332,14 @@ impl RunSpec {
         cluster: &mut Cluster,
         note: &mut dyn FnMut(String),
     ) -> Result<RunAccumulator, RunError> {
-        let (acc, from) = match (&self.resume, self.resume_file()?) {
+        let (acc, from) = match (&self.resume, self.resume_file(note)?) {
             (Resume::Container(bytes), _) => {
                 (resume_from_container(cluster, bytes)?, "in-memory container".to_string())
             }
             (_, Some(path)) => (load_checkpoint(cluster, &path)?, path.display().to_string()),
-            (resume, None) => {
-                if let (Resume::Latest, Some(ckpt)) = (resume, &self.ckpt) {
-                    note(format!("no checkpoint in {}; starting from step 0", ckpt.dir.display()));
-                }
-                return Ok(RunAccumulator::new());
-            }
+            (_, None) => return Ok(RunAccumulator::new()),
         };
-        if acc.steps_done > self.steps {
-            return Err(SpecError::new(
-                "resume",
-                format!("{from} is at step {}, past the {} requested", acc.steps_done, self.steps),
-            )
-            .into());
-        }
-        note(format!("resumed from {from} (step {})", acc.steps_done));
-        Ok(acc)
+        Ok(resumed(acc, &from, self.steps, note)?)
     }
 
     /// Run the spec in this process. A heartbeat sampler is attached when
@@ -404,6 +397,23 @@ impl RunSpec {
             CkptRunOutcome::Cancelled(_) => Err(RunError::Cancelled),
         }
     }
+}
+
+/// The resume rule of every run, in-process or sharded: the progress
+/// `acc` restored from `from` may not be past the `steps` requested, and
+/// `note` is told where the run resumed.
+pub(crate) fn resumed(
+    acc: RunAccumulator,
+    from: &str,
+    steps: u64,
+    note: &mut dyn FnMut(String),
+) -> Result<RunAccumulator, SpecError> {
+    if acc.steps_done > steps {
+        let reason = format!("{from} is at step {}, past the {steps} requested", acc.steps_done);
+        return Err(SpecError::new("resume", reason));
+    }
+    note(format!("resumed from {from} (step {})", acc.steps_done));
+    Ok(acc)
 }
 
 #[cfg(test)]

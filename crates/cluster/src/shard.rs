@@ -68,27 +68,34 @@
 //!
 //! ## Coordinator
 //!
-//! The coordinator never simulates. It drives checkpoint-sized
-//! segments ([`run_with_checkpoints`]'s loop verbatim), collects each
-//! worker's segment result — records, stats, traffic, trace slices and
-//! a full state container — and *splices* the owned slices into its
-//! replica [`Cluster`]. Scalar tallies shared across shards (fabric
-//! packet/bit/lost counters, fault and ack counts) are reconciled as
-//! `base + Σ deltas`; per-link counters travel inside the spliced maps.
-//! The replica is then bit-identical to an in-process cluster at the
-//! same step boundary, which is what makes quiescent-step checkpoints —
-//! and `--resume` across a *different* shard count — work unchanged.
+//! The coordinator never simulates, and it has no run loop of its own:
+//! it runs the in-process run's segment loop ([`run_segments`]), in
+//! which one segment is one round of control frames. It sends `Run`,
+//! collects each worker's segment result — records, stats, traffic,
+//! trace slices and a full state container — and *splices* the owned
+//! slices into its replica [`Cluster`]. Scalar tallies shared across
+//! shards (fabric packet/bit/lost counters, fault and ack counts) are
+//! one [`Tallies`] value, reconciled as `base + Σ deltas`; per-link
+//! counters travel inside the spliced maps. The replica is then
+//! bit-identical to an in-process cluster at the same step boundary, so
+//! the loop's own checkpoint writer serves sharded runs unchanged — and
+//! `--resume` across a *different* shard count works too. A failed
+//! segment comes back as each worker's share of the oracle's
+//! [`ClusterError`], built by the oracle's own constructors over the
+//! worker's owned nodes; the coordinator only concatenates the shares.
 
 use crate::ckpt::{
-    load_checkpoint, resume_from_container, save_checkpoint, CheckpointConfig, RunAccumulator,
+    load_checkpoint, run_segments, CheckpointConfig, CheckpointedRun, CkptRunOutcome,
+    RunAccumulator, Segment, SegmentControl,
 };
 use crate::driver::{
-    Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
-    DeadlockDetected, EngineConfig, ExchangeBuf, LookaheadViolation, NextEvent, NodePhase,
-    WireEvent, DEADLOCK_SCAN_INTERVAL, MAX_RUN_CYCLES,
+    Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected, DeadlockDetected,
+    EngineConfig, ExchangeBuf, LookaheadViolation, NextEvent, WireEvent, DEADLOCK_SCAN_INTERVAL,
+    MAX_RUN_CYCLES,
 };
 use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, ShardGauges};
-use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
+use crate::report::{ClusterRunReport, NodeStepReport};
+use crate::run::{resumed, SpecError};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use fasda_ckpt::{crc32, CkptError, Container, ContainerWriter, Persist, Reader, Writer};
@@ -97,8 +104,7 @@ use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
 use fasda_sim::StatSet;
 use fasda_trace::{NodeStream, StallLedger, StepStalls, Trace, TraceLevel};
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 use fasda_core::timed::TrafficCounters;
 use fasda_md::system::ParticleSystem;
@@ -116,6 +122,9 @@ pub enum ShardError {
     /// The simulation itself failed (stall / deadlock / injected crash)
     /// — same vocabulary as the in-process engine.
     Cluster(ClusterError),
+    /// The run cannot be run as asked — the in-process run's refusal,
+    /// e.g. a resume from a checkpoint past the requested steps.
+    Spec(SpecError),
     /// Checkpoint or frame (de)serialization failed.
     Ckpt(CkptError),
     /// A shard link failed mid-exchange (worker death, torn frame).
@@ -139,6 +148,7 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::Cluster(e) => write!(f, "sharded run failed: {e}"),
+            ShardError::Spec(e) => e.fmt(f),
             ShardError::Ckpt(e) => write!(f, "shard checkpoint error: {e}"),
             ShardError::Link(e) => write!(f, "shard link error: {e}"),
             ShardError::Io(e) => write!(f, "shard I/O error: {e}"),
@@ -155,6 +165,11 @@ impl std::error::Error for ShardError {}
 impl From<ClusterError> for ShardError {
     fn from(e: ClusterError) -> Self {
         ShardError::Cluster(e)
+    }
+}
+impl From<SpecError> for ShardError {
+    fn from(e: SpecError) -> Self {
+        ShardError::Spec(e)
     }
 }
 impl From<CkptError> for ShardError {
@@ -390,10 +405,16 @@ impl MeshFrame {
             1 => MeshFrame::Id(r.get_u32()?),
             t => return Err(r.malformed(format!("invalid mesh frame tag {t}"))),
         };
-        if r.remaining() != 0 {
-            return Err(r.malformed(format!("{} trailing bytes in mesh frame", r.remaining())));
-        }
-        Ok(frame)
+        whole(&r, frame, "mesh")
+    }
+}
+
+/// `frame`, decoded by `r`, if it spans the whole payload: a frame with
+/// trailing bytes is malformed, never a shorter frame plus garbage.
+fn whole<T>(r: &Reader<'_>, frame: T, kind: &str) -> Result<T, CkptError> {
+    match r.remaining() {
+        0 => Ok(frame),
+        n => Err(r.malformed(format!("{n} trailing bytes in {kind} frame"))),
     }
 }
 
@@ -433,19 +454,8 @@ struct SegmentOk {
     stats: StatSet,
     /// Owned nodes' flit-level traffic counters, node order.
     traffic: Vec<TrafficCounters>,
-    /// Cumulative-since-worker-start deltas of the shared scalar
-    /// tallies. Admission-side counters (packets, bits) partition by
-    /// destination owner; loss counters by source owner — either way
-    /// the per-worker deltas sum to the oracle's global tally.
-    d_pos_packets: u64,
-    d_frc_packets: u64,
-    d_pos_bits: u64,
-    d_frc_bits: u64,
-    d_pos_lost: u64,
-    d_frc_lost: u64,
-    d_faults: [u64; 5],
-    d_acks: u64,
-    d_corrupt: u64,
+    /// What this worker added to the shared tallies since it started.
+    tallies: Tallies,
     trace: Option<TraceShard>,
     /// This segment's exchange gauges (host-side, never simulated state).
     gauges: ShardGauges,
@@ -461,17 +471,7 @@ impl Persist for SegmentOk {
         self.records.save(w);
         self.stats.save(w);
         self.traffic.save(w);
-        w.put_u64(self.d_pos_packets);
-        w.put_u64(self.d_frc_packets);
-        w.put_u64(self.d_pos_bits);
-        w.put_u64(self.d_frc_bits);
-        w.put_u64(self.d_pos_lost);
-        w.put_u64(self.d_frc_lost);
-        for d in self.d_faults {
-            w.put_u64(d);
-        }
-        w.put_u64(self.d_acks);
-        w.put_u64(self.d_corrupt);
+        self.tallies.0.save(w);
         self.trace.save(w);
         self.gauges.save(w);
         self.container.save(w);
@@ -483,21 +483,7 @@ impl Persist for SegmentOk {
             records: Persist::load(r)?,
             stats: Persist::load(r)?,
             traffic: Persist::load(r)?,
-            d_pos_packets: r.get_u64()?,
-            d_frc_packets: r.get_u64()?,
-            d_pos_bits: r.get_u64()?,
-            d_frc_bits: r.get_u64()?,
-            d_pos_lost: r.get_u64()?,
-            d_frc_lost: r.get_u64()?,
-            d_faults: {
-                let mut d = [0u64; 5];
-                for v in &mut d {
-                    *v = r.get_u64()?;
-                }
-                d
-            },
-            d_acks: r.get_u64()?,
-            d_corrupt: r.get_u64()?,
+            tallies: Tallies(Persist::load(r)?),
             trace: Persist::load(r)?,
             gauges: Persist::load(r)?,
             container: Persist::load(r)?,
@@ -505,32 +491,14 @@ impl Persist for SegmentOk {
     }
 }
 
-/// A worker's failed segment: the owned share of the oracle's error.
-/// The coordinator concatenates shares in shard order — which is node
-/// order — to rebuild the exact in-process [`ClusterError`].
+/// A worker's failed segment.
 #[derive(Debug)]
 enum SegmentFail {
-    Stalled {
-        at_cycle: u64,
-        /// Owned nodes' `(step, phase)` in node order.
-        nodes: Vec<(u64, String)>,
-        lost: u64,
-    },
-    Deadlock {
-        at_cycle: u64,
-        /// Owned starving nodes: `(node, step, phase)`.
-        starving: Vec<(u64, u64, String)>,
-        lost: u64,
-        /// Flap/partition directives this worker saw latch — the
-        /// coordinator unions the shares into the oracle's diagnosis.
-        outages: Vec<String>,
-    },
-    Crashed {
-        at_cycle: u64,
-        node: u32,
-        step: u64,
-        lost: u64,
-    },
+    /// The run failed: this worker's share of the oracle's error, built
+    /// by the oracle's own constructors over the owned nodes. The
+    /// coordinator concatenates the shares in shard order, which is
+    /// node order.
+    Cluster(ClusterError),
     /// The worker's mesh links failed (a peer died mid-exchange); the
     /// message names the peer.
     Link(String),
@@ -542,41 +510,16 @@ enum SegmentFail {
 impl Persist for SegmentFail {
     fn save(&self, w: &mut Writer) {
         match self {
-            SegmentFail::Stalled { at_cycle, nodes, lost } => {
+            SegmentFail::Cluster(e) => {
                 w.put_u8(0);
-                w.put_u64(*at_cycle);
-                w.put_usize(nodes.len());
-                for (step, phase) in nodes {
-                    w.put_u64(*step);
-                    w.put_str(phase);
-                }
-                w.put_u64(*lost);
-            }
-            SegmentFail::Deadlock { at_cycle, starving, lost, outages } => {
-                w.put_u8(1);
-                w.put_u64(*at_cycle);
-                w.put_usize(starving.len());
-                for (node, step, phase) in starving {
-                    w.put_u64(*node);
-                    w.put_u64(*step);
-                    w.put_str(phase);
-                }
-                w.put_u64(*lost);
-                outages.save(w);
-            }
-            SegmentFail::Crashed { at_cycle, node, step, lost } => {
-                w.put_u8(2);
-                w.put_u64(*at_cycle);
-                w.put_u32(*node);
-                w.put_u64(*step);
-                w.put_u64(*lost);
+                e.save(w);
             }
             SegmentFail::Link(msg) => {
-                w.put_u8(3);
+                w.put_u8(1);
                 w.put_str(msg);
             }
             SegmentFail::Lookahead(v) => {
-                w.put_u8(4);
+                w.put_u8(2);
                 w.put_u32(v.src);
                 w.put_u32(v.dst);
                 w.put_u64(v.sent);
@@ -587,33 +530,9 @@ impl Persist for SegmentFail {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         match r.get_u8()? {
-            0 => {
-                let at_cycle = r.get_u64()?;
-                let n = r.get_len()?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push((r.get_u64()?, r.get_str()?));
-                }
-                Ok(SegmentFail::Stalled { at_cycle, nodes, lost: r.get_u64()? })
-            }
-            1 => {
-                let at_cycle = r.get_u64()?;
-                let n = r.get_len()?;
-                let mut starving = Vec::with_capacity(n);
-                for _ in 0..n {
-                    starving.push((r.get_u64()?, r.get_u64()?, r.get_str()?));
-                }
-                let lost = r.get_u64()?;
-                Ok(SegmentFail::Deadlock { at_cycle, starving, lost, outages: Persist::load(r)? })
-            }
-            2 => Ok(SegmentFail::Crashed {
-                at_cycle: r.get_u64()?,
-                node: r.get_u32()?,
-                step: r.get_u64()?,
-                lost: r.get_u64()?,
-            }),
-            3 => Ok(SegmentFail::Link(r.get_str()?)),
-            4 => Ok(SegmentFail::Lookahead(LookaheadViolation {
+            0 => Ok(SegmentFail::Cluster(Persist::load(r)?)),
+            1 => Ok(SegmentFail::Link(r.get_str()?)),
+            2 => Ok(SegmentFail::Lookahead(LookaheadViolation {
                 src: r.get_u32()?,
                 dst: r.get_u32()?,
                 sent: r.get_u64()?,
@@ -622,6 +541,58 @@ impl Persist for SegmentFail {
             })),
             t => Err(r.malformed(format!("invalid segment-fail tag {t}"))),
         }
+    }
+}
+
+impl Persist for ClusterError {
+    fn save(&self, w: &mut Writer) {
+        match self {
+            ClusterError::Stalled(s) => {
+                w.put_u8(0);
+                w.put_u64(s.at_cycle);
+                s.node_states.save(w);
+                w.put_u64(s.packets_lost);
+            }
+            ClusterError::Deadlock(d) => {
+                w.put_u8(1);
+                w.put_u64(d.at_cycle);
+                d.starving.save(w);
+                w.put_u64(d.packets_lost);
+                d.outages.save(w);
+            }
+            ClusterError::Crashed(c) => {
+                w.put_u8(2);
+                w.put_u64(c.at_cycle);
+                w.put_usize(c.node);
+                w.put_u64(c.step);
+                w.put_u64(c.packets_lost);
+            }
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
+        Ok(match r.get_u8()? {
+            0 => ClusterStalled {
+                at_cycle: r.get_u64()?,
+                node_states: Persist::load(r)?,
+                packets_lost: r.get_u64()?,
+            }
+            .into(),
+            1 => DeadlockDetected {
+                at_cycle: r.get_u64()?,
+                starving: Persist::load(r)?,
+                packets_lost: r.get_u64()?,
+                outages: Persist::load(r)?,
+            }
+            .into(),
+            2 => CrashInjected {
+                at_cycle: r.get_u64()?,
+                node: r.get_usize()?,
+                step: r.get_u64()?,
+                packets_lost: r.get_u64()?,
+            }
+            .into(),
+            t => return Err(r.malformed(format!("invalid cluster-error tag {t}"))),
+        })
     }
 }
 
@@ -687,56 +658,84 @@ impl CtlFrame {
 
     fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut r = Reader::new(bytes, FRAME);
-        match r.get_u8()? {
-            0 => Ok(CtlFrame::Hello {
+        let frame = match r.get_u8()? {
+            0 => CtlFrame::Hello {
                 index: r.get_u32()?,
                 meta_crc: r.get_u32()?,
                 mesh_addr: r.get_str()?,
-            }),
-            1 => Ok(CtlFrame::Go { resume: Persist::load(&mut r)?, peers: Persist::load(&mut r)? }),
-            2 => Ok(CtlFrame::Run { target: r.get_u64()?, budget: r.get_u64()? }),
-            3 => Ok(CtlFrame::Done(Box::new(Persist::load(&mut r)?))),
-            4 => Ok(CtlFrame::Fail(Persist::load(&mut r)?)),
-            5 => Ok(CtlFrame::Shutdown),
-            6 => Ok(CtlFrame::Beat(Box::new(Persist::load(&mut r)?))),
-            t => Err(r.malformed(format!("invalid control frame tag {t}"))),
-        }
+            },
+            1 => CtlFrame::Go { resume: Persist::load(&mut r)?, peers: Persist::load(&mut r)? },
+            2 => CtlFrame::Run { target: r.get_u64()?, budget: r.get_u64()? },
+            3 => CtlFrame::Done(Box::new(Persist::load(&mut r)?)),
+            4 => CtlFrame::Fail(Persist::load(&mut r)?),
+            5 => CtlFrame::Shutdown,
+            6 => CtlFrame::Beat(Box::new(Persist::load(&mut r)?)),
+            t => return Err(r.malformed(format!("invalid control frame tag {t}"))),
+        };
+        whole(&r, frame, "control")
     }
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reconciliation
+// Shard-shared tallies
 // ---------------------------------------------------------------------------
 
-/// Shared scalar tallies at a known-identical point (worker start /
-/// coordinator start): the base the per-worker deltas are measured
-/// against. Every worker restores from the same bytes (or starts
-/// fresh), so all bases agree.
-#[derive(Clone, Copy, Debug, Default)]
-struct ScalarBase {
-    pos_packets: u64,
-    frc_packets: u64,
-    pos_bits: u64,
-    frc_bits: u64,
-    pos_lost: u64,
-    frc_lost: u64,
-    faults: [u64; 5],
-    acks: u64,
-    corrupt: u64,
-}
+/// The scalar tallies every worker adds to, as one value: packets, bits
+/// and packets lost on the position and force fabrics, the fault plan's
+/// five outcome counts, acks sent and corrupt frames dropped — in that
+/// order. Admission-side counters partition by destination owner and
+/// loss counters by source owner, so the workers' differences from a
+/// common base sum to the oracle's global tally: the coordinator writes
+/// `base + Σ deltas` back into its replica after every segment. Every
+/// worker restores from the same bytes (or starts fresh), so all bases
+/// agree.
+#[derive(Clone, Copy, Debug)]
+struct Tallies([u64; 13]);
 
-impl ScalarBase {
+impl Tallies {
     fn of(cl: &Cluster) -> Self {
-        ScalarBase {
-            pos_packets: cl.pos_fabric.packets,
-            frc_packets: cl.frc_fabric.packets,
-            pos_bits: cl.pos_fabric.bits_sent,
-            frc_bits: cl.frc_fabric.bits_sent,
-            pos_lost: cl.pos_fabric.packets_lost,
-            frc_lost: cl.frc_fabric.packets_lost,
-            faults: cl.faults.as_ref().map_or([0; 5], |f| f.injected),
-            acks: cl.rel.as_ref().map_or(0, |r| r.acks_sent),
-            corrupt: cl.rel.as_ref().map_or(0, |r| r.corrupt_dropped),
+        let (pos, frc) = (&cl.pos_fabric, &cl.frc_fabric);
+        let [a, b, c, d, e] = cl.faults.as_ref().map_or([0; 5], |f| f.injected);
+        let (acks, corrupt) = cl.rel.as_ref().map_or((0, 0), |r| (r.acks_sent, r.corrupt_dropped));
+        Tallies([
+            pos.packets, frc.packets, pos.bits_sent, frc.bits_sent,
+            pos.packets_lost, frc.packets_lost,
+            a, b, c, d, e, acks, corrupt,
+        ])
+    }
+
+    /// Overwrite `cl`'s tallies with these.
+    fn write_to(&self, cl: &mut Cluster) {
+        let [
+            pos_packets, frc_packets, pos_bits, frc_bits, pos_lost, frc_lost,
+            faults @ ..,
+            acks, corrupt,
+        ] = self.0;
+        (cl.pos_fabric.packets, cl.frc_fabric.packets) = (pos_packets, frc_packets);
+        (cl.pos_fabric.bits_sent, cl.frc_fabric.bits_sent) = (pos_bits, frc_bits);
+        (cl.pos_fabric.packets_lost, cl.frc_fabric.packets_lost) = (pos_lost, frc_lost);
+        if let Some(f) = cl.faults.as_mut() {
+            f.injected = faults;
+        }
+        if let Some(r) = cl.rel.as_mut() {
+            (r.acks_sent, r.corrupt_dropped) = (acks, corrupt);
+        }
+    }
+
+    /// Packets lost on both fabrics.
+    fn lost(&self) -> u64 {
+        self.0[4] + self.0[5]
+    }
+
+    /// Field-wise difference from an earlier reading.
+    fn since(&self, base: &Tallies) -> Tallies {
+        Tallies(std::array::from_fn(|i| self.0[i] - base.0[i]))
+    }
+
+    /// Field-wise sum.
+    fn add(&mut self, delta: &Tallies) {
+        for (t, d) in self.0.iter_mut().zip(delta.0) {
+            *t += d;
         }
     }
 }
@@ -777,25 +776,6 @@ fn exchange(
         }
     }
     Ok(replies)
-}
-
-fn owned_states(cl: &Cluster) -> Vec<(u64, String)> {
-    cl.owned_range()
-        .map(|n| (cl.state[n].step, format!("{:?}", cl.state[n].phase)))
-        .collect()
-}
-
-fn owned_starving(cl: &Cluster) -> Vec<(u64, u64, String)> {
-    cl.owned_range()
-        .filter(|&n| cl.state[n].phase != NodePhase::Done)
-        .map(|n| (n as u64, cl.state[n].step, format!("{:?}", cl.state[n].phase)))
-        .collect()
-}
-
-/// Window directives this worker saw latch on its owned source links —
-/// its share of the oracle's partition-vs-deadlock diagnosis.
-fn owned_outages(cl: &Cluster) -> Vec<String> {
-    cl.faults.as_ref().map(|f| f.fired_outages()).unwrap_or_default()
 }
 
 /// Append `[from, to)` to a sorted span list, merging with the last
@@ -1199,21 +1179,21 @@ fn run_segment(
 
         // ---- Verdicts, earliest simulated cycle first. Each is a
         // function of the frames alone, so every worker returns from
-        // the same round.
+        // the same round, with its share of the oracle's error: the
+        // oracle's own constructors over the owned nodes, at the cycle
+        // and packets-lost tally the frames agree on.
         let lost_before =
             |c: u64| lost_base + lost_log.iter().filter(|l| l.0 < c).map(|l| l.1).sum::<u64>();
         if let Some(c) = crash.filter(|c| global >= c.at_cycle) {
-            return Err(SegmentFail::Crashed {
-                at_cycle: c.at_cycle,
-                node: c.node,
-                step: c.step,
-                lost: lost_before(c.at_cycle),
-            });
+            let (at_cycle, node, step) = (c.at_cycle, c.node as usize, c.step);
+            let packets_lost = lost_before(at_cycle);
+            return Err(SegmentFail::Cluster(
+                CrashInjected { at_cycle, node, step, packets_lost }.into(),
+            ));
         }
-        let stalled = |cl: &Cluster| SegmentFail::Stalled {
-            at_cycle: cap,
-            nodes: owned_states(cl),
-            lost: lost_before(cap),
+        let stalled = |cl: &Cluster| {
+            let (at_cycle, packets_lost) = (cap, lost_before(cap));
+            SegmentFail::Cluster(ClusterStalled { at_cycle, packets_lost, ..cl.stalled() }.into())
         };
         if let Some(end) = done_at.iter().copied().collect::<Option<Vec<u64>>>() {
             let end = end.into_iter().max().unwrap_or(run_start);
@@ -1246,12 +1226,10 @@ fn run_segment(
             if at_cycle >= cap {
                 return Err(stalled(cl));
             }
-            return Err(SegmentFail::Deadlock {
-                at_cycle,
-                starving: owned_starving(cl),
-                lost: lost_before(at_cycle),
-                outages: owned_outages(cl),
-            });
+            let packets_lost = lost_before(at_cycle);
+            return Err(SegmentFail::Cluster(
+                DeadlockDetected { at_cycle, packets_lost, ..cl.deadlocked() }.into(),
+            ));
         }
         if global >= cap {
             return Err(stalled(cl));
@@ -1260,77 +1238,76 @@ fn run_segment(
 }
 
 /// Package a completed segment for the coordinator.
-fn segment_ok(cl: &mut Cluster, base: &ScalarBase, gauges: ShardGauges) -> SegmentOk {
+fn segment_ok(cl: &mut Cluster, base: &Tallies, gauges: ShardGauges) -> SegmentOk {
+    // The owned nodes' records, statistics and traffic; the steps and
+    // cycles of a worker's partial report mean nothing to anyone.
+    let ClusterRunReport { records, stats, per_node_traffic: traffic, .. } =
+        cl.assemble_report(0, 0);
     let owned = cl.owned_range();
-    let mut stats = StatSet::new();
-    for n in owned.clone() {
-        stats.merge_from(&cl.chips[n].report(0, 0).stats);
-    }
-    let traffic: Vec<TrafficCounters> =
-        owned.clone().map(|n| cl.chips[n].traffic()).collect();
-    let records = std::mem::take(&mut cl.records);
     let trace = cl.take_trace().map(|t| TraceShard {
         level: t.level,
-        nodes: t.nodes[owned.clone()].to_vec(),
+        nodes: t.nodes[owned].to_vec(),
         engine: t.engine,
         stalls: t.stalls,
     });
     let mut cw = ContainerWriter::new();
     cl.snapshot_into(&mut cw);
-    let faults = cl.faults.as_ref().map_or([0; 5], |f| f.injected);
     SegmentOk {
         end_cycle: cl.cycle,
         skipped: cl.skipped_cycles,
         records,
         stats,
         traffic,
-        d_pos_packets: cl.pos_fabric.packets - base.pos_packets,
-        d_frc_packets: cl.frc_fabric.packets - base.frc_packets,
-        d_pos_bits: cl.pos_fabric.bits_sent - base.pos_bits,
-        d_frc_bits: cl.frc_fabric.bits_sent - base.frc_bits,
-        d_pos_lost: cl.pos_fabric.packets_lost - base.pos_lost,
-        d_frc_lost: cl.frc_fabric.packets_lost - base.frc_lost,
-        d_faults: [
-            faults[0] - base.faults[0],
-            faults[1] - base.faults[1],
-            faults[2] - base.faults[2],
-            faults[3] - base.faults[3],
-            faults[4] - base.faults[4],
-        ],
-        d_acks: cl.rel.as_ref().map_or(0, |r| r.acks_sent) - base.acks,
-        d_corrupt: cl.rel.as_ref().map_or(0, |r| r.corrupt_dropped) - base.corrupt,
+        tallies: Tallies::of(cl).since(base),
         trace,
         gauges,
         container: cw.finish(),
     }
 }
 
-/// Worker main loop: obey `Run` / `Shutdown` control frames until the
-/// coordinator hangs up. `cl` must already have its `exchange` hook
-/// armed with the owned range (and be restored, when resuming).
+/// What a carrier hands a worker: its control link, its mesh links to
+/// the peers in index order (self excluded), and the checkpoint to
+/// restore before the first segment.
+type WorkerLinks = (Box<dyn FrameLink>, Vec<Box<dyn FrameLink>>, Option<PathBuf>);
+
+/// One worker, whatever carries its links: build the machine, let
+/// `connect` link it up (it sees the fresh cluster, whose fingerprint a
+/// process worker's hello carries), restore, arm the `exchange` hook
+/// with the owned range, then obey `Run` / `Shutdown` control frames
+/// until the coordinator hangs up.
 ///
 /// A segment that fails on this worker alone — a dead link, a refused
 /// event — ends the worker after it has reported: dropping its mesh
 /// links is what wakes every peer still blocked on them, so a death
 /// anywhere in the mesh unwinds the whole fleet in bounded time.
-fn worker_loop(
-    mut cl: Cluster,
+fn serve(
+    cfg: &ClusterConfig,
+    sys: &ParticleSystem,
     engine: &EngineConfig,
-    ctl: &mut dyn FrameLink,
-    mesh: &mut [Box<dyn FrameLink>],
     index: usize,
     shards: usize,
+    connect: impl FnOnce(&Cluster) -> Result<WorkerLinks, ShardError>,
 ) -> Result<(), ShardError> {
-    let base = ScalarBase::of(&cl);
+    let mut cl = Cluster::new(cfg.clone(), sys);
+    validate_sharding(cfg, shards, cl.num_nodes())?;
+    if index >= shards {
+        return Err(ShardError::Protocol(format!("worker index {index} out of range")));
+    }
+    let (mut ctl, mut mesh, resume) = connect(&cl)?;
+    if let Some(path) = resume {
+        load_checkpoint(&mut cl, &path)?;
+    }
     let ranges = shard_ranges(cl.num_nodes(), shards);
+    cl.exchange = Some(ExchangeBuf { owned: ranges[index].clone(), stage: 0, events: Vec::new() });
+    let base = Tallies::of(&cl);
     let mut ctx = WorkerCtx {
         engine,
-        mesh,
-        ctl,
+        mesh: &mut mesh,
+        ctl: &mut *ctl,
         ranges: &ranges,
         index,
         obs: ObsShard::new(engine.heartbeat_every, index as u32, shards),
-        lost: base.pos_lost + base.frc_lost,
+        lost: base.lost(),
     };
     loop {
         match CtlFrame::decode(&ctx.ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
@@ -1393,77 +1370,6 @@ fn adopt_shard(replica: &mut Cluster, scratch: &mut Cluster, owned: Range<usize>
     }
 }
 
-/// Overwrite the replica's shard-shared scalar tallies with
-/// `base + Σ worker deltas`.
-fn reconcile_scalars(replica: &mut Cluster, base: &ScalarBase, oks: &[SegmentOk]) {
-    let sum = |f: fn(&SegmentOk) -> u64| oks.iter().map(f).sum::<u64>();
-    replica.pos_fabric.packets = base.pos_packets + sum(|o| o.d_pos_packets);
-    replica.frc_fabric.packets = base.frc_packets + sum(|o| o.d_frc_packets);
-    replica.pos_fabric.bits_sent = base.pos_bits + sum(|o| o.d_pos_bits);
-    replica.frc_fabric.bits_sent = base.frc_bits + sum(|o| o.d_frc_bits);
-    replica.pos_fabric.packets_lost = base.pos_lost + sum(|o| o.d_pos_lost);
-    replica.frc_fabric.packets_lost = base.frc_lost + sum(|o| o.d_frc_lost);
-    if let Some(f) = replica.faults.as_mut() {
-        for k in 0..5 {
-            f.injected[k] = base.faults[k] + oks.iter().map(|o| o.d_faults[k]).sum::<u64>();
-        }
-    }
-    if let Some(r) = replica.rel.as_mut() {
-        r.acks_sent = base.acks + sum(|o| o.d_acks);
-        r.corrupt_dropped = base.corrupt + sum(|o| o.d_corrupt);
-    }
-}
-
-/// Fold per-worker segment results into the segment's
-/// [`ClusterRunReport`] — field for field what
-/// `Cluster::assemble_report` would have produced in-process. Must run
-/// *after* [`adopt_shard`] + [`reconcile_scalars`] so the replica's
-/// cumulative tallies are current.
-fn fold_report(
-    replica: &Cluster,
-    oks: &mut [SegmentOk],
-    target: u64,
-    seg_cycles: u64,
-) -> ClusterRunReport {
-    let mut records = Vec::new();
-    for ok in oks.iter_mut() {
-        records.append(&mut ok.records);
-    }
-    // `(wall_end, node)` keys are unique across the run; a stable sort
-    // over the shard-order concatenation reproduces the oracle's record
-    // order exactly.
-    records.sort_by_key(|r| (r.wall_end, r.node));
-    let mut stats = StatSet::new();
-    for ok in oks.iter() {
-        stats.merge_from(&ok.stats);
-    }
-    let mut per_node_traffic = Vec::with_capacity(replica.num_nodes());
-    for ok in oks.iter_mut() {
-        per_node_traffic.append(&mut ok.traffic);
-    }
-    ClusterRunReport {
-        steps: target,
-        total_cycles: seg_cycles,
-        records,
-        stats,
-        per_node_traffic,
-        pos_packets: replica.pos_fabric.packets,
-        frc_packets: replica.frc_fabric.packets,
-        pos_bits: replica.pos_fabric.bits_sent,
-        frc_bits: replica.frc_fabric.bits_sent,
-        clock_hz: replica.cfg.chip.hw.clock_hz,
-        dt_fs: replica.cfg.dt_fs,
-        nodes: replica.num_nodes(),
-        faults_injected: replica.faults.as_ref().map_or(0, |f| f.total_injected()),
-        reliability: replica.rel.as_ref().map(|r| RelSummary {
-            retransmits: r.total_retransmits(),
-            acks_sent: r.acks_sent,
-            duplicates_dropped: r.total_duplicates(),
-            corrupt_dropped: r.corrupt_dropped,
-        }),
-    }
-}
-
 /// Merge per-worker trace shards into the run's [`Trace`]: node
 /// streams concatenate in shard order (= node order), the engine
 /// stream is identical on every worker (shard 0's is used), stall
@@ -1488,120 +1394,97 @@ fn fold_trace(oks: &mut [SegmentOk], nodes: usize) -> Option<Trace> {
     Some(Trace { level, nodes: streams, engine: engine?, stalls })
 }
 
-/// Convert the per-worker failure shares into the oracle's error.
+/// Convert the per-worker failure shares into the oracle's error: the
+/// shares of a stall or deadlock concatenate in shard order and the
+/// outages the workers saw latch are unioned; an injected crash is
+/// announced identically to every worker.
 fn merge_failures(fails: Vec<SegmentFail>) -> ShardError {
-    // A worker-local failure explains every link error it caused in its
-    // peers, so it is the one to report.
-    for f in &fails {
-        if let SegmentFail::Lookahead(v) = f {
-            return ShardError::Lookahead(*v);
-        }
-    }
-    // An injected crash is announced identically to every worker.
-    for f in &fails {
-        if let SegmentFail::Crashed { at_cycle, node, step, lost } = f {
-            return ShardError::Cluster(
-                CrashInjected {
-                    at_cycle: *at_cycle,
-                    node: *node as usize,
-                    step: *step,
-                    packets_lost: *lost,
-                }
-                .into(),
-            );
-        }
-    }
-    let mut starving = Vec::new();
-    let mut nodes = Vec::new();
-    let mut outages = Vec::new();
-    let mut at_cycle = 0;
-    let mut lost = 0;
-    let mut saw_deadlock = false;
-    let mut saw_stall = false;
+    let mut merged: Option<ClusterError> = None;
+    let mut link = None;
     for f in fails {
-        match f {
-            SegmentFail::Deadlock { at_cycle: c, starving: s, lost: l, outages: o } => {
-                saw_deadlock = true;
-                at_cycle = c;
-                lost = l;
-                starving.extend(
-                    s.into_iter().map(|(n, step, ph)| (n as usize, step, ph)),
-                );
-                outages.extend(o);
+        let share = match f {
+            // A worker-local failure explains every link error it caused
+            // in its peers, so it is the one to report.
+            SegmentFail::Lookahead(v) => return ShardError::Lookahead(v),
+            SegmentFail::Link(msg) => {
+                link.get_or_insert(msg);
+                continue;
             }
-            SegmentFail::Stalled { at_cycle: c, nodes: n, lost: l } => {
-                saw_stall = true;
-                at_cycle = c;
-                lost = l;
-                nodes.extend(n);
+            SegmentFail::Cluster(share) => share,
+        };
+        merged = Some(match (merged, share) {
+            (Some(ClusterError::Stalled(mut s)), ClusterError::Stalled(t)) => {
+                s.node_states.extend(t.node_states);
+                s.into()
             }
-            SegmentFail::Link(msg) => return ShardError::Worker(msg),
-            SegmentFail::Crashed { .. } | SegmentFail::Lookahead(_) => {
-                unreachable!("handled above")
+            (Some(ClusterError::Deadlock(mut d)), ClusterError::Deadlock(e)) => {
+                d.starving.extend(e.starving);
+                d.outages.extend(e.outages);
+                d.into()
             }
-        }
+            (Some(first), _) | (None, first) => first,
+        });
     }
-    if saw_deadlock {
-        // Workers report the directives their own links saw latch;
-        // the union, deduplicated, is the oracle's diagnosis.
-        outages.sort();
-        outages.dedup();
-        ShardError::Cluster(
-            DeadlockDetected { at_cycle, starving, packets_lost: lost, outages }.into(),
-        )
-    } else if saw_stall {
-        ShardError::Cluster(
-            ClusterStalled { at_cycle, node_states: nodes, packets_lost: lost }.into(),
-        )
-    } else {
-        ShardError::Worker("workers failed without details".into())
+    if let Some(ClusterError::Deadlock(d)) = merged.as_mut() {
+        d.outages.sort();
+        d.outages.dedup();
+    }
+    match (merged, link) {
+        (Some(e @ ClusterError::Crashed(_)), _) | (Some(e), None) => ShardError::Cluster(e),
+        (_, Some(msg)) => ShardError::Worker(msg),
+        (None, None) => ShardError::Worker("workers failed without details".into()),
     }
 }
 
-/// What [`drive`] hands back: [`ShardedRun`] minus the replica.
-struct Driven {
-    report: ClusterRunReport,
-    traces: Vec<Trace>,
-    checkpoints: Vec<PathBuf>,
-    gauges: Vec<ShardGauges>,
+/// Best-effort shutdown broadcast; link errors are ignored (a worker
+/// that died is already gone).
+fn shutdown(ctl: &mut [Box<dyn FrameLink>]) {
+    let payload = CtlFrame::Shutdown.encode();
+    for link in ctl.iter_mut() {
+        let _ = link.send_frame(&payload);
+    }
 }
 
-/// Drive the workers through checkpoint-sized segments — the sharded
-/// mirror of [`run_with_checkpoints`] — splicing each segment's state
-/// into `replica` and folding its report into `acc`.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    ctl: &mut [Box<dyn FrameLink>],
-    replica: &mut Cluster,
-    scratch: &mut Cluster,
-    ranges: &[Range<usize>],
+/// The coordinator, whatever carries its links: build the replica,
+/// restore it by the resume rule every run applies, let `connect` start
+/// the workers and hand back one control link per worker in shard order
+/// (it sees the restored replica, whose fingerprint process workers must
+/// match, and the checkpoint the workers restore), then drive
+/// [`run_segments`] — the in-process run's own segment loop — with one
+/// Run / collect / splice / reconcile / fold round per segment, and shut
+/// the workers down.
+fn coordinate(
+    cfg: &ClusterConfig,
+    sys: &ParticleSystem,
     steps: u64,
-    cycle_budget: u64,
-    ckpt: Option<&CheckpointConfig>,
-    mut acc: RunAccumulator,
-    mut fleet: Option<FleetObs>,
-) -> Result<Driven, ShardError> {
-    assert!(acc.steps_done <= steps, "accumulator past the requested step count");
-    let every = match ckpt {
-        Some(c) => c.every,
-        None => steps.saturating_sub(acc.steps_done).max(1),
-    };
-    let base = ScalarBase::of(replica);
-    let start_cycle = replica.cycle;
-    let mut traces = Vec::new();
-    let mut checkpoints = Vec::new();
-    let mut gauges = vec![ShardGauges::default(); ctl.len()];
-    while acc.steps_done < steps {
-        let target = (acc.steps_done + every).min(steps);
-        let seg_start = replica.cycle;
-        let spent = replica.cycle - start_cycle;
-        let run = CtlFrame::Run { target, budget: cycle_budget.saturating_sub(spent) };
-        let payload = run.encode();
-        for link in ctl.iter_mut() {
-            link.send_frame(&payload)?;
+    shards: usize,
+    opts: &ShardOpts,
+    note: &mut dyn FnMut(String),
+    connect: impl FnOnce(&Cluster, Option<&Path>) -> Result<Vec<Box<dyn FrameLink>>, ShardError>,
+) -> Result<ShardedRun, ShardError> {
+    let mut replica = Cluster::new(cfg.clone(), sys);
+    let n = replica.num_nodes();
+    validate_sharding(cfg, shards, n)?;
+    let ranges = shard_ranges(n, shards);
+    let acc = match &opts.resume {
+        Some(path) => {
+            let acc = load_checkpoint(&mut replica, path)?;
+            resumed(acc, &path.display().to_string(), steps, note)?
         }
-        let mut oks = Vec::with_capacity(ctl.len());
-        let mut fails = Vec::new();
+        None => RunAccumulator::new(),
+    };
+    let mut ctl = connect(&replica, opts.resume.as_deref())?;
+    let mut fleet = opts.obs.as_ref().map(FleetObs::new).transpose()?;
+    let mut scratch = Cluster::new(cfg.clone(), sys);
+    let base = Tallies::of(&replica);
+    let mut gauges = vec![ShardGauges::default(); shards];
+    let mut round = |replica: &mut Cluster, target: u64, budget: u64| -> Segment<ShardError> {
+        let seg_start = replica.cycle;
+        let run = CtlFrame::Run { target, budget }.encode();
+        for link in ctl.iter_mut() {
+            link.send_frame(&run)?;
+        }
+        let (mut oks, mut fails) = (Vec::with_capacity(shards), Vec::new());
         // Worker 0's link is read first and carries the fleet beats, so
         // heartbeats stream out while the segment is still running. A
         // control link that dies names its worker: whatever the
@@ -1614,7 +1497,7 @@ fn drive(
                 match CtlFrame::decode(&frame)? {
                     CtlFrame::Beat(fb) => {
                         if let Some(f) = fleet.as_mut() {
-                            f.on_beat(&fb, ranges, steps);
+                            f.on_beat(&fb, &ranges, steps);
                         }
                     }
                     CtlFrame::Done(ok) => {
@@ -1630,39 +1513,44 @@ fn drive(
             }
         }
         if !fails.is_empty() {
-            shutdown(ctl);
             return Err(merge_failures(fails));
         }
-        for (w, ok) in oks.iter().enumerate() {
-            let container = Container::parse(&ok.container)?;
-            scratch.restore_from(&container)?;
-            adopt_shard(replica, scratch, ranges[w].clone());
+        let mut tallies = base;
+        let (mut records, mut stats, mut traffic) = (Vec::new(), StatSet::new(), Vec::new());
+        for (w, ok) in oks.iter_mut().enumerate() {
+            scratch.restore_from(&Container::parse(&ok.container)?)?;
+            adopt_shard(replica, &mut scratch, ranges[w].clone());
             gauges[w].add(&ok.gauges);
+            tallies.add(&ok.tallies);
+            records.append(&mut ok.records);
+            stats.merge_from(&ok.stats);
+            traffic.append(&mut ok.traffic);
         }
         replica.cycle = oks[0].end_cycle;
         replica.skipped_cycles = oks[0].skipped;
-        reconcile_scalars(replica, &base, &oks);
-        let seg_cycles = replica.cycle - seg_start;
-        if let Some(t) = fold_trace(&mut oks, replica.num_nodes()) {
-            traces.push(t);
-        }
-        let report = fold_report(replica, &mut oks, target, seg_cycles);
-        acc.fold(&report);
-        if let Some(c) = ckpt {
-            checkpoints.push(save_checkpoint(replica, &acc, c)?);
-        }
-    }
-    shutdown(ctl);
-    Ok(Driven { report: acc.into_report(), traces, checkpoints, gauges })
-}
-
-/// Best-effort shutdown broadcast; link errors are ignored (a worker
-/// that died is already gone).
-fn shutdown(ctl: &mut [Box<dyn FrameLink>]) {
-    let payload = CtlFrame::Shutdown.encode();
-    for link in ctl.iter_mut() {
-        let _ = link.send_frame(&payload);
-    }
+        tallies.write_to(replica);
+        // `(wall_end, node)` keys are unique across the run; a stable
+        // sort over the shard-order concatenation reproduces the
+        // oracle's record order exactly.
+        records.sort_by_key(|r| (r.wall_end, r.node));
+        let cycles = replica.cycle - seg_start;
+        let report = replica.segment_report(target, cycles, records, stats, traffic);
+        Ok((report, fold_trace(&mut oks, n)))
+    };
+    let res = run_segments(
+        &mut replica,
+        steps,
+        opts.budget,
+        opts.ckpt.as_ref(),
+        acc,
+        &mut |_| SegmentControl::Continue,
+        &mut round,
+    );
+    shutdown(&mut ctl);
+    let CkptRunOutcome::Completed(CheckpointedRun { report, traces, checkpoints }) = res? else {
+        unreachable!("a run that always continues completes");
+    };
+    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
 }
 
 // ---------------------------------------------------------------------------
@@ -1709,7 +1597,7 @@ fn tcp_pair() -> std::io::Result<(TcpLink, TcpLink)> {
 
 /// One connected link per unordered worker pair, over socketpairs or
 /// loopback TCP: row `w` holds worker `w`'s links to its peers in index
-/// order (self excluded) — the `mesh` slice [`worker_loop`] expects.
+/// order (self excluded) — the mesh row [`serve`] expects.
 fn harness_mesh(shards: usize, tcp: bool) -> std::io::Result<Vec<Vec<Box<dyn FrameLink>>>> {
     let mut rows: Vec<Vec<Option<Box<dyn FrameLink>>>> =
         (0..shards).map(|_| (0..shards).map(|_| None).collect()).collect();
@@ -1787,85 +1675,47 @@ fn run_harness(
     opts: ShardOpts,
     wrap: &dyn Fn(usize, Box<dyn FrameLink>) -> Box<dyn FrameLink>,
 ) -> Result<ShardedRun, ShardError> {
-    let mut replica = Cluster::new(cfg.clone(), sys);
-    let n = replica.num_nodes();
-    validate_sharding(cfg, shards, n)?;
-    let ranges = shard_ranges(n, shards);
-
-    let mut acc = RunAccumulator::new();
-    let mut resume_bytes: Option<Arc<Vec<u8>>> = None;
-    if let Some(path) = &opts.resume {
-        let bytes = std::fs::read(path)?;
-        acc = resume_from_container(&mut replica, &bytes)?;
-        resume_bytes = Some(Arc::new(bytes));
-    }
-
-    // Full mesh of socketpairs plus one control channel per worker.
-    let rows = harness_mesh(shards, opts.tcp)?;
-    let mut ctl: Vec<Box<dyn FrameLink>> = Vec::with_capacity(shards);
     let mut handles = Vec::with_capacity(shards);
-    for (w, row) in rows.into_iter().enumerate() {
-        let theirs: Box<dyn FrameLink> = if opts.tcp {
-            let (mine, theirs) = tcp_pair()?;
-            ctl.push(Box::new(mine));
-            Box::new(theirs)
-        } else {
-            let (mine, theirs) = MemLink::pair();
-            ctl.push(Box::new(mine));
-            Box::new(theirs)
-        };
-        let theirs = wrap(w, theirs);
-        let mut mesh: Vec<Box<dyn FrameLink>> =
-            row.into_iter().map(|link| wrap(w, link)).collect();
-        let range = ranges[w].clone();
-        let cfg = cfg.clone();
-        let sys = sys.clone();
-        let engine = *engine;
-        let resume = resume_bytes.clone();
-        handles.push(std::thread::spawn(move || -> Result<(), ShardError> {
-            let mut cl = Cluster::new(cfg, &sys);
-            if let Some(bytes) = resume {
-                resume_from_container(&mut cl, &bytes)?;
-            }
-            cl.exchange = Some(ExchangeBuf { owned: range, stage: 0, events: Vec::new() });
-            let mut theirs = theirs;
-            worker_loop(cl, &engine, &mut *theirs, &mut mesh, w, shards)
-        }));
-    }
-
-    let fleet = match &opts.obs {
-        Some(sinks) => Some(FleetObs::new(sinks)?),
-        None => None,
-    };
-    let mut scratch = Cluster::new(cfg.clone(), sys);
-    let res = drive(
-        &mut ctl,
-        &mut replica,
-        &mut scratch,
-        &ranges,
-        steps,
-        opts.budget,
-        opts.ckpt.as_ref(),
-        acc,
-        fleet,
-    );
-    drop(ctl); // unblock any worker still waiting on control frames
+    let res = coordinate(cfg, sys, steps, shards, &opts, &mut |_| {}, |_, resume| {
+        // Full mesh of socketpairs plus one control channel per worker.
+        let mut ctl: Vec<Box<dyn FrameLink>> = Vec::with_capacity(shards);
+        for (w, row) in harness_mesh(shards, opts.tcp)?.into_iter().enumerate() {
+            let (mine, theirs): (Box<dyn FrameLink>, Box<dyn FrameLink>) = if opts.tcp {
+                let (mine, theirs) = tcp_pair()?;
+                (Box::new(mine), Box::new(theirs))
+            } else {
+                let (mine, theirs) = MemLink::pair();
+                (Box::new(mine), Box::new(theirs))
+            };
+            ctl.push(mine);
+            // The control link is wrapped first, then the mesh row.
+            let theirs = wrap(w, theirs);
+            let mesh = row.into_iter().map(|link| wrap(w, link)).collect();
+            let links = (theirs, mesh, resume.map(Path::to_path_buf));
+            let (cfg, sys, engine) = (cfg.clone(), sys.clone(), *engine);
+            handles.push(std::thread::spawn(move || {
+                serve(&cfg, &sys, &engine, w, shards, |_| Ok(links))
+            }));
+        }
+        Ok(ctl)
+    });
+    // The coordinator has dropped its control links, which unblocks any
+    // worker still waiting on one.
     for h in handles {
         let _ = h.join();
     }
-    let Driven { report, traces, checkpoints, gauges } = res?;
-    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
+    res
 }
 
 // ---------------------------------------------------------------------------
 // Process-backed coordinator / worker (CLI `--shards` / `--worker`)
 // ---------------------------------------------------------------------------
 
-fn ctl_socket(dir: &std::path::Path) -> PathBuf {
+fn ctl_socket(dir: &Path) -> PathBuf {
     dir.join("ctl.sock")
 }
 
-fn peer_socket(dir: &std::path::Path, index: usize) -> PathBuf {
+fn peer_socket(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("peer-{index}.sock"))
 }
 
@@ -1910,12 +1760,21 @@ fn dial_mesh(net_is_tcp: bool, addr: &str) -> Result<Box<dyn FrameLink>, ShardEr
     })
 }
 
+/// Remove the rendezvous sockets of a Unix-carrier run.
+fn clear_sockets(dir: &Path, shards: usize) {
+    let _ = std::fs::remove_file(ctl_socket(dir));
+    for i in 0..shards {
+        let _ = std::fs::remove_file(peer_socket(dir, i));
+    }
+}
+
 /// Spawn `shards` worker processes (re-invoking `worker_argv` with
 /// `--worker I` plus the rendezvous flag — `--shard-dir DIR` for the
 /// Unix carrier, `--shard-connect ADDR` for TCP — appended), handshake
 /// them over the control listener, and drive the run. With
 /// [`ShardNet::Tcp`] the listen address may use port 0; workers are
-/// told the resolved address.
+/// told the resolved address. `note` is told where the run resumed,
+/// exactly as an in-process run's is.
 #[allow(clippy::too_many_arguments)]
 pub fn coordinator_main_net(
     cfg: &ClusterConfig,
@@ -1925,49 +1784,40 @@ pub fn coordinator_main_net(
     opts: ShardOpts,
     net: &ShardNet,
     worker_argv: &[String],
+    note: &mut dyn FnMut(String),
 ) -> Result<ShardedRun, ShardError> {
-    let mut replica = Cluster::new(cfg.clone(), sys);
-    let n = replica.num_nodes();
-    validate_sharding(cfg, shards, n)?;
-    let ranges = shard_ranges(n, shards);
-    // Bind the control listener and decide the rendezvous args the
-    // spawned workers get.
-    let (listener, rendezvous_args, unix_dir) = match net {
-        ShardNet::Unix(dir) => {
-            std::fs::create_dir_all(dir)?;
-            let ctl_path = ctl_socket(dir);
-            let _ = std::fs::remove_file(&ctl_path);
-            for i in 0..shards {
-                let _ = std::fs::remove_file(peer_socket(dir, i));
-            }
-            let l = std::os::unix::net::UnixListener::bind(&ctl_path)?;
-            let args = vec!["--shard-dir".to_string(), dir.to_string_lossy().into_owned()];
-            (Acceptor::Unix(l), args, Some(dir.clone()))
-        }
-        ShardNet::Tcp(addr) => {
-            let l = std::net::TcpListener::bind(addr.as_str())?;
-            let resolved = l.local_addr()?.to_string();
-            let args = vec!["--shard-connect".to_string(), resolved];
-            (Acceptor::Tcp(l), args, None)
-        }
-    };
-
-    let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let child = std::process::Command::new(&exe)
-            .args(worker_argv)
-            .arg("--worker")
-            .arg(i.to_string())
-            .args(&rendezvous_args)
-            .spawn()?;
-        children.push(child);
-    }
-
-    let mut run = || -> Result<Driven, ShardError> {
+    let res = coordinate(cfg, sys, steps, shards, &opts, note, |replica, resume| {
+        // Bind the control listener and decide the rendezvous args the
+        // spawned workers get.
+        let (listener, rendezvous_args) = match net {
+            ShardNet::Unix(dir) => {
+                std::fs::create_dir_all(dir)?;
+                clear_sockets(dir, shards);
+                let l = std::os::unix::net::UnixListener::bind(ctl_socket(dir))?;
+                let args = vec!["--shard-dir".to_string(), dir.to_string_lossy().into_owned()];
+                (Acceptor::Unix(l), args)
+            }
+            ShardNet::Tcp(addr) => {
+                let l = std::net::TcpListener::bind(addr.as_str())?;
+                let resolved = l.local_addr()?.to_string();
+                let args = vec!["--shard-connect".to_string(), resolved];
+                (Acceptor::Tcp(l), args)
+            }
+        };
+        let exe = std::env::current_exe()?;
+        for i in 0..shards {
+            let child = std::process::Command::new(&exe)
+                .args(worker_argv)
+                .arg("--worker")
+                .arg(i.to_string())
+                .args(&rendezvous_args)
+                .spawn()?;
+            children.push(child);
+        }
         // Collect HELLOs; the fingerprint check catches a worker built
         // from different arguments before any state moves.
-        let expect = meta_crc(&replica);
+        let expect = meta_crc(replica);
         let mut ctl: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
         let mut peers: Vec<String> = vec![String::new(); shards];
         for _ in 0..shards {
@@ -1993,50 +1843,23 @@ pub fn coordinator_main_net(
             }
         }
         let mut ctl: Vec<Box<dyn FrameLink>> = ctl.into_iter().flatten().collect();
-
-        let mut acc = RunAccumulator::new();
-        let mut resume_str = None;
-        if let Some(path) = &opts.resume {
-            acc = load_checkpoint(&mut replica, path)?;
-            resume_str = Some(path.to_string_lossy().into_owned());
-        }
-        let go = CtlFrame::Go { resume: resume_str, peers }.encode();
+        let resume = resume.map(|p| p.to_string_lossy().into_owned());
+        let go = CtlFrame::Go { resume, peers }.encode();
         for link in ctl.iter_mut() {
             link.send_frame(&go)?;
         }
-
-        let fleet = match &opts.obs {
-            Some(sinks) => Some(FleetObs::new(sinks)?),
-            None => None,
-        };
-        let mut scratch = Cluster::new(cfg.clone(), sys);
-        drive(
-            &mut ctl,
-            &mut replica,
-            &mut scratch,
-            &ranges,
-            steps,
-            opts.budget,
-            opts.ckpt.as_ref(),
-            acc,
-            fleet,
-        )
-    };
-    let res = run();
+        Ok(ctl)
+    });
     for mut child in children {
         if res.is_err() {
             let _ = child.kill();
         }
         let _ = child.wait();
     }
-    if let Some(dir) = unix_dir {
-        let _ = std::fs::remove_file(ctl_socket(&dir));
-        for i in 0..shards {
-            let _ = std::fs::remove_file(peer_socket(&dir, i));
-        }
+    if let ShardNet::Unix(dir) = net {
+        clear_sockets(dir, shards);
     }
-    let Driven { report, traces, checkpoints, gauges } = res?;
-    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
+    res
 }
 
 /// Worker-process entry point: rendezvous with the coordinator (a Unix
@@ -2053,80 +1876,65 @@ pub fn worker_main_net(
     shards: usize,
     net: &ShardNet,
 ) -> Result<(), ShardError> {
-    let mut cl = Cluster::new(cfg.clone(), sys);
-    let n = cl.num_nodes();
-    validate_sharding(cfg, shards, n)?;
-    if index >= shards {
-        return Err(ShardError::Protocol(format!("worker index {index} out of range")));
-    }
-    let ranges = shard_ranges(n, shards);
-
-    // Bind the mesh listener before saying hello: our advertised
-    // address is live before the coordinator releases anyone with GO.
-    let is_tcp = matches!(net, ShardNet::Tcp(_));
-    let (listener, my_addr, mut ctl): (Acceptor, String, Box<dyn FrameLink>) = match net {
-        ShardNet::Unix(dir) => {
-            let my_sock = peer_socket(dir, index);
-            let _ = std::fs::remove_file(&my_sock);
-            let l = std::os::unix::net::UnixListener::bind(&my_sock)?;
-            let stream = std::os::unix::net::UnixStream::connect(ctl_socket(dir))?;
-            (
-                Acceptor::Unix(l),
-                my_sock.to_string_lossy().into_owned(),
-                Box::new(SocketLink::new(stream)?),
-            )
-        }
-        ShardNet::Tcp(addr) => {
-            // Dial the coordinator first: the local address of that
-            // connection is the interface peers can reach us on.
-            let stream = std::net::TcpStream::connect(addr.as_str())?;
-            let ip = stream.local_addr()?.ip();
-            let l = std::net::TcpListener::bind((ip, 0))?;
-            let my_addr = l.local_addr()?.to_string();
-            (Acceptor::Tcp(l), my_addr, Box::new(TcpLink::new(stream)?))
-        }
-    };
-    ctl.send_frame(
-        &CtlFrame::Hello { index: index as u32, meta_crc: meta_crc(&cl), mesh_addr: my_addr }
-            .encode(),
-    )?;
-    let (resume, peers) = match CtlFrame::decode(&ctl.recv_frame()?)? {
-        CtlFrame::Go { resume, peers } => (resume, peers),
-        _ => return Err(ShardError::Protocol("expected go frame".into())),
-    };
-    if peers.len() != shards {
-        return Err(ShardError::Protocol(format!(
-            "go frame lists {} peers for {shards} shards",
-            peers.len()
-        )));
-    }
-    if let Some(path) = resume {
-        load_checkpoint(&mut cl, std::path::Path::new(&path))?;
-    }
-
-    // Mesh: dial lower indices (announcing who we are), accept higher.
-    let mut links: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
-    for (peer, slot) in links.iter_mut().enumerate().take(index) {
-        let mut link = dial_mesh(is_tcp, &peers[peer])?;
-        link.send_frame(&MeshFrame::Id(index as u32).encode())?;
-        *slot = Some(link);
-    }
-    for _ in index + 1..shards {
-        let mut link = listener.accept()?;
-        let peer = match MeshFrame::decode(&link.recv_frame()?)? {
-            MeshFrame::Id(i) => i as usize,
-            _ => return Err(ShardError::Protocol("expected id frame".into())),
+    serve(cfg, sys, engine, index, shards, |cl| {
+        // Bind the mesh listener before saying hello: our advertised
+        // address is live before the coordinator releases anyone with GO.
+        let is_tcp = matches!(net, ShardNet::Tcp(_));
+        let (listener, mesh_addr, mut ctl): (Acceptor, String, Box<dyn FrameLink>) = match net {
+            ShardNet::Unix(dir) => {
+                let my_sock = peer_socket(dir, index);
+                let _ = std::fs::remove_file(&my_sock);
+                let l = std::os::unix::net::UnixListener::bind(&my_sock)?;
+                let stream = std::os::unix::net::UnixStream::connect(ctl_socket(dir))?;
+                (
+                    Acceptor::Unix(l),
+                    my_sock.to_string_lossy().into_owned(),
+                    Box::new(SocketLink::new(stream)?),
+                )
+            }
+            ShardNet::Tcp(addr) => {
+                // Dial the coordinator first: the local address of that
+                // connection is the interface peers can reach us on.
+                let stream = std::net::TcpStream::connect(addr.as_str())?;
+                let ip = stream.local_addr()?.ip();
+                let l = std::net::TcpListener::bind((ip, 0))?;
+                let my_addr = l.local_addr()?.to_string();
+                (Acceptor::Tcp(l), my_addr, Box::new(TcpLink::new(stream)?))
+            }
         };
-        if peer <= index || peer >= shards || links[peer].is_some() {
-            return Err(ShardError::Protocol(format!("bad mesh peer id {peer}")));
+        let hello = CtlFrame::Hello { index: index as u32, meta_crc: meta_crc(cl), mesh_addr };
+        ctl.send_frame(&hello.encode())?;
+        let (resume, peers) = match CtlFrame::decode(&ctl.recv_frame()?)? {
+            CtlFrame::Go { resume, peers } => (resume, peers),
+            _ => return Err(ShardError::Protocol("expected go frame".into())),
+        };
+        if peers.len() != shards {
+            return Err(ShardError::Protocol(format!(
+                "go frame lists {} peers for {shards} shards",
+                peers.len()
+            )));
         }
-        links[peer] = Some(link);
-    }
-    let mut mesh: Vec<Box<dyn FrameLink>> = links.into_iter().flatten().collect();
 
-    cl.exchange =
-        Some(ExchangeBuf { owned: ranges[index].clone(), stage: 0, events: Vec::new() });
-    worker_loop(cl, engine, &mut *ctl, &mut mesh, index, shards)
+        // Mesh: dial lower indices (announcing who we are), accept higher.
+        let mut links: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
+        for (peer, slot) in links.iter_mut().enumerate().take(index) {
+            let mut link = dial_mesh(is_tcp, &peers[peer])?;
+            link.send_frame(&MeshFrame::Id(index as u32).encode())?;
+            *slot = Some(link);
+        }
+        for _ in index + 1..shards {
+            let mut link = listener.accept()?;
+            let peer = match MeshFrame::decode(&link.recv_frame()?)? {
+                MeshFrame::Id(i) => i as usize,
+                _ => return Err(ShardError::Protocol("expected id frame".into())),
+            };
+            if peer <= index || peer >= shards || links[peer].is_some() {
+                return Err(ShardError::Protocol(format!("bad mesh peer id {peer}")));
+            }
+            links[peer] = Some(link);
+        }
+        Ok((ctl, links.into_iter().flatten().collect(), resume.map(PathBuf::from)))
+    })
 }
 
 #[cfg(test)]
@@ -2140,7 +1948,7 @@ mod tests {
     use fasda_net::packet::PacketKind;
     use fasda_sim::rng::XorShift64Star;
     use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     fn workload() -> ParticleSystem {
@@ -2364,6 +2172,152 @@ mod tests {
             match fasda_ckpt::frame::read_frame_from(&mut rd, FRAME) {
                 Err(CkptError::CrcMismatch { .. }) => {}
                 other => panic!("case {case}: flipped frame read as {other:?}"),
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------------
+    // Hostile control frames
+    // ---------------------------------------------------------------------
+
+    /// One seeded control frame of every kind: hello, go, run, a segment
+    /// result, shutdown, a fleet beat and every failure arm.
+    fn sample_ctl_frames(rng: &mut XorShift64Star) -> Vec<CtlFrame> {
+        let text = |rng: &mut XorShift64Star| format!("{:x}", rng.next_u64() >> rng.next_below(64));
+        let few = |rng: &mut XorShift64Star| 0..rng.next_below(4);
+        let gauges = |rng: &mut XorShift64Star| ShardGauges {
+            windows: rng.next_u64(),
+            events_sent: rng.next_u64(),
+            frame_bytes: rng.next_u64(),
+            compute_ns: rng.next_u64(),
+            wait_ns: rng.next_u64(),
+        };
+        let ok = SegmentOk {
+            end_cycle: rng.next_u64(),
+            skipped: rng.next_u64(),
+            records: few(rng)
+                .map(|_| NodeStepReport {
+                    node: rng.next_below(8) as usize,
+                    step: rng.next_u64(),
+                    force_cycles: rng.next_u64(),
+                    mu_cycles: rng.next_u64(),
+                    wall_end: rng.next_u64(),
+                })
+                .collect(),
+            stats: StatSet::new(),
+            traffic: few(rng).map(|_| TrafficCounters::default()).collect(),
+            tallies: Tallies(std::array::from_fn(|_| rng.next_u64())),
+            trace: (rng.next_below(2) == 0).then(|| TraceShard {
+                level: Some(TraceLevel::Sync),
+                nodes: vec![NodeStream { events: Vec::new(), dropped: rng.next_u64() }],
+                engine: NodeStream::default(),
+                stalls: StallLedger::new(1),
+            }),
+            gauges: gauges(rng),
+            container: few(rng).map(|_| rng.next_u64() as u8).collect(),
+        };
+        let beat = FleetBeat {
+            beat: rng.next_u64(),
+            boundary: rng.next_u64(),
+            cycle: rng.next_u64(),
+            workers: few(rng)
+                .map(|_| ObsDelta {
+                    worker: rng.next_u64() as u32,
+                    boundary: rng.next_u64(),
+                    min_step: rng.next_u64(),
+                    productive: rng.next_u64(),
+                    stalls: std::array::from_fn(|_| rng.next_u64()),
+                    retransmits: rng.next_u64(),
+                    gauges: gauges(rng),
+                })
+                .collect(),
+        };
+        let fails = [
+            SegmentFail::Link(text(rng)),
+            SegmentFail::Lookahead(LookaheadViolation {
+                src: rng.next_u64() as u32,
+                dst: rng.next_u64() as u32,
+                sent: rng.next_u64(),
+                due: rng.next_u64(),
+                clock: rng.next_u64(),
+            }),
+            SegmentFail::Cluster(
+                ClusterStalled {
+                    at_cycle: rng.next_u64(),
+                    node_states: few(rng).map(|_| (rng.next_u64(), text(rng))).collect(),
+                    packets_lost: rng.next_u64(),
+                }
+                .into(),
+            ),
+            SegmentFail::Cluster(
+                DeadlockDetected {
+                    at_cycle: rng.next_u64(),
+                    starving: few(rng)
+                        .map(|_| (rng.next_below(8) as usize, rng.next_u64(), text(rng)))
+                        .collect(),
+                    packets_lost: rng.next_u64(),
+                    outages: few(rng).map(|_| text(rng)).collect(),
+                }
+                .into(),
+            ),
+            SegmentFail::Cluster(
+                CrashInjected {
+                    at_cycle: rng.next_u64(),
+                    node: rng.next_below(8) as usize,
+                    step: rng.next_u64(),
+                    packets_lost: rng.next_u64(),
+                }
+                .into(),
+            ),
+        ];
+        let mut frames = vec![
+            CtlFrame::Hello {
+                index: rng.next_u64() as u32,
+                meta_crc: rng.next_u64() as u32,
+                mesh_addr: text(rng),
+            },
+            CtlFrame::Go {
+                resume: (rng.next_below(2) == 0).then(|| text(rng)),
+                peers: few(rng).map(|_| text(rng)).collect(),
+            },
+            CtlFrame::Run { target: rng.next_u64(), budget: rng.next_u64() },
+            CtlFrame::Done(Box::new(ok)),
+            CtlFrame::Shutdown,
+            CtlFrame::Beat(Box::new(beat)),
+        ];
+        frames.extend(fails.into_iter().map(CtlFrame::Fail));
+        frames
+    }
+
+    #[test]
+    fn control_frame_decode_survives_truncation_and_trailing_bytes() {
+        let mut rng = XorShift64Star::new(0xC7_F0_0D);
+        for case in 0..64 {
+            for (kind, frame) in sample_ctl_frames(&mut rng).into_iter().enumerate() {
+                let ctx = format!("case {case}, frame kind {kind}");
+                let bytes = frame.encode();
+                let again = match CtlFrame::decode(&bytes) {
+                    Ok(f) => f.encode(),
+                    Err(e) => panic!("{ctx}: round trip failed: {e}"),
+                };
+                assert_eq!(again, bytes, "{ctx}: round trip changed the frame");
+
+                // Every strict prefix is an error, never a panic and never
+                // a shorter frame mistaken for a whole one.
+                for cut in 0..bytes.len() {
+                    match CtlFrame::decode(&bytes[..cut]) {
+                        Err(CkptError::Truncated { .. } | CkptError::Malformed { .. }) => {}
+                        Err(e) => panic!("{ctx}: prefix of {cut} bytes failed untyped: {e}"),
+                        Ok(_) => panic!("{ctx}: prefix of {cut} bytes decoded"),
+                    }
+                }
+                // Trailing garbage is refused too.
+                let mut longer = bytes;
+                longer.push(rng.next_u64() as u8);
+                assert!(
+                    matches!(CtlFrame::decode(&longer), Err(CkptError::Malformed { .. })),
+                    "{ctx}: a trailing byte was accepted"
+                );
             }
         }
     }
