@@ -16,11 +16,10 @@
 //! | `ablate_cellsize` | Fig. 3 — cell edge vs cutoff radius |
 //! | `ablate_topology` | §4.1 — switch vs ring vs 2nd-order hyper-ring |
 //!
-//! Two more binaries write or read documents for other programs:
-//! `chaosbench` writes the recovery-cost rows `fasda ckpt policy --bench`
-//! averages, and `tracecheck` validates the CLI's trace / metrics /
-//! heartbeat exports. Host-time numbers come from the frozen `benchmark/`
-//! package (`BENCHMARK.json`), gates from `cargo test`; the hand-rolled
+//! Nothing else lives here. Host-time numbers come from the frozen
+//! `benchmark/` package (`BENCHMARK.json`), gates from `cargo test`, and
+//! checkpoint costs from the run that pays them (the `host` object of
+//! its heartbeat stream's `final` record); the hand-rolled
 //! micro-benchmarks in `benches/` (`microbench`, `datapathbench`) are
 //! for looking at one kernel at a time.
 

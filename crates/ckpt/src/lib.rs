@@ -1199,8 +1199,9 @@ pub mod policy {
     //!
     //! which is minimized at the Young–Daly interval
     //! `k* = sqrt(2·save_cost/(λ·step_cost))`. Costs are in any common
-    //! unit (the `chaosbench` sweep measures them in milliseconds); the
-    //! failure rate is per simulated step.
+    //! unit (a run measures them in milliseconds, in the `host` object of
+    //! its heartbeat stream's `final` record); the failure rate is per
+    //! simulated step.
 
     /// Measured costs and the assumed failure process.
     #[derive(Clone, Copy, Debug)]

@@ -16,8 +16,8 @@ use fasda_cluster::ckpt::{CheckpointConfig, SegmentControl};
 use fasda_cluster::{
     chrome_trace, coordinator_main_net, emit_final, final_totals_json, shard_ranges, stall_json,
     state_dump, trace_summary_json_with, worker_main_net, ClusterRunReport, EngineConfig,
-    FaultPlan, Json, ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts, StallLedger,
-    Trace, TraceConfig, TraceLevel,
+    FaultPlan, HostCosts, Json, ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts,
+    StallLedger, Trace, TraceConfig, TraceLevel,
 };
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
@@ -25,7 +25,7 @@ use fasda_core::resources::{estimate, ALVEO_U280};
 use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::pdb::to_pdb;
 use fasda_net::sync::SyncMode;
-use fasda_svc::server::{bench_recovery_costs, policy_interval};
+use fasda_svc::server::{measured_costs, policy_interval};
 use fasda_svc::{Client, JobSpec, Listen, Server, ServerConfig};
 use std::process::ExitCode;
 
@@ -152,16 +152,18 @@ fn folded_stalls(traces: &[Trace], nodes: usize) -> Option<StallLedger> {
 /// stream, refresh the scrape file, and write the `--obs-out` totals
 /// document. All three derive from [`final_totals_json`] — a pure
 /// function of the (engine- and shard-invariant) report and ledger, so
-/// the artifacts byte-match across engines and shard counts.
+/// the artifacts byte-match across engines and shard counts. Only the
+/// `final` record also says what the run cost the `host`.
 fn finish_obs(
     obs: &ObsOpts,
     report: &ClusterRunReport,
     stalls: Option<&StallLedger>,
+    host: &HostCosts,
 ) -> Result<(), String> {
     if !obs.armed() {
         return Ok(());
     }
-    emit_final(&obs.sinks, report, stalls).map_err(|e| e.to_string())?;
+    emit_final(&obs.sinks, report, stalls, host).map_err(|e| e.to_string())?;
     if let Some(out) = &obs.obs_out {
         std::fs::write(out, final_totals_json(report, stalls).pretty())
             .map_err(|e| e.to_string())?;
@@ -205,12 +207,11 @@ fn usage() -> ExitCode {
          \x20           [--prom-out scrape.prom] [--obs-out totals.json]\n\
          \x20 fasda generate --total 444 --out system.pdb [--per-cell 64] [--seed S]\n\
          \x20 fasda info --per-fpga 222 --total 444 [--variant A|B|C]\n\
-         \x20 fasda ckpt policy --step-ms T --failure-rate L\n\
-         \x20           [--save-ms S --restore-ms R | --bench BENCH.json]\n\
-         \x20           [--interval K]\n\
+         \x20 fasda ckpt policy --failure-rate L [--bench beats.jsonl]\n\
+         \x20           [--step-ms T] [--save-ms S] [--restore-ms R] [--interval K]\n\
          \x20 fasda serve [--dir DIR] [--listen unix:PATH|tcp:HOST:PORT] [--workers N]\n\
-         \x20           [--default-ckpt-every N | --policy-bench BENCH.json\n\
-         \x20            --step-ms T --failure-rate L]\n\
+         \x20           [--default-ckpt-every N | --policy-bench beats.jsonl\n\
+         \x20            --failure-rate L [--step-ms T]]\n\
          \x20           [--tenant NAME:WEIGHT[:MAX]]... [--max-restarts N]\n\
          \x20 fasda job submit --connect ADDR [--spec FILE.json | --name S --tenant T\n\
          \x20           --priority P --total 633 --per-fpga 333 --per-cell 64 --seed S\n\
@@ -240,7 +241,12 @@ fn usage() -> ExitCode {
          keeps a Prometheus text-format scrape file current; --obs-out writes the\n\
          engine- and shard-invariant final totals document. Sharded runs emit\n\
          fleet heartbeats naming the lagging shard. Any obs flag implies\n\
-         --trace-level sync (the stall breakdown reads the live ledger)."
+         --trace-level sync (the stall breakdown reads the live ledger).\n\
+         \n\
+         checkpoint policy: the heartbeat stream's final record carries what the\n\
+         run cost the host (ms per step, per checkpoint save, per restore);\n\
+         --bench / --policy-bench read those costs, and a flag supplies any cost\n\
+         the run did not measure."
     );
     ExitCode::from(2)
 }
@@ -344,13 +350,13 @@ fn spawn_shards(
     let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
     // Rendezvous carrier: `--shard-listen ADDR` puts the control socket
     // and worker mesh on TCP (cross-host capable; loopback in CI), the
-    // default stays Unix sockets in `--shard-dir`.
-    let net = match opts.get("--shard-listen") {
-        Some(addr) => ShardNet::Tcp(addr.to_string()),
-        None => ShardNet::Unix(match opts.get("--shard-dir") {
-            Some(d) => std::path::PathBuf::from(d),
-            None => std::env::temp_dir().join(format!("fasda-shard-{}", std::process::id())),
-        }),
+    // default stays Unix sockets in `--shard-dir`, or in a directory of
+    // our own that goes again with the run.
+    let own_dir = std::env::temp_dir().join(format!("fasda-shard-{}", std::process::id()));
+    let (net, chosen) = match (opts.get("--shard-listen"), opts.get("--shard-dir")) {
+        (Some(addr), _) => (ShardNet::Tcp(addr.to_string()), false),
+        (None, Some(dir)) => (ShardNet::Unix(dir.into()), false),
+        (None, None) => (ShardNet::Unix(own_dir.clone()), true),
     };
     // Workers rebuild the spec by replaying this exact argv.
     let mut worker_argv = vec!["run".to_string()];
@@ -370,9 +376,11 @@ fn spawn_shards(
     let resume = spec.resume_file(&mut note).map_err(|e| e.to_string())?;
     let shard_opts = ShardOpts { ckpt: spec.ckpt.clone(), resume, obs, ..ShardOpts::default() };
     let (steps, argv) = (spec.steps, &worker_argv);
-    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &net, argv, &mut note)
-        .map_err(|e| e.to_string())?;
-    Ok(RunOutput::from_sharded(run, sys))
+    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &net, argv, &mut note);
+    if chosen {
+        let _ = std::fs::remove_dir_all(&own_dir);
+    }
+    Ok(RunOutput::from_sharded(run.map_err(|e| e.to_string())?, sys))
 }
 
 /// Everything a finished run prints and writes, whichever way it ran:
@@ -452,7 +460,7 @@ fn report_run(
 
     let nodes = out.cluster.num_nodes();
     let folded = folded_stalls(&out.traces, nodes);
-    finish_obs(obs, report, folded.as_ref())?;
+    finish_obs(obs, report, folded.as_ref(), &out.host)?;
     if let Some(path) = opts.get("--trace-out") {
         let trace = out
             .traces
@@ -563,7 +571,8 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     );
 
     let obs = obs_opts(opts)?;
-    let out = if let Some(shards) = shards {
+    let started = std::time::Instant::now();
+    let mut out = if let Some(shards) = shards {
         spawn_shards(opts, &spec, shards, obs.sinks.any().then(|| obs.sinks.clone()))?
     } else {
         match spec.recover {
@@ -573,6 +582,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         let (mut note, mut ctl) = (|line| println!("{line}"), |_: &_| SegmentControl::Continue);
         spec.run(Some(&obs.sinks), &mut note, &mut ctl).map_err(|e| e.to_string())?
     };
+    out.host.wall_s = started.elapsed().as_secs_f64();
     report_run(opts, &spec, &obs, shards, &out)
 }
 
@@ -611,40 +621,52 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// The costs the run behind heartbeat stream `path` measured
+/// ([`measured_costs`]), announced as they are read.
+fn measured(path: &str) -> Result<Json, String> {
+    let host = measured_costs(path)?;
+    let show = |key| match host.get(key).and_then(Json::as_f64) {
+        Some(ms) => format!("{ms:.3} ms"),
+        None => "not measured".to_string(),
+    };
+    println!(
+        "measured costs: step {}, save {}, restore {} (final record of {path})",
+        show("step_ms"),
+        show("save_ms"),
+        show("restore_ms")
+    );
+    Ok(host)
+}
+
+/// One policy input: the run's measurement `key` when `host` has it,
+/// else the value of `flag`.
+fn policy_cost(opts: &Opts, host: Option<&Json>, key: &str, flag: &str) -> Result<f64, String> {
+    if let Some(ms) = host.and_then(|h| h.get(key)).and_then(Json::as_f64) {
+        return Ok(ms);
+    }
+    let what = if host.is_some() { "the run did not measure it" } else { "or --bench" };
+    let v = opts.get(flag).ok_or_else(|| format!("{flag} required ({what})"))?;
+    v.parse().map_err(|_| format!("bad {flag}"))
+}
+
+/// The `--failure-rate` every policy needs (failures per simulated step).
+fn failure_rate(opts: &Opts) -> Result<f64, String> {
+    let rate =
+        opts.get("--failure-rate").ok_or("--failure-rate required (failures per simulated step)")?;
+    rate.parse().map_err(|_| "bad --failure-rate".into())
+}
+
 /// `fasda ckpt policy` — the data-loss / availability calculator:
-/// Young–Daly checkpoint-interval optimization over measured costs.
-/// `--save-ms` / `--restore-ms` may come from flags or from the mean of
-/// the `recovery.sweep` rows `chaosbench` wrote (`--bench`).
+/// Young–Daly checkpoint-interval optimization over measured costs. Each
+/// cost comes from the run whose heartbeat stream `--bench` names, or
+/// from its flag when that run did not measure it.
 fn cmd_ckpt_policy(opts: &Opts) -> Result<(), String> {
     use fasda_cluster::ckpt::policy::PolicyInput;
-    let step_cost: f64 = opts
-        .get("--step-ms")
-        .ok_or("--step-ms required (wall-clock cost of one simulated step)")?
-        .parse()
-        .map_err(|_| "bad --step-ms")?;
-    let failure_rate: f64 = opts
-        .get("--failure-rate")
-        .ok_or("--failure-rate required (failures per simulated step)")?
-        .parse()
-        .map_err(|_| "bad --failure-rate")?;
-    let bench = match opts.get("--bench") {
-        None => None,
-        Some(path) => {
-            let (save, restore, rows) = bench_recovery_costs(path)?;
-            println!("measured costs: mean over {rows} recovery sweep row(s) in {path}");
-            Some((save, restore))
-        }
-    };
-    let cost = |flag: &str, measured: Option<f64>| -> Result<f64, String> {
-        match opts.get(flag) {
-            Some(v) => v.parse().map_err(|_| format!("bad {flag}")),
-            None => measured.ok_or_else(|| {
-                format!("{flag} required (or --bench pointing at a recovery sweep)")
-            }),
-        }
-    };
-    let save_cost = cost("--save-ms", bench.as_ref().and_then(|b| b.0))?;
-    let restore_cost = cost("--restore-ms", bench.as_ref().and_then(|b| b.1))?;
+    let host = opts.get("--bench").map(measured).transpose()?;
+    let step_cost = policy_cost(opts, host.as_ref(), "step_ms", "--step-ms")?;
+    let failure_rate = failure_rate(opts)?;
+    let save_cost = policy_cost(opts, host.as_ref(), "save_ms", "--save-ms")?;
+    let restore_cost = policy_cost(opts, host.as_ref(), "restore_ms", "--restore-ms")?;
     let input = PolicyInput { save_cost, restore_cost, step_cost, failure_rate };
     input.check()?;
 
@@ -717,8 +739,8 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         cfg.tenants.parse_clause(clause)?;
     }
     // The default checkpoint cadence: explicit flag, or the Young–Daly
-    // optimum computed from measured recovery costs (`fasda ckpt policy`
-    // with --bench, folded into the server).
+    // optimum over the costs a real run measured (`fasda ckpt policy
+    // --bench`, folded into the server).
     cfg.default_ckpt_every = match (opts.get("--default-ckpt-every"), opts.get("--policy-bench")) {
         (Some(n), None) => {
             let n: u64 = n.parse().map_err(|_| "bad --default-ckpt-every")?;
@@ -728,24 +750,17 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             n
         }
         (None, Some(bench)) => {
-            let step_ms: f64 = opts
-                .get("--step-ms")
-                .ok_or("--policy-bench needs --step-ms (wall-clock cost of one step)")?
-                .parse()
-                .map_err(|_| "bad --step-ms")?;
-            let failure_rate: f64 = opts
-                .get("--failure-rate")
-                .ok_or("--policy-bench needs --failure-rate (failures per step)")?
-                .parse()
-                .map_err(|_| "bad --failure-rate")?;
-            let (save, restore, rows) = bench_recovery_costs(bench)?;
-            let save = save.ok_or("no serialize_ms in the recovery sweep")?;
-            let restore = restore.ok_or("no restore_ms in the recovery sweep")?;
+            let host = measured(bench)?;
+            let step_ms = policy_cost(opts, Some(&host), "step_ms", "--step-ms")?;
+            let failure_rate = failure_rate(opts)?;
+            let cost = |key| {
+                host.get(key).and_then(Json::as_f64).ok_or_else(|| {
+                    format!("{bench} measured no {key} (measure a checkpointed, recovered run)")
+                })
+            };
+            let (save, restore) = (cost("save_ms")?, cost("restore_ms")?);
             let every = policy_interval(step_ms, failure_rate, save, restore)?;
-            println!(
-                "policy cadence: checkpoint every {every} step(s) \
-                 (Young-Daly over {rows} sweep row(s): save {save:.3} ms, restore {restore:.3} ms)"
-            );
+            println!("policy cadence: checkpoint every {every} step(s) (Young-Daly)");
             every
         }
         (None, None) => cfg.default_ckpt_every,

@@ -33,12 +33,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run `fasda-cli RUN.. args..` in `dir`.
+/// Run `fasda-cli RUN.. args..` in `dir`, which is also its temp dir.
 fn fasda(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
         .args(RUN)
         .args(args)
         .current_dir(dir)
+        .env("TMPDIR", dir)
         .output()
         .expect("spawn fasda-cli")
 }
@@ -114,12 +115,17 @@ fn every_run_path_agrees() {
     assert_eq!(run_section(&rec_m), run_section(&ckpt_m));
 
     // The same holds with every fault outcome in play, where the shard
-    // workers split each crossing between its two owners.
+    // workers split each crossing between its two owners. Without
+    // --shard-dir the rendezvous directory is the run's own, in the temp
+    // dir, and goes with it.
     let (chaos, chaos_m, _) = artifacts(&dir, "chaos", &CHAOS);
-    let (chaos_2, chaos_2m, _) =
-        artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2", "--shard-dir", "rdv-chaos"]].concat());
+    let (chaos_2, chaos_2m, _) = artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
     assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
     assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
+    let left: Vec<_> =
+        std::fs::read_dir(&dir).expect("list test dir").flatten().map(|e| e.file_name()).collect();
+    let stray = left.iter().any(|f| f.to_string_lossy().starts_with("fasda-shard-"));
+    assert!(!stray, "rendezvous directory left behind: {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -134,6 +140,7 @@ fn recovered_run_writes_every_artifact() {
             "--checkpoint-every", "1", "--checkpoint-dir", "ck", "--recover", "2",
             "--dump-state", "rec.state", "--trace-out", "rec.trace.json",
             "--metrics-out", "rec.metrics.json", "--obs-out", "rec.obs.json",
+            "--heartbeat-out", "rec.beats.jsonl",
         ],
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -147,7 +154,31 @@ fn recovered_run_writes_every_artifact() {
     let doc = Json::parse(std::str::from_utf8(&metrics).unwrap()).expect("metrics json");
     assert_eq!(doc.get("restarts").map(|r| r.items().len()), Some(1));
     assert!(doc.get("stalls").is_some() && doc.get("obs").is_some());
-    assert!(dir.join("rec.obs.json").exists());
+    // The heartbeat stream's final record carries the --obs-out totals
+    // exactly, plus what the run cost the host.
+    let obs = std::fs::read_to_string(dir.join("rec.obs.json")).expect("obs totals written");
+    let obs = Json::parse(&obs).expect("obs totals json");
+    let beats = std::fs::read_to_string(dir.join("rec.beats.jsonl")).expect("heartbeats written");
+    let last = beats.lines().last().map(|l| Json::parse(l).expect("final record json"));
+    let fin = last.expect("a final record");
+    assert_eq!(fin.get("type").and_then(Json::as_str), Some("final"));
+    for section in ["counters", "hists"] {
+        assert_eq!(fin.get(section), obs.get(section), "final record {section} drifted from --obs-out");
+    }
+    let host = fin.get("host").expect("host costs");
+    for key in ["wall_s", "step_ms", "save_ms", "restore_ms"] {
+        let v = host.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        assert!(v.is_finite() && v >= 0.0, "host {key} = {v}: {}", host.compact());
+    }
+    // ... which is all a checkpoint policy needs besides the failure rate.
+    let policy = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
+        .args(["ckpt", "policy", "--failure-rate", "0.001", "--bench", "rec.beats.jsonl"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn fasda-cli");
+    let stdout = String::from_utf8_lossy(&policy.stdout);
+    assert!(policy.status.success(), "{}", String::from_utf8_lossy(&policy.stderr));
+    assert!(stdout.starts_with("measured costs: step ") && !stdout.contains("not measured"), "{stdout}");
 
     // Its checkpoints are at step 3: resuming them into a 2-step run is an
     // error naming the flag, not the runner's assert — from the directory
@@ -187,10 +218,12 @@ fn recovered_run_writes_every_artifact() {
 #[test]
 fn invalid_runs_fail_typed_not_panicking() {
     let dir = tmpdir("invalid");
-    // Policy documents: one usable, one whose save cost reads as +inf.
-    for (name, save) in [("ok.json", "1.0"), ("inf.json", "1e999")] {
-        let doc = format!(r#"{{"recovery": {{"sweep": [{{"serialize_ms": {save}, "restore_ms": 1.0}}]}}}}"#);
-        std::fs::write(dir.join(name), doc).expect("write policy document");
+    // Heartbeat streams whose final record measured no step cost: one
+    // usable, one whose save cost reads as +inf, one with a negative
+    // restore cost.
+    for (name, save, restore) in [("ok.jsonl", "1.0", "1.0"), ("inf.jsonl", "1e999", "1.0"), ("neg.jsonl", "1.0", "-1")] {
+        let doc = format!(r#"{{"type": "final", "host": {{"save_ms": {save}, "restore_ms": {restore}}}}}"#);
+        std::fs::write(dir.join(name), doc + "\n").expect("write heartbeat stream");
     }
     const POLICY: [&str; 2] = ["ckpt", "policy"];
     const SERVE: [&str; 4] = ["serve", "--dir", "svc", "--policy-bench"];
@@ -213,10 +246,11 @@ fn invalid_runs_fail_typed_not_panicking() {
         (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "nan", "--save-ms", "1", "--restore-ms", "1"]].concat(), "failure rate"),
         (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--save-ms", "nan", "--restore-ms", "1"]].concat(), "save cost"),
         (&[&POLICY[..], &["--step-ms", "inf", "--failure-rate", "0.1", "--save-ms", "1", "--restore-ms", "1"]].concat(), "step cost"),
-        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--bench", "inf.json"]].concat(), "save cost"),
-        (&[&SERVE[..], &["ok.json", "--step-ms", "1", "--failure-rate", "nan"]].concat(), "failure rate"),
-        (&[&SERVE[..], &["ok.json", "--step-ms", "inf", "--failure-rate", "0.1"]].concat(), "step cost"),
-        (&[&SERVE[..], &["inf.json", "--step-ms", "1", "--failure-rate", "0.1"]].concat(), "save cost"),
+        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--bench", "inf.jsonl"]].concat(), "save cost"),
+        (&[&POLICY[..], &["--step-ms", "1", "--failure-rate", "0.1", "--bench", "neg.jsonl"]].concat(), "restore cost"),
+        (&[&SERVE[..], &["ok.jsonl", "--step-ms", "1", "--failure-rate", "nan"]].concat(), "failure rate"),
+        (&[&SERVE[..], &["ok.jsonl", "--step-ms", "inf", "--failure-rate", "0.1"]].concat(), "step cost"),
+        (&[&SERVE[..], &["inf.jsonl", "--step-ms", "1", "--failure-rate", "0.1"]].concat(), "save cost"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
             .args(args)

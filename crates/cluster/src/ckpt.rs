@@ -35,6 +35,7 @@ use fasda_core::timed::TrafficCounters;
 use fasda_sim::StatSet;
 use fasda_trace::Trace;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Where and how often to checkpoint a run.
 #[derive(Clone, Debug)]
@@ -255,19 +256,36 @@ pub fn load_checkpoint(cluster: &mut Cluster, path: &Path) -> Result<RunAccumula
     resume_from_container(cluster, &std::fs::read(path)?)
 }
 
-/// [`load_checkpoint`] from the newest checkpoint in `dir`; `Ok(None)`
-/// when the directory holds no checkpoint (the caller starts from
-/// step 0).
-pub fn resume_latest(
-    cluster: &mut Cluster,
-    dir: &Path,
-) -> Result<Option<(PathBuf, RunAccumulator)>, CkptError> {
-    match latest_checkpoint(dir)? {
-        None => Ok(None),
-        Some(path) => {
-            let acc = load_checkpoint(cluster, &path)?;
-            Ok(Some((path, acc)))
-        }
+/// What a run cost the host, measured by the run that paid it: the
+/// segment loop times every checkpoint save, the one restore each run
+/// kind does times its load, and whoever timed the whole run (the CLI)
+/// sets `wall_s`. Host-side and different every run, so it rides only
+/// the heartbeat stream's `final` record ([`crate::obs::host_json`]) —
+/// never a report, a checkpoint or any byte-compared artifact.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct HostCosts {
+    /// Wall seconds of the whole run, as its caller timed it (0 untimed).
+    pub wall_s: f64,
+    /// Steps simulated to completion in this process, replays included.
+    pub steps: u64,
+    /// Checkpoints written.
+    pub saves: u64,
+    /// Wall seconds spent writing them.
+    pub save_s: f64,
+    /// Checkpoints restored.
+    pub restores: u64,
+    /// Wall seconds spent restoring them.
+    pub restore_s: f64,
+}
+
+impl HostCosts {
+    /// Run `load`, one restore, and charge its wall time to the run.
+    pub(crate) fn restore<T>(&mut self, load: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = load();
+        self.restores += 1;
+        self.restore_s += t.elapsed().as_secs_f64();
+        out
     }
 }
 
@@ -384,7 +402,20 @@ pub fn run_with_checkpoints(
     ckpt: Option<&CheckpointConfig>,
     acc: RunAccumulator,
 ) -> Result<CheckpointedRun, CkptRunError> {
-    match run_with_checkpoints_ctl(cluster, steps, cycle_budget, engine, ckpt, acc, &mut |_| {
+    run_to_end(cluster, steps, cycle_budget, engine, ckpt, acc, &mut HostCosts::default())
+}
+
+/// [`run_with_checkpoints`], charging its steps and saves to `host`.
+fn run_to_end(
+    cluster: &mut Cluster,
+    steps: u64,
+    cycle_budget: u64,
+    engine: &EngineConfig,
+    ckpt: Option<&CheckpointConfig>,
+    acc: RunAccumulator,
+    host: &mut HostCosts,
+) -> Result<CheckpointedRun, CkptRunError> {
+    match run_with_checkpoints_ctl(cluster, steps, cycle_budget, engine, ckpt, acc, host, &mut |_| {
         SegmentControl::Continue
     })? {
         CkptRunOutcome::Completed(run) => Ok(run),
@@ -399,7 +430,9 @@ pub fn run_with_checkpoints(
 /// segment (and its checkpoint write) `ctl` is consulted, and the run
 /// continues, drains to in-memory container bytes, or cancels. This is
 /// the job-facing run API the service layer schedules on — cancellation
-/// and live migration both act here, never mid-segment.
+/// and live migration both act here, never mid-segment. The steps run
+/// and the checkpoint saves are charged to `host`, failed or not.
+#[allow(clippy::too_many_arguments)]
 pub fn run_with_checkpoints_ctl(
     cluster: &mut Cluster,
     steps: u64,
@@ -407,9 +440,10 @@ pub fn run_with_checkpoints_ctl(
     engine: &EngineConfig,
     ckpt: Option<&CheckpointConfig>,
     acc: RunAccumulator,
+    host: &mut HostCosts,
     ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
 ) -> Result<CkptRunOutcome, CkptRunError> {
-    run_segments(cluster, steps, cycle_budget, ckpt, acc, ctl, &mut |cluster, target, budget| {
+    run_segments(cluster, steps, cycle_budget, ckpt, acc, host, ctl, &mut |cluster, target, budget| {
         let report = cluster.try_run_with(target, budget, engine)?;
         Ok((report, cluster.take_trace()))
     })
@@ -423,13 +457,16 @@ pub(crate) type Segment<E> = Result<(ClusterRunReport, Option<Trace>), E>;
 /// `budget` cycles and returns its report and trace — in-process by
 /// [`Cluster::try_run_with`], on a shard coordinator by one round of
 /// worker frames spliced into its replica. Budget accounting, report
-/// accumulation, checkpoint writing and the controller live here only.
+/// accumulation, checkpoint writing (timed into `host`) and the
+/// controller live here only.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_segments<E: From<CkptError>>(
     cluster: &mut Cluster,
     steps: u64,
     cycle_budget: u64,
     ckpt: Option<&CheckpointConfig>,
     mut acc: RunAccumulator,
+    host: &mut HostCosts,
     ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
     segment: &mut dyn FnMut(&mut Cluster, u64, u64) -> Segment<E>,
 ) -> Result<CkptRunOutcome, E> {
@@ -448,11 +485,15 @@ pub(crate) fn run_segments<E: From<CkptError>>(
         let target = (acc.steps_done + every).min(steps);
         let spent = cluster.cycle - start_cycle;
         let (report, trace) = segment(cluster, target, cycle_budget.saturating_sub(spent))?;
+        host.steps += target - acc.steps_done;
         traces.extend(trace);
         acc.fold(&report);
         let mut written = None;
         if let Some(c) = ckpt {
+            let t = Instant::now();
             let path = save_checkpoint(cluster, &acc, c)?;
+            host.saves += 1;
+            host.save_s += t.elapsed().as_secs_f64();
             checkpoints.push(path.clone());
             written = Some(path);
         }
@@ -559,6 +600,8 @@ pub struct RecoveredRun {
     /// One human-readable line per restart taken, oldest first — empty
     /// when the run survived on the first attempt.
     pub restarts: Vec<String>,
+    /// Steps run, saves and restores over every attempt.
+    pub host: HostCosts,
 }
 
 /// Drive a run to completion through injected crashes and
@@ -591,19 +634,16 @@ pub fn run_with_recovery(
 ) -> Result<RecoveredRun, CkptRunError> {
     let mut run_cfg = cfg.clone();
     let mut restarts: Vec<String> = Vec::new();
+    let mut host = HostCosts::default();
     loop {
         let mut cluster = Cluster::new(run_cfg.clone(), sys);
-        let resumed =
-            if restarts.is_empty() { None } else { resume_latest(&mut cluster, &ckpt.dir)? };
-        let acc = resumed.map_or_else(RunAccumulator::new, |(_, acc)| acc);
-        match run_with_checkpoints(&mut cluster, steps, cycle_budget, engine, Some(ckpt), acc) {
-            Ok(run) => {
-                return Ok(RecoveredRun {
-                    run,
-                    cluster,
-                    restarts,
-                })
-            }
+        let latest = if restarts.is_empty() { None } else { latest_checkpoint(&ckpt.dir)? };
+        let acc = match latest {
+            Some(path) => host.restore(|| load_checkpoint(&mut cluster, &path))?,
+            None => RunAccumulator::new(),
+        };
+        match run_to_end(&mut cluster, steps, cycle_budget, engine, Some(ckpt), acc, &mut host) {
+            Ok(run) => return Ok(RecoveredRun { run, cluster, restarts, host }),
             Err(CkptRunError::Run(err)) if (restarts.len() as u32) < policy.max_restarts => {
                 match learn(&mut run_cfg.faults, &err) {
                     Some(cause) => {

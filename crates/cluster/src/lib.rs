@@ -24,9 +24,10 @@ pub mod wire;
 
 pub use ckpt::{
     drain_to_container, latest_checkpoint, learn, load_checkpoint, newest_consistent,
-    resume_from_container, resume_latest, run_with_checkpoints, run_with_checkpoints_ctl,
+    resume_from_container, run_with_checkpoints, run_with_checkpoints_ctl,
     run_with_recovery, save_checkpoint, CheckpointConfig, CheckpointedRun, CkptRunError,
-    CkptRunOutcome, RecoveredRun, RecoveryPolicy, RunAccumulator, SegmentControl, SegmentStatus,
+    CkptRunOutcome, HostCosts, RecoveredRun, RecoveryPolicy, RunAccumulator, SegmentControl,
+    SegmentStatus,
 };
 pub use driver::{
     state_dump, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
@@ -38,8 +39,8 @@ pub use fasda_net::reliable::RelConfig;
 pub use report::RelSummary;
 pub use host::{HostController, HostRun};
 pub use obs::{
-    emit_final, final_registry, final_totals_json, measured_from, model_input, FleetBeat,
-    FleetObs, ObsDelta, ObsLive, ObsSinkConfig, ShardGauges,
+    emit_final, final_registry, final_totals_json, host_json, measured_from, model_input,
+    FleetBeat, FleetObs, ObsDelta, ObsLive, ObsSinkConfig, ShardGauges,
 };
 pub use report::{ClusterRunReport, NodeStepReport};
 pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};

@@ -17,6 +17,7 @@
 //! * [`model_input`] + [`measured_from`] feed `fasda_obs::model`'s
 //!   §5 prediction/divergence machinery from a run.
 
+use crate::ckpt::HostCosts;
 use crate::driver::{Cluster, ClusterConfig};
 use crate::report::ClusterRunReport;
 use fasda_ckpt::{CkptError, Persist, Reader, Writer};
@@ -578,26 +579,51 @@ pub fn final_totals_json(report: &ClusterRunReport, stalls: Option<&StallLedger>
     final_registry(report, stalls).totals_json()
 }
 
-/// Append the `final` heartbeat record to an existing JSONL stream and
-/// refresh the scrape file with the final registry. Called once by the
-/// host after the run completes (the in-run sampler only ever emits
-/// `beat` records).
+/// The `final` record's `host` object: what the run cost the host, in
+/// milliseconds per step simulated (the run's wall time net of its
+/// checkpoint I/O, so building the machine and work a failure lost
+/// count too), per checkpoint save and per restore — the costs
+/// `fasda ckpt policy --bench` and `fasda serve --policy-bench` read. A
+/// cost the run had nothing to measure for is absent.
+pub fn host_json(host: &HostCosts) -> Json {
+    let ms = |s: f64, n: u64| Json::fixed(s * 1e3 / n as f64, 4);
+    let step_s = host.wall_s - host.save_s - host.restore_s;
+    let mut o = Json::obj()
+        .field("wall_s", Json::fixed(host.wall_s, 4))
+        .field("steps", Json::uint(host.steps))
+        .field("saves", Json::uint(host.saves))
+        .field("restores", Json::uint(host.restores));
+    if host.steps > 0 && step_s > 0.0 {
+        o = o.field("step_ms", ms(step_s, host.steps));
+    }
+    if host.saves > 0 {
+        o = o.field("save_ms", ms(host.save_s, host.saves));
+    }
+    if host.restores > 0 {
+        o = o.field("restore_ms", ms(host.restore_s, host.restores));
+    }
+    o.build()
+}
+
+/// Append the `final` heartbeat record — the final totals plus the
+/// run's [`host_json`] costs — to an existing JSONL stream and refresh
+/// the scrape file with the final registry. Called once by the host
+/// after the run completes (the in-run sampler only ever emits `beat`
+/// records).
 pub fn emit_final(
     sinks: &ObsSinkConfig,
     report: &ClusterRunReport,
     stalls: Option<&StallLedger>,
+    host: &HostCosts,
 ) -> std::io::Result<()> {
     let reg = final_registry(report, stalls);
     if let Some(path) = &sinks.heartbeat_out {
         let mut sink = JsonlSink::append(path)?;
-        let record = beat_record(
-            "final",
-            0,
-            report.steps,
-            report.steps,
-            &reg.totals_json(),
-        );
-        sink.emit(&record)?;
+        let mut totals = reg.totals_json();
+        if let Json::Obj(fields) = &mut totals {
+            fields.push(("host".to_string(), host_json(host)));
+        }
+        sink.emit(&beat_record("final", 0, report.steps, report.steps, &totals))?;
     }
     if let Some(path) = &sinks.prom_out {
         prom_write(&reg, "fasda", path)?;

@@ -11,7 +11,7 @@
 
 use crate::ckpt::{
     latest_checkpoint, load_checkpoint, resume_from_container, run_with_checkpoints_ctl,
-    run_with_recovery, CheckpointConfig, CheckpointedRun, CkptRunError, CkptRunOutcome,
+    run_with_recovery, CheckpointConfig, CheckpointedRun, CkptRunError, CkptRunOutcome, HostCosts,
     RecoveryPolicy, RunAccumulator, SegmentControl, SegmentStatus,
 };
 use crate::driver::{Cluster, ClusterConfig, ClusterError, EngineConfig, MAX_RUN_CYCLES};
@@ -111,14 +111,16 @@ pub struct RunOutput {
     pub sys: ParticleSystem,
     /// One line per restart `recover` took, oldest first.
     pub restarts: Vec<String>,
+    /// Steps run, checkpoint saves and restores, measured as they were paid.
+    pub host: HostCosts,
 }
 
 impl RunOutput {
     /// The output of a sharded run over `sys`: the coordinator's spliced
     /// replica is the final machine state.
     pub fn from_sharded(run: ShardedRun, sys: ParticleSystem) -> Self {
-        let ShardedRun { report, traces, checkpoints, replica, .. } = run;
-        RunOutput { report, traces, checkpoints, cluster: replica, sys, restarts: Vec::new() }
+        let ShardedRun { report, traces, checkpoints, replica, host, .. } = run;
+        RunOutput { report, traces, checkpoints, cluster: replica, sys, restarts: Vec::new(), host }
     }
 }
 
@@ -325,18 +327,22 @@ impl RunSpec {
         }
     }
 
-    /// Restore `cluster` from wherever `resume` points, telling `note`
-    /// what was found.
+    /// Restore `cluster` from wherever `resume` points, charging the
+    /// restore to `host` and telling `note` what was found.
     fn restore(
         &self,
         cluster: &mut Cluster,
+        host: &mut HostCosts,
         note: &mut dyn FnMut(String),
     ) -> Result<RunAccumulator, RunError> {
         let (acc, from) = match (&self.resume, self.resume_file(note)?) {
-            (Resume::Container(bytes), _) => {
-                (resume_from_container(cluster, bytes)?, "in-memory container".to_string())
+            (Resume::Container(bytes), _) => (
+                host.restore(|| resume_from_container(cluster, bytes))?,
+                "in-memory container".to_string(),
+            ),
+            (_, Some(path)) => {
+                (host.restore(|| load_checkpoint(cluster, &path))?, path.display().to_string())
             }
-            (_, Some(path)) => (load_checkpoint(cluster, &path)?, path.display().to_string()),
             (_, None) => return Ok(RunAccumulator::new()),
         };
         Ok(resumed(acc, &from, self.steps, note)?)
@@ -370,11 +376,12 @@ impl RunSpec {
                 &RecoveryPolicy::new(max),
             )?;
             let CheckpointedRun { report, traces, checkpoints } = rec.run;
-            let (cluster, restarts) = (rec.cluster, rec.restarts);
-            return Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts });
+            let (cluster, restarts, host) = (rec.cluster, rec.restarts, rec.host);
+            return Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts, host });
         }
         let mut cluster = Cluster::new(cfg, &sys);
-        let acc = self.restore(&mut cluster, note)?;
+        let mut host = HostCosts::default();
+        let acc = self.restore(&mut cluster, &mut host, note)?;
         if let Some(sinks) = obs.filter(|s| self.engine.heartbeat_every > 0 && s.any()) {
             let live = ObsLive::new(self.engine.heartbeat_every, sinks).map_err(RunError::Io)?;
             cluster.attach_obs(Box::new(live));
@@ -386,10 +393,12 @@ impl RunSpec {
             &self.engine,
             self.ckpt.as_ref(),
             acc,
+            &mut host,
             ctl,
         )? {
             CkptRunOutcome::Completed(CheckpointedRun { report, traces, checkpoints }) => {
-                Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts: Vec::new() })
+                let restarts = Vec::new();
+                Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts, host })
             }
             CkptRunOutcome::Drained { run, container } => {
                 Err(RunError::Drained { container, run: Box::new(run) })

@@ -85,7 +85,7 @@
 //! worker's owned nodes; the coordinator only concatenates the shares.
 
 use crate::ckpt::{
-    load_checkpoint, run_segments, CheckpointConfig, CheckpointedRun, CkptRunOutcome,
+    load_checkpoint, run_segments, CheckpointConfig, CheckpointedRun, CkptRunOutcome, HostCosts,
     RunAccumulator, Segment, SegmentControl,
 };
 use crate::driver::{
@@ -1466,9 +1466,10 @@ fn coordinate(
     let n = replica.num_nodes();
     validate_sharding(cfg, shards, n)?;
     let ranges = shard_ranges(n, shards);
+    let mut host = HostCosts::default();
     let acc = match &opts.resume {
         Some(path) => {
-            let acc = load_checkpoint(&mut replica, path)?;
+            let acc = host.restore(|| load_checkpoint(&mut replica, path))?;
             resumed(acc, &path.display().to_string(), steps, note)?
         }
         None => RunAccumulator::new(),
@@ -1543,6 +1544,7 @@ fn coordinate(
         opts.budget,
         opts.ckpt.as_ref(),
         acc,
+        &mut host,
         &mut |_| SegmentControl::Continue,
         &mut round,
     );
@@ -1550,7 +1552,7 @@ fn coordinate(
     let CkptRunOutcome::Completed(CheckpointedRun { report, traces, checkpoints }) = res? else {
         unreachable!("a run that always continues completes");
     };
-    Ok(ShardedRun { report, traces, checkpoints, replica, gauges })
+    Ok(ShardedRun { report, traces, checkpoints, replica, gauges, host })
 }
 
 // ---------------------------------------------------------------------------
@@ -1635,6 +1637,9 @@ pub struct ShardedRun {
     /// Host-side gauges: they differ run to run and are no part of the
     /// bit-identity contract.
     pub gauges: Vec<ShardGauges>,
+    /// Steps run, checkpoint saves and the restore, measured on the
+    /// coordinator as it paid them.
+    pub host: HostCosts,
 }
 
 impl std::fmt::Debug for ShardedRun {

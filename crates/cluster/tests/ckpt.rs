@@ -15,8 +15,8 @@
 mod harness;
 
 use fasda_cluster::ckpt::{
-    resume_latest, run_with_checkpoints, CheckpointConfig, CheckpointedRun, CkptRunError,
-    RunAccumulator,
+    latest_checkpoint, load_checkpoint, run_with_checkpoints, CheckpointConfig, CheckpointedRun,
+    CkptRunError, RunAccumulator,
 };
 use fasda_cluster::{
     Cluster, ClusterConfig, ClusterError, EngineConfig, FaultPlan, RelConfig, TraceConfig,
@@ -227,9 +227,8 @@ fn crash_recovery_matches_uninterrupted_oracle() {
             config(Some(crash_plan.without_crash()), sc.reliable),
             &sys,
         );
-        let (_path, acc) = resume_latest(&mut recovered, &dir)
-            .expect("resume parses")
-            .expect("a checkpoint exists");
+        let latest = latest_checkpoint(&dir).expect("list checkpoints").expect("a checkpoint exists");
+        let acc = load_checkpoint(&mut recovered, &latest).expect("resume parses");
         assert_eq!(acc.steps_done, 4, "{}: crash fired past the step-4 checkpoint", sc.name);
         let resumed = run_with_checkpoints(
             &mut recovered,

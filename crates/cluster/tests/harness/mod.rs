@@ -102,11 +102,8 @@ pub fn fold(traces: &[Trace], nodes: usize) -> StallLedger {
     folded
 }
 
-/// Parse a JSONL stream, panicking with the offending line on error.
+/// Read and parse a JSONL stream, panicking with the offending line.
 pub fn parse_jsonl(path: &PathBuf) -> Vec<Json> {
-    std::fs::read_to_string(path)
-        .expect("read JSONL stream")
-        .lines()
-        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
-        .collect()
+    let text = std::fs::read_to_string(path).expect("read JSONL stream");
+    fasda_obs::parse_jsonl(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }

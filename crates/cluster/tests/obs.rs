@@ -11,7 +11,7 @@ mod harness;
 
 use fasda_cluster::{
     emit_final, final_totals_json, measured_from, model_input, run_sharded, Cluster, EngineConfig,
-    FaultPlan, ObsLive, ObsSinkConfig, ShardOpts, TraceConfig, TraceLevel,
+    FaultPlan, HostCosts, ObsLive, ObsSinkConfig, ShardOpts, TraceConfig, TraceLevel,
 };
 use fasda_trace::Json;
 use harness::{config, fold, parse_jsonl, workload, workload_of, BUDGET};
@@ -106,7 +106,7 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
     let obs = cluster.take_obs().expect("sampler still attached");
     assert!(obs.beats() >= STEPS - 1, "cadence 1 must beat (almost) every step");
     let trace = cluster.take_trace().expect("tracing was on");
-    emit_final(&sinks, &report, Some(&trace.stalls)).expect("final record");
+    emit_final(&sinks, &report, Some(&trace.stalls), &HostCosts::default()).expect("final record");
 
     let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
     assert!(records.len() >= 2, "beats + final expected");
@@ -182,7 +182,8 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
     let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
     assert!(!records.is_empty(), "fleet heartbeats expected");
     let mut last_beat = 0;
-    let mut last_windows = [0i64; 2];
+    const GAUGES: [&str; 5] = ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns"];
+    let mut last_gauges = [[0i64; GAUGES.len()]; 2];
     for rec in &records {
         assert_eq!(rec.get("type").unwrap().as_str(), Some("fleet"));
         let beat = rec.get("beat").unwrap().as_i64().unwrap();
@@ -198,16 +199,19 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
             assert!(s.get("nodes").unwrap().as_str().unwrap().contains(".."));
             assert!(s.get("min_step").unwrap().as_i64().is_some());
             // Where the shard's wall time goes: cumulative exchange
-            // gauges, so they never run backwards.
-            let gauge = |name: &str| s.get(name).and_then(Json::as_i64).unwrap_or(-1);
-            assert!(gauge("windows") >= last_windows[i].max(1), "windows gauge on shard {i}");
-            last_windows[i] = gauge("windows");
-            for name in ["events_sent", "frame_bytes", "compute_ns", "wait_ns"] {
-                assert!(gauge(name) >= 0, "{name} gauge missing on shard {i}");
+            // gauges, so none of them ever runs backwards.
+            let now = GAUGES.map(|name| s.get(name).and_then(Json::as_i64).unwrap_or(-1));
+            for (name, (n, last)) in GAUGES.iter().zip(now.iter().zip(&last_gauges[i])) {
+                assert!(n >= last && *n >= 0, "{name} gauge ran backwards on shard {i}: {now:?}");
             }
-            assert!(gauge("frame_bytes") > 0, "two shards always have a frame to send");
+            last_gauges[i] = now;
+            let [windows, _, frame_bytes, compute_ns, wait_ns] = now;
+            assert!(windows >= 1, "a beat without an exchange window on shard {i}");
+            assert!(frame_bytes > 0, "two shards always have a frame to send");
+            // wait_share is the blocked share of compute + wait time.
             let share = s.get("wait_share").and_then(Json::as_f64).expect("wait_share");
-            assert!((0.0..=1.0).contains(&share), "wait_share {share} on shard {i}");
+            let want = wait_ns as f64 / (compute_ns + wait_ns).max(1) as f64;
+            assert!((share - want).abs() < 1e-9, "wait_share {share} != {want} on shard {i}");
         }
         // Progress gauges never leak into the byte-compared sections.
         for section in ["counters", "gauges"] {

@@ -262,7 +262,9 @@ fn chrome_export_round_trips() {
             force_begins.insert(e.get("pid").and_then(Json::as_i64).unwrap());
         }
     }
-    assert_eq!(force_begins.len(), 8, "every node opens a force span");
+    let nodes = doc.get("otherData").and_then(|o| o.get("nodes")).and_then(Json::as_i64);
+    assert_eq!(nodes, Some(8), "otherData.nodes");
+    assert!(force_begins.iter().copied().eq(0..8), "every node opens a force span: {force_begins:?}");
     // Round-trip: parse → render → parse gives the same document.
     let again = Json::parse(&doc.pretty()).expect("re-parse");
     assert_eq!(again, doc);

@@ -436,10 +436,10 @@ impl JsonlSink {
     }
 }
 
-/// Parse a JSONL document back into records (validation helper for
-/// tests and `tracecheck`). Blank lines are rejected: a heartbeat
-/// stream never contains them, and tolerating them would mask
-/// truncated writes.
+/// Parse a JSONL document back into records (the reader of heartbeat
+/// streams: tests, and the checkpoint policy's measured costs). Blank
+/// lines are rejected: a heartbeat stream never contains them, and
+/// tolerating them would mask truncated writes.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Json>, String> {
     text.lines()
         .enumerate()

@@ -37,7 +37,7 @@ use crate::queue::{self, QueueJournal, ReplayedState, SchedJob, TenantTable};
 use fasda_cluster::ckpt::{learn, CheckpointConfig, SegmentControl};
 use fasda_cluster::{state_dump, FaultPlan, Resume, RunError, RunOutput};
 use fasda_net::transport::{FrameLink, SocketLink, TcpLink};
-use fasda_obs::Registry;
+use fasda_obs::{parse_jsonl, Registry};
 use fasda_trace::Json;
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -182,6 +182,17 @@ impl State {
         self.jobs.iter_mut().find(|j| j.id == id)
     }
 
+    /// Stop taking work: running jobs drain at their next segment
+    /// boundary and are journaled as requeued. The caller wakes the pool.
+    fn shut_down(&mut self) {
+        self.shutdown = true;
+        for job in &mut self.jobs {
+            if matches!(job.state, JobState::Running(_)) && job.wanted == Wanted::Run {
+                job.wanted = Wanted::Drain;
+            }
+        }
+    }
+
     fn queue_depth(&self) -> usize {
         self.jobs.iter().filter(|j| j.state == JobState::Queued).count()
     }
@@ -228,14 +239,7 @@ impl ServerHandle {
     /// segment boundary and are journaled as requeued (they resume from
     /// their newest on-disk checkpoint at the next start).
     pub fn shutdown(&self) {
-        let mut st = self.shared.state.lock().expect("state lock");
-        st.shutdown = true;
-        for job in &mut st.jobs {
-            if matches!(job.state, JobState::Running(_)) && job.wanted == Wanted::Run {
-                job.wanted = Wanted::Drain;
-            }
-        }
-        drop(st);
+        self.shared.state.lock().expect("state lock").shut_down();
         self.shared.wake.notify_all();
     }
 
@@ -520,15 +524,11 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
             job.state = JobState::Completed;
             job.steps_done = spec.steps;
             job.logs.push(format!("completed on worker {worker}"));
-            let mut dump_err = None;
             if let Some((path, text)) = dump {
-                match std::fs::write(&path, text) {
-                    Ok(()) => job.logs.push(format!("wrote state dump to {path}")),
-                    Err(e) => dump_err = Some(format!("state dump {path}: {e}")),
-                }
-            }
-            if let Some(e) = dump_err {
-                job.logs.push(e);
+                job.logs.push(match std::fs::write(&path, text) {
+                    Ok(()) => format!("wrote state dump to {path}"),
+                    Err(e) => format!("state dump {path}: {e}"),
+                });
             }
             let _ = st.journal.done(id);
             st.registry.counter_add("jobs_completed", 1);
@@ -741,14 +741,7 @@ fn handle_request(
             (proto::ok().field("metrics", st.registry.snapshot_json()).build(), false)
         }
         "shutdown" => {
-            let mut st = sh.state.lock().expect("state lock");
-            st.shutdown = true;
-            for job in &mut st.jobs {
-                if matches!(job.state, JobState::Running(_)) && job.wanted == Wanted::Run {
-                    job.wanted = Wanted::Drain;
-                }
-            }
-            drop(st);
+            sh.state.lock().expect("state lock").shut_down();
             sh.wake.notify_all();
             (proto::ok().build(), true)
         }
@@ -775,27 +768,19 @@ fn connection_loop(
 // Policy-fed default cadence
 // -----------------------------------------------------------------------
 
-/// Mean `serialize_ms` / `restore_ms` over the `recovery.sweep` rows of
-/// a `chaosbench` output document — the measured costs `fasda ckpt
-/// policy --bench` uses. Returns the two means and the row count.
-pub fn bench_recovery_costs(path: &str) -> Result<(Option<f64>, Option<f64>, usize), String> {
+/// What a real run cost the host — the `host` object of the `final`
+/// record of its heartbeat stream (`fasda run --heartbeat-out PATH`;
+/// see [`fasda_cluster::host_json`]) — which `fasda ckpt policy --bench`
+/// and `fasda serve --policy-bench` fit the interval to.
+pub fn measured_costs(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let rows: Vec<Json> = doc
-        .get("recovery")
-        .and_then(|r| r.get("sweep"))
-        .map(|s| s.items().to_vec())
-        .unwrap_or_default();
-    if rows.is_empty() {
-        return Err(format!(
-            "{path} has no recovery.sweep rows — run `chaosbench --out {path}` first"
-        ));
-    }
-    let mean = |field: &str| -> Option<f64> {
-        let vals: Vec<f64> = rows.iter().filter_map(|r| r.get(field)?.as_f64()).collect();
-        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-    };
-    Ok((mean("serialize_ms"), mean("restore_ms"), rows.len()))
+    let records = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+    records
+        .into_iter()
+        .rev()
+        .find(|r| r.get("type").and_then(Json::as_str) == Some("final"))
+        .and_then(|r| r.get("host").cloned())
+        .ok_or_else(|| format!("{path} has no final record with host costs (fasda run --heartbeat-out)"))
 }
 
 /// The Young–Daly-optimal checkpoint interval (in steps) for the given

@@ -3,8 +3,8 @@
 //! The cluster driver classifies **every** force-phase cycle of every
 //! node (after the node's phase-arming cycle) as either *productive* —
 //! the chip ticked with at least one busy PE — or one stall cause.
-//! The accounting invariant, asserted by the determinism tests and the
-//! `tracecheck` validator:
+//! The accounting invariant, asserted by the cluster's
+//! `trace_determinism` and `chaos` tests:
 //!
 //! ```text
 //! productive + Σ stalled[cause] == force_cycles   per (node, step)
