@@ -25,7 +25,7 @@ use fasda_core::resources::{estimate, ALVEO_U280};
 use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::pdb::to_pdb;
 use fasda_net::sync::SyncMode;
-use fasda_svc::server::{measured_costs, policy_interval};
+use fasda_svc::server::{measured_costs, policy_interval, FINISHED_KEPT};
 use fasda_svc::{Client, JobSpec, Listen, Server, ServerConfig};
 use std::process::ExitCode;
 
@@ -217,7 +217,9 @@ fn usage() -> ExitCode {
          \x20           --priority P --total 633 --per-fpga 333 --per-cell 64 --seed S\n\
          \x20           --steps N --fault-plan SPEC --unreliable --ckpt-every N\n\
          \x20           --dump-state FILE] [--wait [--timeout SECS]]\n\
-         \x20 fasda job status|cancel|logs|migrate|wait --connect ADDR [--id N]\n\
+         \x20 fasda job status --connect ADDR [--id N]   (no --id: live jobs + the last\n\
+         \x20           {FINISHED_KEPT} finished; older ids answer from the queue journal)\n\
+         \x20 fasda job cancel|logs|migrate|wait --connect ADDR --id N\n\
          \x20 fasda job metrics|shutdown --connect ADDR\n\
          \n\
          fault-plan grammar: drop=P,corrupt=P,dup=P,delay=P:MAX,seed=N,\n\

@@ -9,7 +9,7 @@
 //! with the same flags simulate the same machine by construction (CI
 //! still `cmp`s a migrated job's state dump against a direct run's).
 
-use fasda_cluster::{ClusterConfig, EngineConfig, FaultPlan, RunSpec, SpecError};
+use fasda_cluster::{ClusterConfig, FaultPlan, RunSpec, SpecError};
 use fasda_md::system::ParticleSystem;
 use fasda_trace::Json;
 
@@ -130,9 +130,6 @@ impl JobSpec {
             steps: self.steps,
             faults: faults.map_err(|e| SpecError::new("fault_plan", e))?,
             unreliable: self.unreliable,
-            // Not `RunSpec`'s default yet: on the fast engine CI's service smoke loses its race (a
-            // 6-step job completes before `job cancel` connects, 3 of 3 runs) — ROADMAP item 3.
-            engine: EngineConfig::serial(),
             ..RunSpec::new(
                 RunSpec::parse_dims("total", &self.total)?,
                 RunSpec::parse_dims("per_fpga", &self.per_fpga)?,

@@ -25,7 +25,9 @@
 //! {"v":1,"op":"shutdown"}                 -> {"v":1,"ok":true}
 //! ```
 //!
-//! Failures come back as `{"v":1,"ok":false,"error":"..."}`.
+//! `status` without an id lists the last
+//! [`FINISHED_KEPT`](crate::server::FINISHED_KEPT) finished jobs, then
+//! the live ones. Failures come back as `{"v":1,"ok":false,"error":"..."}`.
 
 use fasda_net::transport::{FrameLink, LinkError};
 use fasda_trace::json::ObjBuilder;

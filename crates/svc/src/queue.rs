@@ -7,20 +7,25 @@
 //! compact JSON event documents:
 //!
 //! ```text
-//! {"v":1,"ev":"submit","id":N,"spec":{...}}   job N entered the queue
-//! {"v":1,"ev":"start","id":N,"worker":W}      worker W picked job N up
-//! {"v":1,"ev":"requeue","id":N,"reason":R}    drained (migrate) or crashed
-//! {"v":1,"ev":"done","id":N}                  ran to its step target
-//! {"v":1,"ev":"cancel","id":N}                cancelled
-//! {"v":1,"ev":"fail","id":N,"error":E}        unrecoverable failure
+//! {"v":1,"ev":"submit","id":N,"spec":{...}}            job N entered the queue
+//! {"v":1,"ev":"start","id":N,"worker":W}               worker W picked job N up
+//! {"v":1,"ev":"requeue","id":N,"reason":R}             drained (migrate, shutdown) or crashed
+//! {"v":1,"ev":"done","id":N}                           ran to its step target
+//! {"v":1,"ev":"cancel","id":N,"steps_done":S}          cancelled after S steps
+//! {"v":1,"ev":"fail","id":N,"steps_done":S,"error":E}  unrecoverable failure
 //! ```
+//!
+//! `steps_done` is optional: journals written before it existed replay
+//! with 0.
 //!
 //! Replay folds the event stream into per-job final states. A job whose
 //! last event is `start` or `requeue` was in flight when the server
 //! died — it is returned as *queued* so the restarted server re-runs it
 //! (from its newest on-disk checkpoint when one exists). A torn trailing
 //! record — the server died mid-append — is discarded by the journal
-//! layer; mid-file corruption stays fatal.
+//! layer; mid-file corruption stays fatal. The same fold, restricted to
+//! one id ([`replay_job`]), is how the daemon answers for a finished job
+//! it no longer keeps in memory.
 //!
 //! ## Fair share
 //!
@@ -175,6 +180,13 @@ pub struct ReplayedJob {
     pub spec: JobSpec,
     /// Folded final state.
     pub state: ReplayedState,
+    /// Steps run when the job finished (its target once done; 0 while
+    /// queued, and for terminal events journaled without the field).
+    pub steps_done: u64,
+    /// `crash` requeues.
+    pub restarts: u32,
+    /// Drains (`migrate` and `shutdown` requeues).
+    pub migrations: u32,
 }
 
 /// The queue rebuilt from its journal.
@@ -257,14 +269,19 @@ impl QueueJournal {
         self.append(event("done", id).build())
     }
 
-    /// Record cancellation.
-    pub fn cancel(&mut self, id: u64) -> Result<(), QueueError> {
-        self.append(event("cancel", id).build())
+    /// Record cancellation after `steps_done` steps.
+    pub fn cancel(&mut self, id: u64, steps_done: u64) -> Result<(), QueueError> {
+        self.append(event("cancel", id).field("steps_done", Json::uint(steps_done)).build())
     }
 
-    /// Record an unrecoverable failure.
-    pub fn fail(&mut self, id: u64, error: &str) -> Result<(), QueueError> {
-        self.append(event("fail", id).field("error", error).build())
+    /// Record an unrecoverable failure after `steps_done` steps.
+    pub fn fail(&mut self, id: u64, steps_done: u64, error: &str) -> Result<(), QueueError> {
+        self.append(
+            event("fail", id)
+                .field("steps_done", Json::uint(steps_done))
+                .field("error", error)
+                .build(),
+        )
     }
 
     /// Rewrite the journal to just the submit events of `live` jobs
@@ -290,6 +307,17 @@ impl QueueJournal {
 /// file is an empty queue; a torn trailing record is discarded and
 /// reported; mid-file corruption is fatal.
 pub fn replay(path: &Path) -> Result<RecoveredQueue, QueueError> {
+    fold(path, None)
+}
+
+/// Job `id` folded from the journal at `path` exactly as [`replay`] folds
+/// it, skipping every other job's records; `None` when the journal has
+/// no submit for `id`.
+pub fn replay_job(path: &Path, id: u64) -> Result<Option<ReplayedJob>, QueueError> {
+    Ok(fold(path, Some(id))?.jobs.pop())
+}
+
+fn fold(path: &Path, only: Option<u64>) -> Result<RecoveredQueue, QueueError> {
     let raw = fasda_ckpt::journal::replay(path)?;
     let mut jobs: Vec<ReplayedJob> = Vec::new();
     let mut index: HashMap<u64, usize> = HashMap::new();
@@ -313,6 +341,9 @@ pub fn replay(path: &Path) -> Result<RecoveredQueue, QueueError> {
             .ok_or_else(|| QueueError::BadRecord(format!("record {n}: no job id")))?
             as u64;
         next_id = next_id.max(id + 1);
+        if only.is_some_and(|only| only != id) {
+            continue;
+        }
         match ev {
             "submit" => {
                 let spec = doc
@@ -323,25 +354,46 @@ pub fn replay(path: &Path) -> Result<RecoveredQueue, QueueError> {
                             .map_err(|e| QueueError::BadRecord(format!("record {n}: {e}")))
                     })?;
                 index.insert(id, jobs.len());
-                jobs.push(ReplayedJob { id, spec, state: ReplayedState::Queued });
+                jobs.push(ReplayedJob {
+                    id,
+                    spec,
+                    state: ReplayedState::Queued,
+                    steps_done: 0,
+                    restarts: 0,
+                    migrations: 0,
+                });
             }
-            // `start` and `requeue` leave the job owed a run; the folded
-            // state is already Queued unless a terminal event follows.
-            "start" | "requeue" => {}
-            "done" | "cancel" | "fail" => {
+            // `start` leaves the job owed a run; the folded state is
+            // already Queued unless a terminal event follows.
+            "start" => {}
+            "requeue" | "done" | "cancel" | "fail" => {
                 let slot = index.get(&id).copied().ok_or_else(|| {
                     QueueError::BadRecord(format!("record {n}: {ev} for unknown job {id}"))
                 })?;
-                jobs[slot].state = match ev {
-                    "done" => ReplayedState::Done,
-                    "cancel" => ReplayedState::Cancelled,
-                    _ => ReplayedState::Failed(
-                        doc.get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string(),
-                    ),
+                let job = &mut jobs[slot];
+                let steps_done = || {
+                    let steps = doc.get("steps_done").and_then(Json::as_i64);
+                    steps.and_then(|s| u64::try_from(s).ok()).unwrap_or(0)
                 };
+                match ev {
+                    "requeue" if doc.get("reason").and_then(Json::as_str) == Some("crash") => {
+                        job.restarts += 1
+                    }
+                    "requeue" => job.migrations += 1,
+                    "done" => {
+                        job.state = ReplayedState::Done;
+                        job.steps_done = job.spec.steps;
+                    }
+                    "cancel" => {
+                        job.state = ReplayedState::Cancelled;
+                        job.steps_done = steps_done();
+                    }
+                    _ => {
+                        let error = doc.get("error").and_then(Json::as_str).unwrap_or("unknown");
+                        job.state = ReplayedState::Failed(error.to_string());
+                        job.steps_done = steps_done();
+                    }
+                }
             }
             other => {
                 return Err(QueueError::BadRecord(format!(
@@ -441,26 +493,50 @@ mod tests {
             j.submit(1, &spec).unwrap();
             j.submit(2, &spec).unwrap();
             j.submit(3, &spec).unwrap();
+            j.submit(4, &spec).unwrap();
+            j.submit(5, &spec).unwrap();
             j.start(0, 0).unwrap();
             j.done(0).unwrap();
             j.start(1, 1).unwrap();
-            j.cancel(2).unwrap();
+            j.cancel(2, 0).unwrap();
             j.start(3, 0).unwrap();
             j.requeue(3, "migrate").unwrap();
+            j.start(4, 1).unwrap();
+            j.requeue(4, "crash").unwrap();
+            j.start(4, 0).unwrap();
+            j.fail(4, 2, "boom").unwrap();
+            // A cancel journaled before events carried `steps_done`.
+            j.append(event("cancel", 5).build()).unwrap();
         }
         let q = replay(&path).unwrap();
-        assert_eq!(q.next_id, 4);
+        assert_eq!(q.next_id, 6);
         assert_eq!(q.torn_bytes, 0);
-        let states: Vec<&ReplayedState> = q.jobs.iter().map(|j| &j.state).collect();
+        let folded: Vec<(&ReplayedState, u64, u32, u32)> = q
+            .jobs
+            .iter()
+            .map(|j| (&j.state, j.steps_done, j.restarts, j.migrations))
+            .collect();
+        let failed = ReplayedState::Failed("boom".into());
         assert_eq!(
-            states,
+            folded,
             vec![
-                &ReplayedState::Done,
-                &ReplayedState::Queued, // in flight at the "crash"
-                &ReplayedState::Cancelled,
-                &ReplayedState::Queued, // drained, never resumed
+                (&ReplayedState::Done, 3, 0, 0),
+                (&ReplayedState::Queued, 0, 0, 0), // in flight at the "crash"
+                (&ReplayedState::Cancelled, 0, 0, 0),
+                (&ReplayedState::Queued, 0, 0, 1), // drained, never resumed
+                (&failed, 2, 1, 0),
+                (&ReplayedState::Cancelled, 0, 0, 0),
             ]
         );
+        // One id's fold is that job's row of the whole fold.
+        for job in &q.jobs {
+            let one = replay_job(&path, job.id).unwrap().expect("journaled job");
+            assert_eq!(
+                (one.id, &one.state, one.steps_done, one.restarts, one.migrations),
+                (job.id, &job.state, job.steps_done, job.restarts, job.migrations)
+            );
+        }
+        assert!(replay_job(&path, 6).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

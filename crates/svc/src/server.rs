@@ -3,8 +3,13 @@
 //!
 //! ## Architecture
 //!
-//! One shared [`State`] (mutex + condvar) holds every job record, the
-//! open queue journal, and the metrics registry. `workers` threads loop:
+//! One shared [`State`] (mutex + condvar) holds the live jobs (queued or
+//! running), the status of the last [`FINISHED_KEPT`] finished ones, the
+//! open queue journal, and the metrics registry. A finished job older
+//! than that is answered from its journal events
+//! ([`queue::replay_job`]), so the daemon's memory and per-request work
+//! depend on its live jobs, not on how many it has run. `workers`
+//! threads loop:
 //! pick the next runnable job by fair share ([`crate::queue::pick`]),
 //! journal the pickup, and run the job's [`RunSpec`]
 //! ([`fasda_cluster::RunSpec::run`]) — the control callback re-locks the
@@ -33,13 +38,13 @@
 
 use crate::job::{JobSpec, JobState};
 use crate::proto::{self, ProtoError};
-use crate::queue::{self, QueueJournal, ReplayedState, SchedJob, TenantTable};
+use crate::queue::{self, QueueJournal, ReplayedJob, ReplayedState, SchedJob, TenantTable};
 use fasda_cluster::ckpt::{learn, CheckpointConfig, SegmentControl};
 use fasda_cluster::{state_dump, FaultPlan, Resume, RunError, RunOutput};
 use fasda_net::transport::{FrameLink, SocketLink, TcpLink};
 use fasda_obs::{parse_jsonl, Registry};
 use fasda_trace::Json;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -50,6 +55,13 @@ use std::time::{Duration, Instant};
 const LATENCY_MS_BOUNDS: &[u64] = &[
     1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 120_000,
 ];
+
+/// Finished jobs whose status the daemon keeps in memory, most recently
+/// finished last. Two workers finish ≈ 370 tiny jobs a second, so this
+/// holds over a second of completions: a client polling a job that just
+/// finished (`Client::wait` polls every 20 ms) finds it here, and only an
+/// older id pays for a journal read.
+pub const FINISHED_KEPT: usize = 512;
 
 /// Where the control listener lives.
 #[derive(Clone, Debug)]
@@ -106,57 +118,63 @@ enum Wanted {
     Cancel,
 }
 
-/// One job's full server-side record.
-struct JobRec {
+/// What `status` and `logs` answer about one job — and all the daemon
+/// keeps of a finished one, which holds no spec, fault plan or resume
+/// container.
+struct JobStatus {
     id: u64,
-    spec: JobSpec,
+    name: String,
+    tenant: String,
+    priority: i64,
+    steps_total: u64,
     state: JobState,
     steps_done: u64,
-    wanted: Wanted,
-    /// Where the next attempt picks up: an in-memory drain container
-    /// (live migration), or the newest on-disk checkpoint in the job's
-    /// directory (crash requeue and post-restart recovery; fresh when
-    /// none exists).
-    resume: Resume,
-    avoid: Option<usize>,
-    /// The fault plan the next attempt runs under: the spec's, minus what
-    /// earlier failures taught ([`learn`]). Boxed: the daemon keeps every
-    /// job's record, and most jobs have no plan.
-    faults: Option<Box<FaultPlan>>,
     restarts: u32,
     migrations: u32,
-    submitted: Instant,
     logs: Vec<String>,
 }
 
-impl JobRec {
-    fn queued(id: u64, spec: JobSpec, resume: Resume, submitted: Instant, log: &str) -> Self {
-        JobRec {
-            id,
-            // Both ways in (submit, journal replay) validated the spec.
-            faults: spec.run_spec().ok().and_then(|run| run.faults).map(Box::new),
-            spec,
-            state: JobState::Queued,
-            steps_done: 0,
-            wanted: Wanted::Run,
-            resume,
-            avoid: None,
-            restarts: 0,
-            migrations: 0,
-            submitted,
-            logs: vec![log.to_string()],
+impl JobStatus {
+    /// A finished job's status folded from its journal events. The
+    /// journal holds no log lines; the one line says where the answer
+    /// came from.
+    fn replayed(job: ReplayedJob) -> Self {
+        let state = match job.state {
+            ReplayedState::Queued => JobState::Queued,
+            ReplayedState::Done => JobState::Completed,
+            ReplayedState::Cancelled => JobState::Cancelled,
+            ReplayedState::Failed(e) => JobState::Failed(e),
+        };
+        let line = format!(
+            "{} at step {} of {}; answered from the queue journal (log lines are kept for \
+             the last {FINISHED_KEPT} finished jobs)",
+            state.as_str(),
+            job.steps_done,
+            job.spec.steps
+        );
+        JobStatus {
+            id: job.id,
+            name: job.spec.name,
+            tenant: job.spec.tenant,
+            priority: job.spec.priority,
+            steps_total: job.spec.steps,
+            state,
+            steps_done: job.steps_done,
+            restarts: job.restarts,
+            migrations: job.migrations,
+            logs: vec![line],
         }
     }
 
     fn status_json(&self) -> Json {
         let mut o = Json::obj()
             .field("id", Json::uint(self.id))
-            .field("name", self.spec.name.as_str())
-            .field("tenant", self.spec.tenant.as_str())
-            .field("priority", self.spec.priority)
+            .field("name", self.name.as_str())
+            .field("tenant", self.tenant.as_str())
+            .field("priority", self.priority)
             .field("state", self.state.as_str())
             .field("steps_done", Json::uint(self.steps_done))
-            .field("steps_total", Json::uint(self.spec.steps))
+            .field("steps_total", Json::uint(self.steps_total))
             .field("restarts", self.restarts as i64)
             .field("migrations", self.migrations as i64);
         if let JobState::Running(w) = self.state {
@@ -167,10 +185,68 @@ impl JobRec {
         }
         o.build()
     }
+
+    fn logs_json(&self) -> Json {
+        let lines = self.logs.iter().map(|l| Json::Str(l.clone())).collect();
+        proto::ok().field("lines", Json::Arr(lines)).build()
+    }
+
+    /// The refusal of a control verb on a finished job.
+    fn already(&self) -> Json {
+        proto::err(&format!("job {} is already {}", self.id, self.state.as_str()))
+    }
+}
+
+/// A live (queued or running) job's server-side record.
+struct JobRec {
+    status: JobStatus,
+    spec: JobSpec,
+    wanted: Wanted,
+    /// Where the next attempt picks up: an in-memory drain container
+    /// (live migration), or the newest on-disk checkpoint in the job's
+    /// directory (crash requeue and post-restart recovery; fresh when
+    /// none exists).
+    resume: Resume,
+    avoid: Option<usize>,
+    /// The fault plan the next attempt runs under: the spec's, minus what
+    /// earlier failures taught ([`learn`]). Boxed: most jobs have no plan.
+    faults: Option<Box<FaultPlan>>,
+    submitted: Instant,
+}
+
+impl JobRec {
+    fn queued(id: u64, spec: JobSpec, resume: Resume, submitted: Instant, log: &str) -> Self {
+        JobRec {
+            status: JobStatus {
+                id,
+                name: spec.name.clone(),
+                tenant: spec.tenant.clone(),
+                priority: spec.priority,
+                steps_total: spec.steps,
+                state: JobState::Queued,
+                steps_done: 0,
+                restarts: 0,
+                migrations: 0,
+                logs: vec![log.to_string()],
+            },
+            // Both ways in (submit, journal replay) validated the spec.
+            faults: spec.run_spec().ok().and_then(|run| run.faults).map(Box::new),
+            spec,
+            wanted: Wanted::Run,
+            resume,
+            avoid: None,
+            submitted,
+        }
+    }
 }
 
 struct State {
-    jobs: Vec<JobRec>,
+    /// Every job that can still run, by id.
+    live: BTreeMap<u64, JobRec>,
+    /// How many of `live` are running; the rest are queued.
+    running: usize,
+    /// The last [`FINISHED_KEPT`] finished jobs, oldest first.
+    finished: VecDeque<JobStatus>,
     journal: QueueJournal,
     running_by_tenant: HashMap<String, usize>,
     registry: Registry,
@@ -179,36 +255,65 @@ struct State {
 
 impl State {
     fn job_mut(&mut self, id: u64) -> Option<&mut JobRec> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+        self.live.get_mut(&id)
+    }
+
+    /// A finished job's status, if it is recent enough to be kept.
+    fn retained(&self, id: u64) -> Option<&JobStatus> {
+        // Newest first: the usual caller polls a job that just finished.
+        self.finished.iter().rev().find(|s| s.id == id)
+    }
+
+    /// The one way a job leaves the live table: journal its terminal
+    /// `state`, count it, and keep only its status. The record's spec,
+    /// fault plan and resume container (a drained job's whole checkpoint)
+    /// are dropped here.
+    fn finish(&mut self, id: u64, state: JobState) {
+        let Some(job) = self.live.remove(&id) else { return };
+        let mut status = job.status;
+        let counter = match &state {
+            JobState::Completed => {
+                status.steps_done = status.steps_total;
+                let _ = self.journal.done(id);
+                let latency_ms = job.submitted.elapsed().as_millis() as u64;
+                self.registry.hist_observe("job_latency_ms", LATENCY_MS_BOUNDS, latency_ms);
+                "jobs_completed"
+            }
+            JobState::Cancelled => {
+                let _ = self.journal.cancel(id, status.steps_done);
+                "jobs_cancelled"
+            }
+            JobState::Failed(e) => {
+                let _ = self.journal.fail(id, status.steps_done, e);
+                "jobs_failed"
+            }
+            JobState::Queued | JobState::Running(_) => unreachable!("finish takes a terminal state"),
+        };
+        self.registry.counter_add(counter, 1);
+        status.state = state;
+        if self.finished.len() == FINISHED_KEPT {
+            self.finished.pop_front();
+        }
+        self.finished.push_back(status);
     }
 
     /// Stop taking work: running jobs drain at their next segment
     /// boundary and are journaled as requeued. The caller wakes the pool.
     fn shut_down(&mut self) {
         self.shutdown = true;
-        for job in &mut self.jobs {
-            if matches!(job.state, JobState::Running(_)) && job.wanted == Wanted::Run {
+        for job in self.live.values_mut() {
+            if matches!(job.status.state, JobState::Running(_)) && job.wanted == Wanted::Run {
                 job.wanted = Wanted::Drain;
             }
         }
     }
 
-    fn queue_depth(&self) -> usize {
-        self.jobs.iter().filter(|j| j.state == JobState::Queued).count()
-    }
-
-    fn running(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.state, JobState::Running(_)))
-            .count()
-    }
-
     fn refresh_gauges(&mut self) {
-        let depth = self.queue_depth() as f64;
-        let running = self.running() as f64;
+        let depth = (self.live.len() - self.running) as f64;
         self.registry.gauge_set("queue_depth", depth);
-        self.registry.gauge_set("jobs_running", running);
+        self.registry.gauge_set("jobs_running", self.running as f64);
+        self.registry.gauge_set("jobs_live", self.live.len() as f64);
+        self.registry.gauge_set("jobs_retained", self.finished.len() as f64);
         // Peak depth as a counter so the totals document keeps it.
         self.registry.counter_set("queue_depth_peak", depth as u64);
     }
@@ -274,26 +379,24 @@ impl Server {
         // Rebuild the queue from the journal: every non-terminal job is
         // owed a run and resumes from its newest on-disk checkpoint.
         let recovered = queue::replay(&cfg.journal).map_err(|e| e.to_string())?;
-        let mut journal = QueueJournal::open(&cfg.journal).map_err(|e| e.to_string())?;
-        let live: Vec<(u64, &JobSpec)> = recovered
+        let now = Instant::now();
+        let live: BTreeMap<u64, JobRec> = recovered
             .jobs
-            .iter()
+            .into_iter()
             .filter(|j| j.state == ReplayedState::Queued)
-            .map(|j| (j.id, &j.spec))
+            .map(|j| {
+                let log = "replayed from journal after server restart";
+                (j.id, JobRec::queued(j.id, j.spec, Resume::Latest, now, log))
+            })
             .collect();
-        journal.compact_to(&live).map_err(|e| e.to_string())?;
+        let mut journal = QueueJournal::open(&cfg.journal).map_err(|e| e.to_string())?;
+        let submits: Vec<(u64, &JobSpec)> = live.iter().map(|(id, j)| (*id, &j.spec)).collect();
+        journal.compact_to(&submits).map_err(|e| e.to_string())?;
         let mut registry = Registry::new(true);
         registry.counter_set("jobs_replayed", live.len() as u64);
         if recovered.torn_bytes > 0 {
             registry.counter_set("journal_torn_bytes", recovered.torn_bytes);
         }
-        let now = Instant::now();
-        let jobs: Vec<JobRec> = recovered
-            .jobs
-            .into_iter()
-            .filter(|j| j.state == ReplayedState::Queued)
-            .map(|j| JobRec::queued(j.id, j.spec, Resume::Latest, now, "replayed from journal after server restart"))
-            .collect();
         let next_id = recovered.next_id;
 
         // Bind the control listener before spawning anything so a
@@ -327,7 +430,9 @@ impl Server {
         };
 
         let mut state = State {
-            jobs,
+            live,
+            running: 0,
+            finished: VecDeque::new(),
             journal,
             running_by_tenant: HashMap::new(),
             registry,
@@ -390,11 +495,11 @@ fn worker_loop(sh: &Shared, worker: usize) {
                     return;
                 }
                 let queued: Vec<SchedJob> = st
-                    .jobs
-                    .iter()
-                    .filter(|j| j.state == JobState::Queued)
+                    .live
+                    .values()
+                    .filter(|j| j.status.state == JobState::Queued)
                     .map(|j| SchedJob {
-                        id: j.id,
+                        id: j.status.id,
                         tenant: j.spec.tenant.clone(),
                         priority: j.spec.priority,
                         avoid: j.avoid,
@@ -404,14 +509,15 @@ fn worker_loop(sh: &Shared, worker: usize) {
                     queue::pick(&queued, &st.running_by_tenant, &sh.cfg.tenants, worker)
                 {
                     let job = st.job_mut(id).expect("picked job exists");
-                    job.state = JobState::Running(worker);
-                    job.logs.push(format!("started on worker {worker}"));
+                    job.status.state = JobState::Running(worker);
+                    job.status.logs.push(format!("started on worker {worker}"));
                     let tenant = job.spec.tenant.clone();
                     let spec = job.spec.clone();
                     let resume = std::mem::replace(&mut job.resume, Resume::Fresh);
                     let faults = job.faults.clone();
                     let _ = st.journal.start(id, worker);
                     *st.running_by_tenant.entry(tenant).or_insert(0) += 1;
+                    st.running += 1;
                     st.refresh_gauges();
                     break Some((id, spec, resume, faults));
                 }
@@ -466,9 +572,10 @@ fn execute(
     let mut ctl = |status: &fasda_cluster::SegmentStatus| -> SegmentControl {
         let mut st = sh.state.lock().expect("state lock");
         let Some(job) = st.job_mut(id) else { return SegmentControl::Cancel };
-        job.steps_done = status.steps_done;
+        job.status.steps_done = status.steps_done;
         if let Some(path) = &status.checkpoint {
-            job.logs
+            job.status
+                .logs
                 .push(format!("checkpoint at step {} -> {}", status.steps_done, path.display()));
         }
         match job.wanted {
@@ -498,85 +605,73 @@ fn execute(
 
 /// Apply an attempt's outcome to the shared state and the journal.
 fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt) {
-    // The completion dump happens outside the lock (it walks the whole
-    // cluster), before the state transition is published.
-    let dump = match &outcome {
-        Attempt::Completed(out) => {
-            spec.dump_state.as_ref().map(|path| (path.clone(), state_dump(&out.cluster, &out.sys)))
-        }
+    // The completion dump is taken and written outside the lock (it walks
+    // the whole cluster), before the state transition is published.
+    let dumped = match &outcome {
+        Attempt::Completed(out) => spec.dump_state.as_ref().map(|path| {
+            match std::fs::write(path, state_dump(&out.cluster, &out.sys)) {
+                Ok(()) => format!("wrote state dump to {path}"),
+                Err(e) => format!("state dump {path}: {e}"),
+            }
+        }),
         _ => None,
     };
     let mut st = sh.state.lock().expect("state lock");
     if let Some(n) = st.running_by_tenant.get_mut(&spec.tenant) {
         *n = n.saturating_sub(1);
     }
+    st.running -= 1;
     let shutdown = st.shutdown;
     let Some(job) = st.job_mut(id) else { return };
-    let elapsed_ms = job.submitted.elapsed().as_millis() as u64;
     let outcome = match outcome {
-        Attempt::Retry { cause, .. } if job.restarts >= sh.cfg.max_restarts => {
+        Attempt::Retry { cause, .. } if job.status.restarts >= sh.cfg.max_restarts => {
             Attempt::Error(format!("{cause}: exceeded {} restarts", sh.cfg.max_restarts))
         }
         other => other,
     };
+    let log = &mut job.status.logs;
     match outcome {
         Attempt::Completed(_) => {
-            job.state = JobState::Completed;
-            job.steps_done = spec.steps;
-            job.logs.push(format!("completed on worker {worker}"));
-            if let Some((path, text)) = dump {
-                job.logs.push(match std::fs::write(&path, text) {
-                    Ok(()) => format!("wrote state dump to {path}"),
-                    Err(e) => format!("state dump {path}: {e}"),
-                });
-            }
-            let _ = st.journal.done(id);
-            st.registry.counter_add("jobs_completed", 1);
-            st.registry
-                .hist_observe("job_latency_ms", LATENCY_MS_BOUNDS, elapsed_ms);
+            log.push(format!("completed on worker {worker}"));
+            log.extend(dumped);
+            st.finish(id, JobState::Completed);
         }
         Attempt::Drained(container) => {
-            job.state = JobState::Queued;
+            job.status.state = JobState::Queued;
+            job.status.migrations += 1;
             job.wanted = Wanted::Run;
-            job.migrations += 1;
             if shutdown {
                 // The container dies with the process; the journal entry
                 // sends the job back through its on-disk checkpoints.
                 job.resume = Resume::Latest;
                 job.avoid = None;
-                job.logs.push("drained for shutdown; will resume from disk".to_string());
+                log.push("drained for shutdown; will resume from disk".to_string());
                 let _ = st.journal.requeue(id, "shutdown");
             } else {
                 job.resume = Resume::Container(container);
                 job.avoid = Some(worker);
-                job.logs.push(format!("requeued for migration away from worker {worker}"));
+                log.push(format!("requeued for migration away from worker {worker}"));
                 let _ = st.journal.requeue(id, "migrate");
                 st.registry.counter_add("jobs_migrated", 1);
             }
         }
         Attempt::Cancelled => {
-            job.state = JobState::Cancelled;
-            job.logs.push("cancelled at segment boundary".to_string());
-            let _ = st.journal.cancel(id);
-            st.registry.counter_add("jobs_cancelled", 1);
+            log.push("cancelled at segment boundary".to_string());
+            st.finish(id, JobState::Cancelled);
         }
         Attempt::Retry { cause, faults } => {
-            job.restarts += 1;
+            log.push(format!("worker {worker} crashed ({cause}); requeued from newest checkpoint"));
+            job.status.state = JobState::Queued;
+            job.status.restarts += 1;
             job.faults = faults;
-            job.state = JobState::Queued;
             job.resume = Resume::Latest;
             job.avoid = None;
-            job.logs.push(format!(
-                "worker {worker} crashed ({cause}); requeued from newest checkpoint"
-            ));
             let _ = st.journal.requeue(id, "crash");
             st.registry.counter_add("jobs_requeued_crash", 1);
         }
         Attempt::Error(e) => {
-            job.state = JobState::Failed(e.clone());
-            job.logs.push(format!("failed: {e}"));
-            let _ = st.journal.fail(id, &e);
-            st.registry.counter_add("jobs_failed", 1);
+            log.push(format!("failed: {e}"));
+            st.finish(id, JobState::Failed(e));
         }
     }
     st.refresh_gauges();
@@ -587,7 +682,7 @@ fn settle(sh: &Shared, worker: usize, id: u64, spec: &JobSpec, outcome: Attempt)
 fn log_to(sh: &Shared, id: u64, line: String) {
     let mut st = sh.state.lock().expect("state lock");
     if let Some(job) = st.job_mut(id) {
-        job.logs.push(line);
+        job.status.logs.push(line);
     }
 }
 
@@ -631,6 +726,22 @@ fn spawn_handler(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, mut link: Box<dyn 
 // Request handling
 // -----------------------------------------------------------------------
 
+/// `answer` about job `id` from its status: the live or retained one,
+/// else one folded from its journal events, read without the state lock.
+fn answer_about(sh: &Shared, id: u64, answer: impl FnOnce(&JobStatus) -> Json) -> Json {
+    {
+        let st = sh.state.lock().expect("state lock");
+        if let Some(status) = st.live.get(&id).map(|j| &j.status).or_else(|| st.retained(id)) {
+            return answer(status);
+        }
+    }
+    match queue::replay_job(&sh.cfg.journal, id) {
+        Ok(Some(job)) => answer(&JobStatus::replayed(job)),
+        Ok(None) => proto::err(&format!("no job {id}")),
+        Err(e) => proto::err(&e.to_string()),
+    }
+}
+
 fn handle_request(
     sh: &Shared,
     next_id: &Mutex<u64>,
@@ -657,7 +768,7 @@ fn handle_request(
             if let Err(e) = st.journal.submit(id, &spec) {
                 return (proto::err(&format!("journal: {e}")), false);
             }
-            st.jobs.push(JobRec::queued(id, spec, Resume::Fresh, Instant::now(), "submitted"));
+            st.live.insert(id, JobRec::queued(id, spec, Resume::Fresh, Instant::now(), "submitted"));
             st.registry.counter_add("jobs_submitted", 1);
             st.refresh_gauges();
             drop(st);
@@ -665,17 +776,14 @@ fn handle_request(
             (proto::ok().field("id", Json::uint(id)).build(), false)
         }
         "status" => {
-            let st = sh.state.lock().expect("state lock");
-            match id_of(doc) {
-                Some(id) => match st.jobs.iter().find(|j| j.id == id) {
-                    Some(job) => (proto::ok().field("job", job.status_json()).build(), false),
-                    None => (proto::err(&format!("no job {id}")), false),
-                },
-                None => {
-                    let jobs: Vec<Json> = st.jobs.iter().map(|j| j.status_json()).collect();
-                    (proto::ok().field("jobs", Json::Arr(jobs)).build(), false)
-                }
-            }
+            let Some(id) = id_of(doc) else {
+                let st = sh.state.lock().expect("state lock");
+                let live = st.live.values().map(|j| &j.status);
+                let jobs = st.finished.iter().chain(live).map(JobStatus::status_json).collect();
+                return (proto::ok().field("jobs", Json::Arr(jobs)).build(), false);
+            };
+            let status = |s: &JobStatus| proto::ok().field("job", s.status_json()).build();
+            (answer_about(sh, id, status), false)
         }
         "cancel" => {
             let Some(id) = id_of(doc) else {
@@ -683,38 +791,24 @@ fn handle_request(
             };
             let mut st = sh.state.lock().expect("state lock");
             let Some(job) = st.job_mut(id) else {
-                return (proto::err(&format!("no job {id}")), false);
+                drop(st);
+                return (answer_about(sh, id, JobStatus::already), false);
             };
-            match &job.state {
-                JobState::Queued => {
-                    job.state = JobState::Cancelled;
-                    job.logs.push("cancelled while queued".to_string());
-                    let _ = st.journal.cancel(id);
-                    st.registry.counter_add("jobs_cancelled", 1);
-                    st.refresh_gauges();
-                    (proto::ok().build(), false)
-                }
-                JobState::Running(_) => {
-                    job.wanted = Wanted::Cancel;
-                    job.logs.push("cancel requested".to_string());
-                    (proto::ok().build(), false)
-                }
-                s => (proto::err(&format!("job {id} is already {}", s.as_str())), false),
+            if job.status.state == JobState::Queued {
+                job.status.logs.push("cancelled while queued".to_string());
+                st.finish(id, JobState::Cancelled);
+                st.refresh_gauges();
+            } else {
+                job.wanted = Wanted::Cancel;
+                job.status.logs.push("cancel requested".to_string());
             }
+            (proto::ok().build(), false)
         }
         "logs" => {
             let Some(id) = id_of(doc) else {
                 return (proto::err("logs needs an id"), false);
             };
-            let st = sh.state.lock().expect("state lock");
-            match st.jobs.iter().find(|j| j.id == id) {
-                Some(job) => {
-                    let lines: Vec<Json> =
-                        job.logs.iter().map(|l| Json::Str(l.clone())).collect();
-                    (proto::ok().field("lines", Json::Arr(lines)).build(), false)
-                }
-                None => (proto::err(&format!("no job {id}")), false),
-            }
+            (answer_about(sh, id, JobStatus::logs_json), false)
         }
         "migrate" => {
             let Some(id) = id_of(doc) else {
@@ -725,16 +819,12 @@ fn handle_request(
             }
             let mut st = sh.state.lock().expect("state lock");
             let Some(job) = st.job_mut(id) else {
-                return (proto::err(&format!("no job {id}")), false);
+                drop(st);
+                return (answer_about(sh, id, JobStatus::already), false);
             };
-            match &job.state {
-                JobState::Queued | JobState::Running(_) => {
-                    job.wanted = Wanted::Drain;
-                    job.logs.push("migration requested (drain at next segment boundary)".to_string());
-                    (proto::ok().build(), false)
-                }
-                s => (proto::err(&format!("job {id} is already {}", s.as_str())), false),
-            }
+            job.wanted = Wanted::Drain;
+            job.status.logs.push("migration requested (drain at next segment boundary)".to_string());
+            (proto::ok().build(), false)
         }
         "metrics" => {
             let st = sh.state.lock().expect("state lock");

@@ -8,9 +8,9 @@
 
 use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig, RunAccumulator};
 use fasda_cluster::{state_dump, Cluster, EngineConfig};
-use fasda_svc::queue::QueueJournal;
-use fasda_svc::server::Listen;
-use fasda_svc::{Client, JobSpec, Server, ServerConfig};
+use fasda_svc::queue::{self, QueueJournal, ReplayedState};
+use fasda_svc::server::{Listen, FINISHED_KEPT};
+use fasda_svc::{Client, JobSpec, Server, ServerConfig, TenantQuota};
 use fasda_trace::Json;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -173,6 +173,84 @@ fn cancelled_job_stops_and_terminal_states_reject_verbs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// More jobs finish than the daemon keeps: the oldest leave memory, and
+/// their status, refusals and log are answered from the queue journal —
+/// the status field for field as `wait` returned it while fresh.
+#[test]
+fn evicted_jobs_answer_from_the_journal() {
+    let dir = tmpdir("evict");
+    let mut cfg = ServerConfig::at(&dir.join("srv"));
+    // This tenant's jobs never run: each one is cancelled while queued.
+    cfg.tenants.set("held", TenantQuota { weight: 1, max_running: 0 });
+    let handle = Server::start(cfg).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let tiny = |name: &str, steps| JobSpec {
+        name: name.to_string(),
+        per_cell: 4,
+        steps,
+        ckpt_every: 1,
+        ..JobSpec::default()
+    };
+
+    let done = client.submit(&tiny("done", 2)).expect("submit");
+    let done_doc = client.wait(done, WAIT).expect("job finishes");
+    assert_eq!(done_doc.get("state").and_then(Json::as_str), Some("completed"));
+
+    // The blocker holds one worker, so the migrated job, barred from the
+    // worker it drained on, waits in the queue with its drain container
+    // until it is cancelled there.
+    let blocker = client.submit(&tiny("blocker", 100_000)).expect("submit");
+    let drained = client.submit(&tiny("drained", 100_000)).expect("submit");
+    client.migrate(drained).expect("migrate accepted");
+    let asked = std::time::Instant::now();
+    while field_u64(&client.status(drained).expect("status"), "migrations") == 0 {
+        assert!(asked.elapsed() < WAIT, "job {drained} never drained");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    client.cancel(drained).expect("cancel while queued");
+    let drained_doc = client.wait(drained, WAIT).expect("job settles");
+    assert_eq!(drained_doc.get("state").and_then(Json::as_str), Some("cancelled"));
+    assert_eq!(field_u64(&drained_doc, "steps_done"), 1, "{}", drained_doc.compact());
+    client.cancel(blocker).expect("cancel while running");
+    let blocker_doc = client.wait(blocker, WAIT).expect("job settles");
+    assert_eq!(blocker_doc.get("state").and_then(Json::as_str), Some("cancelled"));
+
+    let fresh = [(done, done_doc), (drained, drained_doc), (blocker, blocker_doc)];
+    let refusals = |client: &mut Client, id| {
+        let cancel = client.cancel(id).expect_err("finished job refuses cancel").to_string();
+        let migrate = client.migrate(id).expect_err("finished job refuses migrate").to_string();
+        (cancel, migrate)
+    };
+    let fresh_refusals: Vec<_> = fresh.iter().map(|(id, _)| refusals(&mut client, *id)).collect();
+    assert!(fresh_refusals[0].0.ends_with("job 0 is already completed"), "{fresh_refusals:?}");
+
+    for _ in 0..FINISHED_KEPT {
+        let id = client.submit(&JobSpec { tenant: "held".into(), ..tiny("held", 2) }).expect("submit");
+        client.cancel(id).expect("cancel while queued");
+    }
+
+    for ((id, doc), refused) in fresh.iter().zip(&fresh_refusals) {
+        assert_eq!(&client.status(*id).expect("status from the journal"), doc, "job {id}");
+        assert_eq!(&client.wait(*id, WAIT).expect("wait from the journal"), doc, "job {id}");
+        assert_eq!(&refusals(&mut client, *id), refused, "job {id}");
+    }
+    let logs = client.logs(drained).expect("logs from the journal");
+    assert!(logs.len() == 1 && logs[0].contains("queue journal"), "{logs:?}");
+    assert!(client.status(9_999).is_err());
+
+    let metrics = client.metrics().expect("metrics");
+    let gauge = |name: &str| {
+        metrics.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_f64)
+    };
+    assert_eq!(gauge("jobs_retained"), Some(FINISHED_KEPT as f64), "{}", metrics.compact());
+    assert_eq!(gauge("jobs_live"), Some(0.0), "{}", metrics.compact());
+    assert_eq!(client.status_all().expect("status").len(), FINISHED_KEPT);
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn journal_replay_reruns_interrupted_jobs() {
     let dir = tmpdir("replay");
@@ -184,15 +262,22 @@ fn journal_replay_reruns_interrupted_jobs() {
     let job_a = spec("interrupted", &dump_a);
     let job_b = spec("never-started", &dump_b);
     let job_c = spec("already-done", &dir.join("c.state"));
+    let job_d = spec("evicted", &dir.join("d.state"));
 
     // Simulate a dead server: job 0 was mid-run, job 1 queued, job 2
-    // finished. Then tear the tail the way a mid-append death would.
+    // finished, and job 3 — drained for migration, then cancelled while
+    // queued — had already left that server's memory. Then tear the tail
+    // the way a mid-append death would.
     {
         let mut j = QueueJournal::open(&journal).expect("journal");
         j.submit(0, &job_a).unwrap();
         j.submit(1, &job_b).unwrap();
         j.submit(2, &job_c).unwrap();
+        j.submit(3, &job_d).unwrap();
         j.done(2).unwrap();
+        j.start(3, 0).unwrap();
+        j.requeue(3, "migrate").unwrap();
+        j.cancel(3, 2).unwrap();
         j.start(0, 1).unwrap();
     }
     {
@@ -204,28 +289,29 @@ fn journal_replay_reruns_interrupted_jobs() {
         f.write_all(torn).unwrap();
     }
 
+    // The jobs the journal still owes a run, and the jobs a server lists
+    // (the finished ones it keeps, then the live ones), by id.
+    let owed = || -> Vec<u64> {
+        let q = queue::replay(&journal).expect("journal replays");
+        q.jobs.iter().filter(|j| j.state == ReplayedState::Queued).map(|j| j.id).collect()
+    };
+    let listed = |client: &mut Client| -> Vec<u64> {
+        let mut ids: Vec<u64> =
+            client.status_all().expect("status").iter().map(|j| field_u64(j, "id")).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(owed(), vec![0, 1]);
+
     let handle = Server::start(ServerConfig::at(&srv)).expect("server replays journal");
     let mut client = Client::connect(handle.addr()).expect("connect");
-
-    // Only the two interrupted jobs come back; both run to completion.
-    let all = client.status_all().expect("status");
-    let ids: Vec<u64> = all.iter().map(|j| field_u64(j, "id")).collect();
-    assert_eq!(ids, vec![0, 1], "replayed jobs: {all:#?}");
-    for id in [0u64, 1] {
-        let status = client.wait(id, WAIT).expect("replayed job finishes");
-        assert_eq!(
-            status.get("state").and_then(Json::as_str),
-            Some("completed"),
-            "job {id}: {}",
-            status.compact()
-        );
-    }
-    assert!(dump_a.exists() && dump_b.exists());
+    // Only the two interrupted jobs come back.
+    assert_eq!(listed(&mut client), vec![0, 1]);
 
     // Replay preserved the id space: a new submission continues past
     // the dead server's last id.
     let new_id = client.submit(&job_b).expect("submit after replay");
-    assert_eq!(new_id, 3);
+    assert_eq!(new_id, 4);
     client.cancel(new_id).expect("cancel the extra job");
 
     // The torn trailing record was discarded, not fatal — and counted.
@@ -236,6 +322,26 @@ fn journal_replay_reruns_interrupted_jobs() {
         .and_then(Json::as_i64)
         .unwrap_or(0);
     assert!(torn > 0, "torn bytes not surfaced: {}", metrics.compact());
+
+    // Stop with the jobs wherever they are: a restart replays exactly the
+    // live set the journal records, and finishes it.
+    client.shutdown().expect("shutdown");
+    handle.join();
+    let live = owed();
+    assert!(live.iter().all(|id| [0, 1].contains(id)), "live after shutdown: {live:?}");
+    let handle = Server::start(ServerConfig::at(&srv)).expect("server restarts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(listed(&mut client), live);
+    for id in live {
+        let status = client.wait(id, WAIT).expect("replayed job finishes");
+        assert_eq!(
+            status.get("state").and_then(Json::as_str),
+            Some("completed"),
+            "job {id}: {}",
+            status.compact()
+        );
+    }
+    assert!(dump_a.exists() && dump_b.exists());
 
     client.shutdown().expect("shutdown");
     handle.join();
