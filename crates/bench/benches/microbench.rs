@@ -163,56 +163,6 @@ fn bench_cluster() {
     );
 }
 
-fn bench_longrange() {
-    use fasda_md::ewald::EwaldParams;
-    use fasda_md::ewald_recip::{EwaldRecip, RecipParams};
-    use fasda_md::fft::{fft_1d, Complex, Grid3};
-    use fasda_md::pme::Pme;
-
-    let sig: Vec<Complex> = (0..1024)
-        .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-        .collect();
-    bench_with_setup("long-range", "fft_1d_1024", SLOW, || sig.clone(), |mut d| {
-        fft_1d(&mut d, false);
-        d[0]
-    });
-    bench_with_setup(
-        "long-range",
-        "fft_3d_32cube",
-        SLOW,
-        || {
-            let mut grid = Grid3::new(32, 32, 32);
-            for (i, v) in grid.data.iter_mut().enumerate() {
-                v.re = (i as f64).sin();
-            }
-            grid
-        },
-        |mut grid| {
-            grid.fft(false);
-            grid.at(0, 0, 0)
-        },
-    );
-
-    // charged salt for the solvers
-    let mut salt = workload(3, 8);
-    for i in 0..salt.len() {
-        salt.element[i] = if i % 2 == 0 {
-            Element::NaPlus
-        } else {
-            Element::ClMinus
-        };
-    }
-    let real = EwaldParams::standard(UnitSystem::PAPER);
-    let recip = EwaldRecip::new(RecipParams::matching(real, 3.0), &salt);
-    bench("long-range", "ewald_recip_exact", SLOW, || {
-        black_box(recip.energy(&salt));
-    });
-    let mut pme = Pme::new(real, &salt, (16, 16, 16));
-    bench("long-range", "pme_energy_16cube", SLOW, || {
-        black_box(pme.energy(&salt));
-    });
-}
-
 fn bench_integrator() {
     let sys = workload(3, 64);
     bench_with_setup("integrator", "leapfrog_step", FAST, || sys.clone(), |mut s| {
@@ -228,6 +178,5 @@ fn main() {
     bench_packets();
     bench_chip();
     bench_cluster();
-    bench_longrange();
     bench_integrator();
 }

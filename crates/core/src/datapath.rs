@@ -209,11 +209,6 @@ impl ForceDatapath {
         self.cutoff_r2.to_f64()
     }
 
-    /// Table geometry in use.
-    pub fn table_config(&self) -> TableConfig {
-        self.force_table.config()
-    }
-
     /// The fixed-point pair filter: pass iff
     /// `min_r2 ≤ |a−b|² < Rc²`. `a` and `b` are RCID-concatenated
     /// coordinates. Returns the filtered pair on pass.

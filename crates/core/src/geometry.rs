@@ -18,7 +18,7 @@
 //!    fixed-point in-cell offset so the filter's distance computation is a
 //!    direct subtraction.
 
-use fasda_md::space::{CellCoord, CellId, SimulationSpace};
+use fasda_md::space::{CellCoord, SimulationSpace};
 use serde::{Deserialize, Serialize};
 
 /// Coordinates of a chip (FPGA node) in the logical torus.
@@ -242,11 +242,6 @@ impl ChipGeometry {
             }
         }
         out
-    }
-
-    /// GCID of a global cell (Eq. 7 over the global space).
-    pub fn gcid(&self, gcell: CellCoord) -> CellId {
-        self.global.cell_id(gcell)
     }
 
     /// First level of ID conversion (§4.2): express a global cell

@@ -79,13 +79,6 @@ impl AxiLiteRegs {
             in_traffic_packets_frc: pkts(traffic.frc_recv_remote),
         }
     }
-
-    /// The artifact's conversion: overall cycles → µs/day simulation
-    /// rate for `steps` timesteps of `dt_fs` at `clock_hz`.
-    pub fn us_per_day(&self, steps: u64, dt_fs: f64, clock_hz: f64) -> f64 {
-        let seconds_per_step = self.operation_cycle_cnt as f64 / steps as f64 / clock_hz;
-        fasda_md::units::UnitSystem::us_per_day(dt_fs, seconds_per_step)
-    }
 }
 
 #[cfg(test)]
@@ -121,9 +114,5 @@ mod tests {
         // single chip: no external traffic
         assert_eq!(regs.out_traffic_packets_pos, 0);
         assert_eq!(regs.in_traffic_packets_frc, 0);
-        // rate conversion lands in the paper's weak-scaling regime
-        let rate = regs.us_per_day(1, 2.0, 200.0e6);
-        // 8 particles/cell runs much faster than the paper workload
-        assert!((1.0..200.0).contains(&rate), "rate {rate}");
     }
 }

@@ -79,11 +79,6 @@ impl Spe {
         &self.pes
     }
 
-    /// True when the SPE holds no outstanding force-phase work.
-    pub fn is_idle(&self) -> bool {
-        !self.is_live() && self.frc_out.is_empty() && self.bcast.is_empty()
-    }
-
     /// True when a force cycle of this SPE's dispatcher and PEs would do
     /// something (`bcast` / `frc_out` are the chip's injection stage's).
     fn is_live(&self) -> bool {
@@ -390,13 +385,6 @@ impl TimedCbb {
         }
     }
 
-    /// True when this CBB has no outstanding force-phase work (its own
-    /// broadcasts may still be travelling the rings — the chip checks
-    /// those).
-    pub fn force_idle(&self) -> bool {
-        self.spes.iter().all(Spe::is_idle)
-    }
-
     /// True when [`TimedCbb::step_force`] would do something: an entry
     /// awaits dispatch or a PE holds work.
     pub fn force_live(&self) -> bool {
@@ -634,6 +622,13 @@ mod tests {
         ForceDatapath::new(&PairTable::new(UnitSystem::PAPER), TableConfig::PAPER)
     }
 
+    /// True when no SPE of `cbb` holds outstanding force-phase work.
+    fn force_idle(cbb: &TimedCbb) -> bool {
+        cbb.spes
+            .iter()
+            .all(|s| !s.is_live() && s.frc_out.is_empty() && s.bcast.is_empty())
+    }
+
     fn cbb_with(n: usize) -> TimedCbb {
         let cfg = ChipConfig::baseline();
         let mut cbb = TimedCbb::new(&cfg, CellCoord::new(1, 1, 1));
@@ -658,12 +653,12 @@ mod tests {
         let mut completed = Vec::new();
         for c in 0..2_000u64 {
             cbb.step_force::<true>(c, &dp, &mut completed);
-            if cbb.force_idle() {
+            if force_idle(&cbb) {
                 break;
             }
         }
         assert!(completed.is_empty(), "no remote origins in this test");
-        assert!(cbb.force_idle(), "internal evaluation must converge");
+        assert!(force_idle(&cbb), "internal evaluation must converge");
         // The two directions of a pair are evaluated by different
         // stations with independent f32 rounding, so cancellation is
         // approximate even on the fixed-point accumulator grid.

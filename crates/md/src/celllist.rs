@@ -113,11 +113,6 @@ impl CellList {
         self.cells.iter().map(Vec::len).sum()
     }
 
-    /// Occupancy of the fullest cell.
-    pub fn max_occupancy(&self) -> usize {
-        self.cells.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Visit every candidate pair exactly once using the half-shell
     /// mapping: internal `i < j` pairs of each cell, plus all pairs
     /// between each cell and its 13 positive neighbours. No distance
@@ -209,7 +204,6 @@ mod tests {
         let sys = three_cube_system(4);
         let cl = CellList::build(&sys);
         assert_eq!(cl.total(), sys.len());
-        assert_eq!(cl.max_occupancy(), 4);
         for id in 0..cl.num_cells() as u32 {
             assert_eq!(cl.cell(id).len(), 4);
         }

@@ -26,12 +26,12 @@ use crate::units::UnitSystem;
 use serde::{Deserialize, Serialize};
 
 /// Coulomb constant in kcal·Å/(mol·e²).
-pub const COULOMB_KCAL_A: f64 = 332.063_71;
+const COULOMB_KCAL_A: f64 = 332.063_71;
 
 /// Complementary error function via the Abramowitz & Stegun 7.1.26
 /// rational approximation (|ε| ≤ 1.5e-7), adequate against the ~1e-4
 /// table-interpolation error of the accelerator datapath.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }

@@ -21,10 +21,6 @@ pub mod celllist;
 pub mod element;
 pub mod engine;
 pub mod ewald;
-pub mod full;
-pub mod ewald_recip;
-pub mod fft;
-pub mod pme;
 pub mod integrator;
 pub mod observables;
 pub mod pdb;

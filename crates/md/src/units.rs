@@ -15,10 +15,6 @@ pub const KCALMOL_PER_AMU_ANGSTROM: f64 = 4.184e-4;
 /// Boltzmann constant in kcal/mol/K.
 pub const BOLTZMANN_KCALMOL: f64 = 1.987204259e-3;
 
-/// Seconds of simulated time per day of wall-clock — the numerator of the
-/// paper's µs/day metric.
-pub const FEMTOSECONDS_PER_DAY: f64 = 86_400.0e15;
-
 /// Conversion hub between physical units and internal cell units.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UnitSystem {

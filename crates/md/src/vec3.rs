@@ -49,18 +49,6 @@ impl Vec3 {
         self.norm_sq().sqrt()
     }
 
-    /// Component array.
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    /// From component array.
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Vec3::new(a[0], a[1], a[2])
-    }
-
     /// Componentwise absolute value.
     #[inline]
     pub fn abs(self) -> Vec3 {

@@ -189,23 +189,21 @@ impl WorkloadSpec {
     }
 }
 
-/// Minimum pair separation present in a system (cell units) — a
-/// validation helper for generated workloads. O(N²); test-sized systems
-/// only.
-pub fn min_separation(sys: &ParticleSystem) -> f64 {
-    let mut best = f64::INFINITY;
-    for i in 0..sys.len() {
-        for j in (i + 1)..sys.len() {
-            let d = sys.space.min_image(sys.pos[i], sys.pos[j]).norm_sq();
-            best = best.min(d);
-        }
-    }
-    best.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Minimum pair separation present in a system (cell units). O(N²).
+    fn min_separation(sys: &ParticleSystem) -> f64 {
+        let mut best = f64::INFINITY;
+        for i in 0..sys.len() {
+            for j in (i + 1)..sys.len() {
+                let d = sys.space.min_image(sys.pos[i], sys.pos[j]).norm_sq();
+                best = best.min(d);
+            }
+        }
+        best.sqrt()
+    }
 
     #[test]
     fn paper_spec_counts() {

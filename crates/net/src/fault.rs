@@ -411,13 +411,6 @@ impl FaultPlan {
             && self.partitions.is_empty()
     }
 
-    /// Number of window directives (flaps then partitions, in the index
-    /// order used by [`FaultState`] latches and
-    /// [`FaultPlan::outage_desc`]).
-    pub fn num_windows(&self) -> usize {
-        self.flaps.len() + self.partitions.len()
-    }
-
     /// Human-readable description of window directive `idx` (flaps
     /// first, then partitions), spelled like the CLI grammar.
     pub fn outage_desc(&self, idx: usize) -> String {

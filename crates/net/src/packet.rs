@@ -92,27 +92,10 @@ impl<T> Packet<T> {
         }
     }
 
-    /// A bare `last` marker (empty payload).
-    pub fn last_marker(kind: PacketKind, step: u64) -> Self {
-        Packet {
-            kind,
-            payloads: Vec::new(),
-            last: true,
-            step,
-            seq: 0,
-        }
-    }
-
     /// Tag the packet with a per-link sequence number.
     pub fn with_seq(mut self, seq: u32) -> Self {
         self.seq = seq;
         self
-    }
-
-    /// Wire size in bits — one 512-bit beat per packet, as counted by the
-    /// artifact's traffic registers.
-    pub fn wire_bits(&self) -> u64 {
-        PACKET_BITS
     }
 }
 
@@ -276,7 +259,8 @@ mod tests {
 
     #[test]
     fn roundtrip_last_marker() {
-        let p: Packet<P> = Packet::last_marker(PacketKind::Force, 7);
+        let mut p: Packet<P> = Packet::data(PacketKind::Force, Vec::new(), 7);
+        p.last = true;
         let q: Packet<P> = Packet::from_bytes(&p.to_bytes()).expect("parse");
         assert!(q.last);
         assert!(q.payloads.is_empty());

@@ -132,20 +132,6 @@ impl SwitchFabric {
         self.tx_free[node] = tx_free;
         self.rx_free[node] = rx_free;
     }
-
-    /// Average offered bandwidth in bits/cycle over a window.
-    pub fn avg_bits_per_cycle(&self, window_cycles: u64) -> f64 {
-        if window_cycles == 0 {
-            0.0
-        } else {
-            self.bits_sent as f64 / window_cycles as f64
-        }
-    }
-
-    /// Convert bits/cycle to Gbps for a given clock.
-    pub fn to_gbps(bits_per_cycle: f64, clock_hz: f64) -> f64 {
-        bits_per_cycle * clock_hz / 1.0e9
-    }
 }
 
 /// Checkpointing: topology and bandwidth are configuration; per-port
@@ -229,16 +215,6 @@ mod tests {
     #[test]
     fn paper_rate_is_500_bits_per_cycle() {
         assert_eq!(SwitchFabric::PAPER_BITS_PER_CYCLE, 500.0);
-        assert_eq!(SwitchFabric::to_gbps(125.0, 200.0e6), 25.0);
-    }
-
-    #[test]
-    fn bandwidth_accounting() {
-        let mut f = fabric();
-        for _ in 0..10 {
-            f.send(0, 0, 1);
-        }
-        assert_eq!(f.avg_bits_per_cycle(100), 51.2);
     }
 
     #[test]

@@ -172,27 +172,11 @@ impl<P: Eq + Clone> ChainedSync<P> {
         self.sent_mig |= bit_of(&self.mig_peers, &peer);
     }
 
-    /// True if last-position has been sent to every send-peer.
-    pub fn last_pos_sent_all(&self) -> bool {
-        self.sent_pos == all_of(self.send_peers.len())
-    }
-
-    /// True if last-position was received from `peer` for the current
-    /// step.
-    pub fn last_pos_received(&self, peer: &P) -> bool {
-        self.current().pos & bit_of(&self.recv_peers, peer) != 0
-    }
-
     /// The receive peers this node still owes a last-force marker (their
     /// last-position arrived, the answer has not left), as a mask over
     /// `recv_peers` positions.
     pub fn owed_last_frc(&self) -> u64 {
         self.current().pos & !self.sent_frc
-    }
-
-    /// True if this node still owes `peer` a last-force marker.
-    pub fn owes_last_frc(&self, peer: &P) -> bool {
-        self.owed_last_frc() & bit_of(&self.recv_peers, peer) != 0
     }
 
     /// The four force-phase criteria of §4.4 (Fig. 13): a node "can
@@ -364,6 +348,12 @@ mod tests {
         ChainedSync::new(vec![1, 2], vec![1, 2])
     }
 
+    /// True if last-position was received from `peer` for the current
+    /// step.
+    fn last_pos_received(s: &ChainedSync<u8>, peer: u8) -> bool {
+        s.current().pos & bit_of(&s.recv_peers, &peer) != 0
+    }
+
     #[test]
     fn four_criteria_required() {
         let mut s = sync2();
@@ -374,7 +364,7 @@ mod tests {
         assert!(!s.force_phase_complete());
         s.on_marker(PacketKind::Position, 1, 0);
         s.on_marker(PacketKind::Position, 2, 0);
-        assert!(s.owes_last_frc(&1));
+        assert!(s.owed_last_frc() & bit_of(&s.recv_peers, &1) != 0, "owes peer 1 last-force");
         s.mark_last_frc_sent(1);
         s.mark_last_frc_sent(2);
         assert!(!s.force_phase_complete(), "still missing last-force in");
@@ -390,11 +380,11 @@ mod tests {
         s.begin_step(0);
         // fast neighbour already racing ahead: sends step-1 markers
         s.on_marker(PacketKind::Position, 1, 1);
-        assert!(!s.last_pos_received(&1), "step-1 marker must not credit step 0");
+        assert!(!last_pos_received(&s, 1), "step-1 marker must not credit step 0");
         s.on_marker(PacketKind::Position, 1, 0);
-        assert!(s.last_pos_received(&1));
+        assert!(last_pos_received(&s, 1));
         s.begin_step(1);
-        assert!(s.last_pos_received(&1), "buffered step-1 marker now visible");
+        assert!(last_pos_received(&s, 1), "buffered step-1 marker now visible");
     }
 
     #[test]

@@ -218,14 +218,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Current value of a labeled counter (0 if never written).
-    pub fn counter_labeled(&self, name: &str, key: &str, value: &str) -> u64 {
-        self.counters
-            .get(&SeriesKey::labeled(name, key, value))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Set a gauge (instantaneous value; may move both ways).
     #[inline]
     pub fn gauge_set(&mut self, name: &str, v: f64) {
@@ -268,12 +260,6 @@ impl Registry {
     /// Look up a histogram.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
-    }
-
-    /// Drop all gauges (wall-clock state), keeping counters and
-    /// histograms — applied before identity comparisons.
-    pub fn clear_gauges(&mut self) {
-        self.gauges.clear();
     }
 
     /// Deterministic totals document: counters (labeled families nest

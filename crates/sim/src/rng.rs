@@ -58,28 +58,9 @@ impl XorShift64Star {
         XorShift64Star { state: seed | 1 }
     }
 
-    /// Raw state (persist this to freeze the stream).
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild a stream from persisted state.
-    ///
-    /// # Panics
-    /// If `state` is zero (not a reachable xorshift64\* state).
-    pub fn from_state(state: u64) -> Self {
-        assert_ne!(state, 0, "xorshift64* state must be non-zero");
-        XorShift64Star { state }
-    }
-
     /// Next mixed 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         xorshift64star_step(&mut self.state)
-    }
-
-    /// Next uniform draw in `[0, 1)`.
-    pub fn next_unit(&mut self) -> f64 {
-        xorshift64star_unit(&mut self.state)
     }
 
     /// Next draw in `0..bound` (rejection-free modulo; fine for fuzzing,
@@ -96,26 +77,12 @@ mod tests {
 
     #[test]
     fn unit_draws_are_in_range_and_deterministic() {
-        let mut a = XorShift64Star::new(42);
-        let mut b = XorShift64Star::new(42);
+        let (mut a, mut b) = (43u64, 43u64);
         for _ in 0..1000 {
-            let u = a.next_unit();
+            let u = xorshift64star_unit(&mut a);
             assert!((0.0..1.0).contains(&u));
-            assert_eq!(u, b.next_unit());
+            assert_eq!(u, xorshift64star_unit(&mut b));
         }
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_mid_sequence() {
-        let mut a = XorShift64Star::new(7);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let frozen = a.state();
-        let tail: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let mut b = XorShift64Star::from_state(frozen);
-        let resumed: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        assert_eq!(tail, resumed);
     }
 
     #[test]

@@ -174,14 +174,6 @@ impl JobState {
             JobState::Failed(_) => "failed",
         }
     }
-
-    /// Whether the job can never run again.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Completed | JobState::Cancelled | JobState::Failed(_)
-        )
-    }
 }
 
 #[cfg(test)]

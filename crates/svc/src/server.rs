@@ -354,11 +354,6 @@ impl ServerHandle {
             let _ = t.join();
         }
     }
-
-    /// Has shutdown been requested (by handle or protocol verb)?
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.state.lock().expect("state lock").shutdown
-    }
 }
 
 /// The daemon entry point.

@@ -8,6 +8,7 @@
 
 use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig, RunAccumulator};
 use fasda_cluster::{state_dump, Cluster, EngineConfig};
+use fasda_net::transport::{FrameLink, TcpLink};
 use fasda_svc::queue::{self, QueueJournal, ReplayedState};
 use fasda_svc::server::{Listen, FINISHED_KEPT};
 use fasda_svc::{Client, JobSpec, Server, ServerConfig, TenantQuota};
@@ -354,14 +355,22 @@ fn tcp_control_socket_speaks_the_same_protocol() {
     let mut cfg = ServerConfig::at(&dir.join("srv"));
     cfg.listen = Listen::Tcp("127.0.0.1:0".to_string());
     let handle = Server::start(cfg).expect("server starts on tcp");
-    match handle.addr() {
-        Listen::Tcp(addr) => assert!(!addr.ends_with(":0"), "port not resolved: {addr}"),
+    let addr = match handle.addr() {
+        Listen::Tcp(addr) => addr.clone(),
         other => panic!("expected tcp addr, got {other:?}"),
-    }
+    };
+    assert!(!addr.ends_with(":0"), "port not resolved: {addr}");
     let mut client = Client::connect(handle.addr()).expect("connect over tcp");
     let job = JobSpec { name: "tcp".into(), per_cell: 4, steps: 2, ..JobSpec::default() };
     let id = client.submit(&job).expect("submit");
     let status = client.wait(id, WAIT).expect("job finishes");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"));
+    // A 200 KB run of `[` is refused and its connection closed; the
+    // daemon keeps serving everyone else.
+    let mut hostile = TcpLink::connect(&addr).expect("raw connect");
+    hostile.send_frame("[".repeat(200_000).as_bytes()).expect("send deep frame");
+    assert!(hostile.recv_frame().is_err(), "daemon must close the hostile connection");
+    let status = client.status(id).expect("status after the hostile frame");
     assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"));
     client.shutdown().expect("shutdown");
     handle.join();
