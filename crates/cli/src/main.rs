@@ -480,16 +480,18 @@ fn report_run(
     }
     if let Some(path) = opts.get("--metrics-out") {
         let mut doc = Json::obj().field("run", report.metrics_json());
-        if let Some(trace) = out.traces.last() {
-            // Shard provenance for the trace summary: which worker owned
-            // which node span (one span when the run was not sharded).
+        if let (Some(trace), Some(folded)) = (out.traces.last(), &folded) {
+            // Stalls cover every segment, like the `obs` totals; the trace
+            // summary is the final segment's, like `--trace-out`. Shard
+            // provenance: which worker owned which node span (one span
+            // when the run was not sharded).
             let prov: Vec<(u32, u64, u64)> = shard_ranges(nodes, shards.unwrap_or(1))
                 .iter()
                 .enumerate()
                 .map(|(i, r)| (i as u32, r.start as u64, r.end as u64))
                 .collect();
             doc = doc
-                .field("stalls", stall_json(&trace.stalls))
+                .field("stalls", stall_json(folded))
                 .field("trace", trace_summary_json_with(trace, &prov));
         }
         if obs.armed() {

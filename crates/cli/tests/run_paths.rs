@@ -58,9 +58,40 @@ fn artifacts(dir: &Path, tag: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>
     (read(&state), read(&metrics), read(&obs))
 }
 
+fn parse(bytes: &[u8]) -> Json {
+    Json::parse(std::str::from_utf8(bytes).expect("utf-8")).expect("json document")
+}
+
 fn run_section(metrics: &[u8]) -> Json {
-    let doc = Json::parse(std::str::from_utf8(metrics).expect("utf-8")).expect("metrics json");
-    doc.get("run").expect("run section").clone()
+    parse(metrics).get("run").expect("run section").clone()
+}
+
+fn int(doc: &Json, key: &str) -> i64 {
+    doc.get(key).and_then(Json::as_i64).unwrap_or_else(|| panic!("no integer {key}"))
+}
+
+/// The metrics document's `stalls` node totals add up to its `obs`
+/// counters: both cover every segment of the run.
+fn assert_stalls_are_the_obs_totals(metrics: &[u8], tag: &str) {
+    let doc = parse(metrics);
+    let counters = doc.get("obs").and_then(|o| o.get("counters")).expect("obs counters");
+    let totals: Vec<Json> = doc
+        .get("stalls")
+        .expect("stalls section")
+        .get("nodes")
+        .expect("stall nodes")
+        .items()
+        .iter()
+        .map(|n| n.get("total").expect("node total").clone())
+        .collect();
+    let sum = |key: &str| totals.iter().map(|t| int(t, key)).sum::<i64>();
+    assert_eq!(sum("productive"), int(counters, "productive_cycles"), "{tag}: productive");
+    let Some(Json::Obj(causes)) = counters.get("stall_cycles") else {
+        panic!("{tag}: no stall_cycles counters");
+    };
+    for (cause, cycles) in causes {
+        assert_eq!(Some(sum(cause)), cycles.as_i64(), "{tag}: {cause} stalls");
+    }
 }
 
 fn golden(name: &str) -> Vec<u8> {
@@ -75,6 +106,7 @@ fn artifacts_match_the_parent_commit() {
     assert!(state == golden("run.state"), "plain dump moved");
     assert!(metrics == golden("plain.metrics.json"), "plain metrics document moved");
     assert!(obs == golden("plain.obs.json"), "plain obs totals moved");
+    assert_stalls_are_the_obs_totals(&metrics, "plain");
 
     let ckpt = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir", "ck"];
     let (state, metrics, obs) = artifacts(&dir, "ckpt", &ckpt);
@@ -82,6 +114,7 @@ fn artifacts_match_the_parent_commit() {
     assert!(state == golden("run.state"), "checkpointed dump moved");
     assert!(metrics == golden("ckpt.metrics.json"), "checkpointed metrics document moved");
     assert!(obs == golden("ckpt.obs.json"), "checkpointed obs totals moved");
+    assert_stalls_are_the_obs_totals(&metrics, "ckpt");
 
     let (state, metrics, obs) = artifacts(&dir, "chaos", &CHAOS);
     // Faults under reliable delivery move the cycle accounting too, and
@@ -89,16 +122,18 @@ fn artifacts_match_the_parent_commit() {
     assert!(state == golden("run.state"), "faulted dump moved");
     assert!(metrics == golden("chaos.metrics.json"), "faulted metrics document moved");
     assert!(obs == golden("chaos.obs.json"), "faulted obs totals moved");
+    assert_stalls_are_the_obs_totals(&metrics, "chaos");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn every_run_path_agrees() {
     let dir = tmpdir("paths");
-    let (plain, plain_m, _) = artifacts(&dir, "plain", &["--steps", "2"]);
-    let (serial, serial_m, _) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
-    let (shard, shard_m, _) =
-        artifacts(&dir, "shard", &["--steps", "2", "--shards", "2", "--shard-dir", "rdv"]);
+    let (plain, plain_m, plain_o) = artifacts(&dir, "plain", &["--steps", "2"]);
+    let (serial, serial_m, serial_o) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
+    let sharded = ["--steps", "2", "--shards", "2", "--shard-dir", "rdv"];
+    let (shard, shard_m, shard_o) =
+        artifacts(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "fleet.jsonl"]].concat());
     let ckpt_args = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir"];
     let (ckpt, ckpt_m, _) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
     let (rec, rec_m, _) =
@@ -110,6 +145,21 @@ fn every_run_path_agrees() {
     // One segment: engine and shard count are invisible in the report.
     assert_eq!(run_section(&serial_m), run_section(&plain_m));
     assert_eq!(run_section(&shard_m), run_section(&plain_m));
+    // ... and in the final totals, byte for byte.
+    assert!(serial_o == plain_o && shard_o == plain_o, "--obs-out differs across engines");
+    // The sharded stream is fleet beats; the last one carries the totals.
+    let beats = std::fs::read_to_string(dir.join("fleet.jsonl")).expect("fleet stream");
+    let fleet: Vec<Json> = beats
+        .lines()
+        .map(|l| Json::parse(l).expect("heartbeat json"))
+        .filter(|r| r.get("type").and_then(Json::as_str) == Some("fleet"))
+        .collect();
+    let last = fleet.last().and_then(|r| r.get("counters")).expect("fleet beats");
+    let totals = parse(&shard_o);
+    for key in ["productive_cycles", "stall_cycles"] {
+        let want = totals.get("counters").and_then(|c| c.get(key));
+        assert_eq!(last.get(key), want, "last fleet beat's {key}");
+    }
     // Two segments re-arm the nodes once more; recovery with nothing to
     // recover from is that same run.
     assert_eq!(run_section(&rec_m), run_section(&ckpt_m));
@@ -118,10 +168,12 @@ fn every_run_path_agrees() {
     // workers split each crossing between its two owners. Without
     // --shard-dir the rendezvous directory is the run's own, in the temp
     // dir, and goes with it.
-    let (chaos, chaos_m, _) = artifacts(&dir, "chaos", &CHAOS);
-    let (chaos_2, chaos_2m, _) = artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
+    let (chaos, chaos_m, chaos_o) = artifacts(&dir, "chaos", &CHAOS);
+    let (chaos_2, chaos_2m, chaos_2o) =
+        artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
     assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
     assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
+    assert!(chaos_2o == chaos_o, "faulted --obs-out differs across shard counts");
     let left: Vec<_> =
         std::fs::read_dir(&dir).expect("list test dir").flatten().map(|e| e.file_name()).collect();
     let stray = left.iter().any(|f| f.to_string_lossy().starts_with("fasda-shard-"));

@@ -478,6 +478,9 @@ pub(crate) fn run_segments<E: From<CkptError>>(
         Some(c) => c.every,
         None => steps.saturating_sub(acc.steps_done).max(1),
     };
+    if let Some(obs) = &mut cluster.obs {
+        obs.begin_run(steps);
+    }
     let start_cycle = cluster.cycle;
     let mut traces = Vec::new();
     let mut checkpoints = Vec::new();

@@ -18,8 +18,8 @@ use fasda_net::sync::{BulkBarrier, ChainedSync, SyncMode};
 use fasda_net::topology::Topology;
 use fasda_sim::{MessageQueue, StatSet};
 use fasda_trace::{
-    ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, Trace, TraceConfig,
-    TraceLevel,
+    ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, StepStalls, Trace,
+    TraceConfig, TraceLevel,
 };
 use std::collections::BTreeMap;
 
@@ -535,6 +535,10 @@ pub struct Cluster {
     pub(crate) tr_engine: NodeRecorder,
     /// Per-(node, step) force-phase stall attribution.
     pub(crate) tr_stalls: StallLedger,
+    /// Owned-node totals of every ledger [`Cluster::swap_ledger`] has
+    /// replaced since the cluster was built, so that
+    /// [`Cluster::stall_totals`] spans a run's checkpoint segments.
+    stalls_banked: StepStalls,
     /// Which chips ticked in the current compute phase (tracing only);
     /// engine-invariant because a `quiet`-skipped chip is idle and would
     /// not have ticked under the serial reference either.
@@ -732,6 +736,7 @@ impl Cluster {
             tracing: false,
             tr_engine: NodeRecorder::off(),
             tr_stalls: StallLedger::new(n),
+            stalls_banked: StepStalls::default(),
             ticked: vec![false; n],
             exchange: None,
             obs: None,
@@ -875,6 +880,9 @@ impl Cluster {
         engine: &EngineConfig,
     ) -> Result<ClusterRunReport, ClusterError> {
         assert!(steps > 0);
+        if let Some(obs) = &mut self.obs {
+            obs.begin_run(steps);
+        }
         let run_start = self.cycle;
         self.arm_run(engine);
         let mut idle_streak = 0u64;
@@ -906,7 +914,7 @@ impl Cluster {
             }
             let active = self.step_cycle(steps);
             if self.obs.is_some() {
-                self.obs_beat(steps);
+                self.obs_beat();
             }
             if self.cycle - run_start >= cycle_budget {
                 return Err(self.stalled().into());
@@ -957,11 +965,11 @@ impl Cluster {
     /// the attached sampler. Take/put-back so the sampler can read
     /// `&self` without aliasing its own `&mut`.
     #[cold]
-    fn obs_beat(&mut self, steps: u64) {
+    fn obs_beat(&mut self) {
         let Some(mut obs) = self.obs.take() else {
             return;
         };
-        obs.maybe_beat(self, steps);
+        obs.maybe_beat(self);
         self.obs = Some(obs);
     }
 
@@ -1019,7 +1027,7 @@ impl Cluster {
         self.trace_cfg = engine.trace;
         self.tracing = engine.trace.level != TraceLevel::Off;
         self.tr_engine = NodeRecorder::new(engine.trace);
-        self.tr_stalls = StallLedger::new(self.num_nodes());
+        self.swap_ledger();
         self.use_quiet = engine.fast;
         self.quiet.iter_mut().for_each(|q| *q = false);
         self.records.clear();
@@ -1250,13 +1258,30 @@ impl Cluster {
             return None;
         }
         let nodes = self.chips.iter_mut().map(TimedChip::take_trace).collect();
-        let n = self.num_nodes();
         Some(Trace {
             level: Some(self.trace_cfg.level),
             nodes,
             engine: self.tr_engine.take(),
-            stalls: std::mem::replace(&mut self.tr_stalls, StallLedger::new(n)),
+            stalls: self.swap_ledger(),
         })
+    }
+
+    /// Replace the stall ledger with an empty one, banking the outgoing
+    /// ledger's owned-node totals first. The only place the ledger is
+    /// replaced: at [`Cluster::arm_run`] and [`Cluster::take_trace`].
+    fn swap_ledger(&mut self) -> StallLedger {
+        self.stalls_banked.merge(&self.tr_stalls.total_over(self.owned_range()));
+        let fresh = StallLedger::new(self.num_nodes());
+        std::mem::replace(&mut self.tr_stalls, fresh)
+    }
+
+    /// Owned-node stall totals since the cluster was built: the banked
+    /// totals of replaced ledgers plus the live one's. Monotonic across
+    /// the segments of a checkpointed run.
+    pub(crate) fn stall_totals(&self) -> StepStalls {
+        let mut t = self.tr_stalls.total_over(self.owned_range());
+        t.merge(&self.stalls_banked);
+        t
     }
 
     /// Force-phase exchange for one node (everything except the chip

@@ -1,13 +1,21 @@
-//! Live-telemetry glue: the in-run heartbeat sampler attached to a
-//! [`Cluster`], the engine-invariant final-totals builder, and the
-//! conversion from [`ClusterConfig`] to the §5 model's input.
+//! Live-telemetry glue: the one heartbeat sampler, its in-process,
+//! shard-worker and coordinator uses, the engine-invariant final-totals
+//! builder, and the conversion from [`ClusterConfig`] to the §5 model's
+//! input.
 //!
 //! The split of responsibilities (see `DESIGN.md` §12):
 //!
-//! * [`ObsLive`] samples the cluster at step boundaries from inside the
-//!   cycle loop and writes `beat` records + the Prometheus scrape
-//!   file. Beats mix simulated counters with wall-clock gauges — they
-//!   are a *progress view*, not an identity artifact.
+//! * [`Sampler`] owns the heartbeat cadence (a beat per `every` steps,
+//!   due when the slowest owned node crosses the boundary), the run's
+//!   step target, and the beat writer (JSONL sink, scrape file, beat
+//!   counter, `wall_s`/`steps_per_s`/`progress` gauges). [`ObsLive`]
+//!   uses all three from inside the in-process cycle loop; a shard
+//!   worker uses the cadence over its owned nodes; the coordinator's
+//!   [`FleetObs`] the target and the writer. Beats mix simulated
+//!   counters with wall-clock gauges — they are a *progress view*, not
+//!   an identity artifact. Their stall counters are
+//!   [`Cluster::stall_totals`], which the cluster banks across
+//!   checkpoint segments itself.
 //! * [`final_registry`] / [`final_totals_json`] are pure functions of
 //!   the finished run's [`ClusterRunReport`] and stall ledger — both
 //!   bit-identical across engines and shard counts — so the final
@@ -23,7 +31,7 @@ use crate::report::ClusterRunReport;
 use fasda_ckpt::{CkptError, Persist, Reader, Writer};
 use fasda_obs::model::{Measured, ModelInput, STALL_CLASSES};
 use fasda_obs::{prom_write, Hist, JsonlSink, Registry};
-use fasda_trace::{Json, StallCause, StallLedger};
+use fasda_trace::{Json, StallCause, StallLedger, StepStalls};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -51,145 +59,145 @@ impl ObsSinkConfig {
     }
 }
 
-/// In-run heartbeat sampler. Attach with [`Cluster::attach_obs`];
-/// the cycle loop calls [`ObsLive::maybe_beat`] behind an
-/// `obs.is_some()` gate (the zero-cost-off pattern). Survives
-/// checkpoint segment boundaries: the per-segment stall ledger and
-/// record buffer resets are detected and re-based, so the heartbeat
-/// counters stay monotonic across an entire multi-segment run.
-pub struct ObsLive {
+/// The one heartbeat sampler (module docs): cadence, step target and
+/// beat writer. Wall-clock-side only — nothing here feeds back into the
+/// simulated run.
+pub(crate) struct Sampler {
+    /// Steps between beats (0 = the cadence never fires).
     every: u64,
+    /// Next boundary a beat is owed for.
+    next_due: u64,
+    /// The run's step target: the whole run's, not the current
+    /// segment's.
+    steps: u64,
     sink: Option<JsonlSink>,
     prom_path: Option<PathBuf>,
     started: Instant,
     last_wall: Instant,
     last_step: u64,
-    last_cycle: u64,
-    next_due: u64,
-    records_seen: usize,
-    /// Finalized ledger totals from segments already torn down.
-    stall_acc: [u64; STALL_CLASSES],
-    prod_acc: u64,
-    /// Last observed ledger totals of the *current* segment.
-    stall_seen: [u64; STALL_CLASSES],
-    prod_seen: u64,
     beats: u64,
+}
+
+impl Sampler {
+    /// A sampler firing every `every` steps that writes nowhere until
+    /// [`Sampler::open`]ed.
+    pub(crate) fn new(every: u64) -> Self {
+        let now = Instant::now();
+        Sampler {
+            every,
+            next_due: every,
+            steps: 0,
+            sink: None,
+            prom_path: None,
+            started: now,
+            last_wall: now,
+            last_step: 0,
+            beats: 0,
+        }
+    }
+
+    /// Open the configured sinks (truncating an existing JSONL stream).
+    fn open(mut self, sinks: &ObsSinkConfig) -> std::io::Result<Self> {
+        self.sink = sinks.heartbeat_out.as_deref().map(JsonlSink::create).transpose()?;
+        self.prom_path = sinks.prom_out.clone();
+        Ok(self)
+    }
+
+    /// Cadence: `(boundary, min_step)` once the slowest node `cl` owns
+    /// has crossed the next heartbeat boundary. At most one boundary
+    /// fires per call; a sampler that skipped past several catches up
+    /// on the following calls.
+    pub(crate) fn due(&mut self, cl: &Cluster) -> Option<(u64, u64)> {
+        if self.every == 0 {
+            return None;
+        }
+        let min_step = cl.owned_range().map(|n| cl.state[n].step).min()?;
+        if min_step < self.next_due {
+            return None;
+        }
+        let boundary = self.next_due;
+        self.next_due += self.every;
+        Some((boundary, min_step))
+    }
+
+    /// Writer: count one beat at `step` and set its progress gauges
+    /// (`wall_s`, `steps_per_s`, `progress`) on `reg`. Returns the
+    /// seconds since the previous beat.
+    fn pace(&mut self, reg: &mut Registry, step: u64) -> f64 {
+        self.beats += 1;
+        let now = Instant::now();
+        let dt = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
+        reg.gauge_set("wall_s", now.duration_since(self.started).as_secs_f64());
+        reg.gauge_set("steps_per_s", step.saturating_sub(self.last_step) as f64 / dt);
+        reg.gauge_set("progress", step as f64 / self.steps.max(1) as f64);
+        self.last_wall = now;
+        self.last_step = step;
+        dt
+    }
+
+    /// Writer: append `record` to the stream and refresh the scrape
+    /// file from `reg` under `prefix`.
+    fn write(&mut self, record: &Json, reg: &Registry, prefix: &str) {
+        if let Some(sink) = &mut self.sink {
+            let _ = sink.emit(record);
+        }
+        if let Some(path) = &self.prom_path {
+            let _ = prom_write(reg, prefix, path);
+        }
+    }
+}
+
+/// In-run heartbeat sampler. Attach with [`Cluster::attach_obs`];
+/// the cycle loop calls [`ObsLive::maybe_beat`] behind an
+/// `obs.is_some()` gate (the zero-cost-off pattern). Every beat reports
+/// the run's step target and [`Cluster::stall_totals`], so its counters
+/// stay monotonic across the segments of a checkpointed run.
+pub struct ObsLive {
+    sampler: Sampler,
+    last_cycle: u64,
 }
 
 impl ObsLive {
     /// Build a sampler firing every `every` completed steps.
     pub fn new(every: u64, sinks: &ObsSinkConfig) -> std::io::Result<Self> {
-        let sink = match &sinks.heartbeat_out {
-            Some(p) => Some(JsonlSink::create(p)?),
-            None => None,
-        };
-        let now = Instant::now();
-        Ok(ObsLive {
-            every: every.max(1),
-            sink,
-            prom_path: sinks.prom_out.clone(),
-            started: now,
-            last_wall: now,
-            last_step: 0,
-            last_cycle: 0,
-            next_due: every.max(1),
-            records_seen: 0,
-            stall_acc: [0; STALL_CLASSES],
-            prod_acc: 0,
-            stall_seen: [0; STALL_CLASSES],
-            prod_seen: 0,
-            beats: 0,
-        })
+        Ok(ObsLive { sampler: Sampler::new(every.max(1)).open(sinks)?, last_cycle: 0 })
     }
 
     /// Beats emitted so far.
     pub fn beats(&self) -> u64 {
-        self.beats
+        self.sampler.beats
     }
 
-    /// Called from the cycle loop (after the cycle increment). The
-    /// fast path out is one length comparison: step boundaries only
-    /// move when a `NodeStepReport` is pushed.
-    pub(crate) fn maybe_beat(&mut self, cl: &Cluster, steps: u64) {
-        if cl.records.len() == self.records_seen {
-            return;
-        }
-        if cl.records.len() < self.records_seen {
-            // Segment reset (checkpointed run): the record buffer was
-            // drained into the previous segment's report.
-            self.records_seen = 0;
-        }
-        self.records_seen = cl.records.len();
-        let cur = cl.current_step();
-        if cur < self.next_due {
-            return;
-        }
-        self.next_due = cur + self.every;
-        self.emit_beat(cl, cur, steps);
+    /// Announce an absolute step target: `ckpt::run_segments` the whole
+    /// run's before its first segment, [`Cluster::try_run_with`] its
+    /// own. Targets only grow along a cluster's life, so the largest
+    /// announced is the run's; a direct `try_run_with` is a one-segment
+    /// run.
+    pub(crate) fn begin_run(&mut self, steps: u64) {
+        self.sampler.steps = self.sampler.steps.max(steps);
     }
 
-    /// Sample the cluster and write one `beat` record + scrape file.
-    fn emit_beat(&mut self, cl: &Cluster, cur: u64, steps: u64) {
-        self.beats += 1;
+    /// Called from the cycle loop (after the cycle increment): write one
+    /// `beat` record + scrape file when a boundary is due.
+    pub(crate) fn maybe_beat(&mut self, cl: &Cluster) {
+        let Some((_, step)) = self.sampler.due(cl) else {
+            return;
+        };
         let mut reg = Registry::new(true);
-        self.fold_ledger(&cl.tr_stalls);
-        fill_live(&mut reg, cl, cur, &self.live_stalls(), self.live_productive());
-
-        // Wall-clock gauges (progress view only; never in totals).
-        let now = Instant::now();
-        let wall = now.duration_since(self.started).as_secs_f64();
-        let dt = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
-        let steps_per_s = (cur - self.last_step) as f64 / dt;
-        let cycles_per_s = cl.cycle.saturating_sub(self.last_cycle) as f64 / dt;
+        fill_live(&mut reg, cl, step, &cl.stall_totals());
+        let dt = self.sampler.pace(&mut reg, step);
+        let steps = self.sampler.steps;
+        let steps_per_s = reg.gauge("steps_per_s").unwrap_or(0.0);
         let eta_s = if steps_per_s > 0.0 {
-            steps.saturating_sub(cur) as f64 / steps_per_s
+            steps.saturating_sub(step) as f64 / steps_per_s
         } else {
             0.0
         };
-        reg.gauge_set("wall_s", wall);
-        reg.gauge_set("steps_per_s", steps_per_s);
-        reg.gauge_set("cycles_per_s", cycles_per_s);
+        reg.gauge_set("cycles_per_s", cl.cycle.saturating_sub(self.last_cycle) as f64 / dt);
         reg.gauge_set("eta_s", eta_s);
-        reg.gauge_set("progress", cur as f64 / steps.max(1) as f64);
-        self.last_wall = now;
-        self.last_step = cur;
         self.last_cycle = cl.cycle;
-
-        let record = beat_record("beat", self.beats, cur, steps, &reg.snapshot_json());
-        if let Some(sink) = &mut self.sink {
-            let _ = sink.emit(&record);
-        }
-        if let Some(path) = &self.prom_path {
-            let _ = prom_write(&reg, "fasda", path);
-        }
-    }
-
-    /// Fold the current segment's ledger totals into the reset-tolerant
-    /// accumulators.
-    fn fold_ledger(&mut self, ledger: &StallLedger) {
-        let now = ledger.total_over(0..ledger.num_nodes());
-        let seen: u64 = self.stall_seen.iter().sum::<u64>() + self.prod_seen;
-        if now.total() < seen {
-            // A new segment re-armed the ledger: bank the old totals.
-            for (acc, v) in self.stall_acc.iter_mut().zip(self.stall_seen.iter()) {
-                *acc += v;
-            }
-            self.prod_acc += self.prod_seen;
-        }
-        self.stall_seen = now.stalled;
-        self.prod_seen = now.productive;
-    }
-
-    fn live_stalls(&self) -> [u64; STALL_CLASSES] {
-        let mut out = self.stall_acc;
-        for (acc, v) in out.iter_mut().zip(self.stall_seen.iter()) {
-            *acc += v;
-        }
-        out
-    }
-
-    fn live_productive(&self) -> u64 {
-        self.prod_acc + self.prod_seen
+        let record = beat_record("beat", self.sampler.beats, step, steps, &reg.snapshot_json());
+        self.sampler.write(&record, &reg, "fasda");
     }
 }
 
@@ -327,8 +335,6 @@ impl Persist for ObsDelta {
 /// the coordinator on the control link as a `Beat` frame.
 #[derive(Clone, Debug)]
 pub struct FleetBeat {
-    /// Monotonic beat counter (worker 0's).
-    pub beat: u64,
     /// The heartbeat boundary all samples answer for.
     pub boundary: u64,
     /// Worker 0's global cycle when the last sample arrived.
@@ -339,14 +345,12 @@ pub struct FleetBeat {
 
 impl Persist for FleetBeat {
     fn save(&self, w: &mut Writer) {
-        w.put_u64(self.beat);
         w.put_u64(self.boundary);
         w.put_u64(self.cycle);
         self.workers.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         Ok(FleetBeat {
-            beat: r.get_u64()?,
             boundary: r.get_u64()?,
             cycle: r.get_u64()?,
             workers: Persist::load(r)?,
@@ -359,42 +363,20 @@ impl Persist for FleetBeat {
 /// lagging shard. Purely observational — the coordinator never
 /// simulates, so this cannot perturb the run.
 pub struct FleetObs {
-    sink: Option<JsonlSink>,
-    prom_path: Option<PathBuf>,
-    started: Instant,
-    last_wall: Instant,
-    last_step: u64,
-    beats: u64,
+    sampler: Sampler,
 }
 
 impl FleetObs {
-    /// Open the configured sinks (truncating an existing JSONL stream).
-    pub fn new(sinks: &ObsSinkConfig) -> std::io::Result<Self> {
-        let sink = match &sinks.heartbeat_out {
-            Some(p) => Some(JsonlSink::create(p)?),
-            None => None,
-        };
-        let now = Instant::now();
-        Ok(FleetObs {
-            sink,
-            prom_path: sinks.prom_out.clone(),
-            started: now,
-            last_wall: now,
-            last_step: 0,
-            beats: 0,
-        })
-    }
-
-    /// Fleet heartbeats emitted so far.
-    pub fn beats(&self) -> u64 {
-        self.beats
+    /// Open the configured sinks (truncating an existing JSONL stream)
+    /// for a run to `steps` steps.
+    pub fn new(sinks: &ObsSinkConfig, steps: u64) -> std::io::Result<Self> {
+        Ok(FleetObs { sampler: Sampler { steps, ..Sampler::new(0).open(sinks)? } })
     }
 
     /// Handle one fleet beat: emit the `fleet` record and refresh the
     /// scrape file. `ranges` are the shard → owned-node ranges (shard
-    /// order), `steps` the run's step target.
-    pub fn on_beat(&mut self, fb: &FleetBeat, ranges: &[Range<usize>], steps: u64) {
-        self.beats += 1;
+    /// order).
+    pub fn on_beat(&mut self, fb: &FleetBeat, ranges: &[Range<usize>]) {
         let fleet_min = fb.workers.iter().map(|d| d.min_step).min().unwrap_or(0);
         let fleet_max = fb.workers.iter().map(|d| d.min_step).max().unwrap_or(0);
         let lagging = fb
@@ -404,15 +386,9 @@ impl FleetObs {
             .map(|d| d.worker)
             .unwrap_or(0);
 
-        let now = Instant::now();
-        let wall = now.duration_since(self.started).as_secs_f64();
-        let dt = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
-        let steps_per_s = fleet_min.saturating_sub(self.last_step) as f64 / dt;
-        self.last_wall = now;
-        self.last_step = fleet_min;
-
         let mut reg = Registry::new(true);
         let mut shards = Vec::with_capacity(fb.workers.len());
+        let mut fleet = StepStalls::default();
         for d in &fb.workers {
             let span = ranges
                 .get(d.worker as usize)
@@ -439,28 +415,19 @@ impl FleetObs {
                 &d.worker.to_string(),
                 d.min_step,
             );
+            fleet.merge(&StepStalls { productive: d.productive, stalled: d.stalls });
         }
-        let mut fleet_stalls = [0u64; STALL_CLASSES];
-        let mut fleet_prod = 0u64;
-        for d in &fb.workers {
-            for (acc, v) in fleet_stalls.iter_mut().zip(d.stalls.iter()) {
-                *acc += v;
-            }
-            fleet_prod += d.productive;
-        }
-        set_stalls(&mut reg, &fleet_stalls, fleet_prod);
+        set_stalls(&mut reg, &fleet);
         reg.counter_set("steps_done", fleet_min);
         reg.counter_set("cycles", fb.cycle);
-        reg.gauge_set("wall_s", wall);
-        reg.gauge_set("steps_per_s", steps_per_s);
-        reg.gauge_set("progress", fleet_min as f64 / steps.max(1) as f64);
+        self.sampler.pace(&mut reg, fleet_min);
         reg.gauge_set("lag_steps", (fleet_max - fleet_min) as f64);
 
         let record = Json::obj()
             .field("type", "fleet")
-            .field("beat", Json::uint(fb.beat))
+            .field("beat", Json::uint(self.sampler.beats))
             .field("step", Json::uint(fleet_min))
-            .field("steps", Json::uint(steps))
+            .field("steps", Json::uint(self.sampler.steps))
             .field("cycle", Json::uint(fb.cycle))
             .field("lagging_shard", Json::uint(lagging as u64))
             .field("lag_steps", Json::uint(fleet_max - fleet_min))
@@ -468,12 +435,7 @@ impl FleetObs {
             .field("counters", reg.totals_json().get("counters").cloned().unwrap_or(Json::Null))
             .field("gauges", reg.snapshot_json().get("gauges").cloned().unwrap_or(Json::Null))
             .build();
-        if let Some(sink) = &mut self.sink {
-            let _ = sink.emit(&record);
-        }
-        if let Some(path) = &self.prom_path {
-            let _ = prom_write(&reg, "fasda_fleet", path);
-        }
+        self.sampler.write(&record, &reg, "fasda_fleet");
     }
 }
 
@@ -496,13 +458,7 @@ fn beat_record(kind: &str, beat: u64, step: u64, steps: u64, snapshot: &Json) ->
 /// Live counters sampled mid-run. Engine-private quantities keep the
 /// `engine_` prefix so cross-engine heartbeat diffs can exclude them
 /// the same way the metrics gate does.
-fn fill_live(
-    reg: &mut Registry,
-    cl: &Cluster,
-    step: u64,
-    stalls: &[u64; STALL_CLASSES],
-    productive: u64,
-) {
+fn fill_live(reg: &mut Registry, cl: &Cluster, step: u64, stalls: &StepStalls) {
     reg.counter_set("steps_done", step);
     reg.counter_set("cycles", cl.cycle);
     reg.counter_set("engine_skipped_cycles", cl.skipped_cycles);
@@ -520,19 +476,14 @@ fn fill_live(
         "faults_injected",
         cl.faults.as_ref().map_or(0, |f| f.total_injected()),
     );
-    set_stalls(reg, stalls, productive);
+    set_stalls(reg, stalls);
 }
 
-fn set_stalls(reg: &mut Registry, stalls: &[u64; STALL_CLASSES], productive: u64) {
+fn set_stalls(reg: &mut Registry, stalls: &StepStalls) {
     for cause in StallCause::ALL {
-        reg.counter_set_labeled(
-            "stall_cycles",
-            "cause",
-            cause.label(),
-            stalls[cause as usize],
-        );
+        reg.counter_set_labeled("stall_cycles", "cause", cause.label(), stalls.of(cause));
     }
-    reg.counter_set("productive_cycles", productive);
+    reg.counter_set("productive_cycles", stalls.productive);
 }
 
 /// Final totals as a registry — a pure function of the run report and
@@ -568,8 +519,7 @@ pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -
     reg.counter_set("mu_cycles", mu_total);
     reg.hist_set("step_force_cycles", force_hist);
     if let Some(ledger) = stalls {
-        let t = ledger.total_over(0..ledger.num_nodes());
-        set_stalls(&mut reg, &t.stalled, t.productive);
+        set_stalls(&mut reg, &ledger.total_over(0..ledger.num_nodes()));
     }
     reg
 }
@@ -680,14 +630,12 @@ pub fn model_input(cfg: &ClusterConfig, space: (u32, u32, u32), per_cell: f64) -
 pub fn measured_from(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Measured {
     let recs = report.records.len().max(1) as f64;
     let force_cycles = report.records.iter().map(|r| r.force_cycles).sum::<u64>() as f64 / recs;
-    let mu_cycles = report.records.iter().map(|r| r.mu_cycles).sum::<u64>() as f64 / recs;
     let steps = report.steps.max(1) as f64;
     let mut meas = Measured {
         steps: report.steps,
         nodes: report.nodes as u64,
         cycles_per_step: report.cycles_per_step(),
         force_cycles,
-        mu_cycles,
         pos_packets_per_step: report.pos_packets as f64 / steps,
         frc_packets_per_step: report.frc_packets as f64 / steps,
         ..Measured::default()
@@ -703,8 +651,6 @@ pub fn measured_from(report: &ClusterRunReport, stalls: Option<&StallLedger>) ->
                 *share = *v as f64 / idle as f64;
             }
         }
-        meas.sync_tail =
-            (t.of(StallCause::WaitNeighborSync) + t.of(StallCause::Drained)) as f64 / recs;
     }
     meas
 }
@@ -784,12 +730,10 @@ mod tests {
         let m = measured_from(&tiny_report(), Some(&tiny_ledger()));
         assert_eq!(m.cycles_per_step, 500.0);
         assert_eq!(m.force_cycles, 407.5);
-        assert_eq!(m.mu_cycles, 80.0);
         assert_eq!(m.pos_packets_per_step, 20.0);
         assert!((m.occupancy - 1200.0 / 1640.0).abs() < 1e-12);
         // drained share: 320 of 440 idle cycles
         assert!((m.stall_shares[StallCause::Drained as usize] - 320.0 / 440.0).abs() < 1e-12);
-        assert_eq!(m.sync_tail, 100.0);
     }
 
     #[test]

@@ -93,7 +93,7 @@ use crate::driver::{
     EngineConfig, ExchangeBuf, LookaheadViolation, NextEvent, WireEvent, DEADLOCK_SCAN_INTERVAL,
     MAX_RUN_CYCLES,
 };
-use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, ShardGauges};
+use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, Sampler, ShardGauges};
 use crate::report::{ClusterRunReport, NodeStepReport};
 use crate::run::{resumed, SpecError};
 use std::collections::BTreeMap;
@@ -814,50 +814,33 @@ fn intersect_spans(lists: &[Vec<(u64, u64)>], lo: u64, hi: u64) -> Vec<(u64, u64
 }
 
 /// Worker-side heartbeat state. Every worker samples its own shard
-/// when its slowest owned node crosses a heartbeat boundary and ships
-/// the sample on that round's window frame; worker 0 additionally folds
-/// everyone's samples into [`FleetBeat`]s for the coordinator. All
-/// state here is wall-clock-side — the simulated run is untouched, so
-/// sharded runs stay bit-identical with heartbeats on or off.
+/// when the cadence of [`Sampler`] finds its slowest owned node past a
+/// heartbeat boundary and ships the sample on that round's window
+/// frame; worker 0 additionally folds everyone's samples into
+/// [`FleetBeat`]s for the coordinator. All state here is
+/// wall-clock-side — the simulated run is untouched, so sharded runs
+/// stay bit-identical with heartbeats on or off.
 struct ObsShard {
-    /// Heartbeat cadence in steps (0 = off).
-    every: u64,
+    /// The heartbeat cadence over the owned nodes (cadence 0 = off).
+    cadence: Sampler,
     /// This worker's shard index.
     index: u32,
     shards: usize,
-    /// Next boundary this shard owes a sample for.
-    next_due: u64,
-    /// Ledger totals banked from already-completed segments (owned
-    /// nodes only) — [`Cluster::arm_run`] resets the live ledger per
-    /// segment, so cumulative totals are `banked + live`.
-    banked: StepStalls,
     /// Exchange gauges, cumulative since worker start.
     gauges: ShardGauges,
     /// Worker 0 only: boundary → per-shard samples collected so far.
     pending: BTreeMap<u64, Vec<Option<ObsDelta>>>,
-    beats: u64,
 }
 
 impl ObsShard {
     fn new(every: u64, index: u32, shards: usize) -> Self {
         ObsShard {
-            every,
+            cadence: Sampler::new(every),
             index,
             shards,
-            next_due: every.max(1),
-            banked: StepStalls::default(),
             gauges: ShardGauges::default(),
             pending: BTreeMap::new(),
-            beats: 0,
         }
-    }
-
-    /// Owned-node ledger totals of the current segment plus the banked
-    /// totals of completed ones.
-    fn owned_totals(&self, cl: &Cluster) -> StepStalls {
-        let mut t = cl.tr_stalls.total_over(cl.owned_range());
-        t.merge(&self.banked);
-        t
     }
 
     /// Retransmissions originated by owned nodes.
@@ -874,30 +857,11 @@ impl ObsShard {
             .sum()
     }
 
-    /// Bank the finishing segment's ledger totals before the segment
-    /// result (and the trace, which carries the ledger away) ships.
-    fn bank_segment(&mut self, cl: &Cluster) {
-        if self.every == 0 {
-            return;
-        }
-        self.banked = self.owned_totals(cl);
-    }
-
     /// Sample this shard if its slowest owned node has crossed the next
-    /// heartbeat boundary. At most one boundary fires per cycle; a
-    /// shard that somehow skipped past several catches up on the
-    /// following cycles.
+    /// heartbeat boundary.
     fn due(&mut self, cl: &Cluster) -> Option<ObsDelta> {
-        if self.every == 0 {
-            return None;
-        }
-        let min_step = cl.owned_range().map(|n| cl.state[n].step).min()?;
-        if min_step < self.next_due {
-            return None;
-        }
-        let boundary = self.next_due;
-        self.next_due += self.every;
-        let StepStalls { productive, stalled: stalls } = self.owned_totals(cl);
+        let (boundary, min_step) = self.cadence.due(cl)?;
+        let StepStalls { productive, stalled: stalls } = cl.stall_totals();
         Some(ObsDelta {
             worker: self.index,
             boundary,
@@ -927,8 +891,7 @@ impl ObsShard {
             .into_iter()
             .flatten()
             .collect();
-        self.beats += 1;
-        Some(FleetBeat { beat: self.beats, boundary, cycle, workers })
+        Some(FleetBeat { boundary, cycle, workers })
     }
 }
 
@@ -1318,7 +1281,6 @@ fn serve(
                     matches!(outcome, Err(SegmentFail::Link(_) | SegmentFail::Lookahead(_)));
                 let frame = match outcome {
                     Ok(()) => {
-                        ctx.obs.bank_segment(&cl);
                         let gauges = ctx.obs.gauges.since(&before);
                         CtlFrame::Done(Box::new(segment_ok(&mut cl, &base, gauges)))
                     }
@@ -1475,7 +1437,7 @@ fn coordinate(
         None => RunAccumulator::new(),
     };
     let mut ctl = connect(&replica, opts.resume.as_deref())?;
-    let mut fleet = opts.obs.as_ref().map(FleetObs::new).transpose()?;
+    let mut fleet = opts.obs.as_ref().map(|sinks| FleetObs::new(sinks, steps)).transpose()?;
     let mut scratch = Cluster::new(cfg.clone(), sys);
     let base = Tallies::of(&replica);
     let mut gauges = vec![ShardGauges::default(); shards];
@@ -1498,7 +1460,7 @@ fn coordinate(
                 match CtlFrame::decode(&frame)? {
                     CtlFrame::Beat(fb) => {
                         if let Some(f) = fleet.as_mut() {
-                            f.on_beat(&fb, &ranges, steps);
+                            f.on_beat(&fb, &ranges);
                         }
                     }
                     CtlFrame::Done(ok) => {
@@ -2222,7 +2184,6 @@ mod tests {
             container: few(rng).map(|_| rng.next_u64() as u8).collect(),
         };
         let beat = FleetBeat {
-            beat: rng.next_u64(),
             boundary: rng.next_u64(),
             cycle: rng.next_u64(),
             workers: few(rng)

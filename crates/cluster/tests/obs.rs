@@ -10,8 +10,9 @@
 mod harness;
 
 use fasda_cluster::{
-    emit_final, final_totals_json, measured_from, model_input, run_sharded, Cluster, EngineConfig,
-    FaultPlan, HostCosts, ObsLive, ObsSinkConfig, ShardOpts, TraceConfig, TraceLevel,
+    emit_final, final_totals_json, measured_from, model_input, run_sharded, run_with_checkpoints,
+    CheckpointConfig, CheckpointedRun, Cluster, EngineConfig, FaultPlan, HostCosts, ObsLive,
+    ObsSinkConfig, RunAccumulator, ShardOpts, TraceConfig, TraceLevel,
 };
 use fasda_trace::Json;
 use harness::{config, fold, parse_jsonl, workload, workload_of, BUDGET};
@@ -84,6 +85,60 @@ fn final_totals_identical_across_engines_and_shards() {
 // Heartbeat stream: JSONL shape, monotonicity, prom scrape, final record
 // -------------------------------------------------------------------------
 
+/// Integer field `key` of a heartbeat record or counters object.
+fn int(doc: &Json, key: &str) -> i64 {
+    doc.get(key).and_then(Json::as_i64).unwrap_or_else(|| panic!("no integer {key}"))
+}
+
+/// The counters of a heartbeat record that may never decrease: cycles,
+/// productive cycles and every stall cause.
+fn monotone_counters(counters: &Json) -> Vec<(String, i64)> {
+    let mut out = vec![
+        ("cycles".to_string(), int(counters, "cycles")),
+        ("productive_cycles".to_string(), int(counters, "productive_cycles")),
+    ];
+    let Some(Json::Obj(causes)) = counters.get("stall_cycles") else {
+        panic!("no stall_cycles counters");
+    };
+    for (cause, cycles) in causes {
+        out.push((format!("stall_cycles.{cause}"), cycles.as_i64().expect("integer stall count")));
+    }
+    out
+}
+
+/// The contract of a heartbeat stream — in-process `beat` and sharded
+/// `fleet` records alike, checkpointed or not: every record reports the
+/// run's step target and `progress = step / steps`, no counter ever
+/// decreases, and the beat at the last step carries the run's final
+/// productive and stall totals (`totals`, a final totals document).
+fn assert_beats_track_totals(beats: &[Json], kind: &str, totals: &Json, ctx: &str) {
+    assert!(!beats.is_empty(), "{ctx}: no {kind} records");
+    let mut last_step = 0;
+    let mut last: Option<Vec<(String, i64)>> = None;
+    for rec in beats {
+        assert_eq!(rec.get("type").and_then(Json::as_str), Some(kind), "{ctx}");
+        let step = int(rec, "step");
+        assert!(step >= last_step, "{ctx}: steps must be monotonic");
+        last_step = step;
+        assert_eq!(int(rec, "steps"), STEPS as i64, "{ctx}: step {step} reports another target");
+        let progress = rec.get("gauges").and_then(|g| g.get("progress")).and_then(Json::as_f64);
+        assert_eq!(progress, Some(step as f64 / STEPS as f64), "{ctx}: progress at step {step}");
+        let now = monotone_counters(rec.get("counters").expect("counters"));
+        if let Some(last) = &last {
+            for ((name, n), (_, was)) in now.iter().zip(last) {
+                assert!(n >= was, "{ctx}: {name} ran backwards at step {step}: {was} -> {n}");
+            }
+        }
+        last = Some(now);
+    }
+    let end = beats.last().expect("records");
+    assert_eq!(int(end, "step"), STEPS as i64, "{ctx}: no beat at the last step");
+    let (got, want) = (end.get("counters").unwrap(), totals.get("counters").unwrap());
+    for key in ["productive_cycles", "stall_cycles"] {
+        assert_eq!(got.get(key), want.get(key), "{ctx}: last beat's {key} is not the final total");
+    }
+}
+
 #[test]
 fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
     let sys = workload();
@@ -92,64 +147,69 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
         heartbeat_out: Some(dir.join("beats.jsonl")),
         prom_out: Some(dir.join("scrape.prom")),
     };
-
     let engine = EngineConfig::serial().with_trace(TraceConfig::full());
-    let mut cluster = Cluster::new(config(None, false), &sys);
-    cluster.attach_obs(Box::new(ObsLive::new(1, &sinks).expect("sinks open")));
-    let report = cluster.try_run_with(STEPS, BUDGET, &engine).expect("run completes");
-    // An armed sampler only watches: the same run without one reports
-    // the same thing.
-    let unarmed_report = Cluster::new(config(None, false), &sys)
-        .try_run_with(STEPS, BUDGET, &engine)
-        .expect("unarmed run completes");
-    assert_eq!(report, unarmed_report);
-    let obs = cluster.take_obs().expect("sampler still attached");
-    assert!(obs.beats() >= STEPS - 1, "cadence 1 must beat (almost) every step");
-    let trace = cluster.take_trace().expect("tracing was on");
-    emit_final(&sinks, &report, Some(&trace.stalls), &HostCosts::default()).expect("final record");
 
-    let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
-    assert!(records.len() >= 2, "beats + final expected");
-    let mut last_step = 0;
-    let mut last_cycles = 0;
-    for rec in &records[..records.len() - 1] {
-        assert_eq!(rec.get("type").unwrap().as_str(), Some("beat"));
-        let step = rec.get("step").unwrap().as_i64().unwrap();
-        assert!(step >= last_step, "steps must be monotonic");
-        last_step = step;
-        let counters = rec.get("counters").unwrap();
-        let cycles = counters.get("cycles").unwrap().as_i64().unwrap();
-        assert!(cycles >= last_cycles, "cycle counter must not decrease");
-        last_cycles = cycles;
+    // One segment at cadence 1, then a checkpoint every step at cadence
+    // 2: the cluster banks each segment's stall ledger, so the beats
+    // still count the whole run.
+    for (every, ckpt) in [(1, None), (2, Some(CheckpointConfig::new(1, dir.join("ck"))))] {
+        let ctx = format!("cadence {every}, checkpointed: {}", ckpt.is_some());
+        let mut cluster = Cluster::new(config(None, false), &sys);
+        cluster.attach_obs(Box::new(ObsLive::new(every, &sinks).expect("sinks open")));
+        let CheckpointedRun { report, traces, .. } = run_with_checkpoints(
+            &mut cluster,
+            STEPS,
+            BUDGET,
+            &engine,
+            ckpt.as_ref(),
+            RunAccumulator::new(),
+        )
+        .expect("run completes");
+        if ckpt.is_none() {
+            // An armed sampler only watches: the same run without one
+            // reports the same thing.
+            let unarmed_report = Cluster::new(config(None, false), &sys)
+                .try_run_with(STEPS, BUDGET, &engine)
+                .expect("unarmed run completes");
+            assert_eq!(report, unarmed_report);
+        }
+        let obs = cluster.take_obs().expect("sampler still attached");
+        assert_eq!(obs.beats(), STEPS / every, "{ctx}: one beat per boundary");
+        let stalls = fold(&traces, cluster.num_nodes());
+        emit_final(&sinks, &report, Some(&stalls), &HostCosts::default()).expect("final record");
+
+        let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
+        let (fin, beats) = records.split_last().expect("beats + final expected");
+        // The trailing record is the final-totals identity artifact: its
+        // counters equal the pure-function totals document exactly.
+        assert_eq!(fin.get("type").unwrap().as_str(), Some("final"));
+        let want = final_totals_json(&report, Some(&stalls));
+        assert_eq!(fin.get("counters"), want.get("counters"), "{ctx}: final record drifted");
+        assert_eq!(fin.get("hists"), want.get("hists"));
+        assert_beats_track_totals(beats, "beat", &want, &ctx);
         // The progress gauges ride along on every beat.
-        let gauges = rec.get("gauges").unwrap();
-        for g in ["wall_s", "steps_per_s", "eta_s", "progress"] {
-            assert!(gauges.get(g).is_some(), "missing gauge {g}");
+        for rec in beats {
+            let gauges = rec.get("gauges").unwrap();
+            for g in ["wall_s", "steps_per_s", "eta_s", "progress"] {
+                assert!(gauges.get(g).is_some(), "{ctx}: missing gauge {g}");
+            }
         }
-    }
 
-    // The trailing record is the final-totals identity artifact: its
-    // counters equal the pure-function totals document exactly.
-    let fin = records.last().unwrap();
-    assert_eq!(fin.get("type").unwrap().as_str(), Some("final"));
-    let want = final_totals_json(&report, Some(&trace.stalls));
-    assert_eq!(fin.get("counters"), want.get("counters"), "final record drifted");
-    assert_eq!(fin.get("hists"), want.get("hists"));
-
-    // Prometheus text format: every line is a comment or `name value`,
-    // names carry the fasda prefix, values parse as floats.
-    let prom = std::fs::read_to_string(sinks.prom_out.clone().unwrap()).expect("scrape file");
-    let mut samples = 0;
-    for line in prom.lines().filter(|l| !l.is_empty()) {
-        if line.starts_with("# TYPE ") || line.starts_with("# HELP ") {
-            continue;
+        // Prometheus text format: every line is a comment or `name
+        // value`, names carry the fasda prefix, values parse as floats.
+        let prom = std::fs::read_to_string(sinks.prom_out.clone().unwrap()).expect("scrape file");
+        let mut samples = 0;
+        for line in prom.lines().filter(|l| !l.is_empty()) {
+            if line.starts_with("# TYPE ") || line.starts_with("# HELP ") {
+                continue;
+            }
+            let (name, value) = line.rsplit_once(' ').expect("sample line");
+            assert!(name.starts_with("fasda_"), "unprefixed metric {name}");
+            value.parse::<f64>().unwrap_or_else(|_| panic!("bad value in {line:?}"));
+            samples += 1;
         }
-        let (name, value) = line.rsplit_once(' ').expect("sample line");
-        assert!(name.starts_with("fasda_"), "unprefixed metric {name}");
-        value.parse::<f64>().unwrap_or_else(|_| panic!("bad value in {line:?}"));
-        samples += 1;
+        assert!(samples > 0, "scrape file has no samples");
     }
-    assert!(samples > 0, "scrape file has no samples");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -166,66 +226,70 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
         prom_out: Some(dir.join("fleet.prom")),
     };
 
-    let run = run_sharded(
-        &config(None, false),
-        &sys,
-        STEPS,
-        &EngineConfig::serial()
-            .with_trace(TraceConfig::full())
-            .with_heartbeat_every(1),
-        2,
-        ShardOpts { budget: BUDGET, ckpt: None, resume: None, obs: Some(sinks.clone()), ..Default::default() },
-    )
-    .expect("sharded run completes");
-    assert_eq!(run.report.steps, STEPS);
+    for (every, ckpt) in [(1, None), (2, Some(CheckpointConfig::new(1, dir.join("ck"))))] {
+        let ctx = format!("cadence {every}, checkpointed: {}", ckpt.is_some());
+        let run = run_sharded(
+            &config(None, false),
+            &sys,
+            STEPS,
+            &EngineConfig::serial()
+                .with_trace(TraceConfig::full())
+                .with_heartbeat_every(every),
+            2,
+            ShardOpts { budget: BUDGET, ckpt, resume: None, obs: Some(sinks.clone()), ..Default::default() },
+        )
+        .expect("sharded run completes");
+        assert_eq!(run.report.steps, STEPS);
 
-    let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
-    assert!(!records.is_empty(), "fleet heartbeats expected");
-    let mut last_beat = 0;
-    const GAUGES: [&str; 5] = ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns"];
-    let mut last_gauges = [[0i64; GAUGES.len()]; 2];
-    for rec in &records {
-        assert_eq!(rec.get("type").unwrap().as_str(), Some("fleet"));
-        let beat = rec.get("beat").unwrap().as_i64().unwrap();
-        assert!(beat > last_beat, "beat counter must increase");
-        last_beat = beat;
-        assert!(rec.get("lag_steps").unwrap().as_i64().unwrap() >= 0);
-        let lagging = rec.get("lagging_shard").unwrap().as_i64().unwrap();
-        assert!((0..2).contains(&lagging), "lagging shard out of range");
-        let shards = rec.get("shards").unwrap().items();
-        assert_eq!(shards.len(), 2, "one sample per shard");
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(s.get("shard").unwrap().as_i64(), Some(i as i64));
-            assert!(s.get("nodes").unwrap().as_str().unwrap().contains(".."));
-            assert!(s.get("min_step").unwrap().as_i64().is_some());
-            // Where the shard's wall time goes: cumulative exchange
-            // gauges, so none of them ever runs backwards.
-            let now = GAUGES.map(|name| s.get(name).and_then(Json::as_i64).unwrap_or(-1));
-            for (name, (n, last)) in GAUGES.iter().zip(now.iter().zip(&last_gauges[i])) {
-                assert!(n >= last && *n >= 0, "{name} gauge ran backwards on shard {i}: {now:?}");
+        let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
+        let totals =
+            final_totals_json(&run.report, Some(&fold(&run.traces, run.replica.num_nodes())));
+        assert_beats_track_totals(&records, "fleet", &totals, &ctx);
+        let mut last_beat = 0;
+        const GAUGES: [&str; 5] = ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns"];
+        let mut last_gauges = [[0i64; GAUGES.len()]; 2];
+        for rec in &records {
+            let beat = rec.get("beat").unwrap().as_i64().unwrap();
+            assert!(beat > last_beat, "beat counter must increase");
+            last_beat = beat;
+            assert!(rec.get("lag_steps").unwrap().as_i64().unwrap() >= 0);
+            let lagging = rec.get("lagging_shard").unwrap().as_i64().unwrap();
+            assert!((0..2).contains(&lagging), "lagging shard out of range");
+            let shards = rec.get("shards").unwrap().items();
+            assert_eq!(shards.len(), 2, "one sample per shard");
+            for (i, s) in shards.iter().enumerate() {
+                assert_eq!(s.get("shard").unwrap().as_i64(), Some(i as i64));
+                assert!(s.get("nodes").unwrap().as_str().unwrap().contains(".."));
+                assert!(s.get("min_step").unwrap().as_i64().is_some());
+                // Where the shard's wall time goes: cumulative exchange
+                // gauges, so none of them ever runs backwards.
+                let now = GAUGES.map(|name| s.get(name).and_then(Json::as_i64).unwrap_or(-1));
+                for (name, (n, last)) in GAUGES.iter().zip(now.iter().zip(&last_gauges[i])) {
+                    assert!(n >= last && *n >= 0, "{name} gauge ran backwards on shard {i}: {now:?}");
+                }
+                last_gauges[i] = now;
+                let [windows, _, frame_bytes, compute_ns, wait_ns] = now;
+                assert!(windows >= 1, "a beat without an exchange window on shard {i}");
+                assert!(frame_bytes > 0, "two shards always have a frame to send");
+                // wait_share is the blocked share of compute + wait time.
+                let share = s.get("wait_share").and_then(Json::as_f64).expect("wait_share");
+                let want = wait_ns as f64 / (compute_ns + wait_ns).max(1) as f64;
+                assert!((share - want).abs() < 1e-9, "wait_share {share} != {want} on shard {i}");
             }
-            last_gauges[i] = now;
-            let [windows, _, frame_bytes, compute_ns, wait_ns] = now;
-            assert!(windows >= 1, "a beat without an exchange window on shard {i}");
-            assert!(frame_bytes > 0, "two shards always have a frame to send");
-            // wait_share is the blocked share of compute + wait time.
-            let share = s.get("wait_share").and_then(Json::as_f64).expect("wait_share");
-            let want = wait_ns as f64 / (compute_ns + wait_ns).max(1) as f64;
-            assert!((share - want).abs() < 1e-9, "wait_share {share} != {want} on shard {i}");
-        }
-        // Progress gauges never leak into the byte-compared sections.
-        for section in ["counters", "gauges"] {
-            let text = rec.get(section).map(Json::compact).unwrap_or_default();
-            for name in ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns", "wait_share"] {
-                assert!(!text.contains(name), "{name} leaked into {section}: {text}");
+            // Progress gauges never leak into the byte-compared sections.
+            for section in ["counters", "gauges"] {
+                let text = rec.get(section).map(Json::compact).unwrap_or_default();
+                for name in ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns", "wait_share"] {
+                    assert!(!text.contains(name), "{name} leaked into {section}: {text}");
+                }
             }
         }
+
+        // The fleet scrape file exists and exposes per-shard progress.
+        let prom = std::fs::read_to_string(sinks.prom_out.clone().unwrap()).expect("scrape file");
+        assert!(prom.contains("fasda_fleet_shard_min_step_total{shard=\"0\"}"));
+        assert!(prom.contains("fasda_fleet_shard_min_step_total{shard=\"1\"}"));
     }
-
-    // The fleet scrape file exists and exposes per-shard progress.
-    let prom = std::fs::read_to_string(sinks.prom_out.clone().unwrap()).expect("scrape file");
-    assert!(prom.contains("fasda_fleet_shard_min_step_total{shard=\"0\"}"));
-    assert!(prom.contains("fasda_fleet_shard_min_step_total{shard=\"1\"}"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -33,6 +33,14 @@ pub enum LinkError {
     Io(String),
     /// The frame arrived but failed validation (CRC, length bound).
     Frame(CkptError),
+    /// The frame's header claims more payload than the reader accepts
+    /// ([`FrameLink::recv_frame_within`]).
+    Oversized {
+        /// Payload bytes the header claims.
+        len: u64,
+        /// The reader's cap.
+        cap: u64,
+    },
 }
 
 impl std::fmt::Display for LinkError {
@@ -40,6 +48,9 @@ impl std::fmt::Display for LinkError {
         match self {
             LinkError::Io(e) => write!(f, "shard link I/O error: {e}"),
             LinkError::Frame(e) => write!(f, "shard link frame error: {e}"),
+            LinkError::Oversized { len, cap } => {
+                write!(f, "frame claims {len} bytes, over the {cap}-byte cap")
+            }
         }
     }
 }
@@ -70,6 +81,16 @@ pub trait FrameLink: Send {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), LinkError>;
     /// Block until one frame arrives; validates framing before returning.
     fn recv_frame(&mut self) -> Result<Vec<u8>, LinkError>;
+    /// [`FrameLink::recv_frame`], refusing a frame whose payload exceeds
+    /// `cap` bytes. A byte-stream carrier refuses from the header alone,
+    /// before allocating; by default the received frame is checked.
+    fn recv_frame_within(&mut self, cap: u64) -> Result<Vec<u8>, LinkError> {
+        let frame = self.recv_frame()?;
+        match frame.len() as u64 {
+            len if len > cap => Err(LinkError::Oversized { len, cap }),
+            _ => Ok(frame),
+        }
+    }
 }
 
 /// [`FrameLink`] over a connected byte stream, buffered independently
@@ -127,6 +148,16 @@ impl<S: Read + Write + Send> FrameLink for StreamLink<S> {
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, LinkError> {
         Ok(frame::read_frame_from(&mut self.reader, "shard-link")?)
+    }
+
+    fn recv_frame_within(&mut self, cap: u64) -> Result<Vec<u8>, LinkError> {
+        let mut header = [0u8; frame::HEADER_BYTES];
+        self.reader.read_exact(&mut header)?;
+        let len = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
+        if len > cap {
+            return Err(LinkError::Oversized { len, cap });
+        }
+        Ok(frame::read_frame_from(&mut header.chain(&mut self.reader), "shard-link")?)
     }
 }
 

@@ -11,8 +11,10 @@
 //! measured) and compares its [`Prediction`] against a [`Measured`]
 //! summary distilled from a finished run's `ClusterRunReport` and
 //! stall ledger. The divergence report is what keeps the model honest:
-//! it lands in every metrics document and is gated in CI (see
+//! `fasda-cluster`'s `model_divergence_computes_from_a_real_run` test
+//! computes it from a real run and fails on any [`Gate`] violation (see
 //! `DESIGN.md` §12 for the equations and the calibration method).
+//! Every axis it reports is gated.
 //!
 //! Everything here is deterministic: the pair pass-rate integral uses
 //! a fixed midpoint quadrature, so the same input always produces the
@@ -256,8 +258,6 @@ pub struct Prediction {
     pub pos_packets_per_step: f64,
     /// Predicted force-fabric packets per step (cluster-global).
     pub frc_packets_per_step: f64,
-    /// Predicted tx-cooldown stall cycles per (node, step).
-    pub tx_cooldown: f64,
     /// Predicted idle-share per stall class (fractions of total idle).
     pub stall_shares: [f64; STALL_CLASSES],
 }
@@ -370,12 +370,6 @@ pub fn predict(input: &ModelInput) -> Prediction {
         0.0
     };
 
-    // Tx-cooldown per (node, step): each departed packet arms the
-    // §5.4 cooldown; only the fraction of it not hidden under the
-    // metered stream shows up as attributed stall.
-    let packets_per_node = (pos_packets + frc_packets) / nodes.max(1.0);
-    let tx_cooldown = packets_per_node * input.packet_cooldown as f64;
-
     // Sync tail: the final broadcast drains through the pipeline, the
     // marker crosses the fabric, and the chained handshake completes.
     let sync_tail = if nodes > 1.0 {
@@ -417,8 +411,7 @@ pub fn predict(input: &ModelInput) -> Prediction {
     // everything drains but before the neighbours' markers land books
     // wait-neighbor-sync. Tx-cooldown hides under ticked cycles (the
     // chip keeps ticking while a packetizer waits out a departure
-    // cooldown), so its share is ~0 even though the §5.4 cooldown
-    // quantity itself is predicted above.
+    // cooldown), so its share is ~0.
     let idle = (force_cycles - busy).max(0.0);
     let mut stall_cycles = [0.0f64; STALL_CLASSES];
     if idle > 0.0 {
@@ -461,7 +454,6 @@ pub fn predict(input: &ModelInput) -> Prediction {
         occupancy,
         pos_packets_per_step: pos_packets,
         frc_packets_per_step: frc_packets,
-        tx_cooldown,
         stall_shares,
     }
 }
@@ -513,16 +505,12 @@ pub struct Measured {
     pub cycles_per_step: f64,
     /// Mean force-phase cycles per (node, step).
     pub force_cycles: f64,
-    /// Mean motion-update cycles per (node, step).
-    pub mu_cycles: f64,
     /// Force-phase occupancy: ledger productive / attributed.
     pub occupancy: f64,
     /// Position-fabric packets per step (cluster-global).
     pub pos_packets_per_step: f64,
     /// Force-fabric packets per step (cluster-global).
     pub frc_packets_per_step: f64,
-    /// Mean (wait-neighbor-sync + drained) cycles per (node, step).
-    pub sync_tail: f64,
     /// Idle share per stall class (fractions of total idle).
     pub stall_shares: [f64; STALL_CLASSES],
 }
@@ -576,16 +564,12 @@ pub struct Divergence {
     pub cycles_rel: f64,
     /// Relative error on mean force-phase cycles.
     pub force_rel: f64,
-    /// Relative error on mean motion-update cycles.
-    pub mu_rel: f64,
     /// Absolute error on occupancy.
     pub occupancy_abs: f64,
     /// Relative error on position-fabric packets per step.
     pub pos_packets_rel: f64,
     /// Relative error on force-fabric packets per step.
     pub frc_packets_rel: f64,
-    /// Relative error on the sync tail.
-    pub sync_tail_rel: f64,
     /// Absolute error per stall class's idle share.
     pub stall_share_abs: [f64; STALL_CLASSES],
 }
@@ -603,11 +587,9 @@ impl Divergence {
         Divergence {
             cycles_rel: rel_err(pred.cycles_per_step, meas.cycles_per_step),
             force_rel: rel_err(pred.force_cycles, meas.force_cycles),
-            mu_rel: rel_err(pred.mu_cycles, meas.mu_cycles),
             occupancy_abs: (pred.occupancy - meas.occupancy).abs(),
             pos_packets_rel: rel_err(pred.pos_packets_per_step, meas.pos_packets_per_step),
             frc_packets_rel: rel_err(pred.frc_packets_per_step, meas.frc_packets_per_step),
-            sync_tail_rel: rel_err(pred.sync_tail, meas.sync_tail),
             stall_share_abs,
         }
     }
@@ -618,8 +600,7 @@ impl Divergence {
     }
 
     /// Gate violations (empty = within thresholds). Packet errors are
-    /// only gated when the run had inter-node traffic; `mu_rel` and
-    /// `sync_tail_rel` are reported but not gated (see DESIGN.md §12).
+    /// only gated when the run had inter-node traffic.
     pub fn violations(&self, gate: &Gate, meas: &Measured) -> Vec<String> {
         let mut out = Vec::new();
         let mut check = |name: &str, err: f64, limit: f64| {
@@ -684,11 +665,9 @@ pub fn modelcheck_json(pred: &Prediction, meas: &Measured, gate: &Gate) -> Json 
             Json::obj()
                 .field("cycles_per_step", Json::fixed(meas.cycles_per_step, 3))
                 .field("force_cycles", Json::fixed(meas.force_cycles, 3))
-                .field("mu_cycles", Json::fixed(meas.mu_cycles, 3))
                 .field("occupancy", Json::fixed(meas.occupancy, 6))
                 .field("pos_packets_per_step", Json::fixed(meas.pos_packets_per_step, 3))
                 .field("frc_packets_per_step", Json::fixed(meas.frc_packets_per_step, 3))
-                .field("sync_tail", Json::fixed(meas.sync_tail, 3))
                 .field("stall_shares", shares_json(&meas.stall_shares))
                 .build(),
         )
@@ -697,11 +676,9 @@ pub fn modelcheck_json(pred: &Prediction, meas: &Measured, gate: &Gate) -> Json 
             Json::obj()
                 .field("cycles_rel", Json::fixed(div.cycles_rel, 6))
                 .field("force_rel", Json::fixed(div.force_rel, 6))
-                .field("mu_rel", Json::fixed(div.mu_rel, 6))
                 .field("occupancy_abs", Json::fixed(div.occupancy_abs, 6))
                 .field("pos_packets_rel", Json::fixed(div.pos_packets_rel, 6))
                 .field("frc_packets_rel", Json::fixed(div.frc_packets_rel, 6))
-                .field("sync_tail_rel", Json::fixed(div.sync_tail_rel, 6))
                 .field("stall_share_abs", shares_json(&div.stall_share_abs))
                 .field(
                     "max_stall_share_abs",
@@ -823,11 +800,9 @@ mod tests {
             nodes: 2,
             cycles_per_step: pred.cycles_per_step,
             force_cycles: pred.force_cycles,
-            mu_cycles: pred.mu_cycles,
             occupancy: pred.occupancy,
             pos_packets_per_step: pred.pos_packets_per_step,
             frc_packets_per_step: pred.frc_packets_per_step,
-            sync_tail: pred.sync_tail,
             stall_shares: pred.stall_shares,
         };
         let div = Divergence::compare(&pred, &meas);
@@ -849,11 +824,9 @@ mod tests {
             nodes: 2,
             cycles_per_step: pred.cycles_per_step * 1.05,
             force_cycles: pred.force_cycles,
-            mu_cycles: pred.mu_cycles,
             occupancy: pred.occupancy,
             pos_packets_per_step: pred.pos_packets_per_step,
             frc_packets_per_step: pred.frc_packets_per_step,
-            sync_tail: pred.sync_tail,
             stall_shares: pred.stall_shares,
         };
         let doc = modelcheck_json(&pred, &meas, &Gate::default());

@@ -28,6 +28,10 @@
 //! `status` without an id lists the last
 //! [`FINISHED_KEPT`](crate::server::FINISHED_KEPT) finished jobs, then
 //! the live ones. Failures come back as `{"v":1,"ok":false,"error":"..."}`.
+//!
+//! The daemon reads requests under [`MAX_REQUEST_BYTES`]: a frame whose
+//! header claims more is answered `ok: false` and its connection
+//! closed, without allocating the claimed size.
 
 use fasda_net::transport::{FrameLink, LinkError};
 use fasda_trace::json::ObjBuilder;
@@ -35,6 +39,10 @@ use fasda_trace::Json;
 
 /// Control-protocol version; bumped on any wire-visible change.
 pub const PROTO_VERSION: i64 = 1;
+
+/// Cap on one request frame's payload. A `submit` spec is well under
+/// 64 KiB; responses a client reads keep the container's frame cap.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// Protocol-layer errors.
 #[derive(Debug)]
@@ -47,6 +55,11 @@ pub enum ProtoError {
     Version(i64),
     /// The server answered `ok: false`.
     Rejected(String),
+    /// A request frame's header claims more than [`MAX_REQUEST_BYTES`].
+    TooLarge {
+        /// Payload bytes the header claims.
+        len: u64,
+    },
 }
 
 impl std::fmt::Display for ProtoError {
@@ -59,6 +72,10 @@ impl std::fmt::Display for ProtoError {
                 "protocol version mismatch: peer speaks v{v}, this build speaks v{PROTO_VERSION}"
             ),
             ProtoError::Rejected(e) => write!(f, "server rejected request: {e}"),
+            ProtoError::TooLarge { len } => write!(
+                f,
+                "request frame claims {len} bytes, over the {MAX_REQUEST_BYTES}-byte cap"
+            ),
         }
     }
 }
@@ -84,8 +101,21 @@ pub fn write_msg(link: &mut dyn FrameLink, doc: &Json) -> Result<(), ProtoError>
 /// Receive one protocol document, validating framing, JSON shape, and
 /// the version field.
 pub fn read_msg(link: &mut dyn FrameLink) -> Result<Json, ProtoError> {
-    let bytes = link.recv_frame()?;
-    let text = std::str::from_utf8(&bytes)
+    parse_msg(&link.recv_frame()?)
+}
+
+/// Receive one request: [`read_msg`] under [`MAX_REQUEST_BYTES`], with
+/// an oversized header reported as [`ProtoError::TooLarge`].
+pub fn read_request(link: &mut dyn FrameLink) -> Result<Json, ProtoError> {
+    match link.recv_frame_within(MAX_REQUEST_BYTES) {
+        Ok(bytes) => parse_msg(&bytes),
+        Err(LinkError::Oversized { len, .. }) => Err(ProtoError::TooLarge { len }),
+        Err(e) => Err(e.into()),
+    }
+}
+
+fn parse_msg(bytes: &[u8]) -> Result<Json, ProtoError> {
+    let text = std::str::from_utf8(bytes)
         .map_err(|e| ProtoError::Malformed(format!("not UTF-8: {e}")))?;
     let doc = Json::parse(text).map_err(ProtoError::Malformed)?;
     match doc.get("v").and_then(Json::as_i64) {

@@ -840,7 +840,16 @@ fn connection_loop(
     link: &mut dyn FrameLink,
 ) -> Result<(), ProtoError> {
     loop {
-        let doc = proto::read_msg(link)?;
+        let doc = match proto::read_request(link) {
+            Ok(doc) => doc,
+            // The claimed payload is still on the wire, so the stream
+            // is out of frame: answer, then hang up.
+            Err(e @ ProtoError::TooLarge { .. }) => {
+                proto::write_msg(link, &proto::err(&e.to_string()))?;
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
         let (resp, stop) = handle_request(sh, next_id, &doc);
         proto::write_msg(link, &resp)?;
         if stop {

@@ -13,6 +13,7 @@ use fasda_svc::queue::{self, QueueJournal, ReplayedState};
 use fasda_svc::server::{Listen, FINISHED_KEPT};
 use fasda_svc::{Client, JobSpec, Server, ServerConfig, TenantQuota};
 use fasda_trace::Json;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -370,6 +371,20 @@ fn tcp_control_socket_speaks_the_same_protocol() {
     let mut hostile = TcpLink::connect(&addr).expect("raw connect");
     hostile.send_frame("[".repeat(200_000).as_bytes()).expect("send deep frame");
     assert!(hostile.recv_frame().is_err(), "daemon must close the hostile connection");
+    // A bare header claiming 512 MiB is refused from the header alone:
+    // a typed answer naming the claim and the cap, then the hang-up.
+    // The read timeout fails the test instead of hanging it.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let claim = 512u64 << 20;
+    raw.write_all(&[&claim.to_le_bytes()[..], &[0; 4]].concat()).expect("send header");
+    let reply = fasda_ckpt::frame::read_frame_from(&mut raw, "reply").expect("daemon answers");
+    let reply = Json::parse(std::str::from_utf8(&reply).expect("utf-8")).expect("reply json");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or_default();
+    let cap = fasda_svc::proto::MAX_REQUEST_BYTES.to_string();
+    assert!(error.contains(&claim.to_string()) && error.contains(&cap), "{error}");
+    assert_eq!(raw.read(&mut [0; 1]).expect("clean hang-up"), 0, "connection left open");
     let status = client.status(id).expect("status after the hostile frame");
     assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"));
     client.shutdown().expect("shutdown");
