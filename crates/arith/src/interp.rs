@@ -18,7 +18,7 @@
 //! models \[can\] be implemented with trivial modification" — any smooth
 //! `f(r²)` can be tabulated via [`InterpTable::build_fn`].
 
-use crate::float_bits::{bin_lower_edge, bin_upper_edge, section_bin, SectionBin};
+use crate::float_bits::{bin_lower_edge, section_bin, SectionBin};
 use serde::{Deserialize, Serialize};
 
 /// Table geometry: how the `r² ∈ [2^-n_sections, 1)` domain is cut up.
@@ -115,19 +115,23 @@ pub struct InterpTable {
 impl InterpTable {
     /// Build a table for `f(r²)` with coefficients exact at bin edges.
     /// Coefficient arithmetic is done in `f64` then rounded to the `f32`
-    /// words the hardware stores.
+    /// words the hardware stores. A bin's upper edge is the next bin's
+    /// lower edge, bit for bit, so `f` runs once per edge: `bins + 1`
+    /// calls per section.
     pub fn build_fn(cfg: TableConfig, f: impl Fn(f64) -> f64) -> Self {
         let bins = cfg.bins();
         let mut coeffs = Vec::with_capacity(cfg.entries());
         for s in 0..cfg.n_sections {
+            let edge = |b| bin_lower_edge(s, b, cfg.n_sections, cfg.log2_bins);
+            let mut x0 = edge(0);
+            let mut y0 = f(x0);
             for b in 0..bins {
-                let x0 = bin_lower_edge(s, b, cfg.n_sections, cfg.log2_bins);
-                let x1 = bin_upper_edge(s, b, cfg.n_sections, cfg.log2_bins);
-                let y0 = f(x0);
+                let x1 = edge(b + 1);
                 let y1 = f(x1);
                 let a = (y1 - y0) / (x1 - x0);
                 let c = y0 - a * x0;
                 coeffs.push((a as f32, c as f32));
+                (x0, y0) = (x1, y1);
             }
         }
         InterpTable { cfg, coeffs }

@@ -66,6 +66,21 @@ fn run_section(metrics: &[u8]) -> Json {
     parse(metrics).get("run").expect("run section").clone()
 }
 
+/// A metrics document without its `trace.engine_*` counters: the fast
+/// engine's private event stream (fast-forward jumps) is the one thing
+/// the serial oracle legitimately lacks.
+fn engine_invariant(metrics: &[u8]) -> Json {
+    let mut doc = parse(metrics);
+    let Json::Obj(sections) = &mut doc else { panic!("metrics document is not an object") };
+    let Some((_, Json::Obj(trace))) = sections.iter_mut().find(|(k, _)| k == "trace") else {
+        panic!("no trace section")
+    };
+    let before = trace.len();
+    trace.retain(|(k, _)| k != "engine_events" && k != "engine_dropped");
+    assert_eq!(trace.len(), before - 2, "trace section lacks its engine counters");
+    doc
+}
+
 fn int(doc: &Json, key: &str) -> i64 {
     doc.get(key).and_then(Json::as_i64).unwrap_or_else(|| panic!("no integer {key}"))
 }
@@ -168,10 +183,19 @@ fn every_run_path_agrees() {
     // workers split each crossing between its two owners. Without
     // --shard-dir the rendezvous directory is the run's own, in the temp
     // dir, and goes with it.
-    let (chaos, chaos_m, chaos_o) = artifacts(&dir, "chaos", &CHAOS);
+    // The oracle agrees under faults too, with the full flight recorder
+    // on: its metrics document is the default engine's but for the
+    // engine-private trace counters.
+    let full = |out: &'static str| ["--trace-level", "full", "--trace-out", out];
+    let (chaos, chaos_m, chaos_o) =
+        artifacts(&dir, "chaos", &[&CHAOS[..], &full("chaos.trace.json")].concat());
+    let serial = [&CHAOS[..], &["--serial"], &full("chaos-serial.trace.json")].concat();
+    let (chaos_s, chaos_sm, _) = artifacts(&dir, "chaos-serial", &serial);
     let (chaos_2, chaos_2m, chaos_2o) =
         artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
     assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
+    assert!(chaos_s == plain, "faulted --serial dump differs from the plain run's");
+    assert_eq!(engine_invariant(&chaos_sm), engine_invariant(&chaos_m), "faulted metrics differ across engines");
     assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
     assert!(chaos_2o == chaos_o, "faulted --obs-out differs across shard counts");
     let left: Vec<_> =

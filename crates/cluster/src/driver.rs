@@ -3,6 +3,7 @@
 use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
 use crate::wire::{Cargo, Delivery, NetMsg};
 use fasda_core::config::ChipConfig;
+use fasda_core::datapath::ForceDatapath;
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
 use fasda_core::timed::ring::{FrcFlit, MigFlit, PosFlit};
 use fasda_core::timed::{ForceActivity, TimedChip, TrafficCounters};
@@ -649,15 +650,27 @@ impl Cluster {
         let node_of = |c: &ChipCoord| node_id(grid, *c);
         debug_assert!(node_coord.iter().enumerate().all(|(i, c)| node_of(c) == i));
 
+        // The immutable machine is built once: every chip reads one
+        // datapath, and one pass bins each particle to its owning node.
+        // Each node's list is ascending, so a chip pushes its CBBs'
+        // particles in the order a full-system scan would.
+        let dp = ForceDatapath::for_chip(&cfg.chip, sys.units);
+        let cell_node: Vec<usize> =
+            global.iter_cells().map(|c| node_of(&probe.chip_of_gcell(c))).collect();
+        let mut owned = vec![Vec::new(); n];
+        for (i, &p) in sys.pos.iter().enumerate() {
+            owned[cell_node[global.cell_id(global.cell_of(p)) as usize]].push(i);
+        }
+
         let mut chips = Vec::with_capacity(n);
         let mut sync = Vec::with_capacity(n);
         let mut pos_pz = Vec::with_capacity(n);
         let mut frc_pz = Vec::with_capacity(n);
         let mut mig_pz = Vec::with_capacity(n);
-        for coord in &node_coord {
+        for (coord, owned) in node_coord.iter().zip(owned) {
             let geo = ChipGeometry::new(global, cfg.block, *coord);
-            let mut chip = TimedChip::new(cfg.chip, geo, sys.units, cfg.dt_fs);
-            chip.load(sys);
+            let mut chip = TimedChip::with_datapath(cfg.chip, geo, sys.units, cfg.dt_fs, dp.clone());
+            chip.load_indices(sys, owned);
             let send: Vec<usize> = chip.send_chips.iter().map(node_of).collect();
             let recv: Vec<usize> = chip.recv_chips.iter().map(node_of).collect();
             let s = ChainedSync::new(send, recv);
