@@ -238,32 +238,6 @@ impl LjForceTable {
     }
 }
 
-/// Potential-energy tables `r⁻¹²`/`r⁻⁶`, used by the energy-conservation
-/// validation path (Fig. 19); the production force path never reads these.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LjPotentialTable {
-    /// `r⁻¹²` table.
-    pub r12: InterpTable,
-    /// `r⁻⁶` table.
-    pub r6: InterpTable,
-}
-
-impl LjPotentialTable {
-    /// Build both potential tables with one geometry.
-    pub fn new(cfg: TableConfig) -> Self {
-        LjPotentialTable {
-            r12: InterpTable::build_r_pow(cfg, 12),
-            r6: InterpTable::build_r_pow(cfg, 6),
-        }
-    }
-
-    /// Evaluate `(r⁻¹², r⁻⁶)` for a filtered pair.
-    #[inline]
-    pub fn eval(&self, r2: f32) -> (f32, f32) {
-        (self.r12.eval_filtered(r2), self.r6.eval_filtered(r2))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,15 +314,6 @@ mod tests {
         let want8 = (r2 as f64).powf(-4.0);
         assert!(((r14 as f64 - want14) / want14).abs() < 1e-4);
         assert!(((r8 as f64 - want8) / want8).abs() < 1e-4);
-    }
-
-    #[test]
-    fn potential_table_pair() {
-        let pt = LjPotentialTable::new(TableConfig::PAPER);
-        let r2 = 0.77f32;
-        let (r12, r6) = pt.eval(r2);
-        assert!(((r12 as f64) - (r2 as f64).powf(-6.0)).abs() / (r2 as f64).powf(-6.0) < 1e-4);
-        assert!(((r6 as f64) - (r2 as f64).powf(-3.0)).abs() / (r2 as f64).powf(-3.0) < 1e-4);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   `f32` (Eqs. 9–10).
 //! * [`interp`] — construction and evaluation of the per-section,
 //!   per-bin linear coefficient tables for arbitrary negative powers
-//!   `r^-α` (α = 14, 8 for force; 12, 6 for potential-energy validation).
+//!   `r^-α` (α = 14, 8 for the LJ force terms).
 
 pub mod fixed;
 pub mod float_bits;
@@ -31,4 +31,4 @@ pub mod interp;
 
 pub use fixed::{Fix, FixVec3};
 pub use float_bits::{section_bin, SectionBin};
-pub use interp::{InterpError, InterpTable, LjForceTable, LjPotentialTable, TableConfig};
+pub use interp::{InterpError, InterpTable, LjForceTable, TableConfig};

@@ -14,10 +14,8 @@
 
 use fasda_cluster::ckpt::{CheckpointConfig, SegmentControl};
 use fasda_cluster::{
-    chrome_trace, coordinator_main_net, emit_final, final_totals_json, shard_ranges, stall_json,
-    state_dump, trace_summary_json_with, worker_main_net, ClusterRunReport, EngineConfig,
-    FaultPlan, HostCosts, Json, ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts,
-    StallLedger, Trace, TraceConfig, TraceLevel,
+    chrome_trace, coordinator_main_net, state_dump, worker_main_net, EngineConfig, FaultPlan, Json,
+    ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts, TraceConfig, TraceLevel,
 };
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
@@ -89,22 +87,11 @@ fn engine(opts: &Opts) -> Result<EngineConfig, String> {
 
 /// Live-telemetry options (see DESIGN.md §12). `--heartbeat-out` /
 /// `--prom-out` without an explicit `--heartbeat-every` default to a
-/// beat per step; `--obs-out` writes the engine-invariant final totals
-/// document after the run.
+/// beat per step.
 struct ObsOpts {
     /// Heartbeat cadence in completed steps (0 = off).
     every: u64,
     sinks: ObsSinkConfig,
-    obs_out: Option<String>,
-}
-
-impl ObsOpts {
-    /// Whether any obs surface was requested — gates the optional
-    /// metrics sections so obs-free runs stay byte-identical to
-    /// pre-telemetry output.
-    fn armed(&self) -> bool {
-        self.every > 0 || self.obs_out.is_some()
-    }
 }
 
 fn obs_opts(opts: &Opts) -> Result<ObsOpts, String> {
@@ -123,60 +110,23 @@ fn obs_opts(opts: &Opts) -> Result<ObsOpts, String> {
         None if sinks.any() => 1,
         None => 0,
     };
-    Ok(ObsOpts { every, sinks, obs_out: opts.get("--obs-out").map(String::from) })
+    Ok(ObsOpts { every, sinks })
 }
 
 /// Whether any obs flag is present — used before [`ObsOpts`] parsing to
 /// pick the implied trace level (heartbeat stall breakdowns and the
 /// final totals need the live ledger, i.e. at least `sync` tracing).
 fn obs_flags_present(opts: &Opts) -> bool {
-    ["--heartbeat-every", "--heartbeat-out", "--prom-out", "--obs-out"]
+    ["--heartbeat-every", "--heartbeat-out", "--prom-out"]
         .iter()
         .any(|f| opts.has(f))
-}
-
-/// Fold per-segment stall ledgers into whole-run totals (checkpointed
-/// and sharded runs produce one trace per segment).
-fn folded_stalls(traces: &[Trace], nodes: usize) -> Option<StallLedger> {
-    if traces.is_empty() {
-        return None;
-    }
-    let mut folded = StallLedger::new(nodes);
-    for t in traces {
-        folded.absorb(&t.stalls);
-    }
-    Some(folded)
-}
-
-/// Post-run obs surfaces: append the `final` record to the heartbeat
-/// stream, refresh the scrape file, and write the `--obs-out` totals
-/// document. All three derive from [`final_totals_json`] — a pure
-/// function of the (engine- and shard-invariant) report and ledger, so
-/// the artifacts byte-match across engines and shard counts. Only the
-/// `final` record also says what the run cost the `host`.
-fn finish_obs(
-    obs: &ObsOpts,
-    report: &ClusterRunReport,
-    stalls: Option<&StallLedger>,
-    host: &HostCosts,
-) -> Result<(), String> {
-    if !obs.armed() {
-        return Ok(());
-    }
-    emit_final(&obs.sinks, report, stalls, host).map_err(|e| e.to_string())?;
-    if let Some(out) = &obs.obs_out {
-        std::fs::write(out, final_totals_json(report, stalls).pretty())
-            .map_err(|e| e.to_string())?;
-        println!("wrote final live-metrics totals to {out}");
-    }
-    Ok(())
 }
 
 /// `--trace-level off|sync|full` → flight-recorder configuration. When
 /// the level is not given explicitly, asking for a trace output file
 /// implies the `sync` tier (phases, handshakes, stall attribution);
-/// `--metrics-out` alone keeps the recorder off — the run section of
-/// the metrics document needs no events.
+/// `--metrics-out` alone keeps the recorder off — the `run` and `obs`
+/// sections of the metrics document need no events.
 fn trace_config(opts: &Opts) -> Result<TraceConfig, String> {
     let level = match opts.get("--trace-level") {
         Some("off") => TraceLevel::Off,
@@ -204,7 +154,7 @@ fn usage() -> ExitCode {
          \x20           [--trace-out run.trace.json] [--metrics-out run.metrics.json]\n\
          \x20           [--trace-level off|sync|full]\n\
          \x20           [--heartbeat-every N] [--heartbeat-out beats.jsonl]\n\
-         \x20           [--prom-out scrape.prom] [--obs-out totals.json]\n\
+         \x20           [--prom-out scrape.prom]\n\
          \x20 fasda generate --total 444 --out system.pdb [--per-cell 64] [--seed S]\n\
          \x20 fasda info --per-fpga 222 --total 444 [--variant A|B|C]\n\
          \x20 fasda ckpt policy --failure-rate L [--bench beats.jsonl]\n\
@@ -239,11 +189,15 @@ fn usage() -> ExitCode {
          the coordinator spawns — not for direct use.\n\
          \n\
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\
-         --heartbeat-every N steps (default 1 when a sink is given); --prom-out\n\
-         keeps a Prometheus text-format scrape file current; --obs-out writes the\n\
-         engine- and shard-invariant final totals document. Sharded runs emit\n\
-         fleet heartbeats naming the lagging shard. Any obs flag implies\n\
-         --trace-level sync (the stall breakdown reads the live ledger).\n\
+         --heartbeat-every N steps (default 1 when a sink is given) and ends on a\n\
+         final record of the run's totals; --prom-out keeps a Prometheus\n\
+         text-format scrape file current. Sharded runs emit fleet heartbeats\n\
+         naming the lagging shard. Any obs flag implies --trace-level sync (the\n\
+         stall breakdown reads the live ledger).\n\
+         \n\
+         metrics document (--metrics-out): run and obs (the engine- and\n\
+         shard-invariant totals) always; stalls and trace when the flight\n\
+         recorder ran; restarts with --recover.\n\
          \n\
          checkpoint policy: the heartbeat stream's final record carries what the\n\
          run cost the host (ms per step, per checkpoint save, per restore);\n\
@@ -387,21 +341,22 @@ fn spawn_shards(
 
 /// Everything a finished run prints and writes, whichever way it ran:
 /// AXI-Lite registers, rate and bandwidth lines, checkpoints, faults,
-/// reliability, then the `--obs-out` / `--trace-out` / `--metrics-out` /
-/// `--dump-group` / `--dump-state` artifacts.
+/// reliability, then the heartbeat `final` record and scrape, and the
+/// `--trace-out` / `--metrics-out` / `--dump-group` / `--dump-state`
+/// artifacts.
 fn report_run(
     opts: &Opts,
     spec: &RunSpec,
-    obs: &ObsOpts,
+    sinks: &ObsSinkConfig,
     shards: Option<usize>,
     out: &RunOutput,
 ) -> Result<(), String> {
     let report = &out.report;
-    if spec.recover.is_some() {
-        for line in &out.restarts {
+    if let Some(restarts) = &out.restarts {
+        for line in restarts {
             println!("recovered: {line}");
         }
-        if out.restarts.is_empty() {
+        if restarts.is_empty() {
             println!("no failure fired; the run completed on the first attempt");
         }
     }
@@ -460,9 +415,8 @@ fn report_run(
         );
     }
 
-    let nodes = out.cluster.num_nodes();
-    let folded = folded_stalls(&out.traces, nodes);
-    finish_obs(obs, report, folded.as_ref(), &out.host)?;
+    let record = out.record(shards.unwrap_or(1));
+    record.emit_final(sinks).map_err(|e| e.to_string())?;
     if let Some(path) = opts.get("--trace-out") {
         let trace = out
             .traces
@@ -479,32 +433,11 @@ fn report_run(
         }
     }
     if let Some(path) = opts.get("--metrics-out") {
-        let mut doc = Json::obj().field("run", report.metrics_json());
-        if let (Some(trace), Some(folded)) = (out.traces.last(), &folded) {
-            // Stalls cover every segment, like the `obs` totals; the trace
-            // summary is the final segment's, like `--trace-out`. Shard
-            // provenance: which worker owned which node span (one span
-            // when the run was not sharded).
-            let prov: Vec<(u32, u64, u64)> = shard_ranges(nodes, shards.unwrap_or(1))
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r.start as u64, r.end as u64))
-                .collect();
-            doc = doc
-                .field("stalls", stall_json(folded))
-                .field("trace", trace_summary_json_with(trace, &prov));
-        }
-        if obs.armed() {
-            doc = doc.field("obs", final_totals_json(report, folded.as_ref()));
-        }
-        if spec.recover.is_some() {
-            let lines = out.restarts.iter().map(|s| Json::Str(s.clone())).collect();
-            doc = doc.field("restarts", Json::Arr(lines));
-        }
-        std::fs::write(path, doc.build().pretty()).map_err(|e| e.to_string())?;
+        std::fs::write(path, record.metrics().pretty()).map_err(|e| e.to_string())?;
         println!("wrote metrics to {path}");
     }
 
+    let nodes = out.cluster.num_nodes();
     if let Some(g) = opts.get("--dump-group") {
         let node: usize = g.parse().map_err(|_| "bad --dump-group")?;
         if node >= nodes {
@@ -587,7 +520,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         spec.run(Some(&obs.sinks), &mut note, &mut ctl).map_err(|e| e.to_string())?
     };
     out.host.wall_s = started.elapsed().as_secs_f64();
-    report_run(opts, &spec, &obs, shards, &out)
+    report_run(opts, &spec, &obs.sinks, shards, &out)
 }
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {

@@ -44,18 +44,18 @@ fn fasda(dir: &Path, args: &[&str]) -> Output {
         .expect("spawn fasda-cli")
 }
 
-/// Run to success with the three artifact flags; returns (dump, metrics
-/// document, obs totals document).
-fn artifacts(dir: &Path, tag: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let (state, metrics, obs) =
-        (format!("{tag}.state"), format!("{tag}.metrics.json"), format!("{tag}.obs.json"));
+/// Run to success with the artifact flags and the flight recorder at
+/// `sync` unless `args` name a level; returns (dump, metrics document).
+fn artifacts(dir: &Path, tag: &str, args: &[&str]) -> (Vec<u8>, Vec<u8>) {
+    let (state, metrics) = (format!("{tag}.state"), format!("{tag}.metrics.json"));
     let out = fasda(
         dir,
-        &[args, &["--dump-state", &state, "--metrics-out", &metrics, "--obs-out", &obs]].concat(),
+        &[args, &["--dump-state", &state, "--metrics-out", &metrics, "--trace-level", "sync"]]
+            .concat(),
     );
     assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
     let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
-    (read(&state), read(&metrics), read(&obs))
+    (read(&state), read(&metrics))
 }
 
 fn parse(bytes: &[u8]) -> Json {
@@ -64,6 +64,11 @@ fn parse(bytes: &[u8]) -> Json {
 
 fn run_section(metrics: &[u8]) -> Json {
     parse(metrics).get("run").expect("run section").clone()
+}
+
+/// The metrics document's `obs` section: the run's totals, rendered.
+fn obs_section(metrics: &[u8]) -> String {
+    parse(metrics).get("obs").expect("obs section").pretty()
 }
 
 /// A metrics document without its `trace.engine_*` counters: the fast
@@ -117,26 +122,23 @@ fn golden(name: &str) -> Vec<u8> {
 #[test]
 fn artifacts_match_the_parent_commit() {
     let dir = tmpdir("golden");
-    let (state, metrics, obs) = artifacts(&dir, "plain", &["--steps", "2"]);
+    let (state, metrics) = artifacts(&dir, "plain", &["--steps", "2"]);
     assert!(state == golden("run.state"), "plain dump moved");
     assert!(metrics == golden("plain.metrics.json"), "plain metrics document moved");
-    assert!(obs == golden("plain.obs.json"), "plain obs totals moved");
     assert_stalls_are_the_obs_totals(&metrics, "plain");
 
     let ckpt = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir", "ck"];
-    let (state, metrics, obs) = artifacts(&dir, "ckpt", &ckpt);
+    let (state, metrics) = artifacts(&dir, "ckpt", &ckpt);
     // Segmentation moves the cycle accounting, never the physics.
     assert!(state == golden("run.state"), "checkpointed dump moved");
     assert!(metrics == golden("ckpt.metrics.json"), "checkpointed metrics document moved");
-    assert!(obs == golden("ckpt.obs.json"), "checkpointed obs totals moved");
     assert_stalls_are_the_obs_totals(&metrics, "ckpt");
 
-    let (state, metrics, obs) = artifacts(&dir, "chaos", &CHAOS);
+    let (state, metrics) = artifacts(&dir, "chaos", &CHAOS);
     // Faults under reliable delivery move the cycle accounting too, and
     // still never the physics.
     assert!(state == golden("run.state"), "faulted dump moved");
     assert!(metrics == golden("chaos.metrics.json"), "faulted metrics document moved");
-    assert!(obs == golden("chaos.obs.json"), "faulted obs totals moved");
     assert_stalls_are_the_obs_totals(&metrics, "chaos");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -144,14 +146,14 @@ fn artifacts_match_the_parent_commit() {
 #[test]
 fn every_run_path_agrees() {
     let dir = tmpdir("paths");
-    let (plain, plain_m, plain_o) = artifacts(&dir, "plain", &["--steps", "2"]);
-    let (serial, serial_m, serial_o) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
+    let (plain, plain_m) = artifacts(&dir, "plain", &["--steps", "2"]);
+    let (serial, serial_m) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
     let sharded = ["--steps", "2", "--shards", "2", "--shard-dir", "rdv"];
-    let (shard, shard_m, shard_o) =
+    let (shard, shard_m) =
         artifacts(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "fleet.jsonl"]].concat());
     let ckpt_args = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir"];
-    let (ckpt, ckpt_m, _) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
-    let (rec, rec_m, _) =
+    let (ckpt, ckpt_m) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
+    let (rec, rec_m) =
         artifacts(&dir, "rec", &[&ckpt_args[..], &["ck-rec", "--recover", "2"]].concat());
 
     for (name, dump) in [("serial", &serial), ("shard", &shard), ("ckpt", &ckpt), ("rec", &rec)] {
@@ -160,8 +162,10 @@ fn every_run_path_agrees() {
     // One segment: engine and shard count are invisible in the report.
     assert_eq!(run_section(&serial_m), run_section(&plain_m));
     assert_eq!(run_section(&shard_m), run_section(&plain_m));
-    // ... and in the final totals, byte for byte.
-    assert!(serial_o == plain_o && shard_o == plain_o, "--obs-out differs across engines");
+    // ... and in the rendered totals, byte for byte.
+    let plain_o = obs_section(&plain_m);
+    assert_eq!(obs_section(&serial_m), plain_o, "obs section differs across engines");
+    assert_eq!(obs_section(&shard_m), plain_o, "obs section differs across shard counts");
     // The sharded stream is fleet beats; the last one carries the totals.
     let beats = std::fs::read_to_string(dir.join("fleet.jsonl")).expect("fleet stream");
     let fleet: Vec<Json> = beats
@@ -170,9 +174,9 @@ fn every_run_path_agrees() {
         .filter(|r| r.get("type").and_then(Json::as_str) == Some("fleet"))
         .collect();
     let last = fleet.last().and_then(|r| r.get("counters")).expect("fleet beats");
-    let totals = parse(&shard_o);
+    let totals = parse(&shard_m);
     for key in ["productive_cycles", "stall_cycles"] {
-        let want = totals.get("counters").and_then(|c| c.get(key));
+        let want = totals.get("obs").and_then(|o| o.get("counters")).and_then(|c| c.get(key));
         assert_eq!(last.get(key), want, "last fleet beat's {key}");
     }
     // Two segments re-arm the nodes once more; recovery with nothing to
@@ -187,17 +191,18 @@ fn every_run_path_agrees() {
     // on: its metrics document is the default engine's but for the
     // engine-private trace counters.
     let full = |out: &'static str| ["--trace-level", "full", "--trace-out", out];
-    let (chaos, chaos_m, chaos_o) =
+    let (chaos, chaos_m) =
         artifacts(&dir, "chaos", &[&CHAOS[..], &full("chaos.trace.json")].concat());
     let serial = [&CHAOS[..], &["--serial"], &full("chaos-serial.trace.json")].concat();
-    let (chaos_s, chaos_sm, _) = artifacts(&dir, "chaos-serial", &serial);
-    let (chaos_2, chaos_2m, chaos_2o) =
+    let (chaos_s, chaos_sm) = artifacts(&dir, "chaos-serial", &serial);
+    let (chaos_2, chaos_2m) =
         artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
     assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
     assert!(chaos_s == plain, "faulted --serial dump differs from the plain run's");
     assert_eq!(engine_invariant(&chaos_sm), engine_invariant(&chaos_m), "faulted metrics differ across engines");
     assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
-    assert!(chaos_2o == chaos_o, "faulted --obs-out differs across shard counts");
+    let chaos_o = obs_section(&chaos_m);
+    assert_eq!(obs_section(&chaos_2m), chaos_o, "faulted obs section differs across shard counts");
     let left: Vec<_> =
         std::fs::read_dir(&dir).expect("list test dir").flatten().map(|e| e.file_name()).collect();
     let stray = left.iter().any(|f| f.to_string_lossy().starts_with("fasda-shard-"));
@@ -208,14 +213,14 @@ fn every_run_path_agrees() {
 #[test]
 fn recovered_run_writes_every_artifact() {
     let dir = tmpdir("recover");
-    let (want, _, _) = artifacts(&dir, "ref", &["--steps", "3"]);
+    let (want, _) = artifacts(&dir, "ref", &["--steps", "3"]);
     let out = fasda(
         &dir,
         &[
             "--steps", "3", "--fault-plan", "crash=1@2", "--unreliable",
             "--checkpoint-every", "1", "--checkpoint-dir", "ck", "--recover", "2",
             "--dump-state", "rec.state", "--trace-out", "rec.trace.json",
-            "--metrics-out", "rec.metrics.json", "--obs-out", "rec.obs.json",
+            "--metrics-out", "rec.metrics.json",
             "--heartbeat-out", "rec.beats.jsonl",
         ],
     );
@@ -230,16 +235,15 @@ fn recovered_run_writes_every_artifact() {
     let doc = Json::parse(std::str::from_utf8(&metrics).unwrap()).expect("metrics json");
     assert_eq!(doc.get("restarts").map(|r| r.items().len()), Some(1));
     assert!(doc.get("stalls").is_some() && doc.get("obs").is_some());
-    // The heartbeat stream's final record carries the --obs-out totals
-    // exactly, plus what the run cost the host.
-    let obs = std::fs::read_to_string(dir.join("rec.obs.json")).expect("obs totals written");
-    let obs = Json::parse(&obs).expect("obs totals json");
+    // The heartbeat stream's final record carries the metrics document's
+    // obs totals exactly, plus what the run cost the host.
+    let obs = doc.get("obs").expect("obs section");
     let beats = std::fs::read_to_string(dir.join("rec.beats.jsonl")).expect("heartbeats written");
     let last = beats.lines().last().map(|l| Json::parse(l).expect("final record json"));
     let fin = last.expect("a final record");
     assert_eq!(fin.get("type").and_then(Json::as_str), Some("final"));
     for section in ["counters", "hists"] {
-        assert_eq!(fin.get(section), obs.get(section), "final record {section} drifted from --obs-out");
+        assert_eq!(fin.get(section), obs.get(section), "final record {section} is not the obs section");
     }
     let host = fin.get("host").expect("host costs");
     for key in ["wall_s", "step_ms", "save_ms", "restore_ms"] {

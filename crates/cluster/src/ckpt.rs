@@ -260,7 +260,7 @@ pub fn load_checkpoint(cluster: &mut Cluster, path: &Path) -> Result<RunAccumula
 /// segment loop times every checkpoint save, the one restore each run
 /// kind does times its load, and whoever timed the whole run (the CLI)
 /// sets `wall_s`. Host-side and different every run, so it rides only
-/// the heartbeat stream's `final` record ([`crate::obs::host_json`]) —
+/// the heartbeat stream's `final` record ([`crate::RunRecord::emit_final`]) —
 /// never a report, a checkpoint or any byte-compared artifact.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HostCosts {

@@ -39,8 +39,8 @@ pub use fasda_net::reliable::RelConfig;
 pub use report::RelSummary;
 pub use host::{HostController, HostRun};
 pub use obs::{
-    emit_final, final_registry, final_totals_json, host_json, measured_from, model_input,
-    FleetBeat, FleetObs, ObsDelta, ObsLive, ObsSinkConfig, ShardGauges,
+    measured_from, model_input, FleetBeat, FleetObs, ObsDelta, ObsLive, ObsSinkConfig, RunRecord,
+    ShardGauges,
 };
 pub use report::{ClusterRunReport, NodeStepReport};
 pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};
@@ -53,6 +53,5 @@ pub use shard::{
 // configure tracing and consume traces without a direct `fasda-trace`
 // dependency.
 pub use fasda_trace::{
-    chrome_trace, provenance_json, stall_json, trace_summary_json, trace_summary_json_with,
-    Json, StallCause, StallLedger, Trace, TraceConfig, TraceLevel,
+    chrome_trace, Json, StallCause, StallLedger, Trace, TraceConfig, TraceLevel,
 };

@@ -1,7 +1,6 @@
 //! Live-telemetry glue: the one heartbeat sampler, its in-process,
-//! shard-worker and coordinator uses, the engine-invariant final-totals
-//! builder, and the conversion from [`ClusterConfig`] to the §5 model's
-//! input.
+//! shard-worker and coordinator uses, the run record, and the
+//! conversion from [`ClusterConfig`] to the §5 model's input.
 //!
 //! The split of responsibilities (see `DESIGN.md` §12):
 //!
@@ -16,22 +15,24 @@
 //!   an identity artifact. Their stall counters are
 //!   [`Cluster::stall_totals`], which the cluster banks across
 //!   checkpoint segments itself.
-//! * [`final_registry`] / [`final_totals_json`] are pure functions of
-//!   the finished run's [`ClusterRunReport`] and stall ledger — both
-//!   bit-identical across engines and shard counts — so the final
-//!   totals they produce are too. Every surface that emits final
-//!   totals (the `final` heartbeat record, `--obs-out`, the metrics
-//!   document's `obs` section) goes through them.
+//! * [`RunOutput::record`] builds a finished run's [`RunRecord`]: its
+//!   totals are a pure function of the [`ClusterRunReport`] and the
+//!   stall ledger folded over every segment — both bit-identical across
+//!   engines and shard counts — so they are too. The metrics document's
+//!   `obs` section, the `final` heartbeat record and the final scrape
+//!   all render that one registry.
 //! * [`model_input`] + [`measured_from`] feed `fasda_obs::model`'s
 //!   §5 prediction/divergence machinery from a run.
 
 use crate::ckpt::HostCosts;
 use crate::driver::{Cluster, ClusterConfig};
 use crate::report::ClusterRunReport;
+use crate::run::RunOutput;
+use crate::shard::shard_ranges;
 use fasda_ckpt::{CkptError, Persist, Reader, Writer};
 use fasda_obs::model::{Measured, ModelInput, STALL_CLASSES};
 use fasda_obs::{prom_write, Hist, JsonlSink, Registry};
-use fasda_trace::{Json, StallCause, StallLedger, StepStalls};
+use fasda_trace::{Json, StallCause, StallLedger, StepStalls, Trace, TraceLevel};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -183,7 +184,7 @@ impl ObsLive {
         let Some((_, step)) = self.sampler.due(cl) else {
             return;
         };
-        let mut reg = Registry::new(true);
+        let mut reg = Registry::new();
         fill_live(&mut reg, cl, step, &cl.stall_totals());
         let dt = self.sampler.pace(&mut reg, step);
         let steps = self.sampler.steps;
@@ -386,7 +387,7 @@ impl FleetObs {
             .map(|d| d.worker)
             .unwrap_or(0);
 
-        let mut reg = Registry::new(true);
+        let mut reg = Registry::new();
         let mut shards = Vec::with_capacity(fb.workers.len());
         let mut fleet = StepStalls::default();
         for d in &fb.workers {
@@ -486,13 +487,83 @@ fn set_stalls(reg: &mut Registry, stalls: &StepStalls) {
     reg.counter_set("productive_cycles", stalls.productive);
 }
 
+/// A finished run's one set of totals and its renderings: the metrics
+/// document (`fasda run --metrics-out`) and the `final` heartbeat
+/// record, both carrying the totals [`RunRecord::emit_final`] also
+/// writes to the scrape file.
+pub struct RunRecord {
+    totals: Registry,
+    metrics: Json,
+    final_record: Json,
+}
+
+impl RunOutput {
+    /// This run's record, its trace summary naming the owners of `shards`
+    /// contiguous node spans (1 for an in-process run). The metrics
+    /// document has one shape: `run` and `obs` always; `stalls` (folded
+    /// over every segment) and `trace` (the final segment's) exactly
+    /// when the flight recorder ran; `restarts` exactly when the run
+    /// could recover.
+    pub fn record(&self, shards: usize) -> RunRecord {
+        let report = &self.report;
+        let stalls = self.traces.first().map(|_| {
+            let mut folded = StallLedger::new(report.nodes);
+            for t in &self.traces {
+                folded.absorb(&t.stalls);
+            }
+            folded
+        });
+        let totals = final_registry(report, stalls.as_ref());
+        let mut metrics = Json::obj().field("run", report.metrics_json());
+        if let (Some(trace), Some(stalls)) = (self.traces.last(), &stalls) {
+            metrics = metrics
+                .field("stalls", stall_json(stalls))
+                .field("trace", trace_json(trace, shards));
+        }
+        let obs = totals.totals_json();
+        metrics = metrics.field("obs", obs.clone());
+        if let Some(restarts) = &self.restarts {
+            let lines: Vec<Json> = restarts.iter().map(|s| s.as_str().into()).collect();
+            metrics = metrics.field("restarts", lines);
+        }
+        let mut obs_host = obs;
+        if let Json::Obj(fields) = &mut obs_host {
+            fields.push(("host".to_string(), host_json(&self.host)));
+        }
+        let final_record = beat_record("final", 0, report.steps, report.steps, &obs_host);
+        RunRecord { totals, metrics: metrics.build(), final_record }
+    }
+}
+
+impl RunRecord {
+    /// The metrics document.
+    pub fn metrics(&self) -> &Json {
+        &self.metrics
+    }
+
+    /// Append the `final` record — the totals plus what the run cost the
+    /// host — to the heartbeat stream and refresh the scrape file with
+    /// the totals. Called once after the run completes (the in-run
+    /// sampler only ever emits `beat` records); a sink not configured is
+    /// skipped.
+    pub fn emit_final(&self, sinks: &ObsSinkConfig) -> std::io::Result<()> {
+        if let Some(path) = &sinks.heartbeat_out {
+            JsonlSink::append(path)?.emit(&self.final_record)?;
+        }
+        if let Some(path) = &sinks.prom_out {
+            prom_write(&self.totals, "fasda", path)?;
+        }
+        Ok(())
+    }
+}
+
 /// Final totals as a registry — a pure function of the run report and
 /// (optionally) the folded stall ledger. Both inputs are bit-identical
 /// across {serial, fast, sharded} runs, so these totals are the
-/// identity artifact the CI gates byte-diff. Engine-private counters
+/// identity artifact the gates byte-compare. Engine-private counters
 /// (fast-forward jumps) are deliberately excluded.
-pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Registry {
-    let mut reg = Registry::new(true);
+fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Registry {
+    let mut reg = Registry::new();
     reg.counter_set("nodes", report.nodes as u64);
     reg.counter_set("steps_done", report.steps);
     reg.counter_set("cycles", report.total_cycles);
@@ -524,18 +595,13 @@ pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -
     reg
 }
 
-/// Final totals JSON (see [`final_registry`]).
-pub fn final_totals_json(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Json {
-    final_registry(report, stalls).totals_json()
-}
-
 /// The `final` record's `host` object: what the run cost the host, in
 /// milliseconds per step simulated (the run's wall time net of its
 /// checkpoint I/O, so building the machine and work a failure lost
 /// count too), per checkpoint save and per restore — the costs
 /// `fasda ckpt policy --bench` and `fasda serve --policy-bench` read. A
 /// cost the run had nothing to measure for is absent.
-pub fn host_json(host: &HostCosts) -> Json {
+fn host_json(host: &HostCosts) -> Json {
     let ms = |s: f64, n: u64| Json::fixed(s * 1e3 / n as f64, 4);
     let step_s = host.wall_s - host.save_s - host.restore_s;
     let mut o = Json::obj()
@@ -555,30 +621,87 @@ pub fn host_json(host: &HostCosts) -> Json {
     o.build()
 }
 
-/// Append the `final` heartbeat record — the final totals plus the
-/// run's [`host_json`] costs — to an existing JSONL stream and refresh
-/// the scrape file with the final registry. Called once by the host
-/// after the run completes (the in-run sampler only ever emits `beat`
-/// records).
-pub fn emit_final(
-    sinks: &ObsSinkConfig,
-    report: &ClusterRunReport,
-    stalls: Option<&StallLedger>,
-    host: &HostCosts,
-) -> std::io::Result<()> {
-    let reg = final_registry(report, stalls);
-    if let Some(path) = &sinks.heartbeat_out {
-        let mut sink = JsonlSink::append(path)?;
-        let mut totals = reg.totals_json();
-        if let Json::Obj(fields) = &mut totals {
-            fields.push(("host".to_string(), host_json(host)));
-        }
-        sink.emit(&beat_record("final", 0, report.steps, report.steps, &totals))?;
+/// One (node, step) or node-total stall breakdown.
+fn step_stalls_json(s: &StepStalls) -> Json {
+    let mut obj = Json::obj()
+        .field("productive", Json::uint(s.productive))
+        .field("idle", Json::uint(s.idle()))
+        .field("total", Json::uint(s.total()));
+    for cause in StallCause::ALL {
+        obj = obj.field(cause.label(), Json::uint(s.of(cause)));
     }
-    if let Some(path) = &sinks.prom_out {
-        prom_write(&reg, "fasda", path)?;
-    }
-    Ok(())
+    obj.build()
+}
+
+/// The `stalls` section: per-node totals plus per-step breakdowns.
+fn stall_json(ledger: &StallLedger) -> Json {
+    let nodes: Vec<Json> = (0..ledger.num_nodes())
+        .map(|node| {
+            let steps: Vec<Json> = ledger
+                .steps(node)
+                .map(|(step, s)| {
+                    let mut obj = Json::obj().field("step", Json::uint(step));
+                    if let Json::Obj(fields) = step_stalls_json(s) {
+                        for (k, v) in fields {
+                            obj = obj.field(&k, v);
+                        }
+                    }
+                    obj.build()
+                })
+                .collect();
+            Json::obj()
+                .field("node", node)
+                .field("total", step_stalls_json(&ledger.node_total(node)))
+                .field("steps", Json::Arr(steps))
+                .build()
+        })
+        .collect();
+    Json::obj().field("nodes", Json::Arr(nodes)).build()
+}
+
+/// The `trace` section: the recorder level, per-node event and drop
+/// counts, and the provenance of the `shards` contiguous node spans
+/// that attributed them.
+fn trace_json(trace: &Trace, shards: usize) -> Json {
+    let level = match trace.level {
+        None | Some(TraceLevel::Off) => "off",
+        Some(TraceLevel::Sync) => "sync",
+        Some(TraceLevel::Full) => "full",
+    };
+    let nodes: Vec<Json> = trace
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(node, s)| {
+            Json::obj()
+                .field("node", node)
+                .field("events", s.events.len())
+                .field("dropped", Json::uint(s.dropped))
+                .build()
+        })
+        .collect();
+    let ranges: Vec<Json> = shard_ranges(trace.nodes.len(), shards)
+        .iter()
+        .enumerate()
+        .map(|(shard, r)| {
+            Json::obj()
+                .field("shard", Json::uint(shard as u64))
+                .field("nodes", format!("{}..{}", r.start, r.end))
+                .field("owned", Json::uint(r.len() as u64))
+                .build()
+        })
+        .collect();
+    let provenance = Json::obj()
+        .field("shards", Json::uint(ranges.len() as u64))
+        .field("ranges", Json::Arr(ranges))
+        .build();
+    Json::obj()
+        .field("level", level)
+        .field("nodes", Json::Arr(nodes))
+        .field("engine_events", trace.engine.events.len())
+        .field("engine_dropped", Json::uint(trace.engine.dropped))
+        .field("provenance", provenance)
+        .build()
 }
 
 /// Build the §5 model input from a cluster configuration, the global
@@ -702,8 +825,8 @@ mod tests {
     fn final_totals_are_a_pure_function() {
         let report = tiny_report();
         let ledger = tiny_ledger();
-        let a = final_totals_json(&report, Some(&ledger));
-        let b = final_totals_json(&report.clone(), Some(&ledger.clone()));
+        let a = final_registry(&report, Some(&ledger)).totals_json();
+        let b = final_registry(&report.clone(), Some(&ledger.clone())).totals_json();
         assert_eq!(a.compact(), b.compact());
         let counters = a.get("counters").unwrap();
         assert_eq!(counters.get("cycles").unwrap().as_i64(), Some(1000));
@@ -723,6 +846,57 @@ mod tests {
         assert_eq!(hist.get("count").unwrap().as_i64(), Some(4));
         // No engine-private counters in the identity artifact.
         assert!(counters.get("engine_skipped_cycles").is_none());
+    }
+
+    #[test]
+    fn stall_json_rolls_up() {
+        let mut ledger = StallLedger::new(2);
+        ledger.productive(0, 0, 6);
+        ledger.stall(0, 0, StallCause::Drained, 2);
+        ledger.productive(0, 1, 4);
+        ledger.stall(1, 0, StallCause::TxCooldown, 9);
+
+        let doc = stall_json(&ledger);
+        let nodes = doc.get("nodes").unwrap().items();
+        assert_eq!(nodes.len(), 2);
+        let n0 = &nodes[0];
+        assert_eq!(n0.get("node").unwrap().as_i64(), Some(0));
+        let total = n0.get("total").unwrap();
+        assert_eq!(total.get("productive").unwrap().as_i64(), Some(10));
+        assert_eq!(total.get("drained").unwrap().as_i64(), Some(2));
+        assert_eq!(total.get("total").unwrap().as_i64(), Some(12));
+        assert_eq!(n0.get("steps").unwrap().items().len(), 2);
+        let n1_total = nodes[1].get("total").unwrap();
+        assert_eq!(n1_total.get("tx-cooldown").unwrap().as_i64(), Some(9));
+        // round-trips through the parser
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn trace_json_counts_streams_and_names_every_shard_span() {
+        use fasda_trace::{EventKind, NodeStream, TraceEvent};
+        let event = TraceEvent { cycle: 1, kind: EventKind::StepDone { step: 0 } };
+        let mut nodes = vec![NodeStream::default(); 8];
+        nodes[0] = NodeStream { events: vec![event], dropped: 2 };
+        let trace = Trace {
+            level: Some(TraceLevel::Sync),
+            nodes,
+            engine: NodeStream::default(),
+            stalls: StallLedger::new(8),
+        };
+        let doc = trace_json(&trace, 2);
+        assert_eq!(doc.get("level").unwrap().as_str(), Some("sync"));
+        let streams = doc.get("nodes").unwrap().items();
+        assert_eq!(streams[0].get("events").unwrap().as_i64(), Some(1));
+        assert_eq!(streams[0].get("dropped").unwrap().as_i64(), Some(2));
+        assert_eq!(doc.get("engine_events").unwrap().as_i64(), Some(0));
+        let prov = doc.get("provenance").unwrap();
+        assert_eq!(prov.get("shards").unwrap().as_i64(), Some(2));
+        let ranges = prov.get("ranges").unwrap().items();
+        assert_eq!(ranges[0].get("nodes").unwrap().as_str(), Some("0..4"));
+        assert_eq!(ranges[1].get("shard").unwrap().as_i64(), Some(1));
+        assert_eq!(ranges[1].get("owned").unwrap().as_i64(), Some(4));
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
     }
 
     #[test]

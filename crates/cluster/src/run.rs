@@ -109,8 +109,9 @@ pub struct RunOutput {
     pub cluster: Cluster,
     /// The particle system it was built over ([`crate::state_dump`] gathers into it).
     pub sys: ParticleSystem,
-    /// One line per restart `recover` took, oldest first.
-    pub restarts: Vec<String>,
+    /// With `recover` set, one line per restart it took, oldest first;
+    /// `None` for a run that could not restart.
+    pub restarts: Option<Vec<String>>,
     /// Steps run, checkpoint saves and restores, measured as they were paid.
     pub host: HostCosts,
 }
@@ -120,7 +121,7 @@ impl RunOutput {
     /// replica is the final machine state.
     pub fn from_sharded(run: ShardedRun, sys: ParticleSystem) -> Self {
         let ShardedRun { report, traces, checkpoints, replica, host, .. } = run;
-        RunOutput { report, traces, checkpoints, cluster: replica, sys, restarts: Vec::new(), host }
+        RunOutput { report, traces, checkpoints, cluster: replica, sys, restarts: None, host }
     }
 }
 
@@ -376,7 +377,7 @@ impl RunSpec {
                 &RecoveryPolicy::new(max),
             )?;
             let CheckpointedRun { report, traces, checkpoints } = rec.run;
-            let (cluster, restarts, host) = (rec.cluster, rec.restarts, rec.host);
+            let (cluster, restarts, host) = (rec.cluster, Some(rec.restarts), rec.host);
             return Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts, host });
         }
         let mut cluster = Cluster::new(cfg, &sys);
@@ -397,7 +398,7 @@ impl RunSpec {
             ctl,
         )? {
             CkptRunOutcome::Completed(CheckpointedRun { report, traces, checkpoints }) => {
-                let restarts = Vec::new();
+                let restarts = None;
                 Ok(RunOutput { report, traces, checkpoints, cluster, sys, restarts, host })
             }
             CkptRunOutcome::Drained { run, container } => {

@@ -8,10 +8,14 @@ mod harness;
 
 use fasda_cluster::{load_checkpoint, run_with_checkpoints, CheckpointConfig, Cluster, EngineConfig};
 use fasda_cluster::{latest_checkpoint, RunAccumulator};
+use fasda_core::config::ChipConfig;
 use fasda_core::datapath::ForceDatapath;
+use fasda_core::geometry::{ChipCoord, ChipGeometry};
 use fasda_core::timed::TimedChip;
 use fasda_md::element::Element;
+use fasda_md::space::SimulationSpace;
 use fasda_md::system::ParticleSystem;
+use fasda_md::units::UnitSystem;
 use fasda_md::vec3::Vec3;
 use harness::{config, tmpdir, workload, workload_of, BUDGET};
 
@@ -41,6 +45,19 @@ fn every_chip_shares_one_datapath() {
     assert_one_datapath(&cluster, "after load_checkpoint");
     assert!(std::ptr::eq(cluster.chips[0].datapath(), built), "restore rebuilt the datapath");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chip trusts the datapath it is handed to be `for_chip` of its own
+/// configuration and checks that only under debug assertions. Tests
+/// build with them on (`[profile.test]` in the workspace manifest); this
+/// one fails if they are ever turned off.
+#[test]
+#[should_panic(expected = "datapath built for another chip config")]
+fn a_chip_refuses_the_datapath_of_another_config() {
+    let other = ChipConfig { cutoff_cells: 0.5, ..ChipConfig::baseline() };
+    let dp = ForceDatapath::for_chip(&other, UnitSystem::PAPER);
+    let geo = ChipGeometry::new(SimulationSpace::cubic(6), (3, 3, 3), ChipCoord::new(0, 0, 0));
+    TimedChip::with_datapath(ChipConfig::baseline(), geo, UnitSystem::PAPER, 2.0, dp);
 }
 
 /// A jittered lattice plus particles exactly on chip-block faces (the

@@ -9,7 +9,7 @@
 //! helpers unused by one suite are expected.
 #![allow(dead_code)]
 
-use fasda_cluster::{Cluster, ClusterConfig, FaultPlan, RelConfig, StallLedger, Trace};
+use fasda_cluster::{Cluster, ClusterConfig, FaultPlan, RelConfig};
 use fasda_core::config::ChipConfig;
 use fasda_md::element::Element;
 use fasda_md::space::SimulationSpace;
@@ -91,15 +91,6 @@ pub fn assert_state_eq(
     assert_eq!(got.0.pos, want.0.pos, "{ctx}: final positions drifted");
     assert_eq!(got.0.vel, want.0.vel, "{ctx}: final velocities drifted");
     assert_eq!(got.1, want.1, "{ctx}: final force-accumulator bits drifted");
-}
-
-/// Fold per-segment stall ledgers into whole-run totals.
-pub fn fold(traces: &[Trace], nodes: usize) -> StallLedger {
-    let mut folded = StallLedger::new(nodes);
-    for t in traces {
-        folded.absorb(&t.stalls);
-    }
-    folded
 }
 
 /// Read and parse a JSONL stream, panicking with the offending line.

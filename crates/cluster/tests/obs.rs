@@ -1,21 +1,23 @@
-//! Live-telemetry acceptance (DESIGN.md §12): the final metrics totals
-//! are an *identity artifact* — a pure function of the engine- and
+//! Live-telemetry acceptance (DESIGN.md §12): a run record's totals are
+//! an *identity artifact* — a pure function of the engine- and
 //! shard-invariant run report and stall ledger, so serial, fast, and
-//! sharded runs must produce byte-identical totals documents, clean or
+//! sharded runs must render byte-identical `obs` sections, clean or
 //! under a 5% drop schedule. Heartbeat streams are a progress view:
 //! well-formed JSONL with monotonic steps and non-decreasing counters,
-//! a parseable Prometheus scrape file, and — in sharded runs — fleet
-//! records naming the lagging shard.
+//! ending on a `final` record and a scrape file that hold the record's
+//! totals, and — in sharded runs — fleet records naming the lagging
+//! shard.
 
 mod harness;
 
 use fasda_cluster::{
-    emit_final, final_totals_json, measured_from, model_input, run_sharded, run_with_checkpoints,
-    CheckpointConfig, CheckpointedRun, Cluster, EngineConfig, FaultPlan, HostCosts, ObsLive,
-    ObsSinkConfig, RunAccumulator, ShardOpts, TraceConfig, TraceLevel,
+    measured_from, model_input, run_sharded, run_with_checkpoints, CheckpointConfig,
+    CheckpointedRun, Cluster, ClusterRunReport, EngineConfig, FaultPlan, HostCosts, ObsLive,
+    ObsSinkConfig, RunAccumulator, RunOutput, ShardOpts, Trace, TraceConfig, TraceLevel,
 };
+use fasda_md::system::ParticleSystem;
 use fasda_trace::Json;
-use harness::{config, fold, parse_jsonl, workload, workload_of, BUDGET};
+use harness::{config, parse_jsonl, workload, workload_of, BUDGET};
 use std::path::PathBuf;
 
 const STEPS: u64 = 4;
@@ -23,6 +25,22 @@ const STEPS: u64 = 4;
 /// Suite-namespaced scratch directory.
 fn tmpdir(tag: &str) -> PathBuf {
     harness::tmpdir(&format!("obs-{tag}"))
+}
+
+/// A finished in-process run over `sys`, as the run path hands it over.
+fn output(
+    cluster: Cluster,
+    sys: &ParticleSystem,
+    report: ClusterRunReport,
+    traces: Vec<Trace>,
+) -> RunOutput {
+    let (checkpoints, restarts, host) = (Vec::new(), None, HostCosts::default());
+    RunOutput { report, traces, checkpoints, cluster, sys: sys.clone(), restarts, host }
+}
+
+/// The `obs` section of `out`'s record, its trace naming `shards` owners.
+fn obs_section(out: &RunOutput, shards: usize) -> Json {
+    out.record(shards).metrics().get("obs").expect("obs section").clone()
 }
 
 // -------------------------------------------------------------------------
@@ -39,13 +57,13 @@ fn final_totals_identical_across_engines_and_shards() {
     ] {
         let cfg = config(faults, reliable);
 
-        // Serial oracle defines the expected totals document.
+        // Serial oracle defines the expected `obs` section.
         let mut oracle = Cluster::new(cfg.clone(), &sys);
         let report = oracle
             .try_run_with(STEPS, BUDGET, &EngineConfig::serial().with_trace(full))
             .expect("oracle completes");
         let trace = oracle.take_trace().expect("tracing was on");
-        let want = final_totals_json(&report, Some(&trace.stalls)).pretty();
+        let want = obs_section(&output(oracle, &sys, report, vec![trace]), 1).pretty();
 
         // Fast engine: totals must still match — the report and the
         // ledger are engine-invariant even though the engine trace
@@ -56,7 +74,7 @@ fn final_totals_identical_across_engines_and_shards() {
             .expect("fast run completes");
         let t = fast.take_trace().expect("tracing was on");
         assert_eq!(
-            final_totals_json(&r, Some(&t.stalls)).pretty(),
+            obs_section(&output(fast, &sys, r, vec![t]), 1).pretty(),
             want,
             "{name}: fast-engine totals drifted from serial oracle"
         );
@@ -71,10 +89,8 @@ fn final_totals_identical_across_engines_and_shards() {
             ShardOpts { budget: BUDGET, ckpt: None, resume: None, obs: None, ..Default::default() },
         )
         .expect("sharded run completes");
-        let nodes = run.replica.num_nodes();
-        let folded = fold(&run.traces, nodes);
         assert_eq!(
-            final_totals_json(&run.report, Some(&folded)).pretty(),
+            obs_section(&RunOutput::from_sharded(run, sys.clone()), 2).pretty(),
             want,
             "{name}: sharded totals drifted from serial oracle"
         );
@@ -110,7 +126,7 @@ fn monotone_counters(counters: &Json) -> Vec<(String, i64)> {
 /// `fleet` records alike, checkpointed or not: every record reports the
 /// run's step target and `progress = step / steps`, no counter ever
 /// decreases, and the beat at the last step carries the run's final
-/// productive and stall totals (`totals`, a final totals document).
+/// productive and stall totals (`totals`, a record's `obs` section).
 fn assert_beats_track_totals(beats: &[Json], kind: &str, totals: &Json, ctx: &str) {
     assert!(!beats.is_empty(), "{ctx}: no {kind} records");
     let mut last_step = 0;
@@ -175,18 +191,18 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
         }
         let obs = cluster.take_obs().expect("sampler still attached");
         assert_eq!(obs.beats(), STEPS / every, "{ctx}: one beat per boundary");
-        let stalls = fold(&traces, cluster.num_nodes());
-        emit_final(&sinks, &report, Some(&stalls), &HostCosts::default()).expect("final record");
+        let record = output(cluster, &sys, report, traces).record(1);
+        record.emit_final(&sinks).expect("final record");
 
         let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
         let (fin, beats) = records.split_last().expect("beats + final expected");
-        // The trailing record is the final-totals identity artifact: its
-        // counters equal the pure-function totals document exactly.
+        // The trailing record renders the run record's totals: its
+        // counters and hists are the metrics document's `obs` section.
         assert_eq!(fin.get("type").unwrap().as_str(), Some("final"));
-        let want = final_totals_json(&report, Some(&stalls));
+        let want = record.metrics().get("obs").expect("obs section");
         assert_eq!(fin.get("counters"), want.get("counters"), "{ctx}: final record drifted");
         assert_eq!(fin.get("hists"), want.get("hists"));
-        assert_beats_track_totals(beats, "beat", &want, &ctx);
+        assert_beats_track_totals(beats, "beat", want, &ctx);
         // The progress gauges ride along on every beat.
         for rec in beats {
             let gauges = rec.get("gauges").unwrap();
@@ -197,8 +213,12 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
 
         // Prometheus text format: every line is a comment or `name
         // value`, names carry the fasda prefix, values parse as floats.
+        // The scrape written with the final record holds its totals: each
+        // `fasda_<name>_total` sample, labeled or not, is the final
+        // record's counter of that name, and every counter has one.
         let prom = std::fs::read_to_string(sinks.prom_out.clone().unwrap()).expect("scrape file");
-        let mut samples = 0;
+        let counters = fin.get("counters").expect("final counters");
+        let (mut samples, mut totals) = (0, 0);
         for line in prom.lines().filter(|l| !l.is_empty()) {
             if line.starts_with("# TYPE ") || line.starts_with("# HELP ") {
                 continue;
@@ -207,8 +227,23 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
             assert!(name.starts_with("fasda_"), "unprefixed metric {name}");
             value.parse::<f64>().unwrap_or_else(|_| panic!("bad value in {line:?}"));
             samples += 1;
+            let Some((family, label)) = name["fasda_".len()..].split_once("_total") else {
+                continue;
+            };
+            let want = match label.split('"').nth(1) {
+                Some(value) => counters.get(family).and_then(|f| f.get(value)),
+                None => counters.get(family),
+            };
+            assert_eq!(want.and_then(Json::as_i64), value.parse().ok(), "{ctx}: scrape {name}");
+            totals += 1;
         }
         assert!(samples > 0, "scrape file has no samples");
+        let Json::Obj(families) = counters else { panic!("final counters are not an object") };
+        let want: usize = families
+            .iter()
+            .map(|(_, v)| if let Json::Obj(series) = v { series.len() } else { 1 })
+            .sum();
+        assert_eq!(totals, want, "{ctx}: the scrape lacks a final counter");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -242,8 +277,7 @@ fn sharded_run_emits_fleet_beats_naming_lagging_shard() {
         assert_eq!(run.report.steps, STEPS);
 
         let records = parse_jsonl(&sinks.heartbeat_out.clone().unwrap());
-        let totals =
-            final_totals_json(&run.report, Some(&fold(&run.traces, run.replica.num_nodes())));
+        let totals = obs_section(&RunOutput::from_sharded(run, sys.clone()), 2);
         assert_beats_track_totals(&records, "fleet", &totals, &ctx);
         let mut last_beat = 0;
         const GAUGES: [&str; 5] = ["windows", "events_sent", "frame_bytes", "compute_ns", "wait_ns"];

@@ -19,7 +19,7 @@
 use crate::config::ChipConfig;
 use fasda_arith::fixed::{Fix, FixVec3, FRAC_BITS};
 use fasda_arith::float_bits::{fused_index, section_bin, SectionBin};
-use fasda_arith::interp::{InterpTable, LjForceTable, LjPotentialTable, TableConfig};
+use fasda_arith::interp::{InterpTable, LjForceTable, TableConfig};
 use fasda_md::element::{Element, PairTable};
 use fasda_md::ewald::EwaldParams;
 use fasda_md::units::UnitSystem;
@@ -105,7 +105,6 @@ impl HomeSoa {
 #[derive(Clone, Debug)]
 struct CoulombPath {
     force_table: InterpTable,
-    pot_table: InterpTable,
     charge: [f32; Element::COUNT],
 }
 
@@ -124,13 +123,10 @@ pub struct ForceDatapath {
     /// instead of touching two separate tables. Same words, same
     /// arithmetic — a pure memory-layout change.
     fused_force: Vec<[f32; 4]>,
-    pot_table: LjPotentialTable,
     coulomb: Option<CoulombPath>,
     /// `[a][b] → (c14, c8)` force coefficients as the `f32` words the
     /// element-indexed coefficient BRAM holds (§3.4).
     force_coeff: [[(f32, f32); Element::COUNT]; Element::COUNT],
-    /// `[a][b] → (c12, c6)` potential coefficients (validation path).
-    pot_coeff: [[(f32, f32); Element::COUNT]; Element::COUNT],
     /// Inclusive lower bound of the covered `r²` domain in fixed point.
     min_r2: Fix,
     /// Exclusive upper bound: `Rc² = 1`.
@@ -142,12 +138,10 @@ impl ForceDatapath {
     /// geometry.
     pub fn new(pairs: &PairTable, table: TableConfig) -> Self {
         let mut force_coeff = [[(0.0f32, 0.0f32); Element::COUNT]; Element::COUNT];
-        let mut pot_coeff = [[(0.0f32, 0.0f32); Element::COUNT]; Element::COUNT];
         for a in Element::ALL {
             for b in Element::ALL {
                 let c = pairs.get(a, b);
                 force_coeff[a.index()][b.index()] = (c.c14 as f32, c.c8 as f32);
-                pot_coeff[a.index()][b.index()] = (c.c12 as f32, c.c6 as f32);
             }
         }
         let force_table = LjForceTable::new(table);
@@ -161,10 +155,8 @@ impl ForceDatapath {
         ForceDatapath {
             force_table,
             fused_force,
-            pot_table: LjPotentialTable::new(table),
             coulomb: None,
             force_coeff,
-            pot_coeff,
             min_r2: Fix::from_f64(table.domain_min()),
             cutoff_r2: Fix::ONE,
         }
@@ -217,7 +209,6 @@ impl ForceDatapath {
         }
         self.coulomb = Some(CoulombPath {
             force_table: InterpTable::build_fn(cfg, params.force_kernel()),
-            pot_table: InterpTable::build_fn(cfg, params.potential_kernel()),
             charge,
         });
         self
@@ -465,23 +456,6 @@ impl ForceDatapath {
         [scale * dx, scale * dy, scale * dz]
     }
 
-    /// Pair potential energy via the interpolated `r⁻¹²`/`r⁻⁶` tables,
-    /// kcal/mol as `f32` (validation/diagnostic path).
-    #[inline]
-    pub fn potential(&self, a: Element, b: Element, pair: FilteredPair) -> f32 {
-        let r2 = self.r2_to_f32(pair.r2);
-        let (r12, r6) = self.pot_table.eval(r2);
-        let (c12, c6) = self.pot_coeff[a.index()][b.index()];
-        let mut v = c12 * r12 - c6 * r6;
-        if let Some(c) = &self.coulomb {
-            let qq = c.charge[a.index()] * c.charge[b.index()];
-            if qq != 0.0 {
-                v += qq * c.pot_table.eval_filtered(r2);
-            }
-        }
-        v
-    }
-
     /// Concatenate an RCID with an in-cell offset (§4.2): coordinate
     /// value `rcid + offset`, RCID ∈ {1,2,3}.
     #[inline]
@@ -584,22 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn potential_matches_exact_within_table_error() {
-        let d = dp();
-        let pairs = PairTable::new(UnitSystem::PAPER);
-        let a = concat_home([0.0, 0.0, 0.0]);
-        let b = concat_home([0.4, 0.1, 0.0]);
-        let p = d.filter(a, b).unwrap();
-        let got = d.potential(Element::Na, Element::Na, p) as f64;
-        let r2 = p.r2.to_f64();
-        let want = pairs.potential(Element::Na, Element::Na, r2);
-        assert!(
-            (got - want).abs() < want.abs().max(1e-6) * 5e-3,
-            "{got} vs {want}"
-        );
-    }
-
-    #[test]
     fn concat_rejects_bad_rcid_in_debug() {
         // Valid construction with all three RCID extremes.
         let v = ForceDatapath::concat((1, 2, 3), FixVec3::from_f64(0.25, 0.5, 0.75));
@@ -646,12 +604,12 @@ mod tests {
 
     /// `InterpTable::build_fn` evaluates `f` once per bin edge; every
     /// coefficient word equals the per-bin formula that evaluates both
-    /// edges of every bin, for the four LJ tables and both Ewald kernels,
-    /// at the paper geometry and one other.
+    /// edges of every bin, for both LJ force tables and the Ewald force
+    /// kernel, at the paper geometry and one other.
     #[test]
     fn table_builder_matches_the_two_evaluation_formula() {
         use fasda_arith::float_bits::{bin_lower_edge, bin_upper_edge};
-        use fasda_arith::interp::{LjForceTable, LjPotentialTable};
+        use fasda_arith::interp::LjForceTable;
         use fasda_md::ewald::EwaldParams;
         use fasda_md::units::UnitSystem;
         fn two_evaluations(cfg: TableConfig, f: &dyn Fn(f64) -> f64) -> Vec<(u32, u32)> {
@@ -672,20 +630,17 @@ mod tests {
             t.coeffs().iter().map(|&(a, c)| (a.to_bits(), c.to_bits())).collect()
         };
         let ewald = EwaldParams::standard(UnitSystem::PAPER);
-        let (force, pot) = (ewald.force_kernel(), ewald.potential_kernel());
+        let force = ewald.force_kernel();
         let r_pow = |alpha: u32| move |x: f64| x.powf(-(alpha as f64) / 2.0);
         for cfg in [TableConfig::PAPER, TableConfig { n_sections: 9, log2_bins: 5 }] {
-            let (lj_f, lj_p) = (LjForceTable::new(cfg), LjPotentialTable::new(cfg));
+            let lj_f = LjForceTable::new(cfg);
             let check = |name: &str, table: &InterpTable, f: &dyn Fn(f64) -> f64| {
                 assert_eq!(table.coeffs().len(), cfg.entries(), "{name} {cfg:?}");
                 assert!(bits(table) == two_evaluations(cfg, f), "{name} {cfg:?}: a word moved");
             };
             check("r14", &lj_f.r14, &r_pow(14));
             check("r8", &lj_f.r8, &r_pow(8));
-            check("r12", &lj_p.r12, &r_pow(12));
-            check("r6", &lj_p.r6, &r_pow(6));
             check("ewald force", &InterpTable::build_fn(cfg, &force), &force);
-            check("ewald potential", &InterpTable::build_fn(cfg, &pot), &pot);
         }
     }
 }

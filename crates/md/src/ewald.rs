@@ -88,11 +88,6 @@ impl EwaldParams {
     pub fn force_kernel(&self) -> impl Fn(f64) -> f64 + '_ {
         move |r2| self.force_scale_unit(r2)
     }
-
-    /// The kernel `V(r²)` for the potential table.
-    pub fn potential_kernel(&self) -> impl Fn(f64) -> f64 + '_ {
-        move |r2| self.potential_unit(r2)
-    }
 }
 
 #[cfg(test)]

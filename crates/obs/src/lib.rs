@@ -7,9 +7,7 @@
 //! * [`Registry`] — a tiny metrics registry (monotonic counters,
 //!   gauges, fixed-bucket histograms) with deterministic iteration
 //!   order, so two runs that agree on simulated state render
-//!   byte-identical snapshots. A disabled registry is a no-op: every
-//!   mutator starts with one inlined `enabled` test, the same pattern
-//!   as `TraceLevel::Off`.
+//!   byte-identical snapshots.
 //! * [`JsonlSink`] — append-only JSON-Lines heartbeat stream (one
 //!   self-contained object per line; crash-tolerant by construction).
 //! * [`prom_render`] / [`prom_write`] — Prometheus text exposition
@@ -153,26 +151,15 @@ impl Hist {
 /// rendered output is a deterministic function of the stored series.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    enabled: bool,
     counters: BTreeMap<SeriesKey, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Hist>,
 }
 
 impl Registry {
-    /// A registry; when `enabled` is false every mutator is a no-op
-    /// behind a single branch.
-    pub fn new(enabled: bool) -> Self {
-        Registry {
-            enabled,
-            ..Registry::default()
-        }
-    }
-
-    /// Whether mutators record anything.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// An empty registry.
+    pub fn new() -> Self {
+        Registry::default()
     }
 
     /// Set a monotonic counter to an absolute value. Counters never
@@ -181,9 +168,6 @@ impl Registry {
     /// re-sample after a checkpoint segment reset.
     #[inline]
     pub fn counter_set(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         let slot = self.counters.entry(SeriesKey::plain(name)).or_insert(0);
         *slot = (*slot).max(v);
     }
@@ -191,9 +175,6 @@ impl Registry {
     /// Set a labeled monotonic counter to an absolute value.
     #[inline]
     pub fn counter_set_labeled(&mut self, name: &str, key: &str, value: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         let slot = self
             .counters
             .entry(SeriesKey::labeled(name, key, value))
@@ -204,9 +185,6 @@ impl Registry {
     /// Add to a monotonic counter.
     #[inline]
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         *self.counters.entry(SeriesKey::plain(name)).or_insert(0) += v;
     }
 
@@ -221,9 +199,6 @@ impl Registry {
     /// Set a gauge (instantaneous value; may move both ways).
     #[inline]
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(valid_metric_name(name), "bad metric name: {name}");
         self.gauges.insert(name.to_string(), v);
     }
@@ -237,9 +212,6 @@ impl Registry {
     /// `bounds` on first touch.
     #[inline]
     pub fn hist_observe(&mut self, name: &str, bounds: &[u64], v: u64) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(valid_metric_name(name), "bad metric name: {name}");
         self.hists
             .entry(name.to_string())
@@ -250,9 +222,6 @@ impl Registry {
     /// Replace a histogram wholesale (used when totals are rebuilt from
     /// a finished run's records rather than observed incrementally).
     pub fn hist_set(&mut self, name: &str, h: Hist) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(valid_metric_name(name), "bad metric name: {name}");
         self.hists.insert(name.to_string(), h);
     }
@@ -438,20 +407,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_is_inert() {
-        let mut r = Registry::new(false);
-        r.counter_set("steps", 5);
-        r.counter_add("cycles", 10);
-        r.counter_set_labeled("stall_cycles", "cause", "drained", 3);
-        r.gauge_set("steps_per_s", 1.5);
-        r.hist_observe("step_cycles", &[10, 100], 42);
-        assert_eq!(r.counter("steps"), 0);
-        assert_eq!(r.totals_json().compact(), r#"{"counters":{},"hists":{}}"#);
-    }
-
-    #[test]
     fn counters_are_monotonic_under_set() {
-        let mut r = Registry::new(true);
+        let mut r = Registry::new();
         r.counter_set("steps", 5);
         r.counter_set("steps", 3); // stale write: ignored
         assert_eq!(r.counter("steps"), 5);
@@ -461,7 +418,7 @@ mod tests {
 
     #[test]
     fn totals_json_groups_labeled_families() {
-        let mut r = Registry::new(true);
+        let mut r = Registry::new();
         r.counter_set("cycles", 100);
         r.counter_set_labeled("stall_cycles", "cause", "drained", 7);
         r.counter_set_labeled("stall_cycles", "cause", "tx-cooldown", 2);
@@ -510,7 +467,7 @@ mod tests {
     fn prom_escaping_round_trips() {
         assert_eq!(prom_escape(r#"a\b"c"#), r#"a\\b\"c"#);
         assert_eq!(prom_escape("x\ny"), r#"x\ny"#);
-        let mut r = Registry::new(true);
+        let mut r = Registry::new();
         r.counter_set_labeled("odd", "cause", "quote\"back\\slash", 1);
         let text = prom_render(&r, "fasda");
         assert!(text.contains(r#"fasda_odd_total{cause="quote\"back\\slash"} 1"#));
@@ -518,7 +475,7 @@ mod tests {
 
     #[test]
     fn prom_renders_all_kinds() {
-        let mut r = Registry::new(true);
+        let mut r = Registry::new();
         r.counter_set("cycles", 42);
         r.counter_set_labeled("stall_cycles", "cause", "drained", 7);
         r.gauge_set("steps_per_s", 2.5);
@@ -549,7 +506,7 @@ mod tests {
 
     #[test]
     fn totals_exclude_gauges() {
-        let mut r = Registry::new(true);
+        let mut r = Registry::new();
         r.counter_set("steps", 3);
         r.gauge_set("wall_s", 123.0);
         let totals = r.totals_json();

@@ -387,7 +387,7 @@ impl Server {
         let mut journal = QueueJournal::open(&cfg.journal).map_err(|e| e.to_string())?;
         let submits: Vec<(u64, &JobSpec)> = live.iter().map(|(id, j)| (*id, &j.spec)).collect();
         journal.compact_to(&submits).map_err(|e| e.to_string())?;
-        let mut registry = Registry::new(true);
+        let mut registry = Registry::new();
         registry.counter_set("jobs_replayed", live.len() as u64);
         if recovered.torn_bytes > 0 {
             registry.counter_set("journal_torn_bytes", recovered.torn_bytes);
@@ -864,7 +864,7 @@ fn connection_loop(
 
 /// What a real run cost the host — the `host` object of the `final`
 /// record of its heartbeat stream (`fasda run --heartbeat-out PATH`;
-/// see [`fasda_cluster::host_json`]) — which `fasda ckpt policy --bench`
+/// see [`fasda_cluster::RunRecord::emit_final`]) — which `fasda ckpt policy --bench`
 /// and `fasda serve --policy-bench` fit the interval to.
 pub fn measured_costs(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;

@@ -200,11 +200,25 @@ fn evicted_jobs_answer_from_the_journal() {
 
     // The blocker holds one worker, so the migrated job, barred from the
     // worker it drained on, waits in the queue with its drain container
-    // until it is cancelled there.
+    // until it is cancelled there. The migrated job is asked to drain
+    // while a stopper holds the other worker, so it drains at its first
+    // segment boundary however fast a step runs.
     let blocker = client.submit(&tiny("blocker", 100_000)).expect("submit");
+    let stopper = client.submit(&tiny("stopper", 100_000)).expect("submit");
+    let asked = std::time::Instant::now();
+    let state = |client: &mut Client, id| {
+        let status = client.status(id).expect("status");
+        status.get("state").and_then(Json::as_str).map(String::from)
+    };
+    for id in [blocker, stopper] {
+        while state(&mut client, id).as_deref() != Some("running") {
+            assert!(asked.elapsed() < WAIT, "job {id} never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
     let drained = client.submit(&tiny("drained", 100_000)).expect("submit");
     client.migrate(drained).expect("migrate accepted");
-    let asked = std::time::Instant::now();
+    client.cancel(stopper).expect("cancel while running");
     while field_u64(&client.status(drained).expect("status"), "migrations") == 0 {
         assert!(asked.elapsed() < WAIT, "job {drained} never drained");
         std::thread::sleep(Duration::from_millis(2));

@@ -33,14 +33,12 @@
 pub mod chrome;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod persist;
 pub mod stall;
 
 pub use chrome::chrome_trace;
 pub use event::{ChannelId, EventKind, PhaseId, TraceEvent};
 pub use json::Json;
-pub use metrics::{provenance_json, stall_json, trace_summary_json, trace_summary_json_with};
 pub use stall::{StallCause, StallLedger, StepStalls};
 
 use std::collections::VecDeque;
