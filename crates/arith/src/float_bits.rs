@@ -95,7 +95,9 @@ pub fn bin_lower_edge(section: u32, bin: u32, n_sections: u32, log2_bins: u32) -
     base * (1.0 + bin as f64 / n_b)
 }
 
-/// Upper edge of a `(section, bin)` cell in `r²` space.
+/// Upper edge of a `(section, bin)` cell in `r²` space. Only tests call
+/// it: `section_bin_brackets` and the datapath's table-builder test check
+/// production binning and coefficients against it.
 #[inline]
 pub fn bin_upper_edge(section: u32, bin: u32, n_sections: u32, log2_bins: u32) -> f64 {
     bin_lower_edge(section, bin + 1, n_sections, log2_bins)

@@ -893,7 +893,9 @@ impl<'a> Container<'a> {
         Ok(Self { sections })
     }
 
-    /// Names of all sections, in file order.
+    /// Names of all sections, in file order. Only tests call it: the
+    /// cluster's `golden` suite checks a committed container parses into
+    /// sections.
     pub fn section_names(&self) -> impl Iterator<Item = &str> {
         self.sections.iter().map(|(n, _)| n.as_str())
     }

@@ -147,7 +147,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  fasda run --per-fpga 222 --total 444 [--steps N] [--variant A|B|C]\n\
          \x20           [--sync chained|bulk] [--dump-group N] [--per-cell 64] [--seed S]\n\
-         \x20           [--serial] [--shards S] [--shard-dir DIR]\n\
+         \x20           [--serial] [--shards S] [--shard-dir DIR | --shard-listen HOST:PORT]\n\
          \x20           [--fault-plan SPEC] [--drop-rate P] [--fault-seed S] [--unreliable]\n\
          \x20           [--checkpoint-every N --checkpoint-dir DIR] [--checkpoint-keep K]\n\
          \x20           [--resume FILE|latest] [--recover N] [--dump-state FILE]\n\
@@ -184,8 +184,11 @@ fn usage() -> ExitCode {
          \x20stripping exactly the directive that fired each time)\n\
          \n\
          --shards S partitions the nodes across S worker processes exchanging\n\
-         boundary traffic over Unix-domain sockets; the run is bit-identical to a\n\
-         single process. --worker I --shard-dir DIR is the internal re-invocation\n\
+         boundary traffic over Unix-domain sockets in --shard-dir (default: a\n\
+         temporary directory), or over TCP with --shard-listen HOST:PORT, where\n\
+         the coordinator listens (port 0 picks a free port) and the workers\n\
+         connect; the run is bit-identical to a single process. --worker I\n\
+         --shard-dir DIR | --shard-connect ADDR is the internal re-invocation\n\
          the coordinator spawns — not for direct use.\n\
          \n\
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\

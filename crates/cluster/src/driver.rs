@@ -764,6 +764,7 @@ impl Cluster {
     }
 
     /// Detach the live telemetry sampler (e.g. to read its beat count).
+    /// Only tests call it: `tests/obs.rs` checks one beat per boundary.
     pub fn take_obs(&mut self) -> Option<Box<crate::obs::ObsLive>> {
         self.obs.take()
     }

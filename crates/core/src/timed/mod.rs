@@ -968,7 +968,8 @@ impl TimedChip {
     }
 
     /// Outstanding remote-origin work from one peer (ingested position
-    /// deliveries not yet fully evaluated).
+    /// deliveries not yet fully evaluated). Only tests call it:
+    /// `stress_params` checks every delivery is evaluated before a step ends.
     pub fn outstanding_from(&self, origin: ChipCoord) -> i64 {
         self.recv_chips
             .iter()

@@ -219,13 +219,14 @@ impl Pe {
         (self.occupied.count_ones() as usize) < self.stations.len()
     }
 
-    /// Stations stalled on a full pair FIFO.
+    /// Stations stalled on a full pair FIFO. Only tests call it:
+    /// `golden_tick` pins the per-step census of the production tick.
     pub fn stalled_mask(&self) -> u32 {
         self.fifo_full
     }
 
     /// Stations whose scan and pairs are finished but which have not
-    /// been ejected yet.
+    /// been ejected yet. Only tests call it, as [`Self::stalled_mask`].
     pub fn drained_mask(&self) -> u32 {
         self.drained
     }

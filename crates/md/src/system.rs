@@ -81,6 +81,8 @@ impl ParticleSystem {
     }
 
     /// Net force over all particles (should be ~0 by Newton's third law).
+    /// Only tests call it, to check that law of the reference engine and
+    /// the functional chip model.
     pub fn net_force(&self) -> Vec3 {
         self.force.iter().copied().sum()
     }

@@ -55,7 +55,8 @@ impl Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 
-    /// Largest component magnitude.
+    /// Largest component magnitude. Only tests call it: the tolerance of
+    /// their force, position and momentum checks.
     #[inline]
     pub fn max_abs(self) -> f64 {
         self.x.abs().max(self.y.abs()).max(self.z.abs())

@@ -301,7 +301,8 @@ impl FaultPlan {
         }
     }
 
-    /// Uniform drop-only plan across all channels.
+    /// Uniform drop-only plan across all channels. Only tests call it: the
+    /// lossy plans of the net and cluster suites.
     pub fn drop_only(p: f64, seed: u64) -> Self {
         FaultPlan::none().with_seed(seed).with_rate(|r| r.drop = p)
     }

@@ -177,7 +177,8 @@ impl<T: Clone> LinkSender<T> {
         self.window.len()
     }
 
-    /// Current head-of-line timeout (base timeout when idle).
+    /// Current head-of-line timeout (base timeout when idle). Only tests
+    /// call it: `fuzz.rs` checks the backoff, its cap and its snapshot.
     pub fn current_timeout(&self) -> u64 {
         self.window
             .values()
@@ -240,7 +241,8 @@ impl<T> LinkReceiver<T> {
         self.next_seq - 1
     }
 
-    /// Packets parked in the reorder window.
+    /// Packets parked in the reorder window. Only tests call it, to check
+    /// the window drains once a gap fills.
     pub fn reordered(&self) -> usize {
         self.reorder.len()
     }

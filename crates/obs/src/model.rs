@@ -20,8 +20,6 @@
 //! a fixed midpoint quadrature, so the same input always produces the
 //! same prediction bytes.
 
-use fasda_trace::Json;
-
 /// Per-axis half-shell offsets (§3.1): each unordered neighbour-cell
 /// pair is covered exactly once by the 13 positive-direction offsets.
 const HALF_SHELL: [(i32, i32, i32); 13] = [
@@ -42,19 +40,6 @@ const HALF_SHELL: [(i32, i32, i32); 13] = [
 
 /// Number of stall causes mirrored from `fasda_trace::StallCause`.
 pub const STALL_CLASSES: usize = 8;
-
-/// Stable stall-class labels, index-aligned with
-/// `fasda_trace::StallCause::ALL`.
-pub const STALL_LABELS: [&str; STALL_CLASSES] = [
-    "wait-neighbor-sync",
-    "ring-backpressure",
-    "tx-cooldown",
-    "filter-starved",
-    "drained",
-    "injected",
-    "retransmit",
-    "wait-ack",
-];
 
 /// Pure-configuration input to the §5 model. Constructed from
 /// `ClusterConfig` + workload geometry by the cluster crate; kept as
@@ -626,84 +611,6 @@ impl Divergence {
     }
 }
 
-fn shares_json(shares: &[f64; STALL_CLASSES]) -> Json {
-    let mut obj = Json::obj();
-    for (label, v) in STALL_LABELS.iter().zip(shares.iter()) {
-        obj = obj.field(label, Json::fixed(*v, 6));
-    }
-    obj.build()
-}
-
-/// The full `modelcheck` document: prediction, measurement, and
-/// divergence side by side.
-pub fn modelcheck_json(pred: &Prediction, meas: &Measured, gate: &Gate) -> Json {
-    let div = Divergence::compare(pred, meas);
-    let violations = div.violations(gate, meas);
-    Json::obj()
-        .field(
-            "predicted",
-            Json::obj()
-                .field("pass_rate", Json::fixed(pred.pass_rate, 6))
-                .field("candidates_per_cell", Json::fixed(pred.candidates_per_cell, 1))
-                .field("valid_per_cell", Json::fixed(pred.valid_per_cell, 1))
-                .field("bcast_interval", Json::fixed(pred.bcast_interval, 3))
-                .field("filter_bound", Json::fixed(pred.filter_bound, 1))
-                .field("force_bound", Json::fixed(pred.force_bound, 1))
-                .field("bcast_bound", Json::fixed(pred.bcast_bound, 1))
-                .field("sync_tail", Json::fixed(pred.sync_tail, 1))
-                .field("force_cycles", Json::fixed(pred.force_cycles, 1))
-                .field("mu_cycles", Json::fixed(pred.mu_cycles, 1))
-                .field("cycles_per_step", Json::fixed(pred.cycles_per_step, 1))
-                .field("occupancy", Json::fixed(pred.occupancy, 6))
-                .field("pos_packets_per_step", Json::fixed(pred.pos_packets_per_step, 1))
-                .field("frc_packets_per_step", Json::fixed(pred.frc_packets_per_step, 1))
-                .field("stall_shares", shares_json(&pred.stall_shares))
-                .build(),
-        )
-        .field(
-            "measured",
-            Json::obj()
-                .field("cycles_per_step", Json::fixed(meas.cycles_per_step, 3))
-                .field("force_cycles", Json::fixed(meas.force_cycles, 3))
-                .field("occupancy", Json::fixed(meas.occupancy, 6))
-                .field("pos_packets_per_step", Json::fixed(meas.pos_packets_per_step, 3))
-                .field("frc_packets_per_step", Json::fixed(meas.frc_packets_per_step, 3))
-                .field("stall_shares", shares_json(&meas.stall_shares))
-                .build(),
-        )
-        .field(
-            "divergence",
-            Json::obj()
-                .field("cycles_rel", Json::fixed(div.cycles_rel, 6))
-                .field("force_rel", Json::fixed(div.force_rel, 6))
-                .field("occupancy_abs", Json::fixed(div.occupancy_abs, 6))
-                .field("pos_packets_rel", Json::fixed(div.pos_packets_rel, 6))
-                .field("frc_packets_rel", Json::fixed(div.frc_packets_rel, 6))
-                .field("stall_share_abs", shares_json(&div.stall_share_abs))
-                .field(
-                    "max_stall_share_abs",
-                    Json::fixed(div.max_stall_share_abs(), 6),
-                )
-                .build(),
-        )
-        .field(
-            "gate",
-            Json::obj()
-                .field("cycles_rel", gate.cycles_rel)
-                .field("force_rel", gate.force_rel)
-                .field("occupancy_abs", gate.occupancy_abs)
-                .field("packets_rel", gate.packets_rel)
-                .field("stall_share_abs", gate.stall_share_abs)
-                .field("pass", violations.is_empty())
-                .field(
-                    "violations",
-                    Json::Arr(violations.into_iter().map(Json::Str).collect()),
-                )
-                .build(),
-        )
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,28 +721,5 @@ mod tests {
         off.cycles_per_step *= 2.0;
         let div = Divergence::compare(&pred, &off);
         assert!(!div.violations(&Gate::default(), &off).is_empty());
-    }
-
-    #[test]
-    fn modelcheck_json_round_trips() {
-        let pred = predict(&paper_input());
-        let meas = Measured {
-            steps: 2,
-            nodes: 2,
-            cycles_per_step: pred.cycles_per_step * 1.05,
-            force_cycles: pred.force_cycles,
-            occupancy: pred.occupancy,
-            pos_packets_per_step: pred.pos_packets_per_step,
-            frc_packets_per_step: pred.frc_packets_per_step,
-            stall_shares: pred.stall_shares,
-        };
-        let doc = modelcheck_json(&pred, &meas, &Gate::default());
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        assert_eq!(parsed, doc);
-        assert_eq!(
-            doc.get("gate").unwrap().get("pass"),
-            Some(&Json::Bool(true))
-        );
-        assert!(doc.get("divergence").unwrap().get("cycles_rel").is_some());
     }
 }

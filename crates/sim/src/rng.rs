@@ -64,7 +64,8 @@ impl XorShift64Star {
     }
 
     /// Next draw in `0..bound` (rejection-free modulo; fine for fuzzing,
-    /// not for cryptography).
+    /// not for cryptography). Only tests call it, to draw the shard codec's
+    /// and the checkpoint container's fuzz cases.
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0);
         self.next_u64() % bound

@@ -15,7 +15,7 @@ use fasda_svc::{Client, JobSpec, Server, ServerConfig, TenantQuota};
 use fasda_trace::Json;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const STEPS: u64 = 6;
 const EVERY: u64 = 2;
@@ -61,6 +61,35 @@ fn field_u64(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_i64).unwrap_or(-1) as u64
 }
 
+/// A job of 4 particles per cell, checkpointed every step.
+fn tiny(name: &str, steps: u64) -> JobSpec {
+    JobSpec { name: name.to_string(), per_cell: 4, steps, ckpt_every: 1, ..JobSpec::default() }
+}
+
+/// Poll until job `id` runs. A verb sent after this lands on a running
+/// job, however fast a step runs.
+fn await_running(client: &mut Client, id: u64) {
+    let asked = Instant::now();
+    loop {
+        let status = client.status(id).expect("status");
+        if status.get("state").and_then(Json::as_str) == Some("running") {
+            return;
+        }
+        assert!(asked.elapsed() < WAIT, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Occupy both of the default config's workers with jobs that run until
+/// cancelled: a job submitted next stays queued until one of them is.
+fn hold_workers(client: &mut Client, names: [&str; 2]) -> [u64; 2] {
+    let ids = names.map(|name| client.submit(&tiny(name, 100_000)).expect("submit"));
+    for id in ids {
+        await_running(client, id);
+    }
+    ids
+}
+
 #[test]
 fn migrated_job_is_bit_identical_to_direct_run() {
     let dir = tmpdir("migrate");
@@ -70,9 +99,14 @@ fn migrated_job_is_bit_identical_to_direct_run() {
 
     let handle = Server::start(ServerConfig::at(&dir.join("srv"))).expect("server starts");
     let mut client = Client::connect(handle.addr()).expect("connect");
+    // The job is still queued when the migrate lands, so it drains at its
+    // first segment boundary and resumes on the other worker.
+    let holders = hold_workers(&mut client, ["holder-a", "holder-b"]);
     let id = client.submit(&job).expect("submit");
-    // Drain at the first segment boundary, resume on the other worker.
     client.migrate(id).expect("migrate accepted");
+    for holder in holders {
+        client.cancel(holder).expect("cancel while running");
+    }
     let status = client.wait(id, WAIT).expect("job finishes");
     assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"));
     assert_eq!(field_u64(&status, "migrations"), 1, "status: {}", status.compact());
@@ -152,10 +186,12 @@ fn crashed_worker_requeues_from_newest_checkpoint() {
 #[test]
 fn cancelled_job_stops_and_terminal_states_reject_verbs() {
     let dir = tmpdir("cancel");
+    // Far more steps than the test lasts: the job is running when the
+    // cancel lands and stops at its next segment boundary.
     let job = JobSpec {
         name: "cancel-me".to_string(),
         per_cell: 16,
-        steps: STEPS,
+        steps: 100_000,
         ckpt_every: EVERY,
         ..JobSpec::default()
     };
@@ -163,6 +199,7 @@ fn cancelled_job_stops_and_terminal_states_reject_verbs() {
     let handle = Server::start(ServerConfig::at(&dir.join("srv"))).expect("server starts");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let id = client.submit(&job).expect("submit");
+    await_running(&mut client, id);
     client.cancel(id).expect("cancel accepted");
     let status = client.wait(id, WAIT).expect("job settles");
     assert_eq!(status.get("state").and_then(Json::as_str), Some("cancelled"));
@@ -186,13 +223,6 @@ fn evicted_jobs_answer_from_the_journal() {
     cfg.tenants.set("held", TenantQuota { weight: 1, max_running: 0 });
     let handle = Server::start(cfg).expect("server starts");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let tiny = |name: &str, steps| JobSpec {
-        name: name.to_string(),
-        per_cell: 4,
-        steps,
-        ckpt_every: 1,
-        ..JobSpec::default()
-    };
 
     let done = client.submit(&tiny("done", 2)).expect("submit");
     let done_doc = client.wait(done, WAIT).expect("job finishes");
@@ -203,19 +233,8 @@ fn evicted_jobs_answer_from_the_journal() {
     // until it is cancelled there. The migrated job is asked to drain
     // while a stopper holds the other worker, so it drains at its first
     // segment boundary however fast a step runs.
-    let blocker = client.submit(&tiny("blocker", 100_000)).expect("submit");
-    let stopper = client.submit(&tiny("stopper", 100_000)).expect("submit");
-    let asked = std::time::Instant::now();
-    let state = |client: &mut Client, id| {
-        let status = client.status(id).expect("status");
-        status.get("state").and_then(Json::as_str).map(String::from)
-    };
-    for id in [blocker, stopper] {
-        while state(&mut client, id).as_deref() != Some("running") {
-            assert!(asked.elapsed() < WAIT, "job {id} never started");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
+    let [blocker, stopper] = hold_workers(&mut client, ["blocker", "stopper"]);
+    let asked = Instant::now();
     let drained = client.submit(&tiny("drained", 100_000)).expect("submit");
     client.migrate(drained).expect("migrate accepted");
     client.cancel(stopper).expect("cancel while running");
