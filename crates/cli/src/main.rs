@@ -15,7 +15,7 @@
 use fasda_cluster::ckpt::{CheckpointConfig, SegmentControl};
 use fasda_cluster::{
     chrome_trace, coordinator_main_net, state_dump, worker_main_net, EngineConfig, FaultPlan, Json,
-    ObsSinkConfig, Resume, RunOutput, RunSpec, ShardNet, ShardOpts, TraceConfig, TraceLevel,
+    ObsSinkConfig, Resume, RunOutput, RunSpec, ShardOpts, TraceConfig, TraceLevel,
 };
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
@@ -23,21 +23,90 @@ use fasda_core::resources::{estimate, ALVEO_U280};
 use fasda_core::timed::axi::AxiLiteRegs;
 use fasda_md::pdb::to_pdb;
 use fasda_net::sync::SyncMode;
+use fasda_net::transport::Endpoint;
 use fasda_svc::server::{measured_costs, policy_interval, FINISHED_KEPT};
-use fasda_svc::{Client, JobSpec, Listen, Server, ServerConfig};
+use fasda_svc::{Client, JobSpec, Server, ServerConfig};
 use std::process::ExitCode;
 
+/// The flags one subcommand takes, declared once, getopt-style: `--steps=`
+/// is followed by a value, `--serial` stands alone. Anything else on its
+/// command line is refused.
+struct Grammar {
+    /// Whether a verb comes first (`job submit`, `ckpt policy`).
+    verb: bool,
+    flags: &'static str,
+}
+
+impl Grammar {
+    /// Whether `arg` is a flag that takes a value; `None` if no flag.
+    fn takes_value(&self, arg: &str) -> Option<bool> {
+        self.flags.split_whitespace().find_map(|f| {
+            let name = f.trim_end_matches('=');
+            (name == arg).then_some(name.len() < f.len())
+        })
+    }
+}
+
+/// `fasda run`, including the `--worker I --shard-connect ENDPOINT` a
+/// shard coordinator appends when it re-invokes its own argv.
+const RUN: Grammar = Grammar {
+    verb: false,
+    flags: "--per-fpga= --total= --steps= --variant= --sync= --dump-group= --per-cell= --seed= \
+            --serial --shards= --shard-listen= --fault-plan= --unreliable --checkpoint-every= \
+            --checkpoint-dir= --checkpoint-keep= --resume= --recover= --dump-state= --trace-out= \
+            --metrics-out= --trace-level= --heartbeat-every= --heartbeat-out= --prom-out= \
+            --worker= --shard-connect=",
+};
+const GENERATE: Grammar = Grammar { verb: false, flags: "--total= --out= --per-cell= --seed=" };
+const INFO: Grammar = Grammar { verb: false, flags: "--per-fpga= --total= --variant=" };
+const CKPT: Grammar = Grammar {
+    verb: true,
+    flags: "--failure-rate= --bench= --step-ms= --save-ms= --restore-ms= --interval=",
+};
+const SERVE: Grammar = Grammar {
+    verb: false,
+    flags: "--dir= --listen= --workers= --default-ckpt-every= --policy-bench= --failure-rate= \
+            --step-ms= --tenant= --max-restarts=",
+};
+const JOB: Grammar = Grammar {
+    verb: true,
+    flags: "--connect= --spec= --name= --tenant= --priority= --total= --per-fpga= --per-cell= \
+            --seed= --steps= --fault-plan= --unreliable --ckpt-every= --dump-state= --wait \
+            --timeout= --id=",
+};
+
 struct Opts {
+    /// The arguments after the subcommand, as given: a shard coordinator
+    /// replays them.
     args: Vec<String>,
+    verb: Option<String>,
+    /// Each flag given, in order, with its value when it takes one.
+    flags: Vec<(String, Option<String>)>,
 }
 
 impl Opts {
+    /// `args` read by `grammar`: an unknown flag, or a value flag
+    /// followed by nothing or by another flag, is refused naming it.
+    fn parse(grammar: &Grammar, args: Vec<String>) -> Result<Opts, String> {
+        let mut rest = args.iter().peekable();
+        let verb = rest.next_if(|a| grammar.verb && !a.starts_with("--")).cloned();
+        let mut flags = Vec::new();
+        while let Some(flag) = rest.next() {
+            let value = match grammar.takes_value(flag) {
+                None => return Err(format!("unknown option '{flag}'")),
+                Some(false) => None,
+                Some(true) => {
+                    let value = rest.next_if(|v| grammar.takes_value(v).is_none());
+                    Some(value.ok_or_else(|| format!("{flag} needs a value"))?.clone())
+                }
+            };
+            flags.push((flag.clone(), value));
+        }
+        Ok(Opts { args, verb, flags })
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        self.get_all(key).into_iter().next()
     }
 
     fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
@@ -45,7 +114,7 @@ impl Opts {
     }
 
     fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
+        self.flags.iter().any(|(flag, _)| flag == key)
     }
 
     /// The flag's value parsed, or `default` when the flag is absent.
@@ -61,13 +130,7 @@ impl Opts {
 
     /// Every value of a repeatable flag, in order.
     fn get_all(&self, key: &str) -> Vec<&str> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| *a == key)
-            .filter_map(|(i, _)| self.args.get(i + 1))
-            .map(String::as_str)
-            .collect()
+        self.flags.iter().filter(|(flag, _)| flag == key).filter_map(|(_, v)| v.as_deref()).collect()
     }
 }
 
@@ -147,8 +210,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  fasda run --per-fpga 222 --total 444 [--steps N] [--variant A|B|C]\n\
          \x20           [--sync chained|bulk] [--dump-group N] [--per-cell 64] [--seed S]\n\
-         \x20           [--serial] [--shards S] [--shard-dir DIR | --shard-listen HOST:PORT]\n\
-         \x20           [--fault-plan SPEC] [--drop-rate P] [--fault-seed S] [--unreliable]\n\
+         \x20           [--serial] [--shards S] [--shard-listen ENDPOINT]\n\
+         \x20           [--fault-plan SPEC] [--unreliable]\n\
          \x20           [--checkpoint-every N --checkpoint-dir DIR] [--checkpoint-keep K]\n\
          \x20           [--resume FILE|latest] [--recover N] [--dump-state FILE]\n\
          \x20           [--trace-out run.trace.json] [--metrics-out run.metrics.json]\n\
@@ -159,18 +222,18 @@ fn usage() -> ExitCode {
          \x20 fasda info --per-fpga 222 --total 444 [--variant A|B|C]\n\
          \x20 fasda ckpt policy --failure-rate L [--bench beats.jsonl]\n\
          \x20           [--step-ms T] [--save-ms S] [--restore-ms R] [--interval K]\n\
-         \x20 fasda serve [--dir DIR] [--listen unix:PATH|tcp:HOST:PORT] [--workers N]\n\
+         \x20 fasda serve [--dir DIR] [--listen ENDPOINT] [--workers N]\n\
          \x20           [--default-ckpt-every N | --policy-bench beats.jsonl\n\
          \x20            --failure-rate L [--step-ms T]]\n\
          \x20           [--tenant NAME:WEIGHT[:MAX]]... [--max-restarts N]\n\
-         \x20 fasda job submit --connect ADDR [--spec FILE.json | --name S --tenant T\n\
+         \x20 fasda job submit --connect ENDPOINT [--spec FILE.json | --name S --tenant T\n\
          \x20           --priority P --total 633 --per-fpga 333 --per-cell 64 --seed S\n\
          \x20           --steps N --fault-plan SPEC --unreliable --ckpt-every N\n\
          \x20           --dump-state FILE] [--wait [--timeout SECS]]\n\
-         \x20 fasda job status --connect ADDR [--id N]   (no --id: live jobs + the last\n\
+         \x20 fasda job status --connect ENDPOINT [--id N]   (no --id: live jobs + the last\n\
          \x20           {FINISHED_KEPT} finished; older ids answer from the queue journal)\n\
-         \x20 fasda job cancel|logs|migrate|wait --connect ADDR --id N\n\
-         \x20 fasda job metrics|shutdown --connect ADDR\n\
+         \x20 fasda job cancel|logs|migrate|wait --connect ENDPOINT --id N\n\
+         \x20 fasda job metrics|shutdown --connect ENDPOINT\n\
          \n\
          fault-plan grammar: drop=P,corrupt=P,dup=P,delay=P:MAX,seed=N,\n\
          \x20                   kill=CHAN:SRC->DST:N,crash=NODE@STEP (repeatable),\n\
@@ -183,13 +246,14 @@ fn usage() -> ExitCode {
          \x20crash directives, or let --recover N restart automatically up to N times,\n\
          \x20stripping exactly the directive that fired each time)\n\
          \n\
-         --shards S partitions the nodes across S worker processes exchanging\n\
-         boundary traffic over Unix-domain sockets in --shard-dir (default: a\n\
-         temporary directory), or over TCP with --shard-listen HOST:PORT, where\n\
-         the coordinator listens (port 0 picks a free port) and the workers\n\
-         connect; the run is bit-identical to a single process. --worker I\n\
-         --shard-dir DIR | --shard-connect ADDR is the internal re-invocation\n\
-         the coordinator spawns — not for direct use.\n\
+         endpoints (--listen, --connect, --shard-listen): tcp:HOST:PORT, unix:PATH\n\
+         or a bare PATH (Unix); a listening tcp port 0 picks a free port.\n\
+         \n\
+         --shards S partitions the nodes across S worker processes that dial the\n\
+         coordinator at --shard-listen (default: a Unix socket in a temporary\n\
+         directory) and mesh beside it; the run is bit-identical to a single\n\
+         process. --worker I --shard-connect ENDPOINT is the internal\n\
+         re-invocation the coordinator spawns — not for direct use.\n\
          \n\
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\
          --heartbeat-every N steps (default 1 when a sink is given) and ends on a\n\
@@ -208,30 +272,6 @@ fn usage() -> ExitCode {
          the run did not measure."
     );
     ExitCode::from(2)
-}
-
-/// `--fault-plan` / `--drop-rate` / `--fault-seed` → the seeded link-fault
-/// schedule injected at the switch boundary. Any faults turn the
-/// reliable-delivery layer (acks + retransmission) on, because chained
-/// sync deadlocks on a lost marker otherwise; `--unreliable` opts back
-/// out to study that failure mode.
-fn fault_plan(opts: &Opts) -> Result<Option<FaultPlan>, String> {
-    let mut plan = match opts.get("--fault-plan") {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => None,
-    };
-    if let Some(p) = opts.get("--drop-rate") {
-        let p: f64 = p.parse().map_err(|_| "bad --drop-rate")?;
-        if !(0.0..1.0).contains(&p) {
-            return Err(format!("--drop-rate {p} out of [0,1)"));
-        }
-        plan = Some(plan.unwrap_or_else(FaultPlan::none).with_rate(|r| r.drop = p));
-    }
-    if let Some(s) = opts.get("--fault-seed") {
-        let s: u64 = s.parse().map_err(|_| "bad --fault-seed")?;
-        plan = Some(plan.unwrap_or_else(FaultPlan::none).with_seed(s));
-    }
-    Ok(plan)
 }
 
 fn variant(opts: &Opts) -> Result<DesignVariant, String> {
@@ -276,7 +316,11 @@ fn run_spec(opts: &Opts) -> Result<RunSpec, String> {
         "bulk" => SyncMode::Bulk { latency: 2_000 },
         other => return Err(format!("unknown sync mode '{other}'")),
     };
-    spec.faults = fault_plan(opts)?;
+    // The seeded link-fault schedule injected at the switch boundary. Any
+    // faults turn the reliable-delivery layer (acks + retransmission) on,
+    // because chained sync deadlocks on a lost marker otherwise;
+    // `--unreliable` opts back out to study that failure mode.
+    spec.faults = opts.get("--fault-plan").map(FaultPlan::parse).transpose()?;
     spec.unreliable = opts.has("--unreliable");
     spec.engine = engine(opts)?;
     spec.ckpt = checkpoint_config(opts)?;
@@ -296,7 +340,7 @@ fn run_spec(opts: &Opts) -> Result<RunSpec, String> {
 }
 
 /// The `--shards S` run: spawn S worker processes (re-invoking our own
-/// argv with `--worker I` and the rendezvous flag appended) and drive
+/// argv with `--worker I --shard-connect ENDPOINT` appended) and drive
 /// them as the coordinator. Process spawning by argv replay is the one
 /// part of a run only the CLI can do; the spec, its construction and the
 /// reporting of the output are the same as in-process.
@@ -307,36 +351,25 @@ fn spawn_shards(
     obs: Option<ObsSinkConfig>,
 ) -> Result<RunOutput, String> {
     let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
-    // Rendezvous carrier: `--shard-listen ADDR` puts the control socket
-    // and worker mesh on TCP (cross-host capable; loopback in CI), the
-    // default stays Unix sockets in `--shard-dir`, or in a directory of
-    // our own that goes again with the run.
+    // Where the coordinator listens and the workers dial: by default a
+    // Unix socket in a directory of our own that goes again with the run.
     let own_dir = std::env::temp_dir().join(format!("fasda-shard-{}", std::process::id()));
-    let (net, chosen) = match (opts.get("--shard-listen"), opts.get("--shard-dir")) {
-        (Some(addr), _) => (ShardNet::Tcp(addr.to_string()), false),
-        (None, Some(dir)) => (ShardNet::Unix(dir.into()), false),
-        (None, None) => (ShardNet::Unix(own_dir.clone()), true),
+    let listen = match opts.get("--shard-listen") {
+        Some(spec) => spec.parse()?,
+        None => Endpoint::Unix(own_dir.join("ctl.sock")),
     };
     // Workers rebuild the spec by replaying this exact argv.
     let mut worker_argv = vec!["run".to_string()];
     worker_argv.extend(opts.args.iter().cloned());
 
-    match &net {
-        ShardNet::Unix(dir) => println!(
-            "sharding across {shards} worker process(es); rendezvous in {}",
-            dir.display()
-        ),
-        ShardNet::Tcp(addr) => {
-            println!("sharding across {shards} worker process(es); listening on tcp {addr}")
-        }
-    }
+    println!("sharding across {shards} worker process(es); listening on {listen}");
     // The coordinator resumes by the in-process rule and says so the same way.
     let mut note = |line| println!("{line}");
     let resume = spec.resume_file(&mut note).map_err(|e| e.to_string())?;
     let shard_opts = ShardOpts { ckpt: spec.ckpt.clone(), resume, obs, ..ShardOpts::default() };
     let (steps, argv) = (spec.steps, &worker_argv);
-    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &net, argv, &mut note);
-    if chosen {
+    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &listen, argv, &mut note);
+    if !opts.has("--shard-listen") {
         let _ = std::fs::remove_dir_all(&own_dir);
     }
     Ok(RunOutput::from_sharded(run.map_err(|e| e.to_string())?, sys))
@@ -485,16 +518,10 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     if let Some(w) = opts.get("--worker") {
         let index: usize = w.parse().map_err(|_| "bad --worker")?;
         let shards = shards.ok_or("--worker needs --shards")?;
-        let net = match opts.get("--shard-connect") {
-            Some(addr) => ShardNet::Tcp(addr.to_string()),
-            None => ShardNet::Unix(
-                opts.get("--shard-dir")
-                    .ok_or("--worker needs --shard-dir or --shard-connect")?
-                    .into(),
-            ),
-        };
+        let coordinator: Endpoint =
+            opts.get("--shard-connect").ok_or("--worker needs --shard-connect")?.parse()?;
         let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
-        return worker_main_net(&cfg, &sys, &spec.engine, index, shards, &net)
+        return worker_main_net(&cfg, &sys, &spec.engine, index, shards, &coordinator)
             .map_err(|e| e.to_string());
     }
     if spec.recover.is_some() && shards.is_some() {
@@ -652,17 +679,6 @@ fn cmd_ckpt_policy(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `--connect` / `--listen` address syntax: `tcp:HOST:PORT` selects the
-/// TCP carrier, anything else (optionally prefixed `unix:`) is a
-/// Unix-domain socket path.
-fn parse_endpoint(spec: &str) -> Listen {
-    if let Some(addr) = spec.strip_prefix("tcp:") {
-        Listen::Tcp(addr.to_string())
-    } else {
-        Listen::Unix(spec.strip_prefix("unix:").unwrap_or(spec).into())
-    }
-}
-
 /// `fasda serve` — the multi-tenant job daemon (see DESIGN.md §14).
 /// Runs until a client sends `shutdown`; running jobs drain at their
 /// next segment boundary and are journaled as requeued, so a restarted
@@ -671,7 +687,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let dir = std::path::PathBuf::from(opts.get_or("--dir", "fasda-svc"));
     let mut cfg = ServerConfig::at(&dir);
     if let Some(l) = opts.get("--listen") {
-        cfg.listen = parse_endpoint(l);
+        cfg.listen = l.parse()?;
     }
     cfg.workers = opts.parse_or("--workers", cfg.workers)?;
     cfg.max_restarts = opts.parse_or("--max-restarts", cfg.max_restarts)?;
@@ -710,13 +726,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     };
     let workers = cfg.workers;
     let handle = Server::start(cfg).map_err(|e| e.to_string())?;
-    match handle.addr() {
-        Listen::Unix(path) => println!(
-            "fasda-svc: {workers} worker(s), control socket {}",
-            path.display()
-        ),
-        Listen::Tcp(addr) => println!("fasda-svc: {workers} worker(s), listening on tcp {addr}"),
-    }
+    println!("fasda-svc: {workers} worker(s), listening on {}", handle.addr());
     println!("serving until a client sends shutdown (fasda job shutdown --connect ...)");
     handle.join();
     println!("fasda-svc: shut down cleanly");
@@ -762,11 +772,10 @@ fn job_id(opts: &Opts) -> Result<u64, String> {
 /// `fasda job <verb>` — the service client.
 fn cmd_job(opts: &Opts) -> Result<(), String> {
     let verb = opts
-        .args
-        .first()
-        .map(String::as_str)
+        .verb
+        .as_deref()
         .ok_or("job needs a verb: submit|status|cancel|logs|migrate|wait|metrics|shutdown")?;
-    let addr = parse_endpoint(opts.get("--connect").ok_or("--connect required")?);
+    let addr: Endpoint = opts.get("--connect").ok_or("--connect required")?.parse()?;
     let mut client = Client::connect(&addr)?;
     match verb {
         "submit" => {
@@ -828,7 +837,7 @@ fn wait_timeout(opts: &Opts) -> Result<std::time::Duration, String> {
 }
 
 fn cmd_ckpt(opts: &Opts) -> Result<(), String> {
-    match opts.args.first().map(String::as_str) {
+    match opts.verb.as_deref() {
         Some("policy") => cmd_ckpt_policy(opts),
         Some(other) => Err(format!("unknown ckpt subcommand '{other}' (try 'policy')")),
         None => Err("ckpt needs a subcommand (try 'policy')".into()),
@@ -841,17 +850,17 @@ fn main() -> ExitCode {
         return usage();
     }
     let cmd = args.remove(0);
-    let opts = Opts { args };
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "generate" => cmd_generate(&opts),
-        "info" => cmd_info(&opts),
-        "ckpt" => cmd_ckpt(&opts),
-        "serve" => cmd_serve(&opts),
-        "job" => cmd_job(&opts),
+    type Command = fn(&Opts) -> Result<(), String>;
+    let (grammar, command): (&Grammar, Command) = match cmd.as_str() {
+        "run" => (&RUN, cmd_run),
+        "generate" => (&GENERATE, cmd_generate),
+        "info" => (&INFO, cmd_info),
+        "ckpt" => (&CKPT, cmd_ckpt),
+        "serve" => (&SERVE, cmd_serve),
+        "job" => (&JOB, cmd_job),
         _ => return usage(),
     };
-    match result {
+    match Opts::parse(grammar, args).and_then(|opts| command(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -863,7 +872,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasda_cluster::{drain_to_container, Cluster, RunAccumulator};
+    use fasda_cluster::{drain_to_container, Cluster, ClusterRunReport};
     use proptest::prelude::*;
 
     proptest! {
@@ -885,12 +894,12 @@ mod tests {
             args.extend(["--per-cell".into(), per_cell.to_string(), "--seed".into(), seed.to_string()]);
             args.extend(plan.iter().flat_map(|p| ["--fault-plan".to_string(), p.clone()]));
             args.extend(unreliable.then(|| "--unreliable".to_string()));
-            let flags = run_spec(&Opts { args }).expect("flags parse");
+            let flags = run_spec(&Opts::parse(&RUN, args).expect("flags parse")).expect("flags build");
             let (total, per_fpga) = (total.to_string(), per_fpga.to_string());
             let job = JobSpec { total, per_fpga, per_cell, seed, fault_plan: plan, unreliable, ..JobSpec::default() };
             let machine = |spec: RunSpec| {
                 let (cfg, sys) = spec.build().expect("valid spec");
-                drain_to_container(&Cluster::new(cfg, &sys), &RunAccumulator::new())
+                drain_to_container(&Cluster::new(cfg, &sys), &ClusterRunReport::new())
             };
             prop_assert!(machine(flags) == machine(job.run_spec().expect("job parses")));
         }

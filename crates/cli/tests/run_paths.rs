@@ -169,14 +169,15 @@ fn every_run_path_agrees() {
     let dir = tmpdir("paths");
     let (plain, plain_m) = artifacts(&dir, "plain", &["--steps", "2"]);
     let (serial, serial_m) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
-    let sharded = ["--steps", "2", "--shards", "2", "--shard-dir", "rdv"];
-    let (shard, shard_m) =
-        artifacts(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "fleet.jsonl"]].concat());
+    let sharded = ["--steps", "2", "--shards", "2", "--shard-listen", "unix:rdv/ctl.sock"];
+    let (shard, shard_m, said) =
+        artifacts_said(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "fleet.jsonl"]].concat());
+    assert!(said.contains("listening on unix:rdv/ctl.sock"), "not the Unix carrier: {said}");
     // The same two workers meshed over loopback TCP, the carrier that
     // can cross hosts; port 0 lets the coordinator pick a free port.
-    let tcp = ["--steps", "2", "--shards", "2", "--shard-listen", "127.0.0.1:0"];
+    let tcp = ["--steps", "2", "--shards", "2", "--shard-listen", "tcp:127.0.0.1:0"];
     let (tcp, tcp_m, said) = artifacts_said(&dir, "tcp", &tcp);
-    assert!(said.contains("listening on tcp 127.0.0.1:"), "not the TCP carrier: {said}");
+    assert!(said.contains("listening on tcp:127.0.0.1:"), "not the TCP carrier: {said}");
     let ckpt_args = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir"];
     let (ckpt, ckpt_m) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
     let (rec, rec_m) =
@@ -215,8 +216,8 @@ fn every_run_path_agrees() {
 
     // The same holds with every fault outcome in play, where the shard
     // workers split each crossing between its two owners. Without
-    // --shard-dir the rendezvous directory is the run's own, in the temp
-    // dir, and goes with it.
+    // --shard-listen the control socket's directory is the run's own, in
+    // the temp dir, and goes with it.
     // The oracle agrees under faults too, with the full flight recorder
     // on: its metrics document is the default engine's but for the
     // engine-private trace counters.
@@ -291,7 +292,7 @@ fn recovered_run_writes_every_artifact() {
     // or the file, in-process or sharded.
     let latest = ["--checkpoint-every", "1", "--checkpoint-dir", "ck", "--resume", "latest"];
     let file = ["--resume", "ck/ckpt-0000000003.fckp"];
-    let sharded = ["--shards", "2", "--shard-dir", "rdv"];
+    let sharded = ["--shards", "2", "--shard-listen", "unix:rdv/ctl.sock"];
     for resume in [&latest[..], &file] {
         for shards in [&[][..], &sharded] {
             let out = fasda(&dir, &[&["--steps", "2"][..], resume, shards].concat());
@@ -387,6 +388,14 @@ fn invalid_runs_fail_typed_not_panicking() {
         (&["run", "--total", "666", "--per-fpga", "333", "--steps", "-1"], "--steps"),
         (&["run", "--total", "666", "--per-fpga", "333", "--recover", "2"], "recover"),
         (&["run", "--total", "666", "--per-fpga", "333", "--resume", "latest"], "resume"),
+        // Each subcommand's flags are declared once: a misspelt, removed
+        // or valueless flag is refused by name, never ignored.
+        (&["run", "--total", "666", "--per-fpga", "333", "--heartbeat-evry", "5"], "'--heartbeat-evry'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--shard-dir", "rdv"], "'--shard-dir'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--steps"], "--steps needs a value"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--steps", "--serial"], "--steps needs a value"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--shards", "2", "--shard-listen", "tcp:7700"], "`tcp:7700`"),
+        (&["job", "status", "--connect", "unix:"], "`unix:`"),
         (&["info", "--total", "444", "--per-fpga", "333"], "per_fpga"),
         (&["info", "--total", "444", "--per-fpga", "000"], "per_fpga"),
         (&["info", "--total", "222", "--per-fpga", "222"], "total"),
@@ -407,6 +416,45 @@ fn invalid_runs_fail_typed_not_panicking() {
         assert!(stderr.starts_with("error: ") && stderr.contains(names), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers that die before their HELLO fail the run, naming a worker,
+/// instead of leaving the coordinator waiting for them: in a 97-byte
+/// directory the control socket's path fits a `sun_path`, the workers'
+/// `peer-I.sock` paths do not.
+#[test]
+fn workers_dying_before_hello_fail_the_run() {
+    let dir = tmpdir("sunlen");
+    let base = dir.display().to_string().len();
+    assert!(base < 96, "temp dir {} too long for this test", dir.display());
+    let rdv = dir.join("d".repeat(96 - base));
+    assert_eq!(rdv.display().to_string().len(), 97);
+    let listen = format!("unix:{}/ctl.sock", rdv.display());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
+        .args([RUN, &["--steps", "2", "--shards", "2", "--shard-listen", &listen]].concat())
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fasda-cli");
+    let (started, deadline) = (Instant::now(), Duration::from_secs(60));
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the coordinator") {
+            break status;
+        }
+        if started.elapsed() > deadline {
+            let _ = child.kill();
+            panic!("the coordinator still waits {deadline:?} after its workers died");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr).expect("read stderr");
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    let said = stderr.lines().find(|l| l.starts_with("error: shard worker failed: worker "));
+    assert!(said.is_some_and(|l| l.contains("exited")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

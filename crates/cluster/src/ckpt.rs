@@ -23,7 +23,7 @@
 //! order-invariant — only the cycle accounting differs.
 
 use crate::driver::{sections, Cluster, ClusterError, EngineConfig};
-use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
+use crate::report::ClusterRunReport;
 use fasda_ckpt::{
     checkpoint_path, prune_checkpoints, write_atomic, CkptError, Container, ContainerWriter,
     Persist, Reader, Writer,
@@ -31,8 +31,6 @@ use fasda_ckpt::{
 use fasda_net::fault::FaultPlan;
 pub use fasda_ckpt::latest_checkpoint;
 pub use fasda_ckpt::policy;
-use fasda_core::timed::TrafficCounters;
-use fasda_sim::StatSet;
 use fasda_trace::Trace;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -65,110 +63,17 @@ impl CheckpointConfig {
     }
 }
 
-/// Cross-segment run aggregation. Lives *inside* each checkpoint (the
-/// `runner` section) so a resumed run can report over the whole
-/// trajectory, not just its own segments.
-///
-/// Per-segment quantities (records, merged stats, traffic, cycles) are
-/// summed as segments complete. Fabric packet/bit counters, fault
-/// tallies and reliability counters are cumulative *inside* the cluster
-/// state (they survive snapshot/restore), so the latest segment's report
-/// already carries their run totals — those fields are overwritten, not
-/// summed.
-#[derive(Clone, Debug, Default)]
-pub struct RunAccumulator {
-    /// Steps completed so far (absolute; segment targets are derived
-    /// from this).
-    pub steps_done: u64,
-    /// Wall-clock cycles summed over completed segments.
-    pub total_cycles: u64,
-    /// Per-node per-step records of all completed segments, in
-    /// completion order.
-    pub records: Vec<NodeStepReport>,
-    /// Cluster-merged utilization counters, accumulated across segments.
-    pub stats: StatSet,
-    /// Per-node traffic counters, accumulated across segments.
-    pub per_node_traffic: Vec<TrafficCounters>,
-    /// Cumulative fabric/fault/reliability scalars from the most recent
-    /// segment report.
-    pub pos_packets: u64,
-    /// See [`RunAccumulator::pos_packets`].
-    pub frc_packets: u64,
-    /// See [`RunAccumulator::pos_packets`].
-    pub pos_bits: u64,
-    /// See [`RunAccumulator::pos_packets`].
-    pub frc_bits: u64,
-    /// Fabric clock of the run.
-    pub clock_hz: f64,
-    /// Timestep in femtoseconds.
-    pub dt_fs: f64,
-    /// Node count.
-    pub nodes: usize,
-    /// Faults injected so far (cumulative).
-    pub faults_injected: u64,
-    /// Reliability counters (cumulative), when the layer is on.
-    pub reliability: Option<RelSummary>,
-}
+/// Cross-segment run aggregation: the [`ClusterRunReport`] folded over
+/// every completed segment ([`ClusterRunReport::fold`]), under the name
+/// the frozen benchmark imports it by.
+pub type RunAccumulator = ClusterRunReport;
 
-impl RunAccumulator {
-    /// Fresh accumulator for a run starting at step 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one completed segment's report in. `report.steps` is the
-    /// absolute step target the segment ran to.
-    pub fn fold(&mut self, report: &ClusterRunReport) {
-        self.steps_done = report.steps;
-        self.total_cycles += report.total_cycles;
-        self.records.extend_from_slice(&report.records);
-        self.stats.accumulate_from(&report.stats);
-        if self.per_node_traffic.is_empty() {
-            self.per_node_traffic = report.per_node_traffic.clone();
-        } else {
-            for (mine, theirs) in self
-                .per_node_traffic
-                .iter_mut()
-                .zip(report.per_node_traffic.iter())
-            {
-                mine.merge_from(theirs);
-            }
-        }
-        self.pos_packets = report.pos_packets;
-        self.frc_packets = report.frc_packets;
-        self.pos_bits = report.pos_bits;
-        self.frc_bits = report.frc_bits;
-        self.clock_hz = report.clock_hz;
-        self.dt_fs = report.dt_fs;
-        self.nodes = report.nodes;
-        self.faults_injected = report.faults_injected;
-        self.reliability = report.reliability;
-    }
-
-    /// The whole-run report over every folded segment.
-    pub fn into_report(self) -> ClusterRunReport {
-        ClusterRunReport {
-            steps: self.steps_done,
-            total_cycles: self.total_cycles,
-            records: self.records,
-            stats: self.stats,
-            per_node_traffic: self.per_node_traffic,
-            pos_packets: self.pos_packets,
-            frc_packets: self.frc_packets,
-            pos_bits: self.pos_bits,
-            frc_bits: self.frc_bits,
-            clock_hz: self.clock_hz,
-            dt_fs: self.dt_fs,
-            nodes: self.nodes,
-            faults_injected: self.faults_injected,
-            reliability: self.reliability,
-        }
-    }
-}
-
-impl Persist for RunAccumulator {
+/// The report folded so far lives *inside* each checkpoint (the `runner`
+/// section) so a resumed run can report over the whole trajectory, not
+/// just its own segments.
+impl Persist for ClusterRunReport {
     fn save(&self, w: &mut Writer) {
-        w.put_u64(self.steps_done);
+        w.put_u64(self.steps);
         w.put_u64(self.total_cycles);
         self.records.save(w);
         self.stats.save(w);
@@ -185,8 +90,8 @@ impl Persist for RunAccumulator {
     }
 
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(RunAccumulator {
-            steps_done: r.get_u64()?,
+        Ok(ClusterRunReport {
+            steps: r.get_u64()?,
             total_cycles: r.get_u64()?,
             records: Persist::load(r)?,
             stats: Persist::load(r)?,
@@ -209,7 +114,7 @@ impl Persist for RunAccumulator {
 /// The bytes are exactly what [`save_checkpoint`] would write to disk,
 /// so a drained job handed to another worker resumes from the same
 /// snapshot an on-disk recovery would.
-pub fn drain_to_container(cluster: &Cluster, acc: &RunAccumulator) -> Vec<u8> {
+pub fn drain_to_container(cluster: &Cluster, acc: &ClusterRunReport) -> Vec<u8> {
     let mut cw = ContainerWriter::new();
     cluster.snapshot_into(&mut cw);
     let mut w = Writer::new();
@@ -220,14 +125,14 @@ pub fn drain_to_container(cluster: &Cluster, acc: &RunAccumulator) -> Vec<u8> {
 
 /// Restore `cluster` (freshly built over the same configuration and
 /// particle system) from in-memory container bytes — the resume half of
-/// a live migration. Returns the accumulator of the completed segments.
+/// a live migration. Returns the report folded over the completed segments.
 pub fn resume_from_container(
     cluster: &mut Cluster,
     bytes: &[u8],
-) -> Result<RunAccumulator, CkptError> {
+) -> Result<ClusterRunReport, CkptError> {
     let container = Container::parse(bytes)?;
     cluster.restore_from(&container)?;
-    RunAccumulator::load(&mut container.reader(sections::RUNNER)?)
+    ClusterRunReport::load(&mut container.reader(sections::RUNNER)?)
 }
 
 /// Serialize the cluster + accumulator into a checkpoint file named
@@ -235,7 +140,7 @@ pub fn resume_from_container(
 /// bound. Returns the path written.
 pub fn save_checkpoint(
     cluster: &Cluster,
-    acc: &RunAccumulator,
+    acc: &ClusterRunReport,
     cfg: &CheckpointConfig,
 ) -> Result<PathBuf, CkptError> {
     let bytes = drain_to_container(cluster, acc);
@@ -249,10 +154,10 @@ pub fn save_checkpoint(
 }
 
 /// Restore `cluster` (freshly built over the same configuration and
-/// particle system) from a checkpoint file; returns the accumulator of
-/// the completed segments. On any error the cluster may be partially
-/// overwritten and must be rebuilt before retrying.
-pub fn load_checkpoint(cluster: &mut Cluster, path: &Path) -> Result<RunAccumulator, CkptError> {
+/// particle system) from a checkpoint file; returns the report folded
+/// over the completed segments. On any error the cluster may be
+/// partially overwritten and must be rebuilt before retrying.
+pub fn load_checkpoint(cluster: &mut Cluster, path: &Path) -> Result<ClusterRunReport, CkptError> {
     resume_from_container(cluster, &std::fs::read(path)?)
 }
 
@@ -388,7 +293,7 @@ pub enum CkptRunOutcome {
 /// Drive `cluster` to `steps` total timesteps in checkpoint-sized
 /// segments, snapshotting after each one. `acc` carries the progress of
 /// any previously completed segments (from [`load_checkpoint`]); pass
-/// [`RunAccumulator::new`] for a fresh run. With `ckpt: None` the run is
+/// [`ClusterRunReport::new`] for a fresh run. With `ckpt: None` the run is
 /// a single segment and nothing is written — the driver adds no
 /// per-cycle work either way, so disabled checkpointing is free.
 ///
@@ -400,7 +305,7 @@ pub fn run_with_checkpoints(
     cycle_budget: u64,
     engine: &EngineConfig,
     ckpt: Option<&CheckpointConfig>,
-    acc: RunAccumulator,
+    acc: ClusterRunReport,
 ) -> Result<CheckpointedRun, CkptRunError> {
     run_to_end(cluster, steps, cycle_budget, engine, ckpt, acc, &mut HostCosts::default())
 }
@@ -412,7 +317,7 @@ fn run_to_end(
     cycle_budget: u64,
     engine: &EngineConfig,
     ckpt: Option<&CheckpointConfig>,
-    acc: RunAccumulator,
+    acc: ClusterRunReport,
     host: &mut HostCosts,
 ) -> Result<CheckpointedRun, CkptRunError> {
     match run_with_checkpoints_ctl(cluster, steps, cycle_budget, engine, ckpt, acc, host, &mut |_| {
@@ -439,7 +344,7 @@ pub fn run_with_checkpoints_ctl(
     cycle_budget: u64,
     engine: &EngineConfig,
     ckpt: Option<&CheckpointConfig>,
-    acc: RunAccumulator,
+    acc: ClusterRunReport,
     host: &mut HostCosts,
     ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
 ) -> Result<CkptRunOutcome, CkptRunError> {
@@ -465,18 +370,18 @@ pub(crate) fn run_segments<E: From<CkptError>>(
     steps: u64,
     cycle_budget: u64,
     ckpt: Option<&CheckpointConfig>,
-    mut acc: RunAccumulator,
+    mut acc: ClusterRunReport,
     host: &mut HostCosts,
     ctl: &mut dyn FnMut(&SegmentStatus) -> SegmentControl,
     segment: &mut dyn FnMut(&mut Cluster, u64, u64) -> Segment<E>,
 ) -> Result<CkptRunOutcome, E> {
     assert!(
-        acc.steps_done <= steps,
+        acc.steps <= steps,
         "accumulator is already past the requested step count"
     );
     let every = match ckpt {
         Some(c) => c.every,
-        None => steps.saturating_sub(acc.steps_done).max(1),
+        None => steps.saturating_sub(acc.steps).max(1),
     };
     if let Some(obs) = &mut cluster.obs {
         obs.begin_run(steps);
@@ -484,11 +389,11 @@ pub(crate) fn run_segments<E: From<CkptError>>(
     let start_cycle = cluster.cycle;
     let mut traces = Vec::new();
     let mut checkpoints = Vec::new();
-    while acc.steps_done < steps {
-        let target = (acc.steps_done + every).min(steps);
+    while acc.steps < steps {
+        let target = (acc.steps + every).min(steps);
         let spent = cluster.cycle - start_cycle;
         let (report, trace) = segment(cluster, target, cycle_budget.saturating_sub(spent))?;
-        host.steps += target - acc.steps_done;
+        host.steps += target - acc.steps;
         traces.extend(trace);
         acc.fold(&report);
         let mut written = None;
@@ -500,11 +405,11 @@ pub(crate) fn run_segments<E: From<CkptError>>(
             checkpoints.push(path.clone());
             written = Some(path);
         }
-        if acc.steps_done >= steps {
+        if acc.steps >= steps {
             break;
         }
         let status = SegmentStatus {
-            steps_done: acc.steps_done,
+            steps_done: acc.steps,
             steps_total: steps,
             total_cycles: acc.total_cycles,
             checkpoint: written,
@@ -515,7 +420,7 @@ pub(crate) fn run_segments<E: From<CkptError>>(
                 let container = drain_to_container(cluster, &acc);
                 return Ok(CkptRunOutcome::Drained {
                     run: CheckpointedRun {
-                        report: acc.into_report(),
+                        report: acc,
                         traces,
                         checkpoints,
                     },
@@ -524,7 +429,7 @@ pub(crate) fn run_segments<E: From<CkptError>>(
             }
             SegmentControl::Cancel => {
                 return Ok(CkptRunOutcome::Cancelled(CheckpointedRun {
-                    report: acc.into_report(),
+                    report: acc,
                     traces,
                     checkpoints,
                 }));
@@ -532,7 +437,7 @@ pub(crate) fn run_segments<E: From<CkptError>>(
         }
     }
     Ok(CkptRunOutcome::Completed(CheckpointedRun {
-        report: acc.into_report(),
+        report: acc,
         traces,
         checkpoints,
     }))
@@ -643,7 +548,7 @@ pub fn run_with_recovery(
         let latest = if restarts.is_empty() { None } else { latest_checkpoint(&ckpt.dir)? };
         let acc = match latest {
             Some(path) => host.restore(|| load_checkpoint(&mut cluster, &path))?,
-            None => RunAccumulator::new(),
+            None => ClusterRunReport::new(),
         };
         match run_to_end(&mut cluster, steps, cycle_budget, engine, Some(ckpt), acc, &mut host) {
             Ok(run) => return Ok(RecoveredRun { run, cluster, restarts, host }),

@@ -46,7 +46,7 @@ pub use report::{ClusterRunReport, NodeStepReport};
 pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};
 pub use shard::{
     coordinator_main_net, run_sharded, shard_ranges, validate_sharding, worker_main_net,
-    ShardError, ShardNet, ShardOpts, ShardedRun,
+    ShardError, ShardOpts, ShardedRun,
 };
 
 // Re-export the flight-recorder vocabulary so downstream users can

@@ -36,8 +36,9 @@ pub struct RelSummary {
     pub corrupt_dropped: u64,
 }
 
-/// Aggregate report for a multi-step cluster run.
-#[derive(Clone, Debug, PartialEq)]
+/// Aggregate report for a multi-step cluster run, or for every segment
+/// of one folded so far ([`ClusterRunReport::fold`]).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterRunReport {
     /// Steps executed.
     pub steps: u64,
@@ -71,6 +72,41 @@ pub struct ClusterRunReport {
 }
 
 impl ClusterRunReport {
+    /// The report of a run that has completed no segment yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold one completed segment's report in. `report.steps` is the
+    /// absolute step target the segment ran to. Per-segment quantities
+    /// (records, merged stats, traffic, cycles) are summed. Fabric
+    /// packet/bit counters, fault tallies and reliability counters are
+    /// cumulative *inside* the cluster state (they survive
+    /// snapshot/restore), so the latest segment's report already carries
+    /// their run totals: those fields are overwritten, not summed.
+    pub fn fold(&mut self, report: &ClusterRunReport) {
+        self.steps = report.steps;
+        self.total_cycles += report.total_cycles;
+        self.records.extend_from_slice(&report.records);
+        self.stats.accumulate_from(&report.stats);
+        if self.per_node_traffic.is_empty() {
+            self.per_node_traffic = report.per_node_traffic.clone();
+        } else {
+            for (mine, theirs) in self.per_node_traffic.iter_mut().zip(&report.per_node_traffic) {
+                mine.merge_from(theirs);
+            }
+        }
+        self.pos_packets = report.pos_packets;
+        self.frc_packets = report.frc_packets;
+        self.pos_bits = report.pos_bits;
+        self.frc_bits = report.frc_bits;
+        self.clock_hz = report.clock_hz;
+        self.dt_fs = report.dt_fs;
+        self.nodes = report.nodes;
+        self.faults_injected = report.faults_injected;
+        self.reliability = report.reliability;
+    }
+
     /// Average wall-clock cycles per timestep.
     pub fn cycles_per_step(&self) -> f64 {
         self.total_cycles as f64 / self.steps as f64

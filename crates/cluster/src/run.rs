@@ -12,7 +12,7 @@
 use crate::ckpt::{
     latest_checkpoint, load_checkpoint, resume_from_container, run_with_checkpoints_ctl,
     run_with_recovery, CheckpointConfig, CheckpointedRun, CkptRunError, CkptRunOutcome, HostCosts,
-    RecoveryPolicy, RunAccumulator, SegmentControl, SegmentStatus,
+    RecoveryPolicy, SegmentControl, SegmentStatus,
 };
 use crate::driver::{Cluster, ClusterConfig, ClusterError, EngineConfig, MAX_RUN_CYCLES};
 use crate::obs::{ObsLive, ObsSinkConfig};
@@ -83,7 +83,7 @@ pub struct RunSpec {
     pub variant: DesignVariant,
     /// Synchronization strategy (`--sync`).
     pub sync: SyncMode,
-    /// The fault plan to execute (`--fault-plan`, `--drop-rate`, `--fault-seed`).
+    /// The fault plan to execute (`--fault-plan`).
     pub faults: Option<FaultPlan>,
     /// Keep the reliable-delivery layer off under faults (`--unreliable`).
     pub unreliable: bool,
@@ -335,7 +335,7 @@ impl RunSpec {
         cluster: &mut Cluster,
         host: &mut HostCosts,
         note: &mut dyn FnMut(String),
-    ) -> Result<RunAccumulator, RunError> {
+    ) -> Result<ClusterRunReport, RunError> {
         let (acc, from) = match (&self.resume, self.resume_file(note)?) {
             (Resume::Container(bytes), _) => (
                 host.restore(|| resume_from_container(cluster, bytes))?,
@@ -344,7 +344,7 @@ impl RunSpec {
             (_, Some(path)) => {
                 (host.restore(|| load_checkpoint(cluster, &path))?, path.display().to_string())
             }
-            (_, None) => return Ok(RunAccumulator::new()),
+            (_, None) => return Ok(ClusterRunReport::new()),
         };
         Ok(resumed(acc, &from, self.steps, note)?)
     }
@@ -413,16 +413,16 @@ impl RunSpec {
 /// `acc` restored from `from` may not be past the `steps` requested, and
 /// `note` is told where the run resumed.
 pub(crate) fn resumed(
-    acc: RunAccumulator,
+    acc: ClusterRunReport,
     from: &str,
     steps: u64,
     note: &mut dyn FnMut(String),
-) -> Result<RunAccumulator, SpecError> {
-    if acc.steps_done > steps {
-        let reason = format!("{from} is at step {}, past the {steps} requested", acc.steps_done);
+) -> Result<ClusterRunReport, SpecError> {
+    if acc.steps > steps {
+        let reason = format!("{from} is at step {}, past the {steps} requested", acc.steps);
         return Err(SpecError::new("resume", reason));
     }
-    note(format!("resumed from {from} (step {})", acc.steps_done));
+    note(format!("resumed from {from} (step {})", acc.steps));
     Ok(acc)
 }
 

@@ -31,9 +31,9 @@
 //! ## Window protocol
 //!
 //! Workers are fully connected (one [`FrameLink`] per unordered pair;
-//! Unix-domain sockets between processes, socketpairs between harness
-//! threads). Each worker keeps every worker's *clock* — the first cycle
-//! it has not run yet — and repeats one round:
+//! sockets opened at an [`Endpoint`] between processes, socketpairs
+//! between harness threads). Each worker keeps every worker's *clock* —
+//! the first cycle it has not run yet — and repeats one round:
 //!
 //! 1. **Run** to `min(clocks) + L` with no socket I/O: crash check,
 //!    compute → attribute → exchange → network → deliver, capturing
@@ -86,7 +86,7 @@
 
 use crate::ckpt::{
     load_checkpoint, run_segments, CheckpointConfig, CheckpointedRun, CkptRunOutcome, HostCosts,
-    RunAccumulator, Segment, SegmentControl,
+    Segment, SegmentControl,
 };
 use crate::driver::{
     Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected, DeadlockDetected,
@@ -100,7 +100,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 use fasda_ckpt::{crc32, CkptError, Container, ContainerWriter, Persist, Reader, Writer};
 use fasda_net::sync::SyncMode;
-use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
+use fasda_net::transport::{Endpoint, FrameLink, LinkError, Listener, MemLink, SocketLink};
 use fasda_sim::StatSet;
 use fasda_trace::{NodeStream, StallLedger, StepStalls, Trace, TraceLevel};
 use std::ops::Range;
@@ -599,9 +599,8 @@ impl Persist for ClusterError {
 /// Coordinator↔worker control frames.
 enum CtlFrame {
     /// Worker → coordinator: shard index + config fingerprint + the
-    /// address peers can dial this worker's mesh listener at (a Unix
-    /// socket path or a TCP `host:port`, matching the rendezvous
-    /// carrier).
+    /// [`Endpoint`] peers can dial this worker's mesh listener at, in
+    /// its text grammar.
     Hello { index: u32, meta_crc: u32, mesh_addr: String },
     /// Coordinator → workers: proceed (optionally restoring a
     /// checkpoint first). `peers` is every worker's advertised mesh
@@ -1434,7 +1433,7 @@ fn coordinate(
             let acc = host.restore(|| load_checkpoint(&mut replica, path))?;
             resumed(acc, &path.display().to_string(), steps, note)?
         }
-        None => RunAccumulator::new(),
+        None => ClusterRunReport::new(),
     };
     let mut ctl = connect(&replica, opts.resume.as_deref())?;
     let mut fleet = opts.obs.as_ref().map(|sinks| FleetObs::new(sinks, steps)).transpose()?;
@@ -1546,17 +1545,12 @@ impl Default for ShardOpts {
     }
 }
 
-/// A connected loopback-TCP [`TcpLink`] pair (hermetic cross-host
-/// transport testing).
-fn tcp_pair() -> std::io::Result<(TcpLink, TcpLink)> {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let dial = std::thread::spawn(move || std::net::TcpStream::connect(addr));
-    let (accepted, _) = listener.accept()?;
-    let dialed = dial
-        .join()
-        .map_err(|_| std::io::Error::other("tcp dial thread panicked"))??;
-    Ok((TcpLink::new(accepted)?, TcpLink::new(dialed)?))
+/// A connected loopback-TCP link pair (hermetic cross-host transport
+/// testing), opened the way the process-backed fleet opens its links.
+fn tcp_pair() -> std::io::Result<(Box<dyn FrameLink>, Box<dyn FrameLink>)> {
+    let listener = Endpoint::Tcp("127.0.0.1:0".into()).bind()?;
+    let dialed = listener.endpoint().connect()?;
+    Ok((listener.accept()?, dialed))
 }
 
 /// One connected link per unordered worker pair, over socketpairs or
@@ -1571,8 +1565,7 @@ fn harness_mesh(shards: usize, tcp: bool) -> std::io::Result<Vec<Vec<Box<dyn Fra
     for i in 0..shards {
         for j in i + 1..shards {
             let (a, b): (Box<dyn FrameLink>, Box<dyn FrameLink>) = if tcp {
-                let (a, b) = tcp_pair()?;
-                (Box::new(a), Box::new(b))
+                tcp_pair()?
             } else {
                 let (a, b) = SocketLink::pair()?;
                 (Box::new(a), Box::new(b))
@@ -1648,8 +1641,7 @@ fn run_harness(
         let mut ctl: Vec<Box<dyn FrameLink>> = Vec::with_capacity(shards);
         for (w, row) in harness_mesh(shards, opts.tcp)?.into_iter().enumerate() {
             let (mine, theirs): (Box<dyn FrameLink>, Box<dyn FrameLink>) = if opts.tcp {
-                let (mine, theirs) = tcp_pair()?;
-                (Box::new(mine), Box::new(theirs))
+                tcp_pair()?
             } else {
                 let (mine, theirs) = MemLink::pair();
                 (Box::new(mine), Box::new(theirs))
@@ -1678,70 +1670,17 @@ fn run_harness(
 // Process-backed coordinator / worker (CLI `--shards` / `--worker`)
 // ---------------------------------------------------------------------------
 
-fn ctl_socket(dir: &Path) -> PathBuf {
-    dir.join("ctl.sock")
-}
-
-fn peer_socket(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("peer-{index}.sock"))
-}
-
 fn meta_crc(cl: &Cluster) -> u32 {
     crc32(&cl.meta_writer().into_bytes())
 }
 
-/// How shard processes find each other.
-#[derive(Clone, Debug)]
-pub enum ShardNet {
-    /// Same-host rendezvous: Unix-domain sockets in a directory.
-    Unix(PathBuf),
-    /// Cross-host rendezvous: the coordinator listens on this TCP
-    /// address (`host:port`; port 0 binds an ephemeral port) and each
-    /// worker connects to it, advertising its own ephemeral mesh
-    /// listener in its HELLO. The bytes on every link are identical to
-    /// the Unix carrier, so the carrier cannot affect results.
-    Tcp(String),
-}
-
-/// Either-carrier listener for control and mesh accept loops.
-enum Acceptor {
-    Unix(std::os::unix::net::UnixListener),
-    Tcp(std::net::TcpListener),
-}
-
-impl Acceptor {
-    fn accept(&self) -> Result<Box<dyn FrameLink>, ShardError> {
-        Ok(match self {
-            Acceptor::Unix(l) => Box::new(SocketLink::new(l.accept()?.0)?),
-            Acceptor::Tcp(l) => Box::new(TcpLink::new(l.accept()?.0)?),
-        })
-    }
-}
-
-/// Dial a peer's advertised mesh address on the matching carrier.
-fn dial_mesh(net_is_tcp: bool, addr: &str) -> Result<Box<dyn FrameLink>, ShardError> {
-    Ok(if net_is_tcp {
-        Box::new(TcpLink::connect(addr)?)
-    } else {
-        Box::new(SocketLink::new(std::os::unix::net::UnixStream::connect(addr)?)?)
-    })
-}
-
-/// Remove the rendezvous sockets of a Unix-carrier run.
-fn clear_sockets(dir: &Path, shards: usize) {
-    let _ = std::fs::remove_file(ctl_socket(dir));
-    for i in 0..shards {
-        let _ = std::fs::remove_file(peer_socket(dir, i));
-    }
-}
-
 /// Spawn `shards` worker processes (re-invoking `worker_argv` with
-/// `--worker I` plus the rendezvous flag — `--shard-dir DIR` for the
-/// Unix carrier, `--shard-connect ADDR` for TCP — appended), handshake
-/// them over the control listener, and drive the run. With
-/// [`ShardNet::Tcp`] the listen address may use port 0; workers are
-/// told the resolved address. `note` is told where the run resumed,
-/// exactly as an in-process run's is.
+/// `--worker I --shard-connect ENDPOINT` appended), handshake them over
+/// a control listener bound at `listen`, and drive the run. A TCP
+/// `listen` may use port 0; workers are told the port bound. A worker
+/// that exits before its HELLO fails the run, naming it, instead of
+/// leaving the coordinator waiting. `note` is told where the run
+/// resumed, exactly as an in-process run's is.
 #[allow(clippy::too_many_arguments)]
 pub fn coordinator_main_net(
     cfg: &ClusterConfig,
@@ -1749,36 +1688,19 @@ pub fn coordinator_main_net(
     steps: u64,
     shards: usize,
     opts: ShardOpts,
-    net: &ShardNet,
+    listen: &Endpoint,
     worker_argv: &[String],
     note: &mut dyn FnMut(String),
 ) -> Result<ShardedRun, ShardError> {
     let mut children = Vec::with_capacity(shards);
     let res = coordinate(cfg, sys, steps, shards, &opts, note, |replica, resume| {
-        // Bind the control listener and decide the rendezvous args the
-        // spawned workers get.
-        let (listener, rendezvous_args) = match net {
-            ShardNet::Unix(dir) => {
-                std::fs::create_dir_all(dir)?;
-                clear_sockets(dir, shards);
-                let l = std::os::unix::net::UnixListener::bind(ctl_socket(dir))?;
-                let args = vec!["--shard-dir".to_string(), dir.to_string_lossy().into_owned()];
-                (Acceptor::Unix(l), args)
-            }
-            ShardNet::Tcp(addr) => {
-                let l = std::net::TcpListener::bind(addr.as_str())?;
-                let resolved = l.local_addr()?.to_string();
-                let args = vec!["--shard-connect".to_string(), resolved];
-                (Acceptor::Tcp(l), args)
-            }
-        };
+        let listener = listen.bind()?;
         let exe = std::env::current_exe()?;
         for i in 0..shards {
             let child = std::process::Command::new(&exe)
                 .args(worker_argv)
-                .arg("--worker")
-                .arg(i.to_string())
-                .args(&rendezvous_args)
+                .args(["--worker", &i.to_string()])
+                .args(["--shard-connect", &listener.endpoint().to_string()])
                 .spawn()?;
             children.push(child);
         }
@@ -1787,27 +1709,21 @@ pub fn coordinator_main_net(
         let expect = meta_crc(replica);
         let mut ctl: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
         let mut peers: Vec<String> = vec![String::new(); shards];
+        listener.set_nonblocking()?;
         for _ in 0..shards {
-            let mut link = listener.accept()?;
-            match CtlFrame::decode(&link.recv_frame()?)? {
-                CtlFrame::Hello { index, meta_crc, mesh_addr } => {
-                    if meta_crc != expect {
-                        return Err(ShardError::Protocol(format!(
-                            "worker {index} config fingerprint mismatch"
-                        )));
-                    }
-                    let slot = ctl.get_mut(index as usize).ok_or_else(|| {
-                        ShardError::Protocol(format!("worker index {index} out of range"))
-                    })?;
-                    if slot.replace(link).is_some() {
-                        return Err(ShardError::Protocol(format!(
-                            "duplicate worker index {index}"
-                        )));
-                    }
-                    peers[index as usize] = mesh_addr;
-                }
-                _ => return Err(ShardError::Protocol("expected hello frame".into())),
+            let mut link = accept_while_alive(&listener, &mut children)?;
+            let CtlFrame::Hello { index, meta_crc, mesh_addr } = CtlFrame::decode(&link.recv_frame()?)?
+            else {
+                return Err(ShardError::Protocol("expected hello frame".into()));
+            };
+            let refuse = |why: String| Err(ShardError::Protocol(why));
+            match ctl.get_mut(index as usize) {
+                _ if meta_crc != expect => return refuse(format!("worker {index} config fingerprint mismatch")),
+                None => return refuse(format!("worker index {index} out of range")),
+                Some(Some(_)) => return refuse(format!("duplicate worker index {index}")),
+                Some(slot) => *slot = Some(link),
             }
+            peers[index as usize] = mesh_addr;
         }
         let mut ctl: Vec<Box<dyn FrameLink>> = ctl.into_iter().flatten().collect();
         let resume = resume.map(|p| p.to_string_lossy().into_owned());
@@ -1823,57 +1739,52 @@ pub fn coordinator_main_net(
         }
         let _ = child.wait();
     }
-    if let ShardNet::Unix(dir) = net {
-        clear_sockets(dir, shards);
-    }
     res
 }
 
-/// Worker-process entry point: rendezvous with the coordinator (a Unix
-/// rendezvous directory or a TCP coordinator address), mesh with the
-/// other workers, and serve segments until shutdown. The caller must
-/// have built `cfg` / `sys` / `engine` from the same arguments as the
-/// coordinator (it re-invokes its own argv), which the HELLO
-/// fingerprint verifies.
+/// The next connection on the non-blocking `listener`, or the first of
+/// `children` (worker `i` is `children[i]`) to exit before one arrives.
+fn accept_while_alive(
+    listener: &Listener,
+    children: &mut [std::process::Child],
+) -> Result<Box<dyn FrameLink>, ShardError> {
+    loop {
+        match listener.accept() {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            accepted => return Ok(accepted?),
+        }
+        for (i, child) in children.iter_mut().enumerate() {
+            if let Some(status) = child.try_wait()? {
+                return Err(ShardError::Worker(format!("worker {i} exited ({status}) during the handshake")));
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Worker-process entry point: dial the coordinator's control listener
+/// at `coordinator`, mesh with the other workers, and serve segments
+/// until shutdown. The caller must have built `cfg` / `sys` / `engine`
+/// from the same arguments as the coordinator (it re-invokes its own
+/// argv), which the HELLO fingerprint verifies.
 pub fn worker_main_net(
     cfg: &ClusterConfig,
     sys: &ParticleSystem,
     engine: &EngineConfig,
     index: usize,
     shards: usize,
-    net: &ShardNet,
+    coordinator: &Endpoint,
 ) -> Result<(), ShardError> {
     serve(cfg, sys, engine, index, shards, |cl| {
         // Bind the mesh listener before saying hello: our advertised
-        // address is live before the coordinator releases anyone with GO.
-        let is_tcp = matches!(net, ShardNet::Tcp(_));
-        let (listener, mesh_addr, mut ctl): (Acceptor, String, Box<dyn FrameLink>) = match net {
-            ShardNet::Unix(dir) => {
-                let my_sock = peer_socket(dir, index);
-                let _ = std::fs::remove_file(&my_sock);
-                let l = std::os::unix::net::UnixListener::bind(&my_sock)?;
-                let stream = std::os::unix::net::UnixStream::connect(ctl_socket(dir))?;
-                (
-                    Acceptor::Unix(l),
-                    my_sock.to_string_lossy().into_owned(),
-                    Box::new(SocketLink::new(stream)?),
-                )
-            }
-            ShardNet::Tcp(addr) => {
-                // Dial the coordinator first: the local address of that
-                // connection is the interface peers can reach us on.
-                let stream = std::net::TcpStream::connect(addr.as_str())?;
-                let ip = stream.local_addr()?.ip();
-                let l = std::net::TcpListener::bind((ip, 0))?;
-                let my_addr = l.local_addr()?.to_string();
-                (Acceptor::Tcp(l), my_addr, Box::new(TcpLink::new(stream)?))
-            }
-        };
+        // endpoint is live before the coordinator releases anyone with GO.
+        let (mut ctl, listener) =
+            coordinator.connect_with_listener(&format!("peer-{index}.sock"))?;
+        let mesh_addr = listener.endpoint().to_string();
         let hello = CtlFrame::Hello { index: index as u32, meta_crc: meta_crc(cl), mesh_addr };
         ctl.send_frame(&hello.encode())?;
-        let (resume, peers) = match CtlFrame::decode(&ctl.recv_frame()?)? {
-            CtlFrame::Go { resume, peers } => (resume, peers),
-            _ => return Err(ShardError::Protocol("expected go frame".into())),
+        let CtlFrame::Go { resume, peers } = CtlFrame::decode(&ctl.recv_frame()?)? else {
+            return Err(ShardError::Protocol("expected go frame".into()));
         };
         if peers.len() != shards {
             return Err(ShardError::Protocol(format!(
@@ -1885,16 +1796,16 @@ pub fn worker_main_net(
         // Mesh: dial lower indices (announcing who we are), accept higher.
         let mut links: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
         for (peer, slot) in links.iter_mut().enumerate().take(index) {
-            let mut link = dial_mesh(is_tcp, &peers[peer])?;
+            let mut link = peers[peer].parse::<Endpoint>().map_err(ShardError::Protocol)?.connect()?;
             link.send_frame(&MeshFrame::Id(index as u32).encode())?;
             *slot = Some(link);
         }
         for _ in index + 1..shards {
             let mut link = listener.accept()?;
-            let peer = match MeshFrame::decode(&link.recv_frame()?)? {
-                MeshFrame::Id(i) => i as usize,
-                _ => return Err(ShardError::Protocol("expected id frame".into())),
+            let MeshFrame::Id(peer) = MeshFrame::decode(&link.recv_frame()?)? else {
+                return Err(ShardError::Protocol("expected id frame".into()));
             };
+            let peer = peer as usize;
             if peer <= index || peer >= shards || links[peer].is_some() {
                 return Err(ShardError::Protocol(format!("bad mesh peer id {peer}")));
             }

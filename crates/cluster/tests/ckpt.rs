@@ -16,10 +16,10 @@ mod harness;
 
 use fasda_cluster::ckpt::{
     latest_checkpoint, load_checkpoint, run_with_checkpoints, CheckpointConfig, CheckpointedRun,
-    CkptRunError, RunAccumulator,
+    CkptRunError,
 };
 use fasda_cluster::{
-    Cluster, ClusterConfig, ClusterError, EngineConfig, FaultPlan, RelConfig, TraceConfig,
+    Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig, FaultPlan, RelConfig, TraceConfig,
 };
 use fasda_ckpt::{CkptError, Container, ContainerWriter};
 use fasda_md::system::ParticleSystem;
@@ -85,7 +85,7 @@ fn uncheckpointed_run_is_the_plain_run() {
         let want_trace = plain.take_trace().expect("plain trace");
 
         let mut cluster = Cluster::new(config(None, false), &sys);
-        let run = run_with_checkpoints(&mut cluster, STEPS, BUDGET, &engine, None, RunAccumulator::new())
+        let run = run_with_checkpoints(&mut cluster, STEPS, BUDGET, &engine, None, ClusterRunReport::new())
             .expect("unsegmented run");
         assert_eq!(run.report, want);
         assert!(run.checkpoints.is_empty());
@@ -184,7 +184,7 @@ fn crash_recovery_matches_uninterrupted_oracle() {
             BUDGET,
             &sc.engine,
             Some(&ck_oracle),
-            RunAccumulator::new(),
+            ClusterRunReport::new(),
         )
         .expect("oracle run completes");
         let oracle_state = final_state(&oracle, &sys);
@@ -205,7 +205,7 @@ fn crash_recovery_matches_uninterrupted_oracle() {
             BUDGET,
             &sc.engine,
             Some(&ck),
-            RunAccumulator::new(),
+            ClusterRunReport::new(),
         )
         .expect_err("crash directive must abort the run");
         match err {
@@ -229,7 +229,7 @@ fn crash_recovery_matches_uninterrupted_oracle() {
         );
         let latest = latest_checkpoint(&dir).expect("list checkpoints").expect("a checkpoint exists");
         let acc = load_checkpoint(&mut recovered, &latest).expect("resume parses");
-        assert_eq!(acc.steps_done, 4, "{}: crash fired past the step-4 checkpoint", sc.name);
+        assert_eq!(acc.steps, 4, "{}: crash fired past the step-4 checkpoint", sc.name);
         let resumed = run_with_checkpoints(
             &mut recovered,
             STEPS,
@@ -297,7 +297,7 @@ fn retention_keeps_only_newest_checkpoints() {
         BUDGET,
         &EngineConfig::serial(),
         Some(&ck),
-        RunAccumulator::new(),
+        ClusterRunReport::new(),
     )
     .expect("run completes");
 

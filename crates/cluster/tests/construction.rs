@@ -7,7 +7,7 @@
 mod harness;
 
 use fasda_cluster::{load_checkpoint, run_with_checkpoints, CheckpointConfig, Cluster, EngineConfig};
-use fasda_cluster::{latest_checkpoint, RunAccumulator};
+use fasda_cluster::{latest_checkpoint, ClusterRunReport};
 use fasda_core::config::ChipConfig;
 use fasda_core::datapath::ForceDatapath;
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
@@ -36,7 +36,7 @@ fn every_chip_shares_one_datapath() {
 
     let dir = tmpdir("construction-ckpt");
     let ck = CheckpointConfig::new(1, &dir);
-    run_with_checkpoints(&mut cluster, 2, BUDGET, &EngineConfig::auto(), Some(&ck), RunAccumulator::new())
+    run_with_checkpoints(&mut cluster, 2, BUDGET, &EngineConfig::auto(), Some(&ck), ClusterRunReport::new())
         .expect("checkpointed run");
     let latest = latest_checkpoint(&dir).expect("list checkpoints").expect("a checkpoint");
     load_checkpoint(&mut cluster, &latest).expect("restore");

@@ -12,9 +12,9 @@ mod harness;
 
 use fasda_ckpt::{Container, FORMAT_VERSION};
 use fasda_cluster::ckpt::{
-    load_checkpoint, run_with_checkpoints, CheckpointConfig, RunAccumulator,
+    load_checkpoint, run_with_checkpoints, CheckpointConfig,
 };
-use fasda_cluster::{Cluster, EngineConfig};
+use fasda_cluster::{Cluster, ClusterRunReport, EngineConfig};
 use fasda_md::system::ParticleSystem;
 use harness::{assert_state_eq, config, final_state, workload, ForceBits, BUDGET};
 use std::path::PathBuf;
@@ -48,7 +48,7 @@ fn current() -> (Vec<(u64, Vec<u8>)>, (ParticleSystem, ForceBits)) {
         BUDGET,
         &EngineConfig::serial(),
         Some(&ck),
-        RunAccumulator::new(),
+        ClusterRunReport::new(),
     )
     .expect("reference run completes");
     let bytes = GOLDEN_STEPS
@@ -102,7 +102,7 @@ fn golden_checkpoints_parse_resume_and_stay_byte_stable() {
         let mut cluster = Cluster::new(config(None, false), &sys);
         let acc = load_checkpoint(&mut cluster, &path)
             .unwrap_or_else(|e| panic!("committed fixture step {step} no longer restores: {e}"));
-        assert_eq!(acc.steps_done, *step, "fixture carries the wrong step");
+        assert_eq!(acc.steps, *step, "fixture carries the wrong step");
         run_with_checkpoints(
             &mut cluster,
             STEPS,

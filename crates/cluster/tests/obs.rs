@@ -13,7 +13,7 @@ mod harness;
 use fasda_cluster::{
     measured_from, model_input, run_sharded, run_with_checkpoints, CheckpointConfig,
     CheckpointedRun, Cluster, ClusterRunReport, EngineConfig, FaultPlan, HostCosts, ObsLive,
-    ObsSinkConfig, RunAccumulator, RunOutput, ShardOpts, Trace, TraceConfig, TraceLevel,
+    ObsSinkConfig, RunOutput, ShardOpts, Trace, TraceConfig, TraceLevel,
 };
 use fasda_md::system::ParticleSystem;
 use fasda_trace::Json;
@@ -178,7 +178,7 @@ fn heartbeat_stream_is_wellformed_and_final_matches_totals() {
             BUDGET,
             &engine,
             ckpt.as_ref(),
-            RunAccumulator::new(),
+            ClusterRunReport::new(),
         )
         .expect("run completes");
         if ckpt.is_none() {

@@ -15,9 +15,9 @@
 
 mod harness;
 
-use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig, RunAccumulator};
+use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig};
 use fasda_cluster::{
-    run_sharded, shard_ranges, validate_sharding, Cluster, ClusterConfig, ClusterError,
+    run_sharded, shard_ranges, validate_sharding, Cluster, ClusterConfig, ClusterError, ClusterRunReport,
     EngineConfig, FaultPlan, ShardError, ShardOpts, ShardedRun, Trace, TraceConfig,
 };
 use fasda_net::sync::SyncMode;
@@ -187,7 +187,7 @@ fn reference(
     let dir = tmpdir(&format!("{tag}-oracle"));
     let ck = CheckpointConfig::new(EVERY, &dir).with_keep(0);
     let mut oracle = Cluster::new(cfg.clone(), sys);
-    let run = run_with_checkpoints(&mut oracle, steps, BUDGET, engine, Some(&ck), RunAccumulator::new())
+    let run = run_with_checkpoints(&mut oracle, steps, BUDGET, engine, Some(&ck), ClusterRunReport::new())
         .expect("oracle completes");
     let state = final_state(&oracle, sys);
     let ckpts = checkpoint_bytes(&run.checkpoints);
@@ -446,7 +446,7 @@ fn crash_then_resume_on_different_shard_count_matches_oracle() {
         BUDGET,
         &engine,
         Some(&ck_oracle),
-        RunAccumulator::new(),
+        ClusterRunReport::new(),
     )
     .expect("oracle completes");
     let oracle_state = final_state(&oracle, &sys);

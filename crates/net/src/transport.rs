@@ -1,4 +1,4 @@
-//! Shard exchange transport: one trait, two carriers.
+//! Shard exchange transport: one trait, two carriers, one address.
 //!
 //! The sharded cluster engine exchanges one event frame per lookahead
 //! window between worker processes. Every frame travels as a length-
@@ -16,13 +16,20 @@
 //! * [`MemLink`] — an in-process channel pair for hermetic tests and the
 //!   thread-backed shard harness.
 //!
+//! [`Endpoint`] names where a stream carrier lives, and its
+//! [`Endpoint::bind`] / [`Endpoint::connect`] are the only code that
+//! opens a socket: the shard fleet, the job daemon and its client all
+//! spell, bind and dial addresses here.
+//!
 //! All carriers move identical bytes; which one a run uses cannot
 //! affect simulation results, only wall-clock time.
 
 use fasda_ckpt::{frame, CkptError};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 
 /// Transport failure: an I/O error, a failed CRC, or a peer that went
@@ -111,7 +118,7 @@ pub type TcpLink = StreamLink<TcpStream>;
 impl SocketLink {
     /// Wrap a connected stream. The stream is cloned internally so reads
     /// and writes buffer independently.
-    pub fn new(stream: UnixStream) -> std::io::Result<Self> {
+    fn new(stream: UnixStream) -> std::io::Result<Self> {
         let writer = BufWriter::new(stream.try_clone()?);
         Ok(StreamLink { reader: BufReader::new(stream), writer })
     }
@@ -127,15 +134,10 @@ impl TcpLink {
     /// Wrap a connected stream. Disables Nagle's algorithm — every
     /// exchange frame is something a peer is blocked waiting for, so
     /// holding one back to coalesce costs exactly the wrong thing.
-    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
+    fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         let writer = BufWriter::new(stream.try_clone()?);
         Ok(StreamLink { reader: BufReader::new(stream), writer })
-    }
-
-    /// Connect to `addr` (e.g. `127.0.0.1:7700` or `host:port`).
-    pub fn connect(addr: &str) -> std::io::Result<Self> {
-        TcpLink::new(TcpStream::connect(addr)?)
     }
 }
 
@@ -158,6 +160,160 @@ impl<S: Read + Write + Send> FrameLink for StreamLink<S> {
             return Err(LinkError::Oversized { len, cap });
         }
         Ok(frame::read_frame_from(&mut header.chain(&mut self.reader), "shard-link")?)
+    }
+}
+
+/// Where a stream carrier lives, in the one grammar every listener and
+/// dialler takes: `tcp:HOST:PORT`, `unix:PATH`, or a bare `PATH` (Unix).
+/// [`Display`](std::fmt::Display) prints the same grammar back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Endpoint {
+    /// A Unix-domain socket at this path: the same-host carrier.
+    Unix(PathBuf),
+    /// A TCP address `HOST:PORT`: the cross-host carrier. Binding port 0
+    /// picks a free port.
+    Tcp(String),
+}
+
+impl std::str::FromStr for Endpoint {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        match spec.strip_prefix("tcp:") {
+            Some(addr) => match addr.rsplit_once(':') {
+                Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok() => {
+                    Ok(Endpoint::Tcp(addr.to_string()))
+                }
+                _ => Err(format!("endpoint `{spec}`: tcp needs HOST:PORT")),
+            },
+            None => match spec.strip_prefix("unix:").unwrap_or(spec) {
+                "" => Err(format!("endpoint `{spec}` names no socket path")),
+                path => Ok(Endpoint::Unix(path.into())),
+            },
+        }
+    }
+}
+
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
+            Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
+        }
+    }
+}
+
+impl Endpoint {
+    /// Dial the listener here.
+    pub fn connect(&self) -> std::io::Result<Box<dyn FrameLink>> {
+        let failed = |e| self.failed(e);
+        Ok(match self {
+            Endpoint::Unix(path) => Box::new(SocketLink::new(UnixStream::connect(path).map_err(failed)?)?),
+            Endpoint::Tcp(addr) => Box::new(TcpLink::new(TcpStream::connect(addr.as_str()).map_err(failed)?)?),
+        })
+    }
+
+    /// Listen here. A Unix socket gets its directory created and a stale
+    /// socket file at its path replaced; a TCP port 0 is resolved, and
+    /// [`Listener::endpoint`] reports the port bound.
+    pub fn bind(&self) -> std::io::Result<Listener> {
+        let bound = || match self {
+            Endpoint::Unix(path) => {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+                    std::fs::remove_file(path)?;
+                }
+                let socket = UnixListener::bind(path)?;
+                let inode = std::fs::metadata(path)?.ino();
+                Ok(Listener { socket: Socket::Unix(socket, inode), endpoint: self.clone() })
+            }
+            Endpoint::Tcp(addr) => {
+                let socket = TcpListener::bind(addr.as_str())?;
+                let endpoint = Endpoint::Tcp(socket.local_addr()?.to_string());
+                Ok(Listener { socket: Socket::Tcp(socket), endpoint })
+            }
+        };
+        bound().map_err(|e| self.failed(e))
+    }
+
+    /// Dial the listener here, and bind a listener of our own that its
+    /// other clients can dial: the socket `name` beside this one (Unix),
+    /// or a free port on the interface the connection left from (TCP).
+    pub fn connect_with_listener(&self, name: &str) -> std::io::Result<(Box<dyn FrameLink>, Listener)> {
+        match self {
+            Endpoint::Unix(path) => {
+                let listener = Endpoint::Unix(path.with_file_name(name)).bind()?;
+                Ok((self.connect()?, listener))
+            }
+            Endpoint::Tcp(addr) => {
+                let stream = TcpStream::connect(addr.as_str()).map_err(|e| self.failed(e))?;
+                let here = Endpoint::Tcp(std::net::SocketAddr::new(stream.local_addr()?.ip(), 0).to_string());
+                Ok((Box::new(TcpLink::new(stream)?), here.bind()?))
+            }
+        }
+    }
+
+    /// `e`, naming this endpoint.
+    fn failed(&self, e: std::io::Error) -> std::io::Error {
+        std::io::Error::new(e.kind(), format!("{self}: {e}"))
+    }
+}
+
+/// A bound [`Endpoint`]. Dropping a Unix listener removes its socket
+/// file, unless another listener has taken the path since.
+pub struct Listener {
+    socket: Socket,
+    endpoint: Endpoint,
+}
+
+enum Socket {
+    /// The listener and the inode of the socket file it bound.
+    Unix(UnixListener, u64),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Where clients dial this listener (a TCP port 0 resolved).
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// Make [`Listener::accept`] fail with `WouldBlock` instead of waiting
+    /// when no client is pending, for a caller that polls.
+    pub fn set_nonblocking(&self) -> std::io::Result<()> {
+        match &self.socket {
+            Socket::Unix(l, _) => l.set_nonblocking(true),
+            Socket::Tcp(l) => l.set_nonblocking(true),
+        }
+    }
+
+    /// Take one client's connection. The link blocks on its reads and
+    /// writes whether or not the listener does.
+    pub fn accept(&self) -> std::io::Result<Box<dyn FrameLink>> {
+        Ok(match &self.socket {
+            Socket::Unix(l, _) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nonblocking(false)?;
+                Box::new(SocketLink::new(stream)?)
+            }
+            Socket::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nonblocking(false)?;
+                Box::new(TcpLink::new(stream)?)
+            }
+        })
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let (Socket::Unix(_, inode), Endpoint::Unix(path)) = (&self.socket, &self.endpoint) {
+            if std::fs::metadata(path).is_ok_and(|m| m.ino() == *inode) {
+                let _ = std::fs::remove_file(path);
+            }
+        }
     }
 }
 
@@ -201,7 +357,7 @@ impl FrameLink for MemLink {
 mod tests {
     use super::*;
 
-    fn roundtrip(mut a: impl FrameLink, mut b: impl FrameLink) {
+    fn roundtrip(a: &mut dyn FrameLink, b: &mut dyn FrameLink) {
         a.send_frame(b"hello").expect("send");
         a.send_frame(&[]).expect("send empty");
         assert_eq!(b.recv_frame().expect("recv"), b"hello");
@@ -212,25 +368,67 @@ mod tests {
 
     #[test]
     fn socket_link_roundtrip() {
-        let (a, b) = SocketLink::pair().expect("pair");
-        roundtrip(a, b);
+        let (mut a, mut b) = SocketLink::pair().expect("pair");
+        roundtrip(&mut a, &mut b);
     }
 
     #[test]
     fn mem_link_roundtrip() {
-        let (a, b) = MemLink::pair();
-        roundtrip(a, b);
+        let (mut a, mut b) = MemLink::pair();
+        roundtrip(&mut a, &mut b);
+    }
+
+    /// Bind, dial and accept over `at`; returns the resolved endpoint.
+    fn bound_roundtrip(at: &str) -> Endpoint {
+        let listener = at.parse::<Endpoint>().expect("endpoint").bind().expect("bind");
+        let mut dialed = listener.endpoint().connect().expect("dial");
+        roundtrip(&mut *listener.accept().expect("accept"), &mut *dialed);
+        listener.endpoint().clone()
     }
 
     #[test]
     fn tcp_link_roundtrip() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let dial = std::thread::spawn(move || TcpLink::connect(&addr.to_string()).expect("dial"));
-        let (stream, _) = listener.accept().expect("accept");
-        let a = TcpLink::new(stream).expect("link");
-        let b = dial.join().expect("join");
-        roundtrip(a, b);
+        let at = bound_roundtrip("tcp:127.0.0.1:0");
+        assert!(matches!(&at, Endpoint::Tcp(a) if a.starts_with("127.0.0.1:") && !a.ends_with(":0")), "{at}");
+    }
+
+    #[test]
+    fn unix_listener_replaces_a_stale_socket_and_removes_its_own() {
+        let dir = std::env::temp_dir().join(format!("fasda-endpoint-{}", std::process::id()));
+        let at = Endpoint::Unix(dir.join("nested/ctl.sock"));
+        // The socket file of a listener whose process died.
+        std::mem::forget(at.bind().expect("bind"));
+        assert_eq!(bound_roundtrip(&at.to_string()), at);
+        assert!(!dir.join("nested/ctl.sock").exists(), "the listener's socket file outlived it");
+        // The listener beside a dialled endpoint lives in its directory.
+        let ctl = at.bind().expect("bind");
+        let (_link, peer) = ctl.endpoint().connect_with_listener("peer-0.sock").expect("dial");
+        assert_eq!(peer.endpoint(), &Endpoint::Unix(dir.join("nested/peer-0.sock")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn endpoint_grammar_round_trips_and_refuses_typed() {
+        let unix = |p: &str| Endpoint::Unix(p.into());
+        for (spec, want, shown) in [
+            ("tcp:127.0.0.1:0", Endpoint::Tcp("127.0.0.1:0".into()), "tcp:127.0.0.1:0"),
+            ("tcp:[::1]:7700", Endpoint::Tcp("[::1]:7700".into()), "tcp:[::1]:7700"),
+            ("tcp:node-3:7700", Endpoint::Tcp("node-3:7700".into()), "tcp:node-3:7700"),
+            ("unix:/run/fasda/ctl.sock", unix("/run/fasda/ctl.sock"), "unix:/run/fasda/ctl.sock"),
+            ("unix:svc/ctl.sock", unix("svc/ctl.sock"), "unix:svc/ctl.sock"),
+            ("svc/ctl.sock", unix("svc/ctl.sock"), "unix:svc/ctl.sock"),
+            ("127.0.0.1:0", unix("127.0.0.1:0"), "unix:127.0.0.1:0"),
+            ("unix:tcp:x", unix("tcp:x"), "unix:tcp:x"),
+        ] {
+            let got: Endpoint = spec.parse().expect(spec);
+            assert_eq!(got, want, "{spec}");
+            assert_eq!(got.to_string(), shown, "{spec}");
+            assert_eq!(shown.parse::<Endpoint>().expect(shown), want, "{shown}");
+        }
+        for bad in ["", "unix:", "tcp:", "tcp:7700", "tcp::7700", "tcp:host", "tcp:host:port", "tcp:host:70000"] {
+            let err = bad.parse::<Endpoint>().expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -3,10 +3,8 @@
 
 use crate::job::JobSpec;
 use crate::proto::{self, ProtoError};
-use crate::server::Listen;
-use fasda_net::transport::{FrameLink, SocketLink, TcpLink};
+use fasda_net::transport::{Endpoint, FrameLink};
 use fasda_trace::Json;
-use std::os::unix::net::UnixStream;
 
 /// One control connection to a running server. Requests are strictly
 /// request/response, so a single client is usable from one thread;
@@ -17,19 +15,9 @@ pub struct Client {
 
 impl Client {
     /// Connect to a server's resolved listen address.
-    pub fn connect(addr: &Listen) -> Result<Client, String> {
-        match addr {
-            Listen::Unix(path) => {
-                let stream = UnixStream::connect(path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let link = SocketLink::new(stream).map_err(|e| e.to_string())?;
-                Ok(Client { link: Box::new(link) })
-            }
-            Listen::Tcp(spec) => {
-                let link = TcpLink::connect(spec).map_err(|e| format!("{spec}: {e}"))?;
-                Ok(Client { link: Box::new(link) })
-            }
-        }
+    pub fn connect(addr: &Endpoint) -> Result<Client, String> {
+        let link = addr.connect().map_err(|e| e.to_string())?;
+        Ok(Client { link })
     }
 
     fn call(&mut self, req: Json) -> Result<Json, ProtoError> {

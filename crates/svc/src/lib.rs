@@ -36,4 +36,4 @@ pub use client::Client;
 pub use job::{JobSpec, JobState};
 pub use proto::PROTO_VERSION;
 pub use queue::{SchedJob, TenantQuota, TenantTable};
-pub use server::{Listen, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};

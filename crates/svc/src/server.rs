@@ -41,12 +41,10 @@ use crate::proto::{self, ProtoError};
 use crate::queue::{self, QueueJournal, ReplayedJob, ReplayedState, SchedJob, TenantTable};
 use fasda_cluster::ckpt::{learn, CheckpointConfig, SegmentControl};
 use fasda_cluster::{state_dump, FaultPlan, Resume, RunError, RunOutput};
-use fasda_net::transport::{FrameLink, SocketLink, TcpLink};
+use fasda_net::transport::{Endpoint, FrameLink, Listener};
 use fasda_obs::{parse_jsonl, Registry};
 use fasda_trace::Json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -63,20 +61,12 @@ const LATENCY_MS_BOUNDS: &[u64] = &[
 /// older id pays for a journal read.
 pub const FINISHED_KEPT: usize = 512;
 
-/// Where the control listener lives.
-#[derive(Clone, Debug)]
-pub enum Listen {
-    /// Unix-domain socket at this path (default; single host).
-    Unix(PathBuf),
-    /// TCP address (`host:port`; port 0 picks an ephemeral port).
-    Tcp(String),
-}
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Control-socket carrier.
-    pub listen: Listen,
+    /// Where the control socket listens (Unix by default; TCP port 0
+    /// picks a free port).
+    pub listen: Endpoint,
     /// Worker threads (migration needs at least 2).
     pub workers: usize,
     /// Queue journal path (created if missing, replayed if present).
@@ -98,7 +88,7 @@ impl ServerConfig {
     /// for the Unix default — the control socket all live under it).
     pub fn at(dir: &std::path::Path) -> Self {
         ServerConfig {
-            listen: Listen::Unix(dir.join("ctl.sock")),
+            listen: Endpoint::Unix(dir.join("ctl.sock")),
             workers: 2,
             journal: dir.join("queue.journal"),
             ckpt_root: dir.join("ckpt"),
@@ -331,12 +321,12 @@ struct Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    addr: Listen,
+    addr: Endpoint,
 }
 
 impl ServerHandle {
     /// Where clients should connect (TCP port resolved if 0 was asked).
-    pub fn addr(&self) -> &Listen {
+    pub fn addr(&self) -> &Endpoint {
         &self.addr
     }
 
@@ -396,33 +386,9 @@ impl Server {
 
         // Bind the control listener before spawning anything so a
         // bad address fails the whole start.
-        let (accept, addr): (Accept, Listen) = match &cfg.listen {
-            Listen::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-                }
-                let l = UnixListener::bind(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                l.set_nonblocking(true).map_err(|e| e.to_string())?;
-                let accept = move || {
-                    let (stream, _) = l.accept()?;
-                    let _ = stream.set_nonblocking(false);
-                    Ok(SocketLink::new(stream).ok().map(|l| Box::new(l) as Box<dyn FrameLink>))
-                };
-                (Box::new(accept), Listen::Unix(path.clone()))
-            }
-            Listen::Tcp(spec) => {
-                let l = TcpListener::bind(spec.as_str()).map_err(|e| format!("{spec}: {e}"))?;
-                let resolved = l.local_addr().map_err(|e| e.to_string())?.to_string();
-                l.set_nonblocking(true).map_err(|e| e.to_string())?;
-                let accept = move || {
-                    let (stream, _) = l.accept()?;
-                    let _ = stream.set_nonblocking(false);
-                    Ok(TcpLink::new(stream).ok().map(|l| Box::new(l) as Box<dyn FrameLink>))
-                };
-                (Box::new(accept), Listen::Tcp(resolved))
-            }
-        };
+        let listener = cfg.listen.bind().map_err(|e| e.to_string())?;
+        listener.set_nonblocking().map_err(|e| e.to_string())?;
+        let addr = listener.endpoint().clone();
 
         let mut state = State {
             live,
@@ -457,7 +423,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("fasda-listener".to_string())
-                    .spawn(move || listener_loop(&sh, &nid, accept))
+                    .spawn(move || listener_loop(&sh, &nid, &listener))
                     .map_err(|e| e.to_string())?,
             );
         }
@@ -685,36 +651,22 @@ fn log_to(sh: &Shared, id: u64, line: String) {
 // Control listener
 // -----------------------------------------------------------------------
 
-/// Takes one connection off a non-blocking listener and wraps it as a
-/// link; `Ok(None)` when the accepted stream could not be wrapped.
-type Accept = Box<dyn Fn() -> std::io::Result<Option<Box<dyn FrameLink>>> + Send>;
-
-fn listener_loop(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, accept: Accept) {
-    loop {
-        if sh.state.lock().expect("state lock").shutdown {
-            return;
-        }
-        match accept() {
-            Ok(Some(link)) => spawn_handler(sh, next_id, link),
-            Ok(None) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Handler threads are detached: each exits when its client hangs up
 /// (`recv_frame` errors) or after serving a `shutdown` verb.
-fn spawn_handler(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, mut link: Box<dyn FrameLink>) {
-    let sh = Arc::clone(sh);
-    let next_id = Arc::clone(next_id);
-    let _ = std::thread::Builder::new()
-        .name("fasda-ctl".to_string())
-        .spawn(move || {
-            let _ = connection_loop(&sh, &next_id, &mut *link);
-        });
+fn listener_loop(sh: &Arc<Shared>, next_id: &Arc<Mutex<u64>>, listener: &Listener) {
+    while !sh.state.lock().expect("state lock").shutdown {
+        match listener.accept() {
+            Ok(mut link) => {
+                let (sh, next_id) = (Arc::clone(sh), Arc::clone(next_id));
+                let _ = std::thread::Builder::new()
+                    .name("fasda-ctl".to_string())
+                    .spawn(move || connection_loop(&sh, &next_id, &mut *link));
+            }
+            // No client pending (the listener does not block), or one
+            // whose connection failed: poll again.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
 }
 
 // -----------------------------------------------------------------------

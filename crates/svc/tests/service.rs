@@ -6,11 +6,11 @@
 //! service must add scheduling, draining, and recovery *around* the
 //! run without perturbing a single bit of simulated state.
 
-use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig, RunAccumulator};
-use fasda_cluster::{state_dump, Cluster, EngineConfig};
-use fasda_net::transport::{FrameLink, TcpLink};
+use fasda_cluster::ckpt::{run_with_checkpoints, CheckpointConfig};
+use fasda_cluster::{state_dump, Cluster, ClusterRunReport, EngineConfig};
+use fasda_net::transport::Endpoint;
 use fasda_svc::queue::{self, QueueJournal, ReplayedState};
-use fasda_svc::server::{Listen, FINISHED_KEPT};
+use fasda_svc::server::FINISHED_KEPT;
 use fasda_svc::{Client, JobSpec, Server, ServerConfig, TenantQuota};
 use fasda_trace::Json;
 use std::io::{Read, Write};
@@ -51,7 +51,7 @@ fn oracle_dump(spec: &JobSpec, dir: &std::path::Path) -> String {
         2_000_000_000,
         &EngineConfig::serial(),
         Some(&ck),
-        RunAccumulator::new(),
+        ClusterRunReport::new(),
     )
     .expect("oracle run");
     state_dump(&cluster, &sys)
@@ -387,10 +387,10 @@ fn journal_replay_reruns_interrupted_jobs() {
 fn tcp_control_socket_speaks_the_same_protocol() {
     let dir = tmpdir("tcp");
     let mut cfg = ServerConfig::at(&dir.join("srv"));
-    cfg.listen = Listen::Tcp("127.0.0.1:0".to_string());
+    cfg.listen = Endpoint::Tcp("127.0.0.1:0".to_string());
     let handle = Server::start(cfg).expect("server starts on tcp");
     let addr = match handle.addr() {
-        Listen::Tcp(addr) => addr.clone(),
+        Endpoint::Tcp(addr) => addr.clone(),
         other => panic!("expected tcp addr, got {other:?}"),
     };
     assert!(!addr.ends_with(":0"), "port not resolved: {addr}");
@@ -401,7 +401,7 @@ fn tcp_control_socket_speaks_the_same_protocol() {
     assert_eq!(status.get("state").and_then(Json::as_str), Some("completed"));
     // A 200 KB run of `[` is refused and its connection closed; the
     // daemon keeps serving everyone else.
-    let mut hostile = TcpLink::connect(&addr).expect("raw connect");
+    let mut hostile = handle.addr().connect().expect("raw connect");
     hostile.send_frame("[".repeat(200_000).as_bytes()).expect("send deep frame");
     assert!(hostile.recv_frame().is_err(), "daemon must close the hostile connection");
     // A bare header claiming 512 MiB is refused from the header alone:
