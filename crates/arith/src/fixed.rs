@@ -21,8 +21,6 @@
 //! (≈ 1.3e-7 Å at the paper's 8.5 Å cell edge), matching the precision class
 //! of the RTL design.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of fraction bits in the fixed-point representation.
 pub const FRAC_BITS: u32 = 26;
 /// Scale factor `2^FRAC_BITS`.
@@ -34,7 +32,7 @@ pub const SCALE: i64 = 1 << FRAC_BITS;
 /// bit-slice register would); arithmetic wraps on overflow in release mode
 /// exactly like the RTL would, but the documented operating ranges above
 /// never overflow and debug builds assert on it.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fix(pub i32);
 
 impl Fix {
@@ -207,7 +205,7 @@ impl core::fmt::Display for Fix {
 
 /// A 3-vector of fixed-point scalars: the register format flowing through
 /// position rings, filters, and the front of the force pipeline.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Hash)]
 pub struct FixVec3 {
     pub x: Fix,
     pub y: Fix,
@@ -283,7 +281,7 @@ pub const ACC_SCALE: i64 = 1 << ACC_FRAC_BITS;
 /// of magnitude ≥ `2⁻⁴`; the `±2³⁵` range is far beyond any physical
 /// per-particle force total in this workload class. Overflow wraps in
 /// release mode exactly like the RTL adder would; debug builds assert.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FixAcc(pub i64);
 
 impl FixAcc {
@@ -367,38 +365,11 @@ impl core::ops::AddAssign for FixAcc {
     }
 }
 
-impl fasda_ckpt::Persist for Fix {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_i32(self.0);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(Fix(r.get_i32()?))
-    }
-}
+fasda_ckpt::persist_struct!(Fix { 0 });
 
-impl fasda_ckpt::Persist for FixVec3 {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_i32(self.x.0);
-        w.put_i32(self.y.0);
-        w.put_i32(self.z.0);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(FixVec3 {
-            x: Fix(r.get_i32()?),
-            y: Fix(r.get_i32()?),
-            z: Fix(r.get_i32()?),
-        })
-    }
-}
+fasda_ckpt::persist_struct!(FixVec3 { x, y, z });
 
-impl fasda_ckpt::Persist for FixAcc {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_i64(self.0);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(FixAcc(r.get_i64()?))
-    }
-}
+fasda_ckpt::persist_struct!(FixAcc { 0 });
 
 #[cfg(test)]
 mod tests {

@@ -19,10 +19,9 @@
 //! `f(r²)` can be tabulated via [`InterpTable::build_fn`].
 
 use crate::float_bits::{bin_lower_edge, section_bin, SectionBin};
-use serde::{Deserialize, Serialize};
 
 /// Table geometry: how the `r² ∈ [2^-n_sections, 1)` domain is cut up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableConfig {
     /// Number of exponent sections (`n_s` in Eq. 9). The covered domain is
     /// `r² ∈ [2^-n_sections, 1)`; smaller `r²` is the excluded non-physical
@@ -104,7 +103,7 @@ impl std::error::Error for InterpError {}
 /// `f(r²)` exceeds `f32::MAX` (for `r⁻¹⁴` that happens around
 /// `r² = 2⁻¹⁷`). This is the hardware-level motivation for the excluded
 /// small-`r` region of Fig. 7.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InterpTable {
     cfg: TableConfig,
     /// Flat `[section * bins + bin] → (a, b)`, stored as the `f32` words a
@@ -208,7 +207,7 @@ impl InterpTable {
 }
 
 /// The force-pipeline pair of tables: `r⁻¹⁴` and `r⁻⁸` (Eq. 2 terms).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LjForceTable {
     /// `r⁻¹⁴` table (the repulsive `48(σ/r)¹⁴` term).
     pub r14: InterpTable,

@@ -23,10 +23,8 @@
 //! 4.67× FPGA-vs-best-GPU headline. Every harness that consumes this
 //! model prints the constants alongside its results.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU device classes of the paper's testbed (§5.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GpuKind {
     /// Nvidia A100-40GB (up to 2, NVLink).
     A100,
@@ -69,7 +67,7 @@ impl GpuKind {
 }
 
 /// The analytic model for `gpus` devices of one kind.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuModel {
     /// Device class.
     pub kind: GpuKind,

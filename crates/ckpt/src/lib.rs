@@ -8,7 +8,12 @@
 //!   flits, counters, queues, maps. Field order is fixed, integers are
 //!   little-endian, floats travel as IEEE-754 bit patterns, and hash
 //!   containers are written in sorted key order so the byte stream is a
-//!   pure function of logical state.
+//!   pure function of logical state. A type's format is declared once,
+//!   by [`persist_struct!`] (fields in wire order) or [`persist_enum!`]
+//!   (a `u8` tag, then the variant's fields): a field's Rust type is its
+//!   wire width, and the committed golden files pin the bytes. Only
+//!   formats that validate, narrow a width or are generic are written
+//!   by hand.
 //! * [`Snapshot`] — in-place serialization (`snapshot`/`restore`) for
 //!   structures that mix configuration (rebuilt from `ClusterConfig` at
 //!   restore time) with mutable state (restored from the container):
@@ -570,6 +575,90 @@ impl Persist for String {
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         r.get_str()
     }
+}
+
+impl<T: Persist> Persist for Box<T> {
+    fn save(&self, w: &mut Writer) {
+        (**self).save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
+        Ok(Box::new(T::load(r)?))
+    }
+}
+
+/// Declare a struct's [`Persist`] format once: the listed fields, in the
+/// listed order, each in its own type's encoding. The list **is** the
+/// wire order. Tuple structs list their indices (`persist_struct!(Fix
+/// { 0 })`).
+///
+/// ```
+/// # use fasda_ckpt::{persist_struct, Persist, Reader, Writer};
+/// struct Hit { slot: u16, force: i64 }
+/// persist_struct!(Hit { slot, force });
+/// let mut w = Writer::new();
+/// Hit { slot: 3, force: -1 }.save(&mut w);
+/// assert_eq!(w.len(), 2 + 8);
+/// ```
+#[macro_export]
+macro_rules! persist_struct {
+    ($t:ident { $($f:tt),* $(,)? }) => {
+        impl $crate::Persist for $t {
+            fn save(&self, w: &mut $crate::Writer) {
+                $( $crate::Persist::save(&self.$f, w); )*
+            }
+            #[allow(clippy::init_numbered_fields)]
+            fn load(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CkptError> {
+                Ok(Self { $( $f: $crate::Persist::load(r)?, )* })
+            }
+        }
+    };
+}
+
+/// Declare an enum's [`Persist`] format once: a `u8` tag, then the
+/// variant's fields in the listed order. Unit, tuple (`Tag(a, b)`, the
+/// names only bind) and named (`Tag { x, y }`) variants mix freely. An
+/// unlisted tag loads as [`CkptError::Malformed`] naming the type.
+///
+/// ```
+/// # use fasda_ckpt::{persist_enum, Persist, Reader, Writer};
+/// enum Msg { Stop, Go(u32), Ack { seq: u32 } }
+/// persist_enum!(Msg { 0 => Stop, 1 => Go(n), 2 => Ack { seq } });
+/// let mut w = Writer::new();
+/// Msg::Ack { seq: 7 }.save(&mut w);
+/// assert_eq!(w.into_bytes(), [2, 7, 0, 0, 0]);
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    ($t:ident {
+        $( $tag:literal => $v:ident $( ( $($a:ident),* ) )? $( { $($n:ident),* $(,)? } )? ),* $(,)?
+    }) => {
+        impl $crate::Persist for $t {
+            fn save(&self, w: &mut $crate::Writer) {
+                match self {
+                    $( Self::$v $( ( $($a),* ) )? $( { $($n),* } )? => {
+                        w.put_u8($tag);
+                        $( $( $crate::Persist::save($a, w); )* )?
+                        $( $( $crate::Persist::save($n, w); )* )?
+                    } )*
+                }
+            }
+            fn load(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CkptError> {
+                Ok(match r.get_u8()? {
+                    $( $tag => {
+                        $( $( let $a = $crate::Persist::load(r)?; )* )?
+                        $( $( let $n = $crate::Persist::load(r)?; )* )?
+                        Self::$v $( ( $($a),* ) )? $( { $($n),* } )?
+                    } )*
+                    t => {
+                        return Err(r.malformed(format!(
+                            concat!("unknown ", stringify!($t), " tag {}"),
+                            t
+                        )))
+                    }
+                })
+            }
+        }
+    };
 }
 
 impl<T: Persist> Persist for Option<T> {
@@ -1358,6 +1447,82 @@ mod tests {
         roundtrip(&(1u8, 2u64));
         roundtrip(&(1u8, 2u64, String::from("x")));
         roundtrip(&[5u32; 4]);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        a: u16,
+        b: Vec<u8>,
+    }
+    persist_struct!(Pair { b, a });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrap(u32, i8);
+    persist_struct!(Wrap { 0, 1 });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Dot(u8, Option<u32>),
+        Rect { w: u16, h: Box<u64> },
+    }
+    persist_enum!(Shape { 0 => Empty, 1 => Dot(x, y), 5 => Rect { w, h } });
+
+    fn bytes_of<T: Persist>(v: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn declared_struct_roundtrips_in_listed_order() {
+        let p = Pair { a: 0x0102, b: vec![9] };
+        roundtrip(&p);
+        // `b` is listed first, so it leads the bytes.
+        assert_eq!(bytes_of(&p), [1, 0, 0, 0, 0, 0, 0, 0, 9, 0x02, 0x01]);
+        roundtrip(&Wrap(u32::MAX, -2));
+        assert_eq!(bytes_of(&Wrap(1, -1)), [1, 0, 0, 0, 0xFF]);
+    }
+
+    #[test]
+    fn declared_enum_roundtrips_every_variant_kind() {
+        roundtrip(&Shape::Empty);
+        roundtrip(&Shape::Dot(7, Some(3)));
+        roundtrip(&Shape::Rect { w: 4, h: Box::new(u64::MAX) });
+        assert_eq!(bytes_of(&Shape::Empty), [0]);
+        assert_eq!(bytes_of(&Shape::Dot(7, None)), [1, 7, 0]);
+        assert_eq!(bytes_of(&Shape::Rect { w: 1, h: Box::new(2) }), [5, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn declared_enum_refuses_an_unknown_tag_by_name() {
+        for tag in [2u8, 4, 6, 255] {
+            match Shape::load(&mut Reader::new(&[tag, 0, 0, 0], "sec")) {
+                Err(CkptError::Malformed { section, what }) => {
+                    assert_eq!(section, "sec");
+                    assert_eq!(what, format!("unknown Shape tag {tag}"));
+                }
+                other => panic!("tag {tag} loaded as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn declared_formats_report_a_short_payload_as_truncated() {
+        let rect = bytes_of(&Shape::Rect { w: 1, h: Box::new(2) });
+        let pair = bytes_of(&Pair { a: 1, b: vec![1, 2] });
+        for cut in 0..rect.len() {
+            assert!(
+                matches!(Shape::load(&mut Reader::new(&rect[..cut], "s")), Err(CkptError::Truncated { .. })),
+                "Rect cut at {cut}"
+            );
+        }
+        for cut in 0..pair.len() {
+            assert!(
+                matches!(Pair::load(&mut Reader::new(&pair[..cut], "s")), Err(CkptError::Truncated { .. })),
+                "Pair cut at {cut}"
+            );
+        }
     }
 
     #[test]

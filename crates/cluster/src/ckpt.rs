@@ -26,7 +26,7 @@ use crate::driver::{sections, Cluster, ClusterError, EngineConfig};
 use crate::report::ClusterRunReport;
 use fasda_ckpt::{
     checkpoint_path, prune_checkpoints, write_atomic, CkptError, Container, ContainerWriter,
-    Persist, Reader, Writer,
+    Persist, Writer,
 };
 use fasda_net::fault::FaultPlan;
 pub use fasda_ckpt::latest_checkpoint;
@@ -68,46 +68,25 @@ impl CheckpointConfig {
 /// the frozen benchmark imports it by.
 pub type RunAccumulator = ClusterRunReport;
 
-/// The report folded so far lives *inside* each checkpoint (the `runner`
-/// section) so a resumed run can report over the whole trajectory, not
-/// just its own segments.
-impl Persist for ClusterRunReport {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.steps);
-        w.put_u64(self.total_cycles);
-        self.records.save(w);
-        self.stats.save(w);
-        self.per_node_traffic.save(w);
-        w.put_u64(self.pos_packets);
-        w.put_u64(self.frc_packets);
-        w.put_u64(self.pos_bits);
-        w.put_u64(self.frc_bits);
-        w.put_f64(self.clock_hz);
-        w.put_f64(self.dt_fs);
-        w.put_usize(self.nodes);
-        w.put_u64(self.faults_injected);
-        self.reliability.save(w);
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(ClusterRunReport {
-            steps: r.get_u64()?,
-            total_cycles: r.get_u64()?,
-            records: Persist::load(r)?,
-            stats: Persist::load(r)?,
-            per_node_traffic: Persist::load(r)?,
-            pos_packets: r.get_u64()?,
-            frc_packets: r.get_u64()?,
-            pos_bits: r.get_u64()?,
-            frc_bits: r.get_u64()?,
-            clock_hz: r.get_f64()?,
-            dt_fs: r.get_f64()?,
-            nodes: r.get_usize()?,
-            faults_injected: r.get_u64()?,
-            reliability: Persist::load(r)?,
-        })
-    }
-}
+// The report folded so far lives *inside* each checkpoint (the `runner`
+// section) so a resumed run can report over the whole trajectory, not
+// just its own segments.
+fasda_ckpt::persist_struct!(ClusterRunReport {
+    steps,
+    total_cycles,
+    records,
+    stats,
+    per_node_traffic,
+    pos_packets,
+    frc_packets,
+    pos_bits,
+    frc_bits,
+    clock_hz,
+    dt_fs,
+    nodes,
+    faults_injected,
+    reliability,
+});
 
 /// Serialize the quiescent cluster + accumulator into checkpoint
 /// container bytes **in memory** — the drain half of a live migration.

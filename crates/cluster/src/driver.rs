@@ -909,20 +909,13 @@ impl Cluster {
         // Several directives may be armed (staggered crashes); if more
         // than one is due on the same cycle, the lowest node fires —
         // the same order the sharded merge resolves concurrent crashes.
-        let crashes: Vec<CrashPoint> = self
-            .cfg
-            .faults
-            .as_ref()
-            .map(|p| p.crashes.clone())
-            .unwrap_or_default();
-
         while !self.all_done(steps) {
-            if let Some(cp) = self.crash_due(&crashes) {
+            if let Some(cp) = self.crash_due() {
                 return Err(CrashInjected {
                     at_cycle: self.cycle,
                     node: cp.node as usize,
                     step: cp.step,
-                    packets_lost: self.pos_fabric.packets_lost + self.frc_fabric.packets_lost,
+                    packets_lost: self.packets_lost(),
                 }
                 .into());
             }
@@ -991,8 +984,9 @@ impl Cluster {
     /// this cycle, if any: its (owned) node is past the first cycle of
     /// that step's force phase. Among concurrently-due directives the
     /// lowest node fires.
-    pub(crate) fn crash_due(&self, crashes: &[CrashPoint]) -> Option<CrashPoint> {
+    pub(crate) fn crash_due(&self) -> Option<CrashPoint> {
         let owned = self.owned_range();
+        let crashes = self.cfg.faults.as_ref().map_or(&[][..], |p| &p.crashes);
         crashes
             .iter()
             .filter(|cp| {
@@ -1045,28 +1039,15 @@ impl Cluster {
         self.use_quiet = engine.fast;
         self.quiet.iter_mut().for_each(|q| *q = false);
         self.records.clear();
-        // arm step 0
         for node in owned {
-            self.sync[node].begin_step(self.state[node].step);
-            self.chips[node].begin_force_phase();
-            self.state[node].phase = NodePhase::Force;
-            self.state[node].phase_start = self.cycle;
-            self.state[node].last_pos_flushed = false;
-            if let Some((s, d)) = self.cfg.straggler {
-                if s == node {
-                    self.stalls[node] = d;
-                }
-            }
-            if self.tracing {
-                let cycle = self.cycle;
-                let step = self.state[node].step;
-                let stall = self.stalls[node];
-                let tr = self.chips[node].trace_mut();
-                tr.push(cycle, EventKind::PhaseBegin { phase: PhaseId::Force, step });
-                if stall > 0 {
-                    tr.push(cycle, EventKind::StallInjected { cycles: stall });
-                }
-            }
+            // A fresh cluster's nodes are `Force` and a segment boundary's
+            // `Done`, so no barrier wait ends here.
+            debug_assert!(
+                matches!(self.state[node].phase, NodePhase::Force | NodePhase::Done),
+                "node {node} armed in {:?}",
+                self.state[node].phase
+            );
+            self.enter_next_force(node);
         }
     }
 
@@ -1099,6 +1080,11 @@ impl Cluster {
         }
     }
 
+    /// Packets lost on the position and force fabrics.
+    pub(crate) fn packets_lost(&self) -> u64 {
+        self.pos_fabric.packets_lost + self.frc_fabric.packets_lost
+    }
+
     /// The stall as this execution context sees it: the owned nodes'
     /// states — every node in-process, a shard worker's share of the
     /// error otherwise (the coordinator concatenates the shares).
@@ -1109,7 +1095,7 @@ impl Cluster {
                 .owned_range()
                 .map(|n| (self.state[n].step, format!("{:?}", self.state[n].phase)))
                 .collect(),
-            packets_lost: self.pos_fabric.packets_lost + self.frc_fabric.packets_lost,
+            packets_lost: self.packets_lost(),
         }
     }
 
@@ -1123,7 +1109,7 @@ impl Cluster {
                 .filter(|&n| self.state[n].phase != NodePhase::Done)
                 .map(|n| (n, self.state[n].step, format!("{:?}", self.state[n].phase)))
                 .collect(),
-            packets_lost: self.pos_fabric.packets_lost + self.frc_fabric.packets_lost,
+            packets_lost: self.packets_lost(),
             outages: self
                 .faults
                 .as_ref()
@@ -1366,31 +1352,39 @@ impl Cluster {
             }
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_mu(node),
-                SyncMode::Bulk { .. } => {
-                    self.state[node].phase = NodePhase::BarrierBeforeMu;
-                    // Re-base `phase_start` at barrier entry so the wait
-                    // duration is reportable (engine-invariant; nothing
-                    // else reads it until the next phase re-sets it).
-                    self.state[node].phase_start = self.cycle;
-                    if self.tracing {
-                        let cycle = self.cycle;
-                        let tr = self.chips[node].trace_mut();
-                        tr.push(
-                            cycle,
-                            EventKind::PhaseBegin { phase: PhaseId::BarrierMu, step },
-                        );
-                        tr.push(cycle, EventKind::BarrierArrive { step });
-                    }
-                    if let Some(release) = self.barrier_mu.arrive(node, self.cycle) {
-                        for s in self.state.iter_mut() {
-                            if s.phase == NodePhase::BarrierBeforeMu {
-                                s.barrier_release = Some(release);
-                            }
-                        }
-                        self.barrier_mu.reset();
-                    }
+                SyncMode::Bulk { .. } => self.arrive_at_barrier(node, NodePhase::BarrierBeforeMu),
+            }
+        }
+    }
+
+    /// Bulk-sync barrier arrival of `node` at its current step: enter
+    /// `phase` (one of the two barrier waits) and, if `node` is the last
+    /// to arrive, schedule every waiting node's release.
+    fn arrive_at_barrier(&mut self, node: usize, phase: NodePhase) {
+        let (trace_phase, barrier) = match phase {
+            NodePhase::BarrierBeforeMu => (PhaseId::BarrierMu, &mut self.barrier_mu),
+            NodePhase::BarrierBeforeForce => (PhaseId::BarrierForce, &mut self.barrier_force),
+            other => unreachable!("{other:?} is not a barrier wait"),
+        };
+        let step = self.state[node].step;
+        self.state[node].phase = phase;
+        // Re-base `phase_start` at barrier entry so the wait duration is
+        // reportable (engine-invariant; nothing else reads it until the
+        // next phase re-sets it).
+        self.state[node].phase_start = self.cycle;
+        if self.tracing {
+            let cycle = self.cycle;
+            let tr = self.chips[node].trace_mut();
+            tr.push(cycle, EventKind::PhaseBegin { phase: trace_phase, step });
+            tr.push(cycle, EventKind::BarrierArrive { step });
+        }
+        if let Some(release) = barrier.arrive(node, self.cycle) {
+            for s in self.state.iter_mut() {
+                if s.phase == phase {
+                    s.barrier_release = Some(release);
                 }
             }
+            barrier.reset();
         }
     }
 
@@ -1477,26 +1471,7 @@ impl Cluster {
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_next_force(node),
                 SyncMode::Bulk { .. } => {
-                    self.state[node].phase = NodePhase::BarrierBeforeForce;
-                    self.state[node].phase_start = self.cycle;
-                    if self.tracing {
-                        let cycle = self.cycle;
-                        let next = self.state[node].step;
-                        let tr = self.chips[node].trace_mut();
-                        tr.push(
-                            cycle,
-                            EventKind::PhaseBegin { phase: PhaseId::BarrierForce, step: next },
-                        );
-                        tr.push(cycle, EventKind::BarrierArrive { step: next });
-                    }
-                    if let Some(release) = self.barrier_force.arrive(node, self.cycle) {
-                        for s in self.state.iter_mut() {
-                            if s.phase == NodePhase::BarrierBeforeForce {
-                                s.barrier_release = Some(release);
-                            }
-                        }
-                        self.barrier_force.reset();
-                    }
+                    self.arrive_at_barrier(node, NodePhase::BarrierBeforeForce)
                 }
             }
         }
@@ -2052,50 +2027,23 @@ impl Cluster {
 // file format, retention and segmented re-execution).
 // ---------------------------------------------------------------------------
 
-impl fasda_ckpt::Persist for NodePhase {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u8(match self {
-            NodePhase::Force => 0,
-            NodePhase::BarrierBeforeMu => 1,
-            NodePhase::Mu => 2,
-            NodePhase::BarrierBeforeForce => 3,
-            NodePhase::Done => 4,
-        });
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        match r.get_u8()? {
-            0 => Ok(NodePhase::Force),
-            1 => Ok(NodePhase::BarrierBeforeMu),
-            2 => Ok(NodePhase::Mu),
-            3 => Ok(NodePhase::BarrierBeforeForce),
-            4 => Ok(NodePhase::Done),
-            t => Err(r.malformed(format!("invalid node phase tag {t}"))),
-        }
-    }
-}
+fasda_ckpt::persist_enum!(NodePhase {
+    0 => Force,
+    1 => BarrierBeforeMu,
+    2 => Mu,
+    3 => BarrierBeforeForce,
+    4 => Done,
+});
 
-impl fasda_ckpt::Persist for NodeState {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u64(self.step);
-        self.phase.save(w);
-        w.put_u64(self.phase_start);
-        w.put_u64(self.force_cycles);
-        w.put_bool(self.last_pos_flushed);
-        w.put_bool(self.mig_flushed);
-        self.barrier_release.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(NodeState {
-            step: r.get_u64()?,
-            phase: fasda_ckpt::Persist::load(r)?,
-            phase_start: r.get_u64()?,
-            force_cycles: r.get_u64()?,
-            last_pos_flushed: r.get_bool()?,
-            mig_flushed: r.get_bool()?,
-            barrier_release: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(NodeState {
+    step,
+    phase,
+    phase_start,
+    force_cycles,
+    last_pos_flushed,
+    mig_flushed,
+    barrier_release,
+});
 
 /// Checkpointing: `cfg` is configuration; the per-link sender/receiver
 /// maps (sequence numbers, unacked in-flight frames, retransmission
@@ -2161,26 +2109,21 @@ pub mod sections {
 
 impl Cluster {
     /// Fingerprint of everything that must match between the snapshotting
-    /// and the restoring cluster. Stored as per-field digests so a
-    /// mismatch can name the offending field. The fault plan is
-    /// fingerprinted **without** any crash directive (and dropped
+    /// and the restoring cluster, as named fields in section order, each
+    /// holding its encoding (configuration structs as CRCs of their debug
+    /// text), so a mismatch can name the offending field. The fault plan
+    /// is fingerprinted **without** any crash directive (and dropped
     /// entirely when it carries no traffic faults): the resumed run
     /// strips the crash so it does not re-fire, and that must not read
     /// as a config change.
-    pub(crate) fn meta_writer(&self) -> fasda_ckpt::Writer {
-        use fasda_ckpt::crc32;
-        let mut w = fasda_ckpt::Writer::new();
-        let dbg = |s: String| crc32(s.as_bytes());
-        w.put_u32(dbg(format!("{:?}", self.cfg.chip)));
-        w.put_u32(self.cfg.block.0);
-        w.put_u32(self.cfg.block.1);
-        w.put_u32(self.cfg.block.2);
-        w.put_u32(dbg(format!("{:?}", self.cfg.sync)));
-        w.put_u32(dbg(format!("{:?}", self.cfg.topology)));
-        w.put_f64(self.cfg.bits_per_cycle);
-        w.put_u32(self.cfg.packet_cooldown);
-        w.put_f64(self.cfg.dt_fs);
-        w.put_u32(dbg(format!("{:?}", self.cfg.straggler)));
+    fn meta_fields(&self) -> [(&'static str, Vec<u8>); 15] {
+        use fasda_ckpt::{crc32, Persist};
+        fn enc(v: impl Persist) -> Vec<u8> {
+            let mut w = fasda_ckpt::Writer::new();
+            v.save(&mut w);
+            w.into_bytes()
+        }
+        let dbg = |s: String| enc(crc32(s.as_bytes()));
         // Fingerprint the recovery-invariant core of the plan: resumed
         // runs strip crash directives (and, after a partition-diagnosed
         // deadlock, flap/partition windows), and a stripped plan must
@@ -2191,48 +2134,38 @@ impl Cluster {
             .as_ref()
             .map(|p| p.without_outages())
             .filter(|p| !p.is_none());
-        w.put_u32(dbg(format!("{faults:?}")));
-        w.put_u32(dbg(format!("{:?}", self.cfg.reliability)));
-        w.put_u32(dbg(format!("{:?}", self.global)));
-        w.put_usize(self.num_nodes());
-        w.put_usize(self.num_particles());
+        [
+            ("chip", dbg(format!("{:?}", self.cfg.chip))),
+            ("block.x", enc(self.cfg.block.0)),
+            ("block.y", enc(self.cfg.block.1)),
+            ("block.z", enc(self.cfg.block.2)),
+            ("sync", dbg(format!("{:?}", self.cfg.sync))),
+            ("topology", dbg(format!("{:?}", self.cfg.topology))),
+            ("bits_per_cycle", enc(self.cfg.bits_per_cycle)),
+            ("packet_cooldown", enc(self.cfg.packet_cooldown)),
+            ("dt_fs", enc(self.cfg.dt_fs)),
+            ("straggler", dbg(format!("{:?}", self.cfg.straggler))),
+            ("faults", dbg(format!("{faults:?}"))),
+            ("reliability", dbg(format!("{:?}", self.cfg.reliability))),
+            ("space", dbg(format!("{:?}", self.global))),
+            ("nodes", enc(self.num_nodes())),
+            ("particles", enc(self.num_particles())),
+        ]
+    }
+
+    /// The `meta` section: every [`Cluster::meta_fields`] encoding, in order.
+    pub(crate) fn meta_writer(&self) -> fasda_ckpt::Writer {
+        let mut w = fasda_ckpt::Writer::new();
+        for (_, bytes) in self.meta_fields() {
+            w.put_bytes(&bytes);
+        }
         w
     }
 
     fn check_meta(&self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
-        let mine = self.meta_writer().into_bytes();
-        let mut me = fasda_ckpt::Reader::new(&mine, sections::META);
-        const FIELDS: [&str; 15] = [
-            "chip",
-            "block.x",
-            "block.y",
-            "block.z",
-            "sync",
-            "topology",
-            "bits_per_cycle",
-            "packet_cooldown",
-            "dt_fs",
-            "straggler",
-            "faults",
-            "reliability",
-            "space",
-            "nodes",
-            "particles",
-        ];
-        for field in FIELDS {
-            let (stored, expected): (u64, u64) = match field {
-                "block.x" | "block.y" | "block.z" | "chip" | "sync" | "topology"
-                | "packet_cooldown" | "straggler" | "faults" | "reliability"
-                | "space" => (r.get_u32()? as u64, me.get_u32().expect("meta shape") as u64),
-                "bits_per_cycle" | "dt_fs" => {
-                    (r.get_f64()?.to_bits(), me.get_f64().expect("meta shape").to_bits())
-                }
-                _ => (r.get_usize()? as u64, me.get_usize().expect("meta shape") as u64),
-            };
-            if stored != expected {
-                return Err(fasda_ckpt::CkptError::ConfigMismatch {
-                    field: field.to_string(),
-                });
+        for (field, expected) in self.meta_fields() {
+            if r.take(expected.len())? != expected {
+                return Err(fasda_ckpt::CkptError::ConfigMismatch { field: field.to_string() });
             }
         }
         Ok(())

@@ -29,7 +29,6 @@ use crate::driver::{Cluster, ClusterConfig};
 use crate::report::ClusterRunReport;
 use crate::run::RunOutput;
 use crate::shard::shard_ranges;
-use fasda_ckpt::{CkptError, Persist, Reader, Writer};
 use fasda_obs::model::{Measured, ModelInput, STALL_CLASSES};
 use fasda_obs::{prom_write, Hist, JsonlSink, Registry};
 use fasda_trace::{Json, StallCause, StallLedger, StepStalls, Trace, TraceLevel};
@@ -257,24 +256,7 @@ impl ShardGauges {
     }
 }
 
-impl Persist for ShardGauges {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.windows);
-        w.put_u64(self.events_sent);
-        w.put_u64(self.frame_bytes);
-        w.put_u64(self.compute_ns);
-        w.put_u64(self.wait_ns);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(ShardGauges {
-            windows: r.get_u64()?,
-            events_sent: r.get_u64()?,
-            frame_bytes: r.get_u64()?,
-            compute_ns: r.get_u64()?,
-            wait_ns: r.get_u64()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(ShardGauges { windows, events_sent, frame_bytes, compute_ns, wait_ns });
 
 /// One shard's compact telemetry sample, piggybacked on the window
 /// frame of the round in which the shard's slowest owned node crossed a
@@ -300,36 +282,15 @@ pub struct ObsDelta {
     pub gauges: ShardGauges,
 }
 
-impl Persist for ObsDelta {
-    fn save(&self, w: &mut Writer) {
-        w.put_u32(self.worker);
-        w.put_u64(self.boundary);
-        w.put_u64(self.min_step);
-        w.put_u64(self.productive);
-        for s in self.stalls {
-            w.put_u64(s);
-        }
-        w.put_u64(self.retransmits);
-        self.gauges.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(ObsDelta {
-            worker: r.get_u32()?,
-            boundary: r.get_u64()?,
-            min_step: r.get_u64()?,
-            productive: r.get_u64()?,
-            stalls: {
-                let mut s = [0u64; STALL_CLASSES];
-                for v in &mut s {
-                    *v = r.get_u64()?;
-                }
-                s
-            },
-            retransmits: r.get_u64()?,
-            gauges: Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(ObsDelta {
+    worker,
+    boundary,
+    min_step,
+    productive,
+    stalls,
+    retransmits,
+    gauges,
+});
 
 /// A complete fleet heartbeat: every shard's sample for one boundary.
 /// Assembled by worker 0 (which sees every window frame) and shipped to
@@ -344,20 +305,7 @@ pub struct FleetBeat {
     pub workers: Vec<ObsDelta>,
 }
 
-impl Persist for FleetBeat {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.boundary);
-        w.put_u64(self.cycle);
-        self.workers.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(FleetBeat {
-            boundary: r.get_u64()?,
-            cycle: r.get_u64()?,
-            workers: Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(FleetBeat { boundary, cycle, workers });
 
 /// Coordinator-side fleet heartbeat sink: turns [`FleetBeat`] frames
 /// into `fleet` JSONL records (and a Prometheus scrape file) naming the
@@ -467,7 +415,7 @@ fn fill_live(reg: &mut Registry, cl: &Cluster, step: u64, stalls: &StepStalls) {
     reg.counter_set("frc_packets", cl.frc_fabric.packets);
     reg.counter_set(
         "packets_lost",
-        cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost,
+        cl.packets_lost(),
     );
     if let Some(rel) = &cl.rel {
         reg.counter_set("retransmits", rel.total_retransmits());

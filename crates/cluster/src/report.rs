@@ -236,38 +236,6 @@ impl ClusterRunReport {
     }
 }
 
-impl fasda_ckpt::Persist for NodeStepReport {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_usize(self.node);
-        w.put_u64(self.step);
-        w.put_u64(self.force_cycles);
-        w.put_u64(self.mu_cycles);
-        w.put_u64(self.wall_end);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(NodeStepReport {
-            node: r.get_usize()?,
-            step: r.get_u64()?,
-            force_cycles: r.get_u64()?,
-            mu_cycles: r.get_u64()?,
-            wall_end: r.get_u64()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(NodeStepReport { node, step, force_cycles, mu_cycles, wall_end });
 
-impl fasda_ckpt::Persist for RelSummary {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u64(self.retransmits);
-        w.put_u64(self.acks_sent);
-        w.put_u64(self.duplicates_dropped);
-        w.put_u64(self.corrupt_dropped);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(RelSummary {
-            retransmits: r.get_u64()?,
-            acks_sent: r.get_u64()?,
-            duplicates_dropped: r.get_u64()?,
-            corrupt_dropped: r.get_u64()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(RelSummary { retransmits, acks_sent, duplicates_dropped, corrupt_dropped });

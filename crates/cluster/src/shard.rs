@@ -98,7 +98,10 @@ use crate::report::{ClusterRunReport, NodeStepReport};
 use crate::run::{resumed, SpecError};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use fasda_ckpt::{crc32, CkptError, Container, ContainerWriter, Persist, Reader, Writer};
+use fasda_ckpt::{
+    crc32, persist_enum, persist_struct, CkptError, Container, ContainerWriter, Persist, Reader,
+    Writer,
+};
 use fasda_net::sync::SyncMode;
 use fasda_net::transport::{Endpoint, FrameLink, LinkError, Listener, MemLink, SocketLink};
 use fasda_sim::StatSet;
@@ -244,28 +247,7 @@ pub fn validate_sharding(
 /// plus the message tag. Bounds the event count a frame can claim.
 const MIN_EVENT_BYTES: usize = 8 + 1 + 4 + 4 + 8 + 8 + 1;
 
-impl Persist for WireEvent {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.cycle);
-        w.put_u8(self.stage);
-        w.put_u32(self.src);
-        w.put_u32(self.dst);
-        w.put_u64(self.arrive);
-        w.put_u64(self.extra);
-        self.msg.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(WireEvent {
-            cycle: r.get_u64()?,
-            stage: r.get_u8()?,
-            src: r.get_u32()?,
-            dst: r.get_u32()?,
-            arrive: r.get_u64()?,
-            extra: r.get_u64()?,
-            msg: Persist::load(r)?,
-        })
-    }
-}
+persist_struct!(WireEvent { cycle, stage, src, dst, arrive, extra, msg });
 
 /// Injected-crash announcement carried in a window frame: every worker
 /// returns the identical [`CrashInjected`] the oracle would have.
@@ -276,16 +258,7 @@ struct CrashInfo {
     step: u64,
 }
 
-impl Persist for CrashInfo {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.at_cycle);
-        w.put_u32(self.node);
-        w.put_u64(self.step);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(CrashInfo { at_cycle: r.get_u64()?, node: r.get_u32()?, step: r.get_u64()? })
-    }
-}
+persist_struct!(CrashInfo { at_cycle, node, step });
 
 /// One worker's progress notes for one round — everything in a window
 /// frame except the wire events. Each worker applies its own notes and
@@ -317,96 +290,80 @@ struct WindowNotes {
     obs: Vec<ObsDelta>,
 }
 
-impl Persist for WindowNotes {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.clock);
-        self.done_at.save(w);
-        self.crash.save(w);
-        w.put_u64(self.idle_from);
-        self.never_from.save(w);
-        w.put_u64(self.generated);
-        self.skipped.save(w);
-        self.lost.save(w);
-        self.obs.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(WindowNotes {
-            clock: r.get_u64()?,
-            done_at: Persist::load(r)?,
-            crash: Persist::load(r)?,
-            idle_from: r.get_u64()?,
-            never_from: Persist::load(r)?,
-            generated: r.get_u64()?,
-            skipped: Persist::load(r)?,
-            lost: Persist::load(r)?,
-            obs: Persist::load(r)?,
-        })
-    }
-}
+persist_struct!(WindowNotes {
+    clock,
+    done_at,
+    crash,
+    idle_from,
+    never_from,
+    generated,
+    skipped,
+    lost,
+    obs,
+});
 
 /// Worker↔worker frames.
 #[derive(Debug)]
 enum MeshFrame {
     /// One round's exchange: the sender's notes plus the wire events it
     /// captured for the receiver's nodes, in generation order.
-    Window { notes: WindowNotes, events: Vec<WireEvent> },
+    Window { notes: WindowNotes, events: Events },
     /// Mesh handshake: the connecting worker announces its shard index.
     Id(u32),
 }
 
-impl MeshFrame {
-    /// Encode a window frame without cloning the events it selects.
-    fn encode_window<'a>(
-        notes: &WindowNotes,
-        events: impl ExactSizeIterator<Item = &'a WireEvent>,
-    ) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(0);
-        notes.save(&mut w);
-        w.put_usize(events.len());
-        for e in events {
-            e.save(&mut w);
-        }
-        w.into_bytes()
+persist_enum!(MeshFrame { 0 => Window { notes, events }, 1 => Id(index) });
+
+/// The wire events of a window frame. Loading refuses a count the
+/// payload cannot hold before anything is reserved for it.
+#[derive(Debug)]
+struct Events(Vec<WireEvent>);
+
+impl Persist for Events {
+    fn save(&self, w: &mut Writer) {
+        self.0.save(w);
     }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
+        let n = r.get_len()?;
+        if n > r.remaining() / MIN_EVENT_BYTES {
+            return Err(r.malformed(format!(
+                "window frame claims {n} events in {} bytes",
+                r.remaining()
+            )));
+        }
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            events.push(WireEvent::load(r)?);
+        }
+        Ok(Events(events))
+    }
+}
+
+/// A frame of the shard protocol: its bytes are its [`Persist`]
+/// encoding.
+trait Frame: Persist {
+    /// What [`whole`] calls this frame in errors.
+    const KIND: &'static str;
 
     fn encode(&self) -> Vec<u8> {
-        match self {
-            MeshFrame::Window { notes, events } => Self::encode_window(notes, events.iter()),
-            MeshFrame::Id(i) => {
-                let mut w = Writer::new();
-                w.put_u8(1);
-                w.put_u32(*i);
-                w.into_bytes()
-            }
-        }
+        let mut w = Writer::new();
+        self.save(&mut w);
+        w.into_bytes()
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut r = Reader::new(bytes, FRAME);
-        let frame = match r.get_u8()? {
-            0 => {
-                let notes = Persist::load(&mut r)?;
-                // A count the payload cannot hold is refused before
-                // anything is reserved for it.
-                let n = r.get_len()?;
-                if n > r.remaining() / MIN_EVENT_BYTES {
-                    return Err(r.malformed(format!(
-                        "window frame claims {n} events in {} bytes",
-                        r.remaining()
-                    )));
-                }
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(WireEvent::load(&mut r)?);
-                }
-                MeshFrame::Window { notes, events }
-            }
-            1 => MeshFrame::Id(r.get_u32()?),
-            t => return Err(r.malformed(format!("invalid mesh frame tag {t}"))),
-        };
-        whole(&r, frame, "mesh")
+        let frame = Self::load(&mut r)?;
+        whole(&r, frame, Self::KIND)
     }
+}
+
+impl Frame for MeshFrame {
+    const KIND: &'static str = "mesh";
+}
+
+impl Frame for CtlFrame {
+    const KIND: &'static str = "control";
 }
 
 /// `frame`, decoded by `r`, if it spans the whole payload: a frame with
@@ -428,22 +385,7 @@ struct TraceShard {
     stalls: StallLedger,
 }
 
-impl Persist for TraceShard {
-    fn save(&self, w: &mut Writer) {
-        self.level.save(w);
-        self.nodes.save(w);
-        self.engine.save(w);
-        self.stalls.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(TraceShard {
-            level: Persist::load(r)?,
-            nodes: Persist::load(r)?,
-            engine: Persist::load(r)?,
-            stalls: Persist::load(r)?,
-        })
-    }
-}
+persist_struct!(TraceShard { level, nodes, engine, stalls });
 
 /// A worker's successful segment result: everything the coordinator
 /// needs to fold the segment report and splice its replica.
@@ -464,32 +406,17 @@ struct SegmentOk {
     container: Vec<u8>,
 }
 
-impl Persist for SegmentOk {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.end_cycle);
-        w.put_u64(self.skipped);
-        self.records.save(w);
-        self.stats.save(w);
-        self.traffic.save(w);
-        self.tallies.0.save(w);
-        self.trace.save(w);
-        self.gauges.save(w);
-        self.container.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(SegmentOk {
-            end_cycle: r.get_u64()?,
-            skipped: r.get_u64()?,
-            records: Persist::load(r)?,
-            stats: Persist::load(r)?,
-            traffic: Persist::load(r)?,
-            tallies: Tallies(Persist::load(r)?),
-            trace: Persist::load(r)?,
-            gauges: Persist::load(r)?,
-            container: Persist::load(r)?,
-        })
-    }
-}
+persist_struct!(SegmentOk {
+    end_cycle,
+    skipped,
+    records,
+    stats,
+    traffic,
+    tallies,
+    trace,
+    gauges,
+    container,
+});
 
 /// A worker's failed segment.
 #[derive(Debug)]
@@ -507,94 +434,13 @@ enum SegmentFail {
     Lookahead(LookaheadViolation),
 }
 
-impl Persist for SegmentFail {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            SegmentFail::Cluster(e) => {
-                w.put_u8(0);
-                e.save(w);
-            }
-            SegmentFail::Link(msg) => {
-                w.put_u8(1);
-                w.put_str(msg);
-            }
-            SegmentFail::Lookahead(v) => {
-                w.put_u8(2);
-                w.put_u32(v.src);
-                w.put_u32(v.dst);
-                w.put_u64(v.sent);
-                w.put_u64(v.due);
-                w.put_u64(v.clock);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        match r.get_u8()? {
-            0 => Ok(SegmentFail::Cluster(Persist::load(r)?)),
-            1 => Ok(SegmentFail::Link(r.get_str()?)),
-            2 => Ok(SegmentFail::Lookahead(LookaheadViolation {
-                src: r.get_u32()?,
-                dst: r.get_u32()?,
-                sent: r.get_u64()?,
-                due: r.get_u64()?,
-                clock: r.get_u64()?,
-            })),
-            t => Err(r.malformed(format!("invalid segment-fail tag {t}"))),
-        }
-    }
-}
+persist_enum!(SegmentFail { 0 => Cluster(e), 1 => Link(msg), 2 => Lookahead(v) });
+persist_struct!(LookaheadViolation { src, dst, sent, due, clock });
 
-impl Persist for ClusterError {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            ClusterError::Stalled(s) => {
-                w.put_u8(0);
-                w.put_u64(s.at_cycle);
-                s.node_states.save(w);
-                w.put_u64(s.packets_lost);
-            }
-            ClusterError::Deadlock(d) => {
-                w.put_u8(1);
-                w.put_u64(d.at_cycle);
-                d.starving.save(w);
-                w.put_u64(d.packets_lost);
-                d.outages.save(w);
-            }
-            ClusterError::Crashed(c) => {
-                w.put_u8(2);
-                w.put_u64(c.at_cycle);
-                w.put_usize(c.node);
-                w.put_u64(c.step);
-                w.put_u64(c.packets_lost);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(match r.get_u8()? {
-            0 => ClusterStalled {
-                at_cycle: r.get_u64()?,
-                node_states: Persist::load(r)?,
-                packets_lost: r.get_u64()?,
-            }
-            .into(),
-            1 => DeadlockDetected {
-                at_cycle: r.get_u64()?,
-                starving: Persist::load(r)?,
-                packets_lost: r.get_u64()?,
-                outages: Persist::load(r)?,
-            }
-            .into(),
-            2 => CrashInjected {
-                at_cycle: r.get_u64()?,
-                node: r.get_usize()?,
-                step: r.get_u64()?,
-                packets_lost: r.get_u64()?,
-            }
-            .into(),
-            t => return Err(r.malformed(format!("invalid cluster-error tag {t}"))),
-        })
-    }
-}
+persist_enum!(ClusterError { 0 => Stalled(s), 1 => Deadlock(d), 2 => Crashed(c) });
+persist_struct!(ClusterStalled { at_cycle, node_states, packets_lost });
+persist_struct!(DeadlockDetected { at_cycle, starving, packets_lost, outages });
+persist_struct!(CrashInjected { at_cycle, node, step, packets_lost });
 
 /// Coordinator↔worker control frames.
 enum CtlFrame {
@@ -618,62 +464,15 @@ enum CtlFrame {
     Beat(Box<FleetBeat>),
 }
 
-impl CtlFrame {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            CtlFrame::Hello { index, meta_crc, mesh_addr } => {
-                w.put_u8(0);
-                w.put_u32(*index);
-                w.put_u32(*meta_crc);
-                w.put_str(mesh_addr);
-            }
-            CtlFrame::Go { resume, peers } => {
-                w.put_u8(1);
-                resume.save(&mut w);
-                peers.save(&mut w);
-            }
-            CtlFrame::Run { target, budget } => {
-                w.put_u8(2);
-                w.put_u64(*target);
-                w.put_u64(*budget);
-            }
-            CtlFrame::Done(ok) => {
-                w.put_u8(3);
-                ok.save(&mut w);
-            }
-            CtlFrame::Fail(f) => {
-                w.put_u8(4);
-                f.save(&mut w);
-            }
-            CtlFrame::Shutdown => w.put_u8(5),
-            CtlFrame::Beat(fb) => {
-                w.put_u8(6);
-                fb.save(&mut w);
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut r = Reader::new(bytes, FRAME);
-        let frame = match r.get_u8()? {
-            0 => CtlFrame::Hello {
-                index: r.get_u32()?,
-                meta_crc: r.get_u32()?,
-                mesh_addr: r.get_str()?,
-            },
-            1 => CtlFrame::Go { resume: Persist::load(&mut r)?, peers: Persist::load(&mut r)? },
-            2 => CtlFrame::Run { target: r.get_u64()?, budget: r.get_u64()? },
-            3 => CtlFrame::Done(Box::new(Persist::load(&mut r)?)),
-            4 => CtlFrame::Fail(Persist::load(&mut r)?),
-            5 => CtlFrame::Shutdown,
-            6 => CtlFrame::Beat(Box::new(Persist::load(&mut r)?)),
-            t => return Err(r.malformed(format!("invalid control frame tag {t}"))),
-        };
-        whole(&r, frame, "control")
-    }
-}
+persist_enum!(CtlFrame {
+    0 => Hello { index, meta_crc, mesh_addr },
+    1 => Go { resume, peers },
+    2 => Run { target, budget },
+    3 => Done(ok),
+    4 => Fail(f),
+    5 => Shutdown,
+    6 => Beat(fb),
+});
 
 // ---------------------------------------------------------------------------
 // Shard-shared tallies
@@ -690,6 +489,8 @@ impl CtlFrame {
 /// agree.
 #[derive(Clone, Copy, Debug)]
 struct Tallies([u64; 13]);
+
+persist_struct!(Tallies { 0 });
 
 impl Tallies {
     fn of(cl: &Cluster) -> Self {
@@ -924,13 +725,6 @@ fn run_segment(
     let cap = run_start.saturating_add(budget);
     let lookahead = cl.pos_fabric.lookahead().min(cl.frc_fabric.lookahead());
     cl.arm_run(ctx.engine);
-    let crashes: Vec<_> = cl
-        .cfg
-        .faults
-        .as_ref()
-        .map(|p| p.crashes.clone())
-        .unwrap_or_default();
-
     // What the frames have told every worker about every worker (this
     // one included — its own notes go through the same fold).
     let mut clock = vec![run_start; shards];
@@ -950,7 +744,7 @@ fn run_segment(
     let mut idle = false;
     let mut idle_from = run_start;
     let mut never_from: Option<u64> = None;
-    let mut lost_seen = cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost;
+    let mut lost_seen = cl.packets_lost();
     let lost_base = ctx.lost;
 
     loop {
@@ -1008,7 +802,7 @@ fn run_segment(
                 idle_from = cl.cycle;
                 never_from = None;
             }
-            let lost_now = cl.pos_fabric.packets_lost + cl.frc_fabric.packets_lost;
+            let lost_now = cl.packets_lost();
             if lost_now != lost_seen {
                 notes.lost.push((at, lost_now - lost_seen));
                 lost_seen = lost_now;
@@ -1024,7 +818,7 @@ fn run_segment(
             // here and announces it, and the peers' overrun is harmless
             // — no segment result is produced.
             if cl.cycle < cap {
-                if let Some(cp) = cl.crash_due(&crashes) {
+                if let Some(cp) = cl.crash_due() {
                     notes.crash =
                         Some(CrashInfo { at_cycle: cl.cycle, node: cp.node, step: cp.step });
                     never_from = None;
@@ -1047,23 +841,27 @@ fn run_segment(
         let owner_of = |e: &WireEvent| {
             ctx.ranges.partition_point(|r| r.end <= e.dst as usize)
         };
-        let mut outbound: Vec<Vec<&WireEvent>> = vec![Vec::new(); shards];
-        for e in &mine {
-            outbound[owner_of(e)].push(e);
+        let mut outbound: Vec<Vec<WireEvent>> = (0..shards).map(|_| Vec::new()).collect();
+        for e in mine {
+            outbound[owner_of(&e)].push(e);
         }
-        let frames: Vec<Vec<u8>> = (0..shards)
-            .filter(|&w| w != index)
-            .map(|w| MeshFrame::encode_window(&notes, outbound[w].iter().copied()))
+        let own = std::mem::take(&mut outbound[index]);
+        let frames: Vec<Vec<u8>> = outbound
+            .into_iter()
+            .enumerate()
+            .filter(|&(w, _)| w != index)
+            .map(|(_, events)| {
+                MeshFrame::Window { notes: notes.clone(), events: Events(events) }.encode()
+            })
             .collect();
         ctx.obs.gauges.windows += 1;
-        ctx.obs.gauges.events_sent += notes.generated - outbound[index].len() as u64;
+        ctx.obs.gauges.events_sent += notes.generated - own.len() as u64;
         ctx.obs.gauges.frame_bytes += frames.iter().map(|f| f.len() as u64).sum::<u64>();
         let replies = exchange(ctx.mesh, index, &frames, &mut ctx.obs.gauges)?;
-        drop(outbound);
 
         // ---- Fold: own notes and every peer's, in shard order.
         let mut heard = Vec::with_capacity(shards);
-        pending.extend(mine.into_iter().filter(|e| ctx.ranges[index].contains(&(e.dst as usize))));
+        pending.extend(own);
         let mut replies = replies.into_iter();
         for w in 0..shards {
             if w == index {
@@ -1074,7 +872,7 @@ fn run_segment(
             match MeshFrame::decode(&bytes) {
                 Ok(MeshFrame::Window { notes, events }) => {
                     heard.push(notes);
-                    pending.extend(events);
+                    pending.extend(events.0);
                 }
                 Ok(other) => {
                     return Err(SegmentFail::Link(format!(
@@ -1829,6 +1627,17 @@ mod tests {
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
+    impl MeshFrame {
+        /// A worker's window frame, encoded from borrowed parts.
+        fn encode_window<'a>(
+            notes: &WindowNotes,
+            events: impl Iterator<Item = &'a WireEvent>,
+        ) -> Vec<u8> {
+            let events = Events(events.cloned().collect());
+            MeshFrame::Window { notes: notes.clone(), events }.encode()
+        }
+    }
+
     fn workload() -> ParticleSystem {
         WorkloadSpec {
             space: SimulationSpace::cubic(6),
@@ -1941,7 +1750,7 @@ mod tests {
                             .iter()
                             .map(|bytes| match MeshFrame::decode(bytes).expect("decodes") {
                                 MeshFrame::Window { notes, events } => {
-                                    (notes.clock, events.len(), events[0].src)
+                                    (notes.clock, events.0.len(), events.0[0].src)
                                 }
                                 other => panic!("unexpected frame {other:?}"),
                             })
@@ -2004,8 +1813,8 @@ mod tests {
             match MeshFrame::decode(&bytes).expect("round trip") {
                 MeshFrame::Window { notes: n, events: e } => {
                     assert_eq!(n, notes, "case {case}");
-                    assert_eq!(e.len(), events.len(), "case {case}");
-                    for (got, want) in e.iter().zip(&events) {
+                    assert_eq!(e.0.len(), events.len(), "case {case}");
+                    for (got, want) in e.0.iter().zip(&events) {
                         assert_eq!(
                             (got.cycle, got.stage, got.src, got.dst, got.arrive, got.extra),
                             (want.cycle, want.stage, want.src, want.dst, want.arrive, want.extra)

@@ -214,81 +214,11 @@ pub enum NetMsg {
     },
 }
 
-impl fasda_ckpt::Persist for Cargo {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        match self {
-            Cargo::Pos(v) => {
-                w.put_u8(0);
-                v.save(w);
-            }
-            Cargo::Frc(v) => {
-                w.put_u8(1);
-                v.save(w);
-            }
-            Cargo::Mig(v) => {
-                w.put_u8(2);
-                v.save(w);
-            }
-        }
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        match r.get_u8()? {
-            0 => Ok(Cargo::Pos(fasda_ckpt::Persist::load(r)?)),
-            1 => Ok(Cargo::Frc(fasda_ckpt::Persist::load(r)?)),
-            2 => Ok(Cargo::Mig(fasda_ckpt::Persist::load(r)?)),
-            t => Err(r.malformed(format!("invalid cargo tag {t}"))),
-        }
-    }
-}
+fasda_ckpt::persist_enum!(Cargo { 0 => Pos(p), 1 => Frc(p), 2 => Mig(p) });
 
-impl fasda_ckpt::Persist for Delivery {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_usize(self.from);
-        self.cargo.save(w);
-        w.put_bool(self.last);
-        w.put_u64(self.step);
-        w.put_u32(self.seq);
-        w.put_bool(self.corrupt);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(Delivery {
-            from: r.get_usize()?,
-            cargo: fasda_ckpt::Persist::load(r)?,
-            last: r.get_bool()?,
-            step: r.get_u64()?,
-            seq: r.get_u32()?,
-            corrupt: r.get_bool()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(Delivery { from, cargo, last, step, seq, corrupt });
 
-impl fasda_ckpt::Persist for NetMsg {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        match self {
-            NetMsg::Data(d) => {
-                w.put_u8(0);
-                d.save(w);
-            }
-            NetMsg::Ack { channel, from, seq } => {
-                w.put_u8(1);
-                channel.save(w);
-                w.put_usize(*from);
-                w.put_u32(*seq);
-            }
-        }
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        match r.get_u8()? {
-            0 => Ok(NetMsg::Data(fasda_ckpt::Persist::load(r)?)),
-            1 => Ok(NetMsg::Ack {
-                channel: fasda_ckpt::Persist::load(r)?,
-                from: r.get_usize()?,
-                seq: r.get_u32()?,
-            }),
-            t => Err(r.malformed(format!("invalid net message tag {t}"))),
-        }
-    }
-}
+fasda_ckpt::persist_enum!(NetMsg { 0 => Data(d), 1 => Ack { channel, from, seq } });
 
 #[cfg(test)]
 mod tests {

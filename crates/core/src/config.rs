@@ -17,10 +17,9 @@
 
 use fasda_arith::interp::TableConfig;
 use fasda_md::ewald::EwaldParams;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of one FASDA chip.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HwParams {
     /// Clock frequency in Hz. The paper's Alveo U280 builds run at
     /// 200 MHz (§5.1).
@@ -86,7 +85,7 @@ impl HwParams {
 }
 
 /// The named strong-scaling variants of the evaluation (§5.2, Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DesignVariant {
     /// 1 SPE per CBB, 1 PE per SPE — the baseline CBB.
     A,
@@ -117,7 +116,7 @@ impl DesignVariant {
 }
 
 /// Full configuration of one chip.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChipConfig {
     /// Microarchitecture parameters.
     pub hw: HwParams,

@@ -19,10 +19,9 @@
 //!    direct subtraction.
 
 use fasda_md::space::{CellCoord, SimulationSpace};
-use serde::{Deserialize, Serialize};
 
 /// Coordinates of a chip (FPGA node) in the logical torus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChipCoord {
     pub x: u32,
     pub y: u32,
@@ -36,23 +35,10 @@ impl ChipCoord {
     }
 }
 
-impl fasda_ckpt::Persist for ChipCoord {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u32(self.x);
-        w.put_u32(self.y);
-        w.put_u32(self.z);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(ChipCoord {
-            x: r.get_u32()?,
-            y: r.get_u32()?,
-            z: r.get_u32()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(ChipCoord { x, y, z });
 
 /// One half-shell destination of a local cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dest {
     /// Global coordinates of the destination cell.
     pub gcell: CellCoord,
@@ -63,7 +49,7 @@ pub struct Dest {
 }
 
 /// Geometry of one chip's slice of the simulation space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChipGeometry {
     /// The whole periodic simulation space.
     pub global: SimulationSpace,

@@ -25,10 +25,9 @@
 
 use crate::config::ChipConfig;
 use crate::geometry::ChipGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Absolute resource counts of one Alveo U280 (paper §5.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeviceCapacity {
     /// Lookup tables.
     pub lut: u64,
@@ -52,7 +51,7 @@ pub const ALVEO_U280: DeviceCapacity = DeviceCapacity {
 };
 
 /// Absolute resource usage of one design point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourceUsage {
     pub lut: f64,
     pub ff: f64,
@@ -75,7 +74,7 @@ impl ResourceUsage {
 }
 
 /// Percent-of-device view (the format of Table 1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResourcePercent {
     pub lut: f64,
     pub ff: f64,

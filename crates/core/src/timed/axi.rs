@@ -15,13 +15,12 @@
 //! artifact's register map works against this model unchanged.
 
 use super::TimedChip;
-use serde::{Deserialize, Serialize};
 
 /// Flits per 512-bit packet on the wire (Fig. 10).
 const FLITS_PER_PACKET: u64 = 4;
 
 /// The artifact's AXI-Lite result register map, as read from one chip.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[allow(non_snake_case)]
 pub struct AxiLiteRegs {
     /// Overall cycles since the stats window began.

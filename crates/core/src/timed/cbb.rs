@@ -520,22 +520,7 @@ impl TimedCbb {
     }
 }
 
-impl fasda_ckpt::Persist for Arrival {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u32(self.id);
-        self.elem.save(w);
-        self.offset.save(w);
-        self.vel.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(Arrival {
-            id: r.get_u32()?,
-            elem: fasda_ckpt::Persist::load(r)?,
-            offset: fasda_ckpt::Persist::load(r)?,
-            vel: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(Arrival { id, elem, offset, vel });
 
 /// Checkpointing: PE shapes and FIFO depths are configuration; the queues
 /// and the round-robin cursor are state.

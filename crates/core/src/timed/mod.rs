@@ -117,26 +117,14 @@ impl TrafficCounters {
     }
 }
 
-impl fasda_ckpt::Persist for TrafficCounters {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.pos_sent.save(w);
-        self.frc_sent.save(w);
-        self.pos_recv.save(w);
-        w.put_u64(self.frc_recv);
-        w.put_u64(self.frc_recv_remote);
-        self.mig_sent.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(TrafficCounters {
-            pos_sent: fasda_ckpt::Persist::load(r)?,
-            frc_sent: fasda_ckpt::Persist::load(r)?,
-            pos_recv: fasda_ckpt::Persist::load(r)?,
-            frc_recv: r.get_u64()?,
-            frc_recv_remote: r.get_u64()?,
-            mig_sent: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(TrafficCounters {
+    pos_sent,
+    frc_sent,
+    pos_recv,
+    frc_recv,
+    frc_recv_remote,
+    mig_sent,
+});
 
 /// [`TrafficCounters`] as the chip keeps them: flat arrays indexed by
 /// `send_chips` / `recv_chips` position (a flit is counted with an add,

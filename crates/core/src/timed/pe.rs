@@ -545,85 +545,16 @@ impl Pe {
     }
 }
 
-impl fasda_ckpt::Persist for NbrKind {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        match *self {
-            NbrKind::Ring {
-                owner_chip,
-                owner_cbb,
-                slot,
-                remote,
-            } => {
-                w.put_u8(0);
-                owner_chip.save(w);
-                w.put_u16(owner_cbb);
-                w.put_u16(slot);
-                w.put_bool(remote);
-            }
-            NbrKind::Internal { slot } => {
-                w.put_u8(1);
-                w.put_u16(slot);
-            }
-        }
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        match r.get_u8()? {
-            0 => Ok(NbrKind::Ring {
-                owner_chip: fasda_ckpt::Persist::load(r)?,
-                owner_cbb: r.get_u16()?,
-                slot: r.get_u16()?,
-                remote: r.get_bool()?,
-            }),
-            1 => Ok(NbrKind::Internal { slot: r.get_u16()? }),
-            t => Err(r.malformed(format!("invalid neighbour kind tag {t}"))),
-        }
-    }
-}
+fasda_ckpt::persist_enum!(NbrKind {
+    0 => Ring { owner_chip, owner_cbb, slot, remote },
+    1 => Internal { slot },
+});
 
-impl fasda_ckpt::Persist for NbrEntry {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.concat.save(w);
-        self.elem.save(w);
-        w.put_u16(self.scan_from);
-        self.kind.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(NbrEntry {
-            concat: fasda_ckpt::Persist::load(r)?,
-            elem: fasda_ckpt::Persist::load(r)?,
-            scan_from: r.get_u16()?,
-            kind: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(NbrEntry { concat, elem, scan_from, kind });
 
-impl fasda_ckpt::Persist for PipeJob {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u8(self.station);
-        w.put_u16(self.home_slot);
-        self.force.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(PipeJob {
-            station: r.get_u8()?,
-            home_slot: r.get_u16()?,
-            force: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(PipeJob { station, home_slot, force });
 
-impl fasda_ckpt::Persist for ScanHit {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u16(self.slot);
-        self.force.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(ScanHit {
-            slot: r.get_u16()?,
-            force: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(ScanHit { slot, force });
 
 impl fasda_ckpt::Snapshot for Station {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {

@@ -215,66 +215,20 @@ impl<T> Ring<T> {
     }
 }
 
-impl fasda_ckpt::Persist for PosFlit {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.owner_chip.save(w);
-        w.put_u16(self.owner_cbb);
-        w.put_u16(self.slot);
-        self.elem.save(w);
-        self.offset.save(w);
-        self.src_gcell.save(w);
-        w.put_u64(self.local_mask);
-        w.put_u32(self.remote_mask);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(PosFlit {
-            owner_chip: fasda_ckpt::Persist::load(r)?,
-            owner_cbb: r.get_u16()?,
-            slot: r.get_u16()?,
-            elem: fasda_ckpt::Persist::load(r)?,
-            offset: fasda_ckpt::Persist::load(r)?,
-            src_gcell: fasda_ckpt::Persist::load(r)?,
-            local_mask: r.get_u64()?,
-            remote_mask: r.get_u32()?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(PosFlit {
+    owner_chip,
+    owner_cbb,
+    slot,
+    elem,
+    offset,
+    src_gcell,
+    local_mask,
+    remote_mask,
+});
 
-impl fasda_ckpt::Persist for FrcFlit {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.owner_chip.save(w);
-        w.put_u16(self.owner_cbb);
-        w.put_u16(self.slot);
-        self.force.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(FrcFlit {
-            owner_chip: fasda_ckpt::Persist::load(r)?,
-            owner_cbb: r.get_u16()?,
-            slot: r.get_u16()?,
-            force: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(FrcFlit { owner_chip, owner_cbb, slot, force });
 
-impl fasda_ckpt::Persist for MigFlit {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.dest_gcell.save(w);
-        w.put_u32(self.id);
-        self.elem.save(w);
-        self.offset.save(w);
-        self.vel.save(w);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(MigFlit {
-            dest_gcell: fasda_ckpt::Persist::load(r)?,
-            id: r.get_u32()?,
-            elem: fasda_ckpt::Persist::load(r)?,
-            offset: fasda_ckpt::Persist::load(r)?,
-            vel: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(MigFlit { dest_gcell, id, elem, offset, vel });
 
 /// Checkpointing: node count and direction are configuration; the flit
 /// registers and the hop counter are state. Registers are written in

@@ -13,7 +13,6 @@
 //! ```
 
 use crate::units::UnitSystem;
-use serde::{Deserialize, Serialize};
 
 /// Chemical element of a particle.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// appendix); the remaining entries exercise the generality of the
 /// element-indexed coefficient lookup and are used by the mixed-species
 /// example.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Element {
     /// Neutral sodium — the paper's benchmark species.
@@ -171,7 +170,7 @@ impl fasda_ckpt::Persist for Element {
 }
 
 /// Per-element-pair combined LJ coefficients in cell units.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PairCoeffs {
     /// `48·ε·σ¹²` — repulsive force coefficient (multiplies `r⁻¹⁴`).
     pub c14: f64,
@@ -187,7 +186,7 @@ pub struct PairCoeffs {
 ///
 /// Cross-species parameters follow Lorentz–Berthelot mixing:
 /// `σ_ij = (σ_i + σ_j)/2`, `ε_ij = √(ε_i ε_j)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PairTable {
     units: UnitSystem,
     coeffs: [[PairCoeffs; Element::COUNT]; Element::COUNT],

@@ -23,7 +23,6 @@
 //! 3D-FFT systems cited in §1.
 
 use crate::units::UnitSystem;
-use serde::{Deserialize, Serialize};
 
 /// Coulomb constant in kcal·Å/(mol·e²).
 const COULOMB_KCAL_A: f64 = 332.063_71;
@@ -43,7 +42,7 @@ fn erfc(x: f64) -> f64 {
 }
 
 /// Real-space Ewald parameters in cell units.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EwaldParams {
     /// Splitting parameter β in 1/cell. Choosing `β·Rc ≈ 3` makes the
     /// real-space term negligible at the cutoff (erfc(3) ≈ 2.2e-5), the

@@ -17,10 +17,9 @@ use crate::element::Element;
 use crate::system::ParticleSystem;
 use crate::units::UnitSystem;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Which Verlet discretization to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IntegratorKind {
     /// Kick-drift leapfrog: `v += a·dt; x += v·dt` (velocities live at
     /// half steps).
@@ -30,7 +29,7 @@ pub enum IntegratorKind {
 }
 
 /// Integrator state: timestep and scheme.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Integrator {
     /// Timestep in femtoseconds (paper: 2 fs).
     pub dt_fs: f64,

@@ -12,13 +12,12 @@
 //! direction reaches its destination sooner on the rings (§3.1).
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Linear cell ID per Eq. 7.
 pub type CellId = u32;
 
 /// Integer cell coordinates `(x, y, z)` with `0 ≤ x < Dx` etc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CellCoord {
     pub x: i32,
     pub y: i32,
@@ -40,19 +39,10 @@ impl CellCoord {
     }
 }
 
-impl fasda_ckpt::Persist for CellCoord {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_i32(self.x);
-        w.put_i32(self.y);
-        w.put_i32(self.z);
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(CellCoord::new(r.get_i32()?, r.get_i32()?, r.get_i32()?))
-    }
-}
+fasda_ckpt::persist_struct!(CellCoord { x, y, z });
 
 /// The periodic simulation box measured in cells.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimulationSpace {
     /// Cells along x.
     pub dx: u32,

@@ -4,13 +4,12 @@ use crate::element::Element;
 use crate::space::SimulationSpace;
 use crate::units::UnitSystem;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// All particle state for a simulation, SoA for cache-friendly sweeps.
 ///
 /// Positions are in cell units wrapped into `[0, D)`; velocities in
 /// cells/fs; forces in kcal/mol/cell (see [`crate::units`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParticleSystem {
     /// Geometry of the periodic box.
     pub space: SimulationSpace,

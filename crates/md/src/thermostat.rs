@@ -7,10 +7,9 @@
 
 use crate::observables::temperature;
 use crate::system::ParticleSystem;
-use serde::{Deserialize, Serialize};
 
 /// A velocity-rescaling thermostat.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Thermostat {
     /// Hard rescale to the target temperature every invocation.
     Rescale {

@@ -6,8 +6,6 @@
 //! parameters in Å and kcal/mol, the 2 fs timestep) are converted at the
 //! boundary by [`UnitSystem`].
 
-use serde::{Deserialize, Serialize};
-
 /// `(kcal/mol) / (amu·Å)` expressed in `Å/fs²`: the standard MD conversion
 /// factor from force to acceleration in the Å/fs/amu/kcal·mol⁻¹ system.
 pub const KCALMOL_PER_AMU_ANGSTROM: f64 = 4.184e-4;
@@ -16,7 +14,7 @@ pub const KCALMOL_PER_AMU_ANGSTROM: f64 = 4.184e-4;
 pub const BOLTZMANN_KCALMOL: f64 = 1.987204259e-3;
 
 /// Conversion hub between physical units and internal cell units.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UnitSystem {
     /// Physical edge length of one cell (= the cutoff radius `Rc`) in Å.
     /// The paper's experiments use 8.5 Å (§5.1).

@@ -1,10 +1,8 @@
 //! Double-precision 3-vectors.
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-component `f64` vector: positions (cells), velocities (cells/fs),
 /// forces (kcal/mol/cell) throughout the reference path.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Debug, PartialEq)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,

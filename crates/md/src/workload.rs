@@ -22,10 +22,9 @@ use crate::units::UnitSystem;
 use crate::vec3::Vec3;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How particles are placed inside each cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
     /// Per-cell sub-lattice with uniform jitter of ± `jitter` cells per
     /// axis. The sub-lattice pitch for `k³` particles per cell is `1/k`,
@@ -44,7 +43,7 @@ pub enum Placement {
 }
 
 /// Specification of a generated workload.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorkloadSpec {
     /// Simulation space in cells.
     pub space: SimulationSpace,

@@ -18,7 +18,6 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use fasda_ckpt::crc32_update;
-use serde::{Deserialize, Serialize};
 
 pub use fasda_ckpt::crc32;
 
@@ -39,7 +38,7 @@ const CRC_OFFSET: usize = 12;
 
 /// What a packet carries — mirrors the separate position/force QSFP
 /// ports of the testbed (§5.4) plus migration traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Particle positions (force-phase broadcast traffic).
     Position,
@@ -180,23 +179,7 @@ impl<T: WirePayload> Packet<T> {
     }
 }
 
-impl fasda_ckpt::Persist for PacketKind {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u8(match self {
-            PacketKind::Position => 0,
-            PacketKind::Force => 1,
-            PacketKind::Migration => 2,
-        });
-    }
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        match r.get_u8()? {
-            0 => Ok(PacketKind::Position),
-            1 => Ok(PacketKind::Force),
-            2 => Ok(PacketKind::Migration),
-            b => Err(r.malformed(format!("invalid packet kind {b}"))),
-        }
-    }
-}
+fasda_ckpt::persist_enum!(PacketKind { 0 => Position, 1 => Force, 2 => Migration });
 
 impl<T: fasda_ckpt::Persist> fasda_ckpt::Persist for Packet<T> {
     fn save(&self, w: &mut fasda_ckpt::Writer) {

@@ -20,10 +20,9 @@
 //! arrive for a *future* step and are buffered per step.
 
 use crate::packet::PacketKind;
-use serde::{Deserialize, Serialize};
 
 /// Synchronization strategy for the cluster driver.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SyncMode {
     /// The paper's chained synchronization.
     Chained,

@@ -7,13 +7,11 @@
 //! FMC), where latency grows with ring distance. [`Topology`] abstracts
 //! both: it maps a `(src, dst)` node pair to a path latency in cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Node index in the cluster (dense, `0..n`).
 pub type NodeId = usize;
 
 /// Inter-node connection structure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Topology {
     /// All nodes attached to one store-and-forward switch: constant
     /// latency between any pair (plus serialization, handled by

@@ -189,33 +189,9 @@ impl StatSet {
     }
 }
 
-impl fasda_ckpt::Persist for Activity {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        w.put_u64(self.work);
-        w.put_u64(self.busy_cycles);
-        w.put_u64(self.capacity_per_cycle);
-    }
+fasda_ckpt::persist_struct!(Activity { work, busy_cycles, capacity_per_cycle });
 
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(Activity {
-            work: r.get_u64()?,
-            busy_cycles: r.get_u64()?,
-            capacity_per_cycle: r.get_u64()?,
-        })
-    }
-}
-
-impl fasda_ckpt::Persist for StatSet {
-    fn save(&self, w: &mut fasda_ckpt::Writer) {
-        self.entries.save(w);
-    }
-
-    fn load(r: &mut fasda_ckpt::Reader<'_>) -> Result<Self, fasda_ckpt::CkptError> {
-        Ok(StatSet {
-            entries: fasda_ckpt::Persist::load(r)?,
-        })
-    }
-}
+fasda_ckpt::persist_struct!(StatSet { entries });
 
 #[cfg(test)]
 mod tests {
