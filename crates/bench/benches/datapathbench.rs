@@ -19,15 +19,27 @@
 //!   same machine, so the ratio cancels machine speed and leaves only
 //!   the kernels' relative shape (the thing a vectorization regression
 //!   actually changes).
+//!   The same mode times one step of a dense variant-A chip (3×3×3
+//!   cells × 64 atoms, the fast engine) and gates *in-situ ns per pair ÷
+//!   fused-kernel ns per pair* — what the chip tick costs per filtered
+//!   pair on top of the kernel, again a same-process ratio — against
+//!   the committed `chip_tick_vs_kernel`: it fails if the ratio rises
+//!   more than 15% above it.
 //! * `--write-baseline` — regenerate `BENCH_datapath.json` from a full
-//!   measurement (run on a quiet host, then commit the file).
+//!   measurement (run on a quiet host, then commit the file; the
+//!   `chip_tick_vs_kernel_before` row is carried over by hand).
 
 use fasda_arith::fixed::FixVec3;
 use fasda_arith::interp::TableConfig;
 use fasda_bench::Args;
+use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::datapath::{ForceDatapath, HomeSoa, ScanHit};
+use fasda_core::geometry::ChipGeometry;
+use fasda_core::timed::TimedChip;
 use fasda_md::element::{Element, PairTable};
+use fasda_md::space::SimulationSpace;
 use fasda_md::units::UnitSystem;
+use fasda_md::workload::WorkloadSpec;
 use fasda_trace::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -180,6 +192,43 @@ fn measure_kernels(scan: &Scan, min: Duration) -> KernelThroughput {
     }
 }
 
+/// The chip tick's cost per filtered pair relative to the bare fused
+/// kernel's: host ns per filtered pair of one timestep of a dense
+/// variant-A chip (3×3×3 cells × 64 atoms, `fast_path` + `soa`, as the
+/// fast engine runs it) ÷ the fused kernel's ns per pair (≥ 1; lower is
+/// better). Each of `reps` rounds times a chip step of a freshly loaded
+/// chip and, right after it, a kernel batch of about the same length, so
+/// both halves of a round's ratio see the same host; the result is the
+/// median round (the first round only sizes the batch).
+fn chip_tick_vs_kernel(scan: &Scan, reps: usize) -> f64 {
+    let sys = WorkloadSpec::paper(SimulationSpace::cubic(3), 64205).generate();
+    let mut hits: Vec<ScanHit> = Vec::with_capacity(64);
+    let mut ratios = Vec::with_capacity(reps);
+    let mut batch = 1u64;
+    for _ in 0..=reps {
+        let mut chip = TimedChip::new(
+            ChipConfig::variant(DesignVariant::A),
+            ChipGeometry::single_chip(sys.space),
+            UnitSystem::PAPER,
+            2.0,
+        );
+        chip.set_fast_path(true);
+        chip.set_soa_scan(true);
+        chip.load(&sys);
+        let t = Instant::now();
+        let r = chip.run_timestep();
+        let step_s = t.elapsed().as_secs_f64();
+        let per_scan = time_batch(batch, || scan.fused(&mut hits));
+        if batch > 1 {
+            let chip_ns = step_s * 1e9 / r.comparisons as f64;
+            ratios.push(chip_ns / (per_scan * 1e9 / scan.concat.len() as f64));
+        }
+        batch = ((step_s / per_scan) as u64).max(2);
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 /// The committed throughput baseline the `--smoke` gate compares
 /// against, at the workspace root.
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
@@ -223,7 +272,7 @@ fn throughput_report(k: &KernelThroughput) {
     println!("  fused/scalar ratio: {:.3}x", k.fused_vs_scalar());
 }
 
-fn baseline_json(k: &KernelThroughput) -> String {
+fn baseline_json(k: &KernelThroughput, tick_vs_kernel: f64) -> String {
     Json::obj()
         .field("home_len", k.home_len as i64)
         .field("hits_per_scan", k.hits_per_scan as i64)
@@ -235,6 +284,11 @@ fn baseline_json(k: &KernelThroughput) -> String {
         .field(
             "gate",
             "datapathbench --smoke fails if the fused/scalar ratio drops >15% below this",
+        )
+        .field("chip_tick_vs_kernel", Json::fixed(tick_vs_kernel, 2))
+        .field(
+            "chip_tick_gate",
+            "datapathbench --smoke fails if chip_tick_vs_kernel rises >15% above this",
         )
         .build()
         .pretty()
@@ -262,6 +316,20 @@ fn smoke_gate(scan: &Scan) {
         );
         std::process::exit(1);
     }
+    let want = doc
+        .get("chip_tick_vs_kernel")
+        .and_then(Json::as_f64)
+        .expect("baseline has chip_tick_vs_kernel");
+    let got = chip_tick_vs_kernel(scan, 6);
+    let ceiling = want * (1.0 + GATE_TOLERANCE);
+    println!("gate: chip tick {got:.2}x the kernel per pair vs baseline {want:.2}x (ceiling {ceiling:.2}x)");
+    if got > ceiling {
+        eprintln!(
+            "FAIL: the chip tick's cost per pair regressed more than {:.0}% vs the committed baseline",
+            GATE_TOLERANCE * 100.0
+        );
+        std::process::exit(1);
+    }
     println!("gate: ok");
 }
 
@@ -277,7 +345,9 @@ fn main() {
     if args.flag("write-baseline") {
         let k = measure_kernels(&scan, MIN);
         throughput_report(&k);
-        std::fs::write(BASELINE, baseline_json(&k)).expect("write baseline");
+        let tick = chip_tick_vs_kernel(&scan, 12);
+        println!("  chip tick vs kernel per pair: {tick:.2}x");
+        std::fs::write(BASELINE, baseline_json(&k, tick)).expect("write baseline");
         println!("wrote {BASELINE}");
         return;
     }
@@ -304,4 +374,8 @@ fn main() {
     });
 
     throughput_report(&measure_kernels(&scan, MIN));
+    println!(
+        "  dense variant-A chip step: {:.2}x the fused kernel's ns per filtered pair",
+        chip_tick_vs_kernel(&scan, 12)
+    );
 }

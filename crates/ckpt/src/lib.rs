@@ -413,6 +413,15 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    /// How many `T`s to reserve for a container that claims `n`: no
+    /// more than the remaining bytes could hold at one `T`'s in-memory
+    /// size each, so a forged count cannot make the reservation outgrow
+    /// the payload (decoding then fails `Truncated` at the first element
+    /// the bytes run out for).
+    pub fn capacity_for<T>(&self, n: usize) -> usize {
+        n.min(self.remaining() / std::mem::size_of::<T>().max(1))
+    }
+
     fn truncated(&self) -> CkptError {
         CkptError::Truncated {
             section: self.section.to_string(),
@@ -689,7 +698,7 @@ impl<T: Persist> Persist for Vec<T> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         let n = r.get_len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(r.capacity_for::<T>(n));
         for _ in 0..n {
             out.push(T::load(r)?);
         }
@@ -706,7 +715,7 @@ impl<T: Persist> Persist for VecDeque<T> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         let n = r.get_len()?;
-        let mut out = VecDeque::with_capacity(n);
+        let mut out = VecDeque::with_capacity(r.capacity_for::<T>(n));
         for _ in 0..n {
             out.push_back(T::load(r)?);
         }
@@ -821,7 +830,7 @@ impl<K: Persist + Ord + Hash + Eq, V: Persist> Persist for HashMap<K, V> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         let n = r.get_len()?;
-        let mut out = HashMap::with_capacity(n);
+        let mut out = HashMap::with_capacity(r.capacity_for::<(K, V)>(n));
         for _ in 0..n {
             let k = K::load(r)?;
             let v = V::load(r)?;
@@ -844,7 +853,7 @@ impl<K: Persist + Ord + Hash + Eq> Persist for HashSet<K> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         let n = r.get_len()?;
-        let mut out = HashSet::with_capacity(n);
+        let mut out = HashSet::with_capacity(r.capacity_for::<K>(n));
         for _ in 0..n {
             if !out.insert(K::load(r)?) {
                 return Err(r.malformed("duplicate set key"));
@@ -957,6 +966,10 @@ impl<'a> Container<'a> {
             });
         }
         let count = r.get_u32()? as usize;
+        // Each section is at least a name-length byte and a frame header.
+        if count > r.remaining() / (1 + frame::HEADER_BYTES) {
+            return Err(r.truncated());
+        }
         let mut sections: Vec<(String, &'a [u8])> = Vec::with_capacity(count);
         for _ in 0..count {
             let name_len = r.get_u8()? as usize;
@@ -1642,6 +1655,15 @@ mod tests {
                 "prefix of length {cut} parsed"
             );
         }
+    }
+
+    #[test]
+    fn a_section_count_the_bytes_cannot_frame_is_truncated() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 12);
+        assert!(matches!(Container::parse(&bytes), Err(CkptError::Truncated { .. })));
     }
 
     #[test]

@@ -72,6 +72,33 @@ fn restore_then_resnapshot_is_byte_identical() {
     );
 }
 
+/// Both engines leave the same machine at a step boundary: the `chips`
+/// section — every CBB, PE, ring and EX queue — is byte-equal between
+/// the serial oracle and the fast engine (an ejected station carries no
+/// scan plan on either). The `driver` section still differs, by the
+/// engine's own `skipped_cycles` counter.
+#[test]
+fn chips_section_is_engine_independent_at_a_step_boundary() {
+    let sys = workload();
+    let cfg = config(None, false);
+    let chips = |engine: &EngineConfig| {
+        let mut cluster = Cluster::new(cfg.clone(), &sys);
+        cluster.try_run_with(2, BUDGET, engine).expect("run");
+        let mut cw = ContainerWriter::new();
+        cluster.snapshot_into(&mut cw);
+        let bytes = cw.finish();
+        let container = Container::parse(&bytes).expect("parse own snapshot");
+        container.payload("chips").expect("chips section").to_vec()
+    };
+    let (serial, auto) = (chips(&EngineConfig::serial()), chips(&EngineConfig::auto()));
+    assert!(
+        serial == auto,
+        "chips section: serial {} bytes, auto {} bytes",
+        serial.len(),
+        auto.len()
+    );
+}
+
 /// The fact that lets every run, checkpointed or not, take one path: an
 /// unsegmented `run_with_checkpoints` *is* `try_run_with` — same report,
 /// same trace, same final state — on both engines.

@@ -24,15 +24,14 @@ use fasda_md::space::CellCoord;
 use fasda_sim::{Activity, Cycle, Fifo, Pipeline};
 use std::collections::VecDeque;
 
-use super::pe::{Ejection, NbrEntry, NbrKind, Pe};
+use super::pe::{NbrEntry, NbrKind, Pe};
 use super::ring::{FrcFlit, MigFlit, PosFlit};
 
-/// One SPE: PEs plus its ring-facing queues.
+/// One SPE's ring-facing queues and dispatcher. Its PEs are the chip's
+/// (`TimedChip` steps every PE of the chip one stage at a time); this
+/// struct keeps what the SPE's dispatcher and FRN port read.
 #[derive(Clone, Debug)]
 pub struct Spe {
-    /// The PEs of this SPE (private to the chip model: `pe_busy` /
-    /// `pe_free` below mirror them).
-    pub(super) pes: Vec<Pe>,
     /// Neighbour positions delivered by this SPE's PRN, awaiting a free
     /// filter station.
     pub pos_in: Fifo<NbrEntry>,
@@ -43,56 +42,60 @@ pub struct Spe {
     pub bcast: VecDeque<PosFlit>,
     /// Home-internal pair entries (slot index) not yet dispatched.
     pub home_src: VecDeque<u16>,
-    rr_pe: usize,
-    /// PEs holding work — a station or a pipeline entry. Only these are
-    /// stepped; an idle PE's cycle changes nothing.
-    pe_busy: u32,
-    /// PEs with a free filter station (dispatch candidates).
-    pe_free: u32,
+    /// Dispatcher round-robin start.
+    pub(super) rr_pe: usize,
+    /// PEs with a free filter station (dispatch candidates), by index
+    /// within the SPE.
+    pub(super) pe_free: u32,
 }
 
 impl Spe {
     fn new(cfg: &ChipConfig) -> Self {
         assert!(cfg.pes_per_spe <= 32, "PE state is tracked in u32 bitmasks");
         Spe {
-            pes: (0..cfg.pes_per_spe)
-                .map(|_| {
-                    Pe::new(
-                        cfg.hw.filters_per_pe,
-                        cfg.hw.force_pipe_latency,
-                        cfg.hw.pair_fifo_depth,
-                    )
-                })
-                .collect(),
             pos_in: Fifo::new(cfg.hw.pos_in_fifo_depth),
             frc_out: Fifo::new(cfg.hw.frc_out_fifo_depth),
             bcast: VecDeque::new(),
             home_src: VecDeque::new(),
             rr_pe: 0,
-            pe_busy: 0,
             pe_free: ((1u64 << cfg.pes_per_spe) - 1) as u32,
         }
     }
 
-    /// The PEs of this SPE.
-    pub fn pes(&self) -> &[Pe] {
-        &self.pes
+    /// True when the dispatcher has an entry to place.
+    #[inline]
+    pub(super) fn has_entries(&self) -> bool {
+        !self.pos_in.is_empty() || !self.home_src.is_empty()
     }
 
-    /// True when a force cycle of this SPE's dispatcher and PEs would do
-    /// something (`bcast` / `frc_out` are the chip's injection stage's).
-    fn is_live(&self) -> bool {
-        self.pe_busy != 0 || !self.pos_in.is_empty() || !self.home_src.is_empty()
+    /// The next entry to dispatch: ring deliveries first (to relieve ring
+    /// pressure), then home-internal entries.
+    #[inline]
+    pub(super) fn next_entry(&mut self, elem: &[Element], home_concat: &[FixVec3]) -> NbrEntry {
+        self.pos_in.pop().unwrap_or_else(|| {
+            let slot = self.home_src.pop_front().expect("has_entries checked");
+            NbrEntry {
+                concat: home_concat[slot as usize],
+                elem: elem[slot as usize],
+                scan_from: slot + 1,
+                kind: NbrKind::Internal { slot },
+            }
+        })
     }
 
-    /// Re-derive the PE masks from the PEs (after a restore).
-    fn rebuild_masks(&mut self) {
-        self.pe_busy = 0;
-        self.pe_free = 0;
-        for (i, pe) in self.pes.iter().enumerate() {
-            self.pe_busy |= u32::from(!pe.is_idle()) << i;
-            self.pe_free |= u32::from(pe.has_free_station()) << i;
-        }
+    /// Pick the PE to dispatch to: round-robin from `rr_pe` is the lowest
+    /// free PE at or above it, else the lowest overall.
+    #[inline]
+    pub(super) fn pick_pe(&mut self, pes: usize) -> usize {
+        debug_assert!(self.pe_free != 0);
+        let ahead = self.pe_free >> self.rr_pe;
+        let j = if ahead != 0 {
+            self.rr_pe + ahead.trailing_zeros() as usize
+        } else {
+            self.pe_free.trailing_zeros() as usize
+        };
+        self.rr_pe = if j + 1 == pes { 0 } else { j + 1 };
+        j
     }
 }
 
@@ -146,13 +149,10 @@ pub struct TimedCbb {
     /// Lifetime station ejections — ring, local, or discard (monotonic).
     pub ejected: u64,
     /// SoA-scan execution (see [`TimedCbb::set_soa_scan`]).
-    soa_scan: bool,
+    pub(super) soa_scan: bool,
     /// Home-cell snapshot as structure-of-arrays fixed-point banks,
     /// rebuilt each force phase; feeds the SoA batch kernels.
-    soa: HomeSoa,
-    /// Scratch buffer reused across force cycles (avoid per-cycle
-    /// allocation on the hot path).
-    scratch_ej: Vec<Ejection>,
+    pub(super) soa: HomeSoa,
 }
 
 impl TimedCbb {
@@ -177,12 +177,11 @@ impl TimedCbb {
             ejected: 0,
             soa_scan: false,
             soa: HomeSoa::new(),
-            scratch_ej: Vec::new(),
         }
     }
 
     /// Enable/disable the SoA scan path: neighbour entries are dispatched
-    /// through [`Pe::dispatch_planned`], evaluating the whole scan against
+    /// through [`super::pe::Pe::dispatch_planned`], evaluating the whole scan against
     /// the [`HomeSoa`] banks up front while the per-cycle state machine
     /// consumes one comparison per cycle as before. Bit-identical to the
     /// scalar path; off by default so the plain interpretation stays the
@@ -262,148 +261,20 @@ impl TimedCbb {
         }
     }
 
-    /// One force-phase cycle of this CBB's dispatchers and PEs.
-    ///
-    /// Dispatch policy: one neighbour entry per SPE per cycle, preferring
-    /// ring deliveries (to relieve ring pressure) over home-internal
-    /// entries. Completed *remote-origin* neighbour evaluations are
-    /// appended to `completed` as `(origin_chip, frc_issued)` records for
-    /// the chained-synchronization bookkeeping — `frc_issued` says whether
-    /// a force flit was actually emitted toward that origin (zero-force
-    /// evaluations are discarded, §5.4).
-    ///
-    /// Only PEs that hold work are stepped: an idle PE's cycle retires,
-    /// issues, compares and ejects nothing and records no activity, and a
-    /// drained SPE has nothing to dispatch, so the force-phase tail — when
-    /// most cells sit idle — costs a few mask tests per SPE. With
-    /// `EXHAUSTIVE` (the serial oracle) every PE is stepped regardless and
-    /// the idle ones are asserted to have been no-ops.
-    pub fn step_force<const EXHAUSTIVE: bool>(
-        &mut self,
-        cycle: Cycle,
-        dp: &ForceDatapath,
-        completed: &mut Vec<(crate::geometry::ChipCoord, bool)>,
-    ) {
-        debug_assert_eq!(self.home_concat.len(), self.len());
-        for spe in &mut self.spes {
-            // Dispatch one entry to a free station: round-robin from
-            // `rr_pe` is the lowest free PE at or above it, else the
-            // lowest overall.
-            let have_work = !spe.pos_in.is_empty() || !spe.home_src.is_empty();
-            if have_work && spe.pe_free != 0 {
-                let ahead = spe.pe_free >> spe.rr_pe;
-                let pe_idx = if ahead != 0 {
-                    spe.rr_pe + ahead.trailing_zeros() as usize
-                } else {
-                    spe.pe_free.trailing_zeros() as usize
-                };
-                let entry = spe.pos_in.pop().unwrap_or_else(|| {
-                    let slot = spe.home_src.pop_front().expect("have_work checked");
-                    NbrEntry {
-                        concat: self.home_concat[slot as usize],
-                        elem: self.elem[slot as usize],
-                        scan_from: slot + 1,
-                        kind: NbrKind::Internal { slot },
-                    }
-                });
-                let pe = &mut spe.pes[pe_idx];
-                if self.soa_scan {
-                    pe.dispatch_planned(entry, dp, &self.soa);
-                } else {
-                    pe.dispatch(entry);
-                }
-                let bit = 1u32 << pe_idx;
-                spe.pe_busy |= bit;
-                if !pe.has_free_station() {
-                    spe.pe_free &= !bit;
-                }
-                spe.rr_pe = if pe_idx + 1 == spe.pes.len() { 0 } else { pe_idx + 1 };
-                self.dispatched += 1;
-            }
-
-            // PE cycles
-            let mut budget = if spe.frc_out.is_full() { 0 } else { 1u32 };
-            self.scratch_ej.clear();
-            let visit = if EXHAUSTIVE { (1u64 << spe.pes.len()) - 1 } else { u64::from(spe.pe_busy) };
-            for i in super::set_bits(visit) {
-                let bit = 1u32 << i;
-                let pe = &mut spe.pes[i];
-                let expect_noop = EXHAUSTIVE && spe.pe_busy & bit == 0;
-                let ejected_before = self.scratch_ej.len();
-                let retired = pe.step(
-                    cycle,
-                    dp,
-                    &self.elem,
-                    &self.home_concat,
-                    &mut self.scratch_ej,
-                    &mut budget,
-                );
-                if let Some((slot, f)) = retired {
-                    let fc = &mut self.force[slot as usize];
-                    for k in 0..3 {
-                        fc[k] += FixAcc::from_f32(f[k]);
-                    }
-                }
-                if expect_noop {
-                    // (Idle before and after with nothing retired or
-                    // ejected: its stations and pipeline were empty, so
-                    // both activity counters recorded `(0, false)`.)
-                    assert!(
-                        retired.is_none() && ejected_before == self.scratch_ej.len() && pe.is_idle(),
-                        "a PE the busy mask calls idle did work"
-                    );
-                }
-                if self.scratch_ej.len() != ejected_before {
-                    spe.pe_free |= bit;
-                    if pe.is_idle() {
-                        spe.pe_busy &= !bit;
-                    }
-                }
-            }
-            for ej in &self.scratch_ej {
-                match *ej {
-                    Ejection::Ring(flit, remote) => {
-                        spe.frc_out
-                            .push(flit).expect("budget guaranteed frc_out space");
-                        if remote {
-                            completed.push((flit.owner_chip, true));
-                        }
-                    }
-                    Ejection::Local { slot, force } => {
-                        let fc = &mut self.force[slot as usize];
-                        for k in 0..3 {
-                            fc[k] += FixAcc::from_f32(force[k]);
-                        }
-                    }
-                    Ejection::Discard { origin, remote } => {
-                        if remote {
-                            completed.push((origin, false));
-                        }
-                    }
-                }
-            }
-            self.ejected += self.scratch_ej.len() as u64;
+    /// Accumulate a force into the FC at `slot` (the PE retire port, a
+    /// local reaction, or an arriving ring force).
+    #[inline(always)]
+    pub(super) fn add_force(force: &mut [[FixAcc; 3]], slot: u16, f: [f32; 3]) {
+        let fc = &mut force[slot as usize];
+        for k in 0..3 {
+            fc[k] += FixAcc::from_f32(f[k]);
         }
     }
 
     /// Accumulate an arriving neighbour force from the force ring into
     /// the FC (the "FC N" write port, one per cycle by ring construction).
     pub fn accumulate_ring_force(&mut self, flit: &FrcFlit) {
-        let fc = &mut self.force[flit.slot as usize];
-        for k in 0..3 {
-            fc[k] += FixAcc::from_f32(flit.force[k]);
-        }
-    }
-
-    /// True when [`TimedCbb::step_force`] would do something: an entry
-    /// awaits dispatch or a PE holds work.
-    pub fn force_live(&self) -> bool {
-        self.spes.iter().any(Spe::is_live)
-    }
-
-    /// True when some PE of this CBB holds work.
-    pub fn pe_busy(&self) -> bool {
-        self.spes.iter().any(|s| s.pe_busy != 0)
+        Self::add_force(&mut self.force, flit.slot, flit.force);
     }
 
     /// Prepare the motion-update phase.
@@ -522,50 +393,70 @@ impl TimedCbb {
 
 fasda_ckpt::persist_struct!(Arrival { id, elem, offset, vel });
 
-/// Checkpointing: PE shapes and FIFO depths are configuration; the queues
-/// and the round-robin cursor are state.
-impl fasda_ckpt::Snapshot for Spe {
-    fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
-        use fasda_ckpt::Persist;
-        fasda_ckpt::snapshot_slice(&self.pes, w);
+impl Spe {
+    /// Checkpointing: PE shapes and FIFO depths are configuration; the
+    /// SPE's PEs (`pes`, from the chip), its queues and the round-robin
+    /// cursor are state. `now` is the chip's clock (see
+    /// [`Pe::snapshot_at`]).
+    fn snapshot_with(&self, pes: &[Pe], now: Cycle, w: &mut fasda_ckpt::Writer) {
+        use fasda_ckpt::{Persist, Snapshot};
+        w.put_usize(pes.len());
+        for pe in pes {
+            pe.snapshot_at(now, w);
+        }
         self.pos_in.snapshot(w);
         self.frc_out.snapshot(w);
         self.bcast.save(w);
         self.home_src.save(w);
         w.put_usize(self.rr_pe);
     }
-    fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
-        use fasda_ckpt::Persist;
-        fasda_ckpt::restore_slice(&mut self.pes, r)?;
+    fn restore_with(&mut self, pes: &mut [Pe], r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
+        use fasda_ckpt::{Persist, Snapshot};
+        let n = r.get_usize()?;
+        if n != pes.len() {
+            return Err(r.malformed(format!(
+                "slice length mismatch: snapshot has {n}, structure has {}",
+                pes.len()
+            )));
+        }
+        for pe in pes.iter_mut() {
+            pe.restore(r)?;
+        }
         self.pos_in.restore(r)?;
         self.frc_out.restore(r)?;
         self.bcast = Persist::load(r)?;
         self.home_src = Persist::load(r)?;
         self.rr_pe = r.get_usize()?;
-        if self.rr_pe >= self.pes.len().max(1) {
+        if self.rr_pe >= pes.len().max(1) {
             return Err(r.malformed("round-robin PE cursor out of range"));
         }
-        self.rebuild_masks();
+        self.pe_free = 0;
+        for (j, pe) in pes.iter().enumerate() {
+            self.pe_free |= u32::from(pe.has_free_station()) << j;
+        }
         Ok(())
     }
 }
 
 /// Checkpointing: the cell assignment (`gcell`) and SPE/PE shapes are
-/// configuration. Particle arrays, SPE queues, the MU pipeline and its
-/// cursor, tombstones, staged arrivals, and the outbound migration queue
-/// are state. Phase-local caches (`home_concat`, the SoA banks) are
-/// rebuilt by [`TimedCbb::begin_force_phase`]; the activity counter is
-/// reset by the driver at every measurement-window start; scratch buffers
-/// carry no state across cycles.
-impl fasda_ckpt::Snapshot for TimedCbb {
-    fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
-        use fasda_ckpt::Persist;
+/// configuration. Particle arrays, SPE queues and PEs (`pes`, this CBB's
+/// share of the chip's, SPE by SPE), the MU pipeline and its cursor,
+/// tombstones, staged arrivals, and the outbound migration queue are
+/// state. Phase-local caches (`home_concat`, the SoA banks) are rebuilt by
+/// [`TimedCbb::begin_force_phase`]; the activity counter is reset by the
+/// driver at every measurement-window start.
+impl TimedCbb {
+    pub(super) fn snapshot_with(&self, pes: &[Pe], now: Cycle, w: &mut fasda_ckpt::Writer) {
+        use fasda_ckpt::{Persist, Snapshot};
         self.id.save(w);
         self.elem.save(w);
         self.offset.save(w);
         self.vel.save(w);
         self.force.save(w);
-        fasda_ckpt::snapshot_slice(&self.spes, w);
+        w.put_usize(self.spes.len());
+        for (spe, pes) in self.spes.iter().zip(pes.chunks(pes.len() / self.spes.len())) {
+            spe.snapshot_with(pes, now, w);
+        }
         self.mu_pipe.snapshot(w);
         w.put_u16(self.mu_cursor);
         self.alive.save(w);
@@ -574,8 +465,8 @@ impl fasda_ckpt::Snapshot for TimedCbb {
         w.put_u64(self.dispatched);
         w.put_u64(self.ejected);
     }
-    fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
-        use fasda_ckpt::Persist;
+    pub(super) fn restore_with(&mut self, pes: &mut [Pe], r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
+        use fasda_ckpt::{Persist, Snapshot};
         self.id = Persist::load(r)?;
         self.elem = Persist::load(r)?;
         self.offset = Persist::load(r)?;
@@ -589,7 +480,17 @@ impl fasda_ckpt::Snapshot for TimedCbb {
         {
             return Err(r.malformed("particle array lengths disagree"));
         }
-        fasda_ckpt::restore_slice(&mut self.spes, r)?;
+        let spes = r.get_usize()?;
+        if spes != self.spes.len() {
+            return Err(r.malformed(format!(
+                "slice length mismatch: snapshot has {spes}, structure has {}",
+                self.spes.len()
+            )));
+        }
+        let per_spe = pes.len() / self.spes.len();
+        for (spe, pes) in self.spes.iter_mut().zip(pes.chunks_mut(per_spe)) {
+            spe.restore_with(pes, r)?;
+        }
         self.mu_pipe.restore(r)?;
         self.mu_cursor = r.get_u16()?;
         self.alive = Persist::load(r)?;
@@ -608,25 +509,17 @@ mod tests {
     use super::*;
     use crate::config::ChipConfig;
     use crate::geometry::ChipCoord;
-    use fasda_arith::interp::TableConfig;
-    use fasda_md::element::PairTable;
     use fasda_md::space::SimulationSpace;
     use fasda_md::units::UnitSystem;
-
-    fn dp() -> ForceDatapath {
-        ForceDatapath::new(&PairTable::new(UnitSystem::PAPER), TableConfig::PAPER)
-    }
-
-    /// True when no SPE of `cbb` holds outstanding force-phase work.
-    fn force_idle(cbb: &TimedCbb) -> bool {
-        cbb.spes
-            .iter()
-            .all(|s| !s.is_live() && s.frc_out.is_empty() && s.bcast.is_empty())
-    }
 
     fn cbb_with(n: usize) -> TimedCbb {
         let cfg = ChipConfig::baseline();
         let mut cbb = TimedCbb::new(&cfg, CellCoord::new(1, 1, 1));
+        fill(&mut cbb, n);
+        cbb
+    }
+
+    fn fill(cbb: &mut TimedCbb, n: usize) {
         for i in 0..n {
             let t = (i as f64 + 0.5) / n as f64;
             cbb.push_particle(
@@ -636,27 +529,33 @@ mod tests {
                 [0.0; 3],
             );
         }
-        cbb
     }
 
     #[test]
     fn internal_pairs_produce_symmetric_forces() {
-        let dp = dp();
-        let mut cbb = cbb_with(6);
-        cbb.begin_force_phase(ChipCoord::new(0, 0, 0), 0, 0, 0);
-        // no broadcasts (masks 0) — only internal entries
-        let mut completed = Vec::new();
-        for c in 0..2_000u64 {
-            cbb.step_force::<true>(c, &dp, &mut completed);
-            if force_idle(&cbb) {
-                break;
-            }
+        // One populated cell of a single-chip 3×3×3 block: its broadcasts
+        // reach only empty cells, so every force comes from its internal
+        // entries, on the serial oracle's exhaustive tick.
+        let space = SimulationSpace::cubic(3);
+        let mut chip = super::super::TimedChip::new(
+            ChipConfig::baseline(),
+            crate::geometry::ChipGeometry::single_chip(space),
+            UnitSystem::PAPER,
+            2.0,
+        );
+        fill(&mut chip.cbbs[13], 6);
+        chip.begin_force_phase();
+        let mut cycles = 0;
+        while !chip.force_phase_local_idle() {
+            chip.step_force_cycle();
+            cycles += 1;
+            assert!(cycles < 20_000, "internal evaluation must converge");
         }
-        assert!(completed.is_empty(), "no remote origins in this test");
-        assert!(force_idle(&cbb), "internal evaluation must converge");
         // The two directions of a pair are evaluated by different
         // stations with independent f32 rounding, so cancellation is
         // approximate even on the fixed-point accumulator grid.
+        let cbb = &chip.cbbs[13];
+        assert!(cbb.force.iter().any(|f| f[0] != FixAcc::ZERO), "some pair must pass");
         let net: [f64; 3] = cbb.force.iter().fold([0.0; 3], |mut a, f| {
             for k in 0..3 {
                 a[k] += f[k].to_f64();

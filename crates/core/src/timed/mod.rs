@@ -28,7 +28,7 @@ use fasda_md::units::UnitSystem;
 use fasda_md::vec3::Vec3;
 use fasda_sim::{Activity, Cycle, StatSet};
 use fasda_trace::{EventKind, NodeRecorder, NodeStream, TraceConfig, TraceLevel};
-use pe::{NbrEntry, NbrKind};
+use pe::{Ejection, NbrEntry, NbrKind, Pe};
 use ring::{Direction, FrcFlit, MigFlit, PosFlit, Ring};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -143,6 +143,106 @@ struct PeerTraffic {
 /// ([`ChipConfig::validate`]).
 const MAX_SPES: usize = 8;
 
+/// A set of the chip's PEs (bit `p` = PE `p`), as many words as the chip
+/// has PEs: variants B and C put 81 and 162 on a 27-cell chip.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct PeSet(Vec<u64>);
+
+impl PeSet {
+    fn new(pes: usize) -> Self {
+        PeSet(vec![0; pes.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, p: usize) {
+        self.0[p >> 6] |= 1 << (p & 63);
+    }
+
+    #[inline]
+    fn remove(&mut self, p: usize) {
+        self.0[p >> 6] &= !(1 << (p & 63));
+    }
+
+    #[inline]
+    fn contains(&self, p: usize) -> bool {
+        has(&self.0, p)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+}
+
+/// PE sets by cycle: slot `t & mask` holds the PEs with an event at cycle
+/// `t`, as `words` words of bits, all slots in one flat array. A stage
+/// that takes its PEs from a wheel visits only those, and files each PE
+/// again under its next event.
+#[derive(Clone, Debug, Default)]
+struct Wheel {
+    bits: Vec<u64>,
+    words: usize,
+    mask: usize,
+}
+
+impl Wheel {
+    /// A wheel for events up to `span` cycles ahead.
+    fn new(span: usize, pes: usize) -> Self {
+        let n = (span + 1).next_power_of_two();
+        let words = pes.div_ceil(64);
+        Wheel {
+            bits: vec![0; n * words],
+            words,
+            mask: n - 1,
+        }
+    }
+
+    /// File PE `p` under cycle `t`.
+    #[inline]
+    fn file(&mut self, t: Cycle, p: usize) {
+        self.bits[(t as usize & self.mask) * self.words + (p >> 6)] |= 1 << (p & 63);
+    }
+
+    /// The PEs filed under cycle `t`.
+    #[inline]
+    fn at(&self, t: Cycle) -> &[u64] {
+        let at = (t as usize & self.mask) * self.words;
+        &self.bits[at..at + self.words]
+    }
+
+    #[inline]
+    fn clear_at(&mut self, t: Cycle) {
+        let at = (t as usize & self.mask) * self.words;
+        self.bits[at..at + self.words].fill(0);
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+}
+
+/// True when word list `set` has bit `p`.
+#[inline]
+fn has(set: &[u64], p: usize) -> bool {
+    set[p >> 6] & 1 << (p & 63) != 0
+}
+
+/// Run `$body` for each PE `$p` of the word list `$set`, ascending — or,
+/// on the serial oracle's exhaustive walk, for each of the `$n` PEs. A
+/// word is read when the visit reaches it, which is sound because a
+/// stage edits no set ahead of its own visit.
+macro_rules! visit_pes {
+    ($exhaustive:expr, $set:expr, $n:expr, |$p:ident| $body:block) => {
+        for w in 0..$n.div_ceil(64) {
+            let mut bits = if $exhaustive { low_bits($n - (w << 6)) } else { $set[w] };
+            while bits != 0 {
+                let $p = w << 6 | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                $body
+            }
+        }
+    };
+}
+
 /// The summaries of chip state the force tick visits its work by, and the
 /// idle / activity predicates read instead of scanning. Each is a pure
 /// function of the state it summarises ([`TimedChip::derive_masks`]); the
@@ -151,10 +251,16 @@ const MAX_SPES: usize = 8;
 /// compare them whole every cycle.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct TickMasks {
-    /// CBBs whose dispatcher or PEs hold work.
-    cbb_live: u64,
-    /// CBBs with a busy PE.
-    pe_live: u64,
+    /// Per ring: CBBs whose SPE holds entries awaiting dispatch.
+    spe_work: [u64; MAX_SPES],
+    /// Per ring: CBBs whose SPE has a PE with a free station.
+    spe_open: [u64; MAX_SPES],
+    /// PEs holding work (a station or a pipeline entry).
+    pe_busy: PeSet,
+    /// PEs with a buffered pair (the arbiter stage's set).
+    pe_arb: PeSet,
+    /// PEs with a drained station (the eject stage's set).
+    pe_eject: PeSet,
     /// Per ring: CBBs with broadcasts awaiting injection.
     bcast_pending: [u64; MAX_SPES],
     /// Per ring: CBBs with force flits awaiting injection.
@@ -178,6 +284,32 @@ pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// [`set_bits`] of a ring-node mask.
+#[inline]
+fn node_bits(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The nodes a position flit stops at: its local destinations, and the
+/// EX node `ex` while it has remote ones.
+#[inline]
+fn pos_stops(flit: &PosFlit, ex: usize) -> u128 {
+    u128::from(flit.local_mask) | u128::from(flit.remote_mask != 0) << ex
+}
+
+/// The node a force flit stops at: its owner CBB on chip `chip`, else the
+/// EX node `ex`.
+#[inline]
+fn frc_stop(flit: &FrcFlit, chip: ChipCoord, ex: usize) -> u128 {
+    1u128 << if flit.owner_chip == chip { flit.owner_cbb as usize } else { ex }
 }
 
 /// Eq.-7 id of a chip over a node grid of extent `(_, gy, gz)`.
@@ -207,6 +339,13 @@ pub struct TimedChip {
     acc_over_mass: [f32; Element::COUNT],
     /// The CBBs, indexed by local cell ID.
     pub cbbs: Vec<TimedCbb>,
+    /// Every PE of the chip, CBB by CBB and SPE by SPE: PE `j` of SPE `k`
+    /// of CBB `c` is `(c · spes + k) · pes_per_spe + j`.
+    pes: Vec<Pe>,
+    /// CBB of each PE, and its home-cell length this force phase.
+    pe_cbb: Vec<u16>,
+    pe_home_len: Vec<u16>,
+    pes_per_spe: usize,
     pos_rings: Vec<Ring<PosFlit>>,
     frc_rings: Vec<Ring<FrcFlit>>,
     mig_ring: Ring<MigFlit>,
@@ -261,13 +400,20 @@ pub struct TimedChip {
     bcast_cooldown: u64,
     /// Traffic counters since the last stats reset, by peer index.
     traffic: PeerTraffic,
-    completed_buf: Vec<(ChipCoord, bool)>,
     /// `false` (the serial oracle) makes every force tick walk all CBBs
     /// and ring nodes and assert that whatever the masks below call idle
     /// was a no-op; `true` visits only what the masks name.
     fast_path: bool,
     /// What the force tick skips by (see [`TickMasks`]).
     masks: TickMasks,
+    /// The retire stage's PEs by cycle: each PE with a pair in flight is
+    /// filed once, under its oldest pair's retire cycle.
+    retire_wheel: Wheel,
+    /// The filter stage's PEs by cycle: a PE is filed under the cycle of
+    /// every filter event it stamps (a parked station's start, each
+    /// running station's next comparison that matters); one past the
+    /// wheel's reach is filed at its far end and files itself again.
+    filter_wheel: Wheel,
     /// Per ring: first cycle a pending broadcast is out of its cooldown
     /// (a lower bound; the injection scan it triggers re-derives it).
     bcast_due: [u64; MAX_SPES],
@@ -361,7 +507,8 @@ impl TimedChip {
 
         let spes = cfg.spes_per_cbb as usize;
         let (n_send, n_recv) = (send_chips.len(), recv_chips.len());
-        TimedChip {
+        let pes_per_cbb = cfg.pes_per_cbb() as usize;
+        let mut chip = TimedChip {
             dp,
             units,
             dt_fs,
@@ -369,6 +516,12 @@ impl TimedChip {
             cbbs: (0..n as u16)
                 .map(|i| TimedCbb::new(&cfg, geo.cbb_gcell(i)))
                 .collect(),
+            pes: (0..n * pes_per_cbb)
+                .map(|_| Pe::new(cfg.hw.filters_per_pe, cfg.hw.force_pipe_latency, cfg.hw.pair_fifo_depth))
+                .collect(),
+            pe_cbb: (0..n * pes_per_cbb).map(|p| (p / pes_per_cbb) as u16).collect(),
+            pe_home_len: vec![0; n * pes_per_cbb],
+            pes_per_spe: cfg.pes_per_spe as usize,
             pos_rings: (0..spes)
                 .map(|_| Ring::new(nodes, Direction::Clockwise))
                 .collect(),
@@ -407,9 +560,10 @@ impl TimedChip {
                 pos_recv: vec![0; n_recv],
                 ..PeerTraffic::default()
             },
-            completed_buf: Vec::new(),
             fast_path: false,
             masks: TickMasks::default(),
+            retire_wheel: Wheel::new(cfg.hw.force_pipe_latency as usize, n * pes_per_cbb),
+            filter_wheel: Wheel::new(pe::FILTER_REACH as usize, n * pes_per_cbb),
             bcast_due: [0; MAX_SPES],
             multi,
             trace: NodeRecorder::off(),
@@ -417,7 +571,14 @@ impl TimedChip {
             pe_prev: (0, 0),
             cfg,
             geo,
-        }
+        };
+        chip.rebuild_masks();
+        chip
+    }
+
+    /// Every PE of the chip (see the `pes` field for the order).
+    pub fn pes(&self) -> &[Pe] {
+        &self.pes
     }
 
     /// Chip configuration.
@@ -507,7 +668,7 @@ impl TimedChip {
     /// Classify what the force-phase datapath is doing (stall-attribution
     /// probe; see [`ForceActivity`]). Meaningful right after a force tick.
     pub fn force_activity(&self) -> ForceActivity {
-        if self.masks.pe_live != 0 {
+        if !self.masks.pe_busy.is_empty() {
             return ForceActivity::PeBusy;
         }
         let output_live = self.masks.frc_pending.iter().chain(&self.masks.bcast_pending).any(|&m| m != 0)
@@ -582,12 +743,9 @@ impl TimedChip {
         self.mu_ring_stats = Activity::with_capacity(nodes);
         for cbb in &mut self.cbbs {
             cbb.mu_stats = Activity::with_capacity(1);
-            for spe in &mut cbb.spes {
-                for pe in &mut spe.pes {
-                    pe.filter_stats = Activity::with_capacity(self.cfg.hw.filters_per_pe as u64);
-                    pe.pe_stats = Activity::with_capacity(1);
-                }
-            }
+        }
+        for pe in &mut self.pes {
+            pe.reset_stats(self.cycle);
         }
         self.migrations = 0;
         self.traffic.pos_sent.fill(0);
@@ -656,16 +814,33 @@ impl TimedChip {
     /// The tick's masks and counters, computed from the state they
     /// summarise.
     fn derive_masks(&self) -> TickMasks {
-        let mut m = TickMasks::default();
+        let n = self.pes.len();
+        let mut m = TickMasks {
+            pe_busy: PeSet::new(n),
+            pe_arb: PeSet::new(n),
+            pe_eject: PeSet::new(n),
+            ..TickMasks::default()
+        };
         for (i, cbb) in self.cbbs.iter().enumerate() {
-            m.cbb_live |= u64::from(cbb.force_live()) << i;
-            m.pe_live |= u64::from(cbb.pe_busy()) << i;
             for (k, spe) in cbb.spes.iter().enumerate() {
+                m.spe_work[k] |= u64::from(spe.has_entries()) << i;
+                m.spe_open[k] |= u64::from(spe.pe_free != 0) << i;
                 m.bcast_pending[k] |= u64::from(!spe.bcast.is_empty()) << i;
                 m.frc_pending[k] |= u64::from(!spe.frc_out.is_empty()) << i;
             }
             m.pe_totals.0 += cbb.dispatched;
             m.pe_totals.1 += cbb.ejected;
+        }
+        for (p, pe) in self.pes.iter().enumerate() {
+            if !pe.is_idle() {
+                m.pe_busy.insert(p);
+            }
+            if pe.has_buffered_pairs() {
+                m.pe_arb.insert(p);
+            }
+            if pe.has_drained() {
+                m.pe_eject.insert(p);
+            }
         }
         for ring in &self.pos_rings {
             for node in 0..ring.len() {
@@ -675,10 +850,37 @@ impl TimedChip {
         m
     }
 
-    /// (Re)build the tick's masks (phase start, restore).
+    /// (Re)build the tick's masks and re-file every ring flit under its
+    /// next stop (phase start, restore).
     fn rebuild_masks(&mut self) {
         self.masks = self.derive_masks();
+        for (len, &c) in self.pe_home_len.iter_mut().zip(&self.pe_cbb) {
+            *len = self.cbbs[c as usize].len() as u16;
+        }
         self.bcast_due = [0; MAX_SPES];
+        self.retire_wheel.clear();
+        self.filter_wheel.clear();
+        for (p, pe) in self.pes.iter().enumerate() {
+            if let Some(t) = pe.retire_at() {
+                self.retire_wheel.file(t, p);
+            }
+            if pe.filter_live() {
+                self.filter_wheel.file(self.cycle, p);
+            }
+        }
+        let (chip, ex) = (self.geo.chip, self.ex_node());
+        for ring in &mut self.pos_rings {
+            for node in node_bits(ring.occupied_nodes()) {
+                let stops = ring.at(node).map_or(0, |f| pos_stops(f, ex));
+                ring.schedule(node, stops);
+            }
+        }
+        for ring in &mut self.frc_rings {
+            for node in node_bits(ring.occupied_nodes()) {
+                let stop = ring.at(node).map_or(0, |f| frc_stop(f, chip, ex));
+                ring.schedule(node, stop);
+            }
+        }
     }
 
     /// One force-phase cycle.
@@ -690,18 +892,23 @@ impl TimedChip {
         }
     }
 
-    /// The force tick. Work per cycle follows *events*: delivery probes
-    /// only ring nodes that hold a flit, only CBBs with work are stepped,
-    /// injection visits only queues with something to inject (broadcasts
-    /// only once the earliest cooldown has run out), and ring activity is
-    /// read from counters. With `EXHAUSTIVE` every CBB and ring node is
-    /// visited instead and each one outside the masks is asserted to be a
-    /// no-op (debug builds also re-derive the masks whole).
+    /// The force tick. Work per cycle follows *events*: ring delivery
+    /// visits only the nodes where a flit is at one of its stops, the
+    /// dispatchers and PEs run one loop per stage over the chip — each
+    /// visiting only the SPEs or PEs its set names — injection visits
+    /// only queues with something to inject (broadcasts only once the
+    /// earliest cooldown has run out), and ring activity is read from
+    /// counters. With `EXHAUSTIVE` every ring node, SPE and PE is visited
+    /// instead and each one outside the sets is asserted to be a no-op
+    /// (debug builds also re-derive the sets whole).
     fn force_tick<const EXHAUSTIVE: bool>(&mut self) {
         debug_assert_eq!(self.phase, Phase::Force);
         let multi = self.multi;
         let ex = self.ex_node();
         let all = low_bits(self.cbbs.len());
+        let nodes = u128::MAX >> (128 - self.cbbs.len() - usize::from(multi));
+        let chip = self.geo.chip;
+        let cycle = self.cycle;
 
         // 1. Rotate rings, recording activity.
         for k in 0..self.pos_rings.len() {
@@ -713,28 +920,48 @@ impl TimedChip {
             self.frc_rings[k].rotate();
         }
 
-        // 2. Ring-node processing.
+        // 2. Ring-node processing at the nodes where a flit is due.
         for k in 0..self.pos_rings.len() {
-            // Position ring: PRN delivery at CBB nodes.
-            let occupied = self.pos_rings[k].occupied_nodes() as u64 & all;
-            for node in set_bits(if EXHAUSTIVE { all } else { occupied }) {
-                let bit = 1u64 << node;
+            // Position ring: PRN delivery at CBB nodes, EX capture of
+            // remote-destined positions.
+            let due = self.pos_rings[k].due_nodes();
+            for node in node_bits(if EXHAUSTIVE { nodes } else { due }) {
+                let bit = 1u128 << node;
                 let Some(flit) = self.pos_rings[k].at(node) else {
-                    assert!(EXHAUSTIVE && occupied & bit == 0, "occupancy mask names an empty node");
+                    assert!(due & bit == 0, "a stop filed for an empty node");
                     continue;
                 };
-                assert!(!EXHAUSTIVE || occupied & bit != 0, "occupancy mask misses a flit");
-                if flit.local_mask & bit == 0 || self.cbbs[node].spes[k].pos_in.is_full() {
-                    continue; // not for this cell, or it keeps rotating and retries next lap
+                let stops = pos_stops(flit, ex);
+                if due & bit == 0 {
+                    assert!(EXHAUSTIVE && stops & bit == 0, "a flit passed a stop it was not filed for");
+                    continue;
                 }
+                assert!(stops & bit != 0, "a flit filed for a node it does not stop at");
+                if multi && node == ex {
+                    let mask = flit.remote_mask;
+                    let flit = *self.pos_rings[k]
+                        .update(ex, |f| f.remote_mask = 0)
+                        .expect("probed above");
+                    self.settle_flit_pos(k, ex, &flit);
+                    self.masks.pos_remote_on_ring -= 1;
+                    for b in set_bits(u64::from(mask)) {
+                        self.traffic.pos_sent[b] += 1;
+                        self.pos_egress.push_back((self.send_chips[b], flit));
+                    }
+                    continue;
+                }
+                let spe = &mut self.cbbs[node].spes[k];
+                if spe.pos_in.is_full() {
+                    // It keeps rotating and retries next lap.
+                    self.pos_rings[k].schedule(node, stops);
+                    continue;
+                }
+                let cbit = 1u64 << node;
                 let flit = *self.pos_rings[k]
-                    .update(node, |f| f.local_mask &= !bit)
+                    .update(node, |f| f.local_mask &= !cbit)
                     .expect("probed above");
-                if flit.exhausted() {
-                    self.pos_rings[k].take(node);
-                }
+                self.settle_flit_pos(k, node, &flit);
                 let rcid = self.geo.rcid(flit.src_gcell, self.cbbs[node].gcell);
-                let remote = flit.owner_chip != self.geo.chip;
                 let entry = NbrEntry {
                     concat: ForceDatapath::concat(rcid, flit.offset),
                     elem: flit.elem,
@@ -743,94 +970,222 @@ impl TimedChip {
                         owner_chip: flit.owner_chip,
                         owner_cbb: flit.owner_cbb,
                         slot: flit.slot,
-                        remote,
+                        remote: flit.owner_chip != chip,
                     },
                 };
                 self.cbbs[node].spes[k]
                     .pos_in
                     .push(entry).expect("room checked");
-                self.masks.cbb_live |= bit;
-            }
-            // EX capture of remote-destined positions.
-            if multi {
-                let mask = self.pos_rings[k].at(ex).map_or(0, |f| f.remote_mask);
-                if mask != 0 {
-                    let flit = *self.pos_rings[k]
-                        .update(ex, |f| f.remote_mask = 0)
-                        .expect("probed above");
-                    if flit.exhausted() {
-                        self.pos_rings[k].take(ex);
-                    }
-                    self.masks.pos_remote_on_ring -= 1;
-                    for b in set_bits(u64::from(mask)) {
-                        self.traffic.pos_sent[b] += 1;
-                        self.pos_egress.push_back((self.send_chips[b], flit));
-                    }
-                }
+                self.masks.spe_work[k] |= cbit;
             }
 
             // Force ring: owner delivery, EX capture of remote-owned.
-            let occupied = self.frc_rings[k].occupied_nodes() as u64 & all;
-            for node in set_bits(if EXHAUSTIVE { all } else { occupied }) {
-                let bit = 1u64 << node;
+            let due = self.frc_rings[k].due_nodes();
+            for node in node_bits(if EXHAUSTIVE { nodes } else { due }) {
+                let bit = 1u128 << node;
                 let Some(flit) = self.frc_rings[k].at(node) else {
-                    assert!(EXHAUSTIVE && occupied & bit == 0, "occupancy mask names an empty node");
+                    assert!(due & bit == 0, "a stop filed for an empty node");
                     continue;
                 };
-                assert!(!EXHAUSTIVE || occupied & bit != 0, "occupancy mask misses a flit");
-                if flit.owner_chip == self.geo.chip && flit.owner_cbb as usize == node {
-                    let flit = self.frc_rings[k].take(node).expect("probed above");
+                let stop = frc_stop(flit, chip, ex);
+                if due & bit == 0 {
+                    assert!(EXHAUSTIVE && stop & bit == 0, "a flit passed a stop it was not filed for");
+                    continue;
+                }
+                assert!(stop & bit != 0, "a flit filed for a node it does not stop at");
+                let flit = self.frc_rings[k].take(node).expect("probed above");
+                if multi && node == ex {
+                    let origin = self.recv_idx(flit.owner_chip);
+                    self.traffic.frc_sent[origin] += 1;
+                    self.frc_egress.push_back((flit.owner_chip, flit));
+                } else {
                     self.cbbs[node].accumulate_ring_force(&flit);
                     self.traffic.frc_recv += 1;
                 }
             }
-            if multi {
-                let capture =
-                    matches!(self.frc_rings[k].at(ex), Some(f) if f.owner_chip != self.geo.chip);
-                if capture {
-                    let flit = self.frc_rings[k].take(ex).expect("checked");
-                    let origin = self.recv_idx(flit.owner_chip);
-                    self.traffic.frc_sent[origin] += 1;
-                    self.frc_egress.push_back((flit.owner_chip, flit));
+        }
+
+        // 3. The CBBs' dispatchers and PEs: one loop per stage over the
+        //    chip, each visiting the SPEs or PEs its set names. Within a
+        //    PE the stages keep the hardware's order (retire, arbitrate,
+        //    filter, eject); across PEs and CBBs nothing is shared but
+        //    order-free sums and each SPE's FRN port, whose PEs the eject
+        //    loop visits in ascending order.
+        let dp = &*self.dp;
+        let (spes, pps, n) = (self.pos_rings.len(), self.pes_per_spe, self.pes.len());
+
+        // 3a. Dispatch one entry per SPE with work to a free station.
+        for k in 0..spes {
+            let ready = self.masks.spe_work[k] & self.masks.spe_open[k];
+            for c in set_bits(if EXHAUSTIVE { all } else { ready }) {
+                let bit = 1u64 << c;
+                let cbb = &mut self.cbbs[c];
+                let spe = &mut cbb.spes[k];
+                if EXHAUSTIVE {
+                    assert!(
+                        (spe.has_entries() && spe.pe_free != 0) == (ready & bit != 0),
+                        "spe_work / spe_open disagree with the SPE"
+                    );
+                    if ready & bit == 0 {
+                        continue;
+                    }
                 }
+                let j = spe.pick_pe(pps);
+                let entry = spe.next_entry(&cbb.elem, &cbb.home_concat);
+                if !spe.has_entries() {
+                    self.masks.spe_work[k] &= !bit;
+                }
+                let p = (c * spes + k) * pps + j;
+                let pe = &mut self.pes[p];
+                if cbb.soa_scan {
+                    pe.dispatch_planned(cycle, entry, dp, &cbb.soa);
+                } else {
+                    pe.dispatch(cycle, entry);
+                }
+                if !pe.has_free_station() {
+                    spe.pe_free &= !(1 << j);
+                    if spe.pe_free == 0 {
+                        self.masks.spe_open[k] &= !bit;
+                    }
+                }
+                cbb.dispatched += 1;
+                self.masks.pe_totals.0 += 1;
+                self.masks.pe_busy.insert(p);
+                self.filter_wheel.file(cycle, p);
             }
         }
 
-        // 3. CBB internals; completion records are merged in CBB index
-        // order.
-        let mut buf = std::mem::take(&mut self.completed_buf);
-        buf.clear();
-        for i in set_bits(if EXHAUSTIVE { all } else { self.masks.cbb_live }) {
-            let bit = 1u64 << i;
-            let cbb = &mut self.cbbs[i];
-            let before = (cbb.dispatched, cbb.ejected, buf.len());
-            cbb.step_force::<EXHAUSTIVE>(self.cycle, &self.dp, &mut buf);
-            if EXHAUSTIVE && self.masks.cbb_live & bit == 0 {
-                assert!(
-                    before == (cbb.dispatched, cbb.ejected, buf.len()) && !cbb.force_live(),
-                    "a CBB the live mask calls idle did work"
-                );
-                continue;
-            }
-            self.masks.pe_totals.0 += cbb.dispatched - before.0;
-            self.masks.pe_totals.1 += cbb.ejected - before.1;
-            if !cbb.force_live() {
-                self.masks.cbb_live &= !bit;
-            }
-            self.masks.pe_live = self.masks.pe_live & !bit | u64::from(cbb.pe_busy()) << i;
-            for (k, spe) in cbb.spes.iter().enumerate() {
-                if !spe.frc_out.is_empty() {
-                    self.masks.frc_pending[k] |= bit;
+        // 3b. Retire: home force straight into the FC.
+        visit_pes!(EXHAUSTIVE, self.retire_wheel.at(cycle), n, |p| {
+            let pe = &mut self.pes[p];
+            if EXHAUSTIVE {
+                let filed = has(self.retire_wheel.at(cycle), p);
+                assert!(filed == pe.retire_due(cycle), "the retire wheel disagrees with a PE's pipeline");
+                if !filed {
+                    continue;
                 }
             }
-        }
-        for &(origin, issued) in &buf {
-            let origin = self.recv_idx(origin);
-            self.remote_pos_outstanding[origin] -= 1;
-            self.outstanding_seen |= 1 << origin;
-            self.frc_issued_to[origin] += u64::from(issued);
-        }
-        self.completed_buf = buf;
+            let fc = &mut self.cbbs[self.pe_cbb[p] as usize].force;
+            pe.retire(cycle, |slot, f| TimedCbb::add_force(fc, slot, f));
+            match pe.retire_at() {
+                Some(t) => self.retire_wheel.file(t, p),
+                None if pe.is_idle() => self.masks.pe_busy.remove(p),
+                None => {}
+            }
+            if pe.has_drained() {
+                self.masks.pe_eject.insert(p);
+            }
+        });
+        self.retire_wheel.clear_at(cycle);
+
+        // 3c. Arbitrate one buffered pair into each pipeline.
+        visit_pes!(EXHAUSTIVE, self.masks.pe_arb.0, n, |p| {
+            let pe = &mut self.pes[p];
+            if EXHAUSTIVE {
+                let member = self.masks.pe_arb.contains(p);
+                assert!(member == pe.has_buffered_pairs(), "the arbiter set disagrees with a PE's FIFOs");
+                if !member {
+                    continue;
+                }
+            }
+            let was_empty = !pe.pipe_busy();
+            let restarted = pe.arbitrate(cycle, self.pe_home_len[p]);
+            if was_empty {
+                self.retire_wheel.file(cycle + u64::from(self.cfg.hw.force_pipe_latency), p);
+            }
+            if !pe.has_buffered_pairs() {
+                self.masks.pe_arb.remove(p);
+            }
+            if pe.has_drained() {
+                self.masks.pe_eject.insert(p);
+            }
+            if let Some(ahead) = restarted {
+                self.filter_wheel.file(cycle + u64::from(ahead), p);
+            }
+        });
+
+        // 3d. Filter: compare what is due (and start what is parked).
+        let now = cycle as u16;
+        visit_pes!(EXHAUSTIVE, self.filter_wheel.at(cycle), n, |p| {
+            let pe = &mut self.pes[p];
+            if EXHAUSTIVE && !has(self.filter_wheel.at(cycle), p) {
+                assert!(!pe.filter_due(now), "the filter wheel misses a PE");
+                continue;
+            }
+            let cbb = &self.cbbs[self.pe_cbb[p] as usize];
+            let wheel = &mut self.filter_wheel;
+            pe.filter(cycle, dp, &cbb.elem, &cbb.home_concat, |ahead| wheel.file(cycle + u64::from(ahead), p));
+            if pe.has_buffered_pairs() {
+                self.masks.pe_arb.insert(p);
+            }
+            if pe.has_drained() {
+                self.masks.pe_eject.insert(p);
+            }
+        });
+        self.filter_wheel.clear_at(cycle);
+
+        // 3e. Eject at most one drained station per PE, straight into
+        //    the FRN queue, the FC or the sync ledger. Each SPE's FRN
+        //    port takes one ring ejection per cycle: its budget is set at
+        //    its first PE the loop visits.
+        let (mut budget_of, mut budget) = (usize::MAX, 0);
+        visit_pes!(EXHAUSTIVE, self.masks.pe_eject.0, n, |p| {
+            let pe = &mut self.pes[p];
+            if EXHAUSTIVE {
+                let member = self.masks.pe_eject.contains(p);
+                assert!(member == pe.has_drained(), "the eject set disagrees with a PE's stations");
+                if !member {
+                    continue;
+                }
+            }
+            let (q, j) = (p / pps, p % pps);
+            let (c, k) = (q / spes, q % spes);
+            let cbb = &mut self.cbbs[c];
+            if q != budget_of {
+                budget_of = q;
+                budget = u32::from(!cbb.spes[k].frc_out.is_full());
+            }
+            let Some(ej) = pe.eject(cycle, &mut budget) else {
+                continue;
+            };
+            cbb.spes[k].pe_free |= 1 << j;
+            self.masks.spe_open[k] |= 1 << c;
+            if !pe.has_drained() {
+                self.masks.pe_eject.remove(p);
+            }
+            if pe.is_idle() {
+                self.masks.pe_busy.remove(p);
+            }
+            cbb.ejected += 1;
+            self.masks.pe_totals.1 += 1;
+            // A remote-origin evaluation is complete: chained-sync
+            // bookkeeping (§4.4), with whether a force flit went back.
+            let mut completed = |origin: ChipCoord, issued: bool| {
+                let i = self.recv_index[chip_id(self.grid_yz, origin)];
+                debug_assert!(i != NO_PEER, "{origin:?} is not a receive peer");
+                let i = i as usize;
+                self.remote_pos_outstanding[i] -= 1;
+                self.outstanding_seen |= 1 << i;
+                self.frc_issued_to[i] += u64::from(issued);
+            };
+            match ej {
+                Ejection::Ring(flit, remote) => {
+                    cbb.spes[k]
+                        .frc_out
+                        .push(flit).expect("budget guaranteed frc_out space");
+                    self.masks.frc_pending[k] |= 1 << c;
+                    if remote {
+                        completed(flit.owner_chip, true);
+                    }
+                }
+                Ejection::Local { slot, force } => TimedCbb::add_force(&mut cbb.force, slot, force),
+                Ejection::Discard { origin, remote } => {
+                    if remote {
+                        completed(origin, false);
+                    }
+                }
+            }
+        });
 
         // 4. Injections.
         for k in 0..self.pos_rings.len() {
@@ -855,6 +1210,7 @@ impl TimedChip {
                             "broadcast scan would have skipped a ready cell"
                         );
                         if self.pos_rings[k].inject(i, flit).is_ok() {
+                            self.pos_rings[k].schedule(i, pos_stops(&flit, ex));
                             spe.bcast.pop_front();
                             *last = self.cycle.max(1);
                             self.masks.pos_remote_on_ring += u32::from(flit.remote_mask != 0);
@@ -881,6 +1237,7 @@ impl TimedChip {
                 };
                 assert!(!EXHAUSTIVE || self.masks.frc_pending[k] & bit != 0, "frc_pending misses a queued flit");
                 if self.frc_rings[k].inject(i, flit).is_ok() {
+                    self.frc_rings[k].schedule(i, frc_stop(&flit, chip, ex));
                     spe.frc_out.pop();
                     if spe.frc_out.is_empty() {
                         self.masks.frc_pending[k] &= !bit;
@@ -896,6 +1253,7 @@ impl TimedChip {
                     if ring_of(pos.slot) == k {
                         let flit = *pos;
                         if self.pos_rings[k].inject(ex, flit).is_ok() {
+                            self.pos_rings[k].schedule(ex, pos_stops(&flit, ex));
                             self.pos_ingress.pop_front();
                         }
                     }
@@ -904,6 +1262,7 @@ impl TimedChip {
                     if ring_of(frc.slot) == k {
                         let flit = *frc;
                         if self.frc_rings[k].inject(ex, flit).is_ok() {
+                            self.frc_rings[k].schedule(ex, frc_stop(&flit, chip, ex));
                             self.frc_ingress.pop_front();
                         }
                     }
@@ -935,11 +1294,25 @@ impl TimedChip {
         self.cycle += 1;
     }
 
+    /// After a delivery or capture edited the position flit at `node` of
+    /// ring `k` (now `flit`): drop it if no destination is left, else file
+    /// it under its next stop.
+    #[inline]
+    fn settle_flit_pos(&mut self, k: usize, node: usize, flit: &PosFlit) {
+        if flit.exhausted() {
+            self.pos_rings[k].take(node);
+        } else {
+            let stops = pos_stops(flit, self.ex_node());
+            self.pos_rings[k].schedule(node, stops);
+        }
+    }
+
     /// True when this chip has no local force-phase work left. In
     /// multi-chip mode remote work may still arrive; the cluster combines
     /// this with the chained-synchronization handshakes.
     pub fn force_phase_local_idle(&self) -> bool {
-        self.masks.cbb_live == 0
+        self.masks.pe_busy.is_empty()
+            && self.masks.spe_work.iter().all(|&m| m == 0)
             && self.masks.bcast_pending.iter().chain(&self.masks.frc_pending).all(|&m| m == 0)
             && self.pos_rings.iter().all(Ring::is_empty)
             && self.frc_rings.iter().all(Ring::is_empty)
@@ -1200,14 +1573,13 @@ impl TimedChip {
         let mut comparisons = 0;
         for cbb in &self.cbbs {
             stats.add("MU", cbb.mu_stats);
-            for spe in &cbb.spes {
-                for pe in &spe.pes {
-                    stats.add("Filter", pe.filter_stats);
-                    stats.add("PE", pe.pe_stats);
-                    valid_pairs += pe.pe_stats.work;
-                    comparisons += pe.filter_stats.work;
-                }
-            }
+        }
+        for pe in &self.pes {
+            let (filter, pipe) = (pe.filter_stats(self.cycle), pe.pe_stats(self.cycle));
+            stats.add("Filter", filter);
+            stats.add("PE", pipe);
+            valid_pairs += pipe.work;
+            comparisons += filter.work;
         }
         TimestepReport {
             force_cycles,
@@ -1240,7 +1612,11 @@ impl TimedChip {
 impl fasda_ckpt::Snapshot for TimedChip {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
-        fasda_ckpt::snapshot_slice(&self.cbbs, w);
+        let per_cbb = self.pes.len() / self.cbbs.len();
+        w.put_usize(self.cbbs.len());
+        for (cbb, pes) in self.cbbs.iter().zip(self.pes.chunks(per_cbb)) {
+            cbb.snapshot_with(pes, self.cycle, w);
+        }
         fasda_ckpt::snapshot_slice(&self.pos_rings, w);
         fasda_ckpt::snapshot_slice(&self.frc_rings, w);
         self.mig_ring.snapshot(w);
@@ -1268,7 +1644,17 @@ impl fasda_ckpt::Snapshot for TimedChip {
     }
     fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
         use fasda_ckpt::Persist;
-        fasda_ckpt::restore_slice(&mut self.cbbs, r)?;
+        let cbbs = r.get_usize()?;
+        if cbbs != self.cbbs.len() {
+            return Err(r.malformed(format!(
+                "slice length mismatch: snapshot has {cbbs}, structure has {}",
+                self.cbbs.len()
+            )));
+        }
+        let per_cbb = self.pes.len() / self.cbbs.len();
+        for (cbb, pes) in self.cbbs.iter_mut().zip(self.pes.chunks_mut(per_cbb)) {
+            cbb.restore_with(pes, r)?;
+        }
         fasda_ckpt::restore_slice(&mut self.pos_rings, r)?;
         fasda_ckpt::restore_slice(&mut self.frc_rings, r)?;
         self.mig_ring.restore(r)?;
@@ -1294,6 +1680,9 @@ impl fasda_ckpt::Snapshot for TimedChip {
             };
             self.remote_pos_outstanding[peer] = count;
             self.outstanding_seen |= 1 << peer;
+        }
+        for pe in &mut self.pes {
+            pe.reset_stats(self.cycle);
         }
         self.rebuild_masks();
         Ok(())

@@ -97,6 +97,12 @@ pub enum Direction {
 /// place but cannot remove it. `is_empty`, `occupancy` and `rotate` are
 /// O(1), and [`Ring::occupied_nodes`] lets the chip visit occupied nodes
 /// only.
+///
+/// **Stops.** A flit stays in its storage slot while the head turns, so
+/// the head value at which it sits at a given node is fixed. A flit that
+/// only stops at some nodes ([`Ring::schedule`]) is filed under the head
+/// value of its next stop, and [`Ring::due_nodes`] names the nodes whose
+/// flit is at a stop now: the chip visits those and no other.
 #[derive(Clone, Debug)]
 pub struct Ring<T> {
     slots: Vec<Option<T>>,
@@ -105,9 +111,17 @@ pub struct Ring<T> {
     head: usize,
     /// Bit `s` set iff storage slot `s` holds a flit.
     occ: u128,
+    /// By head value: the storage slots whose flit is at its next stop
+    /// while the head has that value.
+    due: Vec<u128>,
+    /// By storage slot: the `due` entry it is filed under (`NOT_DUE`).
+    when: Vec<u8>,
     /// Flit-hops performed (hardware-utilization numerator).
     pub hops: u64,
 }
+
+/// `Ring::when` of a slot without a scheduled stop.
+const NOT_DUE: u8 = u8::MAX;
 
 impl<T> Ring<T> {
     /// A ring of `nodes` registers.
@@ -119,6 +133,8 @@ impl<T> Ring<T> {
             dir,
             head: 0,
             occ: 0,
+            due: vec![0; nodes],
+            when: vec![NOT_DUE; nodes],
             hops: 0,
         }
     }
@@ -156,13 +172,65 @@ impl<T> Ring<T> {
     /// Bit `i` set iff node `i` holds a flit.
     #[inline]
     pub fn occupied_nodes(&self) -> u128 {
+        self.nodes_of(self.occ)
+    }
+
+    /// A storage-slot mask as a node mask.
+    #[inline]
+    fn nodes_of(&self, slots: u128) -> u128 {
         if self.head == 0 {
-            return self.occ;
+            return slots;
         }
         let n = self.slots.len() as u32;
         let h = self.head as u32;
         // Node i ↔ slot head + i (mod n): rotate the slot mask down by head.
-        (self.occ >> h) | ((self.occ << (n - h)) & (u128::MAX >> (128 - n)))
+        (slots >> h) | ((slots << (n - h)) & (u128::MAX >> (128 - n)))
+    }
+
+    /// Bit `i` set iff the flit at node `i` is at a stop it was scheduled
+    /// for ([`Ring::schedule`]).
+    #[inline]
+    pub fn due_nodes(&self) -> u128 {
+        self.nodes_of(self.due[self.head])
+    }
+
+    /// File the flit at `node` under the first node of `stops` it reaches
+    /// after this one — `node` itself a full lap on, if it is the only
+    /// stop — replacing any earlier schedule; `stops == 0` clears it.
+    pub fn schedule(&mut self, node: usize, stops: u128) {
+        let n = self.slots.len();
+        debug_assert!(stops >> n == 0, "a stop past the last node");
+        let s = self.slot_of(node);
+        debug_assert!(self.slots[s].is_some(), "scheduling an empty register");
+        self.unschedule(s);
+        if stops == 0 {
+            return;
+        }
+        let below = |k: usize| if k >= 128 { u128::MAX } else { (1u128 << k) - 1 };
+        let stop = match self.dir {
+            Direction::Clockwise => {
+                let after = stops & !below(node + 1);
+                (if after != 0 { after } else { stops }).trailing_zeros() as usize
+            }
+            Direction::CounterClockwise => {
+                let before = stops & below(node);
+                127 - (if before != 0 { before } else { stops }).leading_zeros() as usize
+            }
+        };
+        // Slot s is at node `stop` when (head + stop) mod n == s.
+        let h = (s + n - stop) % n;
+        self.due[h] |= 1u128 << s;
+        self.when[s] = h as u8;
+    }
+
+    /// Drop storage slot `s`'s schedule, if any.
+    #[inline]
+    fn unschedule(&mut self, s: usize) {
+        let h = self.when[s];
+        if h != NOT_DUE {
+            self.due[h as usize] &= !(1u128 << s);
+            self.when[s] = NOT_DUE;
+        }
     }
 
     /// Advance every flit one hop.
@@ -193,12 +261,13 @@ impl<T> Ring<T> {
         Some(flit)
     }
 
-    /// Remove and return the flit at `node`.
+    /// Remove and return the flit at `node` (and its schedule).
     #[inline]
     pub fn take(&mut self, node: usize) -> Option<T> {
         let s = self.slot_of(node);
         let flit = self.slots[s].take()?;
         self.occ &= !(1u128 << s);
+        self.unschedule(s);
         Some(flit)
     }
 
@@ -234,7 +303,8 @@ fasda_ckpt::persist_struct!(MigFlit { dest_gcell, id, elem, offset, vel });
 /// registers and the hop counter are state. Registers are written in
 /// logical node order — the byte layout of the register file the ring
 /// used to rotate physically — so the head index is not state: a restored
-/// ring starts with node 0 in slot 0.
+/// ring starts with node 0 in slot 0. Schedules are not state either: the
+/// owner re-files every restored flit ([`Ring::schedule`]).
 impl<T: fasda_ckpt::Persist> fasda_ckpt::Snapshot for Ring<T> {
     fn snapshot(&self, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
@@ -254,6 +324,8 @@ impl<T: fasda_ckpt::Persist> fasda_ckpt::Snapshot for Ring<T> {
             )));
         }
         self.head = 0;
+        self.due.fill(0);
+        self.when.fill(NOT_DUE);
         self.occ = slots
             .iter()
             .enumerate()
@@ -312,6 +384,66 @@ mod tests {
         assert_eq!(r.at(1), Some(&0));
         assert_eq!(r.at(2), Some(&1));
         assert_eq!(r.occupancy(), 2);
+    }
+
+    mod stops {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Flits filed under their stops are due at exactly the nodes
+            /// of their stop masks as the ring turns, in both directions:
+            /// a flit served at a stop drops it (and leaves the ring with
+            /// its last), one that is refused keeps it for the next lap.
+            #[test]
+            fn flits_are_due_exactly_at_their_stops(
+                nodes in 2usize..70,
+                clockwise in 0u32..2,
+                seed in 1u64..u64::MAX,
+            ) {
+                let dir = if clockwise == 1 { Direction::Clockwise } else { Direction::CounterClockwise };
+                let mut ring: Ring<u128> = Ring::new(nodes, dir);
+                let mut state = seed;
+                let mut next = || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let all = u128::MAX >> (128 - nodes);
+                for _ in 0..1 + next() % 6 {
+                    let node = (next() % nodes as u64) as usize;
+                    let stops = (u128::from(next()) << 64 | u128::from(next())) & all & (u128::from(next()) | u128::from(next()) << 64);
+                    if stops != 0 && ring.inject(node, stops).is_ok() {
+                        ring.schedule(node, stops);
+                    }
+                }
+                for _ in 0..3 * nodes {
+                    ring.rotate();
+                    let due = ring.due_nodes();
+                    let mut want = 0u128;
+                    for n in 0..nodes {
+                        if ring.at(n).is_some_and(|stops| stops >> n & 1 != 0) {
+                            want |= 1 << n;
+                        }
+                    }
+                    prop_assert_eq!(due, want);
+                    for n in (0..nodes).filter(|n| due >> n & 1 != 0) {
+                        if next() % 3 == 0 {
+                            let stops = *ring.at(n).unwrap();
+                            ring.schedule(n, stops); // refused: next lap
+                        } else {
+                            let stops = *ring.update(n, |s| *s &= !(1 << n)).unwrap();
+                            if stops == 0 {
+                                ring.take(n);
+                            } else {
+                                ring.schedule(n, stops);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     mod head_index {

@@ -18,7 +18,7 @@
 //! Regenerate (only for a deliberate model change) with
 //! `FASDA_REGEN_GOLDEN_TICK=1 cargo test -p fasda-core --test golden_tick`.
 
-use fasda_ckpt::{Snapshot, Writer};
+use fasda_ckpt::{Reader, Snapshot, Writer};
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::ChipGeometry;
 use fasda_core::timed::TimedChip;
@@ -146,7 +146,7 @@ fn parse(text: &str) -> BTreeMap<String, String> {
 
 fn pe_census(chip: &TimedChip) -> (u32, u32) {
     let (mut full, mut drained) = (0, 0);
-    for pe in chip.cbbs.iter().flat_map(|c| &c.spes).flat_map(|s| s.pes()) {
+    for pe in chip.pes() {
         full += pe.stalled_mask().count_ones();
         drained += pe.drained_mask().count_ones();
     }
@@ -268,6 +268,11 @@ fn midphase_snapshot_bytes_match_the_pinned_parent() {
         assert!(full > 0, "cut must hold a full pair FIFO");
         assert!(drained > 0, "cut must hold a drained, unejected station");
         let got = snapshot_bytes(&chip);
+        // A chip restored from the cut writes it back byte for byte:
+        // in-flight pairs, accumulators and FC banks survive the codec.
+        let mut back = new_chip(CUT.0, &sys, fast);
+        back.restore(&mut Reader::new(&got, "chip")).expect("restore own snapshot");
+        assert!(snapshot_bytes(&back) == got, "fast={fast}: restore → snapshot round trip");
         if fast {
             // The planned engine also persists its scan plans; its bytes
             // are pinned by length and hash.

@@ -17,6 +17,7 @@ mod pe_reference;
 use fasda_arith::fixed::FixVec3;
 use fasda_arith::interp::TableConfig;
 use fasda_ckpt::{Reader, Snapshot, Writer};
+use fasda_sim::Cycle;
 use fasda_core::datapath::{ForceDatapath, HomeSoa};
 use fasda_core::geometry::ChipCoord;
 use fasda_core::timed::pe::{Ejection, NbrEntry, NbrKind, Pe};
@@ -48,6 +49,14 @@ impl Rng {
 fn snapshot_of(pe: &impl Snapshot) -> Vec<u8> {
     let mut w = Writer::new();
     pe.snapshot(&mut w);
+    w.into_bytes()
+}
+
+/// The production PE's snapshot with its cursors materialised at clock
+/// `now`, the next cycle it steps.
+fn snapshot_at(pe: &Pe, now: Cycle) -> Vec<u8> {
+    let mut w = Writer::new();
+    pe.snapshot_at(now, &mut w);
     w.into_bytes()
 }
 
@@ -101,7 +110,7 @@ proptest! {
     fn event_timed_pe_matches_the_per_station_walk(
         seed in 1u64..u64::MAX,
         stations in 1u32..33,
-        latency in 1u32..65,
+        latency in 1u32..201,
         depth in 1usize..9,
         home_len in 0usize..131,
         first_cycle in 0u64..200_000,
@@ -139,15 +148,15 @@ proptest! {
                 let entry = random_entry(&mut rng, home_len);
                 if rng.below(2) == 0 {
                     reference.dispatch_planned(entry, &dp, &soa);
-                    pe.dispatch_planned(entry, &dp, &soa);
+                    pe.dispatch_planned(cycle, entry, &dp, &soa);
                     if let Some(r) = resumed.as_mut() {
-                        r.dispatch_planned(entry, &dp, &soa);
+                        r.dispatch_planned(cycle, entry, &dp, &soa);
                     }
                 } else {
                     reference.dispatch(entry);
-                    pe.dispatch(entry);
+                    pe.dispatch(cycle, entry);
                     if let Some(r) = resumed.as_mut() {
-                        r.dispatch(entry);
+                        r.dispatch(cycle, entry);
                     }
                 }
             }
@@ -163,9 +172,9 @@ proptest! {
             prop_assert_eq!(b_pe, b_ref, "cycle {}: budget", t);
             prop_assert_eq!(pe.is_idle(), reference.is_idle(), "cycle {}: idle", t);
             prop_assert_eq!(pe.has_free_station(), reference.has_free_station(), "cycle {}: free", t);
-            prop_assert_eq!(pe.filter_stats, reference.filter_stats, "cycle {}: filter_stats", t);
-            prop_assert_eq!(pe.pe_stats, reference.pe_stats, "cycle {}: pe_stats", t);
-            let bytes = snapshot_of(&pe);
+            prop_assert_eq!(pe.filter_stats(cycle + 1), reference.filter_stats, "cycle {}: filter_stats", t);
+            prop_assert_eq!(pe.pe_stats(cycle + 1), reference.pe_stats, "cycle {}: pe_stats", t);
+            let bytes = snapshot_at(&pe, cycle + 1);
             prop_assert!(bytes == snapshot_of(&reference), "cycle {}: snapshot bytes", t);
 
             if let Some(r) = resumed.as_mut() {
@@ -173,13 +182,14 @@ proptest! {
                 let r_res = r.step(cycle, &dp, &home_elem, &home_concat, &mut ej_resumed, &mut b);
                 prop_assert_eq!(bits(r_res), bits(r_pe), "cycle {}: resumed retire", t);
                 prop_assert_eq!(b, b_pe, "cycle {}: resumed budget", t);
-                prop_assert!(snapshot_of(r) == bytes, "cycle {}: resumed snapshot bytes", t);
+                prop_assert!(snapshot_at(r, cycle + 1) == bytes, "cycle {}: resumed snapshot bytes", t);
             } else if t == restore_at {
                 let mut fresh = Pe::new(stations, latency, depth);
                 let mut reader = Reader::new(&bytes, "pe");
                 fresh.restore(&mut reader).expect("restore own snapshot");
+                fresh.reset_stats(cycle + 1);
                 prop_assert!(reader.is_exhausted());
-                prop_assert!(snapshot_of(&fresh) == bytes, "restore → snapshot round trip");
+                prop_assert!(snapshot_at(&fresh, cycle + 1) == bytes, "restore → snapshot round trip");
                 ej_resumed = ej_pe.clone();
                 resumed = Some(fresh);
             }

@@ -4,9 +4,11 @@
 //! per-cycle mask walk, `planned`-bit branch, modulo arbiter and snapshot
 //! codec included — so `pe_differential.rs` can drive it cycle by cycle
 //! against the production PE. It is deliberately *not* tidied: its value
-//! is that it is the code the golden fixtures were cut from. The one edit
-//! is the free-station mask, whose `1u32 << 32` overflowed at exactly 32
-//! stations (no configuration in the tree reached it).
+//! is that it is the code the golden fixtures were cut from. Two edits:
+//! the free-station mask, whose `1u32 << 32` overflowed at exactly 32
+//! stations (no configuration in the tree reached it), and an ejection
+//! clears the station's scan plan, as the production PE's does, so a
+//! checkpoint of a free station carries no stale plan.
 
 // Componentwise `for k in 0..3` loops mirror the per-lane datapath.
 #![allow(clippy::needless_range_loop)]
@@ -327,6 +329,10 @@ impl RefPe {
                 continue; // retry next cycle
             }
             st.entry = None;
+            // The plan dies with the entry (mirrors the production PE,
+            // whose checkpoint of a free station carries no plan).
+            st.plan.clear();
+            st.plan_next = 0;
             self.occupied &= !bit;
             self.done &= !bit;
             self.planned &= !bit;

@@ -181,3 +181,36 @@ fn fast_path_and_soa_scan_bit_identical_to_plain_walk() {
         }
     }
 }
+
+#[test]
+fn long_cells_force_phase_bit_identical_on_every_engine() {
+    // Cells long enough that a station's next filter event can lie past
+    // the filter wheel's reach (`pe::FILTER_REACH`). Too dense for a
+    // stable motion update, so only the force phase is compared: cycle
+    // count, utilization stats and FC-bank bits.
+    let sys = workload(150, 19);
+    let geo = ChipGeometry::single_chip(sys.space);
+    let run = |fast_path: bool, soa: bool| {
+        let mut chip = TimedChip::new(ChipConfig::baseline(), geo, UnitSystem::PAPER, 2.0);
+        chip.load(&sys);
+        chip.set_fast_path(fast_path);
+        chip.set_soa_scan(soa);
+        chip.reset_stats();
+        chip.begin_force_phase();
+        let mut cycles = 0;
+        while !chip.force_phase_local_idle() {
+            chip.step_force_cycle();
+            cycles += 1;
+        }
+        let fc_bits: Vec<_> = chip
+            .cbbs
+            .iter()
+            .flat_map(|cbb| cbb.force.iter().map(|f| f.map(|a| a.0)))
+            .collect();
+        (cycles, chip.report(cycles, 0).stats, fc_bits)
+    };
+    let plain = run(false, false);
+    for (fast_path, soa) in [(false, true), (true, true)] {
+        assert!(plain == run(fast_path, soa), "fast_path {fast_path}, soa {soa} drifted");
+    }
+}

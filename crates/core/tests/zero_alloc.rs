@@ -1,8 +1,10 @@
 //! A count gate, not a clock gate: once a force phase is under way, the
 //! chip tick allocates nothing. Scan plans, pair FIFOs, force pipelines,
-//! scratch and egress buffers all reach their steady capacity during the
-//! warm-up, so 2,000 mid-phase cycles of a dense variant-A chip and of a
-//! variant-C chip must run with **zero** heap allocations — a regression
+//! stage-visit scratch and egress buffers all reach their steady capacity
+//! during the warm-up, so 2,000 mid-phase cycles of a dense variant-A chip
+//! and of a variant-C chip, and the body of a sparse variant-A chip's
+//! short force phase (where ring delivery, not the PEs, is most of the
+//! tick), must run with **zero** heap allocations — a regression
 //! here (a per-cycle `collect()`, a buffer rebuilt per tick) costs host
 //! time on every simulated cycle and no wall-clock assertion would catch
 //! it reliably on a shared CI host.
@@ -57,15 +59,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const WARM_CYCLES: u64 = 300;
-const MEASURED_CYCLES: u64 = 2_000;
-
-/// Allocations across `MEASURED_CYCLES` force cycles of a force phase,
-/// after `warm_steps` whole warm-up timesteps and `WARM_CYCLES` of this
-/// phase. (A station's scan plan grows to the longest hit list it has
-/// held; with six times the stations, variant C needs more steps for
-/// every station to have seen a long one.)
-fn allocations_mid_phase(variant: DesignVariant, per_cell: u32, warm_steps: u32) -> u64 {
+/// Allocations across `measured` force cycles of a force phase, after
+/// `warm_steps` whole warm-up timesteps and `warm` cycles of this phase.
+/// (A station's scan plan grows to the longest hit list it has held;
+/// with six times the stations, variant C needs more steps for every
+/// station to have seen a long one.)
+fn allocations_mid_phase(variant: DesignVariant, per_cell: u32, warm_steps: u32, (warm, measured): (u64, u64)) -> u64 {
     let space = SimulationSpace::cubic(3);
     let sys = WorkloadSpec {
         space,
@@ -87,12 +86,12 @@ fn allocations_mid_phase(variant: DesignVariant, per_cell: u32, warm_steps: u32)
 
     chip.reset_stats();
     chip.begin_force_phase();
-    for _ in 0..WARM_CYCLES {
+    for _ in 0..warm {
         chip.step_force_cycle();
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     MEASURING.with(|m| m.set(true));
-    for _ in 0..MEASURED_CYCLES {
+    for _ in 0..measured {
         chip.step_force_cycle();
     }
     MEASURING.with(|m| m.set(false));
@@ -105,14 +104,21 @@ fn allocations_mid_phase(variant: DesignVariant, per_cell: u32, warm_steps: u32)
 
 #[test]
 fn mid_phase_force_cycles_do_not_allocate() {
+    const DENSE: (u64, u64) = (300, 2_000);
     assert_eq!(
-        allocations_mid_phase(DesignVariant::A, 64, 1),
+        allocations_mid_phase(DesignVariant::A, 64, 1, DENSE),
         0,
         "variant A, 64 per cell"
     );
     assert_eq!(
-        allocations_mid_phase(DesignVariant::C, 64, 3),
+        allocations_mid_phase(DesignVariant::C, 64, 3, DENSE),
         0,
         "variant C, 64 per cell"
+    );
+    // A 4-per-cell phase is a few hundred cycles long.
+    assert_eq!(
+        allocations_mid_phase(DesignVariant::A, 4, 1, (40, 250)),
+        0,
+        "variant A, 4 per cell"
     );
 }
