@@ -68,6 +68,8 @@ const SERVE: Grammar = Grammar {
     flags: "--dir= --listen= --workers= --default-ckpt-every= --policy-bench= --failure-rate= \
             --step-ms= --tenant= --max-restarts=",
 };
+/// `fasda repro FIGURE|TABLE`; each table reads a subset of these.
+const REPRO: Grammar = Grammar { verb: true, flags: "--steps= --serial --interval= --space=" };
 const JOB: Grammar = Grammar {
     verb: true,
     flags: "--connect= --spec= --name= --tenant= --priority= --total= --per-fpga= --per-cell= \
@@ -234,6 +236,7 @@ fn usage() -> ExitCode {
          \x20           {FINISHED_KEPT} finished; older ids answer from the queue journal)\n\
          \x20 fasda job cancel|logs|migrate|wait --connect ENDPOINT --id N\n\
          \x20 fasda job metrics|shutdown --connect ENDPOINT\n\
+         \x20 fasda repro FIGURE|TABLE [--steps N] [--serial] [--interval K] [--space D]\n\
          \n\
          fault-plan grammar: drop=P,corrupt=P,dup=P,delay=P:MAX,seed=N,\n\
          \x20                   kill=CHAN:SRC->DST:N,crash=NODE@STEP (repeatable),\n\
@@ -836,6 +839,50 @@ fn wait_timeout(opts: &Opts) -> Result<std::time::Duration, String> {
     Ok(std::time::Duration::from_secs(opts.parse_or("--timeout", 3600)?))
 }
 
+/// `fasda repro` — print a figure's or one table's rows of the paper's
+/// evaluation (`fasda_bench::TABLES`) as Markdown.
+fn cmd_repro(opts: &Opts) -> Result<(), String> {
+    let names = || {
+        let tables = fasda_bench::TABLES.iter().map(|t| t.id).filter(|id| id.contains('.'));
+        fasda_bench::figures().into_iter().chain(tables).collect::<Vec<_>>().join(", ")
+    };
+    let name = opts.verb.as_deref().ok_or_else(|| format!("repro needs a figure or table: {}", names()))?;
+    let tables = fasda_bench::select(name);
+    if tables.is_empty() {
+        return Err(format!("unknown figure or table '{name}' (one of: {})", names()));
+    }
+    for (flag, _) in &opts.flags {
+        if !tables.iter().any(|t| t.flags.split(' ').any(|f| f == flag)) {
+            return Err(format!("repro {name} does not read {flag}"));
+        }
+    }
+    let positive = |key| match opts.get(key).map(str::parse::<u32>) {
+        None => Ok(None),
+        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
+        Some(_) => Err(format!("{key} must be a whole number >= 1")),
+    };
+    let space = positive("--space")?;
+    if let Some(d) = space {
+        // Bounded as `fasda run --total` is (one digit an axis), with room for a 12³ sync ablation.
+        if d > 12 {
+            return Err("--space must be at most 12".into());
+        }
+        // ablate_sync puts 3×3×3 cells on each chip; fig19 has no chips.
+        let block = if name == "ablate_sync" { 3 } else { 1 };
+        RunSpec::geometry((d, d, d), (block, block, block)).map_err(|e| e.to_string())?;
+    }
+    let spec = fasda_bench::Spec {
+        steps: positive("--steps")?.map(u64::from),
+        serial: opts.has("--serial"),
+        interval: positive("--interval")?.map(u64::from),
+        space,
+    };
+    for (i, table) in tables.iter().enumerate() {
+        print!("{}{}", if i > 0 { "\n" } else { "" }, table.render(&spec));
+    }
+    Ok(())
+}
+
 fn cmd_ckpt(opts: &Opts) -> Result<(), String> {
     match opts.verb.as_deref() {
         Some("policy") => cmd_ckpt_policy(opts),
@@ -858,6 +905,7 @@ fn main() -> ExitCode {
         "ckpt" => (&CKPT, cmd_ckpt),
         "serve" => (&SERVE, cmd_serve),
         "job" => (&JOB, cmd_job),
+        "repro" => (&REPRO, cmd_repro),
         _ => return usage(),
     };
     match Opts::parse(grammar, args).and_then(|opts| command(&opts)) {

@@ -243,10 +243,6 @@ pub fn validate_sharding(
 // Wire codecs
 // ---------------------------------------------------------------------------
 
-/// Smallest possible encoding of a [`WireEvent`]: the fixed header
-/// plus the message tag. Bounds the event count a frame can claim.
-const MIN_EVENT_BYTES: usize = 8 + 1 + 4 + 4 + 8 + 8 + 1;
-
 persist_struct!(WireEvent { cycle, stage, src, dst, arrive, extra, msg });
 
 /// Injected-crash announcement carried in a window frame: every worker
@@ -307,37 +303,12 @@ persist_struct!(WindowNotes {
 enum MeshFrame {
     /// One round's exchange: the sender's notes plus the wire events it
     /// captured for the receiver's nodes, in generation order.
-    Window { notes: WindowNotes, events: Events },
+    Window { notes: WindowNotes, events: Vec<WireEvent> },
     /// Mesh handshake: the connecting worker announces its shard index.
     Id(u32),
 }
 
 persist_enum!(MeshFrame { 0 => Window { notes, events }, 1 => Id(index) });
-
-/// The wire events of a window frame. Loading refuses a count the
-/// payload cannot hold before anything is reserved for it.
-#[derive(Debug)]
-struct Events(Vec<WireEvent>);
-
-impl Persist for Events {
-    fn save(&self, w: &mut Writer) {
-        self.0.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        let n = r.get_len()?;
-        if n > r.remaining() / MIN_EVENT_BYTES {
-            return Err(r.malformed(format!(
-                "window frame claims {n} events in {} bytes",
-                r.remaining()
-            )));
-        }
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(WireEvent::load(r)?);
-        }
-        Ok(Events(events))
-    }
-}
 
 /// A frame of the shard protocol: its bytes are its [`Persist`]
 /// encoding.
@@ -851,7 +822,7 @@ fn run_segment(
             .enumerate()
             .filter(|&(w, _)| w != index)
             .map(|(_, events)| {
-                MeshFrame::Window { notes: notes.clone(), events: Events(events) }.encode()
+                MeshFrame::Window { notes: notes.clone(), events }.encode()
             })
             .collect();
         ctx.obs.gauges.windows += 1;
@@ -872,7 +843,7 @@ fn run_segment(
             match MeshFrame::decode(&bytes) {
                 Ok(MeshFrame::Window { notes, events }) => {
                     heard.push(notes);
-                    pending.extend(events.0);
+                    pending.extend(events);
                 }
                 Ok(other) => {
                     return Err(SegmentFail::Link(format!(
@@ -1633,8 +1604,7 @@ mod tests {
             notes: &WindowNotes,
             events: impl Iterator<Item = &'a WireEvent>,
         ) -> Vec<u8> {
-            let events = Events(events.cloned().collect());
-            MeshFrame::Window { notes: notes.clone(), events }.encode()
+            MeshFrame::Window { notes: notes.clone(), events: events.cloned().collect() }.encode()
         }
     }
 
@@ -1750,7 +1720,7 @@ mod tests {
                             .iter()
                             .map(|bytes| match MeshFrame::decode(bytes).expect("decodes") {
                                 MeshFrame::Window { notes, events } => {
-                                    (notes.clock, events.0.len(), events.0[0].src)
+                                    (notes.clock, events.len(), events[0].src)
                                 }
                                 other => panic!("unexpected frame {other:?}"),
                             })
@@ -1813,8 +1783,8 @@ mod tests {
             match MeshFrame::decode(&bytes).expect("round trip") {
                 MeshFrame::Window { notes: n, events: e } => {
                     assert_eq!(n, notes, "case {case}");
-                    assert_eq!(e.0.len(), events.len(), "case {case}");
-                    for (got, want) in e.0.iter().zip(&events) {
+                    assert_eq!(e.len(), events.len(), "case {case}");
+                    for (got, want) in e.iter().zip(&events) {
                         assert_eq!(
                             (got.cycle, got.stage, got.src, got.dst, got.arrive, got.extra),
                             (want.cycle, want.stage, want.src, want.dst, want.arrive, want.extra)

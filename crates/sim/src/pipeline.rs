@@ -71,12 +71,6 @@ impl<T> Pipeline<T> {
         }
     }
 
-    /// Cycle at which the oldest item in flight becomes ready.
-    #[inline]
-    pub fn next_ready(&self) -> Option<Cycle> {
-        self.in_flight.front().map(|&(ready, _)| ready)
-    }
-
     /// Items currently in flight.
     #[inline]
     pub fn in_flight(&self) -> usize {

@@ -48,8 +48,8 @@
 //! assert!(rate > 0.5, "simulation rate {rate} µs/day");
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/`
-//! for the harnesses regenerating every table and figure of the paper.
+//! See `examples/` for runnable scenarios and `fasda-cli repro` (rows
+//! from `crates/bench`) for every table and figure of the paper.
 
 pub use fasda_arith as arith;
 pub use fasda_baseline as baseline;
