@@ -67,6 +67,20 @@ impl Fix {
         Fix((v * SCALE as f64).round() as i32)
     }
 
+    /// [`Fix::from_f64`] when `v` rounds onto the `Q5.26` grid; `None`
+    /// where the conversion would overflow (or `v` is not a number).
+    #[inline]
+    pub fn try_from_f64(v: f64) -> Option<Self> {
+        let bits = (v * SCALE as f64).round();
+        (i32::MIN as f64..=i32::MAX as f64).contains(&bits).then_some(Fix(bits as i32))
+    }
+
+    /// `self + rhs`, or `None` where the sum leaves the `Q5.26` range.
+    #[inline]
+    pub fn checked_add(self, rhs: Fix) -> Option<Self> {
+        self.0.checked_add(rhs.0).map(Fix)
+    }
+
     /// Convert from `f32`.
     #[inline]
     pub fn from_f32(v: f32) -> Self {

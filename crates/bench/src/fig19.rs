@@ -45,29 +45,42 @@ fn total_energy(sys: &mut ParticleSystem, eng: &mut CellListEngine) -> f64 {
 
 /// `steps` steps on a `d`³ space: the initial energies, then both
 /// trajectories' energies every `interval` steps and at the last step.
+/// The two trajectories are independent, so each integrates — and
+/// measures its own energy at the sample steps — on a thread of its own.
 pub fn energy(steps: u64, interval: u64, d: u32) -> Vec<EnergyRow> {
     let sys = workload(SimulationSpace::cubic(d));
     let table = PairTable::new(UnitSystem::PAPER);
-    let mut chip = FunctionalChip::load(&sys, TableConfig::PAPER, 2.0);
-    let mut ref_sys = sys.clone();
-    let mut ref_eng = CellListEngine::new(table.clone());
-    let mut meas_eng = CellListEngine::new(table);
-    let mut sample = |step, chip: &FunctionalChip, ref_sys: &ParticleSystem| EnergyRow {
-        step,
-        reference: total_energy(&mut ref_sys.clone(), &mut meas_eng),
-        fasda: total_energy(&mut chip.snapshot(), &mut meas_eng),
-    };
-    let mut rows = vec![sample(0, &chip, &ref_sys)];
-    let mut next = interval;
-    for step in 1..=steps {
-        chip.step();
-        ref_eng.step(&mut ref_sys, &Integrator::PAPER);
-        if step == next || step == steps {
-            next += interval;
-            rows.push(sample(step, &chip, &ref_sys));
+    let sampled = |step: u64| step.is_multiple_of(interval) || step == steps;
+    let (fasda, reference) = std::thread::scope(|s| {
+        let fasda = s.spawn(|| {
+            let mut chip = FunctionalChip::load(&sys, TableConfig::PAPER, 2.0);
+            let mut meas = CellListEngine::new(table.clone());
+            let mut energies = vec![total_energy(&mut chip.snapshot(), &mut meas)];
+            for step in 1..=steps {
+                chip.step();
+                if sampled(step) {
+                    energies.push(total_energy(&mut chip.snapshot(), &mut meas));
+                }
+            }
+            energies
+        });
+        let mut ref_sys = sys.clone();
+        let mut ref_eng = CellListEngine::new(table.clone());
+        let mut meas = CellListEngine::new(table.clone());
+        let mut energies = vec![(0, total_energy(&mut ref_sys.clone(), &mut meas))];
+        for step in 1..=steps {
+            ref_eng.step(&mut ref_sys, &Integrator::PAPER);
+            if sampled(step) {
+                energies.push((step, total_energy(&mut ref_sys.clone(), &mut meas)));
+            }
         }
-    }
-    rows
+        (fasda.join().expect("FASDA trajectory thread"), energies)
+    });
+    reference
+        .into_iter()
+        .zip(fasda)
+        .map(|((step, reference), fasda)| EnergyRow { step, reference, fasda })
+        .collect()
 }
 
 /// The largest relative error of `rows` (step 0 included).

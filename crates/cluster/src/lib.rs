@@ -31,7 +31,7 @@ pub use ckpt::{
 };
 pub use driver::{
     state_dump, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
-    DeadlockDetected, EngineConfig, LookaheadViolation, MAX_RUN_CYCLES,
+    DeadlockDetected, EngineConfig, LookaheadViolation, MotionOverflow, MAX_RUN_CYCLES,
 };
 pub use fasda_net::fault::CrashPoint;
 pub use fasda_net::fault::{FaultChannel, FaultPlan, LinkFaults, LinkFlap, MarkerKill, Partition};

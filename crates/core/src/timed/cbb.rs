@@ -287,14 +287,16 @@ impl TimedCbb {
 
     /// One MU cycle: stream one slot into the MU pipeline; retire at most
     /// one slot, applying the leapfrog update in the MU's arithmetic.
-    /// Migrating particles are tombstoned and queued on the MURN.
+    /// Migrating particles are tombstoned and queued on the MURN. Returns
+    /// the id of a retired particle whose displacement would leave the
+    /// `Q5.26` grid — it keeps its old position, and the run must fail.
     pub fn step_mu(
         &mut self,
         cycle: Cycle,
         dt_fs: f64,
         acc_over_mass: &[f32; Element::COUNT],
         global: &fasda_md::space::SimulationSpace,
-    ) {
+    ) -> Option<u32> {
         let n = self.len() as u16;
         let mut active = false;
         // issue
@@ -314,14 +316,18 @@ impl TimedCbb {
                 v[k] += self.force[i][k].to_f32() * aom * dt_fs as f32;
             }
             self.vel[i] = v;
-            let d = FixVec3::new(
-                Fix::from_f64(v[0] as f64 * dt_fs),
-                Fix::from_f64(v[1] as f64 * dt_fs),
-                Fix::from_f64(v[2] as f64 * dt_fs),
-            );
-            let (wx, mx) = (self.offset[i].x + d.x).wrap_cell();
-            let (wy, my) = (self.offset[i].y + d.y).wrap_cell();
-            let (wz, mz) = (self.offset[i].z + d.z).wrap_cell();
+            // The new offset must stay on the Q5.26 grid: a displacement
+            // that leaves it is reported, never saturated into a wrong
+            // position.
+            let off = self.offset[i];
+            let moved = |o: Fix, vk: f32| Fix::try_from_f64(vk as f64 * dt_fs)?.checked_add(o);
+            let (Some(x), Some(y), Some(z)) = (moved(off.x, v[0]), moved(off.y, v[1]), moved(off.z, v[2]))
+            else {
+                return Some(self.id[i]);
+            };
+            let (wx, mx) = x.wrap_cell();
+            let (wy, my) = y.wrap_cell();
+            let (wz, mz) = z.wrap_cell();
             let new_off = FixVec3::new(wx, wy, wz);
             if (mx, my, mz) == (0, 0, 0) {
                 self.offset[i] = new_off;
@@ -341,6 +347,7 @@ impl TimedCbb {
         }
         self.mu_stats
             .record(work, active || !self.mu_pipe.is_empty());
+        None
     }
 
     /// Stage a migrant delivered by the motion-update ring.

@@ -87,6 +87,7 @@ impl<P: PartialEq + Clone, T> Packetizer<P, T> {
     }
 
     /// Release at most one packet this cycle, respecting the cooldown.
+    #[inline]
     pub fn tick(&mut self, cycle: Cycle) -> Option<(P, Packet<T>)> {
         if cycle < self.next_allowed {
             return None;
@@ -107,6 +108,7 @@ impl<P: PartialEq + Clone, T> Packetizer<P, T> {
     /// packet, or `None` when nothing is queued for departure. Staged
     /// payloads that have not yet formed a packet do not count: they only
     /// become releasable through a further `offer`/`flush` call.
+    #[inline]
     pub fn next_departure(&self, now: Cycle) -> Option<Cycle> {
         if self.ready.is_empty() {
             None

@@ -162,17 +162,20 @@ impl<T: Clone> LinkSender<T> {
 
     /// Earliest retransmission deadline among unacked packets, if any.
     /// Fast-forward and burst windows must not jump past this.
+    #[inline]
     pub fn next_retx_due(&self) -> Option<u64> {
         self.window.values().next().map(|p| p.deadline)
     }
 
     /// True when at least one packet has been retransmitted and is still
     /// unacked (used for `retransmit` stall attribution).
+    #[inline]
     pub fn retransmitting(&self) -> bool {
         self.window.values().next().is_some_and(|p| p.attempts > 0)
     }
 
     /// Unacked packets in flight.
+    #[inline]
     pub fn inflight(&self) -> usize {
         self.window.len()
     }

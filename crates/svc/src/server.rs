@@ -528,6 +528,11 @@ fn execute(
     run.ckpt = Some(CheckpointConfig::new(every, sh.cfg.ckpt_root.join(format!("job-{id}"))));
     run.faults = faults.map(|plan| *plan);
     run.resume = resume;
+    // Every worker may be running a job at once: each gets its share of
+    // the cores for the window protocol, so jobs never oversubscribe the
+    // host (two workers on two cores keep one thread per job).
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    run.engine = run.engine.with_threads((cores / sh.cfg.workers).max(1));
 
     let mut note = |line: String| log_to(sh, id, format!("worker {worker}: {line}"));
     let mut ctl = |status: &fasda_cluster::SegmentStatus| -> SegmentControl {
