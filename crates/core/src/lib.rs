@@ -41,4 +41,4 @@ pub use config::{ChipConfig, DesignVariant, HwParams};
 pub use datapath::ForceDatapath;
 pub use functional::FunctionalChip;
 pub use geometry::{ChipCoord, ChipGeometry, Dest};
-pub use timed::{PhaseReport, TimedChip, TimestepReport};
+pub use timed::{MuOverflow, PhaseReport, TimedChip, TimestepReport};
