@@ -472,6 +472,10 @@ pub(crate) struct RelState {
     pub(crate) acks_sent: u64,
     /// Corrupted frames discarded at receivers (checksum failures).
     pub(crate) corrupt_dropped: u64,
+    /// Per node: the earliest retransmission deadline over its outbound
+    /// links (`u64::MAX`: none), kept up to date by every launch, ack and
+    /// retransmission, so a poll of it is one load.
+    due: Vec<u64>,
 }
 
 impl RelState {
@@ -482,6 +486,7 @@ impl RelState {
             rx: (0..nodes).map(|_| Default::default()).collect(),
             acks_sent: 0,
             corrupt_dropped: 0,
+            due: vec![u64::MAX; nodes],
         }
     }
 
@@ -491,6 +496,32 @@ impl RelState {
         self.tx[node][chan_index(kind)]
             .entry(peer)
             .or_insert_with(|| LinkSender::new(cfg))
+    }
+
+    /// Launch `d` on `node`'s link to `peer` at `now`; returns its
+    /// sequence number.
+    #[inline]
+    fn launch(&mut self, node: usize, kind: PacketKind, peer: usize, now: u64, d: Delivery) -> u32 {
+        let link = self.sender(node, kind, peer);
+        let seq = link.launch(now, d);
+        let head = link.next_retx_due().expect("a launched packet is unacked");
+        self.due[node] = self.due[node].min(head);
+        seq
+    }
+
+    /// A cumulative ack from `peer` reached `node` at `now`.
+    #[inline]
+    fn on_ack(&mut self, node: usize, kind: PacketKind, peer: usize, now: u64, seq: u32) {
+        self.sender(node, kind, peer).on_ack(now, seq);
+        self.refresh(node);
+    }
+
+    /// Re-derive `node`'s earliest deadline from its links (after an ack
+    /// or a retransmission moved a head, or a restore).
+    #[inline]
+    fn refresh(&mut self, node: usize) {
+        let links = self.tx[node].iter().flat_map(|links| links.values());
+        self.due[node] = links.filter_map(LinkSender::next_retx_due).min().unwrap_or(u64::MAX);
     }
 
     fn receiver(
@@ -503,22 +534,9 @@ impl RelState {
     }
 
     /// Earliest retransmission deadline across one node's outbound links.
-    /// Asked of every node every cycle: the plain loops (and the
-    /// `#[inline]` here and on the `LinkSender` and `Packetizer` calls of
-    /// the network phase) keep it as cheap whichever codegen unit its
-    /// callers land in — lost inlining once cost a lossy run 20 % more
-    /// CPU on one thread.
     #[inline]
     fn next_retx_due(&self, node: usize) -> Option<u64> {
-        let mut due: Option<u64> = None;
-        for links in &self.tx[node] {
-            for link in links.values() {
-                if let Some(d) = link.next_retx_due() {
-                    due = Some(due.map_or(d, |e| e.min(d)));
-                }
-            }
-        }
-        due
+        (self.due[node] != u64::MAX).then_some(self.due[node])
     }
 
     /// Whether any of the node's outbound links is actively
@@ -974,6 +992,7 @@ impl Cluster {
             if let (Some(mine), Some(theirs)) = (self.rel.as_mut(), rel.as_mut()) {
                 std::mem::swap(&mut mine.tx[n], &mut theirs.tx[n]);
                 std::mem::swap(&mut mine.rx[n], &mut theirs.rx[n]);
+                std::mem::swap(&mut mine.due[n], &mut theirs.due[n]);
             }
         }
         if let (Some(mine), Some(theirs)) = (self.faults.as_mut(), faults.as_ref()) {
@@ -1912,7 +1931,7 @@ impl Cluster {
         if let Some(rel) = &mut self.rel {
             // The stored copy keeps seq 0; retransmissions are re-tagged
             // from the sequence `poll_retransmit` reports.
-            d.seq = rel.sender(node, kind, peer).launch(self.cycle, d.clone());
+            d.seq = rel.launch(node, kind, peer, self.cycle, d.clone());
         }
         self.put_on_wire(node, peer, kind, d.seq, last, NetMsg::Data(d));
     }
@@ -1984,15 +2003,17 @@ impl Cluster {
                 continue;
             }
             for kind in KINDS {
-                let peers: Vec<usize> = self.rel.as_ref().map_or_else(Vec::new, |r| {
-                    r.tx[node][chan_index(kind)].keys().copied().collect()
-                });
-                for peer in peers {
-                    let polled = self
-                        .rel
-                        .as_mut()
-                        .and_then(|r| r.tx[node][chan_index(kind)].get_mut(&peer))
-                        .and_then(|s| s.poll_retransmit(self.cycle));
+                // Peers in ascending order, each looked up past the last
+                // (the wire may not be borrowed across the map).
+                let mut next = Some(0);
+                while let Some(from) = next {
+                    let cycle = self.cycle;
+                    let Some(rel) = self.rel.as_mut() else { return };
+                    let Some((&peer, link)) = rel.tx[node][chan_index(kind)].range_mut(from..).next() else {
+                        break;
+                    };
+                    next = peer.checked_add(1);
+                    let polled = link.poll_retransmit(cycle);
                     if let Some((seq, mut d, attempt)) = polled {
                         d.seq = seq;
                         self.trace_node_event(
@@ -2007,6 +2028,9 @@ impl Cluster {
                         self.put_on_wire(node, peer, kind, seq, d.last, NetMsg::Data(d));
                     }
                 }
+            }
+            if let Some(rel) = self.rel.as_mut() {
+                rel.refresh(node);
             }
         }
     }
@@ -2104,7 +2128,7 @@ impl Cluster {
                     NetMsg::Ack { channel, from, seq } => {
                         // Acks don't touch chip state: `quiet` stays as-is.
                         if let Some(rel) = &mut self.rel {
-                            rel.sender(node, channel, from).on_ack(self.cycle, seq);
+                            rel.on_ack(node, channel, from, self.cycle, seq);
                         }
                     }
                     NetMsg::Data(d) => {
@@ -2337,6 +2361,9 @@ impl fasda_ckpt::Snapshot for RelState {
         }
         self.acks_sent = r.get_u64()?;
         self.corrupt_dropped = r.get_u64()?;
+        for node in 0..nodes {
+            self.refresh(node);
+        }
         Ok(())
     }
 }

@@ -261,13 +261,20 @@ impl TimedCbb {
         }
     }
 
-    /// Accumulate a force into the FC at `slot` (the PE retire port, a
-    /// local reaction, or an arriving ring force).
+    /// Accumulate a force into the FC at `slot` (a local reaction or an
+    /// arriving ring force).
     #[inline(always)]
     pub(super) fn add_force(force: &mut [[FixAcc; 3]], slot: u16, f: [f32; 3]) {
+        Self::add_fix(force, slot, &FixAcc::from_f32x3(f));
+    }
+
+    /// Accumulate an already quantised force into the FC at `slot` (the
+    /// PE's write port: a pair's force, applied as it leaves the kernel).
+    #[inline(always)]
+    pub(super) fn add_fix(force: &mut [[FixAcc; 3]], slot: u16, f: &[FixAcc; 3]) {
         let fc = &mut force[slot as usize];
         for k in 0..3 {
-            fc[k] += FixAcc::from_f32(f[k]);
+            fc[k] += f[k];
         }
     }
 
@@ -451,15 +458,33 @@ impl Spe {
 /// tombstones, staged arrivals, and the outbound migration queue are
 /// state. Phase-local caches (`home_concat`, the SoA banks) are rebuilt by
 /// [`TimedCbb::begin_force_phase`]; the activity counter is reset by the
-/// driver at every measurement-window start.
+/// driver at every measurement-window start. A PE adds a pair's force to
+/// the FC as the pair leaves the kernel (or a scalar filter); the FC is
+/// written as the retire port would have left it, without the pairs not
+/// retired yet, and a restore adds them back.
 impl TimedCbb {
+    /// Add (`sign` 1) or take out (−1) the FC words of the `pes`' pairs
+    /// not retired by `now`; false if one names a slot past the cell.
+    fn shift_unretired(force: &mut [[FixAcc; 3]], pes: &[Pe], now: Cycle, sign: i64) -> bool {
+        let mut inside = true;
+        for pe in pes {
+            pe.for_each_unretired(now, |slot, f| match force.get_mut(usize::from(slot)) {
+                Some(fc) => fc.iter_mut().zip(FixAcc::from_f32x3(f)).for_each(|(a, f)| a.0 = a.0.wrapping_add(f.0.wrapping_mul(sign))),
+                None => inside = false,
+            });
+        }
+        inside
+    }
+
     pub(super) fn snapshot_with(&self, pes: &[Pe], now: Cycle, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::{Persist, Snapshot};
         self.id.save(w);
         self.elem.save(w);
         self.offset.save(w);
         self.vel.save(w);
-        self.force.save(w);
+        let mut force = self.force.clone();
+        Self::shift_unretired(&mut force, pes, now, -1);
+        force.save(w);
         w.put_usize(self.spes.len());
         for (spe, pes) in self.spes.iter().zip(pes.chunks(pes.len() / self.spes.len())) {
             spe.snapshot_with(pes, now, w);
@@ -505,6 +530,9 @@ impl TimedCbb {
         self.mig_out = Persist::load(r)?;
         self.dispatched = r.get_u64()?;
         self.ejected = r.get_u64()?;
+        if !Self::shift_unretired(&mut self.force, pes, 0, 1) {
+            return Err(r.malformed("a station's pair names a slot past the cell"));
+        }
         // Phase-local caches are stale until the next phase begins.
         self.home_concat.clear();
         Ok(())

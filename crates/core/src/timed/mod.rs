@@ -188,7 +188,7 @@ impl PeSet {
 
     #[inline]
     fn contains(&self, p: usize) -> bool {
-        has(&self.0, p)
+        self.0[p >> 6] & 1 << (p & 63) != 0
     }
 
     fn is_empty(&self) -> bool {
@@ -197,9 +197,9 @@ impl PeSet {
 }
 
 /// PE sets by cycle: slot `t & mask` holds the PEs with an event at cycle
-/// `t`, as `words` words of bits, all slots in one flat array. A stage
-/// that takes its PEs from a wheel visits only those, and files each PE
-/// again under its next event.
+/// `t`, as `words` words of bits, all slots in one flat array. The PE
+/// stage visits the PEs filed under its cycle, and files each again: a
+/// hot one under the next cycle, another under its next event.
 #[derive(Clone, Debug, Default)]
 struct Wheel {
     bits: Vec<u64>,
@@ -243,27 +243,18 @@ impl Wheel {
     }
 }
 
-/// True when word list `set` has bit `p`.
+/// File PE `p` as its state calls for after a dispatch or a visit: a hot
+/// PE under cycle `hot_at`, another under its next event; and in the
+/// drained set.
 #[inline]
-fn has(set: &[u64], p: usize) -> bool {
-    set[p >> 6] & 1 << (p & 63) != 0
-}
-
-/// Run `$body` for each PE `$p` of the word list `$set`, ascending — or,
-/// on the serial oracle's exhaustive walk, for each of the `$n` PEs. A
-/// word is read when the visit reaches it, which is sound because a
-/// stage edits no set ahead of its own visit.
-macro_rules! visit_pes {
-    ($exhaustive:expr, $set:expr, $n:expr, |$p:ident| $body:block) => {
-        for w in 0..$n.div_ceil(64) {
-            let mut bits = if $exhaustive { low_bits($n - (w << 6)) } else { $set[w] };
-            while bits != 0 {
-                let $p = w << 6 | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                $body
-            }
-        }
-    };
+fn refile(m: &mut TickMasks, wheel: &mut Wheel, pe: &Pe, p: usize, hot_at: Cycle) {
+    let t = if pe.hot() { hot_at } else { pe.next_event() };
+    if t != Cycle::MAX {
+        wheel.file(t, p);
+    }
+    if pe.has_drained() {
+        m.pe_eject.insert(p);
+    }
 }
 
 /// The summaries of chip state the force tick visits its work by, and the
@@ -278,10 +269,8 @@ struct TickMasks {
     spe_work: [u64; MAX_SPES],
     /// Per ring: CBBs whose SPE has a PE with a free station.
     spe_open: [u64; MAX_SPES],
-    /// PEs holding work (a station or a pipeline entry).
+    /// PEs holding work (an occupied station).
     pe_busy: PeSet,
-    /// PEs with a buffered pair (the arbiter stage's set).
-    pe_arb: PeSet,
     /// PEs with a drained station (the eject stage's set).
     pe_eject: PeSet,
     /// Per ring: CBBs with broadcasts awaiting injection.
@@ -429,14 +418,14 @@ pub struct TimedChip {
     fast_path: bool,
     /// What the force tick skips by (see [`TickMasks`]).
     masks: TickMasks,
-    /// The retire stage's PEs by cycle: each PE with a pair in flight is
-    /// filed once, under its oldest pair's retire cycle.
-    retire_wheel: Wheel,
-    /// The filter stage's PEs by cycle: a PE is filed under the cycle of
-    /// every filter event it stamps (a parked station's start, each
-    /// running station's next comparison that matters); one past the
-    /// wheel's reach is filed at its far end and files itself again.
-    filter_wheel: Wheel,
+    /// The PE stage's PEs by cycle: a hot PE ([`Pe::hot`]) is filed
+    /// under the next cycle, another under its next event
+    /// ([`Pe::next_event`]); the span covers a home cell plus the pipeline
+    /// latency, so no event lies past it.
+    wheel: Wheel,
+    /// PE visits of the PE stage, lifetime (a count the event budget gate
+    /// reads; both engines count the same visits).
+    pe_visits: u64,
     /// Per ring: first cycle a pending broadcast is out of its cooldown
     /// (a lower bound; the injection scan it triggers re-derives it).
     bcast_due: [u64; MAX_SPES],
@@ -588,8 +577,8 @@ impl TimedChip {
             },
             fast_path: false,
             masks: TickMasks::default(),
-            retire_wheel: Wheel::new(cfg.hw.force_pipe_latency as usize, n * pes_per_cbb),
-            filter_wheel: Wheel::new(pe::FILTER_REACH as usize, n * pes_per_cbb),
+            wheel: Wheel::default(),
+            pe_visits: 0,
             bcast_due: [0; MAX_SPES],
             multi,
             trace: NodeRecorder::off(),
@@ -653,8 +642,8 @@ impl TimedChip {
             traffic: PeerTraffic::default(),
             fast_path: false,
             masks: TickMasks::default(),
-            retire_wheel: Wheel::default(),
-            filter_wheel: Wheel::default(),
+            wheel: Wheel::default(),
+            pe_visits: 0,
             bcast_due: [0; MAX_SPES],
             multi: self.multi,
             trace: NodeRecorder::off(),
@@ -674,6 +663,12 @@ impl TimedChip {
     /// Every PE of the chip (see the `pes` field for the order).
     pub fn pes(&self) -> &[Pe] {
         &self.pes
+    }
+
+    /// PE visits of the force tick's PE stage since the chip was built:
+    /// what the per-pair event budget is measured in.
+    pub fn pe_visits(&self) -> u64 {
+        self.pe_visits
     }
 
     /// Chip configuration.
@@ -912,7 +907,6 @@ impl TimedChip {
         let n = self.pes.len();
         let mut m = TickMasks {
             pe_busy: PeSet::new(n),
-            pe_arb: PeSet::new(n),
             pe_eject: PeSet::new(n),
             ..TickMasks::default()
         };
@@ -929,9 +923,6 @@ impl TimedChip {
         for (p, pe) in self.pes.iter().enumerate() {
             if !pe.is_idle() {
                 m.pe_busy.insert(p);
-            }
-            if pe.has_buffered_pairs() {
-                m.pe_arb.insert(p);
             }
             if pe.has_drained() {
                 m.pe_eject.insert(p);
@@ -953,14 +944,15 @@ impl TimedChip {
             *len = self.cbbs[c as usize].len() as u16;
         }
         self.bcast_due = [0; MAX_SPES];
-        self.retire_wheel.clear();
-        self.filter_wheel.clear();
+        let span = self.pe_home_len.iter().max().map_or(0, |&l| usize::from(l)) + self.cfg.hw.force_pipe_latency as usize + 1;
+        if self.wheel.mask <= span {
+            self.wheel = Wheel::new(span, self.pes.len());
+        }
+        self.wheel.clear();
         for (p, pe) in self.pes.iter().enumerate() {
-            if let Some(t) = pe.retire_at() {
-                self.retire_wheel.file(t, p);
-            }
-            if pe.filter_live() {
-                self.filter_wheel.file(self.cycle, p);
+            let t = if pe.hot() { self.cycle } else { pe.next_event() };
+            if t != Cycle::MAX {
+                self.wheel.file(t.max(self.cycle), p);
             }
         }
         let (chip, ex) = (self.geo.chip, self.ex_node());
@@ -1102,10 +1094,10 @@ impl TimedChip {
 
         // 3. The CBBs' dispatchers and PEs: one loop per stage over the
         //    chip, each visiting the SPEs or PEs its set names. Within a
-        //    PE the stages keep the hardware's order (retire, arbitrate,
-        //    filter, eject); across PEs and CBBs nothing is shared but
-        //    order-free sums and each SPE's FRN port, whose PEs the eject
-        //    loop visits in ascending order.
+        //    PE a visit keeps the hardware's stage order (drains and
+        //    arrivals, arbitrate, filter, then eject); across PEs and CBBs
+        //    nothing is shared but order-free sums and each SPE's FRN port,
+        //    whose PEs the visit loop takes in ascending order.
         let dp = &*self.dp;
         let (spes, pps, n) = (self.pos_rings.len(), self.pes_per_spe, self.pes.len());
 
@@ -1133,7 +1125,8 @@ impl TimedChip {
                 let p = (c * spes + k) * pps + j;
                 let pe = &mut self.pes[p];
                 if cbb.soa_scan {
-                    pe.dispatch_planned(cycle, entry, dp, &cbb.soa);
+                    let fc = &mut cbb.force;
+                    pe.dispatch_planned(cycle, entry, dp, &cbb.soa, |slot, f| TimedCbb::add_fix(fc, slot, f));
                 } else {
                     pe.dispatch(cycle, entry);
                 }
@@ -1146,141 +1139,98 @@ impl TimedChip {
                 cbb.dispatched += 1;
                 self.masks.pe_totals.0 += 1;
                 self.masks.pe_busy.insert(p);
-                self.filter_wheel.file(cycle, p);
+                refile(&mut self.masks, &mut self.wheel, pe, p, cycle);
             }
         }
 
-        // 3b. Retire: home force straight into the FC.
-        visit_pes!(EXHAUSTIVE, self.retire_wheel.at(cycle), n, |p| {
-            let pe = &mut self.pes[p];
-            if EXHAUSTIVE {
-                let filed = has(self.retire_wheel.at(cycle), p);
-                assert!(filed == pe.retire_due(cycle), "the retire wheel disagrees with a PE's pipeline");
-                if !filed {
-                    continue;
-                }
-            }
-            let fc = &mut self.cbbs[self.pe_cbb[p] as usize].force;
-            pe.retire(cycle, |slot, f| TimedCbb::add_force(fc, slot, f));
-            match pe.retire_at() {
-                Some(t) => self.retire_wheel.file(t, p),
-                None if pe.is_idle() => self.masks.pe_busy.remove(p),
-                None => {}
-            }
-            if pe.has_drained() {
-                self.masks.pe_eject.insert(p);
-            }
-        });
-        self.retire_wheel.clear_at(cycle);
-
-        // 3c. Arbitrate one buffered pair into each pipeline.
-        visit_pes!(EXHAUSTIVE, self.masks.pe_arb.0, n, |p| {
-            let pe = &mut self.pes[p];
-            if EXHAUSTIVE {
-                let member = self.masks.pe_arb.contains(p);
-                assert!(member == pe.has_buffered_pairs(), "the arbiter set disagrees with a PE's FIFOs");
-                if !member {
-                    continue;
-                }
-            }
-            let was_empty = !pe.pipe_busy();
-            let restarted = pe.arbitrate(cycle, self.pe_home_len[p]);
-            if was_empty {
-                self.retire_wheel.file(cycle + u64::from(self.cfg.hw.force_pipe_latency), p);
-            }
-            if !pe.has_buffered_pairs() {
-                self.masks.pe_arb.remove(p);
-            }
-            if pe.has_drained() {
-                self.masks.pe_eject.insert(p);
-            }
-            if let Some(ahead) = restarted {
-                self.filter_wheel.file(cycle + u64::from(ahead), p);
-            }
-        });
-
-        // 3d. Filter: compare what is due (and start what is parked).
-        let now = cycle as u16;
-        visit_pes!(EXHAUSTIVE, self.filter_wheel.at(cycle), n, |p| {
-            let pe = &mut self.pes[p];
-            if EXHAUSTIVE && !has(self.filter_wheel.at(cycle), p) {
-                assert!(!pe.filter_due(now), "the filter wheel misses a PE");
-                continue;
-            }
-            let cbb = &self.cbbs[self.pe_cbb[p] as usize];
-            let wheel = &mut self.filter_wheel;
-            pe.filter(cycle, dp, &cbb.elem, &cbb.home_concat, |ahead| wheel.file(cycle + u64::from(ahead), p));
-            if pe.has_buffered_pairs() {
-                self.masks.pe_arb.insert(p);
-            }
-            if pe.has_drained() {
-                self.masks.pe_eject.insert(p);
-            }
-        });
-        self.filter_wheel.clear_at(cycle);
-
-        // 3e. Eject at most one drained station per PE, straight into
-        //    the FRN queue, the FC or the sync ledger. Each SPE's FRN
-        //    port takes one ring ejection per cycle: its budget is set at
-        //    its first PE the loop visits.
+        // 3b. Visit the PEs filed under this cycle (a hot PE is, every
+        //    cycle) or holding a drained station: a pair issues, a waiting
+        //    station's pair arrives, a station drains, a scalar station
+        //    compares (a pair that passes goes straight into the FC, as a
+        //    planned one did at dispatch); then eject at most one drained
+        //    station, straight into the FRN queue, the FC or the sync
+        //    ledger. Each SPE's FRN port takes one ring ejection per
+        //    cycle: its budget is set at the first of its PEs to eject.
         let (mut budget_of, mut budget) = (usize::MAX, 0);
-        visit_pes!(EXHAUSTIVE, self.masks.pe_eject.0, n, |p| {
-            let pe = &mut self.pes[p];
-            if EXHAUSTIVE {
-                let member = self.masks.pe_eject.contains(p);
-                assert!(member == pe.has_drained(), "the eject set disagrees with a PE's stations");
+        let m = &mut self.masks;
+        // The PEs of a word are taken when the loop reaches it, which is
+        // sound because a visit edits only its own PE's bits; the serial
+        // oracle visits every PE.
+        for w in 0..n.div_ceil(64) {
+            let due_w = self.wheel.at(cycle)[w];
+            let mut bits = if EXHAUSTIVE { low_bits(n - (w << 6)) } else { due_w | m.pe_eject.0[w] };
+            while bits != 0 {
+                let p = w << 6 | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let pe = &mut self.pes[p];
+                let due = due_w & 1 << (p & 63) != 0;
+                if due {
+                    pe.advance(cycle, self.pe_home_len[p]);
+                    if pe.scans() {
+                        let cbb = &mut self.cbbs[self.pe_cbb[p] as usize];
+                        let fc = &mut cbb.force;
+                        pe.scan(cycle, dp, &cbb.elem, &cbb.home_concat, |slot, f| TimedCbb::add_fix(fc, slot, f));
+                    }
+                    refile(m, &mut self.wheel, pe, p, cycle + 1);
+                } else if EXHAUSTIVE {
+                    assert!(!pe.hot() && pe.next_event() > cycle, "the PE sets miss a PE's event");
+                }
+                let member = m.pe_eject.contains(p);
+                assert!(!EXHAUSTIVE || member == pe.has_drained(), "the eject set disagrees with a PE's stations");
+                self.pe_visits += u64::from(due || member);
                 if !member {
                     continue;
                 }
-            }
-            let (q, j) = (p / pps, p % pps);
-            let (c, k) = (q / spes, q % spes);
-            let cbb = &mut self.cbbs[c];
-            if q != budget_of {
-                budget_of = q;
-                budget = u32::from(!cbb.spes[k].frc_out.is_full());
-            }
-            let Some(ej) = pe.eject(cycle, &mut budget) else {
-                continue;
-            };
-            cbb.spes[k].pe_free |= 1 << j;
-            self.masks.spe_open[k] |= 1 << c;
-            if !pe.has_drained() {
-                self.masks.pe_eject.remove(p);
-            }
-            if pe.is_idle() {
-                self.masks.pe_busy.remove(p);
-            }
-            cbb.ejected += 1;
-            self.masks.pe_totals.1 += 1;
-            // A remote-origin evaluation is complete: chained-sync
-            // bookkeeping (§4.4), with whether a force flit went back.
-            let mut completed = |origin: ChipCoord, issued: bool| {
-                let i = self.recv_index[chip_id(self.grid_yz, origin)];
-                debug_assert!(i != NO_PEER, "{origin:?} is not a receive peer");
-                let i = i as usize;
-                self.remote_pos_outstanding[i] -= 1;
-                self.outstanding_seen |= 1 << i;
-                self.frc_issued_to[i] += u64::from(issued);
-            };
-            match ej {
-                Ejection::Ring(flit, remote) => {
-                    cbb.spes[k]
-                        .frc_out
-                        .push(flit).expect("budget guaranteed frc_out space");
-                    self.masks.frc_pending[k] |= 1 << c;
-                    if remote {
-                        completed(flit.owner_chip, true);
+                let (q, j) = (p / pps, p % pps);
+                let (c, k) = (q / spes, q % spes);
+                let cbb = &mut self.cbbs[c];
+                if q != budget_of {
+                    budget_of = q;
+                    budget = u32::from(!cbb.spes[k].frc_out.is_full());
+                }
+                let Some(ej) = pe.eject(cycle, &mut budget) else {
+                    continue;
+                };
+                cbb.spes[k].pe_free |= 1 << j;
+                m.spe_open[k] |= 1 << c;
+                if !pe.has_drained() {
+                    m.pe_eject.remove(p);
+                }
+                if pe.is_idle() {
+                    m.pe_busy.remove(p);
+                }
+                cbb.ejected += 1;
+                m.pe_totals.1 += 1;
+                // A remote-origin evaluation is complete: chained-sync
+                // bookkeeping (§4.4), with whether a force flit went back.
+                let mut completed = |origin: ChipCoord, issued: bool| {
+                    let i = self.recv_index[chip_id(self.grid_yz, origin)];
+                    debug_assert!(i != NO_PEER, "{origin:?} is not a receive peer");
+                    let i = i as usize;
+                    self.remote_pos_outstanding[i] -= 1;
+                    self.outstanding_seen |= 1 << i;
+                    self.frc_issued_to[i] += u64::from(issued);
+                };
+                match ej {
+                    Ejection::Ring(flit, remote) => {
+                        cbb.spes[k]
+                            .frc_out
+                            .push(flit).expect("budget guaranteed frc_out space");
+                        m.frc_pending[k] |= 1 << c;
+                        if remote {
+                            completed(flit.owner_chip, true);
+                        }
+                    }
+                    Ejection::Local { slot, force } => TimedCbb::add_force(&mut cbb.force, slot, force),
+                    Ejection::Discard { origin, remote } => {
+                        if remote {
+                            completed(origin, false);
+                        }
                     }
                 }
-                Ejection::Local { slot, force } => TimedCbb::add_force(&mut cbb.force, slot, force),
-                Ejection::Discard { origin, remote } => {
-                    if remote {
-                        completed(origin, false);
-                    }
-                }
             }
-        });
+        }
+        self.wheel.clear_at(cycle);
 
         // 4. Injections.
         for k in 0..self.pos_rings.len() {

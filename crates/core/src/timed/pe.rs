@@ -6,7 +6,7 @@
 //! repeatedly". Each of the PE's filter stations holds one neighbour
 //! position and streams the home cell's particles past it, one comparison
 //! per cycle. Passing pairs are buffered per-station and arbitrated into
-//! the force pipeline (one issue per cycle). Retired forces split two
+//! the force pipeline (one issue per cycle). A pair's force splits two
 //! ways: the home component accumulates into the local FC, the neighbour
 //! component is negated and accumulated in the station register; when the
 //! station's scan is complete **and** its pairs have drained from the
@@ -17,7 +17,7 @@
 // Componentwise `for k in 0..3` loops mirror the per-lane datapath.
 #![allow(clippy::needless_range_loop)]
 use crate::datapath::{ForceDatapath, HomeSoa, ScanHit};
-use fasda_arith::fixed::FixVec3;
+use fasda_arith::fixed::{FixAcc, FixVec3};
 use fasda_md::element::Element;
 use fasda_sim::{Activity, Cycle};
 
@@ -60,10 +60,9 @@ pub struct NbrEntry {
 /// A filtered pair in flight toward / inside the force pipeline, as the
 /// checkpoint writes it. The force-pipeline arithmetic is a pure function
 /// of the pair, so the model evaluates it when the pair passes the filter
-/// and the job carries the finished words through the latency pipe —
-/// retiring is then a pure accumulation. In the [`Pe`] a job is a
-/// reference to its station's scan-plan entry; this struct is its
-/// serialized form.
+/// and the job carries the finished words through the latency pipe. In
+/// the [`Pe`] a job is a reference to its station's scan-plan entry; this
+/// struct is its serialized form.
 #[derive(Clone, Copy, Debug)]
 pub struct PipeJob {
     /// Station that produced the pair (for neighbour-force accumulation).
@@ -87,141 +86,182 @@ pub enum Ejection {
     Discard { origin: ChipCoord, remote: bool },
 }
 
-/// Station lanes per PE (the width of the station masks).
+/// Stations per PE at most (the width of the station masks).
 const LANES: usize = 32;
 
-/// The farthest ahead a filter event is reported ([`Pe::filter`],
-/// [`Pe::arbitrate`]): one farther off is reported at this distance, and
-/// again from there until it is within reach.
-pub const FILTER_REACH: u16 = 127;
-
-/// The stations' event stamps, one cache line: the due compare is one
-/// vector load.
-#[derive(Clone, Debug)]
-#[repr(C, align(64))]
-struct Stamps([u16; LANES]);
-
-/// One station's lane: its scan clock, its scan plan and the three
-/// cursors that cut it into retired / in-pipeline / buffered / pending
-/// pairs, and the neighbour-force accumulator the retire stage subtracts
-/// into.
+/// One station's lane: the current run of its scan, its scan plan with
+/// the issue cursor, the cycles its pending events fall on, and the
+/// neighbour-force accumulator.
+///
+/// A run compares slot `cursor0` at cycle `from`, the next slot the next
+/// cycle, and so on until the hit that fills the pair FIFO or the last
+/// slot of the home cell. So the cycle every plan entry passes the filter
+/// is a function of the run and the entry's slot ([`Lane::issuable`]),
+/// and the FIFO is whatever has passed and is not yet issued.
 #[derive(Clone, Debug, Default)]
+#[repr(C)] // the run and cursors an issue reads, first
 struct Lane {
-    /// Running: `clock − cursor` at (re)start. Parked: the cursor itself.
-    base: u16,
-    /// `plan[..hit]` have passed the filter.
-    hit: u16,
-    /// `plan[head..hit]` is the pair FIFO (`head` issues next).
+    /// First cycle of the current run.
+    from: Cycle,
+    /// Retire cycle of the station's newest issued pair (0: none).
+    last_ready: Cycle,
+    /// Slot compared at `from`; the cursor itself while the station is
+    /// parked or free.
+    cursor0: u16,
+    /// `plan[..head]` have been issued.
     head: u16,
-    /// `plan[tail..head]` is in the force pipeline (`tail` retires next).
-    tail: u16,
-    /// Pair-FIFO high-water mark (checkpointed).
+    /// Pair-FIFO high-water mark (checkpointed) as of the last issue.
     high_water: u16,
-    /// Accumulated neighbour force (the negated home forces).
+    /// `acc0` is the accumulator before `plan[acc_from..]` (a restored
+    /// station's plan need not hold its older pairs).
+    acc_from: u16,
+    /// The cycle of the station's next event: while it waits for its next
+    /// pair, the first the arbiter can issue it (`Cycle::MAX`: no pair
+    /// known yet); while it drains, the cycle its last pair retires.
+    at: Cycle,
+    acc0: [f32; 3],
+    /// Neighbour force over the station's pairs: `acc0` minus their
+    /// forces, in plan order.
     acc: [f32; 3],
     /// The scan plan (see [`Pe`]).
     plan: Vec<ScanHit>,
 }
 
-/// A Processing Element: `filters_per_pe` stations + one force pipeline,
-/// stepped by the chip one **stage** at a time: retire, arbitrate,
-/// filter, eject (see [`Pe::step`] for their order within a cycle). Each
-/// stage has a predicate ([`Pe::retire_due`], [`Pe::has_buffered_pairs`],
-/// [`Pe::filter_live`], [`Pe::has_drained`]) the chip keeps a set of PEs
-/// by, so a stage visits only the PEs with an event in it.
+impl Lane {
+    /// The slot of plan entry `i`.
+    #[inline(always)]
+    fn slot(&self, i: usize) -> Option<u16> {
+        self.plan.get(i).map(|h| h.slot)
+    }
+
+    /// First cycle the arbiter can issue a pair at `slot`: the cycle after
+    /// the run's filter passes it, or the run's first cycle for one that
+    /// passed before the run.
+    #[inline(always)]
+    fn issuable(&self, slot: u16) -> Cycle {
+        if slot < self.cursor0 {
+            self.from
+        } else {
+            self.from + u64::from(slot - self.cursor0) + 1
+        }
+    }
+
+    /// The slot of the pair that fills the FIFO of `depth` pairs under
+    /// the current head, if it has passed the filter before `now`.
+    #[inline(always)]
+    fn filled(&self, depth: u16, now: Cycle) -> Option<u16> {
+        let fill = self.slot(usize::from(self.head) + usize::from(depth) - 1)?;
+        (self.issuable(fill) <= now).then_some(fill)
+    }
+
+    /// First cycle the run compares nothing: after the hit that fills the
+    /// FIFO, or after the last slot of a `home_len`-slot cell (`from` when
+    /// the run compares nothing).
+    #[inline]
+    fn stop(&self, depth: u16, home_len: u16) -> Cycle {
+        let fill = usize::from(self.head) + usize::from(depth) - 1;
+        let end = self.slot(fill).map_or(home_len, |s| (s + 1).min(home_len));
+        self.from + u64::from(end.saturating_sub(self.cursor0))
+    }
+
+    /// Comparisons of the current run before cycle `now`.
+    #[inline]
+    fn compared(&self, now: Cycle, depth: u16, home_len: u16) -> u64 {
+        self.stop(depth, home_len).min(now).saturating_sub(self.from)
+    }
+
+    /// The cycle of the scan's last comparison (the run's first cycle if
+    /// it compares nothing), once no pair is left to fill the FIFO.
+    #[inline]
+    fn end(&self, depth: u16, home_len: u16) -> Cycle {
+        self.stop(depth, home_len).max(self.from + 1) - 1
+    }
+}
+
+/// A Processing Element: `filters_per_pe` stations + one force pipeline.
 ///
-/// **Pairs by reference.** A station's pair FIFO is not a queue of
-/// copies: it is the range `plan[head..hit]` of the station's scan plan,
-/// and the pipeline is a ring of station numbers (with their retire
-/// clock) whose pairs are `plan[tail..head]`. A planned station's plan is
-/// the fused kernel's whole scan; a scalar station appends each pair to
-/// its plan as it passes the filter. Retiring touches the ring, the
-/// station's [`Lane`], one plan entry and the FC.
+/// **Pairs by reference.** A station's pair FIFO is a range of its scan
+/// plan, and the pipeline a ring of station numbers with retire cycles,
+/// whose pairs are the plan entries just below the station's issue
+/// cursor. A planned station's plan is the fused kernel's whole scan; a
+/// scalar station appends each pair as it passes the filter.
 ///
-/// **Event-timed stations.** A station compares one home slot per cycle,
-/// so once its scan is running the slot it is on is a function of the
-/// clock: `cursor = now − base`. The scan plan fixes every hit slot at
-/// dispatch, hence the *cycle* of the station's next event — its next
-/// hit, or the last comparison of its scan — is known in advance and is
-/// kept in the station's `ev_at` stamp; one vector compare of the stamps
-/// against the clock finds the stations whose event is due, and only
-/// those are touched. (A scalar station, whose pairs are filtered one
-/// comparison at a time, is due every cycle.)
+/// **A planned pair costs one event: its issue.** A running planned
+/// station's scan is a function of the clock ([`Lane`]): the arbiter reads
+/// off the plan whether the FIFO front has passed the filter, whether the
+/// FIFO filled (the scan stalled there; the pop restarts it) and how full
+/// it got. Each pair's force is applied when it leaves the kernel (or the
+/// scalar filter): the home force to the FC — `FixAcc` adds are
+/// order-free, so the FC holds the same bits wherever a step ends — and
+/// its negation to the station accumulator, in plan order as a retire
+/// port would. The ring keeps only retire cycles, from which the retire
+/// stream, the busy intervals and each station's drain follow. So the PE
+/// is visited ([`Pe::advance`]) only on a cycle its arbiter issues, a
+/// waiting station's next pair arrives or a station drains, and — a
+/// scalar station filters one comparison at a time — every cycle one
+/// scans. [`Pe::hot`] says the PE has work next cycle; otherwise
+/// [`Pe::next_event`] names the cycle.
 ///
-/// The clock is the cycle truncated to 16 bits. That is sound because
-/// stamps are only compared for equality, only while the station is
-/// running, and a running station's event lies at most one scan
-/// (`home_len ≤ u16::MAX` comparisons) ahead — it is recomputed whenever
-/// the station (re)starts. It requires the filter stage to visit a PE on
-/// the cycle of every event the PE reported ([`Pe::filter`]), which the
-/// chip's filter wheel guarantees.
+/// A station not running yet — a scalar dispatch until the PE's next
+/// visit, a restored station until its first — is *parked* on its
+/// literal cursor (`cursor0`); the visit starts it.
 ///
-/// A station that is not running — free, freshly dispatched, stalled on a
-/// full pair FIFO, scan finished, or just restored from a snapshot — is
-/// *parked*: its `base` holds the literal cursor. Starting a station
-/// rebases it on the current clock: the filter stage starts fresh
-/// dispatches and restored stations, and the arbiter restarts a station
-/// its pop unstalls, on that same cycle's clock — so a FIFO stall is a
-/// shift of the station's stamps.
-///
-/// **Activity by interval.** The filter and pipeline counters change
-/// only at events, so they are accounted per interval between events
-/// (the running-station count and the occupied / pipeline-busy flags are
-/// constant in between) rather than once per cycle; [`Pe::filter_stats`]
-/// and [`Pe::pe_stats`] add the open interval.
-#[derive(Clone, Debug)]
-#[repr(C)] // what a stage visit reads first, in the first cache line
+/// **Activity by derivation.** A run's comparisons are its length up to
+/// the clock; the pipeline's busy cycles the union of its pairs'
+/// issue-to-retire intervals ([`Pe::filter_stats`], [`Pe::pe_stats`]).
+#[derive(Clone, Debug, Default)]
+#[repr(C)] // what a visit reads first, in the first two cache lines
 pub struct Pe {
-    /// Cycle the pipeline's oldest pair retires (`Cycle::MAX` when empty).
-    retire_at: Cycle,
-    /// Stations holding a neighbour entry.
-    occupied: u32,
+    /// Stations whose FIFO front the arbiter can issue at its next visit.
+    ready: u32,
     /// Stations dispatched through the SoA batch kernels.
     planned: u32,
-    /// Occupied stations whose scan has finished.
-    done: u32,
-    /// Stations whose pair FIFO is full (their scan is stalled).
-    fifo_full: u32,
-    /// Stations whose pair FIFO holds at least one pair (arbiter input).
-    fifo_nonempty: u32,
-    /// Stations whose scan is advancing one slot per cycle.
-    running: u32,
+    /// Scalar stations comparing one home slot per cycle.
+    scanning: u32,
+    /// Occupied stations not started yet.
+    parked: u32,
+    /// Stations holding a neighbour entry.
+    occupied: u32,
+    /// Stations that drain at their lane's `at`.
+    draining: u32,
     /// Finished stations with nothing left in flight: ejection candidates.
     drained: u32,
-    /// Stations some pair has passed since their entry was loaded.
-    had_pairs: u32,
-    /// Running planned stations whose event was beyond [`FILTER_REACH`]
-    /// when last reported.
-    far: u32,
-    /// Stations.
     stations: u8,
     /// Arbiter round-robin start.
     rr: u8,
     /// Pair-FIFO depth.
     depth: u16,
-    /// Pipeline ring: `ready_clock << 16 | station`, oldest at `pipe_head`.
-    pipe_head: u16,
-    pipe_len: u16,
-    pipe_mask: u16,
     latency: u16,
-    /// Per station, running planned: clock value of the next hit, or of
-    /// the scan's last comparison when no hit is left.
-    ev_at: Stamps,
-    // What events write besides the header and a lane, next to it:
-    /// Issue cycle of the newest pair, and the lifetime issue count
-    /// (checkpointed pipeline state).
-    last_issue: Option<Cycle>,
+    /// Slots of the home cell the stations scan this force phase.
+    home_len: u16,
+    /// Earliest `at` of a waiting or draining station.
+    next_at: Cycle,
+    /// Lifetime issue count (checkpointed); the ring slot of the next.
     issued_total: u64,
-    /// Closed filter intervals; the open one starts at `filter_from`.
-    filter_closed: Activity,
-    filter_from: Cycle,
-    /// Closed pipeline intervals; the open one (while a pair is in
-    /// flight) starts at `pipe_from`. `pipe_to` ends the last closed one.
-    pipe_closed: Activity,
-    pipe_from: Cycle,
-    pipe_to: Cycle,
-    pipe: Box<[u32]>,
-    lanes: [Lane; LANES],
+    lanes: Box<[Lane]>,
+    /// Ring of the last `pipe_mask + 1` issues, issue `i` at `i &
+    /// pipe_mask`: `retire_cycle << 24 | plan index << 8 | station` (0:
+    /// none). It holds the at most `latency` pairs in flight.
+    pipe: Box<[u64]>,
+    pipe_mask: u16,
+    /// Issue cycle of the newest pair (checkpointed).
+    last_issue: Option<Cycle>,
+    /// Length of the union of the issued pairs' busy intervals, which
+    /// ends the cycle after the newest pair retires.
+    pipe_cycles: u64,
+    /// Parked stations whose scan had finished when they were saved.
+    parked_done: u32,
+    /// Stations a restored snapshot says some pair has passed.
+    had_pairs: u32,
+    /// Closed occupied intervals; the open one starts at `occ_from`.
+    occ_closed: u64,
+    occ_from: Cycle,
+    /// Comparisons of finished runs.
+    compared: u64,
+    /// Comparisons, busy cycles and retired pairs at [`Pe::reset_stats`].
+    base_compared: u64,
+    base_busy: u64,
+    base_retired: u64,
     /// Neighbour entries, per station.
     entries: Vec<Option<NbrEntry>>,
 }
@@ -232,41 +272,21 @@ impl Pe {
         assert!(filters >= 1, "need at least one filter station");
         assert!(filters as usize <= LANES, "station state is tracked in u32 bitmasks");
         assert!(pipe_latency >= 1, "pipeline latency must be at least 1 cycle");
-        assert!(pipe_latency < 1 << 15, "retire clocks are 16 bits");
+        assert!(pipe_latency < 1 << 15, "pipeline ring cursors are 16 bits");
         assert!(pair_fifo_depth >= 1, "FIFO capacity must be positive");
         assert!(pair_fifo_depth < 1 << 15, "FIFO cursors are 16 bits");
-        // At most `latency` pairs are in flight: one issue per cycle, and
-        // a cycle's retire precedes its issue.
+        // At most `latency` pairs are in flight: one issue per cycle.
         let ring = (pipe_latency as usize).next_power_of_two();
         Pe {
-            retire_at: Cycle::MAX,
-            occupied: 0,
-            planned: 0,
-            done: 0,
-            fifo_full: 0,
-            fifo_nonempty: 0,
-            running: 0,
-            drained: 0,
-            had_pairs: 0,
-            far: 0,
             stations: filters as u8,
-            rr: 0,
             depth: pair_fifo_depth as u16,
-            pipe_head: 0,
-            pipe_len: 0,
-            pipe_mask: (ring - 1) as u16,
             latency: pipe_latency as u16,
-            ev_at: Stamps([0; LANES]),
+            next_at: Cycle::MAX,
+            pipe_mask: (ring - 1) as u16,
             pipe: vec![0; ring].into_boxed_slice(),
-            lanes: std::array::from_fn(|_| Lane::default()),
+            lanes: (0..filters).map(|_| Lane::default()).collect(),
             entries: vec![None; filters as usize],
-            last_issue: None,
-            issued_total: 0,
-            filter_closed: Activity::with_capacity(filters as u64),
-            filter_from: 0,
-            pipe_closed: Activity::with_capacity(1),
-            pipe_from: 0,
-            pipe_to: 0,
+            ..Pe::default()
         }
     }
 
@@ -282,16 +302,24 @@ impl Pe {
         self.occupied != self.all()
     }
 
-    /// True when the PE holds no work at all.
+    /// True when the PE holds no work at all. (A station is ejected only
+    /// after its last pair retired, so no pair is in flight either.)
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.pipe_len == 0 && self.occupied == 0
+        self.occupied == 0
     }
 
-    /// Stations stalled on a full pair FIFO. Only tests call it:
-    /// `golden_tick` pins the per-step census of the production tick.
-    pub fn stalled_mask(&self) -> u32 {
-        self.fifo_full
+    /// Stations stalled on a full pair FIFO at clock `now`. Only tests
+    /// call it: `golden_tick` pins the per-step census of the production
+    /// tick.
+    pub fn stalled_mask(&self, now: Cycle) -> u32 {
+        (0..usize::from(self.stations))
+            .filter(|&si| {
+                let lane = &self.lanes[si];
+                self.occupied & 1 << si != 0
+                    && self.hit_at(si, now) - usize::from(lane.head) == usize::from(self.depth)
+            })
+            .fold(0, |m, si| m | 1 << si)
     }
 
     /// Stations whose scan and pairs are finished but which have not
@@ -302,280 +330,311 @@ impl Pe {
 
     /// Filter activity (capacity = stations) through cycle `now − 1`.
     pub fn filter_stats(&self, now: Cycle) -> Activity {
-        let d = now.saturating_sub(self.filter_from);
-        let mut a = self.filter_closed;
-        a.work += u64::from(self.running.count_ones()) * d;
-        a.busy_cycles += u64::from(self.occupied != 0) * d;
+        let mut a = Activity::with_capacity(u64::from(self.stations));
+        a.work = self.comparisons(now) - self.base_compared;
+        a.busy_cycles = self.occ_closed + u64::from(self.occupied != 0) * now.saturating_sub(self.occ_from);
         a
     }
 
     /// Force-pipeline activity (capacity = 1/cycle) through cycle
     /// `now − 1`.
     pub fn pe_stats(&self, now: Cycle) -> Activity {
-        let mut a = self.pipe_closed;
-        if self.pipe_len != 0 {
-            a.busy_cycles += now.saturating_sub(self.pipe_from);
-        }
+        let mut a = Activity::with_capacity(1);
+        a.work = self.retired(now) - self.base_retired;
+        a.busy_cycles = self.busy(now) - self.base_busy;
         a
     }
 
     /// Zero both activity counters; cycle `now` is the first the next
     /// window counts. A restored PE counts from here too.
     pub fn reset_stats(&mut self, now: Cycle) {
-        self.filter_closed = Activity::with_capacity(u64::from(self.stations));
-        self.pipe_closed = Activity::with_capacity(1);
-        self.filter_from = now;
-        self.pipe_from = now;
-        self.pipe_to = now;
+        self.occ_closed = 0;
+        self.occ_from = now;
+        self.base_compared = self.comparisons(now);
+        self.base_busy = self.busy(now);
+        self.base_retired = self.retired(now);
     }
 
-    /// Close the open filter interval at `upto` (exclusive): called before
-    /// the running set or the occupied flag changes, with the first cycle
-    /// the change applies to.
-    #[inline(always)]
-    fn close_filter(&mut self, upto: Cycle) {
-        debug_assert!(upto >= self.filter_from, "filter intervals run forward");
-        self.filter_closed = self.filter_stats(upto);
-        self.filter_from = upto;
+    /// Comparisons before cycle `now`, lifetime.
+    fn comparisons(&self, now: Cycle) -> u64 {
+        let started = self.occupied & !self.parked;
+        let open: u64 = set_bits(u64::from(started))
+            .map(|si| self.lanes[si].compared(now, self.depth, self.home_len))
+            .sum();
+        self.compared + open
+    }
+
+    /// Pipeline busy cycles before cycle `now`, lifetime.
+    fn busy(&self, now: Cycle) -> u64 {
+        self.pipe_cycles - self.pipe_end().saturating_sub(now)
+    }
+
+    /// The cycle after the newest pair retires (0 before any issue).
+    #[inline]
+    fn pipe_end(&self) -> Cycle {
+        self.last_issue.map_or(0, |c| c + u64::from(self.latency) + 1)
+    }
+
+    /// Pairs retired before cycle `now`, lifetime.
+    fn retired(&self, now: Cycle) -> u64 {
+        let mut in_flight = 0;
+        self.for_each_in_flight(now, |_, _, _| in_flight += 1);
+        self.issued_total - in_flight
+    }
+
+    /// Close the open occupied interval at `upto` (exclusive): called
+    /// before the occupied set changes, with the first cycle the change
+    /// applies to.
+    #[inline]
+    fn close_occupancy(&mut self, upto: Cycle) {
+        debug_assert!(upto >= self.occ_from, "occupied intervals run forward");
+        self.occ_closed += u64::from(self.occupied != 0) * (upto - self.occ_from);
+        self.occ_from = upto;
     }
 
     /// Reset the lowest free station around a fresh entry, parked on its
-    /// first slot; the next filter stage starts its scan.
+    /// first slot.
     fn load_station(&mut self, cycle: Cycle, entry: NbrEntry) -> usize {
         let free = !self.occupied & self.all();
         assert!(free != 0, "dispatch requires a free station");
         let si = free.trailing_zeros() as usize;
         debug_assert!(
-            self.entries[si].is_none() && self.lanes[si].tail == self.lanes[si].hit,
+            self.entries[si].is_none() && self.lanes[si].plan.is_empty(),
             "station must be drained before reload"
         );
-        self.close_filter(cycle);
+        self.close_occupancy(cycle);
         self.entries[si] = Some(entry);
         let lane = &mut self.lanes[si];
-        (lane.base, lane.hit, lane.head, lane.tail) = (entry.scan_from, 0, 0, 0);
-        lane.acc = [0.0; 3];
-        lane.plan.clear();
+        lane.cursor0 = entry.scan_from;
+        (lane.head, lane.acc_from, lane.last_ready) = (0, 0, 0);
+        lane.at = Cycle::MAX;
+        (lane.acc, lane.acc0) = ([0.0; 3], [0.0; 3]);
         let bit = 1u32 << si;
         self.had_pairs &= !bit;
         self.occupied |= bit;
         si
     }
 
-    /// Load a neighbour entry into a free station at `cycle`. Panics if
-    /// none free — guard with [`Pe::has_free_station`].
+    /// Load a neighbour entry into a free station at `cycle`; the PE's
+    /// visit on this cycle starts its scan. Panics if none free — guard
+    /// with [`Pe::has_free_station`].
     pub fn dispatch(&mut self, cycle: Cycle, entry: NbrEntry) {
-        self.load_station(cycle, entry);
+        let si = self.load_station(cycle, entry);
+        self.parked |= 1 << si;
     }
 
     /// [`Pe::dispatch`] through the fused SoA kernel: run the station's
-    /// whole scan against the home banks now
-    /// ([`ForceDatapath::fused_scan_into`]) and store the finished
-    /// [`ScanHit`]s — written *directly* into the station's plan, no
-    /// intermediate `FilteredPair` buffer — as the plan that times the
-    /// station's events. Cycle-for-cycle and bit-for-bit identical to the
-    /// scalar path: the station still advances one home slot per cycle,
-    /// stalls on a full pair FIFO, and buffers the same pairs on the same
-    /// cycles — only the arithmetic is hoisted out of the cycle loop.
-    pub fn dispatch_planned(&mut self, cycle: Cycle, entry: NbrEntry, dp: &ForceDatapath, home: &HomeSoa) {
+    /// whole scan now ([`ForceDatapath::fused_scan_with`]) into its plan —
+    /// each pair's quantised home force to `into(home_slot, force)`, the
+    /// FC write port, and its reaction into the station's accumulator, in
+    /// plan order — and start the scan on this cycle. Cycle-for-cycle and
+    /// bit-for-bit the scalar path: the station still passes one home
+    /// slot per cycle, stalls on a full FIFO and offers the same pairs on
+    /// the same cycles; only the arithmetic is hoisted out of the loop.
+    pub fn dispatch_planned(
+        &mut self,
+        cycle: Cycle,
+        entry: NbrEntry,
+        dp: &ForceDatapath,
+        home: &HomeSoa,
+        mut into: impl FnMut(u16, &[FixAcc; 3]),
+    ) {
         let si = self.load_station(cycle, entry);
-        dp.fused_scan_into(home, entry.concat, entry.elem, entry.scan_from, &mut self.lanes[si].plan);
-        self.planned |= 1u32 << si;
-    }
-
-    /// Clock value of a running planned station's next event.
-    #[inline(always)]
-    fn next_event(&self, si: usize, home_len: u16) -> u16 {
-        let lane = &self.lanes[si];
-        let slot = lane.plan.get(lane.hit as usize).map_or(home_len - 1, |h| h.slot);
-        lane.base.wrapping_add(slot)
-    }
-
-    /// Running planned stations whose event is due at clock `now`: one
-    /// compare across the stamp lanes.
-    #[inline(always)]
-    fn due_planned(&self, now: u16) -> u32 {
-        if self.running & self.planned == 0 {
-            return 0; // the oracle's stations are all scalar
-        }
-        let mut due = 0u32;
-        for (si, &at) in self.ev_at.0.iter().enumerate() {
-            due |= u32::from(at == now) << si;
-        }
-        due & self.running & self.planned
-    }
-
-    /// Mark finished station `si` drained if nothing of it is in flight.
-    #[inline]
-    fn settle(&mut self, si: usize) {
-        let lane = &self.lanes[si];
-        self.drained |= (self.done & (1u32 << si)) * u32::from(lane.tail == lane.hit);
-    }
-
-    // ------------------------------------------------------------------
-    // Stage 1: retire.
-    // ------------------------------------------------------------------
-
-    /// True when the pipeline's oldest pair retires at `cycle`.
-    #[inline]
-    pub fn retire_due(&self, cycle: Cycle) -> bool {
-        cycle >= self.retire_at
-    }
-
-    /// True while a pair is in the force pipeline.
-    #[inline]
-    pub fn pipe_busy(&self) -> bool {
-        self.pipe_len != 0
-    }
-
-    /// Cycle the pipeline's oldest pair retires, while one is in flight.
-    #[inline]
-    pub fn retire_at(&self) -> Option<Cycle> {
-        (self.pipe_len != 0).then_some(self.retire_at)
-    }
-
-    /// Retire the pipeline's oldest pair (due at `cycle`, see
-    /// [`Pe::retire_due`]): its home force goes to `into(home_slot,
-    /// force)` — the FC write port — and its reaction into the producing
-    /// station's accumulator.
-    #[inline(always)]
-    pub fn retire(&mut self, cycle: Cycle, into: impl FnOnce(u16, [f32; 3])) {
-        debug_assert!(self.retire_due(cycle) && self.pipe_len != 0);
-        let si = (self.pipe[self.pipe_head as usize] & 0xff) as usize;
-        self.pipe_head = (self.pipe_head + 1) & self.pipe_mask;
-        self.pipe_len -= 1;
-        self.pipe_closed.work += 1;
-        if self.pipe_len == 0 {
-            self.retire_at = Cycle::MAX;
-            self.pipe_closed.busy_cycles += cycle + 1 - self.pipe_from;
-            self.pipe_to = cycle + 1;
-        } else {
-            let ready = (self.pipe[self.pipe_head as usize] >> 16) as u16;
-            self.retire_at = cycle + u64::from(ready.wrapping_sub(cycle as u16));
-        }
         let lane = &mut self.lanes[si];
-        let h = lane.plan[lane.tail as usize];
-        lane.tail += 1;
-        for k in 0..3 {
-            lane.acc[k] -= h.force[k];
+        dp.fused_scan_with(home, entry.concat, entry.elem, entry.scan_from, |h, fix| {
+            into(h.slot, &fix);
+            for k in 0..3 {
+                lane.acc[k] -= h.force[k];
+            }
+            lane.plan.push(h);
+        });
+        self.planned |= 1u32 << si;
+        self.home_len = home.len() as u16;
+        self.start(si, cycle);
+    }
+
+    /// Start station `si`'s run at `cycle` from its parked cursor: a
+    /// restored station may already be stalled or finished, and hold
+    /// pairs or be left with only in-flight ones.
+    fn start(&mut self, si: usize, cycle: Cycle) {
+        let bit = 1u32 << si;
+        self.parked &= !bit;
+        self.parked_done &= !bit;
+        let (depth, home_len) = (self.depth, self.home_len);
+        let lane = &mut self.lanes[si];
+        lane.from = cycle;
+        let done = lane.cursor0 >= home_len;
+        if self.planned & bit == 0 && !done && lane.filled(depth, cycle).is_none() {
+            self.scanning |= bit;
         }
-        self.settle(si);
-        into(h.slot, h.force);
+        match lane.slot(usize::from(lane.head)) {
+            Some(slot) => {
+                let at = lane.issuable(slot);
+                if at <= cycle {
+                    self.ready |= bit;
+                } else {
+                    lane.at = at;
+                    self.next_at = self.next_at.min(at);
+                }
+            }
+            None if self.planned & bit != 0 || done => {
+                let at = lane.end(depth, home_len).max(lane.last_ready);
+                self.settle(si, at, cycle);
+            }
+            None => {}
+        }
     }
 
-    // ------------------------------------------------------------------
-    // Stage 2: arbitrate.
-    // ------------------------------------------------------------------
-
-    /// True when some station has a buffered pair for the arbiter.
+    /// Station `si` drains at cycle `at`; the PE is at `cycle`.
     #[inline]
-    pub fn has_buffered_pairs(&self) -> bool {
-        self.fifo_nonempty != 0
+    fn settle(&mut self, si: usize, at: Cycle, cycle: Cycle) {
+        let bit = 1u32 << si;
+        if at <= cycle {
+            self.drained |= bit;
+        } else {
+            self.draining |= bit;
+            self.lanes[si].at = at;
+            self.next_at = self.next_at.min(at);
+        }
     }
 
-    /// Arbitrate one buffered pair into the pipeline at `cycle`:
-    /// round-robin from `rr` is the lowest non-empty FIFO at or above it,
-    /// else the lowest overall. (One issue per cycle: the arbiter is the
-    /// pipeline's only writer and runs once a cycle.) A station the pop
-    /// unstalls restarts its scan here, on this cycle's clock, against a
-    /// home cell of `home_len` slots — as the filter stage would have in
-    /// this same cycle; the return is then how many cycles ahead its next
-    /// filter event lies (0: this cycle's filter stage; at most
-    /// [`FILTER_REACH`]).
+    /// True when the PE has work on the next cycle: a pair to issue, a
+    /// scalar station scanning, or a station to start.
+    #[inline]
+    pub fn hot(&self) -> bool {
+        self.ready | self.scanning | self.parked != 0
+    }
+
+    /// The next cycle a PE that is not [`Pe::hot`] has an event on — a
+    /// waiting station's pair arrives, or a station drains —
+    /// `Cycle::MAX` if none.
+    #[inline]
+    pub fn next_event(&self) -> Cycle {
+        self.next_at
+    }
+
+    /// One visit at `cycle`, in the hardware's stage order, against a
+    /// home cell of `home_len` slots: start parked stations, mark the
+    /// stations that drain on this cycle, take in the pairs that arrived
+    /// since the last visit and issue one. A PE with a scalar station
+    /// scanning then compares ([`Pe::scan`]).
+    #[inline]
+    pub fn advance(&mut self, cycle: Cycle, home_len: u16) {
+        self.home_len = home_len;
+        if self.parked != 0 {
+            for si in set_bits(u64::from(self.parked)) {
+                self.start(si, cycle);
+            }
+        }
+        if self.next_at <= cycle {
+            self.next_at = Cycle::MAX;
+            let waiting = self.occupied & self.planned & !self.ready & !self.drained;
+            for si in set_bits(u64::from(self.draining | waiting)) {
+                let (bit, lane) = (1 << si, &mut self.lanes[si]);
+                if lane.at > cycle {
+                    self.next_at = self.next_at.min(lane.at);
+                } else if self.draining & bit != 0 {
+                    (self.draining, self.drained, lane.at) = (self.draining & !bit, self.drained | bit, Cycle::MAX);
+                } else {
+                    self.ready |= bit;
+                }
+            }
+        }
+        if self.ready != 0 {
+            self.issue(cycle);
+        }
+    }
+
+    /// True while a scalar station compares one slot per cycle.
+    #[inline]
+    pub fn scans(&self) -> bool {
+        self.scanning != 0
+    }
+
+    /// The scalar stations' comparisons at `cycle`, after
+    /// [`Pe::advance`], against the home cell's snapshot (elements,
+    /// concatenated home coordinates): a pair that passes has its home
+    /// force handed to `into(home_slot, force)`, the FC write port, as a
+    /// planned station's pairs were at dispatch.
+    pub fn scan(
+        &mut self,
+        cycle: Cycle,
+        dp: &ForceDatapath,
+        home_elem: &[Element],
+        home_concat: &[FixVec3],
+        mut into: impl FnMut(u16, &[FixAcc; 3]),
+    ) {
+        for si in set_bits(u64::from(self.scanning)) {
+            self.compare(si, cycle, dp, home_elem, home_concat, &mut into);
+        }
+    }
+
+    /// Issue one pair into the pipeline at `cycle`: round-robin from `rr`
+    /// is the lowest ready station at or above it, else the lowest
+    /// overall. A station the pop unstalls restarts its scan on this
+    /// cycle. Only the plan's slots are read: the pair's force is in the
+    /// FC and the station's accumulator already.
     #[inline(always)]
-    pub fn arbitrate(&mut self, cycle: Cycle, home_len: u16) -> Option<u16> {
-        debug_assert!(self.fifo_nonempty != 0);
+    fn issue(&mut self, cycle: Cycle) {
         debug_assert!(self.last_issue.is_none_or(|l| l < cycle), "one issue per cycle");
-        let ahead = self.fifo_nonempty >> self.rr;
+        let ahead = self.ready >> self.rr;
         let si = if ahead != 0 {
             self.rr as usize + ahead.trailing_zeros() as usize
         } else {
-            self.fifo_nonempty.trailing_zeros() as usize
+            self.ready.trailing_zeros() as usize
         };
         let bit = 1u32 << si;
-        let lane = &mut self.lanes[si];
-        lane.head += 1;
-        self.fifo_nonempty &= !(u32::from(lane.head == lane.hit) << si);
-        self.fifo_full &= !bit;
-        debug_assert!(self.pipe_len <= self.pipe_mask, "at most `latency` pairs in flight");
+        let (depth, home_len) = (self.depth, self.home_len);
         let ready = cycle + u64::from(self.latency);
-        let at = (self.pipe_head + self.pipe_len) & self.pipe_mask;
-        self.pipe[at as usize] = u32::from(ready as u16) << 16 | si as u32;
-        if self.pipe_len == 0 {
-            self.retire_at = ready;
-            self.pipe_from = cycle.max(self.pipe_to);
+        let lane = &mut self.lanes[si];
+        let head = usize::from(lane.head);
+        // The FIFO only grows between pops: its high-water mark is its
+        // length just before one.
+        while lane.high_water < depth
+            && lane
+                .slot(head + usize::from(lane.high_water))
+                .is_some_and(|s| lane.issuable(s) <= cycle)
+        {
+            lane.high_water += 1;
         }
-        self.pipe_len += 1;
+        let stalled = lane.filled(depth, cycle);
+        lane.head += 1;
+        lane.last_ready = ready;
+        if let Some(slot) = stalled {
+            let cursor = slot + 1;
+            if cursor < home_len {
+                self.compared += u64::from(cursor.saturating_sub(lane.cursor0));
+                (lane.from, lane.cursor0) = (cycle, cursor);
+                self.scanning |= bit & !self.planned;
+            }
+        }
+        match lane.slot(head + 1) {
+            Some(slot) => {
+                let at = lane.issuable(slot);
+                if at > cycle + 1 {
+                    self.ready &= !bit;
+                    lane.at = at;
+                    self.next_at = self.next_at.min(at);
+                }
+            }
+            None => {
+                self.ready &= !bit;
+                lane.at = Cycle::MAX;
+                if self.scanning & bit == 0 {
+                    let at = lane.end(depth, home_len).max(ready);
+                    self.settle(si, at, cycle);
+                }
+            }
+        }
+        self.pipe[(self.issued_total & u64::from(self.pipe_mask)) as usize] = ready << 24 | (head as u64) << 8 | si as u64;
+        self.pipe_cycles += ready + 1 - cycle.max(self.pipe_end());
         self.last_issue = Some(cycle);
         self.issued_total += 1;
         self.rr = if si + 1 == self.stations as usize { 0 } else { si as u8 + 1 };
-        if self.wake() & bit == 0 {
-            return None;
-        }
-        let now = cycle as u16;
-        self.close_filter(cycle);
-        self.start_scan(si, now, home_len);
-        if self.running & bit == 0 {
-            return None;
-        }
-        Some(if self.planned & bit != 0 { self.reach(si, now) } else { 0 })
     }
 
-    /// How far ahead of clock `now` running planned station `si`'s event
-    /// lies, capped at [`FILTER_REACH`] (remembering the station in `far`
-    /// when it is capped).
+    /// One comparison of scanning scalar station `si` at `cycle`.
     #[inline]
-    fn reach(&mut self, si: usize, now: u16) -> u16 {
-        let ahead = self.ev_at.0[si].wrapping_sub(now);
-        self.far |= u32::from(ahead > FILTER_REACH) << si;
-        ahead.min(FILTER_REACH)
-    }
-
-    // ------------------------------------------------------------------
-    // Stage 3: filter.
-    // ------------------------------------------------------------------
-
-    /// Parked stations that are occupied, unfinished and not stalled.
-    #[inline]
-    fn wake(&self) -> u32 {
-        self.occupied & !self.done & !self.fifo_full & !self.running
-    }
-
-    /// True when the filter stage has work: a running station, or a
-    /// parked one it will (re)start.
-    #[inline]
-    pub fn filter_live(&self) -> bool {
-        self.running != 0 || self.wake() != 0
-    }
-
-    /// True when the filter stage has work at clock `now`: a station to
-    /// start, a scalar station, or a planned one whose event is due.
-    #[inline]
-    pub fn filter_due(&self, now: u16) -> bool {
-        self.wake() != 0 || self.running & !self.planned != 0 || self.due_planned(now) != 0
-    }
-
-    /// (Re)start a parked station's scan at clock `now`: rebase its
-    /// cursor on the clock and stamp its next event. A station parked at
-    /// or past the end of the home cell finishes without a comparison.
-    fn start_scan(&mut self, si: usize, now: u16, home_len: u16) {
-        let bit = 1u32 << si;
-        let cursor = self.lanes[si].base;
-        if cursor >= home_len {
-            self.done |= bit;
-            self.settle(si);
-            return;
-        }
-        self.lanes[si].base = now.wrapping_sub(cursor);
-        self.running |= bit;
-        if self.planned & bit != 0 {
-            self.ev_at.0[si] = self.next_event(si, home_len);
-        }
-    }
-
-    /// One due comparison of running station `si` at `cycle`: a planned
-    /// hit, the last comparison of a planned scan, or any comparison of a
-    /// scalar station.
-    #[inline(always)]
     fn compare(
         &mut self,
         si: usize,
@@ -583,99 +642,33 @@ impl Pe {
         dp: &ForceDatapath,
         home_elem: &[Element],
         home_concat: &[FixVec3],
+        into: &mut impl FnMut(u16, &[FixAcc; 3]),
     ) {
         let bit = 1u32 << si;
-        let now = cycle as u16;
-        let cur = now.wrapping_sub(self.lanes[si].base);
         let lane = &mut self.lanes[si];
-        let hit = if self.planned & bit != 0 {
-            lane.plan.get(lane.hit as usize).is_some_and(|h| h.slot == cur)
-        } else {
-            let entry = self.entries[si].expect("occupied bit tracks entries");
-            let hi = cur as usize;
-            match dp.filter(home_concat[hi], entry.concat) {
-                Some(pair) => {
-                    let force = dp.force(home_elem[hi], entry.elem, pair);
-                    lane.plan.push(ScanHit { slot: cur, force });
-                    true
-                }
-                None => false,
+        let cur = lane.cursor0 + (cycle - lane.from) as u16;
+        let entry = self.entries[si].expect("occupied bit tracks entries");
+        let hi = usize::from(cur);
+        if let Some(pair) = dp.filter(home_concat[hi], entry.concat) {
+            let force = dp.force(home_elem[hi], entry.elem, pair);
+            into(cur, &FixAcc::from_f32x3(force));
+            for k in 0..3 {
+                lane.acc[k] -= force[k];
             }
-        };
-        let mut stalled = false;
-        if hit {
-            lane.hit += 1;
-            let len = lane.hit - lane.head;
-            lane.high_water = lane.high_water.max(len);
-            self.had_pairs |= bit;
-            self.fifo_nonempty |= bit;
-            if len == self.depth {
-                self.fifo_full |= bit;
-                stalled = true;
+            lane.plan.push(ScanHit { slot: cur, force });
+            self.ready |= bit;
+            if lane.plan.len() - usize::from(lane.head) == usize::from(self.depth) {
+                self.scanning &= !bit; // stalled until the arbiter pops
             }
         }
-        let next = cur + 1;
-        let home_len = home_elem.len() as u16;
-        let ended = next >= home_len;
-        if ended || stalled {
-            // Park on the next slot; a stalled station restarts when the
-            // arbiter makes room.
-            self.close_filter(cycle + 1);
-            self.running &= !bit;
-            self.lanes[si].base = next;
-            if ended {
-                self.done |= bit;
-                self.settle(si);
+        if usize::from(cur) + 1 >= home_elem.len() {
+            self.scanning &= !bit;
+            if usize::from(lane.head) == lane.plan.len() {
+                let at = cycle.max(lane.last_ready);
+                self.settle(si, at, cycle);
             }
-        } else if self.planned & bit != 0 {
-            self.ev_at.0[si] = self.next_event(si, home_len);
         }
     }
-
-    /// The filter stage at `cycle` against the home cell's snapshot
-    /// (elements, concatenated home coordinates): (re)start what is
-    /// parked but free to scan — fresh dispatches, and restored stations
-    /// — then compare for the stations whose event is due. Every event
-    /// this stamps for a later cycle is reported as `next(cycles_ahead)`
-    /// (a scalar station's next comparison as 1; at most
-    /// [`FILTER_REACH`], an event beyond it being reported again at each
-    /// visit until it is within reach), so the caller can file the PE
-    /// under each.
-    #[inline]
-    pub fn filter(
-        &mut self,
-        cycle: Cycle,
-        dp: &ForceDatapath,
-        home_elem: &[Element],
-        home_concat: &[FixVec3],
-        mut next: impl FnMut(u16),
-    ) {
-        let home_len = home_elem.len() as u16;
-        let now = cycle as u16;
-        let wake = self.wake();
-        if wake != 0 {
-            self.close_filter(cycle);
-            for si in set_bits(u64::from(wake)) {
-                self.start_scan(si, now, home_len);
-            }
-        }
-        let due = !self.planned & self.running | self.due_planned(now);
-        for si in set_bits(u64::from(due)) {
-            self.compare(si, cycle, dp, home_elem, home_concat);
-        }
-        if self.running & !self.planned != 0 {
-            next(1);
-        }
-        let report = (wake | due | self.far) & self.running & self.planned;
-        self.far = 0;
-        for si in set_bits(u64::from(report)) {
-            next(self.reach(si, now));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Stage 4: eject.
-    // ------------------------------------------------------------------
 
     /// True when some station is finished with nothing in flight.
     #[inline]
@@ -691,25 +684,33 @@ impl Pe {
     pub fn eject(&mut self, cycle: Cycle, ring_eject_budget: &mut u32) -> Option<Ejection> {
         for si in set_bits(u64::from(self.drained)) {
             let bit = 1u32 << si;
-            let entry = self.entries[si].expect("done implies occupied");
-            let had_pairs = self.had_pairs & bit != 0;
+            let entry = self.entries[si].expect("drained implies occupied");
+            let lane = &self.lanes[si];
+            let had_pairs = self.had_pairs & bit != 0 || !lane.plan.is_empty();
             let needs_ring = matches!(entry.kind, NbrKind::Ring { .. }) && had_pairs;
             if needs_ring && *ring_eject_budget == 0 {
                 continue; // retry next cycle
             }
-            self.close_filter(cycle + 1);
-            self.entries[si] = None;
-            self.occupied &= !bit;
-            self.done &= !bit;
-            self.planned &= !bit;
-            self.drained &= !bit;
+            debug_assert!(lane.last_ready <= cycle, "in-flight pairs outlive the station");
+            self.close_occupancy(cycle + 1);
+            let (depth, home_len) = (self.depth, self.home_len);
+            let lane = &mut self.lanes[si];
+            let ran = lane.compared(cycle + 1, depth, home_len);
+            self.compared += ran;
+            // A free station keeps the cursor it finished on.
+            lane.cursor0 += ran as u16;
             // The plan dies with the entry, so a checkpoint of a free
             // station carries none (it is empty on either engine).
-            let lane = &mut self.lanes[si];
             lane.plan.clear();
-            debug_assert!(lane.tail == lane.hit, "in-flight pairs outlive the station");
-            (lane.hit, lane.head, lane.tail) = (0, 0, 0);
+            lane.head = 0;
+            // ... and its accumulator and pair flag, as the register does.
             let acc = lane.acc;
+            (lane.acc0, lane.acc_from) = (acc, 0);
+            self.had_pairs |= u32::from(had_pairs) << si;
+            self.entries[si] = None;
+            self.occupied &= !bit;
+            self.planned &= !bit;
+            self.drained &= !bit;
             return Some(match entry.kind {
                 NbrKind::Internal { slot } if had_pairs => Ejection::Local { slot, force: acc },
                 NbrKind::Internal { .. } => Ejection::Discard {
@@ -742,10 +743,36 @@ impl Pe {
         None
     }
 
-    /// One whole cycle of a lone PE: its four stages in order. Returns
-    /// the retired `(home_slot, force_on_home)`, if any, and appends any
-    /// ejection. The chip runs the same stages as loops over its PEs;
-    /// this drives one PE the same way (tests, reference comparisons).
+    /// The pairs in the pipeline at clock `now`, oldest first: `f(station,
+    /// retire cycle, pair)`.
+    fn for_each_in_flight(&self, now: Cycle, mut f: impl FnMut(usize, Cycle, &ScanHit)) {
+        for i in 0..=u64::from(self.pipe_mask) {
+            let e = self.pipe[((self.issued_total + i) & u64::from(self.pipe_mask)) as usize];
+            if e != 0 && e >> 24 >= now {
+                let si = (e & 0xff) as usize;
+                f(si, e >> 24, &self.lanes[si].plan[(e >> 8 & 0xffff) as usize]);
+            }
+        }
+    }
+
+    /// The pairs not retired by clock `now` — in the pipeline, buffered,
+    /// or still to pass the filter — whose forces the FC already holds:
+    /// `f(home_slot, force)`.
+    pub(super) fn for_each_unretired(&self, now: Cycle, mut f: impl FnMut(u16, [f32; 3])) {
+        let mut piped = [0u16; LANES];
+        self.for_each_in_flight(now, |si, _, _| piped[si] += 1);
+        for si in set_bits(u64::from(self.occupied)) {
+            let lane = &self.lanes[si];
+            for h in &lane.plan[usize::from(lane.head - piped[si])..] {
+                f(h.slot, h.force);
+            }
+        }
+    }
+
+    /// One whole cycle of a lone PE: its visit, then its eject stage.
+    /// Returns the pair whose force retires this cycle `(home_slot,
+    /// force_on_home)`, if any, and appends any ejection. The chip visits
+    /// its PEs the same way (tests, reference comparisons).
     #[allow(clippy::type_complexity)]
     pub fn step(
         &mut self,
@@ -757,34 +784,39 @@ impl Pe {
         ring_eject_budget: &mut u32,
     ) -> Option<(u16, [f32; 3])> {
         let mut retired = None;
-        if self.retire_due(cycle) {
-            self.retire(cycle, |slot, force| retired = Some((slot, force)));
-        }
-        if self.has_buffered_pairs() {
-            self.arbitrate(cycle, home_elem.len() as u16);
-        }
-        if self.filter_live() {
-            self.filter(cycle, dp, home_elem, home_concat, |_| {});
-        }
+        self.for_each_in_flight(cycle, |_, ready, h| retired = retired.or((ready == cycle).then_some((h.slot, h.force))));
+        self.advance(cycle, home_elem.len() as u16);
+        self.scan(cycle, dp, home_elem, home_concat, |_, _| {});
         if self.has_drained() {
             ejections.extend(self.eject(cycle, ring_eject_budget));
         }
         retired
     }
 
+    /// Plan entries of station `si` that have passed the filter before
+    /// `now` (a parked or free station's: those below its cursor).
+    fn hit_at(&self, si: usize, now: Cycle) -> usize {
+        let lane = &self.lanes[si];
+        if (self.occupied & !self.parked) & 1 << si == 0 {
+            return lane.plan.partition_point(|h| h.slot < lane.cursor0);
+        }
+        let passed = lane.plan.partition_point(|h| lane.issuable(h.slot) <= now);
+        passed.min(usize::from(lane.head) + usize::from(self.depth))
+    }
+
     /// Checkpointing: station count, pipeline latency, and FIFO depths are
     /// configuration; the station/pipeline contents, scan cursors and
-    /// masks are state. The byte layout predates both the event-timed
-    /// lanes and the by-reference pairs and is kept: each station writes
-    /// its entry, in-flight count, pair flag, accumulator, pair FIFO (the
-    /// `plan[head..hit]` pairs, then the high-water mark) and — planned
-    /// stations only — its plan and plan cursor; the pipeline writes each
-    /// in-flight pair with its retire cycle; per-station cursors are
-    /// materialised from clock `now` (the next cycle the PE is stepped
-    /// at), and the "slot of the next planned hit" array is derived from
-    /// the plans. The activity counters are *not* captured — the driver
-    /// resets every utilization counter at the start of a measurement
-    /// window, which is where checkpoints are cut.
+    /// masks are state. The byte layout predates the derived lanes and is
+    /// kept, materialised at clock `now` (the next cycle the PE is visited
+    /// at): each station writes its entry, in-flight count, pair flag,
+    /// accumulator over its *retired* pairs (recomputed in plan order),
+    /// pair FIFO (the passed, unissued pairs, then the high-water mark)
+    /// and — planned stations only — its plan and plan cursor; the
+    /// pipeline writes each in-flight pair with its retire cycle; then the
+    /// cursors, the "slot of the next planned hit" array and the masks.
+    /// The activity counters are *not* captured — the driver resets every
+    /// utilization counter at the start of a measurement window, which is
+    /// where checkpoints are cut.
     pub fn snapshot_at(&self, now: Cycle, w: &mut fasda_ckpt::Writer) {
         use fasda_ckpt::Persist;
         let n = usize::from(self.stations);
@@ -793,73 +825,74 @@ impl Pe {
             home_slot: h.slot,
             force: h.force,
         };
+        let mut piped = [0u16; LANES];
+        self.for_each_in_flight(now, |si, _, _| piped[si] += 1);
+        let mut hits = [0usize; LANES];
         w.put_usize(n);
         for si in 0..n {
             let lane = &self.lanes[si];
             let plan = &lane.plan;
+            let (head, hit) = (usize::from(lane.head), self.hit_at(si, now));
+            let tail = head - usize::from(piped[si]);
+            hits[si] = hit;
             self.entries[si].save(w);
-            w.put_u32(u32::from(lane.hit - lane.tail));
-            w.put_bool(self.had_pairs & 1 << si != 0);
-            lane.acc.save(w);
-            w.put_usize(usize::from(lane.hit - lane.head));
-            for h in &plan[lane.head as usize..lane.hit as usize] {
+            w.put_u32((hit - tail) as u32);
+            w.put_bool(self.had_pairs & 1 << si != 0 || hit > 0);
+            let mut acc = lane.acc0;
+            for h in &plan[usize::from(lane.acc_from)..tail] {
+                for k in 0..3 {
+                    acc[k] -= h.force[k];
+                }
+            }
+            acc.save(w);
+            w.put_usize(hit - head);
+            for h in &plan[head..hit] {
                 job(si, h).save(w);
             }
-            w.put_usize(usize::from(lane.high_water));
+            w.put_usize(usize::from(lane.high_water).max(hit - head));
             if self.planned & 1 << si != 0 {
                 plan.save(w);
-                w.put_usize(usize::from(lane.hit));
+                w.put_usize(hit);
             } else {
                 w.put_usize(0);
                 w.put_usize(0);
             }
         }
-        let mut next = [0u16; LANES];
-        for (si, lane) in self.lanes.iter().enumerate().take(n) {
-            next[si] = lane.tail;
-        }
-        w.put_usize(usize::from(self.pipe_len));
-        for i in 0..self.pipe_len {
-            let e = self.pipe[((self.pipe_head + i) & self.pipe_mask) as usize];
-            let si = (e & 0xff) as usize;
-            let ready = self.retire_at + u64::from(((e >> 16) as u16).wrapping_sub(self.retire_at as u16));
+        w.put_usize(usize::from(piped.iter().sum::<u16>()));
+        self.for_each_in_flight(now, |si, ready, h| {
             w.put_u64(ready);
-            job(si, &self.lanes[si].plan[next[si] as usize]).save(w);
-            next[si] += 1;
-        }
+            job(si, h).save(w);
+        });
         self.last_issue.save(w);
         w.put_u64(self.issued_total);
         w.put_usize(usize::from(self.rr));
-        let clock = now as u16;
-        let cursors: Vec<u16> = (0..n)
-            .map(|si| {
-                let base = self.lanes[si].base;
-                if self.running & (1 << si) != 0 {
-                    clock.wrapping_sub(base)
-                } else {
-                    base
-                }
-            })
-            .collect();
+        let started = self.occupied & !self.parked;
+        let lanes = self.lanes.iter().enumerate();
+        let ran = |si: usize, l: &Lane| (started & 1 << si != 0).then(|| l.compared(now, self.depth, self.home_len));
+        let cursors: Vec<u16> = lanes.clone().map(|(si, l)| l.cursor0 + ran(si, l).unwrap_or(0) as u16).collect();
         cursors.save(w);
-        let next_hit: Vec<u16> = (0..n)
-            .map(|si| {
-                let live = self.occupied & self.planned & (1 << si) != 0;
-                let lane = &self.lanes[si];
-                lane.plan.get(lane.hit as usize).filter(|_| live).map_or(u16::MAX, |h| h.slot)
-            })
-            .collect();
+        let live = |si: usize| self.occupied & self.planned & 1 << si != 0;
+        let next_hit: Vec<u16> = lanes.map(|(si, l)| l.plan.get(hits[si]).filter(|_| live(si)).map_or(u16::MAX, |h| h.slot)).collect();
         next_hit.save(w);
+        let mask = |f: &dyn Fn(usize) -> bool| (0..n).filter(|&si| f(si)).fold(0u32, |m, si| m | 1 << si);
+        let done = mask(&|si| match started & 1 << si != 0 {
+            true => cursors[si] >= self.home_len,
+            false => self.parked_done & 1 << si != 0,
+        });
+        let buffered = |si: usize| hits[si] - usize::from(self.lanes[si].head);
         w.put_u32(self.occupied);
         w.put_u32(self.planned);
-        w.put_u32(self.done);
-        w.put_u32(self.fifo_full);
-        w.put_u32(self.fifo_nonempty);
+        w.put_u32(done);
+        w.put_u32(mask(&|si| buffered(si) == usize::from(self.depth)));
+        w.put_u32(mask(&|si| buffered(si) > 0));
     }
 
-    /// Restore what [`Pe::snapshot_at`] wrote. Every station comes back
-    /// parked on its cursor; a scalar station's plan is rebuilt from its
-    /// in-flight and buffered pairs. Follow with [`Pe::reset_stats`].
+    /// Restore what [`Pe::snapshot_at`] wrote. Every occupied station
+    /// comes back parked on its cursor, its accumulator holding all its
+    /// pairs; a scalar station's plan is rebuilt from its in-flight and
+    /// buffered pairs. The caller adds the unretired pairs' forces to the
+    /// FC ([`Pe::for_each_unretired`]), whose snapshot left them out.
+    /// Follow with [`Pe::reset_stats`].
     pub fn restore(&mut self, r: &mut fasda_ckpt::Reader<'_>) -> Result<(), fasda_ckpt::CkptError> {
         use fasda_ckpt::Persist;
         struct Saved {
@@ -931,6 +964,7 @@ impl Pe {
         if pipe.len() > usize::from(self.latency)
             || pipe.windows(2).any(|p| p[0].0 >= p[1].0)
             || pipe.last().is_some_and(|p| p.0 - pipe[0].0 >= u64::from(self.latency))
+            || pipe.last().is_some_and(|p| p.0 >> 40 != 0)
         {
             return Err(r.malformed("force pipeline holds more than its latency of pairs"));
         }
@@ -982,41 +1016,55 @@ impl Pe {
                 }
                 plan.extend_from_slice(&s.plan);
                 s.plan_next
-            } else {
-                // A free station may carry a stale plan from an older
-                // writer; a scalar station's is empty.
+            } else if s.entry.is_some() {
                 plan.extend_from_slice(&pairs);
                 pairs.len()
+            } else {
+                // A free station may carry a stale plan from an older
+                // writer; its pairs are none.
+                0
             };
             let hit = u16::try_from(hit).map_err(|_| r.malformed("scan plan longer than a cell"))?;
             let buffered = s.fifo.len() as u16;
-            lane.base = cursors[si];
-            (lane.hit, lane.head, lane.tail) = (hit, hit - buffered, hit - buffered - piped[si]);
+            let tail = (hit.checked_sub(buffered + piped[si])).ok_or_else(|| r.malformed("a free station holds pairs"))?;
+            lane.cursor0 = cursors[si];
+            // The pairs that passed are the plan below the cursor.
+            if lane.plan.windows(2).any(|p| p[0].slot >= p[1].slot) || lane.plan.partition_point(|h| h.slot < lane.cursor0) != usize::from(hit) {
+                return Err(r.malformed("station's pairs disagree with its scan cursor"));
+            }
+            lane.head = hit - buffered;
             lane.high_water = s.high_water as u16;
-            lane.acc = s.acc;
+            (lane.acc0, lane.acc_from, lane.acc) = (s.acc, tail, s.acc);
+            for h in &lane.plan[usize::from(tail)..] {
+                for k in 0..3 {
+                    lane.acc[k] -= h.force[k];
+                }
+            }
+            (lane.at, lane.last_ready) = (Cycle::MAX, 0);
             self.entries[si] = s.entry;
             self.had_pairs = self.had_pairs & !bit | u32::from(s.had_pairs) << si;
         }
-        self.pipe_head = 0;
-        self.pipe_len = pipe.len() as u16;
-        for (i, (ready, job)) in pipe.iter().enumerate() {
-            self.pipe[i] = u32::from(*ready as u16) << 16 | u32::from(job.station);
+        if pipe.len() as u64 > issued_total || pipe.last().is_some_and(|p| Some(p.0) != last_issue.map(|c| c + u64::from(self.latency))) {
+            return Err(r.malformed("force pipeline disagrees with its last issue"));
         }
-        self.retire_at = pipe.first().map_or(Cycle::MAX, |p| p.0);
+        self.pipe.fill(0);
+        let first = issued_total - pipe.len() as u64;
+        let mut next: Vec<u64> = self.lanes.iter().zip(piped).map(|(l, n)| u64::from(l.head - n)).collect();
+        for (i, (ready, job)) in pipe.iter().enumerate() {
+            let si = usize::from(job.station);
+            self.pipe[((first + i as u64) & u64::from(self.pipe_mask)) as usize] = ready << 24 | next[si] << 8 | si as u64;
+            (self.lanes[si].last_ready, next[si]) = (*ready, next[si] + 1);
+        }
         self.last_issue = last_issue;
         self.issued_total = issued_total;
+        self.pipe_cycles = self.pipe_end();
         self.rr = rr as u8;
         self.occupied = occupied;
         self.planned = planned;
-        self.done = done;
-        self.fifo_full = fifo_full;
-        self.fifo_nonempty = fifo_nonempty;
-        self.running = 0;
-        self.far = 0;
-        self.drained = 0;
-        for si in 0..n {
-            self.settle(si);
-        }
+        self.parked = occupied;
+        self.parked_done = done;
+        (self.ready, self.scanning, self.draining, self.drained) = (0, 0, 0, 0);
+        self.next_at = Cycle::MAX;
         Ok(())
     }
 }
@@ -1248,7 +1296,7 @@ mod tests {
         let mut planned = Pe::new(3, 7, 4);
         for e in entries {
             scalar.dispatch(0, e);
-            planned.dispatch_planned(0, e, &dp, &soa);
+            planned.dispatch_planned(0, e, &dp, &soa, |_, _| {});
         }
         let (mut ej_s, mut ej_p) = (Vec::new(), Vec::new());
         let mut end = 0;

@@ -147,7 +147,7 @@ fn parse(text: &str) -> BTreeMap<String, String> {
 fn pe_census(chip: &TimedChip) -> (u32, u32) {
     let (mut full, mut drained) = (0, 0);
     for pe in chip.pes() {
-        full += pe.stalled_mask().count_ones();
+        full += pe.stalled_mask(chip.cycle).count_ones();
         drained += pe.drained_mask().count_ones();
     }
     (full, drained)

@@ -148,9 +148,9 @@ proptest! {
                 let entry = random_entry(&mut rng, home_len);
                 if rng.below(2) == 0 {
                     reference.dispatch_planned(entry, &dp, &soa);
-                    pe.dispatch_planned(cycle, entry, &dp, &soa);
+                    pe.dispatch_planned(cycle, entry, &dp, &soa, |_, _| {});
                     if let Some(r) = resumed.as_mut() {
-                        r.dispatch_planned(cycle, entry, &dp, &soa);
+                        r.dispatch_planned(cycle, entry, &dp, &soa, |_, _| {});
                     }
                 } else {
                     reference.dispatch(entry);

@@ -159,43 +159,33 @@ impl CellListEngine {
 impl ForceEngine for CellListEngine {
     fn compute_forces(&mut self, sys: &mut ParticleSystem) -> f64 {
         sys.clear_forces();
+        let CellListEngine {
+            table,
+            ewald,
+            cells,
+            cutoff_sq,
+        } = self;
         // Rebuild every step, matching the FPGA flow (§2.2: neighbour
         // lists are recomputed every timestep).
-        let cl = match &mut self.cells {
+        let cl = match cells {
             Some(cl) => {
                 cl.rebuild(sys);
                 cl
             }
-            none => {
-                *none = Some(CellList::build(sys));
-                none.as_mut().unwrap()
-            }
+            none => none.insert(CellList::build(sys)),
         };
 
+        // Each in-cutoff pair accumulates as the traversal reaches it: no
+        // pair list, so memory stays at the particle arrays.
         let mut pe = 0.0;
-        // Collect pair hits first to appease the borrow checker without
-        // cloning particle data; candidate count is bounded by m·N.
-        let mut hits: Vec<(u32, u32, Vec3, f64)> = Vec::new();
         cl.for_each_halfshell_pair(|i, j| {
-            let dr = sys
-                .space
-                .min_image(sys.pos[i as usize], sys.pos[j as usize]);
+            let (i, j) = (i as usize, j as usize);
+            let dr = sys.space.min_image(sys.pos[i], sys.pos[j]);
             let r2 = dr.norm_sq();
-            if r2 < self.cutoff_sq {
-                hits.push((i, j, dr, r2));
+            if r2 < *cutoff_sq {
+                pe += accumulate_pair(sys, table, ewald.as_ref(), i, j, dr, r2);
             }
         });
-        for (i, j, dr, r2) in hits {
-            pe += accumulate_pair(
-                sys,
-                &self.table,
-                self.ewald.as_ref(),
-                i as usize,
-                j as usize,
-                dr,
-                r2,
-            );
-        }
         pe
     }
 }
