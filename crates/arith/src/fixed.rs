@@ -349,13 +349,6 @@ impl FixAcc {
         }
     }
 
-    /// [`FixAcc::from_f32`] of each component of a force, written out:
-    /// `[f32; 3]::map` does not always inline on a hot path.
-    #[inline(always)]
-    pub fn from_f32x3(v: [f32; 3]) -> [Self; 3] {
-        [Self::from_f32(v[0]), Self::from_f32(v[1]), Self::from_f32(v[2])]
-    }
-
     /// Accumulated value as `f32` (the fixed-to-float stage feeding the
     /// motion-update pipeline).
     #[inline]

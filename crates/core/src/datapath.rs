@@ -17,7 +17,7 @@
 //! point forces", §3.1).
 
 use crate::config::ChipConfig;
-use fasda_arith::fixed::{Fix, FixAcc, FixVec3, FRAC_BITS};
+use fasda_arith::fixed::{Fix, FixVec3, FRAC_BITS};
 use fasda_arith::float_bits::{fused_index, section_bin, SectionBin};
 use fasda_arith::interp::{InterpTable, LjForceTable, TableConfig};
 use fasda_md::element::{Element, PairTable};
@@ -282,36 +282,6 @@ impl ForceDatapath {
         scan_from: u16,
         hits: &mut Vec<ScanHit>,
     ) -> u64 {
-        self.fused_scan::<false>(home, nbr, nbr_elem, scan_from, |h, _| hits.push(h))
-    }
-
-    /// [`ForceDatapath::fused_scan_into`] handing each hit, in slot order,
-    /// to `hit` instead of a vector, with its force also quantised onto
-    /// the FC accumulator grid ([`FixAcc::from_f32`]): the words a PE adds
-    /// to the FC as the hit leaves the kernel.
-    #[inline]
-    pub fn fused_scan_with(
-        &self,
-        home: &HomeSoa,
-        nbr: FixVec3,
-        nbr_elem: Element,
-        scan_from: u16,
-        hit: impl FnMut(ScanHit, [FixAcc; 3]),
-    ) -> u64 {
-        self.fused_scan::<true>(home, nbr, nbr_elem, scan_from, hit)
-    }
-
-    /// The fused kernel; `FIX` says whether to quantise (else the `FixAcc`
-    /// words handed on are zero).
-    #[inline]
-    fn fused_scan<const FIX: bool>(
-        &self,
-        home: &HomeSoa,
-        nbr: FixVec3,
-        nbr_elem: Element,
-        scan_from: u16,
-        mut hit: impl FnMut(ScanHit, [FixAcc; 3]),
-    ) -> u64 {
         const CHUNK: usize = 64;
         let n = home.len();
         let from = (scan_from as usize).min(n);
@@ -404,9 +374,10 @@ impl ForceDatapath {
                 while mask != 0 {
                     let i = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let force = [fx[i], fy[i], fz[i]];
-                    let fix = if FIX { FixAcc::from_f32x3(force) } else { [FixAcc::ZERO; 3] };
-                    hit(ScanHit { slot: (base + i) as u16, force }, fix);
+                    hits.push(ScanHit {
+                        slot: (base + i) as u16,
+                        force: [fx[i], fy[i], fz[i]],
+                    });
                 }
                 base += len;
                 continue;
@@ -430,9 +401,10 @@ impl ForceDatapath {
                 let dx = Fix::from_bits(xs[i].wrapping_sub(nx)).to_f32();
                 let dy = Fix::from_bits(ys[i].wrapping_sub(ny)).to_f32();
                 let dz = Fix::from_bits(zs[i].wrapping_sub(nz)).to_f32();
-                let force = [scale * dx, scale * dy, scale * dz];
-                let fix = if FIX { FixAcc::from_f32x3(force) } else { [FixAcc::ZERO; 3] };
-                hit(ScanHit { slot: slot as u16, force }, fix);
+                hits.push(ScanHit {
+                    slot: slot as u16,
+                    force: [scale * dx, scale * dy, scale * dz],
+                });
             }
             base += len;
         }

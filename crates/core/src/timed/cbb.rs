@@ -261,20 +261,13 @@ impl TimedCbb {
         }
     }
 
-    /// Accumulate a force into the FC at `slot` (a local reaction or an
-    /// arriving ring force).
+    /// Accumulate a force into the FC at `slot` (the PE's write port, a
+    /// local reaction, or an arriving ring force).
     #[inline(always)]
     pub(super) fn add_force(force: &mut [[FixAcc; 3]], slot: u16, f: [f32; 3]) {
-        Self::add_fix(force, slot, &FixAcc::from_f32x3(f));
-    }
-
-    /// Accumulate an already quantised force into the FC at `slot` (the
-    /// PE's write port: a pair's force, applied as it leaves the kernel).
-    #[inline(always)]
-    pub(super) fn add_fix(force: &mut [[FixAcc; 3]], slot: u16, f: &[FixAcc; 3]) {
         let fc = &mut force[slot as usize];
         for k in 0..3 {
-            fc[k] += f[k];
+            fc[k] += FixAcc::from_f32(f[k]);
         }
     }
 
@@ -469,7 +462,7 @@ impl TimedCbb {
         let mut inside = true;
         for pe in pes {
             pe.for_each_unretired(now, |slot, f| match force.get_mut(usize::from(slot)) {
-                Some(fc) => fc.iter_mut().zip(FixAcc::from_f32x3(f)).for_each(|(a, f)| a.0 = a.0.wrapping_add(f.0.wrapping_mul(sign))),
+                Some(fc) => fc.iter_mut().zip(f.map(FixAcc::from_f32)).for_each(|(a, f)| a.0 = a.0.wrapping_add(f.0.wrapping_mul(sign))),
                 None => inside = false,
             });
         }

@@ -1126,7 +1126,7 @@ impl TimedChip {
                 let pe = &mut self.pes[p];
                 if cbb.soa_scan {
                     let fc = &mut cbb.force;
-                    pe.dispatch_planned(cycle, entry, dp, &cbb.soa, |slot, f| TimedCbb::add_fix(fc, slot, f));
+                    pe.dispatch_planned(cycle, entry, dp, &cbb.soa, |slot, f| TimedCbb::add_force(fc, slot, f));
                 } else {
                     pe.dispatch(cycle, entry);
                 }
@@ -1169,7 +1169,7 @@ impl TimedChip {
                     if pe.scans() {
                         let cbb = &mut self.cbbs[self.pe_cbb[p] as usize];
                         let fc = &mut cbb.force;
-                        pe.scan(cycle, dp, &cbb.elem, &cbb.home_concat, |slot, f| TimedCbb::add_fix(fc, slot, f));
+                        pe.scan(cycle, dp, &cbb.elem, &cbb.home_concat, |slot, f| TimedCbb::add_force(fc, slot, f));
                     }
                     refile(m, &mut self.wheel, pe, p, cycle + 1);
                 } else if EXHAUSTIVE {

@@ -14,10 +14,8 @@
 //! or discarded if no pair passed ("zero force is simply discarded rather
 //! than returned", §5.4).
 
-// Componentwise `for k in 0..3` loops mirror the per-lane datapath.
-#![allow(clippy::needless_range_loop)]
 use crate::datapath::{ForceDatapath, HomeSoa, ScanHit};
-use fasda_arith::fixed::{FixAcc, FixVec3};
+use fasda_arith::fixed::FixVec3;
 use fasda_md::element::Element;
 use fasda_sim::{Activity, Cycle};
 
@@ -88,6 +86,13 @@ pub enum Ejection {
 
 /// Stations per PE at most (the width of the station masks).
 const LANES: usize = 32;
+
+/// A station accumulator after one more pair: the neighbour takes the
+/// negation of the home force.
+#[inline(always)]
+fn less(acc: [f32; 3], force: [f32; 3]) -> [f32; 3] {
+    [acc[0] - force[0], acc[1] - force[1], acc[2] - force[2]]
+}
 
 /// One station's lane: the current run of its scan, its scan plan with
 /// the issue cursor, the cycles its pending events fall on, and the
@@ -241,7 +246,8 @@ pub struct Pe {
     lanes: Box<[Lane]>,
     /// Ring of the last `pipe_mask + 1` issues, issue `i` at `i &
     /// pipe_mask`: `retire_cycle << 24 | plan index << 8 | station` (0:
-    /// none). It holds the at most `latency` pairs in flight.
+    /// none), so retire cycles stay below 2^40. It holds the at most
+    /// `latency` pairs in flight.
     pipe: Box<[u64]>,
     pipe_mask: u16,
     /// Issue cycle of the newest pair (checkpointed).
@@ -424,10 +430,10 @@ impl Pe {
     }
 
     /// [`Pe::dispatch`] through the fused SoA kernel: run the station's
-    /// whole scan now ([`ForceDatapath::fused_scan_with`]) into its plan —
-    /// each pair's quantised home force to `into(home_slot, force)`, the
-    /// FC write port, and its reaction into the station's accumulator, in
-    /// plan order — and start the scan on this cycle. Cycle-for-cycle and
+    /// whole scan now ([`ForceDatapath::fused_scan_into`]) into its plan,
+    /// hand each pair's home force to `into(home_slot, force)`, the FC
+    /// write port, and take its reaction into the station's accumulator,
+    /// in plan order, and start the scan on this cycle. Cycle-for-cycle and
     /// bit-for-bit the scalar path: the station still passes one home
     /// slot per cycle, stalls on a full FIFO and offers the same pairs on
     /// the same cycles; only the arithmetic is hoisted out of the loop.
@@ -437,17 +443,15 @@ impl Pe {
         entry: NbrEntry,
         dp: &ForceDatapath,
         home: &HomeSoa,
-        mut into: impl FnMut(u16, &[FixAcc; 3]),
+        mut into: impl FnMut(u16, [f32; 3]),
     ) {
         let si = self.load_station(cycle, entry);
         let lane = &mut self.lanes[si];
-        dp.fused_scan_with(home, entry.concat, entry.elem, entry.scan_from, |h, fix| {
-            into(h.slot, &fix);
-            for k in 0..3 {
-                lane.acc[k] -= h.force[k];
-            }
-            lane.plan.push(h);
-        });
+        dp.fused_scan_into(home, entry.concat, entry.elem, entry.scan_from, &mut lane.plan);
+        for h in &lane.plan {
+            into(h.slot, h.force);
+            lane.acc = less(lane.acc, h.force);
+        }
         self.planned |= 1u32 << si;
         self.home_len = home.len() as u16;
         self.start(si, cycle);
@@ -562,7 +566,7 @@ impl Pe {
         dp: &ForceDatapath,
         home_elem: &[Element],
         home_concat: &[FixVec3],
-        mut into: impl FnMut(u16, &[FixAcc; 3]),
+        mut into: impl FnMut(u16, [f32; 3]),
     ) {
         for si in set_bits(u64::from(self.scanning)) {
             self.compare(si, cycle, dp, home_elem, home_concat, &mut into);
@@ -626,6 +630,7 @@ impl Pe {
                 }
             }
         }
+        debug_assert!(ready >> 40 == 0, "retire cycles are 40 bits");
         self.pipe[(self.issued_total & u64::from(self.pipe_mask)) as usize] = ready << 24 | (head as u64) << 8 | si as u64;
         self.pipe_cycles += ready + 1 - cycle.max(self.pipe_end());
         self.last_issue = Some(cycle);
@@ -642,7 +647,7 @@ impl Pe {
         dp: &ForceDatapath,
         home_elem: &[Element],
         home_concat: &[FixVec3],
-        into: &mut impl FnMut(u16, &[FixAcc; 3]),
+        into: &mut impl FnMut(u16, [f32; 3]),
     ) {
         let bit = 1u32 << si;
         let lane = &mut self.lanes[si];
@@ -651,10 +656,8 @@ impl Pe {
         let hi = usize::from(cur);
         if let Some(pair) = dp.filter(home_concat[hi], entry.concat) {
             let force = dp.force(home_elem[hi], entry.elem, pair);
-            into(cur, &FixAcc::from_f32x3(force));
-            for k in 0..3 {
-                lane.acc[k] -= force[k];
-            }
+            into(cur, force);
+            lane.acc = less(lane.acc, force);
             lane.plan.push(ScanHit { slot: cur, force });
             self.ready |= bit;
             if lane.plan.len() - usize::from(lane.head) == usize::from(self.depth) {
@@ -838,13 +841,7 @@ impl Pe {
             self.entries[si].save(w);
             w.put_u32((hit - tail) as u32);
             w.put_bool(self.had_pairs & 1 << si != 0 || hit > 0);
-            let mut acc = lane.acc0;
-            for h in &plan[usize::from(lane.acc_from)..tail] {
-                for k in 0..3 {
-                    acc[k] -= h.force[k];
-                }
-            }
-            acc.save(w);
+            plan[usize::from(lane.acc_from)..tail].iter().fold(lane.acc0, |a, h| less(a, h.force)).save(w);
             w.put_usize(hit - head);
             for h in &plan[head..hit] {
                 job(si, h).save(w);
@@ -1034,12 +1031,8 @@ impl Pe {
             }
             lane.head = hit - buffered;
             lane.high_water = s.high_water as u16;
-            (lane.acc0, lane.acc_from, lane.acc) = (s.acc, tail, s.acc);
-            for h in &lane.plan[usize::from(tail)..] {
-                for k in 0..3 {
-                    lane.acc[k] -= h.force[k];
-                }
-            }
+            (lane.acc0, lane.acc_from) = (s.acc, tail);
+            lane.acc = lane.plan[usize::from(tail)..].iter().fold(s.acc, |a, h| less(a, h.force));
             (lane.at, lane.last_ready) = (Cycle::MAX, 0);
             self.entries[si] = s.entry;
             self.had_pairs = self.had_pairs & !bit | u32::from(s.had_pairs) << si;
