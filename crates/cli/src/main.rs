@@ -261,9 +261,8 @@ fn usage() -> ExitCode {
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\
          --heartbeat-every N steps (default 1 when a sink is given) and ends on a\n\
          final record of the run's totals; --prom-out keeps a Prometheus\n\
-         text-format scrape file current. Sharded runs emit fleet heartbeats\n\
-         naming the lagging shard. Any obs flag implies --trace-level sync (the\n\
-         stall breakdown reads the live ledger).\n\
+         text-format scrape file current. Any obs flag implies --trace-level sync\n\
+         (the stall breakdown reads the live ledger).\n\
          \n\
          metrics document (--metrics-out): run and obs (the engine- and\n\
          shard-invariant totals) always; stalls and trace when the flight\n\

@@ -167,11 +167,12 @@ fn artifacts_match_the_parent_commit() {
 #[test]
 fn every_run_path_agrees() {
     let dir = tmpdir("paths");
-    let (plain, plain_m) = artifacts(&dir, "plain", &["--steps", "2"]);
+    // The default engine: window workers on a host with two cores or more.
+    let (plain, plain_m) = artifacts(&dir, "plain", &["--steps", "2", "--heartbeat-out", "plain.jsonl"]);
     let (serial, serial_m) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
     let sharded = ["--steps", "2", "--shards", "2", "--shard-listen", "unix:rdv/ctl.sock"];
     let (shard, shard_m, said) =
-        artifacts_said(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "fleet.jsonl"]].concat());
+        artifacts_said(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "shard.jsonl"]].concat());
     assert!(said.contains("listening on unix:rdv/ctl.sock"), "not the Unix carrier: {said}");
     // The same two workers meshed over loopback TCP, the carrier that
     // can cross hosts; port 0 lets the coordinator pick a free port.
@@ -197,18 +198,25 @@ fn every_run_path_agrees() {
     assert_eq!(obs_section(&serial_m), plain_o, "obs section differs across engines");
     assert_eq!(obs_section(&shard_m), plain_o, "obs section differs across shard counts");
     assert_eq!(obs_section(&tcp_m), plain_o, "obs section differs across shard carriers");
-    // The sharded stream is fleet beats; the last one carries the totals.
-    let beats = std::fs::read_to_string(dir.join("fleet.jsonl")).expect("fleet stream");
-    let fleet: Vec<Json> = beats
-        .lines()
-        .map(|l| Json::parse(l).expect("heartbeat json"))
-        .filter(|r| r.get("type").and_then(Json::as_str) == Some("fleet"))
-        .collect();
-    let last = fleet.last().and_then(|r| r.get("counters")).expect("fleet beats");
+    // Both streams are beats, counter for counter, and the last one
+    // carries the totals.
+    let beats = |name: &str| -> Vec<Json> {
+        let text = std::fs::read_to_string(dir.join(name)).expect("heartbeat stream");
+        let records = text.lines().map(|l| Json::parse(l).expect("heartbeat json"));
+        records.filter(|r| r.get("type").and_then(Json::as_str) == Some("beat")).collect()
+    };
+    let (plain_beats, shard_beats) = (beats("plain.jsonl"), beats("shard.jsonl"));
+    assert_eq!(plain_beats.len(), 2, "one beat per step");
+    let counters = |r: &Json| r.get("counters").expect("beat counters").clone();
+    for (plain, shard) in plain_beats.iter().zip(&shard_beats) {
+        assert_eq!(counters(shard), counters(plain), "beat counters differ across carriers");
+    }
+    assert_eq!(shard_beats.len(), plain_beats.len(), "beat counts differ across carriers");
+    let last = counters(plain_beats.last().expect("beats"));
     let totals = parse(&shard_m);
-    for key in ["productive_cycles", "stall_cycles"] {
+    for key in ["cycles", "productive_cycles", "stall_cycles"] {
         let want = totals.get("obs").and_then(|o| o.get("counters")).and_then(|c| c.get(key));
-        assert_eq!(last.get(key), want, "last fleet beat's {key}");
+        assert_eq!(last.get(key), want, "last beat's {key}");
     }
     // Two segments re-arm the nodes once more; recovery with nothing to
     // recover from is that same run.

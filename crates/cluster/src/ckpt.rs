@@ -363,7 +363,7 @@ pub(crate) fn run_segments<E: From<CkptError>>(
         None => steps.saturating_sub(acc.steps).max(1),
     };
     if let Some(obs) = &mut cluster.obs {
-        obs.begin_run(steps);
+        obs.begin_run(steps, acc.steps, cluster.cycle);
     }
     let start_cycle = cluster.cycle;
     let mut traces = Vec::new();
@@ -372,6 +372,9 @@ pub(crate) fn run_segments<E: From<CkptError>>(
         let target = (acc.steps + every).min(steps);
         let spent = cluster.cycle - start_cycle;
         let (report, trace) = segment(cluster, target, cycle_budget.saturating_sub(spent))?;
+        if let Some(obs) = &mut cluster.obs {
+            obs.end_segment(trace.as_ref().map(|t| &t.stalls));
+        }
         host.steps += target - acc.steps;
         traces.extend(trace);
         acc.fold(&report);

@@ -1,5 +1,6 @@
 //! The cluster driver: chips + packetizers + fabric + synchronization.
 
+use crate::obs::ObsShard;
 use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
 use crate::wire::{Cargo, Delivery, NetMsg};
 use fasda_core::config::ChipConfig;
@@ -19,8 +20,8 @@ use fasda_net::sync::{BulkBarrier, ChainedSync, SyncMode};
 use fasda_net::topology::Topology;
 use fasda_sim::{MessageQueue, StatSet};
 use fasda_trace::{
-    ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, StepStalls, Trace,
-    TraceConfig, TraceLevel,
+    ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, Trace, TraceConfig,
+    TraceLevel,
 };
 use std::collections::BTreeMap;
 
@@ -62,10 +63,10 @@ pub struct EngineConfig {
     /// Emit a live telemetry heartbeat every N completed steps (0 =
     /// off). The sinks (JSONL stream, Prometheus scrape file) are
     /// runtime attachments — see [`Cluster::attach_obs`] for in-process
-    /// runs and `ShardOpts::obs` for sharded ones; this knob only sets
-    /// the cadence, so it stays in the `Copy` engine config that shard
-    /// workers replay from argv. Heartbeats read the live stall ledger,
-    /// so the host enables at least `TraceLevel::Sync` alongside.
+    /// runs (which beat on their writer's cadence) and `ShardOpts::obs`
+    /// for sharded ones; this knob is the cadence shard workers replay
+    /// from argv. Heartbeats read the live stall ledger, so the host
+    /// enables at least `TraceLevel::Sync` alongside.
     pub heartbeat_every: u64,
     /// Fast engine only: how many threads may run the lookahead-window
     /// protocol in-process (0 = the host's available parallelism; 1 =
@@ -86,8 +87,8 @@ impl EngineConfig {
     /// mask-driven chip tick and the fused SoA scan — and, on a host with
     /// at least two cores, the lookahead-window protocol on
     /// `min(cores, nodes)` scoped threads for every run that admits it
-    /// (chained sync, no live heartbeat sampler attached). Used by the
-    /// CLI unless `--serial` is given.
+    /// (chained sync), heartbeats included. Used by the CLI unless
+    /// `--serial` is given.
     pub const fn auto() -> Self {
         EngineConfig { fast: true, trace: TraceConfig::OFF, heartbeat_every: 0, threads: 0 }
     }
@@ -636,10 +637,6 @@ pub struct Cluster {
     pub(crate) tr_engine: NodeRecorder,
     /// Per-(node, step) force-phase stall attribution.
     pub(crate) tr_stalls: StallLedger,
-    /// Owned-node totals of every ledger [`Cluster::swap_ledger`] has
-    /// replaced since the cluster was built, so that
-    /// [`Cluster::stall_totals`] spans a run's checkpoint segments.
-    stalls_banked: StepStalls,
     /// Which chips ticked in the current compute phase (tracing only);
     /// engine-invariant because a `quiet`-skipped chip is idle and would
     /// not have ticked under the serial reference either.
@@ -650,10 +647,9 @@ pub struct Cluster {
     /// an event buffer for the cross-shard merge — see the
     /// `shard` module and `DESIGN.md` §11.
     pub(crate) exchange: Option<ExchangeBuf>,
-    /// Live telemetry sampler (see the `obs` module). `None` (the
-    /// default) keeps the hot loop at a single `is_some()` branch per
-    /// cycle. A runtime attachment like the trace sinks — never
-    /// checkpointed, never part of the simulated state.
+    /// Heartbeat writer (see the `obs` module). A runtime attachment
+    /// like the trace sinks — never checkpointed, never part of the
+    /// simulated state.
     pub(crate) obs: Option<Box<crate::obs::ObsLive>>,
     /// The first motion-update overflow of the cycle being stepped, for
     /// the run loop to fail with (its `packets_lost` is filled in then).
@@ -852,7 +848,6 @@ impl Cluster {
             tracing: false,
             tr_engine: NodeRecorder::off(),
             tr_stalls: StallLedger::new(n),
-            stalls_banked: StepStalls::default(),
             ticked: vec![false; n],
             exchange: None,
             obs: None,
@@ -860,14 +855,15 @@ impl Cluster {
         }
     }
 
-    /// Attach a live telemetry sampler for the next run(s). The sampler
-    /// fires on the cadence of [`EngineConfig::heartbeat_every`]; it is
-    /// a pure observer — simulated state and reports are unaffected.
+    /// Attach a heartbeat writer for the next run(s). Every execution
+    /// context of the run samples its own nodes on the writer's cadence
+    /// and the writer emits one `beat` per boundary; it is a pure
+    /// observer — simulated state and reports are unaffected.
     pub fn attach_obs(&mut self, obs: Box<crate::obs::ObsLive>) {
         self.obs = Some(obs);
     }
 
-    /// Detach the live telemetry sampler (e.g. to read its beat count).
+    /// Detach the heartbeat writer (e.g. to read its beat count).
     /// Only tests call it: `tests/obs.rs` checks one beat per boundary.
     pub fn take_obs(&mut self) -> Option<Box<crate::obs::ObsLive>> {
         self.obs.take()
@@ -918,7 +914,6 @@ impl Cluster {
             tracing: false,
             tr_engine: NodeRecorder::off(),
             tr_stalls: StallLedger::new(n),
-            stalls_banked: StepStalls::default(),
             ticked: vec![false; n],
             exchange: Some(ExchangeBuf { owned, stage: 0, events: Vec::new() }),
             obs: None,
@@ -970,7 +965,6 @@ impl Cluster {
             tracing: _,
             tr_engine: _,
             tr_stalls: _,
-            stalls_banked: _,
             ticked: _,
             exchange: _,
             obs: _,
@@ -1122,7 +1116,9 @@ impl Cluster {
     /// ([`EngineConfig::with_threads`]) the fast engine runs these phases
     /// under the lookahead-window protocol on scoped threads instead,
     /// each over a node range, and leaves the cluster exactly as this
-    /// loop would.
+    /// loop would. An attached heartbeat writer gets the same beats
+    /// either way: this loop samples every node, each window worker its
+    /// own range.
     pub fn try_run_with(
         &mut self,
         steps: u64,
@@ -1130,24 +1126,24 @@ impl Cluster {
         engine: &EngineConfig,
     ) -> Result<ClusterRunReport, ClusterError> {
         assert!(steps > 0);
+        if let Some(obs) = &mut self.obs {
+            let from = self.state.iter().map(|s| s.step).min().unwrap_or(0);
+            obs.begin_run(steps, from, self.cycle);
+        }
         // The lookahead-window protocol on scoped threads, whenever the
         // engine has more than one worker for it and the run admits it:
-        // chained sync (a bulk barrier is global serial state), no live
-        // heartbeat sampler (its beats read the whole machine per cycle)
-        // and not already inside a window worker.
+        // chained sync (a bulk barrier is global serial state) and not
+        // already inside a window worker.
         let workers = engine.window_workers(self.num_nodes());
-        if workers > 1
-            && self.cfg.sync == SyncMode::Chained
-            && self.obs.is_none()
-            && self.exchange.is_none()
-        {
+        if workers > 1 && self.cfg.sync == SyncMode::Chained && self.exchange.is_none() {
             return crate::shard::run_windowed(self, steps, cycle_budget, engine, workers);
-        }
-        if let Some(obs) = &mut self.obs {
-            obs.begin_run(steps);
         }
         let run_start = self.cycle;
         self.arm_run(engine);
+        // One worker's heartbeat sampler, over every node.
+        let nodes = self.num_nodes();
+        let mut sampler = ObsShard::new(self.obs.as_ref().map_or(0, |o| o.every()), 0, 1);
+        sampler.start(self);
         let mut idle_streak = 0u64;
         // `crash=NODE@STEP` directives: a node "dies" once its force
         // phase for that step is underway. Checked at the cycle-loop top
@@ -1172,8 +1168,8 @@ impl Cluster {
             if let Some(o) = self.overflow.take() {
                 return Err(MotionOverflow { packets_lost: self.packets_lost(), ..o }.into());
             }
-            if self.obs.is_some() {
-                self.obs_beat();
+            if let Some(d) = sampler.due(self) {
+                self.obs.as_mut().expect("a cadence has a writer").beat(&[d], nodes);
             }
             if self.cycle - run_start >= cycle_budget {
                 return Err(self.stalled().into());
@@ -1218,18 +1214,6 @@ impl Cluster {
         }
 
         Ok(self.assemble_report(steps, self.cycle - run_start))
-    }
-
-    /// Cold path of the per-cycle telemetry hook: hand the cluster to
-    /// the attached sampler. Take/put-back so the sampler can read
-    /// `&self` without aliasing its own `&mut`.
-    #[cold]
-    fn obs_beat(&mut self) {
-        let Some(mut obs) = self.obs.take() else {
-            return;
-        };
-        obs.maybe_beat(self);
-        self.obs = Some(obs);
     }
 
     /// The armed `crash=NODE@STEP` directive that fires at the top of
@@ -1528,22 +1512,11 @@ impl Cluster {
         })
     }
 
-    /// Replace the stall ledger with an empty one, banking the outgoing
-    /// ledger's owned-node totals first. The only place the ledger is
-    /// replaced: at [`Cluster::arm_run`] and [`Cluster::take_trace`].
+    /// Replace the stall ledger with an empty one: at
+    /// [`Cluster::arm_run`] and [`Cluster::take_trace`].
     fn swap_ledger(&mut self) -> StallLedger {
-        self.stalls_banked.merge(&self.tr_stalls.total_over(self.owned_range()));
         let fresh = StallLedger::new(self.num_nodes());
         std::mem::replace(&mut self.tr_stalls, fresh)
-    }
-
-    /// Owned-node stall totals since the cluster was built: the banked
-    /// totals of replaced ledgers plus the live one's. Monotonic across
-    /// the segments of a checkpointed run.
-    pub(crate) fn stall_totals(&self) -> StepStalls {
-        let mut t = self.tr_stalls.total_over(self.owned_range());
-        t.merge(&self.stalls_banked);
-        t
     }
 
     /// Force-phase exchange for one node (everything except the chip

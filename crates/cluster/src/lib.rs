@@ -38,10 +38,7 @@ pub use fasda_net::fault::{FaultChannel, FaultPlan, LinkFaults, LinkFlap, Marker
 pub use fasda_net::reliable::RelConfig;
 pub use report::RelSummary;
 pub use host::{HostController, HostRun};
-pub use obs::{
-    measured_from, model_input, FleetBeat, FleetObs, ObsDelta, ObsLive, ObsSinkConfig, RunRecord,
-    ShardGauges,
-};
+pub use obs::{measured_from, model_input, ObsLive, ObsSinkConfig, RunRecord, ShardGauges};
 pub use report::{ClusterRunReport, NodeStepReport};
 pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};
 pub use shard::{

@@ -1,20 +1,24 @@
-//! Live-telemetry glue: the one heartbeat sampler, its in-process,
-//! shard-worker and coordinator uses, the run record, and the
+//! Live-telemetry glue: the one heartbeat path, the run record, and the
 //! conversion from [`ClusterConfig`] to the §5 model's input.
 //!
 //! The split of responsibilities (see `DESIGN.md` §12):
 //!
-//! * [`Sampler`] owns the heartbeat cadence (a beat per `every` steps,
-//!   due when the slowest owned node crosses the boundary), the run's
-//!   step target, and the beat writer (JSONL sink, scrape file, beat
-//!   counter, `wall_s`/`steps_per_s`/`progress` gauges). [`ObsLive`]
-//!   uses all three from inside the in-process cycle loop; a shard
-//!   worker uses the cadence over its owned nodes; the coordinator's
-//!   [`FleetObs`] the target and the writer. Beats mix simulated
-//!   counters with wall-clock gauges — they are a *progress view*, not
-//!   an identity artifact. Their stall counters are
-//!   [`Cluster::stall_totals`], which the cluster banks across
-//!   checkpoint segments itself.
+//! * `ObsShard` is one execution context's sampler: the one-thread loop
+//!   over every node, or a window worker — a thread of the calling
+//!   process or a `--shards` worker — over its node range. Its cadence
+//!   fires on the cycle the slowest owned node crosses a boundary (a
+//!   multiple of the heartbeat cadence), and the sample answers for that
+//!   boundary: the owned nodes' productive and stall cycles of the steps
+//!   below it, and the cycle of the crossing. The context that folds
+//!   collects every worker's sample for a boundary: worker 0, which
+//!   in-process is the calling thread, or a coordinator, from its
+//!   control link.
+//! * [`ObsLive`] is the one writer. It turns each boundary's samples into
+//!   a `beat` record (JSONL sink, scrape file, beat counter, progress
+//!   gauges) and banks what each checkpoint segment counted. A beat's
+//!   counters are a function of the run, whatever carried it: equal on
+//!   every engine, worker count and carrier. Its gauges and per-worker
+//!   rows are a *progress view*, never compared.
 //! * [`RunOutput::record`] builds a finished run's [`RunRecord`]: its
 //!   totals are a pure function of the [`ClusterRunReport`] and the
 //!   stall ledger folded over every segment — both bit-identical across
@@ -31,8 +35,9 @@ use crate::run::RunOutput;
 use crate::shard::shard_ranges;
 use fasda_obs::model::{Measured, ModelInput, STALL_CLASSES};
 use fasda_obs::{prom_write, Hist, JsonlSink, Registry};
+use fasda_trace::json::ObjBuilder;
 use fasda_trace::{Json, StallCause, StallLedger, StepStalls, Trace, TraceLevel};
-use std::ops::Range;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -42,8 +47,7 @@ pub const FORCE_HIST_BOUNDS: [u64; 12] = [
     256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288,
 ];
 
-/// Where heartbeats go. Both sinks optional so `--heartbeat-every`
-/// alone still drives the fleet view in sharded runs.
+/// Where heartbeats go; either sink may be absent.
 #[derive(Clone, Debug, Default)]
 pub struct ObsSinkConfig {
     /// JSONL heartbeat stream path.
@@ -59,14 +63,87 @@ impl ObsSinkConfig {
     }
 }
 
-/// The one heartbeat sampler (module docs): cadence, step target and
-/// beat writer. Wall-clock-side only — nothing here feeds back into the
-/// simulated run.
-pub(crate) struct Sampler {
+/// One execution context's heartbeat sampler (module docs): the cadence
+/// over the nodes the context owns, its exchange gauges, and — on the
+/// context that folds — the samples collected so far. Wall-clock side
+/// only: the simulated run is untouched, so a run stays bit-identical
+/// with heartbeats on or off.
+pub(crate) struct ObsShard {
     /// Steps between beats (0 = the cadence never fires).
     every: u64,
-    /// Next boundary a beat is owed for.
+    /// Next boundary a sample is owed for.
     next_due: u64,
+    index: u32,
+    workers: usize,
+    /// This worker's exchange gauges, this segment.
+    pub(crate) gauges: ShardGauges,
+    /// Folding context only: boundary → per-worker samples so far.
+    pending: BTreeMap<u64, Vec<Option<ObsDelta>>>,
+}
+
+impl ObsShard {
+    /// Worker `index` of `workers`, sampling every `every` steps (0 =
+    /// never).
+    pub(crate) fn new(every: u64, index: usize, workers: usize) -> Self {
+        let (index, gauges, pending) = (index as u32, ShardGauges::default(), BTreeMap::new());
+        ObsShard { every, next_due: every, index, workers, gauges, pending }
+    }
+
+    /// Arm the cadence for a run or segment that starts now: the first
+    /// boundary above the slowest owned node is the next one owed, so a
+    /// run resumed at step k beats for no boundary at or below k.
+    pub(crate) fn start(&mut self, cl: &Cluster) {
+        let min_step = cl.owned_range().map(|n| cl.state[n].step).min().unwrap_or(0);
+        self.next_due = (min_step / self.every.max(1) + 1) * self.every;
+    }
+
+    /// The sample for the next boundary, once the cycle just stepped has
+    /// carried the slowest owned node across it. Every loop calls this
+    /// after each stepped cycle, so the crossing is `cl.cycle`.
+    #[inline]
+    pub(crate) fn due(&mut self, cl: &Cluster) -> Option<ObsDelta> {
+        if self.every == 0 {
+            return None;
+        }
+        let owned = cl.owned_range();
+        if owned.clone().any(|n| cl.state[n].step < self.next_due) {
+            return None;
+        }
+        let boundary = self.next_due;
+        self.next_due += self.every;
+        let StepStalls { productive, stalled: stalls } =
+            cl.tr_stalls.total_below(owned.clone(), boundary);
+        let retransmits = cl.rel.as_ref().map_or(0, |rel| {
+            owned
+                .flat_map(|n| rel.tx[n].iter().flat_map(|links| links.values()))
+                .map(|s| s.retransmits)
+                .sum()
+        });
+        let (worker, cycle, gauges) = (self.index, cl.cycle, self.gauges);
+        Some(ObsDelta { worker, boundary, cycle, productive, stalls, retransmits, gauges })
+    }
+
+    /// Fold one worker's sample; returns a boundary's samples, worker
+    /// order, once every worker has answered for it.
+    pub(crate) fn note(&mut self, d: ObsDelta) -> Option<Vec<ObsDelta>> {
+        let workers = self.workers;
+        let slot = self.pending.entry(d.boundary).or_insert_with(|| vec![None; workers]);
+        if let Some(s) = slot.get_mut(d.worker as usize) {
+            *s = Some(d);
+        }
+        let boundary = *self.pending.iter().find(|(_, v)| v.iter().all(Option::is_some))?.0;
+        Some(self.pending.remove(&boundary)?.into_iter().flatten().collect())
+    }
+}
+
+/// The one heartbeat writer (module docs). Attach it with
+/// [`Cluster::attach_obs`]; a `--shards` coordinator attaches one to its
+/// replica. Every beat reports the run's step target and adds the
+/// segments already run, so its counters stay monotonic across the
+/// segments of a checkpointed run.
+pub struct ObsLive {
+    /// The in-process cadence: steps between beats.
+    every: u64,
     /// The run's step target: the whole run's, not the current
     /// segment's.
     steps: u64,
@@ -75,139 +152,132 @@ pub(crate) struct Sampler {
     started: Instant,
     last_wall: Instant,
     last_step: u64,
-    beats: u64,
-}
-
-impl Sampler {
-    /// A sampler firing every `every` steps that writes nowhere until
-    /// [`Sampler::open`]ed.
-    pub(crate) fn new(every: u64) -> Self {
-        let now = Instant::now();
-        Sampler {
-            every,
-            next_due: every,
-            steps: 0,
-            sink: None,
-            prom_path: None,
-            started: now,
-            last_wall: now,
-            last_step: 0,
-            beats: 0,
-        }
-    }
-
-    /// Open the configured sinks (truncating an existing JSONL stream).
-    fn open(mut self, sinks: &ObsSinkConfig) -> std::io::Result<Self> {
-        self.sink = sinks.heartbeat_out.as_deref().map(JsonlSink::create).transpose()?;
-        self.prom_path = sinks.prom_out.clone();
-        Ok(self)
-    }
-
-    /// Cadence: `(boundary, min_step)` once the slowest node `cl` owns
-    /// has crossed the next heartbeat boundary. At most one boundary
-    /// fires per call; a sampler that skipped past several catches up
-    /// on the following calls.
-    pub(crate) fn due(&mut self, cl: &Cluster) -> Option<(u64, u64)> {
-        if self.every == 0 {
-            return None;
-        }
-        let min_step = cl.owned_range().map(|n| cl.state[n].step).min()?;
-        if min_step < self.next_due {
-            return None;
-        }
-        let boundary = self.next_due;
-        self.next_due += self.every;
-        Some((boundary, min_step))
-    }
-
-    /// Writer: count one beat at `step` and set its progress gauges
-    /// (`wall_s`, `steps_per_s`, `progress`) on `reg`. Returns the
-    /// seconds since the previous beat.
-    fn pace(&mut self, reg: &mut Registry, step: u64) -> f64 {
-        self.beats += 1;
-        let now = Instant::now();
-        let dt = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
-        reg.gauge_set("wall_s", now.duration_since(self.started).as_secs_f64());
-        reg.gauge_set("steps_per_s", step.saturating_sub(self.last_step) as f64 / dt);
-        reg.gauge_set("progress", step as f64 / self.steps.max(1) as f64);
-        self.last_wall = now;
-        self.last_step = step;
-        dt
-    }
-
-    /// Writer: append `record` to the stream and refresh the scrape
-    /// file from `reg` under `prefix`.
-    fn write(&mut self, record: &Json, reg: &Registry, prefix: &str) {
-        if let Some(sink) = &mut self.sink {
-            let _ = sink.emit(record);
-        }
-        if let Some(path) = &self.prom_path {
-            let _ = prom_write(reg, prefix, path);
-        }
-    }
-}
-
-/// In-run heartbeat sampler. Attach with [`Cluster::attach_obs`];
-/// the cycle loop calls [`ObsLive::maybe_beat`] behind an
-/// `obs.is_some()` gate (the zero-cost-off pattern). Every beat reports
-/// the run's step target and [`Cluster::stall_totals`], so its counters
-/// stay monotonic across the segments of a checkpointed run.
-pub struct ObsLive {
-    sampler: Sampler,
     last_cycle: u64,
+    beats: u64,
+    /// Productive and stall cycles of the segments already run.
+    banked: StepStalls,
+    /// Per worker: the gauges of the segments already run, and the
+    /// current segment's latest.
+    gauges: Vec<(ShardGauges, ShardGauges)>,
 }
 
 impl ObsLive {
-    /// Build a sampler firing every `every` completed steps.
+    /// A writer to `sinks` (truncating an existing JSONL stream) for an
+    /// in-process run beating every `every` completed steps.
     pub fn new(every: u64, sinks: &ObsSinkConfig) -> std::io::Result<Self> {
-        Ok(ObsLive { sampler: Sampler::new(every.max(1)).open(sinks)?, last_cycle: 0 })
+        let now = Instant::now();
+        Ok(ObsLive {
+            every: every.max(1),
+            steps: 0,
+            sink: sinks.heartbeat_out.as_deref().map(JsonlSink::create).transpose()?,
+            prom_path: sinks.prom_out.clone(),
+            started: now,
+            last_wall: now,
+            last_step: 0,
+            last_cycle: 0,
+            beats: 0,
+            banked: StepStalls::default(),
+            gauges: Vec::new(),
+        })
     }
 
     /// Beats emitted so far.
     pub fn beats(&self) -> u64 {
-        self.sampler.beats
+        self.beats
     }
 
-    /// Announce an absolute step target: `ckpt::run_segments` the whole
-    /// run's before its first segment, [`Cluster::try_run_with`] its
-    /// own. Targets only grow along a cluster's life, so the largest
+    /// The in-process cadence.
+    pub(crate) fn every(&self) -> u64 {
+        self.every
+    }
+
+    /// Announce a run or segment that starts now, at `step` and `cycle`,
+    /// towards the absolute step target `steps`: `ckpt::run_segments`
+    /// the whole run's before its first segment, [`Cluster::try_run_with`]
+    /// its own. Targets only grow along a cluster's life, so the largest
     /// announced is the run's; a direct `try_run_with` is a one-segment
-    /// run.
-    pub(crate) fn begin_run(&mut self, steps: u64) {
-        self.sampler.steps = self.sampler.steps.max(steps);
+    /// run. The rate gauges count from the later of this start and the
+    /// last beat, so a resumed run's first beat counts only what it ran.
+    pub(crate) fn begin_run(&mut self, steps: u64, step: u64, cycle: u64) {
+        self.steps = self.steps.max(steps);
+        (self.last_wall, self.last_step, self.last_cycle) = (Instant::now(), step, cycle);
     }
 
-    /// Called from the cycle loop (after the cycle increment): write one
-    /// `beat` record + scrape file when a boundary is due.
-    pub(crate) fn maybe_beat(&mut self, cl: &Cluster) {
-        let Some((_, step)) = self.sampler.due(cl) else {
-            return;
-        };
+    /// Bank a finished segment: the totals of its stall ledger, which
+    /// holds every node's steps below the segment's target, and each
+    /// worker's last gauges. The next segment's samples count from zero.
+    pub(crate) fn end_segment(&mut self, stalls: Option<&StallLedger>) {
+        if let Some(ledger) = stalls {
+            self.banked.merge(&ledger.total_over(0..ledger.num_nodes()));
+        }
+        for (banked, seen) in &mut self.gauges {
+            banked.add(&std::mem::take(seen));
+        }
+    }
+
+    /// Write one `beat` record and refresh the scrape file: `samples` are
+    /// every worker's for one boundary, worker order, over a machine of
+    /// `nodes` nodes. The counters are the boundary, the largest crossing
+    /// cycle and the summed cycle accounts; from two workers up the
+    /// record also carries one row per worker.
+    pub(crate) fn beat(&mut self, samples: &[ObsDelta], nodes: usize) {
+        let step = samples[0].boundary;
+        let cycle = samples.iter().map(|d| d.cycle).max().unwrap_or(0);
+        let mut stalls = self.banked;
+        for d in samples {
+            stalls.merge(&StepStalls { productive: d.productive, stalled: d.stalls });
+        }
         let mut reg = Registry::new();
-        fill_live(&mut reg, cl, step, &cl.stall_totals());
-        let dt = self.sampler.pace(&mut reg, step);
-        let steps = self.sampler.steps;
-        let steps_per_s = reg.gauge("steps_per_s").unwrap_or(0.0);
-        let eta_s = if steps_per_s > 0.0 {
-            steps.saturating_sub(step) as f64 / steps_per_s
-        } else {
-            0.0
-        };
-        reg.gauge_set("cycles_per_s", cl.cycle.saturating_sub(self.last_cycle) as f64 / dt);
-        reg.gauge_set("eta_s", eta_s);
-        self.last_cycle = cl.cycle;
-        let record = beat_record("beat", self.sampler.beats, step, steps, &reg.snapshot_json());
-        self.sampler.write(&record, &reg, "fasda");
+        reg.counter_set("steps_done", step);
+        reg.counter_set("cycles", cycle);
+        set_stalls(&mut reg, &stalls);
+
+        self.beats += 1;
+        let now = Instant::now();
+        let dt = now.duration_since(self.last_wall).as_secs_f64().max(1e-9);
+        let steps_per_s = step.saturating_sub(self.last_step) as f64 / dt;
+        let left = self.steps.saturating_sub(step) as f64;
+        reg.gauge_set("wall_s", now.duration_since(self.started).as_secs_f64());
+        reg.gauge_set("steps_per_s", steps_per_s);
+        reg.gauge_set("cycles_per_s", cycle.saturating_sub(self.last_cycle) as f64 / dt);
+        reg.gauge_set("eta_s", if steps_per_s > 0.0 { left / steps_per_s } else { 0.0 });
+        reg.gauge_set("progress", step as f64 / self.steps.max(1) as f64);
+        (self.last_wall, self.last_step, self.last_cycle) = (now, step, cycle);
+
+        let mut record = beat_record("beat", self.beats, step, self.steps, &reg.snapshot_json());
+        if samples.len() > 1 {
+            self.gauges.resize(samples.len(), Default::default());
+            let ranges = shard_ranges(nodes, samples.len());
+            let rows = samples.iter().zip(&mut self.gauges).zip(ranges).map(|((d, g), r)| {
+                g.1 = d.gauges;
+                let mut gauges = g.0;
+                gauges.add(&d.gauges);
+                Json::obj()
+                    .field("worker", Json::uint(d.worker as u64))
+                    .field("nodes", format!("{}..{}", r.start, r.end))
+                    .field("retransmits", Json::uint(d.retransmits))
+                    .field("windows", Json::uint(gauges.windows))
+                    .field("events_sent", Json::uint(gauges.events_sent))
+                    .field("frame_bytes", Json::uint(gauges.frame_bytes))
+                    .field("compute_ns", Json::uint(gauges.compute_ns))
+                    .field("wait_ns", Json::uint(gauges.wait_ns))
+                    .field("wait_share", Json::Num(gauges.wait_share()))
+                    .build()
+            });
+            record = record.field("workers", Json::Arr(rows.collect()));
+        }
+        if let Some(sink) = &mut self.sink {
+            let _ = sink.emit(&record.build());
+        }
+        if let Some(path) = &self.prom_path {
+            let _ = prom_write(&reg, "fasda", path);
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fleet telemetry (sharded runs)
-// ---------------------------------------------------------------------------
-
-/// Where one shard worker's wall time goes: how often it met its peers
+/// Where one window worker's wall time goes: how often it met its peers
 /// and how long it computed versus sat blocked waiting for their
-/// frames. Host-side progress gauges — they ride heartbeats and
+/// frames. Host-side progress gauges — they ride heartbeat rows and
 /// [`crate::shard::ShardedRun::gauges`] only, never the simulated state,
 /// the final metrics or anything byte-compared across engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -243,154 +313,45 @@ impl ShardGauges {
         self.compute_ns += other.compute_ns;
         self.wait_ns += other.wait_ns;
     }
-
-    /// Field-wise difference from an earlier reading of the same gauges.
-    pub fn since(&self, earlier: &ShardGauges) -> ShardGauges {
-        ShardGauges {
-            windows: self.windows - earlier.windows,
-            events_sent: self.events_sent - earlier.events_sent,
-            frame_bytes: self.frame_bytes - earlier.frame_bytes,
-            compute_ns: self.compute_ns - earlier.compute_ns,
-            wait_ns: self.wait_ns - earlier.wait_ns,
-        }
-    }
 }
 
 fasda_ckpt::persist_struct!(ShardGauges { windows, events_sent, frame_bytes, compute_ns, wait_ns });
 
-/// One shard's compact telemetry sample, piggybacked on the window
-/// frame of the round in which the shard's slowest owned node crossed a
-/// heartbeat boundary. Totals are cumulative since worker start (owned
-/// nodes only), so per-worker samples sum to the fleet view and stay
-/// monotonic across checkpoint segments.
+/// One worker's heartbeat sample for one boundary (module docs). A
+/// window worker ships it on the frame of the round it was taken in.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObsDelta {
-    /// Shard index of the sampling worker.
-    pub worker: u32,
-    /// The heartbeat boundary (absolute step, a multiple of the
-    /// cadence) this sample answers for.
-    pub boundary: u64,
-    /// Minimum current step over the worker's owned nodes.
-    pub min_step: u64,
-    /// Productive force-phase cycles attributed to owned nodes.
-    pub productive: u64,
-    /// Stall cycles by cause (StallCause index order), owned nodes.
-    pub stalls: [u64; STALL_CLASSES],
+pub(crate) struct ObsDelta {
+    /// Index of the sampling worker.
+    pub(crate) worker: u32,
+    /// The heartbeat boundary (absolute step, a multiple of the cadence)
+    /// this sample answers for.
+    pub(crate) boundary: u64,
+    /// The cycle on which the slowest owned node crossed the boundary.
+    pub(crate) cycle: u64,
+    /// Productive force-phase cycles of the owned nodes' steps below the
+    /// boundary, this segment.
+    pub(crate) productive: u64,
+    /// Stall cycles by cause (StallCause index order), likewise.
+    pub(crate) stalls: [u64; STALL_CLASSES],
     /// Retransmissions originated by owned nodes (0 without `--rel`).
-    pub retransmits: u64,
-    /// The worker's exchange gauges, cumulative since worker start.
-    pub gauges: ShardGauges,
+    pub(crate) retransmits: u64,
+    /// The worker's exchange gauges, this segment so far.
+    pub(crate) gauges: ShardGauges,
 }
 
 fasda_ckpt::persist_struct!(ObsDelta {
     worker,
     boundary,
-    min_step,
+    cycle,
     productive,
     stalls,
     retransmits,
     gauges,
 });
 
-/// A complete fleet heartbeat: every shard's sample for one boundary.
-/// Assembled by worker 0 (which sees every window frame) and shipped to
-/// the coordinator on the control link as a `Beat` frame.
-#[derive(Clone, Debug)]
-pub struct FleetBeat {
-    /// The heartbeat boundary all samples answer for.
-    pub boundary: u64,
-    /// Worker 0's global cycle when the last sample arrived.
-    pub cycle: u64,
-    /// One sample per shard, shard order.
-    pub workers: Vec<ObsDelta>,
-}
-
-fasda_ckpt::persist_struct!(FleetBeat { boundary, cycle, workers });
-
-/// Coordinator-side fleet heartbeat sink: turns [`FleetBeat`] frames
-/// into `fleet` JSONL records (and a Prometheus scrape file) naming the
-/// lagging shard. Purely observational — the coordinator never
-/// simulates, so this cannot perturb the run.
-pub struct FleetObs {
-    sampler: Sampler,
-}
-
-impl FleetObs {
-    /// Open the configured sinks (truncating an existing JSONL stream)
-    /// for a run to `steps` steps.
-    pub fn new(sinks: &ObsSinkConfig, steps: u64) -> std::io::Result<Self> {
-        Ok(FleetObs { sampler: Sampler { steps, ..Sampler::new(0).open(sinks)? } })
-    }
-
-    /// Handle one fleet beat: emit the `fleet` record and refresh the
-    /// scrape file. `ranges` are the shard → owned-node ranges (shard
-    /// order).
-    pub fn on_beat(&mut self, fb: &FleetBeat, ranges: &[Range<usize>]) {
-        let fleet_min = fb.workers.iter().map(|d| d.min_step).min().unwrap_or(0);
-        let fleet_max = fb.workers.iter().map(|d| d.min_step).max().unwrap_or(0);
-        let lagging = fb
-            .workers
-            .iter()
-            .min_by_key(|d| d.min_step)
-            .map(|d| d.worker)
-            .unwrap_or(0);
-
-        let mut reg = Registry::new();
-        let mut shards = Vec::with_capacity(fb.workers.len());
-        let mut fleet = StepStalls::default();
-        for d in &fb.workers {
-            let span = ranges
-                .get(d.worker as usize)
-                .map_or_else(|| "?".into(), |r| format!("{}..{}", r.start, r.end));
-            shards.push(
-                Json::obj()
-                    .field("shard", Json::uint(d.worker as u64))
-                    .field("nodes", span)
-                    .field("min_step", Json::uint(d.min_step))
-                    .field("productive_cycles", Json::uint(d.productive))
-                    .field("stall_cycles", Json::uint(d.stalls.iter().sum::<u64>()))
-                    .field("retransmits", Json::uint(d.retransmits))
-                    .field("windows", Json::uint(d.gauges.windows))
-                    .field("events_sent", Json::uint(d.gauges.events_sent))
-                    .field("frame_bytes", Json::uint(d.gauges.frame_bytes))
-                    .field("compute_ns", Json::uint(d.gauges.compute_ns))
-                    .field("wait_ns", Json::uint(d.gauges.wait_ns))
-                    .field("wait_share", Json::Num(d.gauges.wait_share()))
-                    .build(),
-            );
-            reg.counter_set_labeled(
-                "shard_min_step",
-                "shard",
-                &d.worker.to_string(),
-                d.min_step,
-            );
-            fleet.merge(&StepStalls { productive: d.productive, stalled: d.stalls });
-        }
-        set_stalls(&mut reg, &fleet);
-        reg.counter_set("steps_done", fleet_min);
-        reg.counter_set("cycles", fb.cycle);
-        self.sampler.pace(&mut reg, fleet_min);
-        reg.gauge_set("lag_steps", (fleet_max - fleet_min) as f64);
-
-        let record = Json::obj()
-            .field("type", "fleet")
-            .field("beat", Json::uint(self.sampler.beats))
-            .field("step", Json::uint(fleet_min))
-            .field("steps", Json::uint(self.sampler.steps))
-            .field("cycle", Json::uint(fb.cycle))
-            .field("lagging_shard", Json::uint(lagging as u64))
-            .field("lag_steps", Json::uint(fleet_max - fleet_min))
-            .field("shards", Json::Arr(shards))
-            .field("counters", reg.totals_json().get("counters").cloned().unwrap_or(Json::Null))
-            .field("gauges", reg.snapshot_json().get("gauges").cloned().unwrap_or(Json::Null))
-            .build();
-        self.sampler.write(&record, &reg, "fasda_fleet");
-    }
-}
-
 /// One heartbeat record: envelope fields + the registry snapshot's
 /// `counters`/`hists`/`gauges` sections spliced in.
-fn beat_record(kind: &str, beat: u64, step: u64, steps: u64, snapshot: &Json) -> Json {
+fn beat_record(kind: &str, beat: u64, step: u64, steps: u64, snapshot: &Json) -> ObjBuilder {
     let mut rec = Json::obj()
         .field("type", kind)
         .field("beat", Json::uint(beat))
@@ -401,31 +362,7 @@ fn beat_record(kind: &str, beat: u64, step: u64, steps: u64, snapshot: &Json) ->
             rec = rec.field(k, v.clone());
         }
     }
-    rec.build()
-}
-
-/// Live counters sampled mid-run. Engine-private quantities keep the
-/// `engine_` prefix so cross-engine heartbeat diffs can exclude them
-/// the same way the metrics gate does.
-fn fill_live(reg: &mut Registry, cl: &Cluster, step: u64, stalls: &StepStalls) {
-    reg.counter_set("steps_done", step);
-    reg.counter_set("cycles", cl.cycle);
-    reg.counter_set("engine_skipped_cycles", cl.skipped_cycles);
-    reg.counter_set("pos_packets", cl.pos_fabric.packets);
-    reg.counter_set("frc_packets", cl.frc_fabric.packets);
-    reg.counter_set(
-        "packets_lost",
-        cl.packets_lost(),
-    );
-    if let Some(rel) = &cl.rel {
-        reg.counter_set("retransmits", rel.total_retransmits());
-        reg.counter_set("acks_sent", rel.acks_sent);
-    }
-    reg.counter_set(
-        "faults_injected",
-        cl.faults.as_ref().map_or(0, |f| f.total_injected()),
-    );
-    set_stalls(reg, stalls);
+    rec
 }
 
 fn set_stalls(reg: &mut Registry, stalls: &StepStalls) {
@@ -478,7 +415,7 @@ impl RunOutput {
         if let Json::Obj(fields) = &mut obs_host {
             fields.push(("host".to_string(), host_json(&self.host)));
         }
-        let final_record = beat_record("final", 0, report.steps, report.steps, &obs_host);
+        let final_record = beat_record("final", 0, report.steps, report.steps, &obs_host).build();
         RunRecord { totals, metrics: metrics.build(), final_record }
     }
 }

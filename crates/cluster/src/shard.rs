@@ -33,6 +33,8 @@
 //! a wrong one cannot reorder silently, because admission refuses an
 //! event that is already overdue ([`ShardError::Lookahead`]).
 //!
+//! [`SwitchFabric::lookahead`]: fasda_net::switch::SwitchFabric::lookahead
+//!
 //! ## Window protocol
 //!
 //! Workers are fully connected (one [`FrameLink`] per unordered pair;
@@ -119,10 +121,9 @@ use crate::driver::{
     EngineConfig, ExchangeBuf, LookaheadViolation, MotionOverflow, NextEvent, WireEvent,
     DEADLOCK_SCAN_INTERVAL, MAX_RUN_CYCLES,
 };
-use crate::obs::{FleetBeat, FleetObs, ObsDelta, ObsSinkConfig, Sampler, ShardGauges};
+use crate::obs::{ObsDelta, ObsLive, ObsShard, ObsSinkConfig, ShardGauges};
 use crate::report::{ClusterRunReport, NodeStepReport};
 use crate::run::{resumed, SpecError};
-use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 use fasda_ckpt::{
@@ -132,7 +133,7 @@ use fasda_ckpt::{
 use fasda_net::sync::SyncMode;
 use fasda_net::transport::{Endpoint, FrameLink, LinkError, Listener, MemLink, SocketLink};
 use fasda_sim::StatSet;
-use fasda_trace::{NodeStream, StallLedger, StepStalls, Trace, TraceLevel};
+use fasda_trace::{NodeStream, StallLedger, Trace, TraceLevel};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -484,10 +485,11 @@ enum CtlFrame {
     Done(Box<SegmentOk>),
     Fail(SegmentFail),
     Shutdown,
-    /// Worker 0 → coordinator: an assembled fleet heartbeat. May arrive
-    /// any time between `Run` and the segment result; the coordinator's
-    /// collect loop drains them without disturbing the protocol.
-    Beat(Box<FleetBeat>),
+    /// Worker 0 → coordinator: every worker's heartbeat sample for one
+    /// boundary. May arrive any time between `Run` and the segment
+    /// result; the coordinator's collect loop drains them without
+    /// disturbing the protocol.
+    Beat(Vec<ObsDelta>),
 }
 
 persist_enum!(CtlFrame {
@@ -497,7 +499,7 @@ persist_enum!(CtlFrame {
     3 => Done(ok),
     4 => Fail(f),
     5 => Shutdown,
-    6 => Beat(fb),
+    6 => Beat(samples),
 });
 
 // ---------------------------------------------------------------------------
@@ -707,88 +709,6 @@ fn intersect_spans(lists: &[Vec<(u64, u64)>], lo: u64, hi: u64) -> Vec<(u64, u64
     acc
 }
 
-/// Worker-side heartbeat state. Every worker samples its own shard
-/// when the cadence of [`Sampler`] finds its slowest owned node past a
-/// heartbeat boundary and ships the sample on that round's window
-/// frame; worker 0 additionally folds everyone's samples into
-/// [`FleetBeat`]s for the coordinator. All state here is
-/// wall-clock-side — the simulated run is untouched, so sharded runs
-/// stay bit-identical with heartbeats on or off.
-struct ObsShard {
-    /// The heartbeat cadence over the owned nodes (cadence 0 = off).
-    cadence: Sampler,
-    /// This worker's shard index.
-    index: u32,
-    shards: usize,
-    /// Exchange gauges, cumulative since worker start.
-    gauges: ShardGauges,
-    /// Worker 0 only: boundary → per-shard samples collected so far.
-    pending: BTreeMap<u64, Vec<Option<ObsDelta>>>,
-}
-
-impl ObsShard {
-    fn new(every: u64, index: u32, shards: usize) -> Self {
-        ObsShard {
-            cadence: Sampler::new(every),
-            index,
-            shards,
-            gauges: ShardGauges::default(),
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Retransmissions originated by owned nodes.
-    fn owned_retransmits(&self, cl: &Cluster) -> u64 {
-        let Some(rel) = &cl.rel else { return 0 };
-        cl.owned_range()
-            .map(|n| {
-                rel.tx[n]
-                    .iter()
-                    .flat_map(|links| links.values())
-                    .map(|s| s.retransmits)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// Sample this shard if its slowest owned node has crossed the next
-    /// heartbeat boundary.
-    fn due(&mut self, cl: &Cluster) -> Option<ObsDelta> {
-        let (boundary, min_step) = self.cadence.due(cl)?;
-        let StepStalls { productive, stalled: stalls } = cl.stall_totals();
-        Some(ObsDelta {
-            worker: self.index,
-            boundary,
-            min_step,
-            productive,
-            stalls,
-            retransmits: self.owned_retransmits(cl),
-            gauges: self.gauges,
-        })
-    }
-
-    /// Worker 0: fold one shard's sample; returns the completed fleet
-    /// beat once every shard has answered for that boundary.
-    fn note(&mut self, d: ObsDelta, cycle: u64) -> Option<FleetBeat> {
-        let shards = self.shards;
-        let slot = self
-            .pending
-            .entry(d.boundary)
-            .or_insert_with(|| vec![None; shards]);
-        if let Some(s) = slot.get_mut(d.worker as usize) {
-            *s = Some(d);
-        }
-        let boundary = *self.pending.iter().find(|(_, v)| v.iter().all(Option::is_some))?.0;
-        let workers: Vec<ObsDelta> = self
-            .pending
-            .remove(&boundary)?
-            .into_iter()
-            .flatten()
-            .collect();
-        Some(FleetBeat { boundary, cycle, workers })
-    }
-}
-
 /// What one worker carries from segment to segment.
 struct WorkerCtx<'a> {
     engine: &'a EngineConfig,
@@ -812,7 +732,7 @@ impl<'a> WorkerCtx<'a> {
         heartbeat_every: u64,
         lost: u64,
     ) -> Self {
-        let obs = ObsShard::new(heartbeat_every, index as u32, ranges.len());
+        let obs = ObsShard::new(heartbeat_every, index, ranges.len());
         WorkerCtx { engine, mesh, ranges, index, obs, lost }
     }
 }
@@ -821,8 +741,10 @@ impl<'a> WorkerCtx<'a> {
 /// [`Cluster::try_run_with`]'s loop, synchronised with the peers once
 /// per lookahead window instead of once per cycle (module docs). The
 /// one round loop of every carrier: process workers, harness threads and
-/// the in-process windowed run. Worker 0 ships assembled fleet beats on
-/// `beats`, the coordinator's control link, when there is one.
+/// the in-process windowed run. Worker 0 folds every worker's heartbeat
+/// samples and hands each complete beat to `beats`, the coordinator's
+/// control link, when there is one, and otherwise to the writer `cl`
+/// holds.
 fn run_segment(
     cl: &mut Cluster,
     ctx: &mut WorkerCtx<'_>,
@@ -838,6 +760,7 @@ fn run_segment(
     let cap = run_start.saturating_add(budget);
     let lookahead = cl.pos_fabric.lookahead().min(cl.frc_fabric.lookahead());
     cl.arm_run(ctx.engine);
+    ctx.obs.start(cl);
     // What the frames have told every worker about every worker (this
     // one included — its own notes go through the same fold).
     let mut clock = vec![run_start; shards];
@@ -1067,13 +990,16 @@ fn run_segment(
                 spans.retain(|s| s.1 > global);
             }
         }
-        // Worker 0 assembles fleet beats from the collected samples and
-        // ships each completed one to the coordinator out of band.
-        if let (0, Some(ctl)) = (index, beats.as_deref_mut()) {
-            for d in samples {
-                if let Some(fb) = ctx.obs.note(d, cl.cycle) {
-                    ctl.send_frame(&CtlFrame::Beat(Box::new(fb)).encode())
-                        .map_err(|e| SegmentFail::Link(format!("control link: {e}")))?;
+        // Worker 0 folds the samples and hands on each complete beat.
+        let samples = samples.into_iter().filter(|_| index == 0);
+        for beat in samples.filter_map(|d| ctx.obs.note(d)) {
+            match beats.as_deref_mut() {
+                Some(ctl) => ctl
+                    .send_frame(&CtlFrame::Beat(beat).encode())
+                    .map_err(|e| SegmentFail::Link(format!("control link: {e}")))?,
+                None => {
+                    let nodes = cl.num_nodes();
+                    cl.obs.as_mut().expect("an in-process cadence has a writer").beat(&beat, nodes);
                 }
             }
         }
@@ -1248,15 +1174,12 @@ fn serve(
     loop {
         match CtlFrame::decode(&ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
             CtlFrame::Run { target, budget } => {
-                let before = ctx.obs.gauges;
                 let outcome = run_segment(&mut cl, &mut ctx, Some(&mut *ctl), target, budget);
+                let gauges = std::mem::take(&mut ctx.obs.gauges);
                 let alone =
                     matches!(outcome, Err(SegmentFail::Link(_) | SegmentFail::Lookahead(_)));
                 let frame = match outcome {
-                    Ok(()) => {
-                        let gauges = ctx.obs.gauges.since(&before);
-                        CtlFrame::Done(Box::new(segment_ok(&mut cl, &base, gauges)))
-                    }
+                    Ok(()) => CtlFrame::Done(Box::new(segment_ok(&mut cl, &base, gauges))),
                     Err(f) => CtlFrame::Fail(f),
                 };
                 ctl.send_frame(&frame.encode())?;
@@ -1381,7 +1304,10 @@ fn coordinate(
         None => ClusterRunReport::new(),
     };
     let mut ctl = connect(&replica, opts.resume.as_deref())?;
-    let mut fleet = opts.obs.as_ref().map(|sinks| FleetObs::new(sinks, steps)).transpose()?;
+    if let Some(sinks) = &opts.obs {
+        // The replica never steps: the workers keep the cadence.
+        replica.attach_obs(Box::new(ObsLive::new(0, sinks)?));
+    }
     let mut scratch = Cluster::new(cfg.clone(), sys);
     let base = Tallies::of(&replica);
     let mut gauges = vec![ShardGauges::default(); shards];
@@ -1392,7 +1318,7 @@ fn coordinate(
             link.send_frame(&run)?;
         }
         let (mut oks, mut fails): (Vec<SegmentOk>, _) = (Vec::with_capacity(shards), Vec::new());
-        // Worker 0's link is read first and carries the fleet beats, so
+        // Worker 0's link is read first and carries the beats, so
         // heartbeats stream out while the segment is still running. A
         // control link that dies names its worker: whatever the
         // survivors report about their own links is a consequence.
@@ -1402,9 +1328,10 @@ fn coordinate(
                     ShardError::Worker(format!("worker {w} died mid-segment: {e}"))
                 })?;
                 match CtlFrame::decode(&frame)? {
-                    CtlFrame::Beat(fb) => {
-                        if let Some(f) = fleet.as_mut() {
-                            f.on_beat(&fb, &ranges);
+                    // One sample per worker, or the frame is not a beat.
+                    CtlFrame::Beat(samples) if samples.len() == shards => {
+                        if let Some(obs) = replica.obs.as_mut() {
+                            obs.beat(&samples, n);
                         }
                     }
                     CtlFrame::Done(ok) => {
@@ -1485,6 +1412,7 @@ pub(crate) fn run_windowed(
         .expect("in-process handoffs cannot fail to open")
         .into_iter();
     let (ranges, lost) = (&ranges, base.lost());
+    let every = cl.obs.as_ref().map_or(0, |o| o.every());
     let outcomes: Vec<Result<(), SegmentFail>> = std::thread::scope(|scope| {
         let mut own = rows.next().expect("worker 0's mesh row");
         let peers: Vec<_> = shells
@@ -1493,12 +1421,13 @@ pub(crate) fn run_windowed(
             .enumerate()
             .map(|(k, (shell, mut row))| {
                 scope.spawn(move || {
-                    let mut ctx = WorkerCtx::new(engine, &mut row, ranges, k + 1, 0, lost);
+                    let mut ctx = WorkerCtx::new(engine, &mut row, ranges, k + 1, every, lost);
                     run_segment(shell, &mut ctx, None, steps, budget)
                 })
             })
             .collect();
-        let mine = run_segment(cl, &mut WorkerCtx::new(engine, &mut own, ranges, 0, 0, lost), None, steps, budget);
+        let mut ctx = WorkerCtx::new(engine, &mut own, ranges, 0, every, lost);
+        let mine = run_segment(cl, &mut ctx, None, steps, budget);
         // A worker that failed alone releases the peers blocked on it.
         drop(own);
         let theirs = peers.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
@@ -1540,7 +1469,7 @@ pub struct ShardOpts {
     /// Checkpoint file to restore before running. The shard count need
     /// not match the one that wrote it — checkpoints are full-cluster.
     pub resume: Option<PathBuf>,
-    /// Fleet heartbeat sinks on the coordinator (requires
+    /// Heartbeat sinks on the coordinator (requires
     /// `EngineConfig::heartbeat_every` > 0 for beats to be produced).
     pub obs: Option<ObsSinkConfig>,
     /// Thread harness only: carry the control channel and the worker
@@ -2092,7 +2021,7 @@ mod tests {
     // ---------------------------------------------------------------------
 
     /// One seeded control frame of every kind: hello, go, run, a segment
-    /// result, shutdown, a fleet beat and every failure arm.
+    /// result, shutdown, a beat and every failure arm.
     fn sample_ctl_frames(rng: &mut XorShift64Star) -> Vec<CtlFrame> {
         let text = |rng: &mut XorShift64Star| format!("{:x}", rng.next_u64() >> rng.next_below(64));
         let few = |rng: &mut XorShift64Star| 0..rng.next_below(4);
@@ -2130,21 +2059,17 @@ mod tests {
             gauges: gauges(rng),
             container: few(rng).map(|_| rng.next_u64() as u8).collect(),
         };
-        let beat = FleetBeat {
-            boundary: rng.next_u64(),
-            cycle: rng.next_u64(),
-            workers: few(rng)
-                .map(|_| ObsDelta {
-                    worker: rng.next_u64() as u32,
-                    boundary: rng.next_u64(),
-                    min_step: rng.next_u64(),
-                    productive: rng.next_u64(),
-                    stalls: std::array::from_fn(|_| rng.next_u64()),
-                    retransmits: rng.next_u64(),
-                    gauges: gauges(rng),
-                })
-                .collect(),
-        };
+        let beat = few(rng)
+            .map(|_| ObsDelta {
+                worker: rng.next_u64() as u32,
+                boundary: rng.next_u64(),
+                cycle: rng.next_u64(),
+                productive: rng.next_u64(),
+                stalls: std::array::from_fn(|_| rng.next_u64()),
+                retransmits: rng.next_u64(),
+                gauges: gauges(rng),
+            })
+            .collect();
         let fails = [
             SegmentFail::Link(text(rng)),
             SegmentFail::Lookahead(LookaheadViolation {
@@ -2196,7 +2121,7 @@ mod tests {
             CtlFrame::Run { target: rng.next_u64(), budget: rng.next_u64() },
             CtlFrame::Done(Box::new(ok)),
             CtlFrame::Shutdown,
-            CtlFrame::Beat(Box::new(beat)),
+            CtlFrame::Beat(beat),
         ];
         frames.extend(fails.into_iter().map(CtlFrame::Fail));
         frames

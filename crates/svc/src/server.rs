@@ -11,7 +11,7 @@
 //! depend on its live jobs, not on how many it has run. `workers`
 //! threads loop:
 //! pick the next runnable job by fair share ([`crate::queue::pick`]),
-//! journal the pickup, and run the job's [`RunSpec`]
+//! journal the pickup, and run the job's [`RunSpec`](fasda_cluster::RunSpec)
 //! ([`fasda_cluster::RunSpec::run`]) — the control callback re-locks the
 //! state at each segment boundary to publish progress and read the
 //! job's *wanted* verb (continue / drain / cancel). A listener thread

@@ -178,8 +178,16 @@ impl StallLedger {
 
     /// Whole-run totals summed over a range of nodes.
     pub fn total_over(&self, nodes: std::ops::Range<usize>) -> StepStalls {
+        self.total_below(nodes, u64::MAX)
+    }
+
+    /// Totals summed over a range of nodes, of the steps below `step`
+    /// only. A node attributes cycles to its current step alone, so once
+    /// every node of the range has reached `step` this no longer moves:
+    /// it answers for the boundary, whenever it is read.
+    pub fn total_below(&self, nodes: std::ops::Range<usize>, step: u64) -> StepStalls {
         let mut t = StepStalls::default();
-        for r in self.nodes[nodes].iter().flat_map(BTreeMap::values) {
+        for r in self.nodes[nodes].iter().flat_map(|m| m.range(..step).map(|(_, r)| r)) {
             t.merge(r);
         }
         t
@@ -211,6 +219,11 @@ mod tests {
         assert_eq!(t.productive, 13);
         assert_eq!(t.idle(), 5);
         assert_eq!(l.steps(0).count(), 2);
+
+        let below = l.total_below(0..2, 1);
+        assert_eq!((below.productive, below.idle()), (10, 12));
+        assert_eq!(l.total_below(0..1, 2), t);
+        assert_eq!(l.total_below(0..2, 0), StepStalls::default());
     }
 
     #[test]
