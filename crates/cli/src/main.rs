@@ -14,8 +14,8 @@
 
 use fasda_cluster::ckpt::{CheckpointConfig, SegmentControl};
 use fasda_cluster::{
-    chrome_trace, coordinator_main_net, state_dump, worker_main_net, EngineConfig, FaultPlan, Json,
-    ObsSinkConfig, Resume, RunOutput, RunSpec, ShardOpts, TraceConfig, TraceLevel,
+    chrome_trace, state_dump, EngineConfig, FaultPlan, Json, ObsSinkConfig, Resume, RunOutput,
+    RunSpec, TraceConfig, TraceLevel,
 };
 use fasda_core::config::{ChipConfig, DesignVariant};
 use fasda_core::geometry::{ChipCoord, ChipGeometry};
@@ -47,15 +47,12 @@ impl Grammar {
     }
 }
 
-/// `fasda run`, including the `--worker I --shard-connect ENDPOINT` a
-/// shard coordinator appends when it re-invokes its own argv.
 const RUN: Grammar = Grammar {
     verb: false,
     flags: "--per-fpga= --total= --steps= --variant= --sync= --dump-group= --per-cell= --seed= \
-            --serial --shards= --shard-listen= --fault-plan= --unreliable --checkpoint-every= \
-            --checkpoint-dir= --checkpoint-keep= --resume= --recover= --dump-state= --trace-out= \
-            --metrics-out= --trace-level= --heartbeat-every= --heartbeat-out= --prom-out= \
-            --worker= --shard-connect=",
+            --serial --fault-plan= --unreliable --checkpoint-every= --checkpoint-dir= \
+            --checkpoint-keep= --resume= --recover= --dump-state= --trace-out= --metrics-out= \
+            --trace-level= --heartbeat-every= --heartbeat-out= --prom-out=",
 };
 const GENERATE: Grammar = Grammar { verb: false, flags: "--total= --out= --per-cell= --seed=" };
 const INFO: Grammar = Grammar { verb: false, flags: "--per-fpga= --total= --variant=" };
@@ -78,9 +75,6 @@ const JOB: Grammar = Grammar {
 };
 
 struct Opts {
-    /// The arguments after the subcommand, as given: a shard coordinator
-    /// replays them.
-    args: Vec<String>,
     verb: Option<String>,
     /// Each flag given, in order, with its value when it takes one.
     flags: Vec<(String, Option<String>)>,
@@ -104,7 +98,7 @@ impl Opts {
             };
             flags.push((flag.clone(), value));
         }
-        Ok(Opts { args, verb, flags })
+        Ok(Opts { verb, flags })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -212,8 +206,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  fasda run --per-fpga 222 --total 444 [--steps N] [--variant A|B|C]\n\
          \x20           [--sync chained|bulk] [--dump-group N] [--per-cell 64] [--seed S]\n\
-         \x20           [--serial] [--shards S] [--shard-listen ENDPOINT]\n\
-         \x20           [--fault-plan SPEC] [--unreliable]\n\
+         \x20           [--serial] [--fault-plan SPEC] [--unreliable]\n\
          \x20           [--checkpoint-every N --checkpoint-dir DIR] [--checkpoint-keep K]\n\
          \x20           [--resume FILE|latest] [--recover N] [--dump-state FILE]\n\
          \x20           [--trace-out run.trace.json] [--metrics-out run.metrics.json]\n\
@@ -249,14 +242,8 @@ fn usage() -> ExitCode {
          \x20crash directives, or let --recover N restart automatically up to N times,\n\
          \x20stripping exactly the directive that fired each time)\n\
          \n\
-         endpoints (--listen, --connect, --shard-listen): tcp:HOST:PORT, unix:PATH\n\
-         or a bare PATH (Unix); a listening tcp port 0 picks a free port.\n\
-         \n\
-         --shards S partitions the nodes across S worker processes that dial the\n\
-         coordinator at --shard-listen (default: a Unix socket in a temporary\n\
-         directory) and mesh beside it; the run is bit-identical to a single\n\
-         process. --worker I --shard-connect ENDPOINT is the internal\n\
-         re-invocation the coordinator spawns — not for direct use.\n\
+         endpoints (--listen, --connect): tcp:HOST:PORT, unix:PATH or a bare\n\
+         PATH (Unix); a listening tcp port 0 picks a free port.\n\
          \n\
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\
          --heartbeat-every N steps (default 1 when a sink is given) and ends on a\n\
@@ -265,7 +252,7 @@ fn usage() -> ExitCode {
          (the stall breakdown reads the live ledger).\n\
          \n\
          metrics document (--metrics-out): run and obs (the engine- and\n\
-         shard-invariant totals) always; stalls and trace when the flight\n\
+         thread-invariant totals) always; stalls and trace when the flight\n\
          recorder ran; restarts with --recover.\n\
          \n\
          checkpoint policy: the heartbeat stream's final record carries what the\n\
@@ -341,54 +328,12 @@ fn run_spec(opts: &Opts) -> Result<RunSpec, String> {
     Ok(spec)
 }
 
-/// The `--shards S` run: spawn S worker processes (re-invoking our own
-/// argv with `--worker I --shard-connect ENDPOINT` appended) and drive
-/// them as the coordinator. Process spawning by argv replay is the one
-/// part of a run only the CLI can do; the spec, its construction and the
-/// reporting of the output are the same as in-process.
-fn spawn_shards(
-    opts: &Opts,
-    spec: &RunSpec,
-    shards: usize,
-    obs: Option<ObsSinkConfig>,
-) -> Result<RunOutput, String> {
-    let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
-    // Where the coordinator listens and the workers dial: by default a
-    // Unix socket in a directory of our own that goes again with the run.
-    let own_dir = std::env::temp_dir().join(format!("fasda-shard-{}", std::process::id()));
-    let listen = match opts.get("--shard-listen") {
-        Some(spec) => spec.parse()?,
-        None => Endpoint::Unix(own_dir.join("ctl.sock")),
-    };
-    // Workers rebuild the spec by replaying this exact argv.
-    let mut worker_argv = vec!["run".to_string()];
-    worker_argv.extend(opts.args.iter().cloned());
-
-    println!("sharding across {shards} worker process(es); listening on {listen}");
-    // The coordinator resumes by the in-process rule and says so the same way.
-    let mut note = |line| println!("{line}");
-    let resume = spec.resume_file(&mut note).map_err(|e| e.to_string())?;
-    let shard_opts = ShardOpts { ckpt: spec.ckpt.clone(), resume, obs, ..ShardOpts::default() };
-    let (steps, argv) = (spec.steps, &worker_argv);
-    let run = coordinator_main_net(&cfg, &sys, steps, shards, shard_opts, &listen, argv, &mut note);
-    if !opts.has("--shard-listen") {
-        let _ = std::fs::remove_dir_all(&own_dir);
-    }
-    Ok(RunOutput::from_sharded(run.map_err(|e| e.to_string())?, sys))
-}
-
 /// Everything a finished run prints and writes, whichever way it ran:
 /// AXI-Lite registers, rate and bandwidth lines, checkpoints, faults,
 /// reliability, then the heartbeat `final` record and scrape, and the
 /// `--trace-out` / `--metrics-out` / `--dump-group` / `--dump-state`
 /// artifacts.
-fn report_run(
-    opts: &Opts,
-    spec: &RunSpec,
-    sinks: &ObsSinkConfig,
-    shards: Option<usize>,
-    out: &RunOutput,
-) -> Result<(), String> {
+fn report_run(opts: &Opts, spec: &RunSpec, sinks: &ObsSinkConfig, out: &RunOutput) -> Result<(), String> {
     let report = &out.report;
     if let Some(restarts) = &out.restarts {
         for line in restarts {
@@ -399,10 +344,8 @@ fn report_run(
         }
     }
     // The registers count since the chips were last armed. They describe
-    // this run only when that window is the whole of it: not after the
-    // last segment of a checkpointed or resumed run, and not on a shard
-    // coordinator's replica, whose chips are spliced from snapshots and
-    // never executed (a snapshot carries no utilisation counters).
+    // this run only when that window is the whole of it, not after the
+    // last segment of a checkpointed or resumed run.
     let chips = &out.cluster.chips;
     if chips.iter().zip(&report.per_node_traffic).all(|(chip, t)| chip.traffic() == *t) {
         println!("\nAXI-Lite result registers (per node):");
@@ -453,7 +396,7 @@ fn report_run(
         );
     }
 
-    let record = out.record(shards.unwrap_or(1));
+    let record = out.record(1);
     record.emit_final(sinks).map_err(|e| e.to_string())?;
     if let Some(path) = opts.get("--trace-out") {
         let trace = out
@@ -511,25 +454,6 @@ fn report_run(
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let spec = run_spec(opts)?;
-    let shards: Option<usize> =
-        opts.get("--shards").map(|s| s.parse().map_err(|_| "bad --shards")).transpose()?;
-
-    // Shard-worker mode: this process was spawned by a `--shards`
-    // coordinator re-invoking its own argv. Rendezvous and serve — all
-    // output belongs to the coordinator.
-    if let Some(w) = opts.get("--worker") {
-        let index: usize = w.parse().map_err(|_| "bad --worker")?;
-        let shards = shards.ok_or("--worker needs --shards")?;
-        let coordinator: Endpoint =
-            opts.get("--shard-connect").ok_or("--worker needs --shard-connect")?.parse()?;
-        let (cfg, sys) = spec.build().map_err(|e| e.to_string())?;
-        return worker_main_net(&cfg, &sys, &spec.engine, index, shards, &coordinator)
-            .map_err(|e| e.to_string());
-    }
-    if spec.recover.is_some() && shards.is_some() {
-        return Err("--recover drives a single-process run (each restart rebuilds the cluster in-process)".into());
-    }
-
     let ((tx, ty, tz), (px, py, pz)) = (spec.total, spec.per_fpga);
     println!(
         "FASDA: {tx}x{ty}x{tz} cells ({} atoms) on {px}x{py}x{pz} cells/FPGA, variant {:?} ({}), {} steps",
@@ -541,18 +465,14 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
 
     let obs = obs_opts(opts)?;
     let started = std::time::Instant::now();
-    let mut out = if let Some(shards) = shards {
-        spawn_shards(opts, &spec, shards, obs.sinks.any().then(|| obs.sinks.clone()))?
-    } else {
-        match spec.recover {
-            Some(n) => println!("recovery armed: up to {n} automatic restart(s)"),
-            None => println!("{} FPGA node(s) configured; running...", spec.nodes()),
-        }
-        let (mut note, mut ctl) = (|line| println!("{line}"), |_: &_| SegmentControl::Continue);
-        spec.run(Some(&obs.sinks), &mut note, &mut ctl).map_err(|e| e.to_string())?
-    };
+    match spec.recover {
+        Some(n) => println!("recovery armed: up to {n} automatic restart(s)"),
+        None => println!("{} FPGA node(s) configured; running...", spec.nodes()),
+    }
+    let (mut note, mut ctl) = (|line| println!("{line}"), |_: &_| SegmentControl::Continue);
+    let mut out = spec.run(Some(&obs.sinks), &mut note, &mut ctl).map_err(|e| e.to_string())?;
     out.host.wall_s = started.elapsed().as_secs_f64();
-    report_run(opts, &spec, &obs.sinks, shards, &out)
+    report_run(opts, &spec, &obs.sinks, &out)
 }
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {

@@ -1,8 +1,8 @@
 //! `fasda run` and `fasda serve` end to end, through the built binary.
 //!
 //! Every way of running — plain, checkpointed, resumed, `--recover`,
-//! `--shards` over either carrier, `--serial`, a daemon's job — goes
-//! through one `RunSpec` → `run()` path. Equality of those paths with each other cannot see an error made
+//! `--serial`, a daemon's job — goes through one `RunSpec` → `run()`
+//! path. Equality of those paths with each other cannot see an error made
 //! in all of them, so the first test compares against bytes written by the
 //! **parent commit's** binary (`tests/golden/`: `plain.*` / `ckpt.*` cut
 //! before the four hand-copied run/report paths were merged, `chaos.*`
@@ -170,50 +170,28 @@ fn every_run_path_agrees() {
     // The default engine: window workers on a host with two cores or more.
     let (plain, plain_m) = artifacts(&dir, "plain", &["--steps", "2", "--heartbeat-out", "plain.jsonl"]);
     let (serial, serial_m) = artifacts(&dir, "serial", &["--steps", "2", "--serial"]);
-    let sharded = ["--steps", "2", "--shards", "2", "--shard-listen", "unix:rdv/ctl.sock"];
-    let (shard, shard_m, said) =
-        artifacts_said(&dir, "shard", &[&sharded[..], &["--heartbeat-out", "shard.jsonl"]].concat());
-    assert!(said.contains("listening on unix:rdv/ctl.sock"), "not the Unix carrier: {said}");
-    // The same two workers meshed over loopback TCP, the carrier that
-    // can cross hosts; port 0 lets the coordinator pick a free port.
-    let tcp = ["--steps", "2", "--shards", "2", "--shard-listen", "tcp:127.0.0.1:0"];
-    let (tcp, tcp_m, said) = artifacts_said(&dir, "tcp", &tcp);
-    assert!(said.contains("listening on tcp:127.0.0.1:"), "not the TCP carrier: {said}");
     let ckpt_args = ["--steps", "2", "--checkpoint-every", "1", "--checkpoint-dir"];
     let (ckpt, ckpt_m) = artifacts(&dir, "ckpt", &[&ckpt_args[..], &["ck"]].concat());
     let (rec, rec_m) =
         artifacts(&dir, "rec", &[&ckpt_args[..], &["ck-rec", "--recover", "2"]].concat());
 
-    let dumps = [("serial", &serial), ("shard", &shard), ("tcp", &tcp), ("ckpt", &ckpt), ("rec", &rec)];
+    let dumps = [("serial", &serial), ("ckpt", &ckpt), ("rec", &rec)];
     for (name, dump) in dumps {
         assert!(*dump == plain, "{name} dump differs from the plain run's");
     }
-    // One segment: engine, shard count and carrier are invisible in the
-    // report ...
-    for metrics in [&serial_m, &shard_m, &tcp_m] {
-        assert_eq!(run_section(metrics), run_section(&plain_m));
-    }
+    // One segment: the engine is invisible in the report ...
+    assert_eq!(run_section(&serial_m), run_section(&plain_m));
     // ... and in the rendered totals, byte for byte.
-    let plain_o = obs_section(&plain_m);
-    assert_eq!(obs_section(&serial_m), plain_o, "obs section differs across engines");
-    assert_eq!(obs_section(&shard_m), plain_o, "obs section differs across shard counts");
-    assert_eq!(obs_section(&tcp_m), plain_o, "obs section differs across shard carriers");
-    // Both streams are beats, counter for counter, and the last one
-    // carries the totals.
-    let beats = |name: &str| -> Vec<Json> {
-        let text = std::fs::read_to_string(dir.join(name)).expect("heartbeat stream");
-        let records = text.lines().map(|l| Json::parse(l).expect("heartbeat json"));
-        records.filter(|r| r.get("type").and_then(Json::as_str) == Some("beat")).collect()
-    };
-    let (plain_beats, shard_beats) = (beats("plain.jsonl"), beats("shard.jsonl"));
-    assert_eq!(plain_beats.len(), 2, "one beat per step");
-    let counters = |r: &Json| r.get("counters").expect("beat counters").clone();
-    for (plain, shard) in plain_beats.iter().zip(&shard_beats) {
-        assert_eq!(counters(shard), counters(plain), "beat counters differ across carriers");
-    }
-    assert_eq!(shard_beats.len(), plain_beats.len(), "beat counts differ across carriers");
-    let last = counters(plain_beats.last().expect("beats"));
-    let totals = parse(&shard_m);
+    assert_eq!(obs_section(&serial_m), obs_section(&plain_m), "obs section differs across engines");
+    // The stream is beats, one per step, and the last one carries the
+    // totals.
+    let text = std::fs::read_to_string(dir.join("plain.jsonl")).expect("heartbeat stream");
+    let records = text.lines().map(|l| Json::parse(l).expect("heartbeat json"));
+    let beats: Vec<Json> =
+        records.filter(|r| r.get("type").and_then(Json::as_str) == Some("beat")).collect();
+    assert_eq!(beats.len(), 2, "one beat per step");
+    let last = beats.last().expect("beats").get("counters").expect("beat counters");
+    let totals = parse(&plain_m);
     for key in ["cycles", "productive_cycles", "stall_cycles"] {
         let want = totals.get("obs").and_then(|o| o.get("counters")).and_then(|c| c.get(key));
         assert_eq!(last.get(key), want, "last beat's {key}");
@@ -222,10 +200,6 @@ fn every_run_path_agrees() {
     // recover from is that same run.
     assert_eq!(run_section(&rec_m), run_section(&ckpt_m));
 
-    // The same holds with every fault outcome in play, where the shard
-    // workers split each crossing between its two owners. Without
-    // --shard-listen the control socket's directory is the run's own, in
-    // the temp dir, and goes with it.
     // The oracle agrees under faults too, with the full flight recorder
     // on: its metrics document is the default engine's but for the
     // engine-private trace counters.
@@ -234,18 +208,9 @@ fn every_run_path_agrees() {
         artifacts(&dir, "chaos", &[&CHAOS[..], &full("chaos.trace.json")].concat());
     let serial = [&CHAOS[..], &["--serial"], &full("chaos-serial.trace.json")].concat();
     let (chaos_s, chaos_sm) = artifacts(&dir, "chaos-serial", &serial);
-    let (chaos_2, chaos_2m) =
-        artifacts(&dir, "chaos2", &[&CHAOS[..], &["--shards", "2"]].concat());
-    assert!(chaos == plain && chaos_2 == plain, "faulted dump differs from the plain run's");
+    assert!(chaos == plain, "faulted dump differs from the plain run's");
     assert!(chaos_s == plain, "faulted --serial dump differs from the plain run's");
     assert_eq!(engine_invariant(&chaos_sm), engine_invariant(&chaos_m), "faulted metrics differ across engines");
-    assert_eq!(run_section(&chaos_2m), run_section(&chaos_m));
-    let chaos_o = obs_section(&chaos_m);
-    assert_eq!(obs_section(&chaos_2m), chaos_o, "faulted obs section differs across shard counts");
-    let left: Vec<_> =
-        std::fs::read_dir(&dir).expect("list test dir").flatten().map(|e| e.file_name()).collect();
-    let stray = left.iter().any(|f| f.to_string_lossy().starts_with("fasda-shard-"));
-    assert!(!stray, "rendezvous directory left behind: {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -297,20 +262,17 @@ fn recovered_run_writes_every_artifact() {
 
     // Its checkpoints are at step 3: resuming them into a 2-step run is an
     // error naming the flag, not the runner's assert — from the directory
-    // or the file, in-process or sharded.
+    // or the file.
     let latest = ["--checkpoint-every", "1", "--checkpoint-dir", "ck", "--resume", "latest"];
     let file = ["--resume", "ck/ckpt-0000000003.fckp"];
-    let sharded = ["--shards", "2", "--shard-listen", "unix:rdv/ctl.sock"];
     for resume in [&latest[..], &file] {
-        for shards in [&[][..], &sharded] {
-            let out = fasda(&dir, &[&["--steps", "2"][..], resume, shards].concat());
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{resume:?} {shards:?}: {stderr}");
-            assert!(stderr.starts_with("error: resume: ") && stderr.contains("step 3"), "{stderr}");
-        }
+        let out = fasda(&dir, &[&["--steps", "2"][..], resume].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{resume:?}: {stderr}");
+        assert!(stderr.starts_with("error: resume: ") && stderr.contains("step 3"), "{stderr}");
     }
-    // A resume that is allowed says where it resumed from, whichever path
-    // runs it: the file it found at step 3, or an empty directory.
+    // A resume that is allowed says where it resumed from: the file it
+    // found at step 3, or an empty directory.
     let replay = ["--steps", "3", "--fault-plan", "crash=1@2", "--unreliable"];
     let empty = ["--checkpoint-every", "1", "--checkpoint-dir", "none", "--resume", "latest"];
     for (resume, says) in [
@@ -318,14 +280,11 @@ fn recovered_run_writes_every_artifact() {
         (&file, "resumed from ck/ckpt-0000000003.fckp (step 3)"),
         (&empty, "no checkpoint in none; starting from step 0"),
     ] {
-        for shards in [&[][..], &sharded] {
-            let out = fasda(&dir, &[&replay[..], resume, shards].concat());
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(out.status.success(), "{resume:?} {shards:?}: {stderr}");
-            assert!(stdout.lines().any(|l| l == says), "{resume:?} {shards:?}: {stdout}");
-            let _ = std::fs::remove_dir_all(dir.join("none"));
-        }
+        let out = fasda(&dir, &[&replay[..], resume].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{resume:?}: {stderr}");
+        assert!(stdout.lines().any(|l| l == says), "{resume:?}: {stdout}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -400,9 +359,13 @@ fn invalid_runs_fail_typed_not_panicking() {
         // or valueless flag is refused by name, never ignored.
         (&["run", "--total", "666", "--per-fpga", "333", "--heartbeat-evry", "5"], "'--heartbeat-evry'"),
         (&["run", "--total", "666", "--per-fpga", "333", "--shard-dir", "rdv"], "'--shard-dir'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--shards", "2"], "unknown option '--shards'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--shard-listen", "unix:x"], "unknown option '--shard-listen'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--worker", "0"], "unknown option '--worker'"),
+        (&["run", "--total", "666", "--per-fpga", "333", "--shard-connect", "unix:x"], "unknown option '--shard-connect'"),
         (&["run", "--total", "666", "--per-fpga", "333", "--steps"], "--steps needs a value"),
         (&["run", "--total", "666", "--per-fpga", "333", "--steps", "--serial"], "--steps needs a value"),
-        (&["run", "--total", "666", "--per-fpga", "333", "--shards", "2", "--shard-listen", "tcp:7700"], "`tcp:7700`"),
+        (&["serve", "--dir", "svc", "--listen", "tcp:7700"], "`tcp:7700`"),
         (&["job", "status", "--connect", "unix:"], "`unix:`"),
         (&["info", "--total", "444", "--per-fpga", "333"], "per_fpga"),
         (&["info", "--total", "444", "--per-fpga", "000"], "per_fpga"),
@@ -424,45 +387,6 @@ fn invalid_runs_fail_typed_not_panicking() {
         assert!(stderr.starts_with("error: ") && stderr.contains(names), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Workers that die before their HELLO fail the run, naming a worker,
-/// instead of leaving the coordinator waiting for them: in a 97-byte
-/// directory the control socket's path fits a `sun_path`, the workers'
-/// `peer-I.sock` paths do not.
-#[test]
-fn workers_dying_before_hello_fail_the_run() {
-    let dir = tmpdir("sunlen");
-    let base = dir.display().to_string().len();
-    assert!(base < 96, "temp dir {} too long for this test", dir.display());
-    let rdv = dir.join("d".repeat(96 - base));
-    assert_eq!(rdv.display().to_string().len(), 97);
-    let listen = format!("unix:{}/ctl.sock", rdv.display());
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fasda-cli"))
-        .args([RUN, &["--steps", "2", "--shards", "2", "--shard-listen", &listen]].concat())
-        .current_dir(&dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn fasda-cli");
-    let (started, deadline) = (Instant::now(), Duration::from_secs(60));
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll the coordinator") {
-            break status;
-        }
-        if started.elapsed() > deadline {
-            let _ = child.kill();
-            panic!("the coordinator still waits {deadline:?} after its workers died");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr).expect("read stderr");
-    assert_eq!(status.code(), Some(1), "{stderr}");
-    let said = stderr.lines().find(|l| l.starts_with("error: shard worker failed: worker "));
-    assert!(said.is_some_and(|l| l.contains("exited")), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -44,8 +44,7 @@ pub(crate) const DEADLOCK_SCAN_INTERVAL: u64 = 256;
 /// lookahead-window protocol of the `shard` module, whose grain — a node
 /// range behind a wire — matches the decoupled FPGAs the model
 /// describes: the fast engine runs it on scoped threads of the calling
-/// process whenever the host has the cores and the run admits it, and
-/// `--shards` runs it across processes.
+/// process whenever the host has the cores and the run admits it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// `false`: the oracle — every cycle simulated, plain per-cycle
@@ -64,9 +63,10 @@ pub struct EngineConfig {
     /// off). The sinks (JSONL stream, Prometheus scrape file) are
     /// runtime attachments — see [`Cluster::attach_obs`] for in-process
     /// runs (which beat on their writer's cadence) and `ShardOpts::obs`
-    /// for sharded ones; this knob is the cadence shard workers replay
-    /// from argv. Heartbeats read the live stall ledger, so the host
-    /// enables at least `TraceLevel::Sync` alongside.
+    /// for sharded ones; this knob is the cadence a sharded run's
+    /// workers, which hold no writer, beat on. Heartbeats read the live
+    /// stall ledger, so the host enables at least `TraceLevel::Sync`
+    /// alongside.
     pub heartbeat_every: u64,
     /// Fast engine only: how many threads may run the lookahead-window
     /// protocol in-process (0 = the host's available parallelism; 1 =

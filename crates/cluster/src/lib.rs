@@ -41,10 +41,7 @@ pub use host::{HostController, HostRun};
 pub use obs::{measured_from, model_input, ObsLive, ObsSinkConfig, RunRecord, ShardGauges};
 pub use report::{ClusterRunReport, NodeStepReport};
 pub use run::{Resume, RunError, RunOutput, RunSpec, SpecError};
-pub use shard::{
-    coordinator_main_net, run_sharded, shard_ranges, validate_sharding, worker_main_net,
-    ShardError, ShardOpts, ShardedRun,
-};
+pub use shard::{run_sharded, shard_ranges, validate_sharding, ShardError, ShardOpts, ShardedRun};
 
 // Re-export the flight-recorder vocabulary so downstream users can
 // configure tracing and consume traces without a direct `fasda-trace`

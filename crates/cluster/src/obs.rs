@@ -5,7 +5,7 @@
 //!
 //! * `ObsShard` is one execution context's sampler: the one-thread loop
 //!   over every node, or a window worker — a thread of the calling
-//!   process or a `--shards` worker — over its node range. Its cadence
+//!   process or of the shard harness — over its node range. Its cadence
 //!   fires on the cycle the slowest owned node crosses a boundary (a
 //!   multiple of the heartbeat cadence), and the sample answers for that
 //!   boundary: the owned nodes' productive and stall cycles of the steps
@@ -137,8 +137,8 @@ impl ObsShard {
 }
 
 /// The one heartbeat writer (module docs). Attach it with
-/// [`Cluster::attach_obs`]; a `--shards` coordinator attaches one to its
-/// replica. Every beat reports the run's step target and adds the
+/// [`Cluster::attach_obs`]; a sharded run's coordinator attaches one to
+/// its replica. Every beat reports the run's step target and adds the
 /// segments already run, so its counters stay monotonic across the
 /// segments of a checkpointed run.
 pub struct ObsLive {

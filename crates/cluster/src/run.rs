@@ -314,7 +314,7 @@ impl RunSpec {
     /// The checkpoint file `resume` names: the newest one in the
     /// checkpoint directory for [`Resume::Latest`] (`None`, and a note
     /// saying so, when it holds none), the file itself for [`Resume::File`].
-    pub fn resume_file(&self, note: &mut dyn FnMut(String)) -> Result<Option<PathBuf>, CkptError> {
+    fn resume_file(&self, note: &mut dyn FnMut(String)) -> Result<Option<PathBuf>, CkptError> {
         match (&self.resume, &self.ckpt) {
             (Resume::File(path), _) => Ok(Some(path.clone())),
             (Resume::Latest, Some(ckpt)) => {

@@ -7,9 +7,10 @@
 //! same particle state, same flight-recorder streams, same folded
 //! report, same checkpoint files. The workers are scoped threads of the
 //! calling process under the fast engine's default ([`run_windowed`]),
-//! or processes (`--shards`) and harness threads ([`run_sharded`])
-//! under a coordinator; every carrier runs the one round loop,
-//! [`run_segment`], and the one segment fold, [`fold_segment`].
+//! or harness threads under a coordinator that mesh over socketpairs or
+//! loopback TCP ([`run_sharded`], for tests and the benchmark); both
+//! run the one round loop, [`run_segment`], and the one segment fold,
+//! [`fold_segment`].
 //!
 //! ## Why this is exact, not approximate
 //!
@@ -37,9 +38,10 @@
 //!
 //! ## Window protocol
 //!
-//! Workers are fully connected (one [`FrameLink`] per unordered pair;
-//! sockets opened at an [`Endpoint`] between processes, socketpairs
-//! between harness threads). Each worker keeps every worker's *clock* —
+//! Workers are fully connected (one link per unordered pair: a value
+//! handoff between the threads of a windowed run, a [`FrameLink`] —
+//! socketpair or loopback TCP — between harness threads). Each worker
+//! keeps every worker's *clock* —
 //! the first cycle it has not run yet — and repeats one round:
 //!
 //! 1. **Run** to `H + L` with no socket I/O, where `H` is the earliest
@@ -107,7 +109,7 @@
 //! counters travel inside the spliced maps. The replica is then
 //! bit-identical to an in-process cluster at the same step boundary, so
 //! the loop's own checkpoint writer serves sharded runs unchanged — and
-//! `--resume` across a *different* shard count works too. A failed
+//! a checkpoint resumes across a *different* shard count too. A failed
 //! segment comes back as each worker's share of the oracle's
 //! [`ClusterError`], built by the oracle's own constructors over the
 //! worker's owned nodes; the coordinator only concatenates the shares.
@@ -127,11 +129,10 @@ use crate::run::{resumed, SpecError};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 use fasda_ckpt::{
-    crc32, persist_enum, persist_struct, CkptError, Container, ContainerWriter, Persist, Reader,
-    Writer,
+    persist_enum, persist_struct, CkptError, Container, ContainerWriter, Persist, Reader, Writer,
 };
 use fasda_net::sync::SyncMode;
-use fasda_net::transport::{Endpoint, FrameLink, LinkError, Listener, MemLink, SocketLink};
+use fasda_net::transport::{Endpoint, FrameLink, LinkError, MemLink, SocketLink};
 use fasda_sim::StatSet;
 use fasda_trace::{NodeStream, StallLedger, Trace, TraceLevel};
 use std::ops::Range;
@@ -160,7 +161,7 @@ pub enum ShardError {
     Ckpt(CkptError),
     /// A shard link failed mid-exchange (worker death, torn frame).
     Link(LinkError),
-    /// Socket setup / process spawning failed.
+    /// Opening the harness's sockets failed.
     Io(std::io::Error),
     /// A peer sent a frame the protocol does not allow here.
     Protocol(String),
@@ -250,7 +251,7 @@ pub fn validate_sharding(
     nodes: usize,
 ) -> Result<(), ShardError> {
     if shards == 0 {
-        return Err(ShardError::Unsupported("--shards must be at least 1".into()));
+        return Err(ShardError::Unsupported("a sharded run needs at least one worker".into()));
     }
     if shards > nodes {
         return Err(ShardError::Unsupported(format!(
@@ -354,17 +355,16 @@ persist_struct!(WindowNotes {
     obs,
 });
 
-/// Worker↔worker frames.
+/// The worker↔worker frame: one round's exchange, the sender's notes
+/// plus the wire events it captured for the receiver's nodes, in
+/// generation order.
 #[derive(Clone, Debug)]
-enum MeshFrame {
-    /// One round's exchange: the sender's notes plus the wire events it
-    /// captured for the receiver's nodes, in generation order.
-    Window { notes: WindowNotes, events: Vec<WireEvent> },
-    /// Mesh handshake: the connecting worker announces its shard index.
-    Id(u32),
+struct MeshFrame {
+    notes: WindowNotes,
+    events: Vec<WireEvent>,
 }
 
-persist_enum!(MeshFrame { 0 => Window { notes, events }, 1 => Id(index) });
+persist_struct!(MeshFrame { notes, events });
 
 /// A frame of the shard protocol: its bytes are its [`Persist`]
 /// encoding.
@@ -471,14 +471,6 @@ persist_struct!(CrashInjected { at_cycle, node, step, packets_lost });
 
 /// Coordinator↔worker control frames.
 enum CtlFrame {
-    /// Worker → coordinator: shard index + config fingerprint + the
-    /// [`Endpoint`] peers can dial this worker's mesh listener at, in
-    /// its text grammar.
-    Hello { index: u32, meta_crc: u32, mesh_addr: String },
-    /// Coordinator → workers: proceed (optionally restoring a
-    /// checkpoint first). `peers` is every worker's advertised mesh
-    /// address in shard order — the connection table for the full mesh.
-    Go { resume: Option<String>, peers: Vec<String> },
     /// Run one segment to the absolute step `target` under `budget`
     /// remaining cycles.
     Run { target: u64, budget: u64 },
@@ -493,13 +485,11 @@ enum CtlFrame {
 }
 
 persist_enum!(CtlFrame {
-    0 => Hello { index, meta_crc, mesh_addr },
-    1 => Go { resume, peers },
-    2 => Run { target, budget },
-    3 => Done(ok),
-    4 => Fail(f),
-    5 => Shutdown,
-    6 => Beat(samples),
+    0 => Run { target, budget },
+    1 => Done(ok),
+    2 => Fail(f),
+    3 => Shutdown,
+    4 => Beat(samples),
 });
 
 // ---------------------------------------------------------------------------
@@ -740,8 +730,8 @@ impl<'a> WorkerCtx<'a> {
 /// Run one segment of the global cycle loop on this worker's shard:
 /// [`Cluster::try_run_with`]'s loop, synchronised with the peers once
 /// per lookahead window instead of once per cycle (module docs). The
-/// one round loop of every carrier: process workers, harness threads and
-/// the in-process windowed run. Worker 0 folds every worker's heartbeat
+/// one round loop of both carriers: harness threads under a coordinator
+/// and the in-process windowed run. Worker 0 folds every worker's heartbeat
 /// samples and hands each complete beat to `beats`, the coordinator's
 /// control link, when there is one, and otherwise to the writer `cl`
 /// holds.
@@ -924,7 +914,7 @@ fn run_segment(
             .into_iter()
             .enumerate()
             .filter(|&(w, _)| w != index)
-            .map(|(_, events)| MeshFrame::Window { notes: notes.clone(), events })
+            .map(|(_, events)| MeshFrame { notes: notes.clone(), events })
             .collect();
         ctx.obs.gauges.windows += 1;
         ctx.obs.gauges.events_sent += notes.generated - own.len() as u64;
@@ -939,17 +929,9 @@ fn run_segment(
                 heard.push(std::mem::take(&mut notes));
                 continue;
             }
-            match replies.next().expect("one reply per peer") {
-                MeshFrame::Window { notes, events } => {
-                    heard.push(notes);
-                    pending.extend(events);
-                }
-                other => {
-                    return Err(SegmentFail::Link(format!(
-                        "worker {w} sent {other:?} where a window frame was due"
-                    )))
-                }
-            }
+            let MeshFrame { notes, events } = replies.next().expect("one reply per peer");
+            heard.push(notes);
+            pending.extend(events);
         }
         let mut generated = 0;
         let mut samples = Vec::new();
@@ -1137,11 +1119,9 @@ fn fold_segment(
 /// restore before the first segment.
 type WorkerLinks = (Box<dyn FrameLink>, Vec<Box<dyn FrameLink>>, Option<PathBuf>);
 
-/// One worker, whatever carries its links: build the machine, let
-/// `connect` link it up (it sees the fresh cluster, whose fingerprint a
-/// process worker's hello carries), restore, arm the `exchange` hook
-/// with the owned range, then obey `Run` / `Shutdown` control frames
-/// until the coordinator hangs up.
+/// One worker, whatever carries its links: build the machine, restore,
+/// arm the `exchange` hook with the owned range, then obey `Run` /
+/// `Shutdown` control frames until the coordinator hangs up.
 ///
 /// A segment that fails on this worker alone — a dead link, a refused
 /// event — ends the worker after it has reported: dropping its mesh
@@ -1153,14 +1133,9 @@ fn serve(
     engine: &EngineConfig,
     index: usize,
     shards: usize,
-    connect: impl FnOnce(&Cluster) -> Result<WorkerLinks, ShardError>,
+    (mut ctl, mesh, resume): WorkerLinks,
 ) -> Result<(), ShardError> {
     let mut cl = Cluster::new(cfg.clone(), sys);
-    validate_sharding(cfg, shards, cl.num_nodes())?;
-    if index >= shards {
-        return Err(ShardError::Protocol(format!("worker index {index} out of range")));
-    }
-    let (mut ctl, mesh, resume) = connect(&cl)?;
     let mut mesh: Vec<Box<dyn PeerLink>> =
         mesh.into_iter().map(|link| Box::new(link) as Box<dyn PeerLink>).collect();
     if let Some(path) = resume {
@@ -1277,8 +1252,7 @@ fn shutdown(ctl: &mut [Box<dyn FrameLink>]) {
 /// The coordinator, whatever carries its links: build the replica,
 /// restore it by the resume rule every run applies, let `connect` start
 /// the workers and hand back one control link per worker in shard order
-/// (it sees the restored replica, whose fingerprint process workers must
-/// match, and the checkpoint the workers restore), then drive
+/// (it sees the checkpoint the workers restore), then drive
 /// [`run_segments`] — the in-process run's own segment loop — with one
 /// Run / collect / splice / reconcile / fold round per segment, and shut
 /// the workers down.
@@ -1288,8 +1262,7 @@ fn coordinate(
     steps: u64,
     shards: usize,
     opts: &ShardOpts,
-    note: &mut dyn FnMut(String),
-    connect: impl FnOnce(&Cluster, Option<&Path>) -> Result<Vec<Box<dyn FrameLink>>, ShardError>,
+    connect: impl FnOnce(Option<&Path>) -> Result<Vec<Box<dyn FrameLink>>, ShardError>,
 ) -> Result<ShardedRun, ShardError> {
     let mut replica = Cluster::new(cfg.clone(), sys);
     let n = replica.num_nodes();
@@ -1299,11 +1272,11 @@ fn coordinate(
     let acc = match &opts.resume {
         Some(path) => {
             let acc = host.restore(|| load_checkpoint(&mut replica, path))?;
-            resumed(acc, &path.display().to_string(), steps, note)?
+            resumed(acc, &path.display().to_string(), steps, &mut |_| {})?
         }
         None => ClusterRunReport::new(),
     };
-    let mut ctl = connect(&replica, opts.resume.as_deref())?;
+    let mut ctl = connect(opts.resume.as_deref())?;
     if let Some(sinks) = &opts.obs {
         // The replica never steps: the workers keep the cadence.
         replica.attach_obs(Box::new(ObsLive::new(0, sinks)?));
@@ -1472,10 +1445,10 @@ pub struct ShardOpts {
     /// Heartbeat sinks on the coordinator (requires
     /// `EngineConfig::heartbeat_every` > 0 for beats to be produced).
     pub obs: Option<ObsSinkConfig>,
-    /// Thread harness only: carry the control channel and the worker
-    /// mesh over loopback TCP instead of socketpairs, exercising the
-    /// cross-host transport hermetically. The bytes on the wire are
-    /// identical either way.
+    /// Carry the control channel and the worker mesh over loopback TCP
+    /// instead of socketpairs: the second carrier the tests hold to the
+    /// oracle, and the one the benchmark's `s2_tcp_vs_unix` probe
+    /// times. The bytes on the wire are identical either way.
     pub tcp: bool,
 }
 
@@ -1485,8 +1458,7 @@ impl Default for ShardOpts {
     }
 }
 
-/// A connected loopback-TCP link pair (hermetic cross-host transport
-/// testing), opened the way the process-backed fleet opens its links.
+/// A connected loopback-TCP link pair.
 fn tcp_pair() -> std::io::Result<(Box<dyn FrameLink>, Box<dyn FrameLink>)> {
     let listener = Endpoint::Tcp("127.0.0.1:0".into()).bind()?;
     let dialed = listener.endpoint().connect()?;
@@ -1554,10 +1526,9 @@ impl std::fmt::Debug for ShardedRun {
 }
 
 /// Run `steps` timesteps over `shards` workers backed by harness
-/// threads, exchanging frames over real Unix-domain socketpairs. The
-/// process-backed path ([`coordinator_main_net`] / [`worker_main_net`]) moves
-/// identical bytes over named sockets; this entry point exists so
-/// tests and benches can run the full protocol hermetically.
+/// threads under a coordinator, exchanging frames over real Unix-domain
+/// socketpairs (or loopback TCP, [`ShardOpts::tcp`]): the full protocol,
+/// encoded and framed, run hermetically for tests and the benchmark.
 pub fn run_sharded(
     cfg: &ClusterConfig,
     sys: &ParticleSystem,
@@ -1582,7 +1553,7 @@ fn run_harness(
     wrap: &dyn Fn(usize, Box<dyn FrameLink>) -> Box<dyn FrameLink>,
 ) -> Result<ShardedRun, ShardError> {
     let mut handles = Vec::with_capacity(shards);
-    let res = coordinate(cfg, sys, steps, shards, &opts, &mut |_| {}, |_, resume| {
+    let res = coordinate(cfg, sys, steps, shards, &opts, |resume| {
         // Full mesh of socketpairs plus one control channel per worker.
         let mut ctl: Vec<Box<dyn FrameLink>> = Vec::with_capacity(shards);
         for (w, row) in harness_mesh(shards, opts.tcp)?.into_iter().enumerate() {
@@ -1598,9 +1569,7 @@ fn run_harness(
             let mesh = row.into_iter().map(|link| wrap(w, link)).collect();
             let links = (theirs, mesh, resume.map(Path::to_path_buf));
             let (cfg, sys, engine) = (cfg.clone(), sys.clone(), *engine);
-            handles.push(std::thread::spawn(move || {
-                serve(&cfg, &sys, &engine, w, shards, |_| Ok(links))
-            }));
+            handles.push(std::thread::spawn(move || serve(&cfg, &sys, &engine, w, shards, links)));
         }
         Ok(ctl)
     });
@@ -1610,155 +1579,6 @@ fn run_harness(
         let _ = h.join();
     }
     res
-}
-
-// ---------------------------------------------------------------------------
-// Process-backed coordinator / worker (CLI `--shards` / `--worker`)
-// ---------------------------------------------------------------------------
-
-fn meta_crc(cl: &Cluster) -> u32 {
-    crc32(&cl.meta_writer().into_bytes())
-}
-
-/// Spawn `shards` worker processes (re-invoking `worker_argv` with
-/// `--worker I --shard-connect ENDPOINT` appended), handshake them over
-/// a control listener bound at `listen`, and drive the run. A TCP
-/// `listen` may use port 0; workers are told the port bound. A worker
-/// that exits before its HELLO fails the run, naming it, instead of
-/// leaving the coordinator waiting. `note` is told where the run
-/// resumed, exactly as an in-process run's is.
-#[allow(clippy::too_many_arguments)]
-pub fn coordinator_main_net(
-    cfg: &ClusterConfig,
-    sys: &ParticleSystem,
-    steps: u64,
-    shards: usize,
-    opts: ShardOpts,
-    listen: &Endpoint,
-    worker_argv: &[String],
-    note: &mut dyn FnMut(String),
-) -> Result<ShardedRun, ShardError> {
-    let mut children = Vec::with_capacity(shards);
-    let res = coordinate(cfg, sys, steps, shards, &opts, note, |replica, resume| {
-        let listener = listen.bind()?;
-        let exe = std::env::current_exe()?;
-        for i in 0..shards {
-            let child = std::process::Command::new(&exe)
-                .args(worker_argv)
-                .args(["--worker", &i.to_string()])
-                .args(["--shard-connect", &listener.endpoint().to_string()])
-                .spawn()?;
-            children.push(child);
-        }
-        // Collect HELLOs; the fingerprint check catches a worker built
-        // from different arguments before any state moves.
-        let expect = meta_crc(replica);
-        let mut ctl: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
-        let mut peers: Vec<String> = vec![String::new(); shards];
-        listener.set_nonblocking()?;
-        for _ in 0..shards {
-            let mut link = accept_while_alive(&listener, &mut children)?;
-            let CtlFrame::Hello { index, meta_crc, mesh_addr } = CtlFrame::decode(&link.recv_frame()?)?
-            else {
-                return Err(ShardError::Protocol("expected hello frame".into()));
-            };
-            let refuse = |why: String| Err(ShardError::Protocol(why));
-            match ctl.get_mut(index as usize) {
-                _ if meta_crc != expect => return refuse(format!("worker {index} config fingerprint mismatch")),
-                None => return refuse(format!("worker index {index} out of range")),
-                Some(Some(_)) => return refuse(format!("duplicate worker index {index}")),
-                Some(slot) => *slot = Some(link),
-            }
-            peers[index as usize] = mesh_addr;
-        }
-        let mut ctl: Vec<Box<dyn FrameLink>> = ctl.into_iter().flatten().collect();
-        let resume = resume.map(|p| p.to_string_lossy().into_owned());
-        let go = CtlFrame::Go { resume, peers }.encode();
-        for link in ctl.iter_mut() {
-            link.send_frame(&go)?;
-        }
-        Ok(ctl)
-    });
-    for mut child in children {
-        if res.is_err() {
-            let _ = child.kill();
-        }
-        let _ = child.wait();
-    }
-    res
-}
-
-/// The next connection on the non-blocking `listener`, or the first of
-/// `children` (worker `i` is `children[i]`) to exit before one arrives.
-fn accept_while_alive(
-    listener: &Listener,
-    children: &mut [std::process::Child],
-) -> Result<Box<dyn FrameLink>, ShardError> {
-    loop {
-        match listener.accept() {
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            accepted => return Ok(accepted?),
-        }
-        for (i, child) in children.iter_mut().enumerate() {
-            if let Some(status) = child.try_wait()? {
-                return Err(ShardError::Worker(format!("worker {i} exited ({status}) during the handshake")));
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
-/// Worker-process entry point: dial the coordinator's control listener
-/// at `coordinator`, mesh with the other workers, and serve segments
-/// until shutdown. The caller must have built `cfg` / `sys` / `engine`
-/// from the same arguments as the coordinator (it re-invokes its own
-/// argv), which the HELLO fingerprint verifies.
-pub fn worker_main_net(
-    cfg: &ClusterConfig,
-    sys: &ParticleSystem,
-    engine: &EngineConfig,
-    index: usize,
-    shards: usize,
-    coordinator: &Endpoint,
-) -> Result<(), ShardError> {
-    serve(cfg, sys, engine, index, shards, |cl| {
-        // Bind the mesh listener before saying hello: our advertised
-        // endpoint is live before the coordinator releases anyone with GO.
-        let (mut ctl, listener) =
-            coordinator.connect_with_listener(&format!("peer-{index}.sock"))?;
-        let mesh_addr = listener.endpoint().to_string();
-        let hello = CtlFrame::Hello { index: index as u32, meta_crc: meta_crc(cl), mesh_addr };
-        ctl.send_frame(&hello.encode())?;
-        let CtlFrame::Go { resume, peers } = CtlFrame::decode(&ctl.recv_frame()?)? else {
-            return Err(ShardError::Protocol("expected go frame".into()));
-        };
-        if peers.len() != shards {
-            return Err(ShardError::Protocol(format!(
-                "go frame lists {} peers for {shards} shards",
-                peers.len()
-            )));
-        }
-
-        // Mesh: dial lower indices (announcing who we are), accept higher.
-        let mut links: Vec<Option<Box<dyn FrameLink>>> = (0..shards).map(|_| None).collect();
-        for (peer, slot) in links.iter_mut().enumerate().take(index) {
-            let mut link = peers[peer].parse::<Endpoint>().map_err(ShardError::Protocol)?.connect()?;
-            link.send_frame(&MeshFrame::Id(index as u32).encode())?;
-            *slot = Some(link);
-        }
-        for _ in index + 1..shards {
-            let mut link = listener.accept()?;
-            let MeshFrame::Id(peer) = MeshFrame::decode(&link.recv_frame()?)? else {
-                return Err(ShardError::Protocol("expected id frame".into()));
-            };
-            let peer = peer as usize;
-            if peer <= index || peer >= shards || links[peer].is_some() {
-                return Err(ShardError::Protocol(format!("bad mesh peer id {peer}")));
-            }
-            links[peer] = Some(link);
-        }
-        Ok((ctl, links.into_iter().flatten().collect(), resume.map(PathBuf::from)))
-    })
 }
 
 #[cfg(test)]
@@ -1781,7 +1601,7 @@ mod tests {
             notes: &WindowNotes,
             events: impl Iterator<Item = &'a WireEvent>,
         ) -> Vec<u8> {
-            MeshFrame::Window { notes: notes.clone(), events: events.cloned().collect() }.encode()
+            MeshFrame { notes: notes.clone(), events: events.cloned().collect() }.encode()
         }
     }
 
@@ -1889,7 +1709,7 @@ mod tests {
                         let events: Vec<WireEvent> =
                             (0..EVENTS as u64).map(|c| ack(c, w as u32, 0, c + 204)).collect();
                         let notes = WindowNotes { clock: w as u64, ..Default::default() };
-                        let frame = MeshFrame::Window { notes, events };
+                        let frame = MeshFrame { notes, events };
                         let bytes = frame.encode().len();
                         assert!(bytes > 1 << 20, "frame is only {bytes} bytes");
                         let frames = (1..shards).map(|_| MeshFrame::decode(&frame.encode()).expect("decodes")).collect();
@@ -1898,12 +1718,7 @@ mod tests {
                         let senders: Vec<(u64, usize, u32)> = replies
                             .expect("exchange completes")
                             .into_iter()
-                            .map(|frame| match frame {
-                                MeshFrame::Window { notes, events } => {
-                                    (notes.clock, events.len(), events[0].src)
-                                }
-                                other => panic!("unexpected frame {other:?}"),
-                            })
+                            .map(|MeshFrame { notes, events }| (notes.clock, events.len(), events[0].src))
                             .collect();
                         assert_eq!(gauges.frame_bytes, (bytes * (shards - 1)) as u64);
                         tx.send((w, senders)).expect("report");
@@ -1963,18 +1778,14 @@ mod tests {
         for case in 0..256 {
             let (notes, events) = sample_frame(&mut rng);
             let bytes = MeshFrame::encode_window(&notes, events.iter());
-            match MeshFrame::decode(&bytes).expect("round trip") {
-                MeshFrame::Window { notes: n, events: e } => {
-                    assert_eq!(n, notes, "case {case}");
-                    assert_eq!(e.len(), events.len(), "case {case}");
-                    for (got, want) in e.iter().zip(&events) {
-                        assert_eq!(
-                            (got.cycle, got.stage, got.src, got.dst, got.arrive, got.extra),
-                            (want.cycle, want.stage, want.src, want.dst, want.arrive, want.extra)
-                        );
-                    }
-                }
-                other => panic!("case {case}: decoded {other:?}"),
+            let MeshFrame { notes: n, events: e } = MeshFrame::decode(&bytes).expect("round trip");
+            assert_eq!(n, notes, "case {case}");
+            assert_eq!(e.len(), events.len(), "case {case}");
+            for (got, want) in e.iter().zip(&events) {
+                assert_eq!(
+                    (got.cycle, got.stage, got.src, got.dst, got.arrive, got.extra),
+                    (want.cycle, want.stage, want.src, want.dst, want.arrive, want.extra)
+                );
             }
 
             // Every strict prefix is an error, never a panic and never a
@@ -2020,8 +1831,8 @@ mod tests {
     // Hostile control frames
     // ---------------------------------------------------------------------
 
-    /// One seeded control frame of every kind: hello, go, run, a segment
-    /// result, shutdown, a beat and every failure arm.
+    /// One seeded control frame of every kind: run, a segment result,
+    /// shutdown, a beat and every failure arm.
     fn sample_ctl_frames(rng: &mut XorShift64Star) -> Vec<CtlFrame> {
         let text = |rng: &mut XorShift64Star| format!("{:x}", rng.next_u64() >> rng.next_below(64));
         let few = |rng: &mut XorShift64Star| 0..rng.next_below(4);
@@ -2109,15 +1920,6 @@ mod tests {
             ),
         ];
         let mut frames = vec![
-            CtlFrame::Hello {
-                index: rng.next_u64() as u32,
-                meta_crc: rng.next_u64() as u32,
-                mesh_addr: text(rng),
-            },
-            CtlFrame::Go {
-                resume: (rng.next_below(2) == 0).then(|| text(rng)),
-                peers: few(rng).map(|_| text(rng)).collect(),
-            },
             CtlFrame::Run { target: rng.next_u64(), budget: rng.next_u64() },
             CtlFrame::Done(Box::new(ok)),
             CtlFrame::Shutdown,
@@ -2166,7 +1968,7 @@ mod tests {
 
     /// A link that dies on cue: once the shared fuse burns down, every
     /// operation fails and the carrier underneath is dropped — to the
-    /// peer, exactly what a killed worker process looks like.
+    /// peer, exactly what a worker that died looks like.
     struct DoomedLink {
         inner: Option<Box<dyn FrameLink>>,
         /// Mesh receives the worker may still complete.

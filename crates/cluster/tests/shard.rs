@@ -479,6 +479,21 @@ fn crash_then_resume_on_different_shard_count_matches_oracle() {
         .expect("list checkpoints")
         .expect("a checkpoint exists");
     assert_eq!(fasda_ckpt::checkpoint_step(&latest), Some(4));
+    // The coordinator applies the in-process resume rule: a checkpoint
+    // past the requested steps is refused, naming the field.
+    let past = run_sharded(
+        &config(Some(crash_plan.without_crash()), false),
+        &sys,
+        3,
+        &engine,
+        2,
+        ShardOpts { budget: BUDGET, resume: Some(latest.clone()), ..Default::default() },
+    )
+    .expect_err("a step-4 checkpoint cannot resume a 3-step run");
+    match past {
+        ShardError::Spec(e) => assert_eq!(e.field, "resume", "{e}"),
+        other => panic!("expected a resume spec error, got {other}"),
+    }
     let resumed = run_sharded(
         &config(Some(crash_plan.without_crash()), false),
         &sys,

@@ -85,7 +85,7 @@ impl SwitchFabric {
     ///
     /// Equivalent to [`SwitchFabric::tx_serialize`] followed by
     /// [`SwitchFabric::rx_admit`] — the sharded engine performs the two
-    /// halves on different processes (the source shard serializes, the
+    /// halves on different workers (the source shard serializes, the
     /// destination shard admits) and this in-process composition is the
     /// oracle they must reproduce bit for bit.
     pub fn send(&mut self, cycle: Cycle, src: NodeId, dst: NodeId) -> Cycle {

@@ -1,25 +1,28 @@
-//! Shard exchange transport: one trait, two carriers, one address.
+//! Frame transport: one trait, two carriers, one address.
 //!
-//! The sharded cluster engine exchanges one event frame per lookahead
-//! window between worker processes. Every frame travels as a length-
-//! and CRC-framed blob (the same `len u64 | crc32 u32 | payload` framing as the
-//! checkpoint container's sections — see `fasda_ckpt::frame`), so a torn
-//! or corrupted stream is detected at the transport boundary instead of
-//! surfacing as a garbled simulation state.
+//! The job daemon and its clients exchange control frames over it, and
+//! the sharded cluster engine's harness exchanges one event frame per
+//! lookahead window between its workers. Every frame travels as a
+//! length- and CRC-framed blob (the same `len u64 | crc32 u32 | payload`
+//! framing as the checkpoint container's sections — see
+//! `fasda_ckpt::frame`), so a torn or corrupted stream is detected at
+//! the transport boundary instead of surfacing as a garbled simulation
+//! state.
 //!
 //! [`FrameLink`] abstracts the carrier:
 //!
 //! * [`StreamLink`] — a connected byte stream: [`SocketLink`] over a
-//!   Unix-domain socket, the same-host inter-process transport, and
-//!   [`TcpLink`] over TCP (Nagle off: frames are latency-bound barrier
-//!   traffic), the cross-host transport;
+//!   Unix-domain socket, the same-host transport, and [`TcpLink`] over
+//!   TCP (Nagle off: frames are latency-bound barrier traffic), the
+//!   cross-host transport;
 //! * [`MemLink`] — an in-process channel pair for hermetic tests and the
 //!   thread-backed shard harness.
 //!
 //! [`Endpoint`] names where a stream carrier lives, and its
 //! [`Endpoint::bind`] / [`Endpoint::connect`] are the only code that
-//! opens a socket: the shard fleet, the job daemon and its client all
-//! spell, bind and dial addresses here.
+//! opens a socket: the job daemon and its client, and the shard
+//! harness's loopback TCP pairs, all spell, bind and dial addresses
+//! here.
 //!
 //! All carriers move identical bytes; which one a run uses cannot
 //! affect simulation results, only wall-clock time.
@@ -238,23 +241,6 @@ impl Endpoint {
         bound().map_err(|e| self.failed(e))
     }
 
-    /// Dial the listener here, and bind a listener of our own that its
-    /// other clients can dial: the socket `name` beside this one (Unix),
-    /// or a free port on the interface the connection left from (TCP).
-    pub fn connect_with_listener(&self, name: &str) -> std::io::Result<(Box<dyn FrameLink>, Listener)> {
-        match self {
-            Endpoint::Unix(path) => {
-                let listener = Endpoint::Unix(path.with_file_name(name)).bind()?;
-                Ok((self.connect()?, listener))
-            }
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str()).map_err(|e| self.failed(e))?;
-                let here = Endpoint::Tcp(std::net::SocketAddr::new(stream.local_addr()?.ip(), 0).to_string());
-                Ok((Box::new(TcpLink::new(stream)?), here.bind()?))
-            }
-        }
-    }
-
     /// `e`, naming this endpoint.
     fn failed(&self, e: std::io::Error) -> std::io::Error {
         std::io::Error::new(e.kind(), format!("{self}: {e}"))
@@ -400,10 +386,6 @@ mod tests {
         std::mem::forget(at.bind().expect("bind"));
         assert_eq!(bound_roundtrip(&at.to_string()), at);
         assert!(!dir.join("nested/ctl.sock").exists(), "the listener's socket file outlived it");
-        // The listener beside a dialled endpoint lives in its directory.
-        let ctl = at.bind().expect("bind");
-        let (_link, peer) = ctl.endpoint().connect_with_listener("peer-0.sock").expect("dial");
-        assert_eq!(peer.endpoint(), &Endpoint::Unix(dir.join("nested/peer-0.sock")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
